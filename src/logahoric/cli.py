@@ -555,9 +555,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise ConfigError(
                 f"config file says command {cfg.command!r} but argv says {args.command!r}"
             )
-        # Resolve the worker bound early so a bad LOGAHORIC_THREADS is a
-        # config problem (exit 2) rather than a mid-run surprise.
-        poisson.worker_count()
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2

@@ -99,10 +99,6 @@ def trace(a) -> Fraction:
     return sum((a[i][i] for i in range(len(a))), Fraction(0))
 
 
-def transpose(a):
-    return [list(col) for col in zip(*a)]
-
-
 def mat_eq(a, b) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
@@ -115,37 +111,18 @@ def copy(a):
     return [list(row) for row in a]
 
 
-def rank(a) -> int:
-    """Row rank by fraction-exact Gaussian elimination."""
-    m = copy(a)
+def _eliminate(m, cols: int) -> List[int]:
+    """Gauss-Jordan reduction of m, in place, over its first cols columns.
+
+    Rows are swapped, scaled and combined whole, so columns past cols (an
+    augmented identity, say) follow along.  Returns the pivot columns in order.
+    """
     rows = len(m)
-    cols = len(m[0]) if rows else 0
-    r = 0
+    pivots: List[int] = []
     for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        r += 1
+        r = len(pivots)
         if r == rows:
             break
-    return r
-
-
-def nullspace(a) -> List[List[Fraction]]:
-    """Basis of the right kernel, as a list of vectors."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    m = copy(a)
-    pivots: List[int] = []
-    r = 0
-    for c in range(cols):
         pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
         if pivot is None:
             continue
@@ -157,9 +134,19 @@ def nullspace(a) -> List[List[Fraction]]:
                 f = m[i][c]
                 m[i] = [x - f * y for x, y in zip(m[i], m[r])]
         pivots.append(c)
-        r += 1
-        if r == rows:
-            break
+    return pivots
+
+
+def rank(a) -> int:
+    """Row rank by fraction-exact Gaussian elimination."""
+    return len(_eliminate(copy(a), len(a[0]) if a else 0))
+
+
+def nullspace(a) -> List[List[Fraction]]:
+    """Basis of the right kernel, as a list of vectors."""
+    cols = len(a[0]) if a else 0
+    m = copy(a)
+    pivots = _eliminate(m, cols)
     basis = []
     free = [c for c in range(cols) if c not in pivots]
     for fc in free:
@@ -173,18 +160,9 @@ def nullspace(a) -> List[List[Fraction]]:
 
 def inverse(a) -> Matrix:
     n = len(a)
-    m = [list(row) + list(idr) for row, idr in zip(copy(a), identity(n))]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot is None:
-            raise ArithmeticError("matrix is singular")
-        m[c], m[pivot] = m[pivot], m[c]
-        pv = m[c][c]
-        m[c] = [x / pv for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    m = [list(row) + idr for row, idr in zip(a, identity(n))]
+    if len(_eliminate(m, n)) < n:
+        raise ArithmeticError("matrix is singular")
     return [row[n:] for row in m]
 
 

@@ -72,13 +72,6 @@ class ParahoricDatum:
     plus_grading: Dict[Root, int]
     facet_class: str
 
-    def is_levi(self, root: Root) -> bool:
-        return tuple(root) in self._levi_set
-
-    @property
-    def _levi_set(self):
-        return set(self.levi_roots)
-
 
 def analyze_weight(rs: RootSystem, theta: RationalCocharacter) -> ParahoricDatum:
     """Jump table, Levi root set, radical grading and facet class of theta."""
@@ -315,7 +308,7 @@ def levi_project(x: LoopElement, d: ParahoricDatum) -> LoopElement:
     """
     if membership(x, d) not in (MEMBER_PLUS, MEMBER_PARAHORIC):
         raise FiltrationError("element is not in the parahoric subalgebra")
-    levi = d._levi_set
+    levi = set(d.levi_roots)
     torus = {k: list(coords) for k, coords in x.torus_terms if k == 0}
     roots = {
         (r, k): c

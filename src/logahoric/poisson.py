@@ -20,8 +20,6 @@ antisymmetry and the Jacobi identity when the site is first built.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -30,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import higgs, linalgq, polyq
 from .errors import (
     AlgebraMismatchError,
-    ConfigError,
+    ConstraintError,
     FiltrationError,
     GroupError,
     ShapeError,
@@ -41,20 +39,6 @@ from .parahoric import ParahoricDatum
 from .rootsys import cocharacter_to_diagonal, entry_to_root
 
 Monomial = Tuple[Tuple[int, int], ...]  # ((generator, exponent), ...) sorted
-
-
-def worker_count() -> int:
-    """Worker bound for batch verification, from LOGAHORIC_THREADS."""
-    raw = os.environ.get("LOGAHORIC_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"LOGAHORIC_THREADS must be a positive integer, got {raw!r}")
-    if value < 1:
-        raise ConfigError(f"LOGAHORIC_THREADS must be a positive integer, got {raw!r}")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +97,8 @@ def _build_site(n: int, entries: Tuple[Tuple[int, int], ...]) -> SiteAlgebra:
         for b in range(dim):
             anti = lb(a, {b: Fraction(1)})
             flip = lb(b, {a: Fraction(1)})
-            assert all(anti.get(k, 0) == -flip.get(k, 0) for k in set(anti) | set(flip))
+            if any(anti.get(k, 0) != -flip.get(k, 0) for k in set(anti) | set(flip)):
+                raise ShapeError("bracket table is not antisymmetric")
     for a in range(dim):
         for b in range(dim):
             for c in range(dim):
@@ -125,7 +110,8 @@ def _build_site(n: int, entries: Tuple[Tuple[int, int], ...]) -> SiteAlgebra:
                 ):
                     for k, v in part.items():
                         total[k] = total.get(k, Fraction(0)) + v
-                assert all(v == 0 for v in total.values()), "Jacobi identity failed"
+                if any(v != 0 for v in total.values()):
+                    raise ShapeError("Jacobi identity failed")
 
     form = [
         [
@@ -433,25 +419,15 @@ class InvolutionReport:
 def verify_involution(
     hams: Sequence[PoissonPolynomial], alg: LiePoissonAlgebra
 ) -> InvolutionReport:
-    """Bracket every pair of Hamiltonians; pairs are distributed over a
-    thread pool bounded by LOGAHORIC_THREADS and merged back in pair order."""
+    """Bracket every pair of Hamiltonians, in pair order, and list the pairs
+    whose bracket is not identically zero."""
     pairs = list(combinations(range(len(hams)), 2))
-    workers = max(1, min(worker_count(), len(pairs) or 1))
-
-    def job(idx: int) -> Tuple[int, PoissonPolynomial]:
-        i, j = pairs[idx]
-        return idx, bracket(hams[i], hams[j], alg)
-
-    results: List[Optional[PoissonPolynomial]] = [None] * len(pairs)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for idx, value in pool.map(job, range(len(pairs))):
-            results[idx] = value
-    nonzero = tuple(
-        (pairs[idx][0], pairs[idx][1], results[idx].to_string())
-        for idx in range(len(pairs))
-        if not results[idx].is_zero
-    )
-    return InvolutionReport(pair_count=len(pairs), nonzero_pairs=nonzero)
+    nonzero = []
+    for i, j in pairs:
+        value = bracket(hams[i], hams[j], alg)
+        if not value.is_zero:
+            nonzero.append((i, j, value.to_string()))
+    return InvolutionReport(pair_count=len(pairs), nonzero_pairs=tuple(nonzero))
 
 
 def _xi_ring(alg: LiePoissonAlgebra) -> RingOps:
@@ -826,12 +802,14 @@ def quotient_diagram_check(
 
 def nilpotent_vanishing_check(x: Matrix) -> bool:
     """True for nilpotent input, in which case every nonconstant invariant
-    value is asserted to vanish; False otherwise, with no assertion."""
+    value is checked to vanish (ConstraintError if one does not); False
+    otherwise, with no check."""
     n = len(x)
     power = linalgq.copy(x)
     for _ in range(n - 1):
         power = linalgq.mat_mul(power, x)
     if not linalgq.is_zero_matrix(power):
         return False
-    assert all(v == 0 for v in linalgq.invariant_values(x))
+    if any(v != 0 for v in linalgq.invariant_values(x)):
+        raise ConstraintError("an invariant of a nilpotent matrix does not vanish")
     return True

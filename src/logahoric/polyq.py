@@ -76,17 +76,6 @@ def scale(p: Sequence[Fraction], c) -> Coeffs:
     return [a * c for a in p]
 
 
-def pow_(p: Sequence[Fraction], n: int) -> Coeffs:
-    out: Coeffs = [Fraction(1)]
-    base = list(p)
-    while n > 0:
-        if n & 1:
-            out = mul(out, base)
-        base = mul(base, base)
-        n >>= 1
-    return out
-
-
 def evaluate(p: Sequence[Fraction], x) -> Fraction:
     x = Fraction(x)
     acc = Fraction(0)
@@ -114,13 +103,6 @@ def divmod_(p: Sequence[Fraction], q: Sequence[Fraction]) -> Tuple[Coeffs, Coeff
             rem[k + i] -= c * b
         trim(rem)
     return trim(quot), trim(rem)
-
-
-def divexact(p: Sequence[Fraction], q: Sequence[Fraction]) -> Coeffs:
-    quot, rem = divmod_(p, q)
-    if rem:
-        raise ArithmeticError("inexact polynomial division")
-    return quot
 
 
 def monic(p: Sequence[Fraction]) -> Coeffs:

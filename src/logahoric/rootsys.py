@@ -38,17 +38,6 @@ class RootSystem:
     simple_roots: Tuple[Root, ...]
     cartan_matrix: Tuple[Tuple[int, ...], ...]
     invariant_degrees: Tuple[int, ...]
-    positive_flags: Tuple[bool, ...]
-
-    @property
-    def positive_roots(self) -> Tuple[Root, ...]:
-        return tuple(r for r, pos in zip(self.roots, self.positive_flags) if pos)
-
-    def is_positive(self, root: Root) -> bool:
-        return all(a >= 0 for a in root)
-
-    def contains(self, root: Root) -> bool:
-        return tuple(root) in set(self.roots)
 
 
 @dataclass(frozen=True)
@@ -64,15 +53,6 @@ class RationalCocharacter:
     @property
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
-
-    def __add__(self, other: "RationalCocharacter") -> "RationalCocharacter":
-        if len(self.coeffs) != len(other.coeffs):
-            raise ShapeError("cocharacter ranks differ")
-        return RationalCocharacter(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def scaled(self, c) -> "RationalCocharacter":
-        c = Fraction(c)
-        return RationalCocharacter(tuple(a * c for a in self.coeffs))
 
 
 @dataclass(frozen=True)
@@ -181,7 +161,6 @@ def build_root_system(family: str, rank: int) -> RootSystem:
         simple_roots=tuple(simples),
         cartan_matrix=tuple(tuple(row) for row in cartan),
         invariant_degrees=_degrees(family, rank),
-        positive_flags=tuple(all(a >= 0 for a in r) for r in roots),
     )
 
 
@@ -272,15 +251,3 @@ def basis_matrix(n: int, p: int, q: int) -> Matrix:
     out = zeros(n)
     out[p][q] = Fraction(1)
     return out
-
-
-def sl2_e() -> Matrix:
-    return [[Fraction(0), Fraction(1)], [Fraction(0), Fraction(0)]]
-
-
-def sl2_f() -> Matrix:
-    return [[Fraction(0), Fraction(0)], [Fraction(1), Fraction(0)]]
-
-
-def sl2_h() -> Matrix:
-    return [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(-1)]]

@@ -322,21 +322,6 @@ def test_unknown_command_in_config(tmp_path, capsys):
     assert "unknown command" in err
 
 
-def test_bad_thread_env(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("LOGAHORIC_THREADS", "zero")
-    cfg = write_config(tmp_path, EFH)
-    code, _, err = run_cli(capsys, ["gaudin", "--config", cfg])
-    assert code == 2
-    assert "LOGAHORIC_THREADS" in err
-
-
-def test_good_thread_env(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("LOGAHORIC_THREADS", "2")
-    cfg = write_config(tmp_path, EFH)
-    report = run_json(capsys, ["involution", "--config", cfg])
-    assert report["results"]["all_commute"] is True
-
-
 def test_bad_hamiltonian_choice(tmp_path, capsys):
     payload = dict(EFH)
     payload["options"] = {"hamiltonians": "maxwell"}

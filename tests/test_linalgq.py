@@ -29,9 +29,10 @@ def test_inverse_and_singular():
         found += 1
         inv = linalgq.inverse(m)
         assert linalgq.mat_eq(linalgq.mat_mul(m, inv), linalgq.identity(3))
-    singular = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-    with pytest.raises(ArithmeticError):
-        linalgq.inverse(singular)
+    # The 3x3 has no pivot in its middle column but has one in the last.
+    for singular in ([[1, 2], [2, 4]], [[1, 2, 0], [2, 4, 0], [0, 0, 1]]):
+        with pytest.raises(ArithmeticError):
+            linalgq.inverse(linalgq.mat(singular))
 
 
 def test_nullspace_is_right_kernel():
@@ -54,6 +55,9 @@ def test_nullspace_is_right_kernel():
             assert all(x == 0 for x in image)
         if sm is not None:
             assert len(basis) == len(sm.nullspace())
+    zero = linalgq.zeros(2, 3)
+    assert linalgq.rank(zero) == 0
+    assert linalgq.nullspace(zero) == linalgq.identity(3)
 
 
 def test_char_coeffs_match_sympy_charpoly():

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,7 +10,6 @@ import sympy
 from logahoric import linalgq, poisson
 from logahoric.errors import (
     AlgebraMismatchError,
-    ConfigError,
     FiltrationError,
     GroupError,
     ShapeError,
@@ -32,7 +34,6 @@ from logahoric.poisson import (
     site_casimir,
     site_invariant_polynomials,
     verify_involution,
-    worker_count,
 )
 from logahoric.rootsys import GroupTag, RationalCocharacter, build_root_system
 from support import (
@@ -66,25 +67,6 @@ def rnd_poly(rng, alg, max_terms=3) -> PoissonPolynomial:
             term = term * alg.generator(j, p, q)
         out = out + term
     return out
-
-
-# -- worker count -------------------------------------------------------------
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("LOGAHORIC_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("LOGAHORIC_THREADS", "1")
-    assert worker_count() == 1
-    monkeypatch.delenv("LOGAHORIC_THREADS", raising=False)
-    assert worker_count() >= 1
-
-
-@pytest.mark.parametrize("raw", ["0", "-2", "abc", "1.5", ""])
-def test_worker_count_rejects_bad_values(monkeypatch, raw):
-    monkeypatch.setenv("LOGAHORIC_THREADS", raw)
-    with pytest.raises(ConfigError):
-        worker_count()
 
 
 # -- algebra shapes -----------------------------------------------------------
@@ -532,3 +514,34 @@ def test_nilpotent_vanishing_check():
         linalgq.mat_mul(u, strictly_upper(rng, 3)), linalgq.inverse(u)
     )
     assert nilpotent_vanishing_check(x)
+
+
+# Run under python -O, where a bare assert would be stripped; a vanishing
+# invariant is faked so that only a real check can raise.
+OPTIMIZED_NILPOTENT_CHECK = """
+import sys
+from fractions import Fraction
+from logahoric import linalgq, poisson
+from logahoric.errors import ConstraintError
+if __debug__:
+    sys.exit(4)
+linalgq.invariant_values = lambda m, ops=None: [Fraction(1)] * len(m)
+try:
+    poisson.nilpotent_vanishing_check([[Fraction(0), Fraction(1)], [Fraction(0), Fraction(0)]])
+except ConstraintError:
+    sys.exit(0)
+sys.exit(3)
+"""
+
+
+def test_nilpotent_vanishing_check_survives_optimize():
+    # A child process, because -O would strip this test's own asserts too.
+    src = os.path.dirname(os.path.dirname(poisson.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_NILPOTENT_CHECK],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
