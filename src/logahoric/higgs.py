@@ -8,7 +8,8 @@ residues is exactly regularity at infinity and caps deg A at s-2.
 Invariant sections are characteristic coefficients of A(z), signed so the
 degree-i section is the i-th elementary symmetric function of eigenvalues.
 The spectral data is the lambda-discriminant of det(lambda*I - A(z)),
-computed as a Sylvester determinant over Q[z], with Riemann-Hurwitz genus
+sampled at integer points z = t (where it is the discriminant of a monic
+polynomial over Q) and interpolated, with Riemann-Hurwitz genus
 bookkeeping: genus = branch/2 - n + 1 where branch counts the (simple,
 finite) discriminant roots.  The genus field is meaningful for connected
 covers with no ramification over infinity, which is the generic situation;
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import linalgq, polyq
 from .errors import (
@@ -174,11 +175,6 @@ def _char_coeff_polys(f: LogHiggsField) -> List[Coeffs]:
     return linalgq.char_coeffs(_entry_polys(f), POLY_RING)
 
 
-def _section(cs: List[Coeffs], n: int, i: int) -> Coeffs:
-    sign = Fraction(-1 if i % 2 else 1)
-    return polyq.scale(cs[n - i], sign)
-
-
 @dataclass(frozen=True)
 class HitchinImage:
     degrees: Tuple[int, ...]
@@ -198,7 +194,7 @@ def hitchin_map(f: LogHiggsField) -> HitchinImage:
     n = f.matrix_size
     s = f.site_count
     degrees = invariant_degrees(f)
-    sections = tuple(_section(cs, n, i) for i in degrees)
+    sections = tuple(polyq.scale(cs[n - i], -1 if i % 2 else 1) for i in degrees)
     ambient = tuple(i * (s - 2) + 1 for i in degrees)
     return HitchinImage(degrees=tuple(degrees), sections=sections, ambient_dims=ambient)
 
@@ -212,32 +208,23 @@ class SpectralCurveData:
     genus: Optional[int]
 
 
-def _sylvester_resultant_polys(p: List[Coeffs], q: List[Coeffs]) -> Coeffs:
-    """Resultant of two polynomials in lambda whose coefficients live in Q[z]."""
-    dp, dq = len(p) - 1, len(q) - 1
-    size = dp + dq
-    zero: Coeffs = []
-    rows: List[List[Coeffs]] = []
-    desc_p = list(reversed(p))
-    desc_q = list(reversed(q))
-    for i in range(dq):
-        rows.append([zero] * i + desc_p + [zero] * (size - i - dp - 1))
-    for i in range(dp):
-        rows.append([zero] * i + desc_q + [zero] * (size - i - dq - 1))
-    return linalgq.det(rows, POLY_RING)
-
-
 def spectral_curve(f: LogHiggsField) -> SpectralCurveData:
-    """Eigenvalue-curve data of the polynomial Lax matrix."""
+    """Eigenvalue-curve data of the polynomial Lax matrix.
+
+    The discriminant is weighted-homogeneous of weight n(n-1) in the
+    characteristic coefficients, and deg c_k <= (n-k) deg A, so its degree is
+    at most N = n(n-1) deg A.  It is sampled at z = 0..N: det(lambda*I - A(t))
+    is monic in lambda, so its discriminant over Q is the value at t of the
+    one over Q[z].  The N + 1 values are then interpolated.
+    """
     cs = _char_coeff_polys(f)
     n = f.matrix_size
     if n == 1:
         disc: Coeffs = [Fraction(1)]
     else:
-        dlam = [polyq.scale(cs[k], Fraction(k)) for k in range(1, n + 1)]
-        res = _sylvester_resultant_polys(cs, dlam)
-        sign = Fraction(-1 if (n * (n - 1) // 2) % 2 else 1)
-        disc = polyq.scale(res, sign)
+        ts = range(max(n * (n - 1) * clear_denominators(f).degree, 0) + 1)
+        values = [polyq.discriminant([polyq.evaluate(c, t) for c in cs]) for t in ts]
+        disc = polyq.interpolate(ts, values)
     squarefree = not polyq.is_zero(disc) and polyq.is_squarefree(disc)
     branch = max(polyq.degree(disc), 0)
     genus: Optional[int] = None
@@ -266,7 +253,8 @@ def residue_of_invariant(f: LogHiggsField, j: int, i: int) -> Fraction:
     """Leading coefficient of invariant i of L(z) at the j-th marked point.
 
     In the local frame dz/(z - x_j) this is the value of the degree-i
-    invariant section of A(z) at x_j divided by prod((x_j - x_k)**i); the
+    invariant section of A(z) at x_j divided by prod((x_j - x_k)**i).  The
+    value is the degree-i invariant of the Fraction matrix A(x_j), so the
     limit is computed from the polynomial side only, with no reference to
     the residue matrix itself.
     """
@@ -277,14 +265,13 @@ def residue_of_invariant(f: LogHiggsField, j: int, i: int) -> Fraction:
         raise IndexError(
             f"invariant degree {i} not available in {f.group.form} mode (choose from {degrees})"
         )
-    cs = _char_coeff_polys(f)
-    n = f.matrix_size
     xj = f.points[j]
+    at = [[polyq.evaluate(e, xj) for e in row] for row in _entry_polys(f)]
     denom = Fraction(1)
     for k, x in enumerate(f.points):
         if k != j:
             denom *= xj - x
-    return polyq.evaluate(_section(cs, n, i), xj) / denom**i
+    return linalgq.invariant_values(at)[i - 1] / denom**i
 
 
 def is_strongly_logarithmic_image(h: HitchinImage, f: LogHiggsField) -> bool:

@@ -61,7 +61,8 @@ def identity(n: int) -> Matrix:
 
 
 def mat(rows: Sequence[Sequence]) -> Matrix:
-    return [[Fraction(c) for c in row] for row in rows]
+    # Fractions are immutable: share them rather than rebuild them.
+    return [[c if type(c) is Fraction else Fraction(c) for c in row] for row in rows]
 
 
 def mat_add(a, b):
@@ -139,13 +140,13 @@ def _eliminate(m, cols: int) -> List[int]:
 
 def rank(a) -> int:
     """Row rank by fraction-exact Gaussian elimination."""
-    return len(_eliminate(copy(a), len(a[0]) if a else 0))
+    return len(_eliminate(mat(a), len(a[0]) if a else 0))
 
 
 def nullspace(a) -> List[List[Fraction]]:
     """Basis of the right kernel, as a list of vectors."""
     cols = len(a[0]) if a else 0
-    m = copy(a)
+    m = mat(a)
     pivots = _eliminate(m, cols)
     basis = []
     free = [c for c in range(cols) if c not in pivots]
@@ -160,7 +161,7 @@ def nullspace(a) -> List[List[Fraction]]:
 
 def inverse(a) -> Matrix:
     n = len(a)
-    m = [list(row) + idr for row, idr in zip(a, identity(n))]
+    m = [row + idr for row, idr in zip(mat(a), identity(n))]
     if len(_eliminate(m, n)) < n:
         raise ArithmeticError("matrix is singular")
     return [row[n:] for row in m]

@@ -441,88 +441,49 @@ def _xi_ring(alg: LiePoissonAlgebra) -> RingOps:
     )
 
 
-def _zpoly_ring(alg: LiePoissonAlgebra) -> RingOps:
-    """Dense polynomials in z whose coefficients are coordinate polynomials."""
-    base = _xi_ring(alg)
-
-    def trim(p: list) -> list:
-        while p and p[-1].is_zero:
-            p.pop()
-        return p
-
-    def add(p, q):
-        out = [base.zero] * max(len(p), len(q))
-        for i, c in enumerate(p):
-            out[i] = out[i] + c
-        for i, c in enumerate(q):
-            out[i] = out[i] + c
-        return trim(out)
-
-    def mul(p, q):
-        if not p or not q:
-            return []
-        out = [base.zero] * (len(p) + len(q) - 1)
-        for i, a in enumerate(p):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(q):
-                if not b.is_zero:
-                    out[i + j] = out[i + j] + a * b
-        return trim(out)
-
-    return RingOps(
-        zero=[],
-        one=[base.one],
-        add=add,
-        mul=mul,
-        neg=lambda p: [-c for c in p],
-        div_int=lambda p, k: [c.scaled(Fraction(1, k)) for c in p],
-    )
-
-
 def hitchin_coefficient_hamiltonians(
     points: Sequence, n: int, form: str = "SL"
 ) -> Tuple[LiePoissonAlgebra, Tuple[PoissonPolynomial, ...]]:
     """Expand the invariant sections of a symbolic Lax matrix.
 
     The residues are matrices of coordinate generators, one full matrix site
-    per marked point; every z-coefficient of every invariant section of
-    A(z) = prod(z - x_k) L(z) is returned as a polynomial Hamiltonian.
+    per marked point, so A(z) = prod(z - x_k) L(z) has degree s-1 and the
+    degree-i invariant section has degree at most i(s-1) in z.  The
+    characteristic coefficients of A(t) are taken at t = 0..n(s-1) and each
+    z-coefficient is recovered from these samples with the Lagrange basis.
+    Every non-zero z-coefficient of every section is returned as a
+    polynomial Hamiltonian, by ascending degree i, then ascending power of z.
     """
     if form not in ("SL", "GL"):
         raise ShapeError(f"form must be SL or GL, got {form!r}")
     xs = [Fraction(x) for x in points]
     s = len(xs)
     alg = matrix_poisson_algebra(n, s)
-    ring = _zpoly_ring(alg)
+    ring = _xi_ring(alg)
     basis = [
-        polyq.from_roots([x for k, x in enumerate(xs) if k != s_idx])
-        for s_idx in range(s)
+        polyq.from_roots([x for k, x in enumerate(xs) if k != j]) for j in range(s)
     ]
-    entries = []
-    for p in range(n):
-        row = []
-        for q in range(n):
-            e: list = []
-            for j in range(s):
-                lifted = [
-                    PoissonPolynomial.zero(alg) if c == 0
-                    else alg.generator(j, p, q).scaled(c)
-                    for c in basis[j]
-                ]
-                e = ring.add(e, lifted)
-            row.append(e)
-        entries.append(row)
-    cs = linalgq.char_coeffs(entries, ring)
+    ts = range(n * (s - 1) + 1)
+    samples = []
+    for t in ts:
+        at = [[ring.zero] * n for _ in range(n)]
+        for j, b in enumerate(basis):
+            w = polyq.evaluate(b, t)
+            for p in range(n):
+                for q in range(n):
+                    at[p][q] = at[p][q] + alg.generator(j, p, q).scaled(w)
+        samples.append(linalgq.char_coeffs(at, ring))
+    lagrange = polyq.lagrange_basis(ts)
     start = 1 if form == "GL" else 2
     hams: List[PoissonPolynomial] = []
     for i in range(start, n + 1):
-        section = cs[n - i]
-        sign = Fraction(-1 if i % 2 else 1)
-        for coeff in section:
-            scaled = coeff.scaled(sign)
-            if not scaled.is_zero:
-                hams.append(scaled)
+        sign = -1 if i % 2 else 1
+        for d in range(i * (s - 1) + 1):
+            coeff = ring.zero
+            for lk, cs in zip(lagrange, samples):
+                coeff = coeff + cs[n - i].scaled(sign * lk[d])
+            if not coeff.is_zero:
+                hams.append(coeff)
     return alg, tuple(hams)
 
 

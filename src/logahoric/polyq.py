@@ -163,6 +163,27 @@ def from_roots(roots: Iterable) -> Coeffs:
     return out
 
 
+def lagrange_basis(xs: Sequence) -> List[Coeffs]:
+    """Polynomials L_k of degree len(xs) - 1 with L_k(xs[j]) = [j == k].
+
+    The points must be distinct.
+    """
+    full = from_roots(xs)
+    out = []
+    for x in xs:
+        num, _ = divmod_(full, from_roots([x]))
+        out.append(scale(num, 1 / evaluate(num, x)))
+    return out
+
+
+def interpolate(xs: Sequence, ys: Sequence) -> Coeffs:
+    """The polynomial of degree < len(xs) taking the value ys[k] at xs[k]."""
+    out: Coeffs = []
+    for basis, y in zip(lagrange_basis(xs), ys):
+        out = add(out, scale(basis, y))
+    return out
+
+
 def to_string(p: Sequence[Fraction], var: str = "z") -> str:
     if not p:
         return "0"

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .errors import ShapeError, UnsupportedRealizationError, UnsupportedTypeError
 from .linalgq import Matrix, zeros

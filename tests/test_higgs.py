@@ -253,13 +253,12 @@ def test_spectral_curve_non_squarefree():
 
 
 def test_spectral_discriminant_matches_sympy():
-    """Resultant-based discriminant agrees with sympy's in the lambda frame."""
+    """Interpolated discriminant agrees with sympy's in the lambda frame."""
     rng = random.Random(92)
     lam, z = sympy.symbols("lam z")
-    for _ in range(8):
-        n = rng.randint(2, 3)
-        f = rnd_field(rng, n, 3)
-        sc = spectral_curve(f)
+
+    def check(f):
+        n = f.matrix_size
         a = clear_denominators(f)
         sa = sympy.zeros(n, n)
         for p in range(n):
@@ -269,8 +268,24 @@ def test_spectral_discriminant_matches_sympy():
         theirs = sympy.Poly(
             sympy.discriminant(sympy.expand(char), lam), z
         ).all_coeffs()[::-1]
-        ours = sc.discriminant
+        ours = spectral_curve(f).discriminant
         assert [sympy.Rational(c.numerator, c.denominator) for c in ours] == theirs
+
+    for _ in range(8):
+        check(rnd_field(rng, rng.randint(2, 3), 3))
+    # n = 4, s = 4, fields not regular at infinity (deg A = s - 1), and GL.
+    for n, s, form, sum_zero in [
+        (4, 3, "SL", True),
+        (4, 4, "SL", True),
+        (2, 4, "SL", True),
+        (3, 4, "SL", True),
+        (2, 3, "SL", False),
+        (3, 4, "SL", False),
+        (2, 3, "GL", True),
+        (3, 3, "GL", False),
+        (4, 3, "GL", False),
+    ]:
+        check(rnd_field(rng, n, s, form=form, sum_zero=sum_zero))
 
 
 def test_spectral_genus_closed_form():

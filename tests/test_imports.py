@@ -1,0 +1,38 @@
+"""Every name a package module imports is used in that module.
+
+A stdlib `ast` scan: a name bound by `import` or `from ... import` must occur
+as a name somewhere in the module.  `__future__` imports and the re-exports
+of `__init__.py` are left out.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "logahoric"
+MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list:
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported.append((alias.asname or alias.name.split(".")[0], node.lineno))
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported.append((alias.asname or alias.name, node.lineno))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(name, line) for name, line in imported if name not in used]
+
+
+def test_scan_flags_an_unused_name():
+    source = "from typing import Dict, List\nimport os\n\nx: List[int] = []\n"
+    assert unused_imports(source) == [("Dict", 1), ("os", 2)]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unused_imports(module):
+    assert unused_imports((PACKAGE / module).read_text()) == []

@@ -33,6 +33,10 @@ def test_inverse_and_singular():
     for singular in ([[1, 2], [2, 4]], [[1, 2, 0], [2, 4, 0], [0, 0, 1]]):
         with pytest.raises(ArithmeticError):
             linalgq.inverse(linalgq.mat(singular))
+    # Plain ints are converted, not divided as floats.
+    inv = linalgq.inverse([[3, 1], [1, 1]])
+    assert inv == [[Fraction(1, 2), Fraction(-1, 2)], [Fraction(-1, 2), Fraction(3, 2)]]
+    assert all(type(x) is Fraction for row in inv for x in row)
 
 
 def test_nullspace_is_right_kernel():
@@ -58,6 +62,10 @@ def test_nullspace_is_right_kernel():
     zero = linalgq.zeros(2, 3)
     assert linalgq.rank(zero) == 0
     assert linalgq.nullspace(zero) == linalgq.identity(3)
+    # Plain ints are converted, not divided as floats.
+    basis = linalgq.nullspace([[1, 3]])
+    assert basis == [[Fraction(-3), Fraction(1)]]
+    assert all(type(x) is Fraction for v in basis for x in v)
 
 
 def test_char_coeffs_match_sympy_charpoly():

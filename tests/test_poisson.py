@@ -246,12 +246,13 @@ def test_hitchin_coefficient_hamiltonians_match_field_sections():
     rng = random.Random(113)
     from logahoric.higgs import hitchin_map
 
-    for _ in range(5):
-        f = rnd_field(rng, 2, 3, sum_zero=False)
-        alg, hams = hitchin_coefficient_hamiltonians(f.points, 2, "SL")
+    for n, s, form in [(2, 3, "SL")] * 5 + [(3, 3, "SL"), (2, 4, "SL"), (3, 4, "GL")]:
+        f = rnd_field(rng, n, s, form=form, sum_zero=False)
+        alg, hams = hitchin_coefficient_hamiltonians(f.points, n, form)
         image = hitchin_map(f)
-        section = image.sections[0]
-        padded = list(section) + [Fraction(0)] * (5 - len(section))
+        padded = []
+        for i, section in zip(image.degrees, image.sections):
+            padded += list(section) + [Fraction(0)] * (i * (s - 1) + 1 - len(section))
         values = [h.evaluate(list(f.residues)) for h in hams]
         assert values == padded
 

@@ -59,6 +59,36 @@ def test_gcd_and_squarefree():
     assert polyq.is_squarefree([Fraction(4)])
 
 
+def test_interpolate_matches_sympy():
+    """Interpolation through random rational points agrees with sympy and
+    evaluates back to the sampled values."""
+    rng = random.Random(10)
+    z = sympy.Symbol("z")
+    for _ in range(20):
+        xs = list({rnd_fraction(rng) for _ in range(rng.randint(1, 7))})
+        ys = [rnd_fraction(rng) for _ in xs]
+        ours = polyq.interpolate(xs, ys)
+        assert polyq.degree(ours) < len(xs)
+        assert [polyq.evaluate(ours, x) for x in xs] == ys
+        theirs = sympy.interpolate(
+            [(sympy.Rational(x.numerator, x.denominator),
+              sympy.Rational(y.numerator, y.denominator)) for x, y in zip(xs, ys)],
+            z,
+        )
+        assert coeffs_to_sympy(ours, z) == sympy.expand(theirs)
+
+
+def test_interpolate_edge_cases():
+    assert polyq.interpolate([Fraction(5, 3)], [Fraction(-2)]) == [Fraction(-2)]
+    assert polyq.interpolate([0, 1, 2], [0, 0, 0]) == []
+    # 1/2, 3/2, 5/2 on the line 2z - 1: the degree drops below len(xs) - 1.
+    half = [Fraction(1, 2), Fraction(3, 2), Fraction(5, 2)]
+    assert polyq.interpolate(half, [0, 2, 4]) == [Fraction(-1), Fraction(2)]
+    basis = polyq.lagrange_basis(half)
+    for k, lk in enumerate(basis):
+        assert [polyq.evaluate(lk, x) for x in half] == [int(j == k) for j in range(3)]
+
+
 def test_resultant_matches_sympy():
     rng = random.Random(7)
     z = sympy.Symbol("z")
