@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalgq, polyq
 from .errors import (
@@ -317,14 +317,15 @@ def gaudin_hamiltonians(f: LogHiggsField) -> GaudinData:
     alg = poisson.matrix_poisson_algebra(n, s)
     polys = []
     for j in range(s):
-        ham = poisson.PoissonPolynomial.zero(alg)
+        terms: Dict[poisson.Monomial, Fraction] = {}
         for k in range(s):
             if k == j:
                 continue
             c = Fraction(1) / (f.points[j] - f.points[k])
             for p in range(n):
                 for q in range(n):
-                    term = alg.generator(j, p, q) * alg.generator(k, q, p)
-                    ham = ham + term.scaled(c)
-        polys.append(ham)
+                    # x_j[p][q] x_k[q][p]: a distinct monomial for each (k, p, q)
+                    pair = (alg.generator_index(j, p, q), alg.generator_index(k, q, p))
+                    terms[tuple((g, 1) for g in sorted(pair))] = c
+        polys.append(poisson.PoissonPolynomial._from_dict(alg, terms))
     return GaudinData(values=tuple(values), polynomials=tuple(polys), algebra=alg)

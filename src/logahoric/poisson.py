@@ -20,6 +20,7 @@ antisymmetry and the Jacobi identity when the site is first built.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -51,7 +52,8 @@ class SiteAlgebra:
     matrix_size: int
     entries: Tuple[Tuple[int, int], ...]
     labels: Tuple[str, ...]
-    bracket_table: Dict[Tuple[int, int], Tuple[Tuple[int, Fraction], ...]]
+    # (a, b) -> ((c, C_ab^c), ...) for the non-zero integer structure constants
+    bracket_table: Dict[Tuple[int, int], Tuple[Tuple[int, int], ...]]
     form: Tuple[Tuple[Fraction, ...], ...]
 
     @property
@@ -66,50 +68,50 @@ def _build_site(n: int, entries: Tuple[Tuple[int, int], ...]) -> SiteAlgebra:
     if (n, entries) in _SITE_CACHE:
         return _SITE_CACHE[(n, entries)]
     index = {e: a for a, e in enumerate(entries)}
-    table: Dict[Tuple[int, int], Tuple[Tuple[int, Fraction], ...]] = {}
+    table: Dict[Tuple[int, int], Tuple[Tuple[int, int], ...]] = {}
     for a, (p, q) in enumerate(entries):
         for b, (r, s) in enumerate(entries):
-            acc: Dict[int, Fraction] = {}
+            acc: Dict[int, int] = {}
             if p == s:
                 if (r, q) not in index:
                     raise ShapeError("entry set is not bracket-closed")
-                acc[index[(r, q)]] = acc.get(index[(r, q)], Fraction(0)) + 1
+                acc[index[(r, q)]] = acc.get(index[(r, q)], 0) + 1
             if q == r:
                 if (p, s) not in index:
                     raise ShapeError("entry set is not bracket-closed")
-                acc[index[(p, s)]] = acc.get(index[(p, s)], Fraction(0)) - 1
+                acc[index[(p, s)]] = acc.get(index[(p, s)], 0) - 1
             row = tuple((c, v) for c, v in sorted(acc.items()) if v)
             if row:
                 table[(a, b)] = row
 
-    def tbl(a: int, b: int) -> Dict[int, Fraction]:
+    def tbl(a: int, b: int) -> Dict[int, int]:
         return dict(table.get((a, b), ()))
 
-    def lb(a: int, comb: Dict[int, Fraction]) -> Dict[int, Fraction]:
-        out: Dict[int, Fraction] = {}
+    def lb(a: int, comb: Dict[int, int]) -> Dict[int, int]:
+        out: Dict[int, int] = {}
         for b, cb in comb.items():
             for c, f in table.get((a, b), ()):
-                out[c] = out.get(c, Fraction(0)) + cb * f
+                out[c] = out.get(c, 0) + cb * f
         return {k: v for k, v in out.items() if v}
 
     dim = len(entries)
     for a in range(dim):
         for b in range(dim):
-            anti = lb(a, {b: Fraction(1)})
-            flip = lb(b, {a: Fraction(1)})
+            anti = lb(a, {b: 1})
+            flip = lb(b, {a: 1})
             if any(anti.get(k, 0) != -flip.get(k, 0) for k in set(anti) | set(flip)):
                 raise ShapeError("bracket table is not antisymmetric")
     for a in range(dim):
         for b in range(dim):
             for c in range(dim):
-                total: Dict[int, Fraction] = {}
+                total: Dict[int, int] = {}
                 for part in (
                     lb(a, tbl(b, c)),
                     lb(b, tbl(c, a)),
                     lb(c, tbl(a, b)),
                 ):
                     for k, v in part.items():
-                        total[k] = total.get(k, Fraction(0)) + v
+                        total[k] = total.get(k, 0) + v
                 if any(v != 0 for v in total.values()):
                     raise ShapeError("Jacobi identity failed")
 
@@ -153,22 +155,30 @@ class LiePoissonAlgebra:
     offsets: Tuple[int, ...]
     gen_count: int
     labels: Tuple[str, ...]
+    gen_sites: Tuple[int, ...]  # site index of each generator
 
     def site_of(self, gen: int) -> int:
-        for j in range(len(self.sites) - 1, -1, -1):
-            if gen >= self.offsets[j]:
-                return j
-        raise AlgebraMismatchError(f"generator {gen} out of range")
+        """Index of the site that owns generator gen (a tuple lookup).
 
-    def generator(self, j: int, p: int, q: int) -> "PoissonPolynomial":
-        site = self.sites[j]
+        Raises AlgebraMismatchError unless 0 <= gen < gen_count, so a
+        negative index never wraps around to the last site.
+        """
+        if not 0 <= gen < self.gen_count:
+            raise AlgebraMismatchError(f"generator {gen} out of range")
+        return self.gen_sites[gen]
+
+    def generator_index(self, j: int, p: int, q: int) -> int:
+        """Index of site j's generator at matrix entry (p, q)."""
         try:
-            local = site.entries.index((p, q))
+            local = self.sites[j].entries.index((p, q))
         except ValueError:
             raise AlgebraMismatchError(
                 f"site {j} has no generator at entry ({p}, {q})"
             )
-        gen = self.offsets[j] + local
+        return self.offsets[j] + local
+
+    def generator(self, j: int, p: int, q: int) -> "PoissonPolynomial":
+        gen = self.generator_index(j, p, q)
         return PoissonPolynomial(self, (((((gen, 1),)), Fraction(1)),))
 
 
@@ -176,15 +186,18 @@ def _assemble(sites: Sequence[SiteAlgebra]) -> LiePoissonAlgebra:
     offsets = []
     count = 0
     labels: List[str] = []
+    gen_sites: List[int] = []
     for j, site in enumerate(sites):
         offsets.append(count)
         count += site.dim
         labels.extend(f"x{j}_{lbl[1:]}" for lbl in site.labels)
+        gen_sites.extend([j] * site.dim)
     return LiePoissonAlgebra(
         sites=tuple(sites),
         offsets=tuple(offsets),
         gen_count=count,
         labels=tuple(labels),
+        gen_sites=tuple(gen_sites),
     )
 
 
@@ -316,41 +329,87 @@ class PoissonPolynomial:
         return " + ".join(parts)
 
 
+# site j -> local generator a -> [(k*e_a, m/x_a as {generator: exponent}), ...]
+Partials = Dict[int, Dict[int, List[Tuple[int, Dict[int, int]]]]]
+
+
+def _partials(pol: PoissonPolynomial, alg: LiePoissonAlgebra) -> Tuple[int, Partials]:
+    """pol cleared to integer coefficients and split by generator.
+
+    Returns den, the lcm of the coefficient denominators, and the Partials
+    of pol: one entry (k*e_a, m/x_a) for each term (k/den)*m of pol and each
+    generator x_a of m, with e_a its exponent, so that d(pol)/dx_a is the
+    sum of k*e_a*(m/x_a) over den.
+    """
+    den = math.lcm(*(c.denominator for _, c in pol.terms))
+    parts: Partials = {}
+    for mono, c in pol.terms:
+        k = c.numerator * (den // c.denominator)
+        for gen, e in mono:
+            rest = dict(mono)
+            if e == 1:
+                del rest[gen]
+            else:
+                rest[gen] = e - 1
+            j = alg.gen_sites[gen]
+            site = parts.setdefault(j, {})
+            site.setdefault(gen - alg.offsets[j], []).append((k * e, rest))
+    return den, parts
+
+
 def bracket(
     f: PoissonPolynomial, g: PoissonPolynomial, alg: LiePoissonAlgebra
 ) -> PoissonPolynomial:
-    """Lie-Poisson bracket, extended to polynomials by the Leibniz rule."""
+    """Lie-Poisson bracket, extended to polynomials by the Leibniz rule.
+
+    Computed term by term from the site structure constants:
+
+        {f, g} = sum over terms c_f m_f of f and c_g m_g of g, and over
+                 generators a of m_f and b != a of m_g on the same site, of
+                 e_a e_b c_f c_g sum_c C_ab^c (m_f/x_a)(m_g/x_b) x_c
+
+    with e_a, e_b the exponents of x_a, x_b and C_ab^c the site's
+    bracket_table, which has no (a, a) row (C_aa^c = 0 by antisymmetry).
+    Each operand is first cleared to integer coefficients over the lcm of
+    its denominators, the sum is taken in ints, and the result is divided
+    by the two denominators once at the end.
+    """
     for pol in (f, g):
         if pol.algebra is not alg and pol.algebra != alg:
             raise AlgebraMismatchError("polynomial does not belong to this algebra")
         for gen in pol.variables():
             if not 0 <= gen < alg.gen_count:
                 raise AlgebraMismatchError(f"foreign generator {gen}")
-    acc: Dict[Monomial, Fraction] = {}
-    fvars = f.variables()
-    gvars = g.variables()
-    fparts = {a: f.partial(a) for a in fvars}
-    gparts = {b: g.partial(b) for b in gvars}
-    for a in fvars:
-        ja = alg.site_of(a)
-        offset = alg.offsets[ja]
-        table = alg.sites[ja].bracket_table
-        for b in gvars:
-            if alg.site_of(b) != ja or a == b:
-                continue
-            row = table.get((a - offset, b - offset))
-            if not row:
-                continue
-            prod = fparts[a] * gparts[b]
-            if prod.is_zero:
-                continue
-            for c_local, coeff in row:
-                gen_poly = PoissonPolynomial(
-                    alg, ((((offset + c_local, 1),), Fraction(1)),)
-                )
-                for mono, cf in (prod * gen_poly).terms:
-                    acc[mono] = acc.get(mono, Fraction(0)) + cf * coeff
-    return PoissonPolynomial._from_dict(alg, acc)
+    fden, fparts = _partials(f, alg)
+    gden, gparts = _partials(g, alg)
+    acc: Dict[Monomial, int] = {}
+    for j, f_site in fparts.items():
+        g_site = gparts.get(j)
+        if not g_site:
+            continue
+        offset = alg.offsets[j]
+        table = alg.sites[j].bracket_table
+        for a, f_list in f_site.items():
+            for b, g_list in g_site.items():
+                row = table.get((a, b))
+                if not row:
+                    continue
+                for ka, rest_a in f_list:
+                    for kb, rest_b in g_list:
+                        merged = dict(rest_a)
+                        for x, e in rest_b.items():
+                            merged[x] = merged.get(x, 0) + e
+                        k = ka * kb
+                        for c_local, coeff in row:
+                            term = dict(merged)
+                            c = offset + c_local
+                            term[c] = term.get(c, 0) + 1
+                            key = tuple(sorted(term.items()))
+                            acc[key] = acc.get(key, 0) + k * coeff
+    den = fden * gden
+    return PoissonPolynomial._from_dict(
+        alg, {m: Fraction(k, den) for m, k in acc.items() if k}
+    )
 
 
 def site_casimir(alg: LiePoissonAlgebra, j: int) -> PoissonPolynomial:

@@ -113,10 +113,13 @@ def monic(p: Sequence[Fraction]) -> Coeffs:
 
 
 def gcd(p: Sequence[Fraction], q: Sequence[Fraction]) -> Coeffs:
+    """Monic gcd by the Euclidean algorithm over Q (the zero polynomial for
+    two zero inputs).  Each remainder is made monic before the next division,
+    which keeps coefficient growth in check without changing the result."""
     a, b = list(p), list(q)
     while b:
         _, r = divmod_(a, b)
-        a, b = b, r
+        a, b = b, monic(r)
     return monic(a)
 
 

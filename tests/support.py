@@ -103,3 +103,36 @@ def matrix_to_sympy(m):
     return sympy.Matrix(
         [[sympy.Rational(v.numerator, v.denominator) for v in row] for row in m]
     )
+
+
+def reference_bracket(f, g, alg):
+    """The Lie-Poisson bracket by the partial-product route, kept as a test
+    oracle: sum over generator pairs (a, b) on one site of
+    (df/dx_a)(dg/dx_b) {x_a, x_b}, built from PoissonPolynomial products."""
+    from logahoric.poisson import PoissonPolynomial
+
+    acc = {}
+    fvars = f.variables()
+    gvars = g.variables()
+    fparts = {a: f.partial(a) for a in fvars}
+    gparts = {b: g.partial(b) for b in gvars}
+    for a in fvars:
+        ja = alg.site_of(a)
+        offset = alg.offsets[ja]
+        table = alg.sites[ja].bracket_table
+        for b in gvars:
+            if alg.site_of(b) != ja or a == b:
+                continue
+            row = table.get((a - offset, b - offset))
+            if not row:
+                continue
+            prod = fparts[a] * gparts[b]
+            if prod.is_zero:
+                continue
+            for c_local, coeff in row:
+                gen_poly = PoissonPolynomial(
+                    alg, ((((offset + c_local, 1),), Fraction(1)),)
+                )
+                for mono, cf in (prod * gen_poly).terms:
+                    acc[mono] = acc.get(mono, Fraction(0)) + cf * coeff
+    return PoissonPolynomial._from_dict(alg, acc)

@@ -41,6 +41,7 @@ from support import (
     F2,
     H2,
     matrix_to_sympy,
+    reference_bracket,
     rnd_field,
     rnd_invertible,
     rnd_matrix,
@@ -142,6 +143,94 @@ def test_bracket_leibniz_and_jacobi_random():
         assert jac.is_zero
 
 
+def rnd_rational_poly(rng, alg, max_terms=4, max_exp=3) -> PoissonPolynomial:
+    """A constant plus up to max_terms monomials, each a product of up to
+    three generator powers x^e with e <= max_exp (a generator drawn twice
+    gets a higher exponent), with coefficients over varied denominators."""
+    out = PoissonPolynomial.constant(alg, Fraction(rng.randint(-3, 3), rng.randint(1, 7)))
+    for _ in range(rng.randint(1, max_terms)):
+        term = PoissonPolynomial.constant(
+            alg, Fraction(rng.choice([-5, -2, -1, 1, 3, 4]), rng.randint(1, 9))
+        )
+        for _ in range(rng.randint(1, 3)):
+            g = rng.randrange(alg.gen_count)
+            j = alg.site_of(g)
+            p, q = alg.sites[j].entries[g - alg.offsets[j]]
+            for _ in range(rng.randint(1, max_exp)):
+                term = term * alg.generator(j, p, q)
+        out = out + term
+    return out
+
+
+A2 = build_root_system("A", 2)
+
+
+def oracle_algebras():
+    """Full and Levi algebras with one to three sites."""
+    full_a2 = wt(A2, 0, 0)
+    block = wt(A2, Fraction(-1, 2), Fraction(1, 2))  # 2x2 block on {0, 2}
+    torus = wt(A2, Fraction(1, 4), 0)
+    return [
+        matrix_poisson_algebra(2, 1),
+        matrix_poisson_algebra(2, 3),
+        matrix_poisson_algebra(3, 2),
+        levi_poisson_algebra([block]),
+        levi_poisson_algebra([full_a2, block]),
+        levi_poisson_algebra([torus, block, full_a2]),
+        levi_poisson_algebra([wt(A1, Fraction(1, 4)), wt(A1, 0)]),
+    ]
+
+
+def test_bracket_matches_reference_oracle():
+    rng = random.Random(4242)
+    nonzero = 0
+    for alg in oracle_algebras():
+        for _ in range(12):
+            f = rnd_rational_poly(rng, alg)
+            g = rnd_rational_poly(rng, alg)
+            got = bracket(f, g, alg)
+            want = reference_bracket(f, g, alg)
+            assert got == want
+            assert got.to_string() == want.to_string()
+            nonzero += not got.is_zero
+    assert nonzero >= 40  # most random pairs do not commute
+
+
+def test_bracket_matches_reference_oracle_on_hamiltonians():
+    rng = random.Random(17)
+    f = rnd_field(rng, 3, 4)
+    gd = gaudin_hamiltonians(f)
+    alg = gd.algebra
+    x = alg.generator(1, 0, 2)
+    probes = list(gd.polynomials) + [x.scaled(Fraction(2, 3)) * x + x]
+    for a in probes:
+        for b in probes:
+            assert bracket(a, b, alg) == reference_bracket(a, b, alg)
+
+
+def test_site_of_agrees_with_offsets():
+    for alg in oracle_algebras():
+        for g in range(alg.gen_count):
+            j = alg.site_of(g)
+            assert alg.offsets[j] <= g < alg.offsets[j] + alg.sites[j].dim
+        for bad in (-1, alg.gen_count, alg.gen_count + 5, -alg.gen_count):
+            with pytest.raises(AlgebraMismatchError):
+                alg.site_of(bad)
+
+
+def test_bracket_rejects_foreign_generator():
+    alg = matrix_poisson_algebra(2, 2)
+    foreign = PoissonPolynomial(alg, ((((alg.gen_count, 1),), Fraction(1)),))
+    x = alg.generator(0, 0, 1)
+    with pytest.raises(AlgebraMismatchError):
+        bracket(foreign, x, alg)
+    with pytest.raises(AlgebraMismatchError):
+        bracket(x, foreign, alg)
+    negative = PoissonPolynomial(alg, ((((-1, 1),), Fraction(1)),))
+    with pytest.raises(AlgebraMismatchError):
+        bracket(x, negative, alg)
+
+
 def test_evaluate_and_partial():
     alg = matrix_poisson_algebra(2, 1)
     x01 = alg.generator(0, 0, 1)
@@ -208,6 +297,27 @@ def test_gaudin_polynomials_evaluate_to_values():
         data = gaudin_hamiltonians(f)
         for j in range(3):
             assert data.polynomials[j].evaluate(list(f.residues)) == data.values[j]
+
+
+def test_gaudin_polynomials_match_generator_products():
+    """H_j = sum over k != j, p, q of x_j[p][q] x_k[q][p] / (x_j - x_k),
+    summed as polynomials term by term."""
+    rng = random.Random(113)
+    for n, s in [(2, 3), (3, 4), (4, 2)]:
+        f = rnd_field(rng, n, s)
+        data = gaudin_hamiltonians(f)
+        alg = data.algebra
+        for j in range(s):
+            ham = PoissonPolynomial.zero(alg)
+            for k in range(s):
+                if k == j:
+                    continue
+                c = 1 / (f.points[j] - f.points[k])
+                for p in range(n):
+                    for q in range(n):
+                        term = alg.generator(j, p, q) * alg.generator(k, q, p)
+                        ham = ham + term.scaled(c)
+            assert data.polynomials[j].terms == ham.terms
 
 
 def test_gaudin_involution():

@@ -59,6 +59,51 @@ def test_gcd_and_squarefree():
     assert polyq.is_squarefree([Fraction(4)])
 
 
+def test_gcd_matches_sympy():
+    """Degree 20-30 products of random rational factors, some repeated:
+    the monic gcd with a second product and with the derivative agrees with
+    sympy, and so does the squarefree verdict."""
+    rng = random.Random(107)
+    z = sympy.Symbol("z")
+
+    def factor():
+        lead = Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.randint(1, 4))
+        return polyq.poly([rnd_fraction(rng) for _ in range(rng.randint(1, 3))] + [lead])
+
+    def monic_sympy(expr):
+        return sympy.Poly(expr, z).monic().as_expr()
+
+    verdicts = set()
+    for trial in range(8):
+        shared = [factor() for _ in range(rng.randint(1, 3))]
+        p = polyq.poly([1])
+        q = polyq.poly([1])
+        for fac in shared:
+            p = polyq.mul(p, fac)
+            q = polyq.mul(q, fac)
+        while polyq.degree(p) < 20:
+            fac = factor()
+            p = polyq.mul(p, fac)
+            if trial % 2 and rng.random() < 0.4:
+                p = polyq.mul(p, fac)  # a repeated factor
+        while polyq.degree(q) < 12:
+            q = polyq.mul(q, factor())
+        assert 20 <= polyq.degree(p) <= 30
+        sp, sq = coeffs_to_sympy(p, z), coeffs_to_sympy(q, z)
+        g = polyq.gcd(p, q)
+        assert g[-1] == 1
+        assert sympy.expand(coeffs_to_sympy(g, z) - monic_sympy(sympy.gcd(sp, sq))) == 0
+        dp = polyq.derivative(p)
+        gd = sympy.gcd(sp, sympy.diff(sp, z))
+        assert sympy.expand(
+            coeffs_to_sympy(polyq.gcd(p, dp), z) - monic_sympy(gd)
+        ) == 0
+        squarefree = sympy.degree(gd, z) == 0
+        assert polyq.is_squarefree(p) == squarefree
+        verdicts.add(squarefree)
+    assert verdicts == {True, False}
+
+
 def test_interpolate_matches_sympy():
     """Interpolation through random rational points agrees with sympy and
     evaluates back to the sampled values."""
