@@ -8,6 +8,7 @@ is written against a tiny RingOps protocol instead of concrete types.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Sequence
@@ -138,9 +139,42 @@ def _eliminate(m, cols: int) -> List[int]:
     return pivots
 
 
+def integer_row(row) -> List[int]:
+    """The rational row times the lcm of its denominators, as Python ints."""
+    row = [x if type(x) is Fraction else Fraction(x) for x in row]
+    den = math.lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row]
+
+
 def rank(a) -> int:
-    """Row rank by fraction-exact Gaussian elimination."""
-    return len(_eliminate(mat(a), len(a[0]) if a else 0))
+    """Row rank by fraction-free (Bareiss) forward elimination in ints.
+
+    Each row is scaled by the lcm of its denominators, which leaves the rank
+    alone; zero rows are dropped.  Each step pivots on the first column with
+    a non-zero entry, removes the pivot row, and replaces every other row by
+    (p*row - f*pivot_row) // prev, dropping the pivot column; the division is
+    exact because every entry is a minor of the cleared matrix.
+    """
+    rows = [row for row in map(integer_row, a) if any(row)]
+    r = 0
+    prev = 1
+    while rows:
+        pivot = next((i for i, row in enumerate(rows) if row[0]), None)
+        if pivot is None:
+            rows = [row[1:] for row in rows]
+            continue
+        top = rows.pop(pivot)
+        p = top[0]
+        r += 1
+        rest = []
+        for row in rows:
+            f = row[0]
+            new = [(p * x - f * y) // prev for x, y in zip(row[1:], top[1:])]
+            if any(new):
+                rest.append(new)
+        rows = rest
+        prev = p
+    return r
 
 
 def nullspace(a) -> List[List[Fraction]]:

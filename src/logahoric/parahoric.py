@@ -28,8 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from . import linalgq
 from .errors import (
@@ -425,6 +424,66 @@ class Rank2Report:
     candidates: Tuple[Rank2Candidate, ...] = field(repr=False)
 
 
+# Every rank-2 report lists one candidate per closed incidence set, and their
+# number grows like 2^m in the flag count m: at m = 12 there are over 40k
+# candidates and the JSON report runs to several megabytes.  Past this many
+# flags rank2_semistability refuses the input (ShapeError) before any work.
+RANK2_MAX_FLAGS = 10
+
+
+def _incidence_closures(rows: List[List[int]], nvars: int) -> Set[Tuple[int, ...]]:
+    """Closed incidence sets of the integer condition rows on nvars unknowns.
+
+    A set is closed when it holds every condition that vanishes on the
+    kernel of its rows.  This returns the closure of every subset of rows
+    whose kernel is not zero, walking the independent subsets depth-first
+    and adding only indices above the last one added: every subset has the
+    closure of its maximal independent subsets, and every prefix of an
+    independent set is independent.
+
+    The state is a matrix E kept by columns, E[k][j] being row k applied to
+    the j-th vector of a kernel basis of the rows chosen so far.  Adding row
+    i with pivot column p (its first non-zero entry) is one integer column
+    step col_j <- E[i][p]*col_j - E[i][j]*col_p; col_p is dropped and each
+    column divided by its gcd, so a column with E[i][j] = 0 is left as it
+    is.  The closure is the set of zero rows of E; the walk stops at one
+    column, since a further row would leave no kernel.
+    """
+    m = len(rows)
+    start = []
+    for j in range(nvars):
+        col = [row[j] for row in rows]
+        g = math.gcd(*col)
+        start.append([x // g for x in col] if g > 1 else col)
+    closures: Set[Tuple[int, ...]] = set()
+    stack = [(start, 0)]  # (columns of E, lowest row index that may be added)
+    while stack:
+        cols, first = stack.pop()
+        live = [any(col[k] for col in cols) for k in range(m)]
+        closures.add(tuple(k for k in range(m) if not live[k]))
+        if len(cols) == 1:
+            continue
+        for i in range(first, m):
+            if not live[i]:
+                continue
+            p = next(j for j, col in enumerate(cols) if col[i])
+            col_p = cols[p]
+            pivot = col_p[i]
+            step = []
+            for j, col in enumerate(cols):
+                if j == p:
+                    continue
+                f = col[i]
+                if f:
+                    col = [pivot * x - f * y for x, y in zip(col, col_p)]
+                    g = math.gcd(*col)
+                    if g > 1:
+                        col = [x // g for x in col]
+                step.append(col)
+            stack.append((step, i + 1))
+    return closures
+
+
 def rank2_semistability(
     split_degrees: Tuple[int, int],
     flags: Sequence[Tuple[object, object]] = (),
@@ -438,16 +497,26 @@ def rank2_semistability(
     (on-flag, off-flag), both in [0,1).  A line subbundle of degree a is a
     coefficient vector of a polynomial pair (p, q) with deg p <= a1-a,
     deg q <= a2-a; forcing incidence with the flag at x_i is one linear
-    condition d_i*p(x_i) - c_i*q(x_i) = 0.
+    condition d_i*p(x_i) - c_i*q(x_i) = 0, kept as a row of Python ints.
 
     Candidates run over degrees {a1} and {a2, a2-1, ..., a2-m} (m = number of
-    marked points) and all incidence subsets; this is exhaustive because the
-    weighted degree of any deeper or unsaturated candidate is strictly
-    beaten by a listed one: each unit of degree lost can buy back strictly
-    less than one unit of weight when all weights lie in [0,1).
+    marked points) and every closed set of incidences whose conditions leave
+    a non-zero solution; _incidence_closures finds these sets by integer
+    column elimination over the independent condition sets.  This is
+    exhaustive because the weighted degree of any deeper or unsaturated
+    candidate is strictly beaten by a listed one: each unit of degree lost
+    can buy back strictly less than one unit of weight when all weights lie
+    in [0,1).
+
+    At most RANK2_MAX_FLAGS flags are accepted; more raise ShapeError
+    before any work, since the candidate list grows like 2^m.
     """
-    a1, a2 = int(split_degrees[0]), int(split_degrees[1])
     m = len(flags)
+    if m > RANK2_MAX_FLAGS:
+        raise ShapeError(
+            f"rank-2 enumeration takes at most {RANK2_MAX_FLAGS} flags, got {m}"
+        )
+    a1, a2 = int(split_degrees[0]), int(split_degrees[1])
     if len(weights) != m:
         raise ShapeError("one weight pair per flag is required")
     flag_dirs = []
@@ -480,61 +549,32 @@ def rank2_semistability(
     total_slope = total_wd / 2
 
     degrees = sorted({a1} | {a2 - k for k in range(m + 1)}, reverse=True)
-    found: Dict[Tuple[int, Tuple[int, ...]], Rank2Candidate] = {}
+    found: List[Rank2Candidate] = []
     for a in degrees:
         dim_p = a1 - a + 1
         dim_q = max(a2 - a + 1, 0)
-        nvars = dim_p + dim_q
-
-        def incidence_row(i: int) -> List[Fraction]:
-            ci, di = flag_dirs[i]
-            x = xs[i]
-            row = [di * x**k for k in range(dim_p)]
-            row += [-ci * x**k for k in range(dim_q)]
-            return row
-
-        for size in range(m + 1):
-            for subset in combinations(range(m), size):
-                rows = [incidence_row(i) for i in subset]
-                if rows:
-                    basis = linalgq.nullspace(rows)
-                else:
-                    basis = [
-                        [Fraction(1 if t == s else 0) for t in range(nvars)]
-                        for s in range(nvars)
-                    ]
-                if not basis:
-                    continue
-                forced = [
-                    i
-                    for i in range(m)
-                    if i not in subset
-                    and all(
-                        sum(r * v for r, v in zip(incidence_row(i), b)) == 0
-                        for b in basis
-                    )
-                ]
-                actual = tuple(sorted(set(subset) | set(forced)))
-                if (a, actual) in found:
-                    continue
-                pairings = tuple(
-                    wpairs[i][0] if i in actual else wpairs[i][1] for i in range(m)
-                )
-                rd = ReductionDatum(a, 1, total_degree, 2, pairings)
-                wd = parahoric_degree(rd)
-                if wd > total_slope:
-                    verdict = VERDICT_FAIL
-                elif wd == total_slope:
-                    verdict = VERDICT_BOUNDARY
-                else:
-                    verdict = VERDICT_STABLE
-                found[(a, actual)] = Rank2Candidate(a, actual, rd, wd, verdict)
+        rows = [
+            linalgq.integer_row(
+                [d * x**k for k in range(dim_p)] + [-c * x**k for k in range(dim_q)]
+            )
+            for (c, d), x in zip(flag_dirs, xs)
+        ]
+        for actual in _incidence_closures(rows, dim_p + dim_q):
+            pairings = tuple(
+                wpairs[i][0] if i in actual else wpairs[i][1] for i in range(m)
+            )
+            rd = ReductionDatum(a, 1, total_degree, 2, pairings)
+            wd = parahoric_degree(rd)
+            if wd > total_slope:
+                verdict = VERDICT_FAIL
+            elif wd == total_slope:
+                verdict = VERDICT_BOUNDARY
+            else:
+                verdict = VERDICT_STABLE
+            found.append(Rank2Candidate(a, actual, rd, wd, verdict))
 
     candidates = tuple(
-        sorted(
-            found.values(),
-            key=lambda c: (-c.weighted_degree, -c.degree, c.incidences),
-        )
+        sorted(found, key=lambda c: (-c.weighted_degree, -c.degree, c.incidences))
     )
     witness = candidates[0]
     return Rank2Report(

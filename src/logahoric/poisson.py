@@ -714,20 +714,35 @@ def _algebra_for(m: MomentValue) -> LiePoissonAlgebra:
 def bivector_rank_at(
     xi: MomentValue, alg: Optional[LiePoissonAlgebra] = None
 ) -> int:
-    """Rank of the Poisson bivector at the point: dimension of its leaf."""
+    """Rank of the Poisson bivector at the point: dimension of its leaf.
+
+    Each site's bracket_table couples only that site's generators, so the
+    bivector is block-diagonal and its rank is the sum of the ranks of the
+    per-site dim x dim blocks pi_ab = sum_c C_ab^c xi_c.  An explicit alg
+    must have one site per site of xi, of the same matrix size, or
+    AlgebraMismatchError is raised.
+    """
     alg = alg if alg is not None else _algebra_for(xi)
-    size = alg.gen_count
-    pi = linalgq.zeros(size)
-    for j, site in enumerate(alg.sites):
-        offset = alg.offsets[j]
-        values = xi.sites[j]
+    if len(alg.sites) != len(xi.sites):
+        raise AlgebraMismatchError(
+            f"algebra has {len(alg.sites)} sites, the point has {len(xi.sites)}"
+        )
+    total = 0
+    for j, (site, values) in enumerate(zip(alg.sites, xi.sites)):
+        if len(values) != site.matrix_size:
+            raise AlgebraMismatchError(
+                f"site {j} has matrix size {site.matrix_size}, "
+                f"the point's site {j} is {len(values)}x{len(values)}"
+            )
+        block = linalgq.zeros(site.dim)
         for (a, b), row in site.bracket_table.items():
             acc = Fraction(0)
             for c, coeff in row:
                 p, q = site.entries[c]
                 acc += coeff * values[p][q]
-            pi[offset + a][offset + b] = acc
-    return linalgq.rank(pi)
+            block[a][b] = acc
+        total += linalgq.rank(block)
+    return total
 
 
 @dataclass(frozen=True)

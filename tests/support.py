@@ -136,3 +136,108 @@ def reference_bracket(f, g, alg):
                 for mono, cf in (prod * gen_poly).terms:
                     acc[mono] = acc.get(mono, Fraction(0)) + cf * coeff
     return PoissonPolynomial._from_dict(alg, acc)
+
+
+def reference_rank2(split_degrees, flags=(), weights=(), points=None):
+    """The rank-2 enumerator by the all-subsets route, kept as a test oracle:
+    for each degree a and every subset of the incidence conditions, a
+    Fraction nullspace of the subset's rows and a closure of every condition
+    vanishing on it.  Inputs are taken as valid; returns
+    (candidates, witness, total_weighted_degree, total_slope)."""
+    from itertools import combinations
+
+    from logahoric.parahoric import (
+        VERDICT_BOUNDARY,
+        VERDICT_FAIL,
+        VERDICT_STABLE,
+        Rank2Candidate,
+        ReductionDatum,
+        parahoric_degree,
+    )
+
+    a1, a2 = int(split_degrees[0]), int(split_degrees[1])
+    m = len(flags)
+    flag_dirs = [(Fraction(c), Fraction(d)) for c, d in flags]
+    wpairs = [(Fraction(wf), Fraction(wo)) for wf, wo in weights]
+    if points is None:
+        xs = [Fraction(i) for i in range(m)]
+    else:
+        xs = [Fraction(x) for x in points]
+    if a1 < a2:
+        a1, a2 = a2, a1
+        flag_dirs = [(d, c) for c, d in flag_dirs]
+    total_degree = a1 + a2
+    total_wd = Fraction(total_degree) + sum((wf + wo for wf, wo in wpairs), Fraction(0))
+    total_slope = total_wd / 2
+
+    degrees = sorted({a1} | {a2 - k for k in range(m + 1)}, reverse=True)
+    found = {}
+    for a in degrees:
+        dim_p = a1 - a + 1
+        dim_q = max(a2 - a + 1, 0)
+        nvars = dim_p + dim_q
+
+        def incidence_row(i):
+            ci, di = flag_dirs[i]
+            x = xs[i]
+            return [di * x**k for k in range(dim_p)] + [-ci * x**k for k in range(dim_q)]
+
+        for size in range(m + 1):
+            for subset in combinations(range(m), size):
+                rows = [incidence_row(i) for i in subset]
+                if rows:
+                    basis = linalgq.nullspace(rows)
+                else:
+                    basis = [
+                        [Fraction(1 if t == s else 0) for t in range(nvars)]
+                        for s in range(nvars)
+                    ]
+                if not basis:
+                    continue
+                forced = [
+                    i
+                    for i in range(m)
+                    if i not in subset
+                    and all(
+                        sum(r * v for r, v in zip(incidence_row(i), b)) == 0
+                        for b in basis
+                    )
+                ]
+                actual = tuple(sorted(set(subset) | set(forced)))
+                if (a, actual) in found:
+                    continue
+                pairings = tuple(
+                    wpairs[i][0] if i in actual else wpairs[i][1] for i in range(m)
+                )
+                rd = ReductionDatum(a, 1, total_degree, 2, pairings)
+                wd = parahoric_degree(rd)
+                if wd > total_slope:
+                    verdict = VERDICT_FAIL
+                elif wd == total_slope:
+                    verdict = VERDICT_BOUNDARY
+                else:
+                    verdict = VERDICT_STABLE
+                found[(a, actual)] = Rank2Candidate(a, actual, rd, wd, verdict)
+
+    candidates = tuple(
+        sorted(found.values(), key=lambda c: (-c.weighted_degree, -c.degree, c.incidences))
+    )
+    return candidates, candidates[0], total_wd, total_slope
+
+
+def reference_bivector_rank(xi, alg):
+    """Rank of the Poisson bivector as one gen_count x gen_count Fraction
+    matrix, kept as a test oracle: gen_count minus the dimension of its
+    Gauss-Jordan nullspace."""
+    size = alg.gen_count
+    pi = linalgq.zeros(size)
+    for j, site in enumerate(alg.sites):
+        offset = alg.offsets[j]
+        values = xi.sites[j]
+        for (a, b), row in site.bracket_table.items():
+            acc = Fraction(0)
+            for c, coeff in row:
+                p, q = site.entries[c]
+                acc += coeff * values[p][q]
+            pi[offset + a][offset + b] = acc
+    return size - len(linalgq.nullspace(pi))

@@ -358,6 +358,29 @@ def test_domain_failure_report(tmp_path, capsys):
     assert "residue sum" in report["error"]["message"]
 
 
+def test_rank2_flag_cap_report(tmp_path, capsys):
+    m = parahoric.RANK2_MAX_FLAGS + 1
+    cfg = write_config(
+        tmp_path,
+        {
+            "options": {
+                "rank2": {
+                    "split_degrees": [1, 0],
+                    "flags": [["1", str(i + 1)] for i in range(m)],
+                    "weights": [["1/2", "0"]] * m,
+                }
+            }
+        },
+    )
+    code, out, _ = run_cli(capsys, ["stability", "--config", cfg])
+    assert code == 1
+    report = json.loads(out)
+    assert report["command"] == "stability"
+    assert report["error"]["kind"] == "shape"
+    assert f"at most {parahoric.RANK2_MAX_FLAGS} flags" in report["error"]["message"]
+    assert "results" not in report
+
+
 def test_trace_failure_report(tmp_path, capsys):
     payload = {
         "group": {"family": "A", "rank": 1, "form": "SL"},

@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given
+from hypothesis import strategies as st
 
 from logahoric import linalgq, polyq
-from support import coeffs_to_sympy, matrix_to_sympy, rnd_matrix
+from support import coeffs_to_sympy, matrix_to_sympy, rnd_fraction, rnd_matrix
 
 
 def test_det_and_rank_match_sympy():
@@ -66,6 +68,100 @@ def test_nullspace_is_right_kernel():
     basis = linalgq.nullspace([[1, 3]])
     assert basis == [[Fraction(-3), Fraction(1)]]
     assert all(type(x) is Fraction for v in basis for x in v)
+
+
+def _sympy_rank(m):
+    return matrix_to_sympy(m).rank() if m and m[0] else 0
+
+
+def _check_rank(m):
+    """rank equals sympy's, satisfies rank-nullity with nullspace and is
+    unchanged by transposition; returns it."""
+    r = linalgq.rank(m)
+    cols = len(m[0]) if m else 0
+    assert r == _sympy_rank(m)
+    assert r + len(linalgq.nullspace(m)) == cols
+    assert linalgq.rank([list(col) for col in zip(*m)]) == r
+    return r
+
+
+def test_rank_matches_sympy_and_nullity():
+    rng = random.Random(21)
+    seen = set()
+    for _ in range(120):
+        rows, cols, inner = rng.randint(1, 6), rng.randint(1, 6), rng.randint(0, 4)
+        # A product through an inner dimension caps the rank at inner.
+        left = [[rnd_fraction(rng, -3, 3, 5) for _ in range(inner)] for _ in range(rows)]
+        right = [[rnd_fraction(rng, -3, 3, 7) for _ in range(cols)] for _ in range(inner)]
+        m = [
+            [
+                sum((lrow[t] * right[t][j] for t in range(inner)), Fraction(0))
+                for j in range(cols)
+            ]
+            for lrow in left
+        ]
+        edit = rng.randrange(5)
+        if edit == 0 and rows > 1:
+            m[-1] = list(m[0])  # duplicate row
+        elif edit == 1 and rows > 1:
+            m[-1] = [x * Fraction(-7, 3) for x in m[0]]  # proportional row
+        elif edit == 2:
+            m[rng.randrange(rows)] = [Fraction(0)] * cols  # zero row
+        elif edit == 3:
+            c = rng.randrange(cols)
+            for row in m:
+                row[c] = Fraction(0)  # zero column
+        r = _check_rank(m)
+        assert r <= min(inner, rows, cols)
+        seen.add(r)
+    assert seen == {0, 1, 2, 3, 4}
+
+
+def test_rank_edge_cases():
+    assert linalgq.rank([]) == 0
+    assert linalgq.rank([[]]) == 0
+    assert linalgq.rank([[], []]) == 0
+    assert linalgq.rank(linalgq.zeros(3, 5)) == 0
+    assert _check_rank([[Fraction(0), Fraction(1, 3), Fraction(-2, 7)]]) == 1  # 1 x n
+    assert _check_rank([[Fraction(0)], [Fraction(5, 2)], [Fraction(1)]]) == 1  # n x 1
+    assert _check_rank([[Fraction(0)], [Fraction(0)]]) == 0
+    # Mixed denominators within a row and across rows.
+    m = [
+        [Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)],
+        [Fraction(3, 2), Fraction(1), Fraction(3, 5)],
+        [Fraction(1, 7), Fraction(-1, 9), Fraction(0)],
+    ]
+    assert _check_rank(m) == 2
+    # A pivot-free leading column, then a skipped middle column.
+    assert _check_rank([[0, 1, 2, 3], [0, 2, 4, 7], [0, 3, 6, 1]]) == 2
+    assert linalgq.rank([[2, 4], [1, 2]]) == 1  # plain ints
+    assert linalgq.rank(linalgq.identity(6)) == 6
+    assert linalgq.integer_row([Fraction(1, 2), Fraction(-1, 3), 0, 2]) == [3, -2, 0, 12]
+    assert linalgq.integer_row([]) == []
+
+
+RATIONALS = st.builds(
+    Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3, 4, 6, 9])
+)
+
+
+@given(
+    st.integers(1, 5).flatmap(
+        lambda cols: st.lists(
+            st.lists(RATIONALS, min_size=cols, max_size=cols), min_size=1, max_size=5
+        )
+    ),
+    st.data(),
+)
+def test_rank_property_random_rationals(m, data):
+    # Append a combination of existing rows: the rank must not move.
+    r = _check_rank(m)
+    coeffs = data.draw(st.lists(RATIONALS, min_size=len(m), max_size=len(m)))
+    combo = [
+        sum((c * row[j] for c, row in zip(coeffs, m)), Fraction(0))
+        for j in range(len(m[0]))
+    ]
+    assert _check_rank(m + [combo]) == r
 
 
 def test_char_coeffs_match_sympy_charpoly():

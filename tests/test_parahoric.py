@@ -1,9 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from logahoric import linalgq
+from logahoric import linalgq, parahoric
 from logahoric.errors import (
     DivisorError,
     FiltrationError,
@@ -20,6 +23,7 @@ from logahoric.parahoric import (
     FACET_HYPERSPECIAL,
     FACET_IWAHORI,
     FACET_PROPER,
+    RANK2_MAX_FLAGS,
     VERDICT_BOUNDARY,
     VERDICT_FAIL,
     VERDICT_STABLE,
@@ -41,6 +45,7 @@ from logahoric.parahoric import (
     slope_test,
 )
 from logahoric.rootsys import RationalCocharacter, build_root_system, negate, pair
+from support import reference_rank2
 
 A1 = build_root_system("A", 1)
 A2 = build_root_system("A", 2)
@@ -402,3 +407,113 @@ def test_rank2_candidates_agree_with_slope_test():
             assert slope_test(cand.reduction, total) == cand.verdict
         best = max(c.weighted_degree for c in report.candidates)
         assert report.witness.weighted_degree == best
+
+
+def _rank2_flags(rng, m):
+    """m flag directions mixing generic pairs, pairs with a zero coordinate,
+    exact repeats and proportional copies of earlier flags."""
+    flags = []
+    for _ in range(m):
+        kind = rng.randrange(5)
+        if kind == 0:
+            flag = (0, rng.randint(1, 3))
+        elif kind == 1:
+            flag = (Fraction(rng.randint(1, 3), rng.randint(1, 2)), 0)
+        elif kind == 2 and flags:
+            flag = rng.choice(flags)
+        elif kind == 3 and flags:
+            c, d = rng.choice(flags)
+            k = Fraction(rng.choice((-3, -1, 2, 5)), rng.randint(1, 3))
+            flag = (c * k, d * k)
+        else:
+            flag = (
+                Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                Fraction(rng.randint(1, 4), rng.randint(1, 3)),
+            )
+        flags.append(flag)
+    return flags
+
+
+def test_rank2_matches_reference_oracle():
+    """Every candidate, the witness and the totals equal the all-subsets
+    enumerator's, over m = 0..8 flags, gaps 0..3, both orders of the split
+    degrees, default and rational points."""
+    rng = random.Random(4242)
+    cases = 0
+    for m in range(9):
+        for gap in range(4):
+            if m >= 7 and gap != m - 7:
+                continue  # one gap each at m = 7, 8: the oracle is slow there
+            a2 = rng.randint(-2, 1)
+            degrees = (a2 + gap, a2)
+            if (m + gap) % 2:
+                degrees = degrees[::-1]
+            flags = _rank2_flags(rng, m)
+            weights = [
+                (Fraction(rng.randint(0, 5), 6), Fraction(rng.randint(0, 7), 8))
+                for _ in range(m)
+            ]
+            if gap % 2:
+                points = None
+            else:
+                points = [
+                    Fraction(x, rng.randint(1, 3)) for x in rng.sample(range(-9, 10), m)
+                ]
+                if len(set(points)) != m:
+                    points = None
+            report = rank2_semistability(degrees, flags, weights, points)
+            candidates, witness, total_wd, total_slope = reference_rank2(
+                degrees, flags, weights, points
+            )
+            assert report.candidates == candidates  # every field, reduction too
+            assert report.witness == witness
+            assert report.verdict == witness.verdict
+            assert report.total_weighted_degree == total_wd
+            assert report.total_slope == total_slope
+            cases += 1
+    assert cases == 30
+
+
+def test_rank2_flag_cap():
+    assert 0 < RANK2_MAX_FLAGS <= 10
+    m = RANK2_MAX_FLAGS + 1
+    # The weights are missing too: the cap is checked before anything else.
+    with pytest.raises(ShapeError, match=f"at most {RANK2_MAX_FLAGS} flags"):
+        rank2_semistability((0, 0), flags=[(1, 1)] * m)
+    report = rank2_semistability(
+        (1, 0),
+        flags=[(1, i + 1) for i in range(RANK2_MAX_FLAGS)],
+        weights=[(Fraction(1, 2), 0)] * RANK2_MAX_FLAGS,
+    )
+    assert report.witness.weighted_degree == max(
+        c.weighted_degree for c in report.candidates
+    )
+
+
+# Run under python -O, where a bare assert would be stripped.
+OPTIMIZED_RANK2_CAP = """
+import sys
+from logahoric import parahoric
+from logahoric.errors import ShapeError
+if __debug__:
+    sys.exit(4)
+m = parahoric.RANK2_MAX_FLAGS + 1
+try:
+    parahoric.rank2_semistability((0, 0), [(1, 1)] * m, [(0, 0)] * m)
+except ShapeError:
+    sys.exit(0)
+sys.exit(3)
+"""
+
+
+def test_rank2_flag_cap_survives_optimize():
+    # A child process, because -O would strip this test's own asserts too.
+    src = os.path.dirname(os.path.dirname(parahoric.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_RANK2_CAP],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr

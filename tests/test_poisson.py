@@ -41,6 +41,7 @@ from support import (
     F2,
     H2,
     matrix_to_sympy,
+    reference_bivector_rank,
     reference_bracket,
     rnd_field,
     rnd_invertible,
@@ -553,6 +554,50 @@ def test_bivector_rank_is_even():
         s = rng.randint(1, 2)
         m = MomentValue(sites=tuple(rnd_matrix(rng, n) for _ in range(s)))
         assert bivector_rank_at(m) % 2 == 0
+
+
+def _bivector_points(rng, alg):
+    """Random and degenerate points (zero, scalar, nilpotent, rank one) with
+    one matrix per site of alg."""
+    sizes = [site.matrix_size for site in alg.sites]
+    yield MomentValue(sites=tuple(rnd_matrix(rng, n) for n in sizes))
+    yield MomentValue(sites=tuple(linalgq.zeros(n) for n in sizes))
+    yield MomentValue(
+        sites=tuple(linalgq.mat_scale(linalgq.identity(n), 3) for n in sizes)
+    )
+    yield MomentValue(sites=tuple(strictly_upper(rng, n) for n in sizes))
+    rank_one = []
+    for n in sizes:
+        u = [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)]
+        v = [Fraction(rng.randint(-2, 2)) for _ in range(n)]
+        rank_one.append([[a * b for b in v] for a in u])
+    yield MomentValue(sites=tuple(rank_one))
+
+
+def test_bivector_rank_blocks_match_full_matrix():
+    """The per-site block ranks sum to the rank of the whole bivector."""
+    rng = random.Random(123)
+    ranks = set()
+    for alg in oracle_algebras() + [matrix_poisson_algebra(4, 2)]:
+        for xi in _bivector_points(rng, alg):
+            got = bivector_rank_at(xi, alg)
+            assert got == reference_bivector_rank(xi, alg)
+            assert leaf_invariants(xi, alg).bivector_rank == got
+            ranks.add(got)
+    assert len(ranks) >= 5
+
+
+def test_bivector_rank_rejects_mismatched_algebra():
+    xi = MomentValue(sites=(H2, H2))
+    assert bivector_rank_at(xi, matrix_poisson_algebra(2, 2)) == 4
+    # One site too few, and the right site count with the wrong matrix size.
+    for alg in (matrix_poisson_algebra(2, 1), matrix_poisson_algebra(3, 2)):
+        with pytest.raises(AlgebraMismatchError):
+            bivector_rank_at(xi, alg)
+        with pytest.raises(AlgebraMismatchError):
+            leaf_invariants(xi, alg)
+    with pytest.raises(AlgebraMismatchError):
+        bivector_rank_at(xi, levi_poisson_algebra([wt(A1, 0), wt(A2, 0, 0)]))
 
 
 def test_leaf_invariants_examples():
