@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import __version__, higgs, parahoric, poisson, polyq
-from .errors import ConfigError, LogahoricError
+from .errors import ConfigError, LogahoricError, ShapeError
 from .higgs import LogHiggsField
 from .parahoric import ParahoricDatum, ReductionDatum
 from .rootsys import GroupTag, RationalCocharacter, build_root_system
@@ -305,6 +305,14 @@ def _cmd_moment(cfg: ParsedConfig) -> dict:
     return {"sites": [_matrix_out(site) for site in mv.sites]}
 
 
+# Largest point count s that `involution` with Hitchin-coefficient
+# Hamiltonians accepts for each matrix size n; other sizes are refused
+# (ShapeError) before any work.  On a shared 2-CPU host the largest accepted
+# shapes, n = 2, s = 12 and n = 3, s = 4, take 2-4 s each; n = 3, s = 5
+# takes 18 s and n = 4, s = 3 three minutes.
+HITCHIN_INVOLUTION_MAX_POINTS = {2: 12, 3: 4}
+
+
 def _hitchin_symbolic_hams(cfg: ParsedConfig):
     group = cfg.require_group()
     points = cfg.require_points()
@@ -312,6 +320,18 @@ def _hitchin_symbolic_hams(cfg: ParsedConfig):
         n = group.matrix_size
     except LogahoricError as exc:
         raise ConfigError(f"group: {exc}")
+    limit = HITCHIN_INVOLUTION_MAX_POINTS.get(n)
+    if limit is None:
+        raise ShapeError(
+            "Hitchin-coefficient involution takes matrix size n = "
+            f"{min(HITCHIN_INVOLUTION_MAX_POINTS)}..{max(HITCHIN_INVOLUTION_MAX_POINTS)}"
+            f", got {n}"
+        )
+    if len(points) > limit:
+        raise ShapeError(
+            f"Hitchin-coefficient involution takes at most {limit} points "
+            f"for n = {n}, got {len(points)}"
+        )
     alg, hams = poisson.hitchin_coefficient_hamiltonians(points, n, group.form)
     return alg, list(hams)
 

@@ -305,16 +305,20 @@ def gaudin_hamiltonians(f: LogHiggsField) -> GaudinData:
 
     s = f.site_count
     n = f.matrix_size
-    values = []
+    values = [Fraction(0)] * s
     for j in range(s):
-        acc = Fraction(0)
-        for k in range(s):
-            if k != j:
-                acc += trace_form(f.residues[j], f.residues[k]) / (
-                    f.points[j] - f.points[k]
-                )
-        values.append(acc)
+        for k in range(j + 1, s):
+            # tr(X_j X_k) = tr(X_k X_j): one trace per unordered pair
+            term = trace_form(f.residues[j], f.residues[k]) / (
+                f.points[j] - f.points[k]
+            )
+            values[j] += term
+            values[k] -= term
     alg = poisson.matrix_poisson_algebra(n, s)
+    gens = [
+        [[alg.generator_index(j, p, q) for q in range(n)] for p in range(n)]
+        for j in range(s)
+    ]
     polys = []
     for j in range(s):
         terms: Dict[poisson.Monomial, Fraction] = {}
@@ -324,8 +328,9 @@ def gaudin_hamiltonians(f: LogHiggsField) -> GaudinData:
             c = Fraction(1) / (f.points[j] - f.points[k])
             for p in range(n):
                 for q in range(n):
-                    # x_j[p][q] x_k[q][p]: a distinct monomial for each (k, p, q)
-                    pair = (alg.generator_index(j, p, q), alg.generator_index(k, q, p))
-                    terms[tuple((g, 1) for g in sorted(pair))] = c
+                    # x_j[p][q] x_k[q][p]: a distinct monomial for each (k, p, q),
+                    # its generators ascending because site j's precede site k's
+                    a, b = (gens[j][p][q], 1), (gens[k][q][p], 1)
+                    terms[(a, b) if j < k else (b, a)] = c
         polys.append(poisson.PoissonPolynomial._from_dict(alg, terms))
     return GaudinData(values=tuple(values), polynomials=tuple(polys), algebra=alg)

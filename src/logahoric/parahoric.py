@@ -430,6 +430,12 @@ class Rank2Report:
 # flags rank2_semistability refuses the input (ShapeError) before any work.
 RANK2_MAX_FLAGS = 10
 
+# Each incidence row has one entry d*x^k per k up to the split-degree gap
+# a1 - a2, so the integer elimination grows faster than linearly in the gap:
+# RANK2_MAX_FLAGS flags at points 0..9 take about 2 s at gap 32 and 52 s at
+# gap 400.  Past this gap rank2_semistability refuses the input (ShapeError).
+RANK2_MAX_GAP = 32
+
 
 def _incidence_closures(rows: List[List[int]], nvars: int) -> Set[Tuple[int, ...]]:
     """Closed incidence sets of the integer condition rows on nvars unknowns.
@@ -508,8 +514,10 @@ def rank2_semistability(
     can buy back strictly less than one unit of weight when all weights lie
     in [0,1).
 
-    At most RANK2_MAX_FLAGS flags are accepted; more raise ShapeError
-    before any work, since the candidate list grows like 2^m.
+    At most RANK2_MAX_FLAGS flags and a gap |a1 - a2| of at most
+    RANK2_MAX_GAP are accepted; beyond either ShapeError is raised before
+    any work, since the candidate list grows like 2^m and the incidence
+    rows grow with the gap.
     """
     m = len(flags)
     if m > RANK2_MAX_FLAGS:
@@ -517,6 +525,11 @@ def rank2_semistability(
             f"rank-2 enumeration takes at most {RANK2_MAX_FLAGS} flags, got {m}"
         )
     a1, a2 = int(split_degrees[0]), int(split_degrees[1])
+    if abs(a1 - a2) > RANK2_MAX_GAP:
+        raise ShapeError(
+            f"rank-2 enumeration takes a split-degree gap of at most "
+            f"{RANK2_MAX_GAP}, got {abs(a1 - a2)}"
+        )
     if len(weights) != m:
         raise ShapeError("one weight pair per flag is required")
     flag_dirs = []

@@ -270,18 +270,26 @@ class PoissonPolynomial:
         return PoissonPolynomial(self.algebra, tuple((m, k * c) for m, k in self.terms))
 
     def __mul__(self, other) -> "PoissonPolynomial":
+        """Product, on packed exponents.
+
+        Each operand is packed at the width _width(deg self + deg other), so
+        no product exponent can carry into the next generator's field, and
+        cleared to integer coefficients; a product of monomials is then one
+        int addition, and the result is divided by the two denominators once.
+        """
         if isinstance(other, (int, Fraction)):
             return self.scaled(other)
         self._check_mate(other)
-        d: Dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                merged: Dict[int, int] = dict(m1)
-                for g, e in m2:
-                    merged[g] = merged.get(g, 0) + e
-                key = tuple(sorted(merged.items()))
-                d[key] = d.get(key, Fraction(0)) + c1 * c2
-        return PoissonPolynomial._from_dict(self.algebra, d)
+        width = _width(_degree(self) + _degree(other))
+        fden, fterms = _pack(self, width)
+        gden, gterms = _pack(other, width)
+        acc: Dict[int, int] = {}
+        get = acc.get
+        for m1, k1 in fterms:
+            for m2, k2 in gterms:
+                m = m1 + m2
+                acc[m] = get(m, 0) + k1 * k2
+        return _unpack(self.algebra, acc, fden * gden, width)
 
     __rmul__ = __mul__
 
@@ -329,32 +337,114 @@ class PoissonPolynomial:
         return " + ".join(parts)
 
 
-# site j -> local generator a -> [(k*e_a, m/x_a as {generator: exponent}), ...]
-Partials = Dict[int, Dict[int, List[Tuple[int, Dict[int, int]]]]]
+# A packed monomial is one int holding exponent e of generator g in bits
+# [g*width, (g+1)*width); _width(bound) bits hold every exponent <= bound.
 
 
-def _partials(pol: PoissonPolynomial, alg: LiePoissonAlgebra) -> Tuple[int, Partials]:
-    """pol cleared to integer coefficients and split by generator.
+def _width(bound: int) -> int:
+    """Bits per generator in a packed monomial whose exponents are <= bound."""
+    return max(bound, 1).bit_length()
 
-    Returns den, the lcm of the coefficient denominators, and the Partials
-    of pol: one entry (k*e_a, m/x_a) for each term (k/den)*m of pol and each
-    generator x_a of m, with e_a its exponent, so that d(pol)/dx_a is the
-    sum of k*e_a*(m/x_a) over den.
+
+def _degree(pol: PoissonPolynomial) -> int:
+    return max((sum(e for _, e in mono) for mono, _ in pol.terms), default=0)
+
+
+def _pack(pol: PoissonPolynomial, width: int) -> Tuple[int, List[Tuple[int, int]]]:
+    """pol cleared to integer coefficients, on packed monomials.
+
+    Returns den, the lcm of the coefficient denominators, and one pair
+    (packed m, k) for each term (k/den)*m of pol.
     """
     den = math.lcm(*(c.denominator for _, c in pol.terms))
+    return den, [
+        (sum(e << width * g for g, e in mono), c.numerator * (den // c.denominator))
+        for mono, c in pol.terms
+    ]
+
+
+def _unpack(
+    alg: LiePoissonAlgebra, acc: Dict[int, int], den: int, width: int
+) -> PoissonPolynomial:
+    """The polynomial sum of (k/den)*m over the packed (m, k) of acc.
+
+    Only the non-zero k are unpacked, lowest set bit first, so each monomial
+    comes out with its generators in ascending order.
+    """
+    mask = (1 << width) - 1
+    terms = []
+    for key, k in acc.items():
+        if not k:
+            continue
+        mono = []
+        while key:
+            g = ((key & -key).bit_length() - 1) // width
+            e = (key >> g * width) & mask
+            mono.append((g, e))
+            key -= e << g * width
+        terms.append((tuple(mono), Fraction(k, den)))
+    terms.sort()
+    return PoissonPolynomial(alg, tuple(terms))
+
+
+# site j -> local generator a -> [(k*e_a, packed m/x_a), ...]
+Partials = Dict[int, Dict[int, List[Tuple[int, int]]]]
+
+
+def _partials(
+    pol: PoissonPolynomial, alg: LiePoissonAlgebra, width: int
+) -> Tuple[int, Partials]:
+    """pol packed at width and split by generator.
+
+    Returns den, as in _pack, and the Partials of pol: one entry
+    (k*e_a, m/x_a) for each term (k/den)*m of pol and each generator x_a of
+    m, with e_a its exponent, so that d(pol)/dx_a is the sum of
+    k*e_a*(m/x_a) over den.  Packed, m/x_a is m - (1 << width*a).
+    """
+    den, packed = _pack(pol, width)
     parts: Partials = {}
-    for mono, c in pol.terms:
-        k = c.numerator * (den // c.denominator)
+    for (mono, _), (m, k) in zip(pol.terms, packed):
         for gen, e in mono:
-            rest = dict(mono)
-            if e == 1:
-                del rest[gen]
-            else:
-                rest[gen] = e - 1
             j = alg.gen_sites[gen]
             site = parts.setdefault(j, {})
-            site.setdefault(gen - alg.offsets[j], []).append((k * e, rest))
+            site.setdefault(gen - alg.offsets[j], []).append(
+                (k * e, m - (1 << width * gen))
+            )
     return den, parts
+
+
+def _check_member(pol: PoissonPolynomial, alg: LiePoissonAlgebra) -> None:
+    if pol.algebra is not alg and pol.algebra != alg:
+        raise AlgebraMismatchError("polynomial does not belong to this algebra")
+    for gen in pol.variables():
+        if not 0 <= gen < alg.gen_count:
+            raise AlgebraMismatchError(f"foreign generator {gen}")
+
+
+def _bracket_packed(
+    fparts: Partials, gparts: Partials, alg: LiePoissonAlgebra, width: int
+) -> Dict[int, int]:
+    """{f, g} times the two denominators, as packed monomial -> int, from
+    the Partials of f and g packed at width."""
+    acc: Dict[int, int] = {}
+    get = acc.get
+    for j, f_site in fparts.items():
+        g_site = gparts.get(j)
+        if not g_site:
+            continue
+        offset = alg.offsets[j]
+        table = alg.sites[j].bracket_table
+        for a, f_list in f_site.items():
+            for b, g_list in g_site.items():
+                for c, coeff in table.get((a, b), ()):
+                    xc = 1 << width * (offset + c)
+                    for ka, ra in f_list:
+                        m = ra + xc
+                        k = ka * coeff
+                        for kb, rb in g_list:
+                            key = m + rb
+                            acc[key] = get(key, 0) + k * kb
+    return acc
 
 
 def bracket(
@@ -370,46 +460,23 @@ def bracket(
 
     with e_a, e_b the exponents of x_a, x_b and C_ab^c the site's
     bracket_table, which has no (a, a) row (C_aa^c = 0 by antisymmetry).
-    Each operand is first cleared to integer coefficients over the lcm of
-    its denominators, the sum is taken in ints, and the result is divided
-    by the two denominators once at the end.
+    Both operands must belong to alg (AlgebraMismatchError otherwise).
+    Each is then cleared to integer coefficients over the lcm of its
+    denominators and packed: every monomial becomes one int with width
+    bits per generator, width = _width(deg f + deg g - 1), the degree bound
+    of the result (and at least deg f and deg g), so that a product of
+    monomials is one int addition and no exponent carries into the next
+    generator's field.  The sum is taken in ints, and only its non-zero
+    terms are unpacked and divided by the two denominators.
     """
-    for pol in (f, g):
-        if pol.algebra is not alg and pol.algebra != alg:
-            raise AlgebraMismatchError("polynomial does not belong to this algebra")
-        for gen in pol.variables():
-            if not 0 <= gen < alg.gen_count:
-                raise AlgebraMismatchError(f"foreign generator {gen}")
-    fden, fparts = _partials(f, alg)
-    gden, gparts = _partials(g, alg)
-    acc: Dict[Monomial, int] = {}
-    for j, f_site in fparts.items():
-        g_site = gparts.get(j)
-        if not g_site:
-            continue
-        offset = alg.offsets[j]
-        table = alg.sites[j].bracket_table
-        for a, f_list in f_site.items():
-            for b, g_list in g_site.items():
-                row = table.get((a, b))
-                if not row:
-                    continue
-                for ka, rest_a in f_list:
-                    for kb, rest_b in g_list:
-                        merged = dict(rest_a)
-                        for x, e in rest_b.items():
-                            merged[x] = merged.get(x, 0) + e
-                        k = ka * kb
-                        for c_local, coeff in row:
-                            term = dict(merged)
-                            c = offset + c_local
-                            term[c] = term.get(c, 0) + 1
-                            key = tuple(sorted(term.items()))
-                            acc[key] = acc.get(key, 0) + k * coeff
-    den = fden * gden
-    return PoissonPolynomial._from_dict(
-        alg, {m: Fraction(k, den) for m, k in acc.items() if k}
-    )
+    _check_member(f, alg)
+    _check_member(g, alg)
+    df, dg = _degree(f), _degree(g)
+    width = _width(max(df + dg - 1, df, dg))
+    fden, fparts = _partials(f, alg, width)
+    gden, gparts = _partials(g, alg, width)
+    acc = _bracket_packed(fparts, gparts, alg, width)
+    return _unpack(alg, acc, fden * gden, width)
 
 
 def site_casimir(alg: LiePoissonAlgebra, j: int) -> PoissonPolynomial:
@@ -479,11 +546,23 @@ def verify_involution(
     hams: Sequence[PoissonPolynomial], alg: LiePoissonAlgebra
 ) -> InvolutionReport:
     """Bracket every pair of Hamiltonians, in pair order, and list the pairs
-    whose bracket is not identically zero."""
+    whose bracket is not identically zero.
+
+    Each Hamiltonian is checked against alg (AlgebraMismatchError for another
+    algebra or a foreign generator) and packed once, all at one width set by
+    twice the largest degree D: _width(2D - 1) holds every exponent of every
+    pairwise bracket.  Each pair then runs the packed kernel of bracket.
+    """
+    for ham in hams:
+        _check_member(ham, alg)
+    width = _width(2 * max(map(_degree, hams), default=0) - 1)
+    parts = [_partials(ham, alg, width) for ham in hams]
     pairs = list(combinations(range(len(hams)), 2))
     nonzero = []
     for i, j in pairs:
-        value = bracket(hams[i], hams[j], alg)
+        (fden, fparts), (gden, gparts) = parts[i], parts[j]
+        acc = _bracket_packed(fparts, gparts, alg, width)
+        value = _unpack(alg, acc, fden * gden, width)
         if not value.is_zero:
             nonzero.append((i, j, value.to_string()))
     return InvolutionReport(pair_count=len(pairs), nonzero_pairs=tuple(nonzero))
@@ -509,7 +588,8 @@ def hitchin_coefficient_hamiltonians(
     per marked point, so A(z) = prod(z - x_k) L(z) has degree s-1 and the
     degree-i invariant section has degree at most i(s-1) in z.  The
     characteristic coefficients of A(t) are taken at t = 0..n(s-1) and each
-    z-coefficient is recovered from these samples with the Lagrange basis.
+    z-coefficient is recovered from these samples with the Lagrange basis,
+    summed in ints on the packed samples over one common denominator.
     Every non-zero z-coefficient of every section is returned as a
     polynomial Hamiltonian, by ascending degree i, then ascending power of z.
     """
@@ -537,10 +617,18 @@ def hitchin_coefficient_hamiltonians(
     hams: List[PoissonPolynomial] = []
     for i in range(start, n + 1):
         sign = -1 if i % 2 else 1
+        width = _width(max(_degree(cs[n - i]) for cs in samples))
+        packed = [_pack(cs[n - i], width) for cs in samples]
         for d in range(i * (s - 1) + 1):
-            coeff = ring.zero
-            for lk, cs in zip(lagrange, samples):
-                coeff = coeff + cs[n - i].scaled(sign * lk[d])
+            ws = [sign * lk[d] for lk in lagrange]
+            den = math.lcm(*(w.denominator * pden for w, (pden, _) in zip(ws, packed)))
+            acc: Dict[int, int] = {}
+            for w, (pden, terms) in zip(ws, packed):
+                scale = w.numerator * (den // (w.denominator * pden))
+                if scale:
+                    for m, k in terms:
+                        acc[m] = acc.get(m, 0) + scale * k
+            coeff = _unpack(alg, acc, den, width)
             if not coeff.is_zero:
                 hams.append(coeff)
     return alg, tuple(hams)

@@ -105,10 +105,28 @@ def matrix_to_sympy(m):
     )
 
 
+def reference_mul(f, g):
+    """The product of two PoissonPolynomials by merging exponent dicts, kept
+    as a test oracle: each pair of terms merges its monomials' exponents in
+    a dict and sorts them back into a ((generator, exponent), ...) tuple."""
+    from logahoric.poisson import PoissonPolynomial
+
+    d = {}
+    for m1, c1 in f.terms:
+        for m2, c2 in g.terms:
+            merged = dict(m1)
+            for gen, e in m2:
+                merged[gen] = merged.get(gen, 0) + e
+            key = tuple(sorted(merged.items()))
+            d[key] = d.get(key, Fraction(0)) + c1 * c2
+    return PoissonPolynomial._from_dict(f.algebra, d)
+
+
 def reference_bracket(f, g, alg):
     """The Lie-Poisson bracket by the partial-product route, kept as a test
     oracle: sum over generator pairs (a, b) on one site of
-    (df/dx_a)(dg/dx_b) {x_a, x_b}, built from PoissonPolynomial products."""
+    (df/dx_a)(dg/dx_b) {x_a, x_b}, built from partial derivatives and
+    reference_mul products."""
     from logahoric.poisson import PoissonPolynomial
 
     acc = {}
@@ -126,14 +144,14 @@ def reference_bracket(f, g, alg):
             row = table.get((a - offset, b - offset))
             if not row:
                 continue
-            prod = fparts[a] * gparts[b]
+            prod = reference_mul(fparts[a], gparts[b])
             if prod.is_zero:
                 continue
             for c_local, coeff in row:
                 gen_poly = PoissonPolynomial(
                     alg, ((((offset + c_local, 1),), Fraction(1)),)
                 )
-                for mono, cf in (prod * gen_poly).terms:
+                for mono, cf in reference_mul(prod, gen_poly).terms:
                     acc[mono] = acc.get(mono, Fraction(0)) + cf * coeff
     return PoissonPolynomial._from_dict(alg, acc)
 

@@ -1,8 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from logahoric import __version__, parahoric
+from logahoric import __version__, cli, parahoric
 from logahoric.cli import main
 
 EFH = {
@@ -379,6 +382,81 @@ def test_rank2_flag_cap_report(tmp_path, capsys):
     assert report["error"]["kind"] == "shape"
     assert f"at most {parahoric.RANK2_MAX_FLAGS} flags" in report["error"]["message"]
     assert "results" not in report
+
+
+def hitchin_involution_config(n, s):
+    return {
+        "group": {"family": "A", "rank": n - 1, "form": "SL"},
+        "points": [{"x": x} for x in range(s)],
+        "options": {"hamiltonians": "hitchin"},
+    }
+
+
+def test_hitchin_involution_cap_report(tmp_path, capsys):
+    for n, s, phrase in ((3, 5, "at most 4 points"), (4, 3, "matrix size n = 2..3")):
+        cfg = write_config(tmp_path, hitchin_involution_config(n, s))
+        code, out, _ = run_cli(capsys, ["involution", "--config", cfg])
+        assert code == 1
+        report = json.loads(out)
+        assert report["error"]["kind"] == "shape"
+        assert phrase in report["error"]["message"]
+        assert "results" not in report
+    caps = cli.HITCHIN_INVOLUTION_MAX_POINTS
+    assert caps[2] >= 7 and caps[3] == 4 and max(caps) == 3
+    for n, s in ((2, 7), (3, 3)):
+        cfg = write_config(tmp_path, hitchin_involution_config(n, s))
+        res = run_json(capsys, ["involution", "--config", cfg])["results"]
+        assert res["all_commute"] is True
+
+
+def test_rank2_gap_cap_report(tmp_path, capsys):
+    gap = parahoric.RANK2_MAX_GAP + 1
+    rank2 = {"split_degrees": [0, gap], "flags": [["1", "1"]], "weights": [["0", "0"]]}
+    cfg = write_config(tmp_path, {"options": {"rank2": rank2}})
+    code, out, _ = run_cli(capsys, ["stability", "--config", cfg])
+    assert code == 1
+    report = json.loads(out)
+    assert report["error"]["kind"] == "shape"
+    assert f"gap of at most {parahoric.RANK2_MAX_GAP}" in report["error"]["message"]
+
+
+# Run under python -O, where a bare assert would be stripped.
+OPTIMIZED_HITCHIN_CAP = """
+import json, os, sys, tempfile
+from logahoric.cli import main
+if __debug__:
+    sys.exit(4)
+for n, s in ((3, 5), (4, 3)):
+    cfg = {
+        "group": {"family": "A", "rank": n - 1, "form": "SL"},
+        "points": [{"x": x} for x in range(s)],
+        "options": {"hamiltonians": "hitchin"},
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as handle:
+            json.dump(cfg, handle)
+        out = os.path.join(tmp, "out.json")
+        if main(["involution", "--config", path, "--out", out]) != 1:
+            sys.exit(3)
+        with open(out) as handle:
+            if json.load(handle)["error"]["kind"] != "shape":
+                sys.exit(5)
+sys.exit(0)
+"""
+
+
+def test_hitchin_involution_cap_survives_optimize():
+    # A child process, because -O would strip this test's own asserts too.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_HITCHIN_CAP],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_trace_failure_report(tmp_path, capsys):

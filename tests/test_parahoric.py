@@ -24,6 +24,7 @@ from logahoric.parahoric import (
     FACET_IWAHORI,
     FACET_PROPER,
     RANK2_MAX_FLAGS,
+    RANK2_MAX_GAP,
     VERDICT_BOUNDARY,
     VERDICT_FAIL,
     VERDICT_STABLE,
@@ -490,6 +491,19 @@ def test_rank2_flag_cap():
     )
 
 
+def test_rank2_gap_cap():
+    assert 2 <= RANK2_MAX_GAP <= 64
+    for split in ((RANK2_MAX_GAP + 1, 0), (-3, RANK2_MAX_GAP - 2), (10**6, 0)):
+        # The weights are missing too: the gap is checked before them.
+        with pytest.raises(ShapeError, match=f"gap of at most {RANK2_MAX_GAP}"):
+            rank2_semistability(split, flags=[(1, 1)] * 3)
+    for split in ((RANK2_MAX_GAP, 0), (0, RANK2_MAX_GAP)):
+        report = rank2_semistability(
+            split, flags=[(1, 1), (2, 1)], weights=[(Fraction(1, 2), 0)] * 2
+        )
+        assert report.candidates
+
+
 # Run under python -O, where a bare assert would be stripped.
 OPTIMIZED_RANK2_CAP = """
 import sys
@@ -504,6 +518,32 @@ except ShapeError:
     sys.exit(0)
 sys.exit(3)
 """
+
+
+OPTIMIZED_RANK2_GAP_CAP = """
+import sys
+from logahoric import parahoric
+from logahoric.errors import ShapeError
+if __debug__:
+    sys.exit(4)
+try:
+    parahoric.rank2_semistability((parahoric.RANK2_MAX_GAP + 1, 0), [(1, 1)], [(0, 0)])
+except ShapeError:
+    sys.exit(0)
+sys.exit(3)
+"""
+
+
+def test_rank2_gap_cap_survives_optimize():
+    src = os.path.dirname(os.path.dirname(parahoric.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_RANK2_GAP_CAP],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_rank2_flag_cap_survives_optimize():

@@ -43,6 +43,7 @@ from support import (
     matrix_to_sympy,
     reference_bivector_rank,
     reference_bracket,
+    reference_mul,
     rnd_field,
     rnd_invertible,
     rnd_matrix,
@@ -230,6 +231,109 @@ def test_bracket_rejects_foreign_generator():
     negative = PoissonPolynomial(alg, ((((-1, 1),), Fraction(1)),))
     with pytest.raises(AlgebraMismatchError):
         bracket(x, negative, alg)
+
+
+def test_mul_matches_reference_oracle():
+    rng = random.Random(515)
+    for alg in oracle_algebras():
+        zero = PoissonPolynomial.zero(alg)
+        pols = [zero, PoissonPolynomial.constant(alg, Fraction(-7, 6))]
+        pols += [rnd_rational_poly(rng, alg, max_exp=4) for _ in range(5)]
+        for f in pols:
+            for g in pols:
+                got = f * g
+                want = reference_mul(f, g)
+                assert got == want
+                assert got.to_string() == want.to_string()
+        assert (pols[2] * zero).is_zero and (zero * pols[3]).is_zero
+
+
+def _top_exponent(pol) -> int:
+    return max(e for mono, _ in pol.terms for _, e in mono)
+
+
+def test_packed_width_edge_does_not_carry():
+    """Exponents of exactly 2^width - 1, for the width the packing picks,
+    stay in their generator's field in products and brackets."""
+    alg = matrix_poisson_algebra(2, 2)
+    x00, x01, x10, x11 = (alg.generator(0, p, q) for p in (0, 1) for q in (0, 1))
+    y01 = alg.generator(1, 0, 1)
+    half = Fraction(1, 2)
+
+    def power(x, e):
+        out = PoissonPolynomial.constant(alg, 1)
+        for _ in range(e):
+            out = reference_mul(out, x)
+        return out
+
+    for w in (1, 2, 3, 4):
+        edge = 2**w - 1
+        # product: deg f + deg g = edge, and x01^edge appears
+        e1 = (edge + 1) // 2
+        f = power(x01, e1) + x00.scaled(3) + PoissonPolynomial.constant(alg, 2)
+        f = f + (reference_mul(x10, y01) if e1 >= 2 else x10)
+        g = power(x01, edge - e1).scaled(half) + PoissonPolynomial.constant(alg, -1)
+        if edge - e1 >= 2:
+            g = g + reference_mul(x00, x10)
+        assert poisson._width(poisson._degree(f) + poisson._degree(g)) == w
+        for a, b in ((f, g), (g, f)):
+            got = a * b
+            want = reference_mul(a, b)
+            assert got == want
+            assert got.to_string() == want.to_string()
+            assert _top_exponent(got) == edge
+        # bracket: {x00 + x10 + 2, x01^edge + ...} holds -edge*x01^edge
+        f = x00 + x10 + PoissonPolynomial.constant(alg, 2)
+        g = power(x01, edge).scaled(Fraction(2, 3)) + y01
+        g = g + (reference_mul(x11, x10) if edge >= 2 else x11)
+        assert poisson._width(poisson._degree(f) + poisson._degree(g) - 1) == w
+        for a, b in ((f, g), (g, f)):
+            got = bracket(a, b, alg)
+            want = reference_bracket(a, b, alg)
+            assert got == want
+            assert got.to_string() == want.to_string()
+            assert _top_exponent(got) == edge
+        # verify_involution packs at the common width _width(2D - 1)
+        d = 2 ** (w - 1)
+        hams = [reference_mul(x00, power(x01, d - 1)) + x10, power(x01, d) + x11]
+        assert poisson._width(2 * d - 1) == w
+        report = verify_involution(hams, alg)
+        want = reference_bracket(hams[0], hams[1], alg)
+        assert _top_exponent(want) == edge
+        assert report.nonzero_pairs == ((0, 1, want.to_string()),)
+
+
+def test_packed_constant_operands():
+    alg = matrix_poisson_algebra(2, 2)
+    c = PoissonPolynomial.constant(alg, Fraction(5, 3))
+    d = PoissonPolynomial.constant(alg, -2)
+    x = alg.generator(1, 1, 0)
+    big = x
+    for _ in range(6):
+        big = reference_mul(big, x)
+    for a, b in ((c, d), (c, big), (big, d), (c, c)):
+        assert a * b == reference_mul(a, b)
+        assert (a * b).to_string() == reference_mul(a, b).to_string()
+        assert bracket(a, b, alg).is_zero
+    assert (c * d).terms == (((), Fraction(-10, 3)),)
+    report = verify_involution([c, big, d], alg)
+    assert report.pair_count == 3 and report.all_commute
+
+
+def test_verify_involution_checks_each_hamiltonian():
+    alg = matrix_poisson_algebra(2, 2)
+    other = matrix_poisson_algebra(2, 3)
+    x = alg.generator(0, 0, 1)
+    foreign = PoissonPolynomial(alg, ((((alg.gen_count, 1),), Fraction(1)),))
+    for hams in ([x, other.generator(2, 0, 1)], [other.generator(0, 0, 1)]):
+        with pytest.raises(AlgebraMismatchError):
+            verify_involution(hams, alg)
+    for hams in ([x, foreign], [foreign, x], [foreign]):
+        with pytest.raises(AlgebraMismatchError, match="foreign generator"):
+            verify_involution(hams, alg)
+    assert verify_involution([], alg).pair_count == 0
+    assert verify_involution([], alg).all_commute
+    assert verify_involution([x], alg).pair_count == 0
 
 
 def test_evaluate_and_partial():
