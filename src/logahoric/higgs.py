@@ -7,11 +7,13 @@ residues is exactly regularity at infinity and caps deg A at s-2.
 
 Invariant sections are characteristic coefficients of A(z), signed so the
 degree-i section is the i-th elementary symmetric function of eigenvalues.
-The spectral data is the lambda-discriminant of det(lambda*I - A(z)),
-sampled at integer points z = t (where it is the discriminant of a monic
-polynomial over Q) and interpolated, with Riemann-Hurwitz genus
-bookkeeping: genus = branch/2 - n + 1 where branch counts the (simple,
-finite) discriminant roots.  The genus field is meaningful for connected
+The spectral data is the lambda-discriminant of det(lambda*I - A(z)).
+Both are sampled: the Fraction characteristic coefficients of A(t) are
+taken at integer points t, the discriminant of each sample is that of a
+monic polynomial over Q, and each polynomial in z is interpolated from its
+values.  The genus comes from Riemann-Hurwitz bookkeeping:
+genus = branch/2 - n + 1 where branch counts the (simple, finite)
+discriminant roots.  The genus field is meaningful for connected
 covers with no ramification over infinity, which is the generic situation;
 it is left undefined whenever the discriminant fails to be squarefree or
 has an odd number of roots.
@@ -31,7 +33,7 @@ from .errors import (
     TraceError,
     UnsupportedRealizationError,
 )
-from .linalgq import POLY_RING, Matrix
+from .linalgq import Matrix
 from .parahoric import ParahoricDatum
 from .polyq import Coeffs
 from .rootsys import GroupTag, trace_form
@@ -168,11 +170,33 @@ def invariant_degrees(f: LogHiggsField) -> List[int]:
     return list(range(1, n + 1)) if f.group.form == "GL" else list(range(2, n + 1))
 
 
-def _char_coeff_polys(f: LogHiggsField) -> List[Coeffs]:
-    """[c_0(z), ..., c_n(z)] with det(lambda*I - A(z)) = sum c_k lambda^k."""
+def _char_coeff_polys(
+    f: LogHiggsField, spread: int
+) -> Tuple[List[Coeffs], List[List[Fraction]]]:
+    """[c_0(z), ..., c_n(z)] with det(lambda*I - A(z)) = sum c_k lambda^k,
+    and the samples [c_0(t), ..., c_n(t)] at t = 0..spread*deg A.
+
+    Each sample is the Fraction char_coeffs of A(t).  Since
+    deg c_k <= (n - k) deg A, the first n*deg A + 1 samples determine every
+    c_k, which is interpolated from them with one Lagrange basis; spread must
+    be at least n.  A zero field counts as deg A = 0.
+    """
     if f.group.family != "A":
         raise UnsupportedRealizationError("invariant sections need the type-A realization")
-    return linalgq.char_coeffs(_entry_polys(f), POLY_RING)
+    entries = _entry_polys(f)
+    deg = max([polyq.degree(e) for row in entries for e in row] + [0])
+    samples = [
+        linalgq.char_coeffs([[polyq.evaluate(e, t) for e in row] for row in entries])
+        for t in range(spread * deg + 1)
+    ]
+    lagrange = polyq.lagrange_basis(range(f.matrix_size * deg + 1))
+    polys = []
+    for k in range(f.matrix_size + 1):
+        c: Coeffs = []
+        for basis, sample in zip(lagrange, samples):
+            c = polyq.add(c, polyq.scale(basis, sample[k]))
+        polys.append(c)
+    return polys, samples
 
 
 @dataclass(frozen=True)
@@ -190,8 +214,8 @@ def hitchin_map(f: LogHiggsField) -> HitchinImage:
     A(z), a polynomial in z of degree at most i*(s-2) for fields regular at
     infinity.
     """
-    cs = _char_coeff_polys(f)
     n = f.matrix_size
+    cs, _ = _char_coeff_polys(f, n)
     s = f.site_count
     degrees = invariant_degrees(f)
     sections = tuple(polyq.scale(cs[n - i], -1 if i % 2 else 1) for i in degrees)
@@ -213,18 +237,19 @@ def spectral_curve(f: LogHiggsField) -> SpectralCurveData:
 
     The discriminant is weighted-homogeneous of weight n(n-1) in the
     characteristic coefficients, and deg c_k <= (n-k) deg A, so its degree is
-    at most N = n(n-1) deg A.  It is sampled at z = 0..N: det(lambda*I - A(t))
-    is monic in lambda, so its discriminant over Q is the value at t of the
-    one over Q[z].  The N + 1 values are then interpolated.
+    at most N = n(n-1) deg A.  The characteristic coefficients of A(t) are
+    sampled at t = 0..N: det(lambda*I - A(t)) is monic in lambda, so the
+    discriminant of each sample is the value at t of the one over Q[z], and
+    the N + 1 values are interpolated.  The first n deg A + 1 samples give the
+    characteristic coefficients themselves.
     """
-    cs = _char_coeff_polys(f)
     n = f.matrix_size
+    cs, samples = _char_coeff_polys(f, max(n * (n - 1), n))
     if n == 1:
         disc: Coeffs = [Fraction(1)]
     else:
-        ts = range(max(n * (n - 1) * clear_denominators(f).degree, 0) + 1)
-        values = [polyq.discriminant([polyq.evaluate(c, t) for c in cs]) for t in ts]
-        disc = polyq.interpolate(ts, values)
+        values = [polyq.discriminant(c) for c in samples]
+        disc = polyq.interpolate(range(len(samples)), values)
     squarefree = not polyq.is_zero(disc) and polyq.is_squarefree(disc)
     branch = max(polyq.degree(disc), 0)
     genus: Optional[int] = None

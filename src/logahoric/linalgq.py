@@ -1,52 +1,18 @@
-"""Exact matrix helpers over the rationals and over commutative Q-algebras.
+"""Exact matrix helpers over the rationals.
 
 Matrices are plain lists of lists.  Most callers work with Fraction entries;
-the characteristic-polynomial routine also runs with polynomial entries
-(coefficient lists from polyq) and with symbolic Poisson polynomials, so it
-is written against a tiny RingOps protocol instead of concrete types.
+the characteristic-polynomial routine is written with `+`, `*` and
+multiplication by a Fraction only, so it also runs on matrices of symbolic
+Poisson polynomials.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Sequence
-
-from . import polyq
+from typing import List, Sequence
 
 Matrix = List[List[Fraction]]
-
-
-@dataclass(frozen=True)
-class RingOps:
-    """The handful of operations Faddeev-LeVerrier needs from a ring."""
-
-    zero: object
-    one: object
-    add: Callable
-    mul: Callable
-    neg: Callable
-    div_int: Callable  # exact division by a positive Python int
-
-
-FRACTION_RING = RingOps(
-    zero=Fraction(0),
-    one=Fraction(1),
-    add=lambda a, b: a + b,
-    mul=lambda a, b: a * b,
-    neg=lambda a: -a,
-    div_int=lambda a, k: a / k,
-)
-
-POLY_RING = RingOps(
-    zero=[],
-    one=[Fraction(1)],
-    add=polyq.add,
-    mul=polyq.mul,
-    neg=polyq.neg,
-    div_int=lambda p, k: polyq.scale(p, Fraction(1, k)),
-)
 
 
 def zeros(n: int, m: int | None = None) -> Matrix:
@@ -201,57 +167,38 @@ def inverse(a) -> Matrix:
     return [row[n:] for row in m]
 
 
-def char_coeffs(m, ops: RingOps = FRACTION_RING) -> list:
+def char_coeffs(m) -> list:
     """Coefficients [c_0, ..., c_n] of det(lambda*I - M), ascending in lambda.
 
-    Faddeev-LeVerrier recursion; only ring operations plus exact division by
-    integers are used, so it runs unchanged over Fractions, polynomial
-    coefficient lists, and symbolic polynomials.
+    Faddeev-LeVerrier recursion from mn = M: c_{n-k} = -tr(mn)/k, then
+    mn = M (mn + c_{n-k} I).  Only `+`, `*` and multiplication by a Fraction
+    are applied to the entries, and no ring zero or one is needed (c_n is
+    Fraction(1)), so the same body runs over Fractions and over symbolic
+    Poisson polynomials.
     """
     n = len(m)
-    zero, one = ops.zero, ops.one
-
-    def ring_mat_mul(a, b):
-        out = [[zero for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for t in range(n):
-                ait = a[i][t]
-                for j in range(n):
-                    out[i][j] = ops.add(out[i][j], ops.mul(ait, b[t][j]))
-        return out
-
-    def ring_trace(a):
-        acc = zero
-        for i in range(n):
-            acc = ops.add(acc, a[i][i])
-        return acc
-
-    coeffs = [zero] * (n + 1)
-    coeffs[n] = one
-    aux = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    coeffs = [Fraction(1)] * (n + 1)
+    mn = m
     for k in range(1, n + 1):
-        mn = ring_mat_mul(m, aux)
-        ck = ops.neg(ops.div_int(ring_trace(mn), k))
-        coeffs[n - k] = ck
-        aux = [
-            [ops.add(mn[i][j], ck) if i == j else mn[i][j] for j in range(n)]
-            for i in range(n)
+        diag = [mn[i][i] for i in range(n)]
+        c = coeffs[n - k] = sum(diag[1:], diag[0]) * Fraction(-1, k)
+        if k == n:
+            break
+        aux = [[x + c if i == j else x for j, x in enumerate(r)] for i, r in enumerate(mn)]
+        mn = [
+            [sum((r[t] * aux[t][j] for t in range(1, n)), r[0] * aux[0][j]) for j in range(n)]
+            for r in m
         ]
     return coeffs
 
 
-def invariant_values(m, ops: RingOps = FRACTION_RING) -> list:
+def invariant_values(m) -> list:
     """Elementary-symmetric invariants e_1..e_n of M: e_i = (-1)^i c_{n-i}."""
     n = len(m)
-    cs = char_coeffs(m, ops)
-    out = []
-    for i in range(1, n + 1):
-        c = cs[n - i]
-        out.append(ops.neg(c) if i % 2 else c)
-    return out
+    cs = char_coeffs(m)
+    return [-cs[n - i] if i % 2 else cs[n - i] for i in range(1, n + 1)]
 
 
-def det(m, ops: RingOps = FRACTION_RING):
-    cs = char_coeffs(m, ops)
-    c0 = cs[0]
-    return ops.neg(c0) if len(m) % 2 else c0
+def det(m):
+    c0 = char_coeffs(m)[0]
+    return -c0 if len(m) % 2 else c0

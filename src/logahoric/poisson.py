@@ -35,7 +35,7 @@ from .errors import (
     ShapeError,
 )
 from .higgs import LogHiggsField
-from .linalgq import Matrix, RingOps
+from .linalgq import Matrix
 from .parahoric import ParahoricDatum
 from .rootsys import cocharacter_to_diagonal, entry_to_root
 
@@ -276,10 +276,13 @@ class PoissonPolynomial:
         no product exponent can carry into the next generator's field, and
         cleared to integer coefficients; a product of monomials is then one
         int addition, and the result is divided by the two denominators once.
+        Both operands must belong to self's algebra, with every generator in
+        range (AlgebraMismatchError otherwise).
         """
         if isinstance(other, (int, Fraction)):
             return self.scaled(other)
-        self._check_mate(other)
+        _check_member(self, self.algebra)
+        _check_member(other, self.algebra)
         width = _width(_degree(self) + _degree(other))
         fden, fterms = _pack(self, width)
         gden, gterms = _pack(other, width)
@@ -292,21 +295,6 @@ class PoissonPolynomial:
         return _unpack(self.algebra, acc, fden * gden, width)
 
     __rmul__ = __mul__
-
-    def partial(self, gen: int) -> "PoissonPolynomial":
-        d: Dict[Monomial, Fraction] = {}
-        for mono, c in self.terms:
-            md = dict(mono)
-            e = md.get(gen)
-            if not e:
-                continue
-            if e == 1:
-                del md[gen]
-            else:
-                md[gen] = e - 1
-            key = tuple(sorted(md.items()))
-            d[key] = d.get(key, Fraction(0)) + c * e
-        return PoissonPolynomial._from_dict(self.algebra, d)
 
     def evaluate(self, site_values: Sequence[Matrix]) -> Fraction:
         alg = self.algebra
@@ -321,6 +309,7 @@ class PoissonPolynomial:
         return total
 
     def to_string(self) -> str:
+        _check_member(self, self.algebra)
         if not self.terms:
             return "0"
         parts = []
@@ -416,9 +405,11 @@ def _partials(
 def _check_member(pol: PoissonPolynomial, alg: LiePoissonAlgebra) -> None:
     if pol.algebra is not alg and pol.algebra != alg:
         raise AlgebraMismatchError("polynomial does not belong to this algebra")
-    for gen in pol.variables():
-        if not 0 <= gen < alg.gen_count:
-            raise AlgebraMismatchError(f"foreign generator {gen}")
+    count = alg.gen_count
+    for mono, _ in pol.terms:
+        for gen, _ in mono:
+            if not 0 <= gen < count:
+                raise AlgebraMismatchError(f"foreign generator {gen}")
 
 
 def _bracket_packed(
@@ -501,16 +492,13 @@ def site_invariant_polynomials(
     """
     site = alg.sites[j]
     n = site.matrix_size
-    ring = _xi_ring(alg)
+    zero = PoissonPolynomial.zero(alg)
     present = set(site.entries)
     rows = [
-        [
-            alg.generator(j, p, q) if (p, q) in present else ring.zero
-            for q in range(n)
-        ]
+        [alg.generator(j, p, q) if (p, q) in present else zero for q in range(n)]
         for p in range(n)
     ]
-    cs = linalgq.char_coeffs(rows, ring)
+    cs = linalgq.char_coeffs(rows)
     out = []
     for i in range(1, n + 1):
         sign = Fraction(-1 if i % 2 else 1)
@@ -568,17 +556,6 @@ def verify_involution(
     return InvolutionReport(pair_count=len(pairs), nonzero_pairs=tuple(nonzero))
 
 
-def _xi_ring(alg: LiePoissonAlgebra) -> RingOps:
-    return RingOps(
-        zero=PoissonPolynomial.zero(alg),
-        one=PoissonPolynomial.constant(alg, 1),
-        add=lambda a, b: a + b,
-        mul=lambda a, b: a * b,
-        neg=lambda a: -a,
-        div_int=lambda a, k: a.scaled(Fraction(1, k)),
-    )
-
-
 def hitchin_coefficient_hamiltonians(
     points: Sequence, n: int, form: str = "SL"
 ) -> Tuple[LiePoissonAlgebra, Tuple[PoissonPolynomial, ...]]:
@@ -598,20 +575,20 @@ def hitchin_coefficient_hamiltonians(
     xs = [Fraction(x) for x in points]
     s = len(xs)
     alg = matrix_poisson_algebra(n, s)
-    ring = _xi_ring(alg)
+    zero = PoissonPolynomial.zero(alg)
     basis = [
         polyq.from_roots([x for k, x in enumerate(xs) if k != j]) for j in range(s)
     ]
     ts = range(n * (s - 1) + 1)
     samples = []
     for t in ts:
-        at = [[ring.zero] * n for _ in range(n)]
+        at = [[zero] * n for _ in range(n)]
         for j, b in enumerate(basis):
             w = polyq.evaluate(b, t)
             for p in range(n):
                 for q in range(n):
                     at[p][q] = at[p][q] + alg.generator(j, p, q).scaled(w)
-        samples.append(linalgq.char_coeffs(at, ring))
+        samples.append(linalgq.char_coeffs(at))
     lagrange = polyq.lagrange_basis(ts)
     start = 1 if form == "GL" else 2
     hams: List[PoissonPolynomial] = []

@@ -50,14 +50,6 @@ def add(p: Sequence[Fraction], q: Sequence[Fraction]) -> Coeffs:
     return trim(out)
 
 
-def neg(p: Sequence[Fraction]) -> Coeffs:
-    return [-c for c in p]
-
-
-def sub(p: Sequence[Fraction], q: Sequence[Fraction]) -> Coeffs:
-    return add(p, neg(q))
-
-
 def mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> Coeffs:
     if not p or not q:
         return []

@@ -28,6 +28,7 @@ from support import (
     F2,
     H2,
     coeffs_to_sympy,
+    matrix_to_sympy,
     rnd_field,
     rnd_invertible,
     strictly_upper,
@@ -253,39 +254,68 @@ def test_spectral_curve_non_squarefree():
 
 
 def test_spectral_discriminant_matches_sympy():
-    """Interpolated discriminant agrees with sympy's in the lambda frame."""
+    """Interpolated discriminant, characteristic coefficients and invariant
+    sections agree with sympy's in the lambda frame."""
     rng = random.Random(92)
     lam, z = sympy.symbols("lam z")
 
+    def exact(coeffs):
+        assert not coeffs or coeffs[-1] != 0  # trimmed
+        return [sympy.Rational(c.numerator, c.denominator) for c in coeffs]
+
+    def in_z(expr):
+        expr = sympy.expand(expr)
+        return [] if expr == 0 else sympy.Poly(expr, z).all_coeffs()[::-1]
+
     def check(f):
         n = f.matrix_size
-        a = clear_denominators(f)
+        # A(z) = sum_j X_j prod_{k != j} (z - x_k), built in sympy.
         sa = sympy.zeros(n, n)
-        for p in range(n):
-            for q in range(n):
-                sa[p, q] = coeffs_to_sympy(a.entries()[p][q], z)
-        char = (lam * sympy.eye(n) - sa).det()
-        theirs = sympy.Poly(
-            sympy.discriminant(sympy.expand(char), lam), z
-        ).all_coeffs()[::-1]
-        ours = spectral_curve(f).discriminant
-        assert [sympy.Rational(c.numerator, c.denominator) for c in ours] == theirs
+        for j, res in enumerate(f.residues):
+            weight = sympy.prod([z - x for k, x in enumerate(f.points) if k != j])
+            sa += matrix_to_sympy(res) * weight
+        char = sympy.Poly(sa.charpoly(lam).as_expr(), lam)
+        theirs = [in_z(char.coeff_monomial(lam**k)) for k in range(n + 1)]
+        sc = spectral_curve(f)
+        assert [exact(c) for c in sc.char_coeffs] == theirs
+        h = hitchin_map(f)
+        for i, section in zip(h.degrees, h.sections):
+            assert exact(section) == in_z((-1) ** i * char.coeff_monomial(lam ** (n - i)))
+        disc = sympy.discriminant(char.as_expr(), lam)
+        assert exact(sc.discriminant) == in_z(disc)
 
     for _ in range(8):
         check(rnd_field(rng, rng.randint(2, 3), 3))
-    # n = 4, s = 4, fields not regular at infinity (deg A = s - 1), and GL.
+    # n = 4, s = 4, s = 2 (deg A = 0), fields not regular at infinity
+    # (deg A = s - 1), GL, and n = 1.
     for n, s, form, sum_zero in [
         (4, 3, "SL", True),
         (4, 4, "SL", True),
         (2, 4, "SL", True),
         (3, 4, "SL", True),
+        (2, 2, "SL", True),
+        (3, 2, "GL", True),
         (2, 3, "SL", False),
         (3, 4, "SL", False),
+        (2, 2, "GL", False),
         (2, 3, "GL", True),
         (3, 3, "GL", False),
         (4, 3, "GL", False),
+        (1, 3, "GL", True),
+        (1, 2, "GL", False),
     ]:
         check(rnd_field(rng, n, s, form=form, sum_zero=sum_zero))
+    # The zero field (deg A = -1), and nilpotent residues, whose
+    # characteristic coefficients and discriminant vanish identically.
+    check(build_field([0, 1, 2], [linalgq.zeros(3)] * 3, GroupTag("A", 2, "SL")))
+    for n, s in [(2, 3), (3, 4), (3, 2)]:
+        ups = [strictly_upper(rng, n) for _ in range(s - 1)]
+        last = linalgq.zeros(n)
+        for u in ups:
+            last = linalgq.mat_sub(last, u)
+        f = build_field(range(s), ups + [last], GroupTag("A", n - 1, "SL"))
+        check(f)
+        assert all(polyq.is_zero(c) for c in spectral_curve(f).char_coeffs[:n])
 
 
 def test_spectral_genus_closed_form():

@@ -6,7 +6,7 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
-from logahoric import linalgq, polyq
+from logahoric import linalgq, poisson
 from support import coeffs_to_sympy, matrix_to_sympy, rnd_fraction, rnd_matrix
 
 
@@ -165,7 +165,8 @@ def test_rank_property_random_rationals(m, data):
 
 
 def test_char_coeffs_match_sympy_charpoly():
-    """Faddeev-LeVerrier output equals sympy's characteristic polynomial."""
+    """Faddeev-LeVerrier output equals sympy's characteristic polynomial,
+    over Fractions, plain ints and Poisson polynomials."""
     rng = random.Random(14)
     lam = sympy.Symbol("lam")
     for _ in range(20):
@@ -175,6 +176,36 @@ def test_char_coeffs_match_sympy_charpoly():
         ours = coeffs_to_sympy(cs, lam)
         theirs = matrix_to_sympy(m).charpoly(lam).as_expr()
         assert sympy.expand(ours - theirs) == 0
+        # The same matrix with plain-int entries, scaled to clear denominators.
+        ints = [[int(x * 6) for x in row] for row in m]
+        cs = linalgq.char_coeffs(ints)
+        assert all(type(c) is Fraction for c in cs)
+        theirs = sympy.Matrix(ints).charpoly(lam).as_expr()
+        assert sympy.expand(coeffs_to_sympy(cs, lam) - theirs) == 0
+    assert linalgq.char_coeffs([]) == [Fraction(1)]
+    assert linalgq.det([]) == 1
+    # A matrix of Poisson polynomials: each symbolic coefficient, evaluated
+    # at a random point, is the coefficient of the evaluated matrix.
+    for n, s in [(1, 2), (2, 1), (2, 2), (3, 1)]:
+        alg = poisson.matrix_poisson_algebra(n, s)
+        gens = [alg.generator(j, p, q) for j in range(s) for p in range(n) for q in range(n)]
+        entries = [
+            [
+                sum(
+                    (g.scaled(rnd_fraction(rng, -2, 2, 3)) for g in rng.sample(gens, min(3, len(gens)))),
+                    poisson.PoissonPolynomial.constant(alg, rnd_fraction(rng)),
+                )
+                for _ in range(n)
+            ]
+            for _ in range(n)
+        ]
+        symbolic = linalgq.char_coeffs(entries)
+        for _ in range(3):
+            point = [rnd_matrix(rng, n) for _ in range(s)]
+            at = [[e.evaluate(point) for e in row] for row in entries]
+            assert [c.evaluate(point) for c in symbolic[:n]] + symbolic[n:] == (
+                linalgq.char_coeffs(at)
+            )
 
 
 def test_invariant_values_trace_and_det():
@@ -185,14 +216,6 @@ def test_invariant_values_trace_and_det():
         vals = linalgq.invariant_values(m)
         assert vals[0] == linalgq.trace(m)
         assert vals[-1] == linalgq.det(m)
-
-
-def test_poly_ring_det():
-    # det over Q[z] of [[z, 1], [0, z]] is z^2
-    z = polyq.poly([0, 1])
-    one = polyq.poly([1])
-    m = [[z, one], [[], z]]
-    assert linalgq.det(m, linalgq.POLY_RING) == polyq.poly([0, 0, 1])
 
 
 def test_commutator_and_trace_identities():

@@ -41,6 +41,7 @@ from support import (
     F2,
     H2,
     matrix_to_sympy,
+    partial,
     reference_bivector_rank,
     reference_bracket,
     reference_mul,
@@ -233,6 +234,22 @@ def test_bracket_rejects_foreign_generator():
         bracket(x, negative, alg)
 
 
+def test_mul_and_to_string_reject_foreign_generator():
+    alg = matrix_poisson_algebra(2, 1)
+    x = alg.generator(0, 1, 0)
+    for bad in (-1, alg.gen_count):
+        foreign = PoissonPolynomial(alg, ((((bad, 1),), Fraction(1)),))
+        for a, b in ((foreign, x), (x, foreign), (foreign, foreign)):
+            with pytest.raises(AlgebraMismatchError, match="foreign generator"):
+                a * b
+        with pytest.raises(AlgebraMismatchError, match="foreign generator"):
+            foreign.to_string()
+    other = matrix_poisson_algebra(2, 2).generator(1, 0, 1)
+    with pytest.raises(AlgebraMismatchError):
+        x * other
+    assert (x * x).to_string() == "x0_10^2"
+
+
 def test_mul_matches_reference_oracle():
     rng = random.Random(515)
     for alg in oracle_algebras():
@@ -343,7 +360,7 @@ def test_evaluate_and_partial():
     f = x01 * x10 + x01.scaled(3)
     m = [[Fraction(0), Fraction(2)], [Fraction(5), Fraction(0)]]
     assert f.evaluate([m]) == 10 + 6
-    assert f.partial(x01.variables()[0]) == x10 + PoissonPolynomial.constant(alg, 3)
+    assert partial(f, x01.variables()[0]) == x10 + PoissonPolynomial.constant(alg, 3)
 
 
 # -- Casimirs -----------------------------------------------------------------
@@ -785,7 +802,7 @@ from logahoric import linalgq, poisson
 from logahoric.errors import ConstraintError
 if __debug__:
     sys.exit(4)
-linalgq.invariant_values = lambda m, ops=None: [Fraction(1)] * len(m)
+linalgq.invariant_values = lambda m: [Fraction(1)] * len(m)
 try:
     poisson.nilpotent_vanishing_check([[Fraction(0), Fraction(1)], [Fraction(0), Fraction(0)]])
 except ConstraintError:
