@@ -9,9 +9,13 @@ Invariant sections are characteristic coefficients of A(z), signed so the
 degree-i section is the i-th elementary symmetric function of eigenvalues.
 The spectral data is the lambda-discriminant of det(lambda*I - A(z)).
 Both are sampled: the Fraction characteristic coefficients of A(t) are
-taken at integer points t, the discriminant of each sample is that of a
-monic polynomial over Q, and each polynomial in z is interpolated from its
-values.  The genus comes from Riemann-Hurwitz bookkeeping:
+taken at t = 0..n deg A and interpolated in ints on those nodes; the
+discriminant is interpolated from its values at t = 0..n(n-1) deg A, each
+the discriminant of a monic polynomial over Q whose coefficients past the
+first n deg A + 1 nodes are values of the interpolated c_k(t).  Its
+squarefree test is a certificate modulo a prime, with the Euclidean gcd
+over Q as fallback, and a size cap keeps that fallback affordable.  The
+genus comes from Riemann-Hurwitz bookkeeping:
 genus = branch/2 - n + 1 where branch counts the (simple, finite)
 discriminant roots.  The genus field is meaningful for connected
 covers with no ramification over infinity, which is the generic situation;
@@ -176,26 +180,25 @@ def _char_coeff_polys(
     """[c_0(z), ..., c_n(z)] with det(lambda*I - A(z)) = sum c_k lambda^k,
     and the samples [c_0(t), ..., c_n(t)] at t = 0..spread*deg A.
 
-    Each sample is the Fraction char_coeffs of A(t).  Since
-    deg c_k <= (n - k) deg A, the first n*deg A + 1 samples determine every
-    c_k, which is interpolated from them with one Lagrange basis; spread must
-    be at least n.  A zero field counts as deg A = 0.
+    Since deg c_k <= (n - k) deg A, the Fraction char_coeffs of A(t) at
+    t = 0..n*deg A determine every c_k, which is interpolated from them; the
+    samples beyond are values of those exact interpolants, so spread must be
+    at least n.  A zero field counts as deg A = 0.
     """
     if f.group.family != "A":
         raise UnsupportedRealizationError("invariant sections need the type-A realization")
+    n = f.matrix_size
     entries = _entry_polys(f)
     deg = max([polyq.degree(e) for row in entries for e in row] + [0])
     samples = [
         linalgq.char_coeffs([[polyq.evaluate(e, t) for e in row] for row in entries])
-        for t in range(spread * deg + 1)
+        for t in range(n * deg + 1)
     ]
-    lagrange = polyq.lagrange_basis(range(f.matrix_size * deg + 1))
-    polys = []
-    for k in range(f.matrix_size + 1):
-        c: Coeffs = []
-        for basis, sample in zip(lagrange, samples):
-            c = polyq.add(c, polyq.scale(basis, sample[k]))
-        polys.append(c)
+    polys = [polyq.interpolate([sample[k] for sample in samples]) for k in range(n + 1)]
+    samples += [
+        [polyq.evaluate(c, t) for c in polys]
+        for t in range(n * deg + 1, spread * deg + 1)
+    ]
     return polys, samples
 
 
@@ -232,24 +235,45 @@ class SpectralCurveData:
     genus: Optional[int]
 
 
+# Largest accepted bound n(n-1) deg A on the discriminant degree.  A
+# discriminant with a square factor is decided by the Euclidean gcd over Q,
+# whose cost grows steeply with the degree: for block-diagonal GL fields
+# (whose discriminant carries a squared resultant) it took 0.43 s at degree
+# 60, 6.9 s at 100, 11 s at 120, 25 s at 140 and 93 s at 150 on a shared
+# 2-CPU host.  120 is the bound of n = 5, s = 7 with a non-zero residue sum,
+# the top of the size ladder.
+SPECTRAL_MAX_DEGREE = 120
+
+
 def spectral_curve(f: LogHiggsField) -> SpectralCurveData:
     """Eigenvalue-curve data of the polynomial Lax matrix.
 
     The discriminant is weighted-homogeneous of weight n(n-1) in the
     characteristic coefficients, and deg c_k <= (n-k) deg A, so its degree is
-    at most N = n(n-1) deg A.  The characteristic coefficients of A(t) are
-    sampled at t = 0..N: det(lambda*I - A(t)) is monic in lambda, so the
-    discriminant of each sample is the value at t of the one over Q[z], and
-    the N + 1 values are interpolated.  The first n deg A + 1 samples give the
-    characteristic coefficients themselves.
+    at most N = n(n-1) deg A.  det(lambda*I - A(t)) is monic in lambda, so
+    the discriminant of its coefficients at t is the value at t of the one
+    over Q[z]; the values at t = 0..N are interpolated.  Only the first
+    n deg A + 1 of these samples take char_coeffs of A(t): they determine
+    the characteristic coefficients, whose exact interpolants give the rest.
+    The squarefree test is polyq.is_squarefree: a modular certificate, with
+    the Euclidean gcd over Q as fallback.
+
+    Shapes whose bound N, with deg A <= s - 2 for fields regular at infinity
+    and s - 1 otherwise, exceeds SPECTRAL_MAX_DEGREE are refused with
+    ShapeError before any work.
     """
     n = f.matrix_size
+    bound = n * (n - 1) * max(f.site_count - (2 if f.regular_at_infinity else 1), 0)
+    if bound > SPECTRAL_MAX_DEGREE:
+        raise ShapeError(
+            f"spectral needs a discriminant degree bound n(n-1)*deg A of at most "
+            f"{SPECTRAL_MAX_DEGREE}; n = {n} with {f.site_count} points gives {bound}"
+        )
     cs, samples = _char_coeff_polys(f, max(n * (n - 1), n))
     if n == 1:
         disc: Coeffs = [Fraction(1)]
     else:
-        values = [polyq.discriminant(c) for c in samples]
-        disc = polyq.interpolate(range(len(samples)), values)
+        disc = polyq.interpolate([polyq.discriminant(c) for c in samples])
     squarefree = not polyq.is_zero(disc) and polyq.is_squarefree(disc)
     branch = max(polyq.degree(disc), 0)
     genus: Optional[int] = None
@@ -274,6 +298,21 @@ def spectral_genus(n: int, s: int) -> int:
     return num // 2
 
 
+def _residue_invariants(
+    f: LogHiggsField, entries: List[List[Coeffs]], j: int
+) -> List[Fraction]:
+    """Leading coefficients of the invariants e_1..e_n of L(z) at the j-th
+    marked point, from the entry polynomials of A(z): e_i(A(x_j)) divided by
+    prod((x_j - x_k)**i)."""
+    xj = f.points[j]
+    at = [[polyq.evaluate(e, xj) for e in row] for row in entries]
+    denom = Fraction(1)
+    for k, x in enumerate(f.points):
+        if k != j:
+            denom *= xj - x
+    return [v / denom**i for i, v in enumerate(linalgq.invariant_values(at), 1)]
+
+
 def residue_of_invariant(f: LogHiggsField, j: int, i: int) -> Fraction:
     """Leading coefficient of invariant i of L(z) at the j-th marked point.
 
@@ -290,13 +329,7 @@ def residue_of_invariant(f: LogHiggsField, j: int, i: int) -> Fraction:
         raise IndexError(
             f"invariant degree {i} not available in {f.group.form} mode (choose from {degrees})"
         )
-    xj = f.points[j]
-    at = [[polyq.evaluate(e, xj) for e in row] for row in _entry_polys(f)]
-    denom = Fraction(1)
-    for k, x in enumerate(f.points):
-        if k != j:
-            denom *= xj - x
-    return linalgq.invariant_values(at)[i - 1] / denom**i
+    return _residue_invariants(f, _entry_polys(f), j)[i - 1]
 
 
 def is_strongly_logarithmic_image(h: HitchinImage, f: LogHiggsField) -> bool:

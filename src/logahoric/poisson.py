@@ -565,8 +565,9 @@ def hitchin_coefficient_hamiltonians(
     per marked point, so A(z) = prod(z - x_k) L(z) has degree s-1 and the
     degree-i invariant section has degree at most i(s-1) in z.  The
     characteristic coefficients of A(t) are taken at t = 0..n(s-1) and each
-    z-coefficient is recovered from these samples with the Lagrange basis,
-    summed in ints on the packed samples over one common denominator.
+    z-coefficient is recovered from these samples with the Lagrange basis
+    on those nodes (each L_k interpolated from a unit vector), summed in
+    ints on the packed samples over one common denominator.
     Every non-zero z-coefficient of every section is returned as a
     polynomial Hamiltonian, by ascending degree i, then ascending power of z.
     """
@@ -589,7 +590,8 @@ def hitchin_coefficient_hamiltonians(
                 for q in range(n):
                     at[p][q] = at[p][q] + alg.generator(j, p, q).scaled(w)
         samples.append(linalgq.char_coeffs(at))
-    lagrange = polyq.lagrange_basis(ts)
+    # Lagrange weights: the interpolant of the k-th unit vector is L_k.
+    lagrange = [polyq.interpolate([int(t == k) for t in ts]) for k in ts]
     start = 1 if form == "GL" else 2
     hams: List[PoissonPolynomial] = []
     for i in range(start, n + 1):
@@ -881,19 +883,22 @@ def quotient_diagram_check(
     Route one evaluates each invariant section of the field at a marked
     point in the polar frame (a limit on the polynomial side); route two
     applies the same invariant to that point's coresidue.  The two are
-    computed independently and compared exactly.
+    computed independently and compared exactly.  Route one evaluates the
+    entry polynomials of A(z) once per point, for all degrees together.
     """
     mv = moment_map(f, data)
     degrees = higgs.invariant_degrees(f)
+    entries = higgs._entry_polys(f)
     rows = []
     for j in range(f.site_count):
+        residue_vals = higgs._residue_invariants(f, entries, j)
         site_vals = linalgq.invariant_values(mv.sites[j])
         for i in degrees:
             rows.append(
                 DiagramRow(
                     point=j,
                     degree=i,
-                    residue_route=higgs.residue_of_invariant(f, j, i),
+                    residue_route=residue_vals[i - 1],
                     moment_route=site_vals[i - 1],
                 )
             )

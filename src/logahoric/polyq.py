@@ -1,13 +1,17 @@
 """Exact univariate polynomial arithmetic over the rationals.
 
 A polynomial is a coefficient list [c0, c1, ..., cd] with Fraction entries
-and no trailing zeros; the zero polynomial is the empty list.  Everything
-here is plain dense arithmetic: the degrees appearing in this package stay
-small (a few dozen), so no sparse or modular tricks are needed.
+and no trailing zeros; the zero polynomial is the empty list.  Arithmetic is
+dense.  Spectral discriminants reach degree 100 and more with coefficients
+of a few hundred bits, so two routines work in integers: `interpolate`
+takes forward differences over one common denominator, and `is_squarefree`
+first tries a certificate modulo the prime 2^61 - 1, keeping the Euclidean
+`gcd` over Q as its exact fallback.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple
 
@@ -33,11 +37,6 @@ def degree(p: Sequence[Fraction]) -> int:
 
 def is_zero(p: Sequence[Fraction]) -> bool:
     return len(p) == 0
-
-
-def constant(c) -> Coeffs:
-    c = Fraction(c)
-    return [c] if c else []
 
 
 def add(p: Sequence[Fraction], q: Sequence[Fraction]) -> Coeffs:
@@ -115,10 +114,45 @@ def gcd(p: Sequence[Fraction], q: Sequence[Fraction]) -> Coeffs:
     return monic(a)
 
 
+# A fixed Mersenne prime for the squarefree certificate.
+MODULUS = 2**61 - 1
+
+
+def _gcd_degree_mod(a: List[int], b: List[int]) -> int:
+    """Degree of gcd(a, b) over GF(MODULUS); a and b are reduced, trimmed
+    coefficient lists, a non-zero."""
+    while b:
+        inv = pow(b[-1], -1, MODULUS)
+        db = len(b) - 1
+        while len(a) >= len(b):
+            c = a[-1] * inv % MODULUS
+            k = len(a) - 1 - db
+            for i in range(db):
+                a[k + i] = (a[k + i] - c * b[i]) % MODULUS
+            a.pop()
+            trim(a)
+        a, b = b, a
+    return len(a) - 1
+
+
 def is_squarefree(p: Sequence[Fraction]) -> bool:
+    """Whether p has no repeated factor over Q; constants count as squarefree.
+
+    Certificate first: clear p to integers and reduce modulo the prime
+    MODULUS.  When the prime does not divide the leading coefficient and the
+    reduction is coprime to its derivative, p is squarefree, exactly: a
+    square factor q^2 of p over Z (Gauss's lemma) would reduce to a square
+    factor of the same degree.  Every other case, a failed certificate
+    included, is decided by the Euclidean gcd over Q.
+    """
     if degree(p) <= 0:
-        # Constants carry no repeated roots; treat them as squarefree.
         return True
+    den = math.lcm(*(c.denominator for c in p))
+    red = [c.numerator * (den // c.denominator) % MODULUS for c in p]
+    if red[-1]:
+        dred = trim([i * c % MODULUS for i, c in enumerate(red)][1:])
+        if _gcd_degree_mod(red, dred) == 0:
+            return True
     return degree(gcd(p, derivative(p))) == 0
 
 
@@ -158,38 +192,34 @@ def from_roots(roots: Iterable) -> Coeffs:
     return out
 
 
-def lagrange_basis(xs: Sequence) -> List[Coeffs]:
-    """Polynomials L_k of degree len(xs) - 1 with L_k(xs[j]) = [j == k].
+def interpolate(ys: Sequence) -> Coeffs:
+    """The polynomial of degree < len(ys) taking the value ys[t] at t = 0, 1, ...
 
-    The points must be distinct.
+    Newton's forward-difference form on the integer nodes, in ints: with D a
+    common denominator of the values and N = len(ys) - 1, the differences
+    d_k of D*ys give N! D p(t) = sum_k d_k (N!/k!) t(t-1)...(t-k+1), which is
+    expanded by Horner's rule in the falling factorials and divided by N! D
+    once at the end.
     """
-    full = from_roots(xs)
-    out = []
-    for x in xs:
-        num, _ = divmod_(full, from_roots([x]))
-        out.append(scale(num, 1 / evaluate(num, x)))
-    return out
-
-
-def interpolate(xs: Sequence, ys: Sequence) -> Coeffs:
-    """The polynomial of degree < len(xs) taking the value ys[k] at xs[k]."""
-    out: Coeffs = []
-    for basis, y in zip(lagrange_basis(xs), ys):
-        out = add(out, scale(basis, y))
-    return out
-
-
-def to_string(p: Sequence[Fraction], var: str = "z") -> str:
-    if not p:
-        return "0"
-    parts = []
-    for i, c in enumerate(p):
-        if not c:
-            continue
-        if i == 0:
-            parts.append(str(c))
-        elif i == 1:
-            parts.append(f"{c}*{var}" if c != 1 else var)
-        else:
-            parts.append(f"{c}*{var}^{i}" if c != 1 else f"{var}^{i}")
-    return " + ".join(parts)
+    ys = [Fraction(y) for y in ys]
+    if not ys:
+        return []
+    den = math.lcm(*(y.denominator for y in ys))
+    diffs = [y.numerator * (den // y.denominator) for y in ys]
+    # diffs[k] becomes the k-th forward difference at t = 0.
+    for k in range(1, len(diffs)):
+        for t in range(len(diffs) - 1, k - 1, -1):
+            diffs[t] -= diffs[t - 1]
+    top = len(diffs) - 1
+    # Horner: H_N = d_N, H_k = (t - k) H_{k+1} + (N!/k!) d_k, H_0 = N! D p.
+    acc = [diffs[top]]
+    weight = 1
+    for k in range(top - 1, -1, -1):
+        weight *= k + 1  # N!/k!
+        shifted = [0] + acc
+        for i, c in enumerate(acc):
+            shifted[i] -= k * c
+        shifted[0] += diffs[k] * weight
+        acc = shifted
+    total = weight * den
+    return trim([Fraction(c, total) for c in acc])

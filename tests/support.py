@@ -4,7 +4,7 @@ fields, plus small conversion shims for the sympy cross-checks."""
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from logahoric import linalgq
+from logahoric import linalgq, polyq
 from logahoric.higgs import LogHiggsField, build_field
 from logahoric.rootsys import GroupTag
 
@@ -56,6 +56,14 @@ def rnd_field(
     return build_field(xs, residues, GroupTag("A", n - 1, form))
 
 
+def with_sum_zero(mats):
+    """The matrices followed by minus their sum, so the residues sum to zero."""
+    last = linalgq.zeros(len(mats[0]))
+    for m in mats:
+        last = linalgq.mat_sub(last, m)
+    return list(mats) + [last]
+
+
 def rnd_invertible(rng, n: int) -> List[List[Fraction]]:
     """Random invertible rational matrix, built as diagonal x lower x upper
     unipotent so invertibility never needs a retry loop."""
@@ -95,6 +103,34 @@ def coeffs_to_sympy(coeffs, var):
     for k, c in enumerate(coeffs):
         expr += sympy.Rational(c.numerator, c.denominator) * var**k
     return expr
+
+
+def to_string(p, var: str = "z") -> str:
+    """Readable form of an ascending coefficient list, e.g. "-1*z + z^2"."""
+    if not p:
+        return "0"
+    parts = []
+    for i, c in enumerate(p):
+        if not c:
+            continue
+        if i == 0:
+            parts.append(str(c))
+        elif i == 1:
+            parts.append(f"{c}*{var}" if c != 1 else var)
+        else:
+            parts.append(f"{c}*{var}^{i}" if c != 1 else f"{var}^{i}")
+    return " + ".join(parts)
+
+
+def squarefree_oracles(p):
+    """The squarefree verdicts on a non-zero polynomial of the Euclidean gcd
+    over Q and of sympy's squarefree factorization."""
+    import sympy
+
+    z = sympy.Symbol("z")
+    euclid = polyq.degree(polyq.gcd(p, polyq.derivative(p))) <= 0
+    _, factors = sympy.sqf_list(coeffs_to_sympy(p, z), z)
+    return euclid, all(mult == 1 for _, mult in factors)
 
 
 def matrix_to_sympy(m):

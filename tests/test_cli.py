@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from logahoric import __version__, cli, parahoric
+from logahoric import __version__, cli, higgs, parahoric
 from logahoric.cli import main
 
 EFH = {
@@ -420,6 +420,34 @@ def test_rank2_gap_cap_report(tmp_path, capsys):
     assert f"gap of at most {parahoric.RANK2_MAX_GAP}" in report["error"]["message"]
 
 
+def spectral_cap_config(n, s):
+    """An SL field with residue sum zero: E_12 at the first s - 1 points."""
+    unit = [[1 if (p, q) == (0, 1) else 0 for q in range(n)] for p in range(n)]
+    last = [[-(s - 1) * v for v in row] for row in unit]
+    return {
+        "group": {"family": "A", "rank": n - 1, "form": "SL"},
+        "points": [{"x": x} for x in range(s)],
+        "residues": [unit] * (s - 1) + [last],
+    }
+
+
+def test_spectral_size_cap_report(tmp_path, capsys):
+    csv_path = tmp_path / "disc.csv"
+    cfg = write_config(tmp_path, spectral_cap_config(6, 7))  # bound 30 * 5 = 150
+    code, out, _ = run_cli(capsys, ["spectral", "--config", cfg, "--csv", str(csv_path)])
+    assert code == 1
+    report = json.loads(out)
+    assert report["command"] == "spectral"
+    assert report["error"]["kind"] == "shape"
+    assert f"at most {higgs.SPECTRAL_MAX_DEGREE}" in report["error"]["message"]
+    assert "gives 150" in report["error"]["message"]
+    assert "results" not in report
+    assert not csv_path.exists()
+    cfg = write_config(tmp_path, spectral_cap_config(5, 8))  # bound 20 * 6 = 120
+    res = run_json(capsys, ["spectral", "--config", cfg])["results"]
+    assert res["branch_count"] <= 120
+
+
 # Run under python -O, where a bare assert would be stripped.
 OPTIMIZED_HITCHIN_CAP = """
 import json, os, sys, tempfile
@@ -451,6 +479,57 @@ def test_hitchin_involution_cap_survives_optimize():
     src = os.path.dirname(os.path.dirname(cli.__file__))
     proc = subprocess.run(
         [sys.executable, "-O", "-c", OPTIMIZED_HITCHIN_CAP],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+# The spectral cap under python -O, in the library and through the CLI.
+OPTIMIZED_SPECTRAL_CAP = """
+import json, os, sys, tempfile
+from logahoric import higgs
+from logahoric.cli import main
+from logahoric.errors import ShapeError
+from logahoric.rootsys import GroupTag
+if __debug__:
+    sys.exit(4)
+n, s = 6, 7
+unit = [[1 if (p, q) == (0, 1) else 0 for q in range(n)] for p in range(n)]
+last = [[-(s - 1) * v for v in row] for row in unit]
+residues = [unit] * (s - 1) + [last]
+f = higgs.build_field(range(s), residues, GroupTag("A", n - 1, "SL"))
+try:
+    higgs.spectral_curve(f)
+    sys.exit(3)
+except ShapeError:
+    pass
+cfg = {
+    "group": {"family": "A", "rank": n - 1, "form": "SL"},
+    "points": [{"x": x} for x in range(s)],
+    "residues": residues,
+}
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "cfg.json")
+    with open(path, "w") as handle:
+        json.dump(cfg, handle)
+    out = os.path.join(tmp, "out.json")
+    if main(["spectral", "--config", path, "--out", out]) != 1:
+        sys.exit(5)
+    with open(out) as handle:
+        if json.load(handle)["error"]["kind"] != "shape":
+            sys.exit(6)
+sys.exit(0)
+"""
+
+
+def test_spectral_size_cap_survives_optimize():
+    # A child process, because -O would strip this test's own asserts too.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_SPECTRAL_CAP],
         env=dict(os.environ, PYTHONPATH=src),
         capture_output=True,
         text=True,

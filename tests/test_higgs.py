@@ -31,7 +31,10 @@ from support import (
     matrix_to_sympy,
     rnd_field,
     rnd_invertible,
+    rnd_matrix,
+    squarefree_oracles,
     strictly_upper,
+    with_sum_zero,
 )
 
 SL2 = GroupTag("A", 1, "SL")
@@ -316,6 +319,94 @@ def test_spectral_discriminant_matches_sympy():
         f = build_field(range(s), ups + [last], GroupTag("A", n - 1, "SL"))
         check(f)
         assert all(polyq.is_zero(c) for c in spectral_curve(f).char_coeffs[:n])
+
+
+def test_squarefree_verdict_on_discriminants():
+    """The certificate-first verdict of spectral_curve agrees with the
+    Euclidean route and with sympy's squarefree factorization, on random
+    fields and on fields built to have square factors in the discriminant:
+    block-diagonal residues (a squared resultant factor), residues of the
+    form a_j M + b_j I (A(z) = g(z) M + h(z) I), nilpotent residues and
+    residues with repeated eigenvalues."""
+    rng = random.Random(93)
+    fields = []
+    for _ in range(10):
+        n, s = rng.randint(2, 4), rng.randint(3, 5)
+        form = rng.choice(["SL", "GL"])
+        fields.append(rnd_field(rng, n, s, form=form, sum_zero=rng.random() < 0.6))
+    for n, s in [(3, 3), (3, 4), (4, 3), (4, 4)]:
+        blocks = []
+        for _ in range(s - 1):
+            m = linalgq.zeros(n)
+            for p in range(n):
+                for q in range(n):
+                    if (p < 2) == (q < 2):
+                        m[p][q] = Fraction(rng.randint(-3, 3))
+            blocks.append(m)
+        fields.append(build_field(range(s), with_sum_zero(blocks), GroupTag("A", n - 1, "GL")))
+    for n, s in [(2, 3), (3, 4)]:
+        m = rnd_matrix(rng, n)
+        mats = [
+            linalgq.mat_add(
+                linalgq.mat_scale(m, Fraction(rng.randint(-3, 3))),
+                linalgq.mat_scale(linalgq.identity(n), Fraction(rng.randint(-3, 3))),
+            )
+            for _ in range(s)
+        ]
+        fields.append(build_field(range(s), mats, GroupTag("A", n - 1, "GL")))
+    for n, s in [(2, 3), (3, 3), (3, 4)]:
+        # Conjugates of strictly upper matrices: each residue is nilpotent,
+        # but not all in one triangular frame.
+        nil = []
+        for _ in range(s - 1):
+            g = rnd_invertible(rng, n)
+            nil.append(
+                linalgq.mat_mul(linalgq.mat_mul(g, strictly_upper(rng, n)), linalgq.inverse(g))
+            )
+        fields.append(build_field(range(s), with_sum_zero(nil), GroupTag("A", n - 1, "SL")))
+        # Residues conjugate to a matrix with a 2x2 Jordan block: a repeated,
+        # non-semisimple eigenvalue at every point.
+        rep = []
+        for _ in range(s):
+            g = rnd_invertible(rng, n)
+            jordan = linalgq.identity(n)
+            for p in range(n):
+                jordan[p][p] = Fraction(rng.randint(-2, 2))
+            jordan[1][1] = jordan[0][0]
+            jordan[0][1] = Fraction(1)
+            rep.append(linalgq.mat_mul(linalgq.mat_mul(g, jordan), linalgq.inverse(g)))
+        fields.append(build_field(range(s), rep, GroupTag("A", n - 1, "GL")))
+    verdicts = []
+    for f in fields:
+        sc = spectral_curve(f)
+        if polyq.is_zero(sc.discriminant):
+            assert not sc.is_squarefree
+            continue
+        assert sc.is_squarefree == polyq.is_squarefree(sc.discriminant)
+        assert squarefree_oracles(sc.discriminant) == (sc.is_squarefree, sc.is_squarefree)
+        verdicts.append(sc.is_squarefree)
+    assert verdicts.count(True) >= 10 and verdicts.count(False) >= 8
+
+
+def test_spectral_size_cap():
+    """Shapes past the discriminant degree bound are refused before any
+    work; the top of the size ladder (n = 5, s = 7, residue sum non-zero,
+    bound 120) runs."""
+    cap = higgs.SPECTRAL_MAX_DEGREE
+    assert 120 <= cap < 140
+    rng = random.Random(94)
+    refused = [
+        rnd_field(rng, 5, 8, form="GL", sum_zero=False),  # 20 * 7 = 140
+        rnd_field(rng, 6, 7),  # 30 * 5 = 150
+        rnd_field(rng, 4, 12, sum_zero=False),  # 12 * 11 = 132
+        rnd_field(rng, 40, 3),  # 1560: would take hours
+    ]
+    for f in refused:
+        with pytest.raises(ShapeError, match=f"at most {cap}"):
+            spectral_curve(f)
+    sc = spectral_curve(rnd_field(rng, 5, 7, form="GL", sum_zero=False))
+    assert sc.is_squarefree and sc.branch_count == 120
+    assert spectral_curve(rnd_field(rng, 4, 12)).branch_count == 120
 
 
 def test_spectral_genus_closed_form():

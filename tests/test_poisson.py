@@ -14,7 +14,12 @@ from logahoric.errors import (
     GroupError,
     ShapeError,
 )
-from logahoric.higgs import build_field, gaudin_hamiltonians, invariant_degrees
+from logahoric.higgs import (
+    build_field,
+    gaudin_hamiltonians,
+    invariant_degrees,
+    residue_of_invariant,
+)
 from logahoric.parahoric import ParahoricDatum, analyze_weight
 from logahoric.poisson import (
     MomentValue,
@@ -49,6 +54,7 @@ from support import (
     rnd_invertible,
     rnd_matrix,
     strictly_upper,
+    with_sum_zero,
 )
 
 SL2 = GroupTag("A", 1, "SL")
@@ -780,6 +786,43 @@ def test_quotient_diagram_with_weights():
     report = quotient_diagram_check(f)
     assert report.all_equal
     assert [row.degree for row in report.rows] == [2, 2]
+
+
+def test_quotient_diagram_rows_match_residue_of_invariant():
+    """Every row's residue route equals residue_of_invariant(f, j, i), on SL,
+    GL and weighted fields (weights change only the moment route)."""
+    rng = random.Random(123)
+    fields = [rnd_field(rng, n, s) for n, s in ((2, 3), (3, 4), (4, 3))]
+    fields += [
+        rnd_field(rng, n, s, form="GL", sum_zero=sz)
+        for n, s, sz in ((2, 4, True), (3, 3, False), (4, 2, False))
+    ]
+    # Upper triangular residues are admissible for theta = (1/4, ..., 1/4),
+    # whose weight diagonal strictly decreases.
+    for n, s in ((2, 3), (3, 4)):
+        rs = build_root_system("A", n - 1)
+        datum = wt(rs, *([Fraction(1, 4)] * (n - 1)))
+        ups = []
+        for _ in range(s - 1):
+            m = strictly_upper(rng, n)
+            for p in range(n - 1):
+                m[p][p] = Fraction(rng.randint(-2, 2))
+            m[n - 1][n - 1] = -sum(m[p][p] for p in range(n - 1))
+            ups.append(m)
+        f = build_field(
+            range(s), with_sum_zero(ups), GroupTag("A", n - 1, "SL"),
+            theta_data=[datum] * (s - 1) + [wt(rs, *([0] * (n - 1)))],
+        )
+        fields.append(f)
+    for f in fields:
+        report = quotient_diagram_check(f)
+        assert report.all_equal
+        degrees = invariant_degrees(f)
+        assert [(r.point, r.degree) for r in report.rows] == [
+            (j, i) for j in range(f.site_count) for i in degrees
+        ]
+        for row in report.rows:
+            assert row.residue_route == residue_of_invariant(f, row.point, row.degree)
 
 
 def test_nilpotent_vanishing_check():

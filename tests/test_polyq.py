@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 import sympy
 
 from logahoric import polyq
-from support import coeffs_to_sympy, rnd_fraction
+from support import coeffs_to_sympy, rnd_fraction, squarefree_oracles, to_string
 
 
 def test_trim_and_degree():
@@ -104,34 +105,118 @@ def test_gcd_matches_sympy():
     assert verdicts == {True, False}
 
 
+def test_squarefree_certificate_edge_cases():
+    """Reductions modulo the certificate's prime that mislead in both
+    directions: the fallback keeps every verdict exact."""
+    ell = polyq.MODULUS
+    cases = [
+        # squarefree over Q, but reduces to z^2
+        (polyq.from_roots([0, ell]), True),
+        # (ell z + 1)^2 z is not squarefree, but reduces to the squarefree z:
+        # only the leading-coefficient test sends it to the fallback
+        (polyq.mul(polyq.mul(polyq.poly([1, ell]), polyq.poly([1, ell])), [0, 1]), False),
+        (polyq.mul(polyq.poly([1, ell]), polyq.poly([0, 1])), True),
+        # the same through denominators: (z + 1/ell)^2 and z^2 + 1/ell
+        (polyq.from_roots([Fraction(-1, ell)] * 2), False),
+        (polyq.poly([Fraction(1, ell), 0, 1]), True),
+        # a square factor that survives the reduction
+        (polyq.mul(polyq.from_roots([3, 3]), polyq.poly([1, 2, 5])), False),
+        (polyq.from_roots([Fraction(1, 2), Fraction(-7, 3), 11]), True),
+    ]
+    for p, expected in cases:
+        assert polyq.is_squarefree(p) == expected
+        assert squarefree_oracles(p) == (expected, expected)
+
+
+def test_squarefree_certificate_decides_without_fallback(monkeypatch):
+    """A squarefree polynomial whose reduction stays squarefree is decided
+    by the certificate alone; the misleading reductions reach the gcd."""
+    rng = random.Random(109)
+    ell = polyq.MODULUS
+
+    def no_gcd(p, q):
+        raise AssertionError("fallback reached")
+
+    checked = []
+    for _ in range(10):
+        roots = {rnd_fraction(rng, -50, 50, 9) for _ in range(rng.randint(2, 40))}
+        p = polyq.scale(polyq.from_roots(roots), rnd_fraction(rng, 1, 5))
+        checked.append(p)
+    monkeypatch.setattr(polyq, "gcd", no_gcd)
+    assert all(polyq.is_squarefree(p) for p in checked)
+    for p in (polyq.from_roots([0, ell]), polyq.from_roots([2, 2]), polyq.poly([1, 0, ell])):
+        with pytest.raises(AssertionError, match="fallback reached"):
+            polyq.is_squarefree(p)
+
+
 def test_interpolate_matches_sympy():
-    """Interpolation through random rational points agrees with sympy and
-    evaluates back to the sampled values."""
+    """Interpolation on the nodes 0..N agrees with sympy and evaluates back
+    to the sampled values."""
     rng = random.Random(10)
     z = sympy.Symbol("z")
     for _ in range(20):
-        xs = list({rnd_fraction(rng) for _ in range(rng.randint(1, 7))})
-        ys = [rnd_fraction(rng) for _ in xs]
-        ours = polyq.interpolate(xs, ys)
-        assert polyq.degree(ours) < len(xs)
-        assert [polyq.evaluate(ours, x) for x in xs] == ys
+        ys = [rnd_fraction(rng) for _ in range(rng.randint(1, 7))]
+        ours = polyq.interpolate(ys)
+        assert polyq.degree(ours) < len(ys)
+        assert [polyq.evaluate(ours, t) for t in range(len(ys))] == ys
         theirs = sympy.interpolate(
-            [(sympy.Rational(x.numerator, x.denominator),
-              sympy.Rational(y.numerator, y.denominator)) for x, y in zip(xs, ys)],
+            [(t, sympy.Rational(y.numerator, y.denominator)) for t, y in enumerate(ys)],
             z,
         )
         assert coeffs_to_sympy(ours, z) == sympy.expand(theirs)
 
 
+def test_interpolate_large_values():
+    """N up to 100 with values of a few hundred bits, like the spectral
+    discriminants: the interpolant has degree <= N and evaluates back to
+    every sample, which pins it down uniquely; up to N = 20 it also equals
+    sympy's interpolant."""
+    rng = random.Random(11)
+    z = sympy.Symbol("z")
+
+    def big():
+        return Fraction(rng.randint(-(2**300), 2**300), rng.randint(1, 2**200))
+
+    for top in (0, 1, 2, 7, 20, 60, 100):
+        ys = [big() for _ in range(top + 1)]
+        ours = polyq.interpolate(ys)
+        assert polyq.degree(ours) <= top
+        # Evaluate back in ints over the interpolant's common denominator
+        # (tens of thousands of bits here, where Fraction Horner crawls).
+        den = math.lcm(*(c.denominator for c in ours))
+        cleared = [c.numerator * (den // c.denominator) for c in ours]
+        for t, y in enumerate(ys):
+            acc = 0
+            for c in reversed(cleared):
+                acc = acc * t + c
+            assert Fraction(acc, den) == y
+        if top <= 20:
+            theirs = sympy.interpolate(
+                [(t, sympy.Rational(y.numerator, y.denominator)) for t, y in enumerate(ys)],
+                z,
+            )
+            assert coeffs_to_sympy(ours, z) == sympy.expand(theirs)
+    # A degree-100 polynomial with large coefficients comes back exactly,
+    # also from more samples than it needs.
+    p = polyq.poly([big() for _ in range(101)])
+    assert polyq.interpolate([polyq.evaluate(p, t) for t in range(101)]) == p
+    assert polyq.interpolate([polyq.evaluate(p, t) for t in range(150)]) == p
+
+
 def test_interpolate_edge_cases():
-    assert polyq.interpolate([Fraction(5, 3)], [Fraction(-2)]) == [Fraction(-2)]
-    assert polyq.interpolate([0, 1, 2], [0, 0, 0]) == []
-    # 1/2, 3/2, 5/2 on the line 2z - 1: the degree drops below len(xs) - 1.
-    half = [Fraction(1, 2), Fraction(3, 2), Fraction(5, 2)]
-    assert polyq.interpolate(half, [0, 2, 4]) == [Fraction(-1), Fraction(2)]
-    basis = polyq.lagrange_basis(half)
-    for k, lk in enumerate(basis):
-        assert [polyq.evaluate(lk, x) for x in half] == [int(j == k) for j in range(3)]
+    assert polyq.interpolate([]) == []
+    assert polyq.interpolate([Fraction(-2)]) == [Fraction(-2)]
+    assert polyq.interpolate([0, 0, 0]) == []
+    # The line 2z - 1 at 0, 1, 2: the degree drops below len(ys) - 1.
+    assert polyq.interpolate([-1, 1, 3]) == [Fraction(-1), Fraction(2)]
+    # Lagrange basis polynomials are the interpolants of unit vectors.
+    for top in (0, 1, 4, 9):
+        for k in range(top + 1):
+            lk = polyq.interpolate([int(t == k) for t in range(top + 1)])
+            assert polyq.degree(lk) == top
+            assert [polyq.evaluate(lk, t) for t in range(top + 1)] == [
+                int(t == k) for t in range(top + 1)
+            ]
 
 
 def test_resultant_matches_sympy():
@@ -167,5 +252,5 @@ def test_discriminant_rejects_constants():
 def test_from_roots_and_to_string():
     p = polyq.from_roots([0, 1])
     assert p == [Fraction(0), Fraction(-1), Fraction(1)]
-    assert polyq.to_string(p) == "-1*z + z^2"
-    assert polyq.to_string([]) == "0"
+    assert to_string(p) == "-1*z + z^2"
+    assert to_string([]) == "0"
