@@ -378,14 +378,6 @@ def _reduction_from(entry: dict, where: str) -> ReductionDatum:
     )
 
 
-def _character_verdict(margin: Fraction) -> str:
-    if margin > 0:
-        return parahoric.VERDICT_STABLE
-    if margin == 0:
-        return parahoric.VERDICT_BOUNDARY
-    return parahoric.VERDICT_FAIL
-
-
 def _cmd_stability(cfg: ParsedConfig) -> dict:
     reductions = cfg.options.get("reductions")
     rank2 = cfg.options.get("rank2")
@@ -423,7 +415,7 @@ def _cmd_stability(cfg: ParsedConfig) -> dict:
                 if total is not None
                 else Fraction(rd.total_degree)
             )
-            margin = total_deg * rd.sub_rank - sub_deg * rd.total_rank
+            sub_side, total_side = sub_deg * rd.total_rank, total_deg * rd.sub_rank
             tests.append(
                 {
                     "sub_parhdeg": _s(sub_deg),
@@ -431,8 +423,8 @@ def _cmd_stability(cfg: ParsedConfig) -> dict:
                     "sub_slope": _s(sub_deg / rd.sub_rank),
                     "total_slope": _s(total_deg / rd.total_rank),
                     "slope_verdict": verdict,
-                    "character_margin": _s(margin),
-                    "character_verdict": _character_verdict(margin),
+                    "character_margin": _s(total_side - sub_side),
+                    "character_verdict": parahoric.verdict(sub_side, total_side),
                 }
             )
         results["reductions"] = tests

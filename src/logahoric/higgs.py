@@ -1,32 +1,40 @@
 """Logarithmic Higgs fields on the line and their invariant data.
 
 A field is a matrix-valued one-form sum(X_j/(z - x_j)) dz with exact
-rational marked points and residues.  Multiplying by P(z) = prod(z - x_j)
-clears denominators to a polynomial Lax matrix A(z); the sum-zero rule on
-residues is exactly regularity at infinity and caps deg A at s-2.
+rational marked points and residues: the Gaudin Lax matrix L(z).
+Multiplying by prod(z - x_k) clears denominators to the polynomial Lax
+matrix A(z) = sum_j w_j(z) X_j, w_j(z) = prod_{k != j}(z - x_k); the
+sum-zero rule on residues is exactly regularity at infinity and caps deg A
+at s-2.
+
+Every value of A comes from one sampler, _lagrange_weights, and every
+polynomial in z from one route, polyq.interpolate on the nodes t = 0..N:
+the entries of A, the characteristic coefficients (taken in Fractions at
+t = 0..n deg A) and the discriminant.  Sample counts use the bound
+deg A <= s-2 for fields regular at infinity and s-1 otherwise; samples
+past the true degree leave the interpolant exact and the same.
 
 Invariant sections are characteristic coefficients of A(z), signed so the
 degree-i section is the i-th elementary symmetric function of eigenvalues.
-The spectral data is the lambda-discriminant of det(lambda*I - A(z)).
-Both are sampled: the Fraction characteristic coefficients of A(t) are
-taken at t = 0..n deg A and interpolated in ints on those nodes; the
-discriminant is interpolated from its values at t = 0..n(n-1) deg A, each
-the discriminant of a monic polynomial over Q whose coefficients past the
-first n deg A + 1 nodes are values of the interpolated c_k(t).  Its
-squarefree test is a certificate modulo a prime, with the Euclidean gcd
-over Q as fallback, and a size cap keeps that fallback affordable.  The
-genus comes from Riemann-Hurwitz bookkeeping:
-genus = branch/2 - n + 1 where branch counts the (simple, finite)
-discriminant roots.  The genus field is meaningful for connected
-covers with no ramification over infinity, which is the generic situation;
-it is left undefined whenever the discriminant fails to be squarefree or
-has an odd number of roots.
+The spectral data is the lambda-discriminant of det(lambda*I - A(z)),
+interpolated from its values at t = 0..n(n-1) deg A, each the discriminant
+of a monic polynomial over Q whose coefficients past the first n deg A + 1
+nodes are values of the interpolated c_k(t).  Its squarefree test is a
+certificate modulo a prime, with the Euclidean gcd over Q as fallback, and
+a size cap keeps that fallback affordable.  The genus comes from
+Riemann-Hurwitz bookkeeping: genus = branch/2 - n + 1 where branch counts
+the (simple, finite) discriminant roots.  The genus field is meaningful for
+connected covers with no ramification over infinity, which is the generic
+situation; it is left undefined whenever the discriminant fails to be
+squarefree or has an odd number of roots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalgq, polyq
@@ -137,36 +145,46 @@ class PolynomialMatrix:
         return out
 
 
-def _entry_polys(f: LogHiggsField) -> List[List[Coeffs]]:
+def _lagrange_weights(xs: Sequence[Fraction], t) -> List[Fraction]:
+    """[w_0(t), ..., w_{s-1}(t)] with w_j(t) = prod_{k != j}(t - x_k), so
+    that A(t) = sum_j w_j(t) X_j: the products of the factors t - x_k before
+    and after k = j, with no division, so at t = x_j only w_j is non-zero."""
+    diffs = [t - x for x in xs]
+    before = accumulate(diffs[:-1], mul, initial=Fraction(1))
+    after = list(accumulate(reversed(diffs[1:]), mul, initial=Fraction(1)))
+    return [b * a for b, a in zip(before, reversed(after))]
+
+
+def _lax_value(f: LogHiggsField, weights: Sequence[Fraction]) -> Matrix:
+    """sum_j weights[j] X_j: the value A(t) for the weights at t."""
     n = f.matrix_size
-    basis = [
-        polyq.from_roots([x for k, x in enumerate(f.points) if k != j])
-        for j in range(f.site_count)
+    return [
+        [sum(w * res[p][q] for w, res in zip(weights, f.residues)) for q in range(n)]
+        for p in range(n)
     ]
-    out = [[polyq.poly([]) for _ in range(n)] for _ in range(n)]
-    for j, res in enumerate(f.residues):
-        for p in range(n):
-            for q in range(n):
-                if res[p][q]:
-                    out[p][q] = polyq.add(out[p][q], polyq.scale(basis[j], res[p][q]))
-    return out
+
+
+def _degree_bound(f: LogHiggsField) -> int:
+    """Bound on deg A: s - 2 for fields regular at infinity, else s - 1."""
+    return max(f.site_count - (2 if f.regular_at_infinity else 1), 0)
 
 
 def clear_denominators(f: LogHiggsField) -> PolynomialMatrix:
-    """The polynomial Lax matrix prod(z - x_k) * L(z)."""
-    entries = _entry_polys(f)
+    """The polynomial Lax matrix prod(z - x_k) * L(z), each entry
+    interpolated from its values at t = 0..s-1 (deg A <= s - 1)."""
     n = f.matrix_size
-    deg = max((polyq.degree(e) for row in entries for e in row), default=-1)
-    coeffs = []
-    for k in range(deg + 1):
-        coeffs.append(
-            [
-                [entries[p][q][k] if k <= polyq.degree(entries[p][q]) else Fraction(0)
-                 for q in range(n)]
-                for p in range(n)
-            ]
+    values = [_lax_value(f, _lagrange_weights(f.points, t)) for t in range(f.site_count)]
+    entries = [
+        [polyq.interpolate([a[p][q] for a in values]) for q in range(n)]
+        for p in range(n)
+    ]
+    deg = max(polyq.degree(e) for row in entries for e in row)
+    return PolynomialMatrix(
+        coeffs=tuple(
+            [[e[k] if k < len(e) else Fraction(0) for e in row] for row in entries]
+            for k in range(deg + 1)
         )
-    return PolynomialMatrix(coeffs=tuple(coeffs))
+    )
 
 
 def invariant_degrees(f: LogHiggsField) -> List[int]:
@@ -178,20 +196,20 @@ def _char_coeff_polys(
     f: LogHiggsField, spread: int
 ) -> Tuple[List[Coeffs], List[List[Fraction]]]:
     """[c_0(z), ..., c_n(z)] with det(lambda*I - A(z)) = sum c_k lambda^k,
-    and the samples [c_0(t), ..., c_n(t)] at t = 0..spread*deg A.
+    and the samples [c_0(t), ..., c_n(t)] at t = 0..spread*D, D the bound
+    _degree_bound on deg A.
 
-    Since deg c_k <= (n - k) deg A, the Fraction char_coeffs of A(t) at
-    t = 0..n*deg A determine every c_k, which is interpolated from them; the
-    samples beyond are values of those exact interpolants, so spread must be
-    at least n.  A zero field counts as deg A = 0.
+    Since deg c_k <= (n - k) deg A, the Fraction char_coeffs of
+    A(t) = sum_j w_j(t) X_j at t = 0..n*D determine every c_k, which is
+    interpolated from them; the samples beyond are values of those exact
+    interpolants, so spread must be at least n.
     """
     if f.group.family != "A":
         raise UnsupportedRealizationError("invariant sections need the type-A realization")
     n = f.matrix_size
-    entries = _entry_polys(f)
-    deg = max([polyq.degree(e) for row in entries for e in row] + [0])
+    deg = _degree_bound(f)
     samples = [
-        linalgq.char_coeffs([[polyq.evaluate(e, t) for e in row] for row in entries])
+        linalgq.char_coeffs(_lax_value(f, _lagrange_weights(f.points, t)))
         for t in range(n * deg + 1)
     ]
     polys = [polyq.interpolate([sample[k] for sample in samples]) for k in range(n + 1)]
@@ -263,7 +281,7 @@ def spectral_curve(f: LogHiggsField) -> SpectralCurveData:
     ShapeError before any work.
     """
     n = f.matrix_size
-    bound = n * (n - 1) * max(f.site_count - (2 if f.regular_at_infinity else 1), 0)
+    bound = n * (n - 1) * _degree_bound(f)
     if bound > SPECTRAL_MAX_DEGREE:
         raise ShapeError(
             f"spectral needs a discriminant degree bound n(n-1)*deg A of at most "
@@ -293,23 +311,17 @@ def spectral_genus(n: int, s: int) -> int:
     the n(n-1)(s-2) simple discriminant roots, so the count is always even."""
     if n < 2 or s < 3:
         raise ValueError("spectral genus needs matrix size >= 2 and >= 3 points")
-    num = (n - 1) * (n * (s - 2) - 2)
-    assert num % 2 == 0
-    return num // 2
+    # Even: n - 1 is even for odd n, and n(s - 2) - 2 is even for even n.
+    return (n - 1) * (n * (s - 2) - 2) // 2
 
 
-def _residue_invariants(
-    f: LogHiggsField, entries: List[List[Coeffs]], j: int
-) -> List[Fraction]:
+def _residue_invariants(f: LogHiggsField, j: int) -> List[Fraction]:
     """Leading coefficients of the invariants e_1..e_n of L(z) at the j-th
-    marked point, from the entry polynomials of A(z): e_i(A(x_j)) divided by
-    prod((x_j - x_k)**i)."""
-    xj = f.points[j]
-    at = [[polyq.evaluate(e, xj) for e in row] for row in entries]
-    denom = Fraction(1)
-    for k, x in enumerate(f.points):
-        if k != j:
-            denom *= xj - x
+    marked point, from A(x_j): e_i(A(x_j)) divided by w_j(x_j)**i, with
+    w_j(x_j) = prod(x_j - x_k)."""
+    weights = _lagrange_weights(f.points, f.points[j])
+    denom = weights[j]
+    at = _lax_value(f, weights)
     return [v / denom**i for i, v in enumerate(linalgq.invariant_values(at), 1)]
 
 
@@ -329,7 +341,7 @@ def residue_of_invariant(f: LogHiggsField, j: int, i: int) -> Fraction:
         raise IndexError(
             f"invariant degree {i} not available in {f.group.form} mode (choose from {degrees})"
         )
-    return _residue_invariants(f, _entry_polys(f), j)[i - 1]
+    return _residue_invariants(f, j)[i - 1]
 
 
 def is_strongly_logarithmic_image(h: HitchinImage, f: LogHiggsField) -> bool:

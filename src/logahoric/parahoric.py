@@ -370,6 +370,16 @@ VERDICT_BOUNDARY = "semistable-boundary"
 VERDICT_FAIL = "fail"
 
 
+def verdict(lhs, rhs) -> str:
+    """The slope verdict of a reduction whose side lhs is set against the
+    full object's side rhs: stable below, boundary at equality, fail above."""
+    if lhs < rhs:
+        return VERDICT_STABLE
+    if lhs == rhs:
+        return VERDICT_BOUNDARY
+    return VERDICT_FAIL
+
+
 def parahoric_degree(rd: ReductionDatum) -> Fraction:
     """Weighted degree: ordinary degree plus the marked-point pairings."""
     return Fraction(rd.sub_degree) + sum(rd.weight_pairings, Fraction(0))
@@ -397,13 +407,7 @@ def slope_test(rd: ReductionDatum, total: Optional[ReductionDatum] = None) -> st
         raise InvalidReductionError(
             f"sub_rank must lie strictly between 0 and {total_rank}, got {rd.sub_rank}"
         )
-    sub_slope = parahoric_degree(rd) / rd.sub_rank
-    total_slope = total_deg / total_rank
-    if sub_slope < total_slope:
-        return VERDICT_STABLE
-    if sub_slope == total_slope:
-        return VERDICT_BOUNDARY
-    return VERDICT_FAIL
+    return verdict(parahoric_degree(rd) / rd.sub_rank, total_deg / total_rank)
 
 
 @dataclass(frozen=True)
@@ -578,13 +582,7 @@ def rank2_semistability(
             )
             rd = ReductionDatum(a, 1, total_degree, 2, pairings)
             wd = parahoric_degree(rd)
-            if wd > total_slope:
-                verdict = VERDICT_FAIL
-            elif wd == total_slope:
-                verdict = VERDICT_BOUNDARY
-            else:
-                verdict = VERDICT_STABLE
-            found.append(Rank2Candidate(a, actual, rd, wd, verdict))
+            found.append(Rank2Candidate(a, actual, rd, wd, verdict(wd, total_slope)))
 
     candidates = tuple(
         sorted(found, key=lambda c: (-c.weighted_degree, -c.degree, c.incidences))

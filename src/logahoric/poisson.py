@@ -246,12 +246,11 @@ class PoissonPolynomial:
                 seen.add(g)
         return sorted(seen)
 
-    def _check_mate(self, other: "PoissonPolynomial") -> None:
-        if self.algebra is not other.algebra and self.algebra != other.algebra:
-            raise AlgebraMismatchError("polynomials live over different algebras")
-
     def __add__(self, other: "PoissonPolynomial") -> "PoissonPolynomial":
-        self._check_mate(other)
+        """Sum; both operands must belong to self's algebra, with every
+        generator in range (AlgebraMismatchError otherwise)."""
+        _check_member(self, self.algebra)
+        _check_member(other, self.algebra)
         d = dict(self.terms)
         for m, c in other.terms:
             d[m] = d.get(m, Fraction(0)) + c
@@ -563,11 +562,11 @@ def hitchin_coefficient_hamiltonians(
 
     The residues are matrices of coordinate generators, one full matrix site
     per marked point, so A(z) = prod(z - x_k) L(z) has degree s-1 and the
-    degree-i invariant section has degree at most i(s-1) in z.  The
-    characteristic coefficients of A(t) are taken at t = 0..n(s-1) and each
-    z-coefficient is recovered from these samples with the Lagrange basis
-    on those nodes (each L_k interpolated from a unit vector), summed in
-    ints on the packed samples over one common denominator.
+    degree-i invariant section has degree at most i(s-1) in z.  Each entry
+    of A(t) = sum_j w_j(t) X_j, with the weights of higgs._lagrange_weights,
+    is one linear polynomial; the characteristic coefficients of A(t) are
+    taken at t = 0..n(s-1), and the z-coefficients of each section come
+    from polyq.interpolate over each monomial's series of coefficients.
     Every non-zero z-coefficient of every section is returned as a
     polynomial Hamiltonian, by ascending degree i, then ascending power of z.
     """
@@ -576,40 +575,34 @@ def hitchin_coefficient_hamiltonians(
     xs = [Fraction(x) for x in points]
     s = len(xs)
     alg = matrix_poisson_algebra(n, s)
-    zero = PoissonPolynomial.zero(alg)
-    basis = [
-        polyq.from_roots([x for k, x in enumerate(xs) if k != j]) for j in range(s)
+    gens = [
+        [[alg.generator_index(j, p, q) for j in range(s)] for q in range(n)]
+        for p in range(n)
     ]
-    ts = range(n * (s - 1) + 1)
     samples = []
-    for t in ts:
-        at = [[zero] * n for _ in range(n)]
-        for j, b in enumerate(basis):
-            w = polyq.evaluate(b, t)
-            for p in range(n):
-                for q in range(n):
-                    at[p][q] = at[p][q] + alg.generator(j, p, q).scaled(w)
+    for t in range(n * (s - 1) + 1):
+        ws = higgs._lagrange_weights(xs, t)
+        # Site j's generators precede site j+1's, so each entry's terms come
+        # sorted; a zero weight (t a marked point) leaves no term.
+        at = [
+            [PoissonPolynomial(alg, tuple((((g, 1),), w) for g, w in zip(gq, ws) if w))
+             for gq in row]
+            for row in gens
+        ]
         samples.append(linalgq.char_coeffs(at))
-    # Lagrange weights: the interpolant of the k-th unit vector is L_k.
-    lagrange = [polyq.interpolate([int(t == k) for t in ts]) for k in ts]
     start = 1 if form == "GL" else 2
     hams: List[PoissonPolynomial] = []
     for i in range(start, n + 1):
         sign = -1 if i % 2 else 1
-        width = _width(max(_degree(cs[n - i]) for cs in samples))
-        packed = [_pack(cs[n - i], width) for cs in samples]
-        for d in range(i * (s - 1) + 1):
-            ws = [sign * lk[d] for lk in lagrange]
-            den = math.lcm(*(w.denominator * pden for w, (pden, _) in zip(ws, packed)))
-            acc: Dict[int, int] = {}
-            for w, (pden, terms) in zip(ws, packed):
-                scale = w.numerator * (den // (w.denominator * pden))
-                if scale:
-                    for m, k in terms:
-                        acc[m] = acc.get(m, 0) + scale * k
-            coeff = _unpack(alg, acc, den, width)
-            if not coeff.is_zero:
-                hams.append(coeff)
+        series: Dict[Monomial, List[Fraction]] = {}
+        for t, cs in enumerate(samples):
+            for mono, c in cs[n - i].terms:
+                series.setdefault(mono, [0] * len(samples))[t] = sign * c
+        coeffs: List[Dict[Monomial, Fraction]] = [{} for _ in samples]
+        for mono, ys in series.items():
+            for d, c in enumerate(polyq.interpolate(ys)):
+                coeffs[d][mono] = c
+        hams += [PoissonPolynomial._from_dict(alg, c) for c in coeffs if any(c.values())]
     return alg, tuple(hams)
 
 
@@ -883,15 +876,14 @@ def quotient_diagram_check(
     Route one evaluates each invariant section of the field at a marked
     point in the polar frame (a limit on the polynomial side); route two
     applies the same invariant to that point's coresidue.  The two are
-    computed independently and compared exactly.  Route one evaluates the
-    entry polynomials of A(z) once per point, for all degrees together.
+    computed independently and compared exactly.  Route one evaluates A(z)
+    once per point, for all degrees together.
     """
     mv = moment_map(f, data)
     degrees = higgs.invariant_degrees(f)
-    entries = higgs._entry_polys(f)
     rows = []
     for j in range(f.site_count):
-        residue_vals = higgs._residue_invariants(f, entries, j)
+        residue_vals = higgs._residue_invariants(f, j)
         site_vals = linalgq.invariant_values(mv.sites[j])
         for i in degrees:
             rows.append(

@@ -28,10 +28,12 @@ from support import (
     F2,
     H2,
     coeffs_to_sympy,
+    make_traceless,
     matrix_to_sympy,
     rnd_field,
     rnd_invertible,
     rnd_matrix,
+    rnd_points,
     squarefree_oracles,
     strictly_upper,
     with_sum_zero,
@@ -319,6 +321,23 @@ def test_spectral_discriminant_matches_sympy():
         f = build_field(range(s), ups + [last], GroupTag("A", n - 1, "SL"))
         check(f)
         assert all(polyq.is_zero(c) for c in spectral_curve(f).char_coeffs[:n])
+    # Regular at infinity with sum_j x_j X_j = 0 too, so deg A < s - 2 and
+    # every polynomial in z is sampled past its true degree.
+    for n, s in [(2, 4), (3, 5)]:
+        xs = rnd_points(rng, s)
+        head = [make_traceless(rnd_matrix(rng, n)) for _ in range(s - 2)]
+        s0 = linalgq.zeros(n)
+        s1 = linalgq.zeros(n)
+        for x, m in zip(xs, head):
+            s0 = linalgq.mat_add(s0, m)
+            s1 = linalgq.mat_add(s1, linalgq.mat_scale(m, x))
+        # X_a + X_b = -s0 and a X_a + b X_b = -s1 at the last two points a, b.
+        a, b = xs[-2:]
+        xb = linalgq.mat_scale(linalgq.mat_sub(linalgq.mat_scale(s0, a), s1), 1 / (b - a))
+        xa = linalgq.mat_sub(linalgq.mat_scale(s0, Fraction(-1)), xb)
+        f = build_field(xs, head + [xa, xb], GroupTag("A", n - 1, "SL"))
+        assert clear_denominators(f).degree == s - 3
+        check(f)
 
 
 def test_squarefree_verdict_on_discriminants():

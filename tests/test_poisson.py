@@ -256,6 +256,19 @@ def test_mul_and_to_string_reject_foreign_generator():
     assert (x * x).to_string() == "x0_10^2"
 
 
+def test_add_and_sub_reject_foreign_generator():
+    alg = matrix_poisson_algebra(2, 1)
+    x = alg.generator(0, 1, 0)
+    for bad in (-1, alg.gen_count):
+        foreign = PoissonPolynomial(alg, ((((bad, 1),), Fraction(1)),))
+        for a, b in ((foreign, x), (x, foreign)):
+            with pytest.raises(AlgebraMismatchError, match="foreign generator"):
+                a + b
+            with pytest.raises(AlgebraMismatchError, match="foreign generator"):
+                a - b
+    assert (x - x).is_zero
+
+
 def test_mul_matches_reference_oracle():
     rng = random.Random(515)
     for alg in oracle_algebras():
