@@ -4,13 +4,19 @@ Matrices are plain lists of lists.  Most callers work with Fraction entries;
 the characteristic-polynomial routine is written with `+`, `*` and
 multiplication by a Fraction only, so it also runs on matrices of symbolic
 Poisson polynomials.
+
+There is one elimination routine, the fraction-free _echelon in ints:
+`rank` counts its pivots and `nullspace` back-substitutes through its rows.
+`inverse` runs no elimination; it comes from `char_coeffs` by
+Cayley-Hamilton.  `integer_form` is the package's one step that clears
+rationals to integers over a common denominator.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 Matrix = List[List[Fraction]]
 
@@ -79,50 +85,28 @@ def copy(a):
     return [list(row) for row in a]
 
 
-def _eliminate(m, cols: int) -> List[int]:
-    """Gauss-Jordan reduction of m, in place, over its first cols columns.
+def integer_form(values) -> Tuple[int, List[int]]:
+    """(den, ints) with values[i] == ints[i] / den, den the lcm of the
+    denominators (1 for no values).  Fractions are read as they are; any
+    other value is converted to one first."""
+    values = [x if type(x) is Fraction else Fraction(x) for x in values]
+    den = math.lcm(*(x.denominator for x in values))
+    return den, [x.numerator * (den // x.denominator) for x in values]
 
-    Rows are swapped, scaled and combined whole, so columns past cols (an
-    augmented identity, say) follow along.  Returns the pivot columns in order.
+
+def _echelon(a) -> List[List[int]]:
+    """The pivot rows of a fraction-free (Bareiss) forward elimination of a.
+
+    Rows are cleared by integer_form and zero rows dropped.  Each step
+    pivots on the first column with a non-zero entry, removes the pivot row,
+    and replaces every other row by (p*row - f*pivot_row) // prev over the
+    columns right of the pivot, dropping zero rows; the division is exact
+    because every entry is a minor of the cleared matrix.  Each pivot row
+    keeps only its entries from its pivot column on, so it is as long as
+    the columns it spans, and the rows span the row space of a.
     """
-    rows = len(m)
-    pivots: List[int] = []
-    for c in range(cols):
-        r = len(pivots)
-        if r == rows:
-            break
-        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-    return pivots
-
-
-def integer_row(row) -> List[int]:
-    """The rational row times the lcm of its denominators, as Python ints."""
-    row = [x if type(x) is Fraction else Fraction(x) for x in row]
-    den = math.lcm(*(x.denominator for x in row))
-    return [x.numerator * (den // x.denominator) for x in row]
-
-
-def rank(a) -> int:
-    """Row rank by fraction-free (Bareiss) forward elimination in ints.
-
-    Each row is scaled by the lcm of its denominators, which leaves the rank
-    alone; zero rows are dropped.  Each step pivots on the first column with
-    a non-zero entry, removes the pivot row, and replaces every other row by
-    (p*row - f*pivot_row) // prev, dropping the pivot column; the division is
-    exact because every entry is a minor of the cleared matrix.
-    """
-    rows = [row for row in map(integer_row, a) if any(row)]
-    r = 0
+    rows = [row for _, row in map(integer_form, a) if any(row)]
+    tops = []
     prev = 1
     while rows:
         pivot = next((i for i, row in enumerate(rows) if row[0]), None)
@@ -131,7 +115,7 @@ def rank(a) -> int:
             continue
         top = rows.pop(pivot)
         p = top[0]
-        r += 1
+        tops.append(top)
         rest = []
         for row in rows:
             f = row[0]
@@ -140,31 +124,33 @@ def rank(a) -> int:
                 rest.append(new)
         rows = rest
         prev = p
-    return r
+    return tops
+
+
+def rank(a) -> int:
+    """Row rank: the number of pivot rows of _echelon."""
+    return len(_echelon(a))
 
 
 def nullspace(a) -> List[List[Fraction]]:
-    """Basis of the right kernel, as a list of vectors."""
+    """Basis of the right kernel: for each non-pivot column f, the kernel
+    vector with 1 at f and 0 at the other non-pivot columns, found by
+    back-substitution through the rows of _echelon.  It is unique, so this
+    is the basis read off the reduced echelon form."""
     cols = len(a[0]) if a else 0
-    m = mat(a)
-    pivots = _eliminate(m, cols)
+    tops = _echelon(a)
+    pivots = {cols - len(top) for top in tops}
     basis = []
-    free = [c for c in range(cols) if c not in pivots]
-    for fc in free:
+    for f in range(cols):
+        if f in pivots:
+            continue
         v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for ri, pc in enumerate(pivots):
-            v[pc] = -m[ri][fc]
+        v[f] = Fraction(1)
+        for top in reversed(tops):
+            c = cols - len(top)
+            v[c] = -sum((x * y for x, y in zip(top[1:], v[c + 1:])), Fraction(0)) / top[0]
         basis.append(v)
     return basis
-
-
-def inverse(a) -> Matrix:
-    n = len(a)
-    m = [row + idr for row, idr in zip(mat(a), identity(n))]
-    if len(_eliminate(m, n)) < n:
-        raise ArithmeticError("matrix is singular")
-    return [row[n:] for row in m]
 
 
 def char_coeffs(m) -> list:
@@ -202,3 +188,24 @@ def invariant_values(m) -> list:
 def det(m):
     c0 = char_coeffs(m)[0]
     return -c0 if len(m) % 2 else c0
+
+
+def inverse(a) -> Matrix:
+    """A^-1 by Cayley-Hamilton, from the char_coeffs c_0..c_n of A:
+
+        A^-1 = -(A^(n-1) + c_(n-1) A^(n-2) + ... + c_1 I) / c_0,
+
+    with the bracket summed by Horner's rule.  Raises ArithmeticError iff
+    c_0 = (-1)^n det A is zero.
+    """
+    a = mat(a)
+    n = len(a)
+    cs = char_coeffs(a)
+    if cs[0] == 0:
+        raise ArithmeticError("matrix is singular")
+    out = identity(n)
+    for c in reversed(cs[1:n]):
+        out = mat_mul(a, out)
+        for i in range(n):
+            out[i][i] += c
+    return mat_scale(out, -1 / cs[0])

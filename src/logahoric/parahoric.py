@@ -571,9 +571,9 @@ def rank2_semistability(
         dim_p = a1 - a + 1
         dim_q = max(a2 - a + 1, 0)
         rows = [
-            linalgq.integer_row(
+            linalgq.integer_form(
                 [d * x**k for k in range(dim_p)] + [-c * x**k for k in range(dim_q)]
-            )
+            )[1]
             for (c, d), x in zip(flag_dirs, xs)
         ]
         for actual in _incidence_closures(rows, dim_p + dim_q):

@@ -20,7 +20,6 @@ antisymmetry and the Jacobi identity when the site is first built.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -54,7 +53,6 @@ class SiteAlgebra:
     labels: Tuple[str, ...]
     # (a, b) -> ((c, C_ab^c), ...) for the non-zero integer structure constants
     bracket_table: Dict[Tuple[int, int], Tuple[Tuple[int, int], ...]]
-    form: Tuple[Tuple[Fraction, ...], ...]
 
     @property
     def dim(self) -> int:
@@ -115,19 +113,11 @@ def _build_site(n: int, entries: Tuple[Tuple[int, int], ...]) -> SiteAlgebra:
                 if any(v != 0 for v in total.values()):
                     raise ShapeError("Jacobi identity failed")
 
-    form = [
-        [
-            Fraction(1) if (p == s2 and q == r2) else Fraction(0)
-            for (r2, s2) in entries
-        ]
-        for (p, q) in entries
-    ]
     site = SiteAlgebra(
         matrix_size=n,
         entries=entries,
         labels=tuple(f"x{p}{q}" for p, q in entries),
         bracket_table=table,
-        form=tuple(tuple(row) for row in form),
     )
     _SITE_CACHE[(n, entries)] = site
     return site
@@ -138,15 +128,17 @@ def full_site(n: int) -> SiteAlgebra:
     return _build_site(n, entries)
 
 
+def _levi_entries(datum: ParahoricDatum) -> Tuple[Tuple[int, int], ...]:
+    """Entries (p, q) of the weight's Levi block, in row-major order: those
+    whose weight diagonal t, in the type-A realization, has t_p == t_q."""
+    t = cocharacter_to_diagonal(datum.system, datum.theta)
+    n = len(t)
+    return tuple((p, q) for p in range(n) for q in range(n) if t[p] == t[q])
+
+
 def levi_site(datum: ParahoricDatum) -> SiteAlgebra:
     """Block subalgebra of the weight at a point, in the type-A realization."""
-    rs = datum.system
-    n = rs.rank + 1
-    t = cocharacter_to_diagonal(rs, datum.theta)
-    entries = tuple(
-        (p, q) for p in range(n) for q in range(n) if t[p] == t[q]
-    )
-    return _build_site(n, entries)
+    return _build_site(datum.system.rank + 1, _levi_entries(datum))
 
 
 @dataclass(frozen=True)
@@ -344,10 +336,9 @@ def _pack(pol: PoissonPolynomial, width: int) -> Tuple[int, List[Tuple[int, int]
     Returns den, the lcm of the coefficient denominators, and one pair
     (packed m, k) for each term (k/den)*m of pol.
     """
-    den = math.lcm(*(c.denominator for _, c in pol.terms))
+    den, ks = linalgq.integer_form(c for _, c in pol.terms)
     return den, [
-        (sum(e << width * g for g, e in mono), c.numerator * (den // c.denominator))
-        for mono, c in pol.terms
+        (sum(e << width * g for g, e in mono), k) for (mono, _), k in zip(pol.terms, ks)
     ]
 
 
@@ -497,12 +488,7 @@ def site_invariant_polynomials(
         [alg.generator(j, p, q) if (p, q) in present else zero for q in range(n)]
         for p in range(n)
     ]
-    cs = linalgq.char_coeffs(rows)
-    out = []
-    for i in range(1, n + 1):
-        sign = Fraction(-1 if i % 2 else 1)
-        out.append(cs[n - i].scaled(sign))
-    return tuple(out)
+    return tuple(linalgq.invariant_values(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -589,15 +575,14 @@ def hitchin_coefficient_hamiltonians(
              for gq in row]
             for row in gens
         ]
-        samples.append(linalgq.char_coeffs(at))
+        samples.append(linalgq.invariant_values(at))
     start = 1 if form == "GL" else 2
     hams: List[PoissonPolynomial] = []
     for i in range(start, n + 1):
-        sign = -1 if i % 2 else 1
         series: Dict[Monomial, List[Fraction]] = {}
-        for t, cs in enumerate(samples):
-            for mono, c in cs[n - i].terms:
-                series.setdefault(mono, [0] * len(samples))[t] = sign * c
+        for t, es in enumerate(samples):
+            for mono, c in es[i - 1].terms:
+                series.setdefault(mono, [0] * len(samples))[t] = c
         coeffs: List[Dict[Monomial, Fraction]] = [{} for _ in samples]
         for mono, ys in series.items():
             for d, c in enumerate(polyq.interpolate(ys)):
@@ -619,10 +604,6 @@ class MomentValue:
     @property
     def site_count(self) -> int:
         return len(self.sites)
-
-
-def _weight_diagonal(datum: ParahoricDatum) -> List[Fraction]:
-    return cocharacter_to_diagonal(datum.system, datum.theta)
 
 
 def moment_map(
@@ -653,7 +634,6 @@ def moment_map(
             raise ShapeError(
                 f"weight datum at point {j} does not match the {n}x{n} realization"
             )
-        t = _weight_diagonal(datum)
         for p in range(n):
             for q in range(n):
                 if p != q and res[p][q] != 0:
@@ -664,10 +644,8 @@ def moment_map(
                             f"stalk (jump {datum.jumps[r]} > 0)"
                         )
         proj = linalgq.zeros(n)
-        for p in range(n):
-            for q in range(n):
-                if t[p] == t[q]:
-                    proj[p][q] = Fraction(res[p][q])
+        for p, q in _levi_entries(datum):
+            proj[p][q] = Fraction(res[p][q])
         sites.append(proj)
     return MomentValue(
         sites=tuple(sites),
@@ -679,10 +657,10 @@ def _check_levi_group_element(g: Matrix, datum: Optional[ParahoricDatum], n: int
     if len(g) != n or any(len(row) != n for row in g):
         raise ShapeError(f"group element must be {n}x{n}")
     if datum is not None:
-        t = _weight_diagonal(datum)
+        block = set(_levi_entries(datum))
         for p in range(n):
             for q in range(n):
-                if t[p] != t[q] and g[p][q] != 0:
+                if (p, q) not in block and g[p][q] != 0:
                     raise GroupError(
                         f"entry ({p},{q}) is outside the weight's block subgroup"
                     )
@@ -719,10 +697,10 @@ def infinitesimal_action(
         if len(y) != n or any(len(row) != n for row in y):
             raise ShapeError(f"direction {j} must be {n}x{n}")
         if f.theta_data is not None and f.theta_data[j] is not None:
-            t = _weight_diagonal(f.theta_data[j])
+            block = set(_levi_entries(f.theta_data[j]))
             for p in range(n):
                 for q in range(n):
-                    if t[p] != t[q] and y[p][q] != 0:
+                    if (p, q) not in block and y[p][q] != 0:
                         raise FiltrationError(
                             f"direction {j} entry ({p},{q}) is outside the Levi block"
                         )

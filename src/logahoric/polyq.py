@@ -11,9 +11,10 @@ first tries a certificate modulo the prime 2^61 - 1, keeping the Euclidean
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple
+
+from .linalgq import integer_form
 
 Coeffs = List[Fraction]
 
@@ -37,27 +38,6 @@ def degree(p: Sequence[Fraction]) -> int:
 
 def is_zero(p: Sequence[Fraction]) -> bool:
     return len(p) == 0
-
-
-def add(p: Sequence[Fraction], q: Sequence[Fraction]) -> Coeffs:
-    n = max(len(p), len(q))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(p):
-        out[i] += c
-    for i, c in enumerate(q):
-        out[i] += c
-    return trim(out)
-
-
-def mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> Coeffs:
-    if not p or not q:
-        return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return trim(out)
 
 
 def scale(p: Sequence[Fraction], c) -> Coeffs:
@@ -147,8 +127,7 @@ def is_squarefree(p: Sequence[Fraction]) -> bool:
     """
     if degree(p) <= 0:
         return True
-    den = math.lcm(*(c.denominator for c in p))
-    red = [c.numerator * (den // c.denominator) % MODULUS for c in p]
+    red = [c % MODULUS for c in integer_form(p)[1]]
     if red[-1]:
         dred = trim([i * c % MODULUS for i, c in enumerate(red)][1:])
         if _gcd_degree_mod(red, dred) == 0:
@@ -185,13 +164,6 @@ def discriminant(p: Sequence[Fraction]) -> Fraction:
     return sign * resultant(p, derivative(p)) / p[-1]
 
 
-def from_roots(roots: Iterable) -> Coeffs:
-    out: Coeffs = [Fraction(1)]
-    for r in roots:
-        out = mul(out, [-Fraction(r), Fraction(1)])
-    return out
-
-
 def interpolate(ys: Sequence) -> Coeffs:
     """The polynomial of degree < len(ys) taking the value ys[t] at t = 0, 1, ...
 
@@ -201,11 +173,9 @@ def interpolate(ys: Sequence) -> Coeffs:
     expanded by Horner's rule in the falling factorials and divided by N! D
     once at the end.
     """
-    ys = [Fraction(y) for y in ys]
     if not ys:
         return []
-    den = math.lcm(*(y.denominator for y in ys))
-    diffs = [y.numerator * (den // y.denominator) for y in ys]
+    den, diffs = integer_form(ys)
     # diffs[k] becomes the k-th forward difference at t = 0.
     for k in range(1, len(diffs)):
         for t in range(len(diffs) - 1, k - 1, -1):

@@ -105,6 +105,15 @@ def coeffs_to_sympy(coeffs, var):
     return expr
 
 
+def sympy_to_coeffs(expr, var):
+    """sympy polynomial expression in var -> ascending Fraction coefficient
+    list with no trailing zeros (the empty list for zero)."""
+    import sympy
+
+    coeffs = sympy.Poly(expr, var).all_coeffs()[::-1]
+    return polyq.trim([Fraction(int(c.p), int(c.q)) for c in coeffs])
+
+
 def to_string(p, var: str = "z") -> str:
     """Readable form of an ascending coefficient list, e.g. "-1*z + z^2"."""
     if not p:
@@ -301,7 +310,7 @@ def reference_rank2(split_degrees, flags=(), weights=(), points=None):
 def reference_bivector_rank(xi, alg):
     """Rank of the Poisson bivector as one gen_count x gen_count Fraction
     matrix, kept as a test oracle: gen_count minus the dimension of its
-    Gauss-Jordan nullspace."""
+    nullspace, taken on the whole matrix rather than site block by block."""
     size = alg.gen_count
     pi = linalgq.zeros(size)
     for j, site in enumerate(alg.sites):

@@ -7,7 +7,22 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from logahoric import linalgq, poisson
-from support import coeffs_to_sympy, matrix_to_sympy, rnd_fraction, rnd_matrix
+from support import coeffs_to_sympy, matrix_to_sympy, rnd_fraction, rnd_invertible, rnd_matrix
+
+
+def _fractions(rows):
+    """sympy rationals, row by row, as Fractions."""
+    return [[Fraction(int(x.p), int(x.q)) for x in row] for row in rows]
+
+
+def _low_rank(rng, rows, cols, inner):
+    """A random rational rows x cols matrix of rank at most inner."""
+    left = [[rnd_fraction(rng, -3, 3, 5) for _ in range(inner)] for _ in range(rows)]
+    right = [[rnd_fraction(rng, -3, 3, 7) for _ in range(cols)] for _ in range(inner)]
+    return [
+        [sum((lrow[t] * right[t][j] for t in range(inner)), Fraction(0)) for j in range(cols)]
+        for lrow in left
+    ]
 
 
 def test_det_and_rank_match_sympy():
@@ -35,6 +50,14 @@ def test_inverse_and_singular():
     for singular in ([[1, 2], [2, 4]], [[1, 2, 0], [2, 4, 0], [0, 0, 1]]):
         with pytest.raises(ArithmeticError):
             linalgq.inverse(linalgq.mat(singular))
+    # Equal to sympy's inverse for n = 1..5; rank n - 1 is refused.
+    for n in range(1, 6):
+        for _ in range(4):
+            m = rnd_invertible(rng, n)
+            assert linalgq.inverse(m) == _fractions(matrix_to_sympy(m).inv().tolist())
+            with pytest.raises(ArithmeticError):
+                linalgq.inverse(_low_rank(rng, n, n, n - 1))
+    assert linalgq.inverse([]) == []
     # Plain ints are converted, not divided as floats.
     inv = linalgq.inverse([[3, 1], [1, 1]])
     assert inv == [[Fraction(1, 2), Fraction(-1, 2)], [Fraction(-1, 2), Fraction(3, 2)]]
@@ -60,7 +83,16 @@ def test_nullspace_is_right_kernel():
             ]
             assert all(x == 0 for x in image)
         if sm is not None:
-            assert len(basis) == len(sm.nullspace())
+            assert basis == _fractions(sm.nullspace())
+    # Exactly sympy's basis on wide, tall, zero and rank-deficient rational
+    # matrices.
+    for rows, cols, inner in [
+        (2, 5, 2), (1, 4, 1), (3, 6, 2), (5, 2, 2), (6, 3, 1), (4, 1, 1),
+        (3, 3, 0), (2, 4, 0), (4, 4, 3), (5, 5, 2), (4, 6, 3),
+    ]:
+        for _ in range(4):
+            m = _low_rank(rng, rows, cols, inner)
+            assert linalgq.nullspace(m) == _fractions(matrix_to_sympy(m).nullspace())
     zero = linalgq.zeros(2, 3)
     assert linalgq.rank(zero) == 0
     assert linalgq.nullspace(zero) == linalgq.identity(3)
@@ -91,15 +123,7 @@ def test_rank_matches_sympy_and_nullity():
     for _ in range(120):
         rows, cols, inner = rng.randint(1, 6), rng.randint(1, 6), rng.randint(0, 4)
         # A product through an inner dimension caps the rank at inner.
-        left = [[rnd_fraction(rng, -3, 3, 5) for _ in range(inner)] for _ in range(rows)]
-        right = [[rnd_fraction(rng, -3, 3, 7) for _ in range(cols)] for _ in range(inner)]
-        m = [
-            [
-                sum((lrow[t] * right[t][j] for t in range(inner)), Fraction(0))
-                for j in range(cols)
-            ]
-            for lrow in left
-        ]
+        m = _low_rank(rng, rows, cols, inner)
         edit = rng.randrange(5)
         if edit == 0 and rows > 1:
             m[-1] = list(m[0])  # duplicate row
@@ -136,8 +160,8 @@ def test_rank_edge_cases():
     assert _check_rank([[0, 1, 2, 3], [0, 2, 4, 7], [0, 3, 6, 1]]) == 2
     assert linalgq.rank([[2, 4], [1, 2]]) == 1  # plain ints
     assert linalgq.rank(linalgq.identity(6)) == 6
-    assert linalgq.integer_row([Fraction(1, 2), Fraction(-1, 3), 0, 2]) == [3, -2, 0, 12]
-    assert linalgq.integer_row([]) == []
+    assert linalgq.integer_form([Fraction(1, 2), Fraction(-1, 3), 0, 2]) == (6, [3, -2, 0, 12])
+    assert linalgq.integer_form([]) == (1, [])
 
 
 RATIONALS = st.builds(

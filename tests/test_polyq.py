@@ -6,7 +6,13 @@ import pytest
 import sympy
 
 from logahoric import polyq
-from support import coeffs_to_sympy, rnd_fraction, squarefree_oracles, to_string
+from support import (
+    coeffs_to_sympy,
+    rnd_fraction,
+    squarefree_oracles,
+    sympy_to_coeffs,
+    to_string,
+)
 
 
 def test_trim_and_degree():
@@ -18,7 +24,7 @@ def test_trim_and_degree():
 
 
 def test_arithmetic_matches_sympy():
-    """Add, multiply and divmod agree with sympy on random rational polys."""
+    """divmod_ agrees with sympy on random rational polys."""
     rng = random.Random(101)
     z = sympy.Symbol("z")
     for _ in range(40):
@@ -26,8 +32,6 @@ def test_arithmetic_matches_sympy():
         b = [rnd_fraction(rng) for _ in range(rng.randint(1, 5))]
         pa, pb = polyq.poly(a), polyq.poly(b)
         sa, sb = coeffs_to_sympy(pa, z), coeffs_to_sympy(pb, z)
-        assert coeffs_to_sympy(polyq.add(pa, pb), z) == sympy.expand(sa + sb)
-        assert coeffs_to_sympy(polyq.mul(pa, pb), z) == sympy.expand(sa * sb)
         if not polyq.is_zero(pb):
             q, r = polyq.divmod_(pa, pb)
             qq, rr = sympy.div(sa, sb, z)
@@ -52,11 +56,12 @@ def test_derivative():
 
 def test_gcd_and_squarefree():
     # (z-1)^2 (z+2) has gcd (z-1) with its derivative
-    p = polyq.mul(polyq.from_roots([1, 1]), polyq.from_roots([-2]))
+    z = sympy.Symbol("z")
+    p = sympy_to_coeffs((z - 1) ** 2 * (z + 2), z)
     g = polyq.gcd(p, polyq.derivative(p))
-    assert g == polyq.from_roots([1])
+    assert g == sympy_to_coeffs(z - 1, z)
     assert not polyq.is_squarefree(p)
-    assert polyq.is_squarefree(polyq.from_roots([0, 1, 2]))
+    assert polyq.is_squarefree(sympy_to_coeffs(z * (z - 1) * (z - 2), z))
     assert polyq.is_squarefree([Fraction(4)])
 
 
@@ -69,7 +74,7 @@ def test_gcd_matches_sympy():
 
     def factor():
         lead = Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.randint(1, 4))
-        return polyq.poly([rnd_fraction(rng) for _ in range(rng.randint(1, 3))] + [lead])
+        return coeffs_to_sympy([rnd_fraction(rng) for _ in range(rng.randint(1, 3))] + [lead], z)
 
     def monic_sympy(expr):
         return sympy.Poly(expr, z).monic().as_expr()
@@ -77,20 +82,19 @@ def test_gcd_matches_sympy():
     verdicts = set()
     for trial in range(8):
         shared = [factor() for _ in range(rng.randint(1, 3))]
-        p = polyq.poly([1])
-        q = polyq.poly([1])
+        sp = sq = sympy.Integer(1)
         for fac in shared:
-            p = polyq.mul(p, fac)
-            q = polyq.mul(q, fac)
-        while polyq.degree(p) < 20:
+            sp *= fac
+            sq *= fac
+        while sympy.degree(sp, z) < 20:
             fac = factor()
-            p = polyq.mul(p, fac)
+            sp *= fac
             if trial % 2 and rng.random() < 0.4:
-                p = polyq.mul(p, fac)  # a repeated factor
-        while polyq.degree(q) < 12:
-            q = polyq.mul(q, factor())
+                sp *= fac  # a repeated factor
+        while sympy.degree(sq, z) < 12:
+            sq *= factor()
+        p, q = sympy_to_coeffs(sp, z), sympy_to_coeffs(sq, z)
         assert 20 <= polyq.degree(p) <= 30
-        sp, sq = coeffs_to_sympy(p, z), coeffs_to_sympy(q, z)
         g = polyq.gcd(p, q)
         assert g[-1] == 1
         assert sympy.expand(coeffs_to_sympy(g, z) - monic_sympy(sympy.gcd(sp, sq))) == 0
@@ -109,21 +113,23 @@ def test_squarefree_certificate_edge_cases():
     """Reductions modulo the certificate's prime that mislead in both
     directions: the fallback keeps every verdict exact."""
     ell = polyq.MODULUS
+    z = sympy.Symbol("z")
     cases = [
         # squarefree over Q, but reduces to z^2
-        (polyq.from_roots([0, ell]), True),
+        (z * (z - ell), True),
         # (ell z + 1)^2 z is not squarefree, but reduces to the squarefree z:
         # only the leading-coefficient test sends it to the fallback
-        (polyq.mul(polyq.mul(polyq.poly([1, ell]), polyq.poly([1, ell])), [0, 1]), False),
-        (polyq.mul(polyq.poly([1, ell]), polyq.poly([0, 1])), True),
+        ((ell * z + 1) ** 2 * z, False),
+        ((ell * z + 1) * z, True),
         # the same through denominators: (z + 1/ell)^2 and z^2 + 1/ell
-        (polyq.from_roots([Fraction(-1, ell)] * 2), False),
-        (polyq.poly([Fraction(1, ell), 0, 1]), True),
+        ((z + sympy.Rational(1, ell)) ** 2, False),
+        (z**2 + sympy.Rational(1, ell), True),
         # a square factor that survives the reduction
-        (polyq.mul(polyq.from_roots([3, 3]), polyq.poly([1, 2, 5])), False),
-        (polyq.from_roots([Fraction(1, 2), Fraction(-7, 3), 11]), True),
+        ((z - 3) ** 2 * (5 * z**2 + 2 * z + 1), False),
+        ((z - sympy.Rational(1, 2)) * (z + sympy.Rational(7, 3)) * (z - 11), True),
     ]
-    for p, expected in cases:
+    for expr, expected in cases:
+        p = sympy_to_coeffs(expr, z)
         assert polyq.is_squarefree(p) == expected
         assert squarefree_oracles(p) == (expected, expected)
 
@@ -133,6 +139,7 @@ def test_squarefree_certificate_decides_without_fallback(monkeypatch):
     by the certificate alone; the misleading reductions reach the gcd."""
     rng = random.Random(109)
     ell = polyq.MODULUS
+    z = sympy.Symbol("z")
 
     def no_gcd(p, q):
         raise AssertionError("fallback reached")
@@ -140,13 +147,13 @@ def test_squarefree_certificate_decides_without_fallback(monkeypatch):
     checked = []
     for _ in range(10):
         roots = {rnd_fraction(rng, -50, 50, 9) for _ in range(rng.randint(2, 40))}
-        p = polyq.scale(polyq.from_roots(roots), rnd_fraction(rng, 1, 5))
-        checked.append(p)
+        lead = rnd_fraction(rng, 1, 5)
+        checked.append(sympy_to_coeffs(lead * sympy.prod([z - r for r in roots]), z))
     monkeypatch.setattr(polyq, "gcd", no_gcd)
     assert all(polyq.is_squarefree(p) for p in checked)
-    for p in (polyq.from_roots([0, ell]), polyq.from_roots([2, 2]), polyq.poly([1, 0, ell])):
+    for expr in (z * (z - ell), (z - 2) ** 2, ell * z**2 + 1):
         with pytest.raises(AssertionError, match="fallback reached"):
-            polyq.is_squarefree(p)
+            polyq.is_squarefree(sympy_to_coeffs(expr, z))
 
 
 def test_interpolate_matches_sympy():
@@ -250,7 +257,8 @@ def test_discriminant_rejects_constants():
 
 
 def test_from_roots_and_to_string():
-    p = polyq.from_roots([0, 1])
+    z = sympy.Symbol("z")
+    p = sympy_to_coeffs(z * (z - 1), z)
     assert p == [Fraction(0), Fraction(-1), Fraction(1)]
     assert to_string(p) == "-1*z + z^2"
     assert to_string([]) == "0"
