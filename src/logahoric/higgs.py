@@ -7,10 +7,10 @@ matrix A(z) = sum_j w_j(z) X_j, w_j(z) = prod_{k != j}(z - x_k); the
 sum-zero rule on residues is exactly regularity at infinity and caps deg A
 at s-2.
 
-Every value of A comes from one sampler, _lagrange_weights, and every
-polynomial in z from one route, polyq.interpolate on the nodes t = 0..N:
-the entries of A, the characteristic coefficients (taken in Fractions at
-t = 0..n deg A) and the discriminant.  Sample counts use the bound
+Every value of A comes from one sampler, _lax_samples, as an int matrix
+B = D*A, and every polynomial in z from one route, polyq.interpolate on the
+nodes t = 0..N: the entries of A, the characteristic coefficients (of the
+int B at t = 0..n deg A) and the discriminant.  Sample counts use the bound
 deg A <= s-2 for fields regular at infinity and s-1 otherwise; samples
 past the true degree leave the interpolant exact and the same.
 
@@ -48,7 +48,7 @@ from .errors import (
 from .linalgq import Matrix
 from .parahoric import ParahoricDatum
 from .polyq import Coeffs
-from .rootsys import GroupTag, trace_form
+from .rootsys import GroupTag
 
 
 @dataclass(frozen=True)
@@ -145,23 +145,30 @@ class PolynomialMatrix:
         return out
 
 
-def _lagrange_weights(xs: Sequence[Fraction], t) -> List[Fraction]:
+def _lagrange_weights(xs: Sequence, t) -> list:
     """[w_0(t), ..., w_{s-1}(t)] with w_j(t) = prod_{k != j}(t - x_k), so
     that A(t) = sum_j w_j(t) X_j: the products of the factors t - x_k before
     and after k = j, with no division, so at t = x_j only w_j is non-zero."""
     diffs = [t - x for x in xs]
-    before = accumulate(diffs[:-1], mul, initial=Fraction(1))
-    after = list(accumulate(reversed(diffs[1:]), mul, initial=Fraction(1)))
+    before = accumulate(diffs[:-1], mul, initial=1)
+    after = list(accumulate(reversed(diffs[1:]), mul, initial=1))
     return [b * a for b, a in zip(before, reversed(after))]
 
 
-def _lax_value(f: LogHiggsField, weights: Sequence[Fraction]) -> Matrix:
-    """sum_j weights[j] X_j: the value A(t) for the weights at t."""
-    n = f.matrix_size
-    return [
-        [sum(w * res[p][q] for w, res in zip(weights, f.residues)) for q in range(n)]
-        for p in range(n)
-    ]
+def _lax_samples(f: LogHiggsField, ts) -> Tuple[int, List[List[List[int]]]]:
+    """(D, [B(t d_x) for t in ts]), each t d_x an integer: with the points
+    x_k = a_k/d_x and the residues X_j = R_j/d_r cleared once by
+    linalgq.integer_form, B(tau) = sum_j w_j(tau) R_j is an int matrix, w the
+    _lagrange_weights of the a_k, and A(t) = B(t d_x)/D, D = d_x^(s-1) d_r."""
+    n, size = f.matrix_size, f.matrix_size ** 2
+    dx, a = linalgq.integer_form(f.points)
+    dr, flat = linalgq.integer_form(x for res in f.residues for row in res for x in row)
+    entries = [flat[e::size] for e in range(size)]  # R_j[p][q] over j, row by row
+    out = []
+    for t in ts:
+        ws = _lagrange_weights(a, int(t * dx))
+        out.append([[sum(map(mul, ws, e)) for e in entries[p:p + n]] for p in range(0, size, n)])
+    return dx ** (f.site_count - 1) * dr, out
 
 
 def _degree_bound(f: LogHiggsField) -> int:
@@ -173,9 +180,9 @@ def clear_denominators(f: LogHiggsField) -> PolynomialMatrix:
     """The polynomial Lax matrix prod(z - x_k) * L(z), each entry
     interpolated from its values at t = 0..s-1 (deg A <= s - 1)."""
     n = f.matrix_size
-    values = [_lax_value(f, _lagrange_weights(f.points, t)) for t in range(f.site_count)]
+    big_d, values = _lax_samples(f, range(f.site_count))
     entries = [
-        [polyq.interpolate([a[p][q] for a in values]) for q in range(n)]
+        [polyq.interpolate([Fraction(b[p][q], big_d) for b in values]) for q in range(n)]
         for p in range(n)
     ]
     deg = max(polyq.degree(e) for row in entries for e in row)
@@ -199,19 +206,17 @@ def _char_coeff_polys(
     and the samples [c_0(t), ..., c_n(t)] at t = 0..spread*D, D the bound
     _degree_bound on deg A.
 
-    Since deg c_k <= (n - k) deg A, the Fraction char_coeffs of
-    A(t) = sum_j w_j(t) X_j at t = 0..n*D determine every c_k, which is
-    interpolated from them; the samples beyond are values of those exact
-    interpolants, so spread must be at least n.
+    Since deg c_k <= (n - k) deg A, the values c_k(A(t)) = c_k(B)/D^(n-k),
+    B = B(t d_x) the int sample of _lax_samples, at t = 0..n*D determine
+    every c_k; the samples beyond are values of its exact interpolant, so
+    spread must be at least n.
     """
     if f.group.family != "A":
         raise UnsupportedRealizationError("invariant sections need the type-A realization")
     n = f.matrix_size
     deg = _degree_bound(f)
-    samples = [
-        linalgq.char_coeffs(_lax_value(f, _lagrange_weights(f.points, t)))
-        for t in range(n * deg + 1)
-    ]
+    big_d, lax = _lax_samples(f, range(n * deg + 1))
+    samples = [[c / big_d ** (n - k) for k, c in enumerate(linalgq.char_coeffs(b))] for b in lax]
     polys = [polyq.interpolate([sample[k] for sample in samples]) for k in range(n + 1)]
     samples += [
         [polyq.evaluate(c, t) for c in polys]
@@ -317,11 +322,10 @@ def spectral_genus(n: int, s: int) -> int:
 
 def _residue_invariants(f: LogHiggsField, j: int) -> List[Fraction]:
     """Leading coefficients of the invariants e_1..e_n of L(z) at the j-th
-    marked point, from A(x_j): e_i(A(x_j)) divided by w_j(x_j)**i, with
-    w_j(x_j) = prod(x_j - x_k)."""
-    weights = _lagrange_weights(f.points, f.points[j])
-    denom = weights[j]
-    at = _lax_value(f, weights)
+    marked point, from the _lax_samples value A(x_j) = B(a_j)/D: e_i(B(a_j))
+    divided by (D w_j(x_j))**i, with w_j(x_j) = prod(x_j - x_k)."""
+    big_d, (at,) = _lax_samples(f, [f.points[j]])
+    denom = big_d * _lagrange_weights(f.points, f.points[j])[j]
     return [v / denom**i for i, v in enumerate(linalgq.invariant_values(at), 1)]
 
 
@@ -330,9 +334,9 @@ def residue_of_invariant(f: LogHiggsField, j: int, i: int) -> Fraction:
 
     In the local frame dz/(z - x_j) this is the value of the degree-i
     invariant section of A(z) at x_j divided by prod((x_j - x_k)**i).  The
-    value is the degree-i invariant of the Fraction matrix A(x_j), so the
-    limit is computed from the polynomial side only, with no reference to
-    the residue matrix itself.
+    value is the degree-i invariant of the matrix A(x_j), so the limit is
+    computed from the polynomial side only, with no reference to the
+    residue matrix itself.
     """
     if not 0 <= j < f.site_count:
         raise IndexError(f"point index {j} out of range 0..{f.site_count - 1}")
@@ -375,13 +379,16 @@ def gaudin_hamiltonians(f: LogHiggsField) -> GaudinData:
 
     s = f.site_count
     n = f.matrix_size
+    dx, ax = linalgq.integer_form(f.points)
+    dr, flat = linalgq.integer_form(x for res in f.residues for row in res for x in row)
+    rs = [flat[i:i + n * n] for i in range(0, len(flat), n * n)]  # R_j, row by row
+    transposes = [[r[q * n + p] for p in range(n) for q in range(n)] for r in rs]
     values = [Fraction(0)] * s
     for j in range(s):
         for k in range(j + 1, s):
-            # tr(X_j X_k) = tr(X_k X_j): one trace per unordered pair
-            term = trace_form(f.residues[j], f.residues[k]) / (
-                f.points[j] - f.points[k]
-            )
+            # tr(X_j X_k)/(x_j - x_k) with x = ax/dx and X = R/dr: one int
+            # trace tr(R_j R_k) per unordered pair, as tr(X_j X_k) = tr(X_k X_j)
+            term = Fraction(sum(map(mul, rs[j], transposes[k])) * dx, dr * dr * (ax[j] - ax[k]))
             values[j] += term
             values[k] -= term
     alg = poisson.matrix_poisson_algebra(n, s)

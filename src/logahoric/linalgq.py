@@ -1,9 +1,9 @@
 """Exact matrix helpers over the rationals.
 
 Matrices are plain lists of lists.  Most callers work with Fraction entries;
-the characteristic-polynomial routine is written with `+`, `*` and
-multiplication by a Fraction only, so it also runs on matrices of symbolic
-Poisson polynomials.
+the characteristic-polynomial routine is Berkowitz's division-free one,
+written with `+`, `-` and `*` only, so it runs on int matrices (the numeric
+Lax samples) and on matrices of symbolic Poisson polynomials alike.
 
 There is one elimination routine, the fraction-free _echelon in ints:
 `rank` counts its pivots and `nullspace` back-substitutes through its rows.
@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
+from operator import add, mul
 from typing import List, Sequence, Tuple
 
 Matrix = List[List[Fraction]]
@@ -156,26 +158,25 @@ def nullspace(a) -> List[List[Fraction]]:
 def char_coeffs(m) -> list:
     """Coefficients [c_0, ..., c_n] of det(lambda*I - M), ascending in lambda.
 
-    Faddeev-LeVerrier recursion from mn = M: c_{n-k} = -tr(mn)/k, then
-    mn = M (mn + c_{n-k} I).  Only `+`, `*` and multiplication by a Fraction
-    are applied to the entries, and no ring zero or one is needed (c_n is
-    Fraction(1)), so the same body runs over Fractions and over symbolic
-    Poisson polynomials.
+    Berkowitz's division-free recursion, from the last diagonal entry up: for
+    a trailing block [[a, r], [s, B]], its coefficients, highest first, are
+    the lower-triangular Toeplitz matrix with first column
+    (1, -a, -r s, -r B s, -r B^2 s, ...) times those of B.  Only `+`, `-`
+    and `*` touch the entries, so one body runs over ints, Fractions and
+    Poisson polynomials; c_n is Fraction(1), int coefficients become Fractions.
     """
     n = len(m)
-    coeffs = [Fraction(1)] * (n + 1)
-    mn = m
-    for k in range(1, n + 1):
-        diag = [mn[i][i] for i in range(n)]
-        c = coeffs[n - k] = sum(diag[1:], diag[0]) * Fraction(-1, k)
-        if k == n:
-            break
-        aux = [[x + c if i == j else x for j, x in enumerate(r)] for i, r in enumerate(mn)]
-        mn = [
-            [sum((r[t] * aux[t][j] for t in range(1, n)), r[0] * aux[0][j]) for j in range(n)]
-            for r in m
-        ]
-    return coeffs
+    low: list = []  # c_(k-1), ..., c_0 of the current trailing block of size k
+    for i in range(n - 1, -1, -1):
+        row, col, block = m[i][i + 1:], [r[i] for r in m[i + 1:]], [r[i + 1:] for r in m[i + 1:]]
+        us = [m[i][i]]  # a, r s, r B s, ..., r B^(k-1) s
+        for k in range(len(low)):
+            if k:
+                col = [reduce(add, map(mul, r, col)) for r in block]
+            us.append(reduce(add, map(mul, row, col)))
+        acc = [reduce(add, map(mul, reversed(us[:k]), low), u) for k, u in enumerate(us)]
+        low = [c - a for c, a in zip(low, acc)] + [-acc[-1]]
+    return [Fraction(c) if type(c) is int else c for c in reversed(low)] + [Fraction(1)]
 
 
 def invariant_values(m) -> list:

@@ -548,18 +548,19 @@ def hitchin_coefficient_hamiltonians(
 
     The residues are matrices of coordinate generators, one full matrix site
     per marked point, so A(z) = prod(z - x_k) L(z) has degree s-1 and the
-    degree-i invariant section has degree at most i(s-1) in z.  Each entry
-    of A(t) = sum_j w_j(t) X_j, with the weights of higgs._lagrange_weights,
-    is one linear polynomial; the characteristic coefficients of A(t) are
-    taken at t = 0..n(s-1), and the z-coefficients of each section come
-    from polyq.interpolate over each monomial's series of coefficients.
-    Every non-zero z-coefficient of every section is returned as a
-    polynomial Hamiltonian, by ascending degree i, then ascending power of z.
+    degree-i invariant section has degree at most i(s-1) in z.  As in
+    higgs._lax_samples, x_k = a_k/d_x and each entry of d_x^(s-1) A(tau/d_x) =
+    sum_j w_j(tau) X_j, with the int higgs._lagrange_weights, is one linear
+    polynomial; its invariants are taken at tau = t d_x, t = 0..n(s-1), and
+    the z-coefficients of section i come from polyq.interpolate over each
+    monomial's series, divided by d_x^((s-1)i).  Every non-zero z-coefficient
+    of every section is returned as a polynomial Hamiltonian, by ascending
+    degree i, then ascending power of z.
     """
     if form not in ("SL", "GL"):
         raise ShapeError(f"form must be SL or GL, got {form!r}")
-    xs = [Fraction(x) for x in points]
-    s = len(xs)
+    dx, a = linalgq.integer_form(points)
+    s = len(a)
     alg = matrix_poisson_algebra(n, s)
     gens = [
         [[alg.generator_index(j, p, q) for j in range(s)] for q in range(n)]
@@ -567,9 +568,9 @@ def hitchin_coefficient_hamiltonians(
     ]
     samples = []
     for t in range(n * (s - 1) + 1):
-        ws = higgs._lagrange_weights(xs, t)
+        ws = higgs._lagrange_weights(a, t * dx)
         # Site j's generators precede site j+1's, so each entry's terms come
-        # sorted; a zero weight (t a marked point) leaves no term.
+        # sorted; a zero weight (tau a cleared point) leaves no term.
         at = [
             [PoissonPolynomial(alg, tuple((((g, 1),), w) for g, w in zip(gq, ws) if w))
              for gq in row]
@@ -584,9 +585,10 @@ def hitchin_coefficient_hamiltonians(
             for mono, c in es[i - 1].terms:
                 series.setdefault(mono, [0] * len(samples))[t] = c
         coeffs: List[Dict[Monomial, Fraction]] = [{} for _ in samples]
+        scale = dx ** ((s - 1) * i)
         for mono, ys in series.items():
             for d, c in enumerate(polyq.interpolate(ys)):
-                coeffs[d][mono] = c
+                coeffs[d][mono] = c / scale
         hams += [PoissonPolynomial._from_dict(alg, c) for c in coeffs if any(c.values())]
     return alg, tuple(hams)
 

@@ -60,12 +60,12 @@ def derivative(p: Sequence[Fraction]) -> Coeffs:
 
 
 def divmod_(p: Sequence[Fraction], q: Sequence[Fraction]) -> Tuple[Coeffs, Coeffs]:
-    """Euclidean division p = quot*q + rem with deg rem < deg q."""
+    """Euclidean division p = quot*q + rem with deg rem < deg q, in Fractions."""
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p)
+    rem = [c if type(c) is Fraction else Fraction(c) for c in p]
     quot = [Fraction(0)] * max(0, len(p) - len(q) + 1)
-    lead = q[-1]
+    lead = Fraction(q[-1])
     while len(rem) >= len(q):
         c = rem[-1] / lead
         k = len(rem) - len(q)
@@ -79,7 +79,7 @@ def divmod_(p: Sequence[Fraction], q: Sequence[Fraction]) -> Tuple[Coeffs, Coeff
 def monic(p: Sequence[Fraction]) -> Coeffs:
     if not p:
         return []
-    lead = p[-1]
+    lead = Fraction(p[-1])
     return [c / lead for c in p]
 
 

@@ -307,12 +307,60 @@ def reference_rank2(split_degrees, flags=(), weights=(), points=None):
     return candidates, candidates[0], total_wd, total_slope
 
 
+def reference_lax_matrix(f: LogHiggsField, z):
+    """The polynomial Lax matrix A(z) = sum_j prod_{k != j}(z - x_k) X_j of a
+    field as a sympy matrix, for a sympy symbol or rational z."""
+    import sympy
+
+    xs = [sympy.Rational(x.numerator, x.denominator) for x in f.points]
+    total = sympy.zeros(f.matrix_size)
+    for j, res in enumerate(f.residues):
+        weight = sympy.prod([z - x for k, x in enumerate(xs) if k != j])
+        total += weight * matrix_to_sympy(res)
+    return total
+
+
+def reference_char_coeff_polys(f: LogHiggsField, spread: int):
+    """What higgs._char_coeff_polys(f, spread) returns, by sympy's
+    charpoly of the symbolic A(z): the coefficients [c_0(z), ..., c_n(z)] of
+    det(lambda*I - A(z)) as ascending Fraction lists, and their values at
+    t = 0..spread*D, D = s - 2 for fields regular at infinity, else s - 1."""
+    import sympy
+
+    z, lam = sympy.symbols("z lam")
+    n = f.matrix_size
+    charpoly = sympy.Poly(reference_lax_matrix(f, z).charpoly(lam).as_expr(), lam)
+    polys = [sympy_to_coeffs(charpoly.coeff_monomial(lam**k), z) for k in range(n + 1)]
+    deg = max(f.site_count - (2 if f.regular_at_infinity else 1), 0)
+    samples = [[polyq.evaluate(c, t) for c in polys] for t in range(spread * deg + 1)]
+    return polys, samples
+
+
+def reference_residue_invariants(f: LogHiggsField, j: int) -> List[Fraction]:
+    """e_1..e_n of A(x_j), by sympy's charpoly, each e_i divided by
+    w_j(x_j)^i with w_j(x_j) = prod_{k != j}(x_j - x_k)."""
+    import sympy
+
+    x = f.points[j]
+    at = reference_lax_matrix(f, sympy.Rational(x.numerator, x.denominator))
+    desc = at.charpoly(sympy.Symbol("lam")).all_coeffs()  # 1, a_1, ..., a_n
+    w = Fraction(1)
+    for k, y in enumerate(f.points):
+        if k != j:
+            w *= x - y
+    return [
+        Fraction(int(c.p), int(c.q)) * (-1) ** i / w**i for i, c in enumerate(desc[1:], 1)
+    ]
+
+
 def reference_bivector_rank(xi, alg):
-    """Rank of the Poisson bivector as one gen_count x gen_count Fraction
-    matrix, kept as a test oracle: gen_count minus the dimension of its
-    nullspace, taken on the whole matrix rather than site block by block."""
+    """Rank of the Poisson bivector as one gen_count x gen_count matrix, kept
+    as a test oracle: sympy's rank of the whole matrix, independent of the
+    site-by-site linalgq.rank it checks."""
+    import sympy
+
     size = alg.gen_count
-    pi = linalgq.zeros(size)
+    pi = sympy.zeros(size)
     for j, site in enumerate(alg.sites):
         offset = alg.offsets[j]
         values = xi.sites[j]
@@ -321,5 +369,5 @@ def reference_bivector_rank(xi, alg):
             for c, coeff in row:
                 p, q = site.entries[c]
                 acc += coeff * values[p][q]
-            pi[offset + a][offset + b] = acc
-    return size - len(linalgq.nullspace(pi))
+            pi[offset + a, offset + b] = sympy.Rational(acc.numerator, acc.denominator)
+    return pi.rank()

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given
+from hypothesis import strategies as st
 
 from logahoric import higgs, linalgq, polyq
 from logahoric.errors import (
@@ -30,6 +32,9 @@ from support import (
     coeffs_to_sympy,
     make_traceless,
     matrix_to_sympy,
+    reference_char_coeff_polys,
+    reference_lax_matrix,
+    reference_residue_invariants,
     rnd_field,
     rnd_invertible,
     rnd_matrix,
@@ -471,6 +476,41 @@ def test_residue_of_invariant_matches_matrix_invariant():
             vals = linalgq.invariant_values(f.residues[j])
             for i in higgs.invariant_degrees(f):
                 assert residue_of_invariant(f, j, i) == vals[i - 1]
+
+
+# Points with denominator 2 or 3, so the int sampler clears them over 6.
+NON_INTEGER_POINTS = sorted(
+    {Fraction(k, d) for k in range(-9, 10) for d in (2, 3)} - set(map(Fraction, range(-9, 10)))
+)
+
+
+@given(
+    st.integers(1, 4),
+    st.integers(1, 5),
+    st.sampled_from(["SL", "GL"]),
+    st.booleans(),
+    st.integers(0, 2**32),
+)
+def test_int_sampler_matches_fraction_reference(n, s, form, sum_zero, seed):
+    """clear_denominators, _char_coeff_polys and _residue_invariants, all
+    taken in ints, equal the plain Fraction reference of tests/support.py on
+    seeded fields with non-integer points, GL and SL, s <= 2 included."""
+    rng = random.Random(seed)
+    points = sorted(rng.sample(NON_INTEGER_POINTS, s))
+    f = rnd_field(rng, n, s, "GL" if n == 1 else form, sum_zero=sum_zero, points=points)
+    z = sympy.Symbol("z")
+    lax = reference_lax_matrix(f, z)
+    entries = [[sympy_to_coeffs(lax[p, q], z) for q in range(n)] for p in range(n)]
+    top = max(len(e) for row in entries for e in row)
+    assert clear_denominators(f).coeffs == tuple(
+        [[e[k] if k < len(e) else 0 for e in row] for row in entries] for k in range(top)
+    )
+    spread = max(n * (n - 1), n)
+    polys, samples = higgs._char_coeff_polys(f, spread)
+    assert (polys, samples) == reference_char_coeff_polys(f, spread)
+    assert all(type(c) is Fraction for sample in samples for c in sample)
+    for j in range(s):
+        assert higgs._residue_invariants(f, j) == reference_residue_invariants(f, j)
 
 
 def test_residue_of_invariant_index_errors():

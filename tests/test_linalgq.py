@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -7,6 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from logahoric import linalgq, poisson
+from logahoric.parahoric import analyze_weight
+from logahoric.rootsys import RationalCocharacter, build_root_system
 from support import coeffs_to_sympy, matrix_to_sympy, rnd_fraction, rnd_invertible, rnd_matrix
 
 
@@ -189,7 +192,7 @@ def test_rank_property_random_rationals(m, data):
 
 
 def test_char_coeffs_match_sympy_charpoly():
-    """Faddeev-LeVerrier output equals sympy's characteristic polynomial,
+    """The Berkowitz recursion equals sympy's characteristic polynomial,
     over Fractions, plain ints and Poisson polynomials."""
     rng = random.Random(14)
     lam = sympy.Symbol("lam")
@@ -230,6 +233,86 @@ def test_char_coeffs_match_sympy_charpoly():
             assert [c.evaluate(point) for c in symbolic[:n]] + symbolic[n:] == (
                 linalgq.char_coeffs(at)
             )
+
+
+@st.composite
+def char_matrices(draw):
+    """(kind, matrix): an n x n matrix, n = 0..6, with all-int or all-Fraction
+    entries, of one kind.  Nilpotent and repeated-eigenvalue matrices are a
+    triangular T conjugated by an integer unipotent L, L T L^-1; a scalar
+    matrix is c*I."""
+    n = draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(["dense", "nilpotent", "scalar", "repeated"]))
+    ints = draw(st.booleans())
+    entries = st.integers(-9, 9) if ints else RATIONALS
+    zero = 0 if ints else Fraction(0)
+    square = st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    if kind == "dense":
+        return kind, draw(square)
+    if kind == "scalar":
+        c = draw(entries)
+        return kind, [[c if i == j else zero for j in range(n)] for i in range(n)]
+    t = draw(square)
+    diag = [zero] if kind == "nilpotent" else draw(st.lists(entries, min_size=1, max_size=2))
+    for i in range(n):
+        t[i][:i + 1] = [zero] * i + [diag[i % len(diag)]]
+    lower = sympy.Matrix(n, n, lambda i, j: draw(st.integers(-2, 2)) if j < i else int(i == j))
+    conj = lower * matrix_to_sympy([list(map(Fraction, row)) for row in t]) * lower.inv()
+    return kind, [
+        [int(x) if ints else Fraction(int(x.p), int(x.q)) for x in row] for row in conj.tolist()
+    ]
+
+
+@given(char_matrices())
+def test_char_coeffs_property_against_sympy(kind_matrix):
+    """char_coeffs equals sympy's charpoly on int and Fraction matrices of
+    size 0..6, nilpotent, scalar and repeated-eigenvalue ones included, and
+    every coefficient is a Fraction."""
+    kind, m = kind_matrix
+    n = len(m)
+    cs = linalgq.char_coeffs(m)
+    assert len(cs) == n + 1 and all(type(c) is Fraction for c in cs)
+    if n:
+        lam = sympy.Symbol("lam")
+        sm = matrix_to_sympy([list(map(Fraction, row)) for row in m])
+        theirs = sympy.Poly(sm.charpoly(lam).as_expr(), lam).all_coeffs()[::-1]
+        assert cs == [Fraction(int(c.p), int(c.q)) for c in theirs]
+    else:
+        assert cs == [1]
+    if kind == "nilpotent":
+        assert cs == [0] * n + [1]
+    if kind == "scalar" and n:
+        c = Fraction(m[0][0])
+        assert cs == [math.comb(n, k) * (-c) ** (n - k) for k in range(n + 1)]
+
+
+def _site_algebras():
+    """Full matrix sites for n = 1..4 with one or two sites, and Levi sites of
+    weights on A2 and A3 (zero-filled outside their blocks)."""
+    algs = [poisson.matrix_poisson_algebra(n, s) for n in range(1, 5) for s in (1, 2)]
+    for rank, coeffs in ((2, (Fraction(-1, 2), Fraction(1, 2))), (3, (Fraction(1, 4), 0, 0))):
+        datum = analyze_weight(build_root_system("A", rank), RationalCocharacter.of(coeffs))
+        algs.append(poisson.levi_poisson_algebra([datum, datum]))
+    return algs
+
+
+SITE_ALGEBRAS = _site_algebras()
+
+
+@given(st.sampled_from(SITE_ALGEBRAS), st.integers(0, 2**32))
+def test_site_invariant_polynomials_evaluate_to_invariant_values(alg, seed):
+    """The Berkowitz coefficients of a site's matrix of generators, evaluated
+    at a seeded rational point, are the numeric invariant_values of the
+    site's matrix there (entries outside a Levi block read as 0)."""
+    rng = random.Random(seed)
+    n = alg.sites[0].matrix_size
+    point = [rnd_matrix(rng, n) for _ in alg.sites]
+    for j, site in enumerate(alg.sites):
+        block = [
+            [point[j][p][q] if (p, q) in site.entries else 0 for q in range(n)] for p in range(n)
+        ]
+        invs = poisson.site_invariant_polynomials(alg, j)
+        assert [inv.evaluate(point) for inv in invs] == linalgq.invariant_values(block)
 
 
 def test_invariant_values_trace_and_det():

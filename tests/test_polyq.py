@@ -251,6 +251,57 @@ def test_discriminant_matches_sympy():
         assert sympy.Rational(ours.numerator, ours.denominator) == theirs
 
 
+def _all_fractions(p):
+    return all(type(c) is Fraction for c in p)
+
+
+def _sylvester_resultant(a, b):
+    """Res(a, b) as the determinant of the Sylvester matrix, in sympy.  (The
+    oracle is built here because sympy 1.14's `resultant` returns Res(b, a)
+    when deg a < deg b, which differs in sign when deg a * deg b is odd.)"""
+    m, n = len(a) - 1, len(b) - 1
+    rows = [[0] * i + a[::-1] + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + b[::-1] + [0] * (m - 1 - i) for i in range(m)]
+    return sympy.Matrix(rows).det()
+
+
+def test_int_coefficients_are_exact():
+    """Int coefficient lists divide as Fractions: exact values, Fraction type."""
+    # (z + 1)^2 (z + 3): a double root, so the discriminant is exactly 0.
+    disc = polyq.discriminant([3, 7, 5, 1])
+    assert disc == 0 and type(disc) is Fraction
+    quot, rem = polyq.divmod_([1, 2, 3], [1, 3])
+    assert (quot, rem) == ([Fraction(1, 3), Fraction(1)], [Fraction(2, 3)])
+    assert _all_fractions(quot) and _all_fractions(rem)
+    # A dividend of lower degree is the remainder, as Fractions.
+    quot, rem = polyq.divmod_([5, 0, 0, 1], [0, 1])
+    assert (quot, rem) == ([0, 0, 1], [5]) and _all_fractions(quot + rem)
+    quot, rem = polyq.divmod_([5], [1, 1])
+    assert (quot, rem) == ([], [5]) and _all_fractions(rem)
+    monic = polyq.monic([2, 4])
+    assert monic == [Fraction(1, 2), 1] and _all_fractions(monic)
+    g = polyq.gcd([3, 7, 5, 1], [7, 10, 3])
+    assert g == [1, 1] and _all_fractions(g)
+    rng = random.Random(9)
+    z = sympy.Symbol("z")
+    for _ in range(20):
+        a = polyq.trim([rng.randint(-9, 9) for _ in range(rng.randint(2, 6))])
+        b = polyq.trim([rng.randint(-9, 9) for _ in range(rng.randint(2, 6))])
+        if polyq.degree(a) < 2 or polyq.degree(b) < 1:
+            continue
+        sa, sb = coeffs_to_sympy(a, z), coeffs_to_sympy(b, z)
+        res, disc = polyq.resultant(a, b), polyq.discriminant(a)
+        assert type(res) is Fraction and type(disc) is Fraction
+        assert res == _sylvester_resultant(a, b)
+        assert disc == sympy.discriminant(sa, z)
+        quot, rem = polyq.divmod_(a, b)
+        qq, rr = sympy.div(sa, sb, z)
+        assert coeffs_to_sympy(quot, z) == sympy.expand(qq)
+        assert coeffs_to_sympy(rem, z) == sympy.expand(rr)
+        assert _all_fractions(quot) and _all_fractions(rem)
+        assert _all_fractions(polyq.gcd(a, b))
+
+
 def test_discriminant_rejects_constants():
     with pytest.raises(ArithmeticError):
         polyq.discriminant([Fraction(3)])
