@@ -17,16 +17,16 @@ past the true degree leave the interpolant exact and the same.
 Invariant sections are characteristic coefficients of A(z), signed so the
 degree-i section is the i-th elementary symmetric function of eigenvalues.
 The spectral data is the lambda-discriminant of det(lambda*I - A(z)),
-interpolated from its values at t = 0..n(n-1) deg A, each the discriminant
-of a monic polynomial over Q whose coefficients past the first n deg A + 1
-nodes are values of the interpolated c_k(t).  Its squarefree test is a
-certificate modulo a prime, with the Euclidean gcd over Q as fallback, and
-a size cap keeps that fallback affordable.  The genus comes from
-Riemann-Hurwitz bookkeeping: genus = branch/2 - n + 1 where branch counts
-the (simple, finite) discriminant roots.  The genus field is meaningful for
-connected covers with no ramification over infinity, which is the generic
-situation; it is left undefined whenever the discriminant fails to be
-squarefree or has an odd number of roots.
+interpolated from its values at t = 0..n(n-1) deg A: the discriminants, in
+integers, of the characteristic polynomials of the samples B = D*A(t),
+divided by D^(n(n-1)) once.  Its squarefree test is a certificate modulo a
+prime, with the Euclidean gcd over Q as fallback, and a size cap keeps that
+fallback affordable.  The genus comes from Riemann-Hurwitz bookkeeping:
+genus = branch/2 - n + 1 where branch counts the (simple, finite)
+discriminant roots.  The genus field is meaningful for connected covers
+with no ramification over infinity, which is the generic situation; it is
+left undefined whenever the discriminant fails to be squarefree or has an
+odd number of roots.
 """
 
 from __future__ import annotations
@@ -200,29 +200,25 @@ def invariant_degrees(f: LogHiggsField) -> List[int]:
 
 
 def _char_coeff_polys(
-    f: LogHiggsField, spread: int
-) -> Tuple[List[Coeffs], List[List[Fraction]]]:
+    f: LogHiggsField, top: int
+) -> Tuple[List[Coeffs], int, List[List[Fraction]]]:
     """[c_0(z), ..., c_n(z)] with det(lambda*I - A(z)) = sum c_k lambda^k,
-    and the samples [c_0(t), ..., c_n(t)] at t = 0..spread*D, D the bound
-    _degree_bound on deg A.
+    D, and the characteristic coefficients [c_0(B), ..., c_n(B)], all
+    integers, of the int samples B = B(t d_x) = D*A(t) of _lax_samples at
+    t = 0..top, so that c_k(A(t)) = c_k(B)/D^(n-k).
 
-    Since deg c_k <= (n - k) deg A, the values c_k(A(t)) = c_k(B)/D^(n-k),
-    B = B(t d_x) the int sample of _lax_samples, at t = 0..n*D determine
-    every c_k; the samples beyond are values of its exact interpolant, so
-    spread must be at least n.
+    Since deg c_k <= (n - k) deg A, the first n deg A + 1 samples determine
+    every c_k, and the c_k are interpolated from them; top must be at least
+    n times the bound _degree_bound on deg A.
     """
     if f.group.family != "A":
         raise UnsupportedRealizationError("invariant sections need the type-A realization")
     n = f.matrix_size
-    deg = _degree_bound(f)
-    big_d, lax = _lax_samples(f, range(n * deg + 1))
-    samples = [[c / big_d ** (n - k) for k, c in enumerate(linalgq.char_coeffs(b))] for b in lax]
-    polys = [polyq.interpolate([sample[k] for sample in samples]) for k in range(n + 1)]
-    samples += [
-        [polyq.evaluate(c, t) for c in polys]
-        for t in range(n * deg + 1, spread * deg + 1)
-    ]
-    return polys, samples
+    big_d, lax = _lax_samples(f, range(top + 1))
+    chars = [linalgq.char_coeffs(b) for b in lax]
+    first = chars[: n * _degree_bound(f) + 1]
+    polys = [polyq.interpolate([c[k] / big_d ** (n - k) for c in first]) for k in range(n + 1)]
+    return polys, big_d, chars
 
 
 @dataclass(frozen=True)
@@ -237,15 +233,16 @@ def hitchin_map(f: LogHiggsField) -> HitchinImage:
 
     Section i (one per fundamental invariant degree, the trace omitted in SL
     mode) is the i-th elementary symmetric function of the eigenvalues of
-    A(z), a polynomial in z of degree at most i*(s-2) for fields regular at
-    infinity.
+    A(z), a polynomial in z of degree at most i*(s'-2) with s' = s, or s + 1
+    when infinity is a pole; its ambient dimension, the number of
+    coefficients up to that degree, is max(i*(s'-2) + 1, 0).
     """
     n = f.matrix_size
-    cs, _ = _char_coeff_polys(f, n)
-    s = f.site_count
+    cs, _, _ = _char_coeff_polys(f, n * _degree_bound(f))
+    s = f.site_count if f.regular_at_infinity else f.site_count + 1
     degrees = invariant_degrees(f)
     sections = tuple(polyq.scale(cs[n - i], -1 if i % 2 else 1) for i in degrees)
-    ambient = tuple(i * (s - 2) + 1 for i in degrees)
+    ambient = tuple(max(i * (s - 2) + 1, 0) for i in degrees)
     return HitchinImage(degrees=tuple(degrees), sections=sections, ambient_dims=ambient)
 
 
@@ -275,9 +272,9 @@ def spectral_curve(f: LogHiggsField) -> SpectralCurveData:
     characteristic coefficients, and deg c_k <= (n-k) deg A, so its degree is
     at most N = n(n-1) deg A.  det(lambda*I - A(t)) is monic in lambda, so
     the discriminant of its coefficients at t is the value at t of the one
-    over Q[z]; the values at t = 0..N are interpolated.  Only the first
-    n deg A + 1 of these samples take char_coeffs of A(t): they determine
-    the characteristic coefficients, whose exact interpolants give the rest.
+    over Q[z]; the values at t = 0..N are interpolated.  Each is taken in
+    ints, from the char_coeffs of the sample B = D*A(t); as B has D times
+    the eigenvalues of A(t), the interpolant is divided by D^(n(n-1)) once.
     The squarefree test is polyq.is_squarefree: a modular certificate, with
     the Euclidean gcd over Q as fallback.
 
@@ -286,17 +283,17 @@ def spectral_curve(f: LogHiggsField) -> SpectralCurveData:
     ShapeError before any work.
     """
     n = f.matrix_size
-    bound = n * (n - 1) * _degree_bound(f)
+    deg = _degree_bound(f)
+    bound = n * (n - 1) * deg
     if bound > SPECTRAL_MAX_DEGREE:
         raise ShapeError(
             f"spectral needs a discriminant degree bound n(n-1)*deg A of at most "
             f"{SPECTRAL_MAX_DEGREE}; n = {n} with {f.site_count} points gives {bound}"
         )
-    cs, samples = _char_coeff_polys(f, max(n * (n - 1), n))
-    if n == 1:
-        disc: Coeffs = [Fraction(1)]
-    else:
-        disc = polyq.interpolate([polyq.discriminant(c) for c in samples])
+    # n = 1 has N = 0, but c_0 and c_1 need the nodes t = 0..deg A.
+    cs, big_d, chars = _char_coeff_polys(f, max(bound, n * deg))
+    discs = [polyq.discriminant(c) for c in chars]
+    disc = polyq.scale(polyq.interpolate(discs), Fraction(1, big_d ** (n * (n - 1))))
     squarefree = not polyq.is_zero(disc) and polyq.is_squarefree(disc)
     branch = max(polyq.degree(disc), 0)
     genus: Optional[int] = None
@@ -320,13 +317,16 @@ def spectral_genus(n: int, s: int) -> int:
     return (n - 1) * (n * (s - 2) - 2) // 2
 
 
-def _residue_invariants(f: LogHiggsField, j: int) -> List[Fraction]:
-    """Leading coefficients of the invariants e_1..e_n of L(z) at the j-th
-    marked point, from the _lax_samples value A(x_j) = B(a_j)/D: e_i(B(a_j))
-    divided by (D w_j(x_j))**i, with w_j(x_j) = prod(x_j - x_k)."""
-    big_d, (at,) = _lax_samples(f, [f.points[j]])
-    denom = big_d * _lagrange_weights(f.points, f.points[j])[j]
-    return [v / denom**i for i, v in enumerate(linalgq.invariant_values(at), 1)]
+def _residue_invariants(f: LogHiggsField) -> List[List[Fraction]]:
+    """Per marked point x_j, the leading coefficients of the invariants
+    e_1..e_n of L(z) there, from one _lax_samples call: e_i(B(a_j)) divided
+    by (D w_j(x_j))**i, as A(x_j) = B(a_j)/D and w_j(x_j) = prod(x_j - x_k)."""
+    big_d, lax = _lax_samples(f, f.points)
+    out = []
+    for j, (x, at) in enumerate(zip(f.points, lax)):
+        denom = big_d * _lagrange_weights(f.points, x)[j]
+        out.append([v / denom**i for i, v in enumerate(linalgq.invariant_values(at), 1)])
+    return out
 
 
 def residue_of_invariant(f: LogHiggsField, j: int, i: int) -> Fraction:
@@ -345,7 +345,7 @@ def residue_of_invariant(f: LogHiggsField, j: int, i: int) -> Fraction:
         raise IndexError(
             f"invariant degree {i} not available in {f.group.form} mode (choose from {degrees})"
         )
-    return _residue_invariants(f, j)[i - 1]
+    return _residue_invariants(f)[j][i - 1]
 
 
 def is_strongly_logarithmic_image(h: HitchinImage, f: LogHiggsField) -> bool:

@@ -856,14 +856,13 @@ def quotient_diagram_check(
     Route one evaluates each invariant section of the field at a marked
     point in the polar frame (a limit on the polynomial side); route two
     applies the same invariant to that point's coresidue.  The two are
-    computed independently and compared exactly.  Route one evaluates A(z)
-    once per point, for all degrees together.
+    computed independently and compared exactly.  Route one takes all
+    points from one sampler call, for all degrees together.
     """
     mv = moment_map(f, data)
     degrees = higgs.invariant_degrees(f)
     rows = []
-    for j in range(f.site_count):
-        residue_vals = higgs._residue_invariants(f, j)
+    for j, residue_vals in enumerate(higgs._residue_invariants(f)):
         site_vals = linalgq.invariant_values(mv.sites[j])
         for i in degrees:
             rows.append(

@@ -2,11 +2,13 @@
 
 A polynomial is a coefficient list [c0, c1, ..., cd] with Fraction entries
 and no trailing zeros; the zero polynomial is the empty list.  Arithmetic is
-dense.  Spectral discriminants reach degree 100 and more with coefficients
-of a few hundred bits, so two routines work in integers: `interpolate`
-takes forward differences over one common denominator, and `is_squarefree`
-first tries a certificate modulo the prime 2^61 - 1, keeping the Euclidean
-`gcd` over Q as its exact fallback.
+dense.  The spectral route takes the discriminant of many sampled
+characteristic polynomials and interpolates a discriminant of degree 100 and
+more with coefficients of a few hundred bits, so its three routines work in
+integers: `discriminant` is the determinant (`linalgq.det`) of the Hankel
+matrix of Newton power sums, `interpolate` takes forward differences over
+one common denominator, and `is_squarefree` first tries a certificate modulo
+the prime 2^61 - 1, keeping the Euclidean `gcd` over Q as its exact fallback.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple
 
-from .linalgq import integer_form
+from . import linalgq
 
 Coeffs = List[Fraction]
 
@@ -127,7 +129,7 @@ def is_squarefree(p: Sequence[Fraction]) -> bool:
     """
     if degree(p) <= 0:
         return True
-    red = [c % MODULUS for c in integer_form(p)[1]]
+    red = [c % MODULUS for c in linalgq.integer_form(p)[1]]
     if red[-1]:
         dred = trim([i * c % MODULUS for i, c in enumerate(red)][1:])
         if _gcd_degree_mod(red, dred) == 0:
@@ -135,33 +137,27 @@ def is_squarefree(p: Sequence[Fraction]) -> bool:
     return degree(gcd(p, derivative(p))) == 0
 
 
-def resultant(p: Sequence[Fraction], q: Sequence[Fraction]) -> Fraction:
-    """Resultant via the subresultant-free Euclidean recursion over Q."""
-    a, b = list(p), list(q)
-    if not a or not b:
-        return Fraction(0)
-    res = Fraction(1)
-    while True:
-        da, db = degree(a), degree(b)
-        if db == 0:
-            return res * b[0] ** da
-        _, r = divmod_(a, b)
-        if not r:
-            return Fraction(0)
-        dr = degree(r)
-        res *= Fraction(-1) ** (da * db) * b[-1] ** (da - dr)
-        a, b = b, r
-
-
 def discriminant(p: Sequence[Fraction]) -> Fraction:
-    """disc(p) = (-1)^(d(d-1)/2) Res(p, p') / lc(p)."""
+    """disc(p) = lc^(2d-2) prod_(i<j) (r_i - r_j)^2, division-free in ints.
+
+    With p = P/den, P = a_0 + ... + a_d z^d in ints, Q(y) = a_d^(d-1) P(y/a_d)
+    is monic in ints with the roots a_d r_i, so disc(p) is disc(Q) divided
+    by a_d^((d-1)(d-2)) den^(2d-2); disc(Q) is the determinant of the Hankel
+    matrix (s_(i+j)) of the Newton power sums s_k of its roots (Hermite).
+    """
     d = degree(p)
     if d < 1:
         raise ArithmeticError("discriminant needs degree >= 1")
-    if d == 1:
-        return Fraction(1)
-    sign = Fraction(-1) ** (d * (d - 1) // 2)
-    return sign * resultant(p, derivative(p)) / p[-1]
+    den, a = linalgq.integer_form(p)
+    lead = a[d]
+    b = [c * lead ** (d - 1 - k) for k, c in enumerate(a[:d])]  # Q = y^d + sum b[k] y^k
+    # Newton: s_k = -(sum_(i = 1..min(k-1, d)) b[d-i] s_(k-i) + [k <= d] k b[d-k])
+    sums = [d]
+    for k in range(1, 2 * d - 1):
+        acc = sum(b[d - i] * sums[k - i] for i in range(1, min(k, d + 1)))
+        sums.append(-acc - k * b[d - k] if k <= d else -acc)
+    hankel = [sums[i:i + d] for i in range(d)]
+    return linalgq.det(hankel) / (lead ** ((d - 1) * (d - 2)) * den ** (2 * d - 2))
 
 
 def interpolate(ys: Sequence) -> Coeffs:
@@ -175,7 +171,7 @@ def interpolate(ys: Sequence) -> Coeffs:
     """
     if not ys:
         return []
-    den, diffs = integer_form(ys)
+    den, diffs = linalgq.integer_form(ys)
     # diffs[k] becomes the k-th forward difference at t = 0.
     for k in range(1, len(diffs)):
         for t in range(len(diffs) - 1, k - 1, -1):

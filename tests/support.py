@@ -320,19 +320,18 @@ def reference_lax_matrix(f: LogHiggsField, z):
     return total
 
 
-def reference_char_coeff_polys(f: LogHiggsField, spread: int):
-    """What higgs._char_coeff_polys(f, spread) returns, by sympy's
-    charpoly of the symbolic A(z): the coefficients [c_0(z), ..., c_n(z)] of
-    det(lambda*I - A(z)) as ascending Fraction lists, and their values at
-    t = 0..spread*D, D = s - 2 for fields regular at infinity, else s - 1."""
+def reference_char_coeff_polys(f: LogHiggsField, top: int):
+    """The coefficients [c_0(z), ..., c_n(z)] of det(lambda*I - A(z)) as
+    ascending Fraction lists, by sympy's charpoly of the symbolic A(z), and
+    their values at t = 0..top: what higgs._char_coeff_polys(f, top)
+    interpolates, and its int samples c_k(B) divided by D^(n-k)."""
     import sympy
 
     z, lam = sympy.symbols("z lam")
     n = f.matrix_size
     charpoly = sympy.Poly(reference_lax_matrix(f, z).charpoly(lam).as_expr(), lam)
     polys = [sympy_to_coeffs(charpoly.coeff_monomial(lam**k), z) for k in range(n + 1)]
-    deg = max(f.site_count - (2 if f.regular_at_infinity else 1), 0)
-    samples = [[polyq.evaluate(c, t) for c in polys] for t in range(spread * deg + 1)]
+    samples = [[polyq.evaluate(c, t) for c in polys] for t in range(top + 1)]
     return polys, samples
 
 

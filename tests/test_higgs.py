@@ -36,6 +36,7 @@ from support import (
     reference_lax_matrix,
     reference_residue_invariants,
     rnd_field,
+    rnd_fraction,
     rnd_invertible,
     rnd_matrix,
     rnd_points,
@@ -190,6 +191,30 @@ def test_hitchin_map_conjugation_invariant():
         ]
         fc = build_field(f.points, conj, f.group)
         assert hitchin_map(fc).sections == hitchin_map(f).sections
+
+
+def test_hitchin_ambient_dims_follow_regularity():
+    """ambient_dims counts the polynomials of degree at most i*(s'-2), with
+    s' = s + 1 when infinity is a pole, and is 0 when that bound is negative;
+    every section lies in its ambient space."""
+    f = build_field(
+        [0, 1, 2], [[[1, 2], [0, -1]], [[0, 1], [1, 0]], [[1, 0], [3, -1]]], SL2
+    )
+    image = hitchin_map(f)
+    assert not f.regular_at_infinity
+    assert polyq.degree(image.sections[0]) == 4 and image.ambient_dims == (5,)
+    rng = random.Random(95)
+    assert hitchin_map(rnd_field(rng, 3, 1)).ambient_dims == (0, 0)
+    assert hitchin_map(rnd_field(rng, 2, 1, "GL", sum_zero=False)).ambient_dims == (1, 1)
+    assert hitchin_map(rnd_field(rng, 3, 2)).ambient_dims == (1, 1)
+    for _ in range(20):
+        n, s = rng.randint(1, 4), rng.randint(1, 5)
+        form = "GL" if n == 1 else rng.choice(["SL", "GL"])
+        g = rnd_field(rng, n, s, form, sum_zero=rng.random() < 0.5)
+        image = hitchin_map(g)
+        top = s - 2 if g.regular_at_infinity else s - 1
+        assert image.ambient_dims == tuple(max(i * top + 1, 0) for i in image.degrees)
+        assert all(polyq.degree(c) < dim for c, dim in zip(image.sections, image.ambient_dims))
 
 
 def test_hitchin_map_rejects_non_type_a():
@@ -414,6 +439,87 @@ def test_squarefree_verdict_on_discriminants():
     assert verdicts.count(True) >= 10 and verdicts.count(False) >= 8
 
 
+def test_spectral_route_runs_without_polynomial_division(monkeypatch):
+    """polyq.discriminant, and spectral_curve on generic fields, whose
+    discriminant is squarefree so the modular certificate decides, never
+    divide polynomials: the discriminant route stays in ints."""
+
+    def no_division(p, q):
+        raise AssertionError("polyq.divmod_ was called")
+
+    monkeypatch.setattr(polyq, "divmod_", no_division)
+    rng = random.Random(96)
+    for _ in range(30):
+        p = polyq.poly([rnd_fraction(rng) for _ in range(rng.randint(2, 8))])
+        if polyq.degree(p) >= 1:
+            assert type(polyq.discriminant(p)) is Fraction
+    for n, s, form in [(2, 3, "SL"), (2, 5, "GL"), (3, 4, "SL"), (3, 3, "GL"), (4, 3, "SL")]:
+        assert spectral_curve(rnd_field(rng, n, s, form)).is_squarefree
+
+
+def _edge_residues(rng, n, kind, count):
+    """count random residues: dense, nilpotent (conjugates of strictly upper
+    matrices) or with a repeated, non-semisimple eigenvalue (conjugates of a
+    matrix with a 2x2 Jordan block)."""
+    out = []
+    for _ in range(count):
+        if kind == "dense" or n == 1:
+            out.append(rnd_matrix(rng, n))
+            continue
+        g = rnd_invertible(rng, n)
+        if kind == "nilpotent":
+            inner = strictly_upper(rng, n)
+        else:
+            inner = linalgq.zeros(n)
+            for p in range(n):
+                inner[p][p] = Fraction(rng.randint(-2, 2))
+            inner[1][1], inner[0][1] = inner[0][0], Fraction(1)
+        out.append(linalgq.mat_mul(linalgq.mat_mul(g, inner), linalgq.inverse(g)))
+    return out
+
+
+@given(
+    st.integers(1, 3),
+    st.integers(1, 4),
+    st.sampled_from(["SL", "GL"]),
+    st.sampled_from(["dense", "nilpotent", "repeated"]),
+    st.booleans(),
+    st.booleans(),
+    st.integers(0, 2**32),
+)
+def test_spectral_curve_property_against_sympy(n, s, form, kind, sum_zero, halves, seed):
+    """spectral_curve against sympy's charpoly and discriminant of the
+    symbolic A(z), at the edges: n = 1, s <= 2, nilpotent and
+    repeated-eigenvalue residues, GL and SL, regular at infinity or not, and
+    integer or non-integer points."""
+    rng = random.Random(seed)
+    form = "GL" if n == 1 else form
+    pool = NON_INTEGER_POINTS if halves else [Fraction(k) for k in range(-9, 10)]
+    points = sorted(rng.sample(pool, s))
+    residues = _edge_residues(rng, n, kind, s - 1 if sum_zero else s)
+    if form == "SL":
+        residues = [make_traceless(m) for m in residues]
+    if sum_zero:
+        residues = with_sum_zero(residues) if residues else [linalgq.zeros(n)]
+    f = build_field(points, residues, GroupTag("A", n - 1, form))
+    z, lam = sympy.symbols("z lam")
+    char = sympy.Poly(reference_lax_matrix(f, z).charpoly(lam).as_expr(), lam)
+    disc = sympy_to_coeffs(sympy.discriminant(char.as_expr(), lam), z)
+    sc = spectral_curve(f)
+    assert list(sc.char_coeffs) == [
+        sympy_to_coeffs(char.coeff_monomial(lam**k), z) for k in range(n + 1)
+    ]
+    assert sc.discriminant == disc
+    assert all(type(c) is Fraction for c in sc.discriminant)
+    assert sc.branch_count == max(len(disc) - 1, 0)
+    if disc:
+        assert squarefree_oracles(disc) == (sc.is_squarefree, sc.is_squarefree)
+    else:
+        assert not sc.is_squarefree
+    even = sc.is_squarefree and sc.branch_count % 2 == 0
+    assert sc.genus == (sc.branch_count // 2 - n + 1 if even else None)
+
+
 def test_spectral_size_cap():
     """Shapes past the discriminant degree bound are refused before any
     work; the top of the size ladder (n = 5, s = 7, residue sum non-zero,
@@ -492,9 +598,10 @@ NON_INTEGER_POINTS = sorted(
     st.integers(0, 2**32),
 )
 def test_int_sampler_matches_fraction_reference(n, s, form, sum_zero, seed):
-    """clear_denominators, _char_coeff_polys and _residue_invariants, all
-    taken in ints, equal the plain Fraction reference of tests/support.py on
-    seeded fields with non-integer points, GL and SL, s <= 2 included."""
+    """clear_denominators, _char_coeff_polys (whose samples are int
+    characteristic coefficients) and _residue_invariants, all taken in ints,
+    equal the plain Fraction reference of tests/support.py on seeded fields
+    with non-integer points, GL and SL, s <= 2 included."""
     rng = random.Random(seed)
     points = sorted(rng.sample(NON_INTEGER_POINTS, s))
     f = rnd_field(rng, n, s, "GL" if n == 1 else form, sum_zero=sum_zero, points=points)
@@ -505,12 +612,13 @@ def test_int_sampler_matches_fraction_reference(n, s, form, sum_zero, seed):
     assert clear_denominators(f).coeffs == tuple(
         [[e[k] if k < len(e) else 0 for e in row] for row in entries] for k in range(top)
     )
-    spread = max(n * (n - 1), n)
-    polys, samples = higgs._char_coeff_polys(f, spread)
-    assert (polys, samples) == reference_char_coeff_polys(f, spread)
-    assert all(type(c) is Fraction for sample in samples for c in sample)
-    for j in range(s):
-        assert higgs._residue_invariants(f, j) == reference_residue_invariants(f, j)
+    top = max(n - 1, 1) * n * higgs._degree_bound(f)
+    polys, big_d, chars = higgs._char_coeff_polys(f, top)
+    ref_polys, ref_samples = reference_char_coeff_polys(f, top)
+    assert polys == ref_polys
+    assert all(type(c) is Fraction and c.denominator == 1 for cs in chars for c in cs)
+    assert [[c / big_d ** (n - k) for k, c in enumerate(cs)] for cs in chars] == ref_samples
+    assert higgs._residue_invariants(f) == [reference_residue_invariants(f, j) for j in range(s)]
 
 
 def test_residue_of_invariant_index_errors():

@@ -226,19 +226,6 @@ def test_interpolate_edge_cases():
             ]
 
 
-def test_resultant_matches_sympy():
-    rng = random.Random(7)
-    z = sympy.Symbol("z")
-    for _ in range(20):
-        a = polyq.poly([rnd_fraction(rng) for _ in range(rng.randint(2, 5))])
-        b = polyq.poly([rnd_fraction(rng) for _ in range(rng.randint(2, 5))])
-        if polyq.degree(a) < 1 or polyq.degree(b) < 1:
-            continue
-        ours = polyq.resultant(a, b)
-        theirs = sympy.resultant(coeffs_to_sympy(a, z), coeffs_to_sympy(b, z), z)
-        assert sympy.Rational(ours.numerator, ours.denominator) == theirs
-
-
 def test_discriminant_matches_sympy():
     rng = random.Random(8)
     z = sympy.Symbol("z")
@@ -290,16 +277,41 @@ def test_int_coefficients_are_exact():
         if polyq.degree(a) < 2 or polyq.degree(b) < 1:
             continue
         sa, sb = coeffs_to_sympy(a, z), coeffs_to_sympy(b, z)
-        res, disc = polyq.resultant(a, b), polyq.discriminant(a)
-        assert type(res) is Fraction and type(disc) is Fraction
-        assert res == _sylvester_resultant(a, b)
-        assert disc == sympy.discriminant(sa, z)
+        disc = polyq.discriminant(a)
+        assert type(disc) is Fraction and disc == sympy.discriminant(sa, z)
         quot, rem = polyq.divmod_(a, b)
         qq, rr = sympy.div(sa, sb, z)
         assert coeffs_to_sympy(quot, z) == sympy.expand(qq)
         assert coeffs_to_sympy(rem, z) == sympy.expand(rr)
         assert _all_fractions(quot) and _all_fractions(rem)
         assert _all_fractions(polyq.gcd(a, b))
+
+
+def test_discriminant_matches_sylvester_resultant():
+    """disc(p) = (-1)^(d(d-1)/2) Res(p, p')/lc(p), with the resultant a
+    Sylvester determinant, on int and rational p of degree 1..7, monic or
+    not, and on p with repeated roots, whose discriminant is exactly 0."""
+    rng = random.Random(12)
+    z = sympy.Symbol("z")
+    cases = []
+    for d in range(1, 8):
+        for _ in range(3):
+            cases.append([rng.randint(-9, 9) for _ in range(d)] + [rng.choice([-3, 1, 2, 5])])
+            cases.append([rnd_fraction(rng) for _ in range(d)] + [rnd_fraction(rng, 1, 4)])
+        cases.append([rng.randint(-9, 9) for _ in range(d)] + [1])
+    for d in range(2, 8):
+        # (z - r)^2 times a random factor of degree d - 2.
+        root = coeffs_to_sympy([-rnd_fraction(rng), 1], z)
+        rest = coeffs_to_sympy([rnd_fraction(rng) for _ in range(d - 2)] + [Fraction(3, 2)], z)
+        cases.append(sympy_to_coeffs(sympy.expand(root**2 * rest), z))
+    for p in cases:  # int lists stay ints
+        d = polyq.degree(p)
+        ours = polyq.discriminant(p)
+        assert type(ours) is Fraction
+        q = polyq.poly(p)
+        res = _sylvester_resultant(q, polyq.derivative(q))
+        assert ours == (-1) ** (d * (d - 1) // 2) * res / q[-1]
+    assert all(polyq.discriminant(p) == 0 for p in cases[-6:])
 
 
 def test_discriminant_rejects_constants():
