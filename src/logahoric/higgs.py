@@ -317,13 +317,15 @@ def spectral_genus(n: int, s: int) -> int:
     return (n - 1) * (n * (s - 2) - 2) // 2
 
 
-def _residue_invariants(f: LogHiggsField) -> List[List[Fraction]]:
-    """Per marked point x_j, the leading coefficients of the invariants
-    e_1..e_n of L(z) there, from one _lax_samples call: e_i(B(a_j)) divided
-    by (D w_j(x_j))**i, as A(x_j) = B(a_j)/D and w_j(x_j) = prod(x_j - x_k)."""
-    big_d, lax = _lax_samples(f, f.points)
+def _residue_invariants(f: LogHiggsField, js=None) -> List[List[Fraction]]:
+    """Per marked point x_j, j in js (default: all), the leading coefficients
+    of the invariants e_1..e_n of L(z) there, from one _lax_samples call:
+    e_i(B(a_j)) / (D w_j(x_j))**i, as A(x_j) = B(a_j)/D, w_j(x_j) = prod(x_j - x_k)."""
+    js = range(f.site_count) if js is None else js
+    xs = [f.points[j] for j in js]
+    big_d, lax = _lax_samples(f, xs)
     out = []
-    for j, (x, at) in enumerate(zip(f.points, lax)):
+    for j, x, at in zip(js, xs, lax):
         denom = big_d * _lagrange_weights(f.points, x)[j]
         out.append([v / denom**i for i, v in enumerate(linalgq.invariant_values(at), 1)])
     return out
@@ -345,7 +347,7 @@ def residue_of_invariant(f: LogHiggsField, j: int, i: int) -> Fraction:
         raise IndexError(
             f"invariant degree {i} not available in {f.group.form} mode (choose from {degrees})"
         )
-    return _residue_invariants(f)[j][i - 1]
+    return _residue_invariants(f, [j])[0][i - 1]
 
 
 def is_strongly_logarithmic_image(h: HitchinImage, f: LogHiggsField) -> bool:

@@ -75,10 +75,6 @@ def trace(a) -> Fraction:
     return sum((a[i][i] for i in range(len(a))), Fraction(0))
 
 
-def mat_eq(a, b) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
 def is_zero_matrix(a) -> bool:
     return all(x == 0 for row in a for x in row)
 

@@ -436,7 +436,7 @@ RANK2_MAX_FLAGS = 10
 
 # Each incidence row has one entry d*x^k per k up to the split-degree gap
 # a1 - a2, so the integer elimination grows faster than linearly in the gap:
-# RANK2_MAX_FLAGS flags at points 0..9 take about 2 s at gap 32 and 52 s at
+# RANK2_MAX_FLAGS flags at points 0..9 take about 1 s at gap 32 and 29 s at
 # gap 400.  Past this gap rank2_semistability refuses the input (ShapeError).
 RANK2_MAX_GAP = 32
 
@@ -469,7 +469,7 @@ def _incidence_closures(rows: List[List[int]], nvars: int) -> Set[Tuple[int, ...
     stack = [(start, 0)]  # (columns of E, lowest row index that may be added)
     while stack:
         cols, first = stack.pop()
-        live = [any(col[k] for col in cols) for k in range(m)]
+        live = list(map(any, zip(*cols)))
         closures.add(tuple(k for k in range(m) if not live[k]))
         if len(cols) == 1:
             continue
@@ -507,7 +507,8 @@ def rank2_semistability(
     (on-flag, off-flag), both in [0,1).  A line subbundle of degree a is a
     coefficient vector of a polynomial pair (p, q) with deg p <= a1-a,
     deg q <= a2-a; forcing incidence with the flag at x_i is one linear
-    condition d_i*p(x_i) - c_i*q(x_i) = 0, kept as a row of Python ints.
+    condition d_i*p(x_i) - c_i*q(x_i) = 0, kept as a row of Python ints
+    (times D^(a1-a), the points cleared once to x_i = u_i/D).
 
     Candidates run over degrees {a1} and {a2, a2-1, ..., a2-m} (m = number of
     marked points) and every closed set of incidences whose conditions leave
@@ -517,6 +518,12 @@ def rank2_semistability(
     candidate is strictly beaten by a listed one: each unit of degree lost
     can buy back strictly less than one unit of weight when all weights lie
     in [0,1).
+
+    Weighted degrees are int numerators over the one denominator w of the
+    2m cleared weights on_i/w, off_i/w: a candidate of degree a holding the
+    incidences S has num = a*w + sum(off_i) + sum_{i in S}(on_i - off_i),
+    the bundle total_num = (a1 + a2)*w + sum(on_i + off_i).  Verdicts
+    compare 2*num with total_num, and candidates sort on (-num, -a, S).
 
     At most RANK2_MAX_FLAGS flags and a gap |a1 - a2| of at most
     RANK2_MAX_GAP are accepted; beyond either ShapeError is raised before
@@ -536,22 +543,13 @@ def rank2_semistability(
         )
     if len(weights) != m:
         raise ShapeError("one weight pair per flag is required")
-    flag_dirs = []
-    for c, dcoord in flags:
-        c, dcoord = Fraction(c), Fraction(dcoord)
-        if c == 0 and dcoord == 0:
-            raise ShapeError("flag direction must be a nonzero coordinate pair")
-        flag_dirs.append((c, dcoord))
-    wpairs = []
-    for wf, wo in weights:
-        wf, wo = Fraction(wf), Fraction(wo)
-        if not (0 <= wf < 1 and 0 <= wo < 1):
-            raise NormalizationError("weights must lie in [0, 1)")
-        wpairs.append((wf, wo))
-    if points is None:
-        xs = [Fraction(i) for i in range(m)]
-    else:
-        xs = [Fraction(x) for x in points]
+    flag_dirs = [tuple(linalgq.integer_form(flag)[1]) for flag in flags]
+    if (0, 0) in flag_dirs:
+        raise ShapeError("flag direction must be a nonzero coordinate pair")
+    wpairs = [(Fraction(wf), Fraction(wo)) for wf, wo in weights]
+    if not all(0 <= v < 1 for pair in wpairs for v in pair):
+        raise NormalizationError("weights must lie in [0, 1)")
+    dx, xs = linalgq.integer_form(range(m) if points is None else points)
     if len(xs) != m:
         raise ShapeError("one marked point per flag is required")
     if len(set(xs)) != m:
@@ -561,37 +559,41 @@ def rank2_semistability(
         a1, a2 = a2, a1
         flag_dirs = [(d, c) for c, d in flag_dirs]
 
+    w, cleared = linalgq.integer_form(v for pair in wpairs for v in pair)
+    gains = [on - off for on, off in zip(cleared[::2], cleared[1::2])]
+    off_sum = sum(cleared[1::2])
     total_degree = a1 + a2
-    total_wd = Fraction(total_degree) + sum((wf + wo for wf, wo in wpairs), Fraction(0))
-    total_slope = total_wd / 2
+    total_num = total_degree * w + sum(cleared)
 
     degrees = sorted({a1} | {a2 - k for k in range(m + 1)}, reverse=True)
-    found: List[Rank2Candidate] = []
+    keys = []  # (-numerator, -degree, incidences): the report's order
     for a in degrees:
         dim_p = a1 - a + 1
         dim_q = max(a2 - a + 1, 0)
-        rows = [
-            linalgq.integer_form(
-                [d * x**k for k in range(dim_p)] + [-c * x**k for k in range(dim_q)]
-            )[1]
-            for (c, d), x in zip(flag_dirs, xs)
-        ]
+        rows = []
+        for (c, d), x in zip(flag_dirs, xs):
+            powers = [x**k * dx ** (dim_p - 1 - k) for k in range(dim_p)]
+            rows.append([d * t for t in powers] + [-c * t for t in powers[:dim_q]])
+        base = a * w + off_sum
         for actual in _incidence_closures(rows, dim_p + dim_q):
-            pairings = tuple(
-                wpairs[i][0] if i in actual else wpairs[i][1] for i in range(m)
-            )
-            rd = ReductionDatum(a, 1, total_degree, 2, pairings)
-            wd = parahoric_degree(rd)
-            found.append(Rank2Candidate(a, actual, rd, wd, verdict(wd, total_slope)))
+            keys.append((-base - sum([gains[i] for i in actual]), -a, actual))
+    keys.sort()
 
-    candidates = tuple(
-        sorted(found, key=lambda c: (-c.weighted_degree, -c.degree, c.incidences))
-    )
+    wds = {num: Fraction(num, w) for num in {-key[0] for key in keys}}
+    off_pairings = [wo for _, wo in wpairs]
+    candidates = []
+    for neg_num, neg_a, actual in keys:
+        num, a = -neg_num, -neg_a
+        pairings = off_pairings[:]
+        for i in actual:
+            pairings[i] = wpairs[i][0]
+        rd = ReductionDatum(a, 1, total_degree, 2, tuple(pairings))
+        candidates.append(Rank2Candidate(a, actual, rd, wds[num], verdict(2 * num, total_num)))
     witness = candidates[0]
     return Rank2Report(
         verdict=witness.verdict,
         witness=witness,
-        total_weighted_degree=total_wd,
-        total_slope=total_slope,
-        candidates=candidates,
+        total_weighted_degree=Fraction(total_num, w),
+        total_slope=Fraction(total_num, 2 * w),
+        candidates=tuple(candidates),
     )

@@ -14,17 +14,11 @@ the prime 2^61 - 1, keeping the Euclidean `gcd` over Q as its exact fallback.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from . import linalgq
 
 Coeffs = List[Fraction]
-
-
-def poly(coeffs: Iterable) -> Coeffs:
-    """Build a normalized coefficient list from any iterable of rationals."""
-    out = [Fraction(c) for c in coeffs]
-    return trim(out)
 
 
 def trim(coeffs: Coeffs) -> Coeffs:

@@ -9,6 +9,17 @@ from logahoric.higgs import LogHiggsField, build_field
 from logahoric.rootsys import GroupTag
 
 
+def poly(coeffs) -> List[Fraction]:
+    """A normalized coefficient list (no trailing zeros) from any iterable
+    of rationals."""
+    return polyq.trim([Fraction(c) for c in coeffs])
+
+
+def mat_eq(a, b) -> bool:
+    """Entrywise equality of two matrices given as lists of rows."""
+    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+
+
 def rnd_fraction(rng, lo=-4, hi=4, max_den=4) -> Fraction:
     den = rng.randint(1, max_den)
     num = rng.randint(lo * den, hi * den)

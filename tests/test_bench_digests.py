@@ -1,0 +1,42 @@
+"""Rank-2 reports stay byte-identical to the benchmark's committed digests.
+
+The benchmark checks every report against `bench/digests.json`, a hash of
+each operation's results payload at seed 7.  This test rebuilds the first
+round of `stability-leaf` configs with the benchmark's own generator, runs
+its `stability` operations through `cli.main`, and compares each digest, so
+a change in the bytes of a rank-2 report fails here as well as in the
+benchmark.  It only reads `bench/`.
+"""
+
+import importlib
+import json
+import sys
+from pathlib import Path
+
+from logahoric import cli
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+WORKLOAD = "stability-leaf"
+
+
+def bench_module(name: str):
+    if str(BENCH) not in sys.path:
+        sys.path.insert(0, str(BENCH))
+    return importlib.import_module(name)
+
+
+def test_stability_reports_match_committed_digests(tmp_path):
+    run, checks = bench_module("run"), bench_module("checks")
+    expected = json.loads(run.DIGESTS.read_text(encoding="utf-8"))[WORKLOAD]
+    ops = [
+        op
+        for op in run.write_round(WORKLOAD, run.DEFAULT_SEED, 0, tmp_path)
+        if op.command == "stability"
+    ]
+    assert len(ops) >= 10
+    out = tmp_path / "report.json"
+    for op in ops:
+        assert cli.main([op.command, "--config", str(op.path), "--out", str(out)]) == 0
+        results = json.loads(out.read_text(encoding="utf-8"))["results"]
+        assert checks.CHECKS[op.command](op.cfg, results) is None, op.id
+        assert checks.digest(results) == expected[op.id], op.id

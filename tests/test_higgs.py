@@ -31,7 +31,9 @@ from support import (
     H2,
     coeffs_to_sympy,
     make_traceless,
+    mat_eq,
     matrix_to_sympy,
+    poly,
     reference_char_coeff_polys,
     reference_lax_matrix,
     reference_residue_invariants,
@@ -97,7 +99,7 @@ def test_evaluate_at_pole_rejected():
             linalgq.mat_scale([[0, -1], [-1, 0]], Fraction(1, 1)),
         ),
     )
-    assert linalgq.mat_eq(value, expected)
+    assert mat_eq(value, expected)
 
 
 # -- polynomial Lax form -----------------------------------------------------
@@ -108,8 +110,8 @@ def test_clear_denominators_worked_example():
     entries = a.entries()
     # [[0, -2(z-1)], [-z, 0]]
     assert entries[0][0] == []
-    assert entries[0][1] == polyq.poly([2, -2])
-    assert entries[1][0] == polyq.poly([0, -1])
+    assert entries[0][1] == poly([2, -2])
+    assert entries[1][0] == poly([0, -1])
     assert entries[1][1] == []
     assert a.degree == 1
 
@@ -120,7 +122,7 @@ def test_clear_denominators_two_point_constant():
     f = build_field([Fraction(1, 2), Fraction(5, 2)], [x, neg], SL2)
     a = clear_denominators(f)
     assert a.degree == 0
-    assert linalgq.mat_eq(a.coeffs[0], linalgq.mat_scale(x, Fraction(-2)))
+    assert mat_eq(a.coeffs[0], linalgq.mat_scale(x, Fraction(-2)))
 
 
 def test_degree_bound_random():
@@ -145,7 +147,7 @@ def test_polynomial_matrix_evaluate_matches_field():
         prefactor = Fraction(1)
         for x in f.points:
             prefactor *= z - x
-        assert linalgq.mat_eq(
+        assert mat_eq(
             a.evaluate(z), linalgq.mat_scale(f.evaluate(z), prefactor)
         )
 
@@ -157,11 +159,11 @@ def test_hitchin_map_worked_examples():
     image = hitchin_map(efh_field())
     assert image.degrees == (2,)
     assert image.ambient_dims == (3,)
-    assert image.sections[0] == polyq.poly([0, 2, -2])
+    assert image.sections[0] == poly([0, 2, -2])
 
     image2 = hitchin_map(heh_field())
     # det A(z) = -4(z-1)^2
-    assert image2.sections[0] == polyq.poly([-4, 8, -4])
+    assert image2.sections[0] == poly([-4, 8, -4])
 
 
 def test_hitchin_map_gl_includes_trace():
@@ -276,8 +278,8 @@ def test_gaudin_generating_function_reconstruction():
 def test_spectral_curve_worked_example():
     sc = spectral_curve(efh_field())
     # char_coeffs[0] is det(lambda*I - A) at lambda = 0, which is det A for 2x2
-    assert sc.char_coeffs[0] == polyq.poly([0, 2, -2])
-    assert sc.discriminant == polyq.poly([0, -8, 8])
+    assert sc.char_coeffs[0] == poly([0, 2, -2])
+    assert sc.discriminant == poly([0, -8, 8])
     assert sc.is_squarefree
     assert sc.branch_count == 2
     assert sc.genus == 0
@@ -450,7 +452,7 @@ def test_spectral_route_runs_without_polynomial_division(monkeypatch):
     monkeypatch.setattr(polyq, "divmod_", no_division)
     rng = random.Random(96)
     for _ in range(30):
-        p = polyq.poly([rnd_fraction(rng) for _ in range(rng.randint(2, 8))])
+        p = poly([rnd_fraction(rng) for _ in range(rng.randint(2, 8))])
         if polyq.degree(p) >= 1:
             assert type(polyq.discriminant(p)) is Fraction
     for n, s, form in [(2, 3, "SL"), (2, 5, "GL"), (3, 4, "SL"), (3, 3, "GL"), (4, 3, "SL")]:
@@ -582,6 +584,23 @@ def test_residue_of_invariant_matches_matrix_invariant():
             vals = linalgq.invariant_values(f.residues[j])
             for i in higgs.invariant_degrees(f):
                 assert residue_of_invariant(f, j, i) == vals[i - 1]
+
+
+def test_residue_of_invariant_matches_all_points_route():
+    """Sampling only the asked points gives what sampling every point gives:
+    residue_of_invariant(f, j, i) is _residue_invariants(f)[j][i - 1] for
+    every (j, i), and _residue_invariants(f, js) picks those rows, on seeded
+    SL and GL fields with s = 1..5, residue sum zero or not."""
+    rng = random.Random(94)
+    for s in (1, 1, 2, 2, 3, 4, 5):
+        for form in ("SL", "GL"):
+            f = rnd_field(rng, rng.randint(2, 4), s, form, sum_zero=rng.random() < 0.5)
+            everywhere = higgs._residue_invariants(f)
+            for j in range(s):
+                for i in higgs.invariant_degrees(f):
+                    assert residue_of_invariant(f, j, i) == everywhere[j][i - 1]
+            js = rng.sample(range(s), rng.randint(1, s))
+            assert higgs._residue_invariants(f, js) == [everywhere[j] for j in js]
 
 
 # Points with denominator 2 or 3, so the int sampler clears them over 6.

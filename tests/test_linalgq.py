@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 from logahoric import linalgq, poisson
 from logahoric.parahoric import analyze_weight
 from logahoric.rootsys import RationalCocharacter, build_root_system
-from support import coeffs_to_sympy, matrix_to_sympy, rnd_fraction, rnd_invertible, rnd_matrix
+from support import (
+    coeffs_to_sympy,
+    mat_eq,
+    matrix_to_sympy,
+    rnd_fraction,
+    rnd_invertible,
+    rnd_matrix,
+)
 
 
 def _fractions(rows):
@@ -48,7 +55,7 @@ def test_inverse_and_singular():
             continue
         found += 1
         inv = linalgq.inverse(m)
-        assert linalgq.mat_eq(linalgq.mat_mul(m, inv), linalgq.identity(3))
+        assert mat_eq(linalgq.mat_mul(m, inv), linalgq.identity(3))
     # The 3x3 has no pivot in its middle column but has one in the last.
     for singular in ([[1, 2], [2, 4]], [[1, 2, 0], [2, 4, 0], [0, 0, 1]]):
         with pytest.raises(ArithmeticError):
@@ -331,7 +338,7 @@ def test_commutator_and_trace_identities():
         n = rng.randint(2, 4)
         a, b = rnd_matrix(rng, n), rnd_matrix(rng, n)
         assert linalgq.trace(linalgq.commutator(a, b)) == 0
-        assert linalgq.mat_eq(
+        assert mat_eq(
             linalgq.commutator(a, b),
             linalgq.mat_scale(linalgq.commutator(b, a), Fraction(-1)),
         )

@@ -46,7 +46,7 @@ from logahoric.parahoric import (
     slope_test,
 )
 from logahoric.rootsys import RationalCocharacter, build_root_system, negate, pair
-from support import reference_rank2
+from support import mat_eq, reference_rank2
 
 A1 = build_root_system("A", 1)
 A2 = build_root_system("A", 2)
@@ -244,7 +244,7 @@ def test_levi_evaluate_is_bracket_homomorphism():
         x, y = rnd_levi_element(), rnd_levi_element()
         lhs = levi_evaluate(levi_project(loop_bracket(x, y), d), d)
         rhs = linalgq.commutator(levi_evaluate(x, d), levi_evaluate(y, d))
-        assert linalgq.mat_eq(lhs, rhs)
+        assert mat_eq(lhs, rhs)
 
 
 def test_bracket_ideal_property():
@@ -473,6 +473,52 @@ def test_rank2_matches_reference_oracle():
             assert report.total_slope == total_slope
             cases += 1
     assert cases == 30
+
+
+def _assert_rank2_matches_reference(degrees, flags, weights, points=None):
+    report = rank2_semistability(degrees, flags, weights, points)
+    candidates, witness, total_wd, total_slope = reference_rank2(
+        degrees, flags, weights, points
+    )
+    assert report.candidates == candidates
+    assert report.witness == witness
+    assert report.verdict == witness.verdict
+    assert report.total_weighted_degree == total_wd
+    assert report.total_slope == total_slope
+    return report
+
+
+def test_rank2_edge_weights_match_reference_oracle():
+    """Weight shapes the seeded oracle test never draws: all weights zero
+    (one common denominator w = 1), on-flag equal to off-flag at every point
+    (no incidence changes the weighted degree), and large coprime
+    denominators (w = 97 * 101 * 103 * 107)."""
+    rng = random.Random(515)
+    big = [(Fraction(96, 97), Fraction(100, 101)), (Fraction(1, 103), Fraction(106, 107))]
+    for m in range(6):
+        for degrees in ((0, 0), (2, 1), (-1, 1)):
+            flags = _rank2_flags(rng, m)
+            points = [Fraction(x, rng.randint(1, 3)) for x in rng.sample(range(-9, 10), m)]
+            if len(set(points)) != m:
+                points = None
+            _assert_rank2_matches_reference(degrees, flags, [(0, 0)] * m, points)
+            same = [(w, w) for w in (Fraction(rng.randint(0, 6), 7) for _ in range(m))]
+            report = _assert_rank2_matches_reference(degrees, flags, same, points)
+            assert len({c.weighted_degree - c.degree for c in report.candidates}) == 1
+            _assert_rank2_matches_reference(degrees, flags, [big[i % 2] for i in range(m)], points)
+
+
+def test_rank2_weighted_degree_ties_match_reference_oracle():
+    """Every flag gains 1/2, so a degree-a candidate with two more incidences
+    ties with a degree-(a + 1) one: the report orders ties by degree, then
+    by incidence set, as the oracle does."""
+    flags = [(1, 1), (1, -1), (2, 1), (1, 3)]
+    for degrees in ((0, 0), (1, 0), (0, 2)):
+        report = _assert_rank2_matches_reference(degrees, flags, [(Fraction(1, 2), 0)] * 4)
+        pairs = list(zip(report.candidates, report.candidates[1:]))
+        ties = [(x, y) for x, y in pairs if x.weighted_degree == y.weighted_degree]
+        assert any(x.degree > y.degree for x, y in ties)
+        assert any(x.degree == y.degree and x.incidences < y.incidences for x, y in ties)
 
 
 def test_rank2_flag_cap():

@@ -45,6 +45,7 @@ from support import (
     E2,
     F2,
     H2,
+    mat_eq,
     matrix_to_sympy,
     partial,
     reference_bivector_rank,
@@ -521,14 +522,14 @@ def test_moment_map_without_weights_is_identity():
     f = rnd_field(rng, 2, 3)
     m = moment_map(f)
     assert all(
-        linalgq.mat_eq(site, res) for site, res in zip(m.sites, f.residues)
+        mat_eq(site, res) for site, res in zip(m.sites, f.residues)
     )
 
 
 def test_moment_map_zero_weight_keeps_full_matrix():
     f = build_field([0], [[[1, 2], [3, -1]]], SL2, theta_data=[wt(A1, 0)])
     m = moment_map(f)
-    assert linalgq.mat_eq(m.sites[0], f.residues[0])
+    assert mat_eq(m.sites[0], f.residues[0])
 
 
 def test_moment_map_iwahori_projection():
@@ -536,7 +537,7 @@ def test_moment_map_iwahori_projection():
     iwa = wt(A1, Fraction(1, 4))
     f = build_field([0], [[[1, 1], [0, -1]]], SL2, theta_data=[iwa])
     m = moment_map(f)
-    assert linalgq.mat_eq(m.sites[0], H2)
+    assert mat_eq(m.sites[0], H2)
 
 
 def test_moment_map_rejects_inadmissible_residue():
@@ -561,7 +562,7 @@ def test_moment_map_explicit_data_overrides():
     f = build_field([0, 1], [E2, [[0, -1], [0, 0]]], SL2)
     m = moment_map(f, data=[iwa, None])
     assert linalgq.is_zero_matrix(m.sites[0])
-    assert linalgq.mat_eq(m.sites[1], f.residues[1])
+    assert mat_eq(m.sites[1], f.residues[1])
 
 
 # -- coadjoint action ---------------------------------------------------------
@@ -570,10 +571,10 @@ def test_moment_map_explicit_data_overrides():
 def test_coadjoint_identity_and_conjugation():
     m = MomentValue(sites=(H2,))
     out = coadjoint_act([linalgq.identity(2)], m)
-    assert linalgq.mat_eq(out.sites[0], H2)
+    assert mat_eq(out.sites[0], H2)
     u = [[Fraction(1), Fraction(3)], [Fraction(0), Fraction(1)]]
     out = coadjoint_act([u], MomentValue(sites=(E2,)))
-    assert linalgq.mat_eq(out.sites[0], E2)
+    assert mat_eq(out.sites[0], E2)
 
 
 def test_coadjoint_respects_block_constraint():
@@ -581,7 +582,7 @@ def test_coadjoint_respects_block_constraint():
     m = MomentValue(sites=(H2,), data=(iwa,))
     g = [[Fraction(2), Fraction(0)], [Fraction(0), Fraction(1)]]
     out = coadjoint_act([g], m)
-    assert linalgq.mat_eq(out.sites[0], H2)
+    assert mat_eq(out.sites[0], H2)
     bad = [[Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]]
     with pytest.raises(GroupError, match="block"):
         coadjoint_act([bad], m)
@@ -603,7 +604,7 @@ def test_coadjoint_is_group_action():
         m = MomentValue(sites=(x,))
         once = coadjoint_act([linalgq.mat_mul(g1, g2)], m)
         twice = coadjoint_act([g1], coadjoint_act([g2], m))
-        assert linalgq.mat_eq(once.sites[0], twice.sites[0])
+        assert mat_eq(once.sites[0], twice.sites[0])
 
 
 # -- infinitesimal action ------------------------------------------------------
@@ -612,7 +613,7 @@ def test_coadjoint_is_group_action():
 def test_infinitesimal_action_basic():
     f = build_field([0, 1], [E2, [[0, -1], [0, 0]]], SL2)
     varied = infinitesimal_action([H2, linalgq.zeros(2)], f)
-    assert linalgq.mat_eq(varied.residues[0], linalgq.mat_scale(E2, Fraction(2)))
+    assert mat_eq(varied.residues[0], linalgq.mat_scale(E2, Fraction(2)))
     assert linalgq.is_zero_matrix(varied.residues[1])
     assert not varied.regular_at_infinity
 
@@ -665,7 +666,7 @@ def test_infinitesimal_action_is_exp_derivative():
         d1 = diff_quotient(Fraction(1, 100))
         d2 = diff_quotient(Fraction(1, 200))
         extrap = linalgq.mat_sub(linalgq.mat_scale(d2, Fraction(2)), d1)
-        assert linalgq.mat_eq(extrap, varied)
+        assert mat_eq(extrap, varied)
 
 
 def test_nilpotent_exp():

@@ -8,6 +8,7 @@ import sympy
 from logahoric import polyq
 from support import (
     coeffs_to_sympy,
+    poly,
     rnd_fraction,
     squarefree_oracles,
     sympy_to_coeffs,
@@ -16,11 +17,11 @@ from support import (
 
 
 def test_trim_and_degree():
-    assert polyq.poly([1, 2, 0, 0]) == [Fraction(1), Fraction(2)]
+    assert poly([1, 2, 0, 0]) == [Fraction(1), Fraction(2)]
     assert polyq.degree([]) == -1
     assert polyq.degree([Fraction(3)]) == 0
-    assert polyq.degree(polyq.poly([0, 0, 5])) == 2
-    assert polyq.is_zero(polyq.poly([0, 0]))
+    assert polyq.degree(poly([0, 0, 5])) == 2
+    assert polyq.is_zero(poly([0, 0]))
 
 
 def test_arithmetic_matches_sympy():
@@ -30,7 +31,7 @@ def test_arithmetic_matches_sympy():
     for _ in range(40):
         a = [rnd_fraction(rng) for _ in range(rng.randint(0, 5))]
         b = [rnd_fraction(rng) for _ in range(rng.randint(1, 5))]
-        pa, pb = polyq.poly(a), polyq.poly(b)
+        pa, pb = poly(a), poly(b)
         sa, sb = coeffs_to_sympy(pa, z), coeffs_to_sympy(pb, z)
         if not polyq.is_zero(pb):
             q, r = polyq.divmod_(pa, pb)
@@ -42,14 +43,14 @@ def test_arithmetic_matches_sympy():
 def test_evaluate_horner():
     rng = random.Random(33)
     for _ in range(25):
-        p = polyq.poly([rnd_fraction(rng) for _ in range(rng.randint(0, 6))])
+        p = poly([rnd_fraction(rng) for _ in range(rng.randint(0, 6))])
         at = rnd_fraction(rng)
         direct = sum((c * at**k for k, c in enumerate(p)), Fraction(0))
         assert polyq.evaluate(p, at) == direct
 
 
 def test_derivative():
-    p = polyq.poly([5, 3, 0, 2])
+    p = poly([5, 3, 0, 2])
     assert polyq.derivative(p) == [Fraction(3), Fraction(0), Fraction(6)]
     assert polyq.derivative([Fraction(7)]) == []
 
@@ -205,7 +206,7 @@ def test_interpolate_large_values():
             assert coeffs_to_sympy(ours, z) == sympy.expand(theirs)
     # A degree-100 polynomial with large coefficients comes back exactly,
     # also from more samples than it needs.
-    p = polyq.poly([big() for _ in range(101)])
+    p = poly([big() for _ in range(101)])
     assert polyq.interpolate([polyq.evaluate(p, t) for t in range(101)]) == p
     assert polyq.interpolate([polyq.evaluate(p, t) for t in range(150)]) == p
 
@@ -230,7 +231,7 @@ def test_discriminant_matches_sympy():
     rng = random.Random(8)
     z = sympy.Symbol("z")
     for _ in range(20):
-        p = polyq.poly([rnd_fraction(rng) for _ in range(rng.randint(3, 6))])
+        p = poly([rnd_fraction(rng) for _ in range(rng.randint(3, 6))])
         if polyq.degree(p) < 2:
             continue
         ours = polyq.discriminant(p)
@@ -308,7 +309,7 @@ def test_discriminant_matches_sylvester_resultant():
         d = polyq.degree(p)
         ours = polyq.discriminant(p)
         assert type(ours) is Fraction
-        q = polyq.poly(p)
+        q = poly(p)
         res = _sylvester_resultant(q, polyq.derivative(q))
         assert ours == (-1) ** (d * (d - 1) // 2) * res / q[-1]
     assert all(polyq.discriminant(p) == 0 for p in cases[-6:])
