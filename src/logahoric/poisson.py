@@ -13,14 +13,16 @@ layer between the matrix side and the symbolic side.
 
 Sites are either a full matrix algebra (weight zero) or the block
 subalgebra cut out by a parahoric weight: entries (p, q) whose weight
-diagonal satisfies t_p == t_q.  Block entry sets are closed under the
-bracket rule above, and each site's structure constants are checked for
-antisymmetry and the Jacobi identity when the site is first built.
+diagonal satisfies t_p == t_q, a set closed under the rule above.  The rule
+is the only form of a site's bracket, applied where it is used, with no
+table and no check at run time; tests/test_poisson.py checks it against
+matrix commutators of the trace-form dual basis (closure, antisymmetry,
+Jacobi) for every site shape up to 5x5.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -29,6 +31,7 @@ from . import higgs, linalgq, polyq
 from .errors import (
     AlgebraMismatchError,
     ConstraintError,
+    DivisorError,
     FiltrationError,
     GroupError,
     ShapeError,
@@ -48,97 +51,32 @@ Monomial = Tuple[Tuple[int, int], ...]  # ((generator, exponent), ...) sorted
 
 @dataclass(frozen=True)
 class SiteAlgebra:
+    """A block subalgebra of gl_n, n = matrix_size: its entries (p, q) in
+    row-major order, and index, the local generator of each entry.  Its
+    bracket is the rule of the module docstring, applied where it is used."""
+
     matrix_size: int
     entries: Tuple[Tuple[int, int], ...]
-    labels: Tuple[str, ...]
-    # (a, b) -> ((c, C_ab^c), ...) for the non-zero integer structure constants
-    bracket_table: Dict[Tuple[int, int], Tuple[Tuple[int, int], ...]]
+    index: Dict[Tuple[int, int], int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "index", {e: a for a, e in enumerate(self.entries)})
 
     @property
     def dim(self) -> int:
         return len(self.entries)
 
 
-_SITE_CACHE: Dict[Tuple[int, Tuple[Tuple[int, int], ...]], SiteAlgebra] = {}
-
-
-def _build_site(n: int, entries: Tuple[Tuple[int, int], ...]) -> SiteAlgebra:
-    if (n, entries) in _SITE_CACHE:
-        return _SITE_CACHE[(n, entries)]
-    index = {e: a for a, e in enumerate(entries)}
-    table: Dict[Tuple[int, int], Tuple[Tuple[int, int], ...]] = {}
-    for a, (p, q) in enumerate(entries):
-        for b, (r, s) in enumerate(entries):
-            acc: Dict[int, int] = {}
-            if p == s:
-                if (r, q) not in index:
-                    raise ShapeError("entry set is not bracket-closed")
-                acc[index[(r, q)]] = acc.get(index[(r, q)], 0) + 1
-            if q == r:
-                if (p, s) not in index:
-                    raise ShapeError("entry set is not bracket-closed")
-                acc[index[(p, s)]] = acc.get(index[(p, s)], 0) - 1
-            row = tuple((c, v) for c, v in sorted(acc.items()) if v)
-            if row:
-                table[(a, b)] = row
-
-    def tbl(a: int, b: int) -> Dict[int, int]:
-        return dict(table.get((a, b), ()))
-
-    def lb(a: int, comb: Dict[int, int]) -> Dict[int, int]:
-        out: Dict[int, int] = {}
-        for b, cb in comb.items():
-            for c, f in table.get((a, b), ()):
-                out[c] = out.get(c, 0) + cb * f
-        return {k: v for k, v in out.items() if v}
-
-    dim = len(entries)
-    for a in range(dim):
-        for b in range(dim):
-            anti = lb(a, {b: 1})
-            flip = lb(b, {a: 1})
-            if any(anti.get(k, 0) != -flip.get(k, 0) for k in set(anti) | set(flip)):
-                raise ShapeError("bracket table is not antisymmetric")
-    for a in range(dim):
-        for b in range(dim):
-            for c in range(dim):
-                total: Dict[int, int] = {}
-                for part in (
-                    lb(a, tbl(b, c)),
-                    lb(b, tbl(c, a)),
-                    lb(c, tbl(a, b)),
-                ):
-                    for k, v in part.items():
-                        total[k] = total.get(k, 0) + v
-                if any(v != 0 for v in total.values()):
-                    raise ShapeError("Jacobi identity failed")
-
-    site = SiteAlgebra(
-        matrix_size=n,
-        entries=entries,
-        labels=tuple(f"x{p}{q}" for p, q in entries),
-        bracket_table=table,
-    )
-    _SITE_CACHE[(n, entries)] = site
-    return site
-
-
 def full_site(n: int) -> SiteAlgebra:
-    entries = tuple((p, q) for p in range(n) for q in range(n))
-    return _build_site(n, entries)
-
-
-def _levi_entries(datum: ParahoricDatum) -> Tuple[Tuple[int, int], ...]:
-    """Entries (p, q) of the weight's Levi block, in row-major order: those
-    whose weight diagonal t, in the type-A realization, has t_p == t_q."""
-    t = cocharacter_to_diagonal(datum.system, datum.theta)
-    n = len(t)
-    return tuple((p, q) for p in range(n) for q in range(n) if t[p] == t[q])
+    return SiteAlgebra(n, tuple((p, q) for p in range(n) for q in range(n)))
 
 
 def levi_site(datum: ParahoricDatum) -> SiteAlgebra:
-    """Block subalgebra of the weight at a point, in the type-A realization."""
-    return _build_site(datum.system.rank + 1, _levi_entries(datum))
+    """Levi block of the weight at a point, in the type-A realization: the
+    entries (p, q), row-major, whose weight diagonal t has t_p == t_q."""
+    t = cocharacter_to_diagonal(datum.system, datum.theta)
+    n = len(t)
+    return SiteAlgebra(n, tuple((p, q) for p in range(n) for q in range(n) if t[p] == t[q]))
 
 
 @dataclass(frozen=True)
@@ -160,10 +98,15 @@ class LiePoissonAlgebra:
         return self.gen_sites[gen]
 
     def generator_index(self, j: int, p: int, q: int) -> int:
-        """Index of site j's generator at matrix entry (p, q)."""
-        try:
-            local = self.sites[j].entries.index((p, q))
-        except ValueError:
+        """Index of site j's generator at matrix entry (p, q).
+
+        Raises AlgebraMismatchError unless 0 <= j < len(sites) and the site
+        has the entry, so a negative j never wraps around to the last site.
+        """
+        if not 0 <= j < len(self.sites):
+            raise AlgebraMismatchError(f"site {j} out of range")
+        local = self.sites[j].index.get((p, q))
+        if local is None:
             raise AlgebraMismatchError(
                 f"site {j} has no generator at entry ({p}, {q})"
             )
@@ -182,7 +125,7 @@ def _assemble(sites: Sequence[SiteAlgebra]) -> LiePoissonAlgebra:
     for j, site in enumerate(sites):
         offsets.append(count)
         count += site.dim
-        labels.extend(f"x{j}_{lbl[1:]}" for lbl in site.labels)
+        labels.extend(f"x{j}_{p}{q}" for p, q in site.entries)
         gen_sites.extend([j] * site.dim)
     return LiePoissonAlgebra(
         sites=tuple(sites),
@@ -406,7 +349,13 @@ def _bracket_packed(
     fparts: Partials, gparts: Partials, alg: LiePoissonAlgebra, width: int
 ) -> Dict[int, int]:
     """{f, g} times the two denominators, as packed monomial -> int, from
-    the Partials of f and g packed at width."""
+    the Partials of f and g packed at width.
+
+    By the rule {x_pq, x_rs} = [p == s] x_rq - [q == r] x_ps, x_pq meets
+    only the x_rp of g (giving +x_rq) and the x_qs (giving -x_ps), so g's
+    generators on each site are grouped by column and by row; x_a with
+    itself is skipped, as {x_a, x_a} = 0.
+    """
     acc: Dict[int, int] = {}
     get = acc.get
     for j, f_site in fparts.items():
@@ -414,17 +363,25 @@ def _bracket_packed(
         if not g_site:
             continue
         offset = alg.offsets[j]
-        table = alg.sites[j].bracket_table
+        entries, index = alg.sites[j].entries, alg.sites[j].index
+        by_col: Dict[int, list] = {}
+        by_row: Dict[int, list] = {}
+        for b, g_list in g_site.items():
+            r, s = entries[b]
+            by_col.setdefault(s, []).append((b, r, g_list))
+            by_row.setdefault(r, []).append((b, s, g_list))
         for a, f_list in f_site.items():
-            for b, g_list in g_site.items():
-                for c, coeff in table.get((a, b), ()):
-                    xc = 1 << width * (offset + c)
-                    for ka, ra in f_list:
-                        m = ra + xc
-                        k = ka * coeff
-                        for kb, rb in g_list:
-                            key = m + rb
-                            acc[key] = get(key, 0) + k * kb
+            p, q = entries[a]
+            terms = [(index[r, q], 1, gl) for b, r, gl in by_col.get(p, ()) if b != a]
+            terms += [(index[p, s], -1, gl) for b, s, gl in by_row.get(q, ()) if b != a]
+            for c, sign, g_list in terms:
+                xc = 1 << width * (offset + c)
+                for ka, ra in f_list:
+                    m = ra + xc
+                    k = ka * sign
+                    for kb, rb in g_list:
+                        key = m + rb
+                        acc[key] = get(key, 0) + k * kb
     return acc
 
 
@@ -433,14 +390,16 @@ def bracket(
 ) -> PoissonPolynomial:
     """Lie-Poisson bracket, extended to polynomials by the Leibniz rule.
 
-    Computed term by term from the site structure constants:
+    Computed term by term from the bracket of the generators:
 
         {f, g} = sum over terms c_f m_f of f and c_g m_g of g, and over
                  generators a of m_f and b != a of m_g on the same site, of
-                 e_a e_b c_f c_g sum_c C_ab^c (m_f/x_a)(m_g/x_b) x_c
+                 e_a e_b c_f c_g (m_f/x_a)(m_g/x_b) {x_a, x_b}
 
-    with e_a, e_b the exponents of x_a, x_b and C_ab^c the site's
-    bracket_table, which has no (a, a) row (C_aa^c = 0 by antisymmetry).
+    with e_a, e_b the exponents of x_a, x_b and {x_a, x_b} the matrix-unit
+    rule of the module docstring, applied directly by _bracket_packed (its
+    structure constants are checked against matrix commutators, for every
+    site shape the library builds, in tests/test_poisson.py).
     Both operands must belong to alg (AlgebraMismatchError otherwise).
     Each is then cleared to integer coefficients over the lcm of its
     denominators and packed: every monomial becomes one int with width
@@ -560,6 +519,8 @@ def hitchin_coefficient_hamiltonians(
     if form not in ("SL", "GL"):
         raise ShapeError(f"form must be SL or GL, got {form!r}")
     dx, a = linalgq.integer_form(points)
+    if len(set(a)) != len(a):
+        raise DivisorError("marked points must be pairwise distinct")
     s = len(a)
     alg = matrix_poisson_algebra(n, s)
     gens = [
@@ -646,7 +607,7 @@ def moment_map(
                             f"stalk (jump {datum.jumps[r]} > 0)"
                         )
         proj = linalgq.zeros(n)
-        for p, q in _levi_entries(datum):
+        for p, q in levi_site(datum).entries:
             proj[p][q] = Fraction(res[p][q])
         sites.append(proj)
     return MomentValue(
@@ -659,7 +620,7 @@ def _check_levi_group_element(g: Matrix, datum: Optional[ParahoricDatum], n: int
     if len(g) != n or any(len(row) != n for row in g):
         raise ShapeError(f"group element must be {n}x{n}")
     if datum is not None:
-        block = set(_levi_entries(datum))
+        block = levi_site(datum).index
         for p in range(n):
             for q in range(n):
                 if (p, q) not in block and g[p][q] != 0:
@@ -699,7 +660,7 @@ def infinitesimal_action(
         if len(y) != n or any(len(row) != n for row in y):
             raise ShapeError(f"direction {j} must be {n}x{n}")
         if f.theta_data is not None and f.theta_data[j] is not None:
-            block = set(_levi_entries(f.theta_data[j]))
+            block = levi_site(f.theta_data[j]).index
             for p in range(n):
                 for q in range(n):
                     if (p, q) not in block and y[p][q] != 0:
@@ -756,11 +717,12 @@ def bivector_rank_at(
 ) -> int:
     """Rank of the Poisson bivector at the point: dimension of its leaf.
 
-    Each site's bracket_table couples only that site's generators, so the
-    bivector is block-diagonal and its rank is the sum of the ranks of the
-    per-site dim x dim blocks pi_ab = sum_c C_ab^c xi_c.  An explicit alg
-    must have one site per site of xi, of the same matrix size, or
-    AlgebraMismatchError is raised.
+    The bracket couples only generators of one site, so the bivector is
+    block-diagonal and its rank is the sum of the ranks of the per-site
+    dim x dim blocks pi_ab = {x_a, x_b}(xi), read off the rule of the module
+    docstring: pi_ab = [p == s] xi_rq - [q == r] xi_ps for a = (p, q) and
+    b = (r, s).  An explicit alg must have one site per site of xi, of the
+    same matrix size, or AlgebraMismatchError is raised.
     """
     alg = alg if alg is not None else _algebra_for(xi)
     if len(alg.sites) != len(xi.sites):
@@ -774,13 +736,13 @@ def bivector_rank_at(
                 f"site {j} has matrix size {site.matrix_size}, "
                 f"the point's site {j} is {len(values)}x{len(values)}"
             )
-        block = linalgq.zeros(site.dim)
-        for (a, b), row in site.bracket_table.items():
-            acc = Fraction(0)
-            for c, coeff in row:
-                p, q = site.entries[c]
-                acc += coeff * values[p][q]
-            block[a][b] = acc
+        block = [
+            [
+                (values[r][q] if p == s else 0) - (values[p][s] if q == r else 0)
+                for r, s in site.entries
+            ]
+            for p, q in site.entries
+        ]
         total += linalgq.rank(block)
     return total
 

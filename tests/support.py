@@ -2,6 +2,7 @@
 fields, plus small conversion shims for the sympy cross-checks."""
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 from logahoric import linalgq, polyq
@@ -197,11 +198,48 @@ def partial(f, gen: int):
     return PoissonPolynomial._from_dict(f.algebra, d)
 
 
+def _matmul(x, y):
+    return [[sum(u * v for u, v in zip(row, col)) for col in zip(*y)] for row in x]
+
+
+@lru_cache(maxsize=None)
+def commutator_constants(n: int, entries: Tuple[Tuple[int, int], ...]):
+    """Structure constants of the site on these entries of gl_n, from matrix
+    commutators of the trace-form dual basis, kept as a test oracle that
+    shares no code with the library's bracket rule.
+
+    Generator x_pq has dual basis vector E_qp, so {x_pq, x_rs}(M) =
+    tr(M [E_qp, E_sr]) = sum over (i, k) of M[i][k] [E_qp, E_sr][k][i].
+    Returns {(a, b): {(i, k): coefficient of x_ik}} over the local indices
+    a, b of entries, with only the non-zero coefficients, keyed by matrix
+    entry, so a bracket leaving the entry set shows as a foreign key.  The
+    result is cached and shared by every caller, who must not change it.
+    """
+
+    def unit(i, k):
+        return [[int((r, c) == (i, k)) for c in range(n)] for r in range(n)]
+
+    duals = [unit(q, p) for p, q in entries]
+    out = {}
+    for a, ea in enumerate(duals):
+        for b, eb in enumerate(duals):
+            ab, ba = _matmul(ea, eb), _matmul(eb, ea)
+            row = {
+                (i, k): ab[k][i] - ba[k][i]
+                for i in range(n)
+                for k in range(n)
+                if ab[k][i] != ba[k][i]
+            }
+            if row:
+                out[(a, b)] = row
+    return out
+
+
 def reference_bracket(f, g, alg):
     """The Lie-Poisson bracket by the partial-product route, kept as a test
     oracle: sum over generator pairs (a, b) on one site of
-    (df/dx_a)(dg/dx_b) {x_a, x_b}, built from partial derivatives and
-    reference_mul products."""
+    (df/dx_a)(dg/dx_b) {x_a, x_b}, built from partial derivatives,
+    reference_mul products and the commutator_constants of the site."""
     from logahoric.poisson import PoissonPolynomial
 
     acc = {}
@@ -212,20 +250,20 @@ def reference_bracket(f, g, alg):
     for a in fvars:
         ja = alg.site_of(a)
         offset = alg.offsets[ja]
-        table = alg.sites[ja].bracket_table
+        site = alg.sites[ja]
+        constants = commutator_constants(site.matrix_size, site.entries)
         for b in gvars:
             if alg.site_of(b) != ja or a == b:
                 continue
-            row = table.get((a - offset, b - offset))
+            row = constants.get((a - offset, b - offset))
             if not row:
                 continue
             prod = reference_mul(fparts[a], gparts[b])
             if prod.is_zero:
                 continue
-            for c_local, coeff in row:
-                gen_poly = PoissonPolynomial(
-                    alg, ((((offset + c_local, 1),), Fraction(1)),)
-                )
+            for entry, coeff in row.items():
+                c = offset + site.entries.index(entry)
+                gen_poly = PoissonPolynomial(alg, ((((c, 1),), Fraction(1)),))
                 for mono, cf in reference_mul(prod, gen_poly).terms:
                     acc[mono] = acc.get(mono, Fraction(0)) + cf * coeff
     return PoissonPolynomial._from_dict(alg, acc)
@@ -365,8 +403,9 @@ def reference_residue_invariants(f: LogHiggsField, j: int) -> List[Fraction]:
 
 def reference_bivector_rank(xi, alg):
     """Rank of the Poisson bivector as one gen_count x gen_count matrix, kept
-    as a test oracle: sympy's rank of the whole matrix, independent of the
-    site-by-site linalgq.rank it checks."""
+    as a test oracle: sympy's rank of the whole matrix, built from the
+    commutator_constants of each site, independent of the site-by-site rule
+    and linalgq.rank it checks."""
     import sympy
 
     size = alg.gen_count
@@ -374,10 +413,8 @@ def reference_bivector_rank(xi, alg):
     for j, site in enumerate(alg.sites):
         offset = alg.offsets[j]
         values = xi.sites[j]
-        for (a, b), row in site.bracket_table.items():
-            acc = Fraction(0)
-            for c, coeff in row:
-                p, q = site.entries[c]
-                acc += coeff * values[p][q]
+        constants = commutator_constants(site.matrix_size, site.entries)
+        for (a, b), row in constants.items():
+            acc = Fraction(sum(coeff * values[i][k] for (i, k), coeff in row.items()))
             pi[offset + a, offset + b] = sympy.Rational(acc.numerator, acc.denominator)
     return pi.rank()

@@ -168,6 +168,20 @@ def test_involution_command_hitchin(tmp_path, capsys):
     assert res["all_commute"] is True
 
 
+def test_involution_hitchin_rejects_repeated_points(tmp_path, capsys):
+    """Repeated points are a divisor error for Hitchin-coefficient
+    Hamiltonians, as they are for gaudin."""
+    payload = hitchin_involution_config(2, 3)
+    payload["points"] = [{"x": 0}, {"x": 0}, {"x": 1}]
+    cfg = write_config(tmp_path, payload)
+    code, out, _ = run_cli(capsys, ["involution", "--config", cfg])
+    assert code == 1
+    report = json.loads(out)
+    assert report["error"]["kind"] == "divisor"
+    assert "pairwise distinct" in report["error"]["message"]
+    assert "results" not in report
+
+
 def test_diagram_check_command(tmp_path, capsys):
     cfg = write_config(tmp_path, HEH)
     report = run_json(capsys, ["diagram-check", "--config", cfg])

@@ -10,6 +10,7 @@ import sympy
 from logahoric import linalgq, poisson
 from logahoric.errors import (
     AlgebraMismatchError,
+    DivisorError,
     FiltrationError,
     GroupError,
     ShapeError,
@@ -45,6 +46,7 @@ from support import (
     E2,
     F2,
     H2,
+    commutator_constants,
     mat_eq,
     matrix_to_sympy,
     partial,
@@ -99,6 +101,109 @@ def test_generator_lookup_errors():
     levi.generator(0, 0, 0)
     with pytest.raises(AlgebraMismatchError):
         levi.generator(0, 0, 1)
+    full = matrix_poisson_algebra(2, 3)
+    assert full.generator_index(2, 0, 1) == 9
+    for j in (-1, -3, 3, 7):
+        with pytest.raises(AlgebraMismatchError, match=f"site {j} out of range"):
+            full.generator_index(j, 0, 1)
+        with pytest.raises(AlgebraMismatchError):
+            full.generator(j, 0, 1)
+    with pytest.raises(AlgebraMismatchError):
+        full.generator_index(0, 2, 0)
+
+
+# -- every site shape ----------------------------------------------------------
+
+
+def set_partitions(items):
+    """Every set partition of the list items, as a list of blocks."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1:]
+        yield [[first]] + part
+
+
+def site_shapes():
+    """(n, entries) of the block subalgebra of every set partition of
+    {0..n-1}, n = 1..5, entries in row-major order: every entry set the
+    t_p == t_q rule can cut out, the one-block partitions being the full
+    sites."""
+    shapes = []
+    for n in range(1, 6):
+        for blocks in set_partitions(list(range(n))):
+            label = {p: i for i, block in enumerate(blocks) for p in block}
+            shapes.append(
+                (n, tuple((p, q) for p in range(n) for q in range(n) if label[p] == label[q]))
+            )
+    return shapes
+
+
+def jacobi_defect(constants, a, b, c):
+    """The non-zero coefficients of {{x_a, x_b}, x_c} + cyclic, over the
+    local structure constants {(a, b): {d: C_ab^d}}."""
+    total = {}
+    for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+        for d, k in constants.get((x, y), {}).items():
+            for e, k2 in constants.get((d, z), {}).items():
+                total[e] = total.get(e, 0) + k * k2
+    return {e: v for e, v in total.items() if v}
+
+
+def test_every_site_shape_matches_matrix_commutators():
+    """The bracket rule on each generator pair, for every site shape, equals
+    the structure constants of matrix commutators, which are closed on the
+    entry set, antisymmetric and satisfy the Jacobi identity."""
+    shapes = site_shapes()
+    assert len(shapes) == len(set(shapes)) == 75
+    for n in range(1, 6):
+        assert (n, poisson.full_site(n).entries) in shapes
+    levi_shapes = set()
+    for rs, coeffs in [
+        (A2, (0, 0)),
+        (A2, (Fraction(-1, 2), Fraction(1, 2))),
+        (A2, (Fraction(1, 4), 0)),
+        (build_root_system("A", 3), (Fraction(1, 2), 0, Fraction(1, 2))),
+        (build_root_system("A", 3), (Fraction(1, 5),) * 3),
+        (build_root_system("A", 4), (0, Fraction(1, 2), 0, 0)),
+        (build_root_system("A", 4), (Fraction(1, 3), 0, 0, Fraction(1, 3))),
+    ]:
+        site = poisson.levi_site(wt(rs, *coeffs))
+        levi_shapes.add((site.matrix_size, site.entries))
+    assert len(levi_shapes) == 7 and levi_shapes <= set(shapes)
+    for n, entries in shapes:
+        site = poisson.SiteAlgebra(n, entries)
+        present = set(entries)
+        for p, q in entries:
+            for r, s in entries:
+                assert p != s or (r, q) in present
+                assert q != r or (p, s) in present
+        alg = poisson._assemble([site])
+        constants = commutator_constants(n, entries)
+        assert all(set(row) <= present for row in constants.values())
+        local = {
+            ab: {entries.index(e): k for e, k in row.items()}
+            for ab, row in constants.items()
+        }
+        gens = [alg.generator(0, p, q) for p, q in entries]
+        for a, x in enumerate(gens):
+            for b, y in enumerate(gens):
+                row = local.get((a, b), {})
+                assert {c: -k for c, k in row.items()} == local.get((b, a), {})
+                want = PoissonPolynomial._from_dict(
+                    alg, {((c, 1),): Fraction(k) for c, k in row.items()}
+                )
+                assert bracket(x, y, alg) == want
+        # With antisymmetry the Jacobi sum alternates in (a, b, c), so the
+        # triples a < b < c cover every triple.
+        dim = len(entries)
+        for a in range(dim):
+            for b in range(a + 1, dim):
+                for c in range(b + 1, dim):
+                    assert not jacobi_defect(local, a, b, c)
 
 
 # -- bracket ------------------------------------------------------------------
@@ -512,6 +617,12 @@ def test_hitchin_coefficient_hamiltonians_match_field_sections():
 def test_hitchin_coefficient_hamiltonians_rejects_bad_form():
     with pytest.raises(ShapeError):
         hitchin_coefficient_hamiltonians([0, 1], 2, "XX")
+
+
+def test_hitchin_coefficient_hamiltonians_rejects_repeated_points():
+    for points in ([0, 0, 1], [Fraction(1, 2), 1, Fraction(2, 4)]):
+        with pytest.raises(DivisorError, match="pairwise distinct"):
+            hitchin_coefficient_hamiltonians(points, 2, "SL")
 
 
 # -- moment map ---------------------------------------------------------------
