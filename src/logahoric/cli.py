@@ -196,7 +196,7 @@ class ParsedConfig:
 
 
 def _s(value) -> str:
-    return str(Fraction(value))
+    return str(value if type(value) is Fraction else Fraction(value))
 
 
 def _matrix_out(m) -> List[List[str]]:
@@ -541,18 +541,22 @@ def run(command: str, cfg: ParsedConfig, csv_path: Optional[str]) -> dict:
     }
 
 
+# Built once: building it costs several times what one parse does, and
+# main is called in process once per operation.
+_PARSER = argparse.ArgumentParser(
+    prog="logahoric",
+    description="Exact computations for parahoric weights and the "
+    "logarithmic Hitchin system on the line.",
+)
+_PARSER.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+_PARSER.add_argument("command", choices=COMMANDS, help="command to run")
+_PARSER.add_argument("--config", required=True, help="path to a JSON config file")
+_PARSER.add_argument("--out", default=None, help="write the JSON report here")
+_PARSER.add_argument("--csv", default=None, help="spectral only: write a z,disc CSV here")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="logahoric",
-        description="Exact computations for parahoric weights and the "
-        "logarithmic Hitchin system on the line.",
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    parser.add_argument("command", choices=COMMANDS, help="command to run")
-    parser.add_argument("--config", required=True, help="path to a JSON config file")
-    parser.add_argument("--out", default=None, help="write the JSON report here")
-    parser.add_argument("--csv", default=None, help="spectral only: write a z,disc CSV here")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     try:
         try:

@@ -350,15 +350,6 @@ def residue_of_invariant(f: LogHiggsField, j: int, i: int) -> Fraction:
     return _residue_invariants(f, [j])[0][i - 1]
 
 
-def is_strongly_logarithmic_image(h: HitchinImage, f: LogHiggsField) -> bool:
-    """True when every invariant section vanishes at every marked point."""
-    if len(h.sections) != len(h.degrees):
-        raise ShapeError("malformed invariant data: one section per degree")
-    return all(
-        polyq.evaluate(sec, x) == 0 for sec in h.sections for x in f.points
-    )
-
-
 @dataclass(frozen=True)
 class GaudinData:
     values: Tuple[Fraction, ...]

@@ -25,6 +25,7 @@ cut out by finite-dimensional linear systems.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -165,10 +166,6 @@ def loop_element(
     )
 
 
-def loop_zero(rs: RootSystem) -> LoopElement:
-    return loop_element(rs)
-
-
 def loop_add(x: LoopElement, y: LoopElement) -> LoopElement:
     _same_system(x.system, y.system)
     torus: Dict[int, List[Fraction]] = {}
@@ -181,19 +178,6 @@ def loop_add(x: LoopElement, y: LoopElement) -> LoopElement:
     for r, k, c in x.root_terms + y.root_terms:
         roots[(r, k)] = roots.get((r, k), Fraction(0)) + c
     return loop_element(x.system, torus, roots)
-
-
-def loop_scale(x: LoopElement, c) -> LoopElement:
-    c = Fraction(c)
-    return loop_element(
-        x.system,
-        {k: [c * a for a in coords] for k, coords in x.torus_terms},
-        {(r, k): c * v for r, k, v in x.root_terms},
-    )
-
-
-def loop_sub(x: LoopElement, y: LoopElement) -> LoopElement:
-    return loop_add(x, loop_scale(y, -1))
 
 
 def _same_system(a: RootSystem, b: RootSystem) -> None:
@@ -435,9 +419,13 @@ class Rank2Report:
 RANK2_MAX_FLAGS = 10
 
 # Each incidence row has one entry d*x^k per k up to the split-degree gap
-# a1 - a2, so the integer elimination grows faster than linearly in the gap:
-# RANK2_MAX_FLAGS flags at points 0..9 take about 1 s at gap 32 and 29 s at
-# gap 400.  Past this gap rank2_semistability refuses the input (ShapeError).
+# a1 - a2, so the integer elimination grows faster than linearly in the gap.
+# RANK2_MAX_FLAGS flags at points 0..9 with directions (1, i + 1) have
+# independent rows at every degree, so _incidence_closures lists their sets
+# after one rank check: about 0.13 s at gap 32 and 0.3 s at gap 400.  Rows
+# made dependent by flags of direction (1, 0) take the walk: with seven of
+# the ten 0.6 s at gap 32, with five 3.3 s at gap 400 (shared 2-CPU host).
+# Past this gap rank2_semistability refuses the input (ShapeError).
 RANK2_MAX_GAP = 32
 
 
@@ -446,19 +434,33 @@ def _incidence_closures(rows: List[List[int]], nvars: int) -> Set[Tuple[int, ...
 
     A set is closed when it holds every condition that vanishes on the
     kernel of its rows.  This returns the closure of every subset of rows
-    whose kernel is not zero, walking the independent subsets depth-first
-    and adding only indices above the last one added: every subset has the
-    closure of its maximal independent subsets, and every prefix of an
-    independent set is independent.
+    whose kernel is not zero.
 
-    The state is a matrix E kept by columns, E[k][j] being row k applied to
-    the j-th vector of a kernel basis of the rows chosen so far.  Adding row
-    i with pivot column p (its first non-zero entry) is one integer column
-    step col_j <- E[i][p]*col_j - E[i][j]*col_p; col_p is dropped and each
-    column divided by its gcd, so a column with E[i][j] = 0 is left as it
-    is.  The closure is the set of zero rows of E; the walk stops at one
-    column, since a further row would leave no kernel.
+    When the non-zero rows F number at most nvars and are linearly
+    independent (one linalgq.rank check), the closure of a subset of F is
+    that subset with the zero rows Z, as in a free matroid, so the sets are
+    Z | S for every S in F of fewer than nvars rows.
+
+    Otherwise the independent subsets are walked depth-first, adding only
+    indices above the last one added: every subset has the closure of its
+    maximal independent subsets, and every prefix of an independent set is
+    independent.  The state is a matrix E kept by columns, E[k][j] being row
+    k applied to the j-th vector of a kernel basis of the rows chosen so
+    far.  Adding row i with pivot column p (its first non-zero entry) is one
+    integer column step col_j <- E[i][p]*col_j - E[i][j]*col_p; col_p is
+    dropped and each column divided by its gcd, so a column with E[i][j] = 0
+    is left as it is.  The closure is the set of zero rows of E; the walk
+    stops at one column, since a further row would leave no kernel.
     """
+    zero = [k for k, row in enumerate(rows) if not any(row)]
+    nonzero = [k for k, row in enumerate(rows) if any(row)]
+    f = len(nonzero)
+    if f <= nvars and linalgq.rank([rows[k] for k in nonzero]) == f:
+        return {
+            tuple(sorted(zero + list(chosen)))
+            for size in range(min(f, nvars - 1) + 1)
+            for chosen in itertools.combinations(nonzero, size)
+        }
     m = len(rows)
     start = []
     for j in range(nvars):
@@ -512,12 +514,13 @@ def rank2_semistability(
 
     Candidates run over degrees {a1} and {a2, a2-1, ..., a2-m} (m = number of
     marked points) and every closed set of incidences whose conditions leave
-    a non-zero solution; _incidence_closures finds these sets by integer
-    column elimination over the independent condition sets.  This is
-    exhaustive because the weighted degree of any deeper or unsaturated
-    candidate is strictly beaten by a listed one: each unit of degree lost
-    can buy back strictly less than one unit of weight when all weights lie
-    in [0,1).
+    a non-zero solution; _incidence_closures lists every subset of the
+    conditions when they are independent (one rank check), and otherwise
+    finds the sets by integer column elimination over the independent
+    condition sets.  This is exhaustive because the weighted degree of any
+    deeper or unsaturated candidate is strictly beaten by a listed one: each
+    unit of degree lost can buy back strictly less than one unit of weight
+    when all weights lie in [0,1).
 
     Weighted degrees are int numerators over the one denominator w of the
     2m cleared weights on_i/w, off_i/w: a candidate of degree a holding the

@@ -174,13 +174,6 @@ class PoissonPolynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def variables(self) -> List[int]:
-        seen = set()
-        for mono, _ in self.terms:
-            for g, _ in mono:
-                seen.add(g)
-        return sorted(seen)
-
     def __add__(self, other: "PoissonPolynomial") -> "PoissonPolynomial":
         """Sum; both operands must belong to self's algebra, with every
         generator in range (AlgebraMismatchError otherwise)."""
@@ -519,6 +512,8 @@ def hitchin_coefficient_hamiltonians(
     if form not in ("SL", "GL"):
         raise ShapeError(f"form must be SL or GL, got {form!r}")
     dx, a = linalgq.integer_form(points)
+    if not a:
+        raise DivisorError("divisor must be nonempty")
     if len(set(a)) != len(a):
         raise DivisorError("marked points must be pairwise distinct")
     s = len(a)

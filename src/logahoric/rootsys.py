@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from .errors import ShapeError, UnsupportedRealizationError, UnsupportedTypeError
-from .linalgq import Matrix, zeros
+from .linalgq import Matrix
 
 Root = Tuple[int, ...]
 
@@ -244,10 +244,3 @@ def cocharacter_to_diagonal(rs: RootSystem, theta: RationalCocharacter) -> List[
         t[i] += c
         t[i + 1] -= c
     return t
-
-
-def basis_matrix(n: int, p: int, q: int) -> Matrix:
-    """The matrix unit E_pq (0-indexed) of size n."""
-    out = zeros(n)
-    out[p][q] = Fraction(1)
-    return out

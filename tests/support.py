@@ -7,6 +7,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from logahoric import linalgq, polyq
 from logahoric.higgs import LogHiggsField, build_field
+from logahoric.parahoric import loop_add, loop_element
 from logahoric.rootsys import GroupTag
 
 
@@ -19,6 +20,34 @@ def poly(coeffs) -> List[Fraction]:
 def mat_eq(a, b) -> bool:
     """Entrywise equality of two matrices given as lists of rows."""
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+
+
+def basis_matrix(n: int, p: int, q: int) -> List[List[Fraction]]:
+    """The matrix unit E_pq (0-indexed) of size n."""
+    out = linalgq.zeros(n)
+    out[p][q] = Fraction(1)
+    return out
+
+
+def loop_zero(rs):
+    """The zero element of the loop algebra of rs."""
+    return loop_element(rs)
+
+
+def loop_sub(x, y):
+    """x - y in the loop algebra: x plus y with every coefficient negated."""
+    minus_y = loop_element(
+        y.system,
+        {k: [-a for a in coords] for k, coords in y.torus_terms},
+        {(r, k): -v for r, k, v in y.root_terms},
+    )
+    return loop_add(x, minus_y)
+
+
+def is_strongly_logarithmic_image(h, f) -> bool:
+    """True when every invariant section of the Hitchin image h vanishes at
+    every marked point of the field f."""
+    return all(polyq.evaluate(sec, x) == 0 for sec in h.sections for x in f.points)
 
 
 def rnd_fraction(rng, lo=-4, hi=4, max_den=4) -> Fraction:
@@ -179,6 +208,11 @@ def reference_mul(f, g):
     return PoissonPolynomial._from_dict(f.algebra, d)
 
 
+def variables(f) -> List[int]:
+    """The sorted generator indices occurring in a PoissonPolynomial."""
+    return sorted({g for mono, _ in f.terms for g, _ in mono})
+
+
 def partial(f, gen: int):
     """d f / d x_gen of a PoissonPolynomial, term by term on its monomials."""
     from logahoric.poisson import PoissonPolynomial
@@ -243,8 +277,8 @@ def reference_bracket(f, g, alg):
     from logahoric.poisson import PoissonPolynomial
 
     acc = {}
-    fvars = f.variables()
-    gvars = g.variables()
+    fvars = variables(f)
+    gvars = variables(g)
     fparts = {a: partial(f, a) for a in fvars}
     gparts = {b: partial(g, b) for b in gvars}
     for a in fvars:
@@ -418,3 +452,33 @@ def reference_bivector_rank(xi, alg):
             acc = Fraction(sum(coeff * values[i][k] for (i, k), coeff in row.items()))
             pi[offset + a, offset + b] = sympy.Rational(acc.numerator, acc.denominator)
     return pi.rank()
+
+
+def reference_rank(rows, ncols: int) -> int:
+    """Rank of integer rows of length ncols, by sympy's DomainMatrix over ZZ,
+    independent of linalgq's elimination."""
+    from sympy import ZZ
+    from sympy.polys.matrices import DomainMatrix
+
+    return DomainMatrix([[ZZ(x) for x in row] for row in rows], (len(rows), ncols), ZZ).rank()
+
+
+def reference_incidence_closures(rows, nvars: int):
+    """The closed incidence sets of integer condition rows on nvars unknowns,
+    by brute force, kept as a test oracle for parahoric._incidence_closures:
+    the reference_rank of every subset of rows, and for each subset of rank
+    below nvars, every row whose addition leaves that rank unchanged (every
+    row in the span of the subset)."""
+    from itertools import combinations
+
+    m = len(rows)
+    ranks = {
+        subset: reference_rank([rows[k] for k in subset], nvars)
+        for size in range(m + 1)
+        for subset in combinations(range(m), size)
+    }
+    return {
+        tuple(k for k in range(m) if ranks[tuple(sorted({*subset, k}))] == r)
+        for subset, r in ranks.items()
+        if r < nvars
+    }

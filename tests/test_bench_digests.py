@@ -1,11 +1,12 @@
 """Rank-2 reports stay byte-identical to the benchmark's committed digests.
 
 The benchmark checks every report against `bench/digests.json`, a hash of
-each operation's results payload at seed 7.  This test rebuilds the first
-round of `stability-leaf` configs with the benchmark's own generator, runs
-its `stability` operations through `cli.main`, and compares each digest, so
-a change in the bytes of a rank-2 report fails here as well as in the
-benchmark.  It only reads `bench/`.
+each operation's results payload at seed 7.  This test rebuilds every round
+(`workloads.RUN_ROUNDS`) of `stability-leaf` configs with the benchmark's
+own generator, runs their `stability` operations through `cli.main`, and
+compares each digest, so a change in the bytes of a rank-2 report fails
+here as well as in the benchmark.  It only reads `bench/`.  The 84
+operations of seed 7 take about 1.2 s on a shared 2-CPU host.
 """
 
 import importlib
@@ -27,13 +28,15 @@ def bench_module(name: str):
 
 def test_stability_reports_match_committed_digests(tmp_path):
     run, checks = bench_module("run"), bench_module("checks")
+    rounds = bench_module("workloads").RUN_ROUNDS[WORKLOAD]
     expected = json.loads(run.DIGESTS.read_text(encoding="utf-8"))[WORKLOAD]
     ops = [
         op
-        for op in run.write_round(WORKLOAD, run.DEFAULT_SEED, 0, tmp_path)
+        for r in range(rounds)
+        for op in run.write_round(WORKLOAD, run.DEFAULT_SEED, r, tmp_path)
         if op.command == "stability"
     ]
-    assert len(ops) >= 10
+    assert len(ops) >= 10 * rounds
     out = tmp_path / "report.json"
     for op in ops:
         assert cli.main([op.command, "--config", str(op.path), "--out", str(out)]) == 0

@@ -19,7 +19,6 @@ from logahoric.higgs import (
     clear_denominators,
     gaudin_hamiltonians,
     hitchin_map,
-    is_strongly_logarithmic_image,
     residue_of_invariant,
     spectral_curve,
     spectral_genus,
@@ -30,6 +29,7 @@ from support import (
     F2,
     H2,
     coeffs_to_sympy,
+    is_strongly_logarithmic_image,
     make_traceless,
     mat_eq,
     matrix_to_sympy,

@@ -1,7 +1,9 @@
+import itertools
 import os
 import random
 import subprocess
 import sys
+import types
 from fractions import Fraction
 
 import pytest
@@ -37,16 +39,21 @@ from logahoric.parahoric import (
     loop_add,
     loop_bracket,
     loop_element,
-    loop_sub,
     loop_to_laurent,
-    loop_zero,
     membership,
     parahoric_degree,
     rank2_semistability,
     slope_test,
 )
 from logahoric.rootsys import RationalCocharacter, build_root_system, negate, pair
-from support import mat_eq, reference_rank2
+from support import (
+    loop_sub,
+    loop_zero,
+    mat_eq,
+    reference_incidence_closures,
+    reference_rank,
+    reference_rank2,
+)
 
 A1 = build_root_system("A", 1)
 A2 = build_root_system("A", 2)
@@ -519,6 +526,57 @@ def test_rank2_weighted_degree_ties_match_reference_oracle():
         ties = [(x, y) for x, y in pairs if x.weighted_degree == y.weighted_degree]
         assert any(x.degree > y.degree for x, y in ties)
         assert any(x.degree == y.degree and x.incidences < y.incidences for x, y in ties)
+
+
+def _free_rows(rng, k, nvars):
+    """k linearly independent int rows of length nvars (k <= nvars)."""
+    while True:
+        rows = [[rng.randint(-3, 3) for _ in range(nvars)] for _ in range(k)]
+        if reference_rank(rows, nvars) == k:
+            return rows
+
+
+def _incidence_row_sets(rng):
+    """Seeded (rows, nvars, free): free when the non-zero rows are
+    independent and no more than the unknowns."""
+    for _ in range(5):
+        nvars = rng.randint(2, 5)
+        yield _free_rows(rng, rng.randint(0, nvars - 1), nvars), nvars, True
+        yield _free_rows(rng, nvars, nvars), nvars, True
+        rows = _free_rows(rng, rng.randint(1, nvars), nvars)
+        for _ in range(rng.randint(1, 2)):
+            rows.insert(rng.randint(0, len(rows)), [0] * nvars)
+        yield rows, nvars, True
+        rows = _free_rows(rng, rng.randint(1, nvars), nvars)
+        rows += [list(rng.choice(rows)), [rng.choice((-2, 3)) * x for x in rng.choice(rows)]]
+        rows.insert(rng.randint(0, len(rows)), [0] * nvars)
+        rng.shuffle(rows)
+        yield rows, nvars, False
+        rows = [[rng.randint(-2, 2) for _ in range(nvars)] for _ in range(nvars + rng.randint(1, 2))]
+        yield rows, nvars, False
+
+
+def test_incidence_closures_match_brute_force(monkeypatch):
+    """Both routes of _incidence_closures agree with the brute-force oracle:
+    free rows (fewer than or as many as the unknowns, zero rows mixed in)
+    take the all-subsets route, and repeated or proportional rows, or more
+    rows than unknowns, take the walk."""
+    listed = []
+
+    def combinations(items, size):
+        listed.append(size)
+        return itertools.combinations(items, size)
+
+    monkeypatch.setattr(parahoric, "itertools", types.SimpleNamespace(combinations=combinations))
+    routes = []
+    for rows, nvars, free in _incidence_row_sets(random.Random(1515)):
+        listed.clear()
+        assert parahoric._incidence_closures(rows, nvars) == reference_incidence_closures(
+            rows, nvars
+        )
+        assert bool(listed) == free
+        routes.append(free)
+    assert routes.count(True) == 15 and routes.count(False) == 10
 
 
 def test_rank2_flag_cap():

@@ -57,6 +57,7 @@ from support import (
     rnd_invertible,
     rnd_matrix,
     strictly_upper,
+    variables,
     with_sum_zero,
 )
 
@@ -485,7 +486,7 @@ def test_evaluate_and_partial():
     f = x01 * x10 + x01.scaled(3)
     m = [[Fraction(0), Fraction(2)], [Fraction(5), Fraction(0)]]
     assert f.evaluate([m]) == 10 + 6
-    assert partial(f, x01.variables()[0]) == x10 + PoissonPolynomial.constant(alg, 3)
+    assert partial(f, variables(x01)[0]) == x10 + PoissonPolynomial.constant(alg, 3)
 
 
 # -- Casimirs -----------------------------------------------------------------
@@ -623,6 +624,12 @@ def test_hitchin_coefficient_hamiltonians_rejects_repeated_points():
     for points in ([0, 0, 1], [Fraction(1, 2), 1, Fraction(2, 4)]):
         with pytest.raises(DivisorError, match="pairwise distinct"):
             hitchin_coefficient_hamiltonians(points, 2, "SL")
+
+
+def test_hitchin_coefficient_hamiltonians_rejects_empty_divisor():
+    for n, form in ((2, "SL"), (3, "GL")):
+        with pytest.raises(DivisorError, match="divisor must be nonempty"):
+            hitchin_coefficient_hamiltonians([], n, form)
 
 
 # -- moment map ---------------------------------------------------------------

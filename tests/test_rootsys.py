@@ -8,7 +8,6 @@ from logahoric.errors import ShapeError, UnsupportedRealizationError, Unsupporte
 from logahoric.rootsys import (
     GroupTag,
     RationalCocharacter,
-    basis_matrix,
     build_root_system,
     cocharacter_to_diagonal,
     entry_to_root,
@@ -17,6 +16,7 @@ from logahoric.rootsys import (
     root_to_entry,
     trace_form,
 )
+from support import basis_matrix
 
 
 ROOT_COUNTS = {
