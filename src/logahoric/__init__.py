@@ -6,136 +6,3 @@ over the rationals; no floating point appears anywhere in the library.
 """
 
 __version__ = "0.1.0"
-
-from .errors import (
-    AlgebraMismatchError,
-    ConfigError,
-    ConstraintError,
-    DivisorError,
-    FiltrationError,
-    GroupError,
-    InvalidReductionError,
-    LogahoricError,
-    NormalizationError,
-    ShapeError,
-    TraceError,
-    UnsupportedRealizationError,
-    UnsupportedTypeError,
-)
-from .rootsys import (
-    GroupTag,
-    RationalCocharacter,
-    RootSystem,
-    build_root_system,
-    pair,
-    trace_form,
-)
-from .parahoric import (
-    LoopElement,
-    ParahoricDatum,
-    Rank2Report,
-    ReductionDatum,
-    analyze_weight,
-    levi_evaluate,
-    levi_project,
-    loop_bracket,
-    loop_element,
-    membership,
-    parahoric_degree,
-    rank2_semistability,
-    slope_test,
-)
-from .higgs import (
-    GaudinData,
-    HitchinImage,
-    LogHiggsField,
-    SpectralCurveData,
-    build_field,
-    clear_denominators,
-    gaudin_hamiltonians,
-    hitchin_map,
-    residue_of_invariant,
-    spectral_curve,
-    spectral_genus,
-)
-from .poisson import (
-    DiagramReport,
-    InvolutionReport,
-    LeafDescriptor,
-    LiePoissonAlgebra,
-    MomentValue,
-    PoissonPolynomial,
-    bivector_rank_at,
-    bracket,
-    coadjoint_act,
-    infinitesimal_action,
-    leaf_invariants,
-    levi_poisson_algebra,
-    matrix_poisson_algebra,
-    moment_map,
-    quotient_diagram_check,
-    verify_involution,
-)
-
-__all__ = [
-    "AlgebraMismatchError",
-    "ConfigError",
-    "ConstraintError",
-    "DivisorError",
-    "FiltrationError",
-    "GroupError",
-    "InvalidReductionError",
-    "LogahoricError",
-    "NormalizationError",
-    "ShapeError",
-    "TraceError",
-    "UnsupportedRealizationError",
-    "UnsupportedTypeError",
-    "GroupTag",
-    "RationalCocharacter",
-    "RootSystem",
-    "build_root_system",
-    "pair",
-    "trace_form",
-    "LoopElement",
-    "ParahoricDatum",
-    "Rank2Report",
-    "ReductionDatum",
-    "analyze_weight",
-    "levi_evaluate",
-    "levi_project",
-    "loop_bracket",
-    "loop_element",
-    "membership",
-    "parahoric_degree",
-    "rank2_semistability",
-    "slope_test",
-    "GaudinData",
-    "HitchinImage",
-    "LogHiggsField",
-    "SpectralCurveData",
-    "build_field",
-    "clear_denominators",
-    "gaudin_hamiltonians",
-    "hitchin_map",
-    "residue_of_invariant",
-    "spectral_curve",
-    "spectral_genus",
-    "DiagramReport",
-    "InvolutionReport",
-    "LeafDescriptor",
-    "LiePoissonAlgebra",
-    "MomentValue",
-    "PoissonPolynomial",
-    "bivector_rank_at",
-    "bracket",
-    "coadjoint_act",
-    "infinitesimal_action",
-    "leaf_invariants",
-    "levi_poisson_algebra",
-    "matrix_poisson_algebra",
-    "moment_map",
-    "quotient_diagram_check",
-    "verify_involution",
-    "__version__",
-]

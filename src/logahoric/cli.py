@@ -24,20 +24,7 @@ from . import __version__, higgs, parahoric, poisson, polyq
 from .errors import ConfigError, LogahoricError, ShapeError
 from .higgs import LogHiggsField
 from .parahoric import ParahoricDatum, ReductionDatum
-from .rootsys import GroupTag, RationalCocharacter, build_root_system
-
-COMMANDS = (
-    "parahoric-analyze",
-    "gaudin",
-    "hitchin",
-    "spectral",
-    "moment",
-    "involution",
-    "diagram-check",
-    "stability",
-    "leaf",
-)
-
+from .rootsys import GroupTag, RationalCocharacter, RootSystem, build_root_system
 
 # ---------------------------------------------------------------------------
 # Config parsing: rationals as strings, matrices as nested lists
@@ -79,6 +66,12 @@ def _matrix(value, n: int, where: str) -> List[List[Fraction]]:
     return out
 
 
+def _pair(value, where: str, parse=_rat) -> tuple:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(f"{where} must be a pair")
+    return parse(value[0], f"{where}[0]"), parse(value[1], f"{where}[1]")
+
+
 def _str_field(mapping: dict, key: str, where: str) -> str:
     if key not in mapping:
         raise ConfigError(f"{where}: missing required key {key!r}")
@@ -89,14 +82,15 @@ def _str_field(mapping: dict, key: str, where: str) -> str:
 
 
 class ParsedConfig:
-    def __init__(self, raw: dict):
+    def __init__(self, raw: dict, csv_path: Optional[str] = None):
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
         self.raw = raw
+        self.csv_path = csv_path
         self.command: Optional[str] = raw.get("command")
         if self.command is not None and self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r} in config")
-        self.options: dict = raw.get("options") or {}
+        self.options: dict = {} if raw.get("options") is None else raw["options"]
         if not isinstance(self.options, dict):
             raise ConfigError("options must be a JSON object")
         self.group = self._parse_group(raw.get("group"))
@@ -165,22 +159,26 @@ class ParsedConfig:
             raise ConfigError("this command needs a points list")
         return self.points
 
+    def weight_system(self, group: GroupTag, every_point: bool = False) -> RootSystem:
+        """The root system of group, built only once each point's theta is
+        checked to have group.rank coordinates: building it takes seconds
+        at rank 100.  With every_point, a point with no theta is refused."""
+        for i, th in enumerate(self.thetas):
+            if th is None:
+                if every_point:
+                    raise ConfigError(f"points[{i}] has no theta; parahoric-analyze needs one")
+            elif len(th) != group.rank:
+                raise ConfigError(f"points[{i}].theta must have {group.rank} coroot coordinates")
+        return build_root_system(group.family, group.rank)
+
     def theta_data(self) -> Optional[Tuple[Optional[ParahoricDatum], ...]]:
         if self.thetas is None or all(t is None for t in self.thetas):
             return None
-        group = self.require_group()
-        rs = build_root_system(group.family, group.rank)
-        data: List[Optional[ParahoricDatum]] = []
-        for i, th in enumerate(self.thetas):
-            if th is None:
-                data.append(None)
-                continue
-            if len(th) != rs.rank:
-                raise ConfigError(
-                    f"points[{i}].theta must have {rs.rank} coroot coordinates"
-                )
-            data.append(parahoric.analyze_weight(rs, RationalCocharacter.of(th)))
-        return tuple(data)
+        rs = self.weight_system(self.require_group())
+        return tuple(
+            None if th is None else parahoric.analyze_weight(rs, RationalCocharacter.of(th))
+            for th in self.thetas
+        )
 
     def field(self) -> LogHiggsField:
         group = self.require_group()
@@ -221,15 +219,9 @@ def _cmd_parahoric_analyze(cfg: ParsedConfig) -> dict:
     points = cfg.require_points()
     if cfg.thetas is None:
         raise ConfigError("parahoric-analyze needs a theta at each point")
-    rs = build_root_system(group.family, group.rank)
+    rs = cfg.weight_system(group, every_point=True)
     out = []
-    for i, (x, th) in enumerate(zip(points, cfg.thetas)):
-        if th is None:
-            raise ConfigError(f"points[{i}] has no theta; parahoric-analyze needs one")
-        if len(th) != rs.rank:
-            raise ConfigError(
-                f"points[{i}].theta must have {rs.rank} coroot coordinates"
-            )
+    for x, th in zip(points, cfg.thetas):
         datum = parahoric.analyze_weight(rs, RationalCocharacter.of(th))
         out.append(
             {
@@ -269,7 +261,7 @@ def _default_grid(s: int) -> List[Fraction]:
     return [Fraction(k) for k in range(-(s + 1), s + 2)]
 
 
-def _cmd_spectral(cfg: ParsedConfig, csv_path: Optional[str]) -> dict:
+def _cmd_spectral(cfg: ParsedConfig) -> dict:
     f = cfg.field()
     sc = higgs.spectral_curve(f)
     results = {
@@ -279,7 +271,7 @@ def _cmd_spectral(cfg: ParsedConfig, csv_path: Optional[str]) -> dict:
         "is_squarefree": sc.is_squarefree,
         "genus": sc.genus,
     }
-    path = csv_path or cfg.options.get("emit_csv")
+    path = cfg.csv_path or cfg.options.get("emit_csv")
     if path is not None:
         if not isinstance(path, str):
             raise ConfigError("options.emit_csv must be a path string")
@@ -433,35 +425,13 @@ def _cmd_stability(cfg: ParsedConfig) -> dict:
             raise ConfigError("options.rank2 must be an object")
         if "split_degrees" not in rank2:
             raise ConfigError("options.rank2 needs split_degrees [a1, a2]")
-        degs = rank2["split_degrees"]
-        if not isinstance(degs, list) or len(degs) != 2:
-            raise ConfigError("options.rank2.split_degrees must be a pair")
-        a1 = _int(degs[0], "options.rank2.split_degrees[0]")
-        a2 = _int(degs[1], "options.rank2.split_degrees[1]")
+        split = _pair(rank2["split_degrees"], "options.rank2.split_degrees", _int)
         flags = rank2.get("flags", [])
         weights = rank2.get("weights", [])
         if not isinstance(flags, list) or not isinstance(weights, list):
             raise ConfigError("options.rank2.flags and .weights must be lists")
-        parsed_flags = []
-        for i, fl in enumerate(flags):
-            if not isinstance(fl, list) or len(fl) != 2:
-                raise ConfigError(f"options.rank2.flags[{i}] must be a pair")
-            parsed_flags.append(
-                (
-                    _rat(fl[0], f"options.rank2.flags[{i}][0]"),
-                    _rat(fl[1], f"options.rank2.flags[{i}][1]"),
-                )
-            )
-        parsed_weights = []
-        for i, w in enumerate(weights):
-            if not isinstance(w, list) or len(w) != 2:
-                raise ConfigError(f"options.rank2.weights[{i}] must be a pair")
-            parsed_weights.append(
-                (
-                    _rat(w[0], f"options.rank2.weights[{i}][0]"),
-                    _rat(w[1], f"options.rank2.weights[{i}][1]"),
-                )
-            )
+        parsed_flags = [_pair(fl, f"options.rank2.flags[{i}]") for i, fl in enumerate(flags)]
+        parsed_weights = [_pair(w, f"options.rank2.weights[{i}]") for i, w in enumerate(weights)]
         pts = rank2.get("points")
         parsed_pts = None
         if pts is not None:
@@ -472,9 +442,7 @@ def _cmd_stability(cfg: ParsedConfig) -> dict:
             ]
         elif cfg.points is not None:
             parsed_pts = cfg.points
-        report = parahoric.rank2_semistability(
-            (a1, a2), parsed_flags, parsed_weights, parsed_pts
-        )
+        report = parahoric.rank2_semistability(split, parsed_flags, parsed_weights, parsed_pts)
 
         def cand_out(c):
             return {
@@ -502,16 +470,17 @@ def _cmd_leaf(cfg: ParsedConfig) -> dict:
     return payload
 
 
-_DISPATCH = {
-    "parahoric-analyze": lambda cfg, csv: _cmd_parahoric_analyze(cfg),
-    "gaudin": lambda cfg, csv: _cmd_gaudin(cfg),
-    "hitchin": lambda cfg, csv: _cmd_hitchin(cfg),
+# The commands, in the order of the usage message.
+COMMANDS = {
+    "parahoric-analyze": _cmd_parahoric_analyze,
+    "gaudin": _cmd_gaudin,
+    "hitchin": _cmd_hitchin,
     "spectral": _cmd_spectral,
-    "moment": lambda cfg, csv: _cmd_moment(cfg),
-    "involution": lambda cfg, csv: _cmd_involution(cfg),
-    "diagram-check": lambda cfg, csv: _cmd_diagram_check(cfg),
-    "stability": lambda cfg, csv: _cmd_stability(cfg),
-    "leaf": lambda cfg, csv: _cmd_leaf(cfg),
+    "moment": _cmd_moment,
+    "involution": _cmd_involution,
+    "diagram-check": _cmd_diagram_check,
+    "stability": _cmd_stability,
+    "leaf": _cmd_leaf,
 }
 
 
@@ -529,10 +498,10 @@ def _emit(report: dict, out_path: Optional[str]) -> None:
             handle.write(text)
 
 
-def run(command: str, cfg: ParsedConfig, csv_path: Optional[str]) -> dict:
+def run(command: str, cfg: ParsedConfig) -> dict:
     """Dispatch one command against the parsed config; returns the report."""
     start = time.perf_counter()
-    results = _DISPATCH[command](cfg, csv_path)
+    results = COMMANDS[command](cfg)
     return {
         "command": command,
         "version": __version__,
@@ -566,7 +535,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise ConfigError(f"cannot read config: {exc}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}")
-        cfg = ParsedConfig(raw)
+        cfg = ParsedConfig(raw, args.csv)
         if cfg.command is not None and cfg.command != args.command:
             raise ConfigError(
                 f"config file says command {cfg.command!r} but argv says {args.command!r}"
@@ -576,7 +545,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
     try:
-        report = run(args.command, cfg, args.csv)
+        report = run(args.command, cfg)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2

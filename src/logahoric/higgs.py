@@ -67,16 +67,6 @@ class LogHiggsField:
     def matrix_size(self) -> int:
         return self.group.matrix_size
 
-    def evaluate(self, z) -> Matrix:
-        """Value of L(z) away from the marked points."""
-        z = Fraction(z)
-        if z in self.points:
-            raise DivisorError(f"L(z) has a pole at z = {z}")
-        out = linalgq.zeros(self.matrix_size)
-        for x, res in zip(self.points, self.residues):
-            out = linalgq.mat_add(out, linalgq.mat_scale(res, Fraction(1, 1) / (z - x)))
-        return out
-
 
 def build_field(
     points: Sequence,
@@ -124,26 +114,6 @@ class PolynomialMatrix:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def entries(self) -> List[List[Coeffs]]:
-        if not self.coeffs:
-            return []
-        n = len(self.coeffs[0])
-        return [
-            [polyq.trim([m[p][q] for m in self.coeffs]) for q in range(n)]
-            for p in range(n)
-        ]
-
-    def evaluate(self, z) -> Matrix:
-        z = Fraction(z)
-        n = len(self.coeffs[0]) if self.coeffs else 0
-        out = linalgq.zeros(n)
-        power = Fraction(1)
-        for m in self.coeffs:
-            out = linalgq.mat_add(out, linalgq.mat_scale(m, power))
-            power *= z
-        return out
-
 
 def _lagrange_weights(xs: Sequence, t) -> list:
     """[w_0(t), ..., w_{s-1}(t)] with w_j(t) = prod_{k != j}(t - x_k), so

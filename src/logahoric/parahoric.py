@@ -166,20 +166,6 @@ def loop_element(
     )
 
 
-def loop_add(x: LoopElement, y: LoopElement) -> LoopElement:
-    _same_system(x.system, y.system)
-    torus: Dict[int, List[Fraction]] = {}
-    for k, coords in x.torus_terms + y.torus_terms:
-        if k in torus:
-            torus[k] = [a + b for a, b in zip(torus[k], coords)]
-        else:
-            torus[k] = list(coords)
-    roots: Dict[Tuple[Root, int], Fraction] = {}
-    for r, k, c in x.root_terms + y.root_terms:
-        roots[(r, k)] = roots.get((r, k), Fraction(0)) + c
-    return loop_element(x.system, torus, roots)
-
-
 def _same_system(a: RootSystem, b: RootSystem) -> None:
     if a.family != b.family or a.rank != b.rank:
         raise ShapeError(f"mixed root systems: {a.family}{a.rank} vs {b.family}{b.rank}")

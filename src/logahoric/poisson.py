@@ -141,10 +141,6 @@ def matrix_poisson_algebra(n: int, site_count: int) -> LiePoissonAlgebra:
     return _assemble([full_site(n)] * site_count)
 
 
-def levi_poisson_algebra(data: Sequence[ParahoricDatum]) -> LiePoissonAlgebra:
-    return _assemble([levi_site(d) for d in data])
-
-
 # ---------------------------------------------------------------------------
 # Polynomials in the coordinates
 # ---------------------------------------------------------------------------
@@ -222,18 +218,6 @@ class PoissonPolynomial:
         return _unpack(self.algebra, acc, fden * gden, width)
 
     __rmul__ = __mul__
-
-    def evaluate(self, site_values: Sequence[Matrix]) -> Fraction:
-        alg = self.algebra
-        total = Fraction(0)
-        for mono, c in self.terms:
-            term = c
-            for g, e in mono:
-                j = alg.site_of(g)
-                p, q = alg.sites[j].entries[g - alg.offsets[j]]
-                term *= Fraction(site_values[j][p][q]) ** e
-            total += term
-        return total
 
     def to_string(self) -> str:
         _check_member(self, self.algebra)
@@ -564,22 +548,18 @@ class MomentValue:
         return len(self.sites)
 
 
-def moment_map(
-    f: LogHiggsField, data: Optional[Sequence[Optional[ParahoricDatum]]] = None
-) -> MomentValue:
+def moment_map(f: LogHiggsField) -> MomentValue:
     """Coresidues of the field: block projections of the residues.
 
-    With no weight data every residue passes through unchanged.  A weight at
-    a point first constrains the residue (the constant Laurent class must
-    lie in the weight's parahoric stalk: entries in channels with positive
-    jump must vanish) and then keeps only the block part, the entries whose
-    weight diagonal values agree; the discarded part pairs to zero with the
-    block subalgebra under the trace form.
+    The weight data are the field's own theta_data.  With none, every
+    residue passes through unchanged.  A weight at a point first constrains
+    the residue (the constant Laurent class must lie in the weight's
+    parahoric stalk: entries in channels with positive jump must vanish) and
+    then keeps only the block part, the entries whose weight diagonal values
+    agree; the discarded part pairs to zero with the block subalgebra under
+    the trace form.
     """
-    if data is None:
-        data = f.theta_data
-    if data is not None and len(data) != f.site_count:
-        raise ShapeError("one weight datum (or None) per marked point is required")
+    data = f.theta_data
     n = f.matrix_size
     sites: List[Matrix] = []
     for j, res in enumerate(f.residues):
@@ -605,10 +585,7 @@ def moment_map(
         for p, q in levi_site(datum).entries:
             proj[p][q] = Fraction(res[p][q])
         sites.append(proj)
-    return MomentValue(
-        sites=tuple(sites),
-        data=tuple(data) if data is not None else None,
-    )
+    return MomentValue(sites=tuple(sites), data=data)
 
 
 def _check_levi_group_element(g: Matrix, datum: Optional[ParahoricDatum], n: int):
@@ -642,90 +619,27 @@ def coadjoint_act(gs: Sequence[Matrix], m: MomentValue) -> MomentValue:
     return MomentValue(sites=tuple(out), data=m.data)
 
 
-def infinitesimal_action(
-    directions: Sequence[Matrix], f: LogHiggsField
-) -> LogHiggsField:
-    """Residue variations [Y_j, X_j] of the site directions Y."""
-    if len(directions) != f.site_count:
-        raise ShapeError("one direction per marked point is required")
-    n = f.matrix_size
-    varied = []
-    for j, y in enumerate(directions):
-        y = linalgq.mat(y)
-        if len(y) != n or any(len(row) != n for row in y):
-            raise ShapeError(f"direction {j} must be {n}x{n}")
-        if f.theta_data is not None and f.theta_data[j] is not None:
-            block = levi_site(f.theta_data[j]).index
-            for p in range(n):
-                for q in range(n):
-                    if (p, q) not in block and y[p][q] != 0:
-                        raise FiltrationError(
-                            f"direction {j} entry ({p},{q}) is outside the Levi block"
-                        )
-        varied.append(linalgq.commutator(y, f.residues[j]))
-    total = linalgq.zeros(n)
-    for m in varied:
-        total = linalgq.mat_add(total, m)
-    return LogHiggsField(
-        points=f.points,
-        residues=tuple(varied),
-        group=f.group,
-        theta_data=None,
-        regular_at_infinity=linalgq.is_zero_matrix(total),
-    )
-
-
-def nilpotent_exp(y: Matrix) -> Matrix:
-    """Exact exponential of a nilpotent matrix (finite polynomial sum)."""
-    n = len(y)
-    power = linalgq.identity(n)
-    out = linalgq.identity(n)
-    fact = 1
-    for k in range(1, n):
-        power = linalgq.mat_mul(power, y)
-        fact *= k
-        out = linalgq.mat_add(out, linalgq.mat_scale(power, Fraction(1, fact)))
-    check = linalgq.mat_mul(power, y)
-    if not linalgq.is_zero_matrix(check):
-        raise GroupError("matrix is not nilpotent; exact exponential unavailable")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Leaves, ranks and the quotient diagram
 # ---------------------------------------------------------------------------
 
 
-def _algebra_for(m: MomentValue) -> LiePoissonAlgebra:
-    sites = []
-    for j, site in enumerate(m.sites):
-        datum = m.data[j] if m.data is not None else None
-        if datum is None:
-            sites.append(full_site(len(site)))
-        else:
-            sites.append(levi_site(datum))
-    return _assemble(sites)
-
-
-def bivector_rank_at(
-    xi: MomentValue, alg: Optional[LiePoissonAlgebra] = None
-) -> int:
+def bivector_rank_at(xi: MomentValue) -> int:
     """Rank of the Poisson bivector at the point: dimension of its leaf.
 
-    The bracket couples only generators of one site, so the bivector is
-    block-diagonal and its rank is the sum of the ranks of the per-site
-    dim x dim blocks pi_ab = {x_a, x_b}(xi), read off the rule of the module
-    docstring: pi_ab = [p == s] xi_rq - [q == r] xi_ps for a = (p, q) and
-    b = (r, s).  An explicit alg must have one site per site of xi, of the
-    same matrix size, or AlgebraMismatchError is raised.
+    Site j is the Levi block of the point's weight datum data[j], or the
+    full matrix algebra of its size where there is none.  The bracket couples
+    only generators of one site, so the bivector is block-diagonal and its
+    rank is the sum of the ranks of the per-site dim x dim blocks
+    pi_ab = {x_a, x_b}(xi), read off the rule of the module docstring:
+    pi_ab = [p == s] xi_rq - [q == r] xi_ps for a = (p, q) and b = (r, s).
+    A datum whose matrix size is not that of its point's site raises
+    AlgebraMismatchError.
     """
-    alg = alg if alg is not None else _algebra_for(xi)
-    if len(alg.sites) != len(xi.sites):
-        raise AlgebraMismatchError(
-            f"algebra has {len(alg.sites)} sites, the point has {len(xi.sites)}"
-        )
     total = 0
-    for j, (site, values) in enumerate(zip(alg.sites, xi.sites)):
+    for j, values in enumerate(xi.sites):
+        datum = xi.data[j] if xi.data is not None else None
+        site = full_site(len(values)) if datum is None else levi_site(datum)
         if len(values) != site.matrix_size:
             raise AlgebraMismatchError(
                 f"site {j} has matrix size {site.matrix_size}, "
@@ -756,16 +670,15 @@ class LeafDescriptor:
         }
 
 
-def leaf_invariants(
-    xi: MomentValue, alg: Optional[LiePoissonAlgebra] = None
-) -> LeafDescriptor:
-    """Conjugation-invariant coordinates of the leaf through the point."""
+def leaf_invariants(xi: MomentValue) -> LeafDescriptor:
+    """Conjugation-invariant coordinates of the leaf through the point: the
+    invariant values of each site and the bivector_rank_at the point."""
     invs = tuple(
         tuple(linalgq.invariant_values(site)) for site in xi.sites
     )
     return LeafDescriptor(
         site_invariants=invs,
-        bivector_rank=bivector_rank_at(xi, alg),
+        bivector_rank=bivector_rank_at(xi),
     )
 
 
@@ -805,18 +718,17 @@ class DiagramReport:
         }
 
 
-def quotient_diagram_check(
-    f: LogHiggsField, data: Optional[Sequence[Optional[ParahoricDatum]]] = None
-) -> DiagramReport:
+def quotient_diagram_check(f: LogHiggsField) -> DiagramReport:
     """Compare two routes to the invariant values over the divisor.
 
     Route one evaluates each invariant section of the field at a marked
     point in the polar frame (a limit on the polynomial side); route two
-    applies the same invariant to that point's coresidue.  The two are
+    applies the same invariant to that point's coresidue, with the field's
+    own theta_data as the weights of moment_map.  The two are
     computed independently and compared exactly.  Route one takes all
     points from one sampler call, for all degrees together.
     """
-    mv = moment_map(f, data)
+    mv = moment_map(f)
     degrees = higgs.invariant_degrees(f)
     rows = []
     for j, residue_vals in enumerate(higgs._residue_invariants(f)):

@@ -23,7 +23,6 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from .errors import ShapeError, UnsupportedRealizationError, UnsupportedTypeError
-from .linalgq import Matrix
 
 Root = Tuple[int, ...]
 
@@ -179,18 +178,6 @@ def pair(rs: RootSystem, theta: RationalCocharacter, root: Sequence[int]) -> Fra
 
 def negate(root: Root) -> Root:
     return tuple(-a for a in root)
-
-
-def trace_form(x: Matrix, y: Matrix) -> Fraction:
-    """tr(XY) for equal-size square rational matrices."""
-    if len(x) != len(y) or any(len(r) != len(x) for r in x) or any(len(r) != len(y) for r in y):
-        raise ShapeError("trace_form needs square matrices of equal size")
-    n = len(x)
-    total = Fraction(0)
-    for i in range(n):
-        for j in range(n):
-            total += x[i][j] * y[j][i]
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from logahoric import linalgq, polyq
 from logahoric.higgs import LogHiggsField, build_field
-from logahoric.parahoric import loop_add, loop_element
+from logahoric.parahoric import loop_element
 from logahoric.rootsys import GroupTag
 
 
@@ -34,6 +34,17 @@ def loop_zero(rs):
     return loop_element(rs)
 
 
+def loop_add(x, y):
+    """x + y in the loop algebra of x, term by term."""
+    torus = {}
+    for k, coords in x.torus_terms + y.torus_terms:
+        torus[k] = [a + b for a, b in zip(torus.get(k, [0] * len(coords)), coords)]
+    roots = {}
+    for r, k, c in x.root_terms + y.root_terms:
+        roots[(r, k)] = roots.get((r, k), Fraction(0)) + c
+    return loop_element(x.system, torus, roots)
+
+
 def loop_sub(x, y):
     """x - y in the loop algebra: x plus y with every coefficient negated."""
     minus_y = loop_element(
@@ -48,6 +59,27 @@ def is_strongly_logarithmic_image(h, f) -> bool:
     """True when every invariant section of the Hitchin image h vanishes at
     every marked point of the field f."""
     return all(polyq.evaluate(sec, x) == 0 for sec in h.sections for x in f.points)
+
+
+def lax_value(f: LogHiggsField, z) -> List[List[Fraction]]:
+    """The Lax matrix L(z) = sum_j X_j/(z - x_j) of a field, away from its
+    marked points."""
+    out = linalgq.zeros(f.matrix_size)
+    for x, res in zip(f.points, f.residues):
+        out = linalgq.mat_add(out, linalgq.mat_scale(res, 1 / (Fraction(z) - x)))
+    return out
+
+
+def nilpotent_exp(y) -> List[List[Fraction]]:
+    """exp(Y) of a nilpotent matrix: the finite sum of Y^k/k! for k < n."""
+    n = len(y)
+    power = out = linalgq.identity(n)
+    fact = 1
+    for k in range(1, n):
+        power = linalgq.mat_mul(power, y)
+        fact *= k
+        out = linalgq.mat_add(out, linalgq.mat_scale(power, Fraction(1, fact)))
+    return out
 
 
 def rnd_fraction(rng, lo=-4, hi=4, max_den=4) -> Fraction:
@@ -206,6 +238,28 @@ def reference_mul(f, g):
             key = tuple(sorted(merged.items()))
             d[key] = d.get(key, Fraction(0)) + c1 * c2
     return PoissonPolynomial._from_dict(f.algebra, d)
+
+
+def evaluate(f, site_values) -> Fraction:
+    """Value of a PoissonPolynomial at a point given as one matrix per site:
+    each generator x_pq of site j reads site_values[j][p][q]."""
+    alg = f.algebra
+    total = Fraction(0)
+    for mono, c in f.terms:
+        for g, e in mono:
+            j = alg.site_of(g)
+            p, q = alg.sites[j].entries[g - alg.offsets[j]]
+            c *= Fraction(site_values[j][p][q]) ** e
+        total += c
+    return total
+
+
+def levi_algebra(data):
+    """The Lie-Poisson algebra with one site per weight datum: the Levi
+    block of each weight."""
+    from logahoric import poisson
+
+    return poisson._assemble([poisson.levi_site(d) for d in data])
 
 
 def variables(f) -> List[int]:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -352,6 +353,106 @@ def test_stability_without_options(tmp_path, capsys):
     cfg = write_config(tmp_path, {"options": {}})
     code, _, err = run_cli(capsys, ["stability", "--config", cfg])
     assert code == 2
+
+
+CONFIG_ERRORS = {
+    "split-degrees-pair": (
+        "stability",
+        {"options": {"rank2": {"split_degrees": [0]}}},
+        "options.rank2.split_degrees must be a pair",
+    ),
+    "flags-pair": (
+        "stability",
+        {
+            "options": {
+                "rank2": {
+                    "split_degrees": [0, 0],
+                    "flags": [["1", "0"], ["1"]],
+                    "weights": [["0", "0"], ["0", "0"]],
+                }
+            }
+        },
+        "options.rank2.flags[1] must be a pair",
+    ),
+    "weights-pair": (
+        "stability",
+        {
+            "options": {
+                "rank2": {
+                    "split_degrees": [0, 0],
+                    "flags": [["1", "0"], ["1", "1"]],
+                    "weights": [["0", "0"], "0"],
+                }
+            }
+        },
+        "options.rank2.weights[1] must be a pair",
+    ),
+    "no-theta": (
+        "parahoric-analyze",
+        {"group": EFH["group"], "points": [{"x": 0, "theta": ["1/4"]}, {"x": 1}]},
+        "points[1] has no theta; parahoric-analyze needs one",
+    ),
+    "theta-length-analyze": (
+        "parahoric-analyze",
+        {
+            "group": {"family": "A", "rank": 2, "form": "SL"},
+            "points": [{"x": 0, "theta": ["1/4", 0]}, {"x": 1, "theta": ["1/4"]}],
+        },
+        "points[1].theta must have 2 coroot coordinates",
+    ),
+    "theta-length-leaf": (
+        "leaf",
+        {
+            "group": EFH["group"],
+            "points": [{"x": 0}, {"x": 1, "theta": ["1/4", 0]}],
+            "residues": [[[1, 0], [0, -1]], [[-1, 0], [0, 1]]],
+        },
+        "points[1].theta must have 1 coroot coordinates",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(CONFIG_ERRORS))
+def test_config_error_messages(tmp_path, capsys, case):
+    command, payload, message = CONFIG_ERRORS[case]
+    cfg = write_config(tmp_path, payload)
+    assert run_cli(capsys, [command, "--config", cfg]) == (2, "", f"config error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["parahoric-analyze", "leaf"])
+def test_theta_length_refused_before_root_system(tmp_path, capsys, command):
+    """A theta of the wrong length is refused before the root system of the
+    group is built, which at rank 200 would take minutes."""
+    payload = {
+        "group": {"family": "A", "rank": 200, "form": "SL"},
+        "points": [{"x": 0, "theta": []}],
+    }
+    if command == "leaf":
+        payload["residues"] = [[[0] * 201] * 201]
+    cfg = write_config(tmp_path, payload)
+    start = time.perf_counter()
+    result = run_cli(capsys, [command, "--config", cfg])
+    assert time.perf_counter() - start < 1
+    assert result == (2, "", "config error: points[0].theta must have 200 coroot coordinates\n")
+
+
+@pytest.mark.parametrize("options", [[], 0, False, "", "{}", [{"grid": [0]}]])
+def test_options_must_be_an_object(tmp_path, capsys, options):
+    cfg = write_config(tmp_path, dict(EFH, options=options))
+    assert run_cli(capsys, ["gaudin", "--config", cfg]) == (
+        2,
+        "",
+        "config error: options must be a JSON object\n",
+    )
+
+
+def test_null_options_mean_no_options(tmp_path, capsys):
+    cfg = write_config(tmp_path, dict(EFH, options=None))
+    assert run_json(capsys, ["gaudin", "--config", cfg])["results"]["values"] == [
+        "-1/2",
+        "2",
+        "-3/2",
+    ]
 
 
 # -- exit code 1: domain failures reported as JSON -------------------------------

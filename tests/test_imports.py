@@ -1,8 +1,7 @@
 """Every name a package module imports is used in that module.
 
 A stdlib `ast` scan: a name bound by `import` or `from ... import` must occur
-as a name somewhere in the module.  `__future__` imports and the re-exports
-of `__init__.py` are left out.
+as a name somewhere in the module.  `__future__` imports are left out.
 """
 
 import ast
@@ -11,7 +10,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "logahoric"
-MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(p.name for p in PACKAGE.glob("*.py"))
 
 
 def unused_imports(source: str) -> list:

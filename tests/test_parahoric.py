@@ -36,7 +36,6 @@ from logahoric.parahoric import (
     laurent_to_loop,
     levi_evaluate,
     levi_project,
-    loop_add,
     loop_bracket,
     loop_element,
     loop_to_laurent,
@@ -47,6 +46,7 @@ from logahoric.parahoric import (
 )
 from logahoric.rootsys import RationalCocharacter, build_root_system, negate, pair
 from support import (
+    loop_add,
     loop_sub,
     loop_zero,
     mat_eq,

@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from logahoric import linalgq
 from logahoric.errors import ShapeError, UnsupportedRealizationError, UnsupportedTypeError
 from logahoric.rootsys import (
     GroupTag,
@@ -14,9 +13,7 @@ from logahoric.rootsys import (
     negate,
     pair,
     root_to_entry,
-    trace_form,
 )
-from support import basis_matrix
 
 
 ROOT_COUNTS = {
@@ -157,14 +154,3 @@ def test_group_tag():
         GroupTag("A", 2, "Sp")
     with pytest.raises(UnsupportedRealizationError):
         GroupTag("B", 2, "SL").matrix_size
-
-
-def test_trace_form():
-    e = basis_matrix(2, 0, 1)
-    f = basis_matrix(2, 1, 0)
-    assert trace_form(e, f) == 1
-    assert trace_form(e, e) == 0
-    h = linalgq.mat_sub(basis_matrix(2, 0, 0), basis_matrix(2, 1, 1))
-    assert trace_form(h, h) == 2
-    with pytest.raises(ShapeError):
-        trace_form(e, basis_matrix(3, 0, 1))
