@@ -18,6 +18,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _escape
 from typing import List, Optional, Sequence, Tuple
 
 from . import __version__, higgs, parahoric, poisson, polyq
@@ -489,8 +490,49 @@ COMMANDS = {
 # ---------------------------------------------------------------------------
 
 
+def _chunks(value, indent: str, out: List[str]) -> None:
+    """Append to out the text of json.dumps(value, sort_keys=True, indent=2)
+    for value at nesting indent; dict keys must be strings.
+
+    With indent set, json runs its pure-Python encoder.  Here strings and
+    keys go through json's C escaper, containers are walked directly, and
+    only other scalars (floats, bools, None) and empty containers reach
+    json.dumps.  The caller joins out once, so no container's text is built
+    and then copied into its parent's.
+    """
+    if type(value) is str:
+        out.append(_escape(value))
+    elif type(value) is int:
+        out.append(str(value))
+    elif isinstance(value, (dict, list, tuple)) and value:
+        inner = indent + "  "
+        sep = ",\n" + inner
+        if isinstance(value, dict):
+            head, close = "{\n" + inner, "\n" + indent + "}"
+            for k in sorted(value):
+                out.append(head + _escape(k) + ": ")
+                _chunks(value[k], inner, out)
+                head = sep
+        else:
+            head, close = "[\n" + inner, "\n" + indent + "]"
+            for v in value:
+                out.append(head)
+                _chunks(v, inner, out)
+                head = sep
+        out.append(close)
+    else:
+        out.append(json.dumps(value))
+
+
+def _json(value) -> str:
+    """The text of json.dumps(value, sort_keys=True, indent=2)."""
+    out: List[str] = []
+    _chunks(value, "", out)
+    return "".join(out)
+
+
 def _emit(report: dict, out_path: Optional[str]) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    text = _json(report) + "\n"
     if out_path is None:
         sys.stdout.write(text)
     else:

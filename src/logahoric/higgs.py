@@ -74,7 +74,9 @@ def build_field(
     group: GroupTag,
     theta_data: Optional[Sequence[ParahoricDatum]] = None,
 ) -> LogHiggsField:
-    """Validate marked points and residues and flag regularity at infinity."""
+    """Validate marked points, residues and weight data (one datum or None
+    per point, each of the field's root system) and flag regularity at
+    infinity."""
     xs = [Fraction(x) for x in points]
     if not xs:
         raise DivisorError("divisor must be nonempty")
@@ -91,8 +93,17 @@ def build_field(
         if group.form == "SL" and linalgq.trace(m) != 0:
             raise TraceError(f"residue {j} has trace {linalgq.trace(m)}; SL mode needs 0")
         mats.append(m)
-    if theta_data is not None and len(theta_data) != len(xs):
-        raise ShapeError("theta_data must list one parahoric datum per point")
+    if theta_data is not None:
+        if len(theta_data) != len(xs):
+            raise ShapeError("theta_data must list one parahoric datum per point")
+        for j, datum in enumerate(theta_data):
+            if datum is not None and (datum.system.family, datum.system.rank) != (
+                group.family, group.rank
+            ):
+                raise ShapeError(
+                    f"theta_data[{j}] is a {datum.system.family}{datum.system.rank} "
+                    f"datum; the field's group is {group.family}{group.rank}"
+                )
     total = linalgq.zeros(n)
     for m in mats:
         total = linalgq.mat_add(total, m)

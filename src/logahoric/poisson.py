@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import higgs, linalgq, polyq
@@ -540,8 +541,17 @@ def hitchin_coefficient_hamiltonians(
 
 @dataclass(frozen=True)
 class MomentValue:
+    """One matrix per site and, optionally, one weight datum (or None) per
+    site; data of another length raises ShapeError."""
+
     sites: Tuple[Matrix, ...]
     data: Optional[Tuple[Optional[ParahoricDatum], ...]] = None
+
+    def __post_init__(self):
+        if self.data is not None and len(self.data) != len(self.sites):
+            raise ShapeError(
+                f"{len(self.sites)} sites but {len(self.data)} weight data"
+            )
 
     @property
     def site_count(self) -> int:
@@ -624,35 +634,89 @@ def coadjoint_act(gs: Sequence[Matrix], m: MomentValue) -> MomentValue:
 # ---------------------------------------------------------------------------
 
 
+# A class block with no cyclic vector among those bivector_rank_at tries
+# takes the Bareiss rank of its b^2 x b^2 bivector block, whose cost grows
+# steeply with b.  On derogatory blocks P (R + R) P^-1 (R a random b/2 x b/2
+# matrix with entries in -3..3 and halves, P a product of two unitriangular
+# matrices with entries in -2..2) it took 0.07 s at b = 8, 0.34 s at 10,
+# 1.7 s at 12, 7.4 s at 14 and 23 s at 16 on a shared 2-CPU host;
+# diag(1,...,1,2,...,2) takes 0.08 s at 12 and 0.38 s at 16.  Past this size
+# a derogatory block is refused (ShapeError).
+LEAF_MAX_FALLBACK_BLOCK = 12
+
+
+def _class_rank(x: Matrix) -> int:
+    """Rank of the gl_b bivector at the b x b matrix x: b^2 - dim C(x).
+
+    If the Krylov matrix [v, xv, ..., x^(b-1) v] of some v has rank b, x is
+    regular and its centralizer C(x) has dimension b (Gantmacher, The Theory
+    of Matrices I, ch. VII-VIII), so the rank is b^2 - b.  The vectors tried
+    are e_1..e_b, then the all-ones vector, as diag(1, -1) has no cyclic e_i;
+    x is cleared to integers first, which scales each Krylov column.  When
+    none of them is cyclic, blocks up to LEAF_MAX_FALLBACK_BLOCK take the
+    Bareiss rank of the b^2 x b^2 bivector block, whose entry at row (p, q)
+    and column (r, s) is [p == s] x_rq - [q == r] x_ps, the rule of the
+    module docstring.  A larger one is still regular, with rank
+    b^2 - b, when I, x, ..., x^(b-1) are independent (its minimal polynomial
+    has degree b); otherwise it is derogatory and refused with ShapeError.
+    """
+    b = len(x)
+    _, flat = linalgq.integer_form(v for row in x for v in row)
+    m = [flat[i * b:(i + 1) * b] for i in range(b)]
+    for v in [[int(i == k) for i in range(b)] for k in range(b)] + [[1] * b]:
+        krylov = [v]
+        for _ in range(b - 1):
+            v = [sum(map(mul, row, v)) for row in m]
+            krylov.append(v)
+        if linalgq.rank(krylov) == b:
+            return b * b - b
+    if b > LEAF_MAX_FALLBACK_BLOCK:
+        power, powers = linalgq.identity(b), []
+        for _ in range(b):
+            powers.append([v for row in power for v in row])
+            power = linalgq.mat_mul(power, m)
+        if linalgq.rank(powers) < b:
+            raise ShapeError(
+                f"leaf takes derogatory blocks up to {LEAF_MAX_FALLBACK_BLOCK}x"
+                f"{LEAF_MAX_FALLBACK_BLOCK}, got a {b}x{b} one"
+            )
+        return b * b - b
+    entries = [(p, q) for p in range(b) for q in range(b)]
+    return linalgq.rank(
+        [
+            [(x[r][q] if p == s else 0) - (x[p][s] if q == r else 0) for r, s in entries]
+            for p, q in entries
+        ]
+    )
+
+
 def bivector_rank_at(xi: MomentValue) -> int:
     """Rank of the Poisson bivector at the point: dimension of its leaf.
 
     Site j is the Levi block of the point's weight datum data[j], or the
     full matrix algebra of its size where there is none.  The bracket couples
-    only generators of one site, so the bivector is block-diagonal and its
-    rank is the sum of the ranks of the per-site dim x dim blocks
-    pi_ab = {x_a, x_b}(xi), read off the rule of the module docstring:
-    pi_ab = [p == s] xi_rq - [q == r] xi_ps for a = (p, q) and b = (r, s).
-    A datum whose matrix size is not that of its point's site raises
-    AlgebraMismatchError.
+    only the generators x_pq of one site with p and q in one index class of
+    equal weight (the whole index range for a full site), so the bivector is
+    block-diagonal over the classes, and on a class of size b it is the gl_b
+    bivector at the b x b block of the site's matrix on that class; its rank
+    is _class_rank of that block.  A datum whose matrix size is not that of
+    its point's site raises AlgebraMismatchError, and a derogatory class
+    block larger than LEAF_MAX_FALLBACK_BLOCK raises ShapeError.
     """
     total = 0
     for j, values in enumerate(xi.sites):
         datum = xi.data[j] if xi.data is not None else None
-        site = full_site(len(values)) if datum is None else levi_site(datum)
-        if len(values) != site.matrix_size:
+        n = len(values)
+        t = [0] * n if datum is None else cocharacter_to_diagonal(datum.system, datum.theta)
+        if len(t) != n:
             raise AlgebraMismatchError(
-                f"site {j} has matrix size {site.matrix_size}, "
-                f"the point's site {j} is {len(values)}x{len(values)}"
+                f"site {j} has matrix size {len(t)}, the point's site {j} is {n}x{n}"
             )
-        block = [
-            [
-                (values[r][q] if p == s else 0) - (values[p][s] if q == r else 0)
-                for r, s in site.entries
-            ]
-            for p, q in site.entries
-        ]
-        total += linalgq.rank(block)
+        classes: Dict[Fraction, List[int]] = {}
+        for p, w in enumerate(t):
+            classes.setdefault(w, []).append(p)
+        for idx in classes.values():
+            total += _class_rank([[values[p][q] for q in idx] for p in idx])
     return total
 
 

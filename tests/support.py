@@ -508,6 +508,29 @@ def reference_bivector_rank(xi, alg):
     return pi.rank()
 
 
+def site_block_rank(xi) -> int:
+    """Rank of the Poisson bivector as the sum of linalgq.rank of each
+    site's whole dim x dim block, pi_ab = [p == s] xi_rq - [q == r] xi_ps
+    over the site's entries a = (p, q), b = (r, s), kept as a test oracle:
+    no split into weight classes and no cyclic-vector certificate."""
+    from logahoric import linalgq, poisson
+
+    total = 0
+    for j, values in enumerate(xi.sites):
+        datum = xi.data[j] if xi.data is not None else None
+        site = poisson.full_site(len(values)) if datum is None else poisson.levi_site(datum)
+        total += linalgq.rank(
+            [
+                [
+                    (values[r][q] if p == s else 0) - (values[p][s] if q == r else 0)
+                    for r, s in site.entries
+                ]
+                for p, q in site.entries
+            ]
+        )
+    return total
+
+
 def reference_rank(rows, ncols: int) -> int:
     """Rank of integer rows of length ncols, by sympy's DomainMatrix over ZZ,
     independent of linalgq's elimination."""

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import sympy
 
-from logahoric import linalgq, polyq
+from logahoric import linalgq
 from logahoric.higgs import (
     build_field,
     clear_denominators,
@@ -57,7 +57,6 @@ from support import (
     E2,
     F2,
     H2,
-    coeffs_to_sympy,
     rnd_field,
     rnd_fraction,
     rnd_invertible,

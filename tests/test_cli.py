@@ -1,12 +1,17 @@
+import importlib
 import json
 import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from logahoric import __version__, cli, higgs, parahoric
+from logahoric import __version__, cli, higgs, parahoric, poisson
 from logahoric.cli import main
 
 EFH = {
@@ -333,6 +338,35 @@ def test_float_rejected(tmp_path, capsys):
     assert "floating point" in err
 
 
+def rat_config(x):
+    return {
+        "group": {"family": "A", "rank": 1, "form": "SL"},
+        "points": [{"x": x, "theta": ["0"]}],
+    }
+
+
+# Rationals are parsed by Fraction(str): decimals, exponents, underscores and
+# surrounding spaces are accepted, a signed denominator is not.
+@pytest.mark.parametrize(
+    "text, value",
+    [("1.5", Fraction(3, 2)), (" 3 ", Fraction(3)), ("1e2", Fraction(100)),
+     ("1_0", Fraction(10)), ("-7/3", Fraction(-7, 3))],
+)
+def test_rat_accepted_strings(tmp_path, capsys, text, value):
+    assert cli._rat(text, "x") == value
+    cfg = write_config(tmp_path, rat_config(text))
+    report = run_json(capsys, ["parahoric-analyze", "--config", cfg])
+    assert report["results"]["points"][0]["x"] == str(value)
+
+
+@pytest.mark.parametrize("value", ["3/-4", "", "1/0", "abc", 1.5])
+def test_rat_refused_values(tmp_path, capsys, value):
+    cfg = write_config(tmp_path, rat_config(value))
+    code, out, err = run_cli(capsys, ["parahoric-analyze", "--config", cfg])
+    assert code == 2 and out == ""
+    assert err.startswith("config error: points[0].x: ")
+
+
 def test_unknown_command_in_config(tmp_path, capsys):
     cfg = write_config(tmp_path, {"command": "make-coffee"})
     code, _, err = run_cli(capsys, ["gaudin", "--config", cfg])
@@ -535,6 +569,30 @@ def test_rank2_gap_cap_report(tmp_path, capsys):
     assert f"gap of at most {parahoric.RANK2_MAX_GAP}" in report["error"]["message"]
 
 
+def test_leaf_fallback_cap_report(tmp_path, capsys):
+    """A derogatory block past poisson.LEAF_MAX_FALLBACK_BLOCK is a shape
+    failure; the largest accepted one is ranked."""
+    cap = poisson.LEAF_MAX_FALLBACK_BLOCK
+
+    def config(b):
+        diag = [[(1 if p < cap // 2 else 2) if p == q else 0 for q in range(b)] for p in range(b)]
+        return {
+            "group": {"family": "A", "rank": b - 1, "form": "GL"},
+            "points": [{"x": 0}],
+            "residues": [diag],
+        }
+
+    code, out, _ = run_cli(capsys, ["leaf", "--config", write_config(tmp_path, config(cap + 1))])
+    assert code == 1
+    report = json.loads(out)
+    assert report["command"] == "leaf"
+    assert report["error"]["kind"] == "shape"
+    assert f"derogatory blocks up to {cap}x{cap}" in report["error"]["message"]
+    assert "results" not in report
+    res = run_json(capsys, ["leaf", "--config", write_config(tmp_path, config(cap))])["results"]
+    assert res["bivector_rank"] == cap * cap - 2 * (cap // 2) ** 2
+
+
 def spectral_cap_config(n, s):
     """An SL field with residue sum zero: E_12 at the first s - 1 points."""
     unit = [[1 if (p, q) == (0, 1) else 0 for q in range(n)] for p in range(n)]
@@ -684,3 +742,36 @@ def test_domain_failure_written_to_out(tmp_path, capsys):
     assert out == ""
     report = json.loads(out_path.read_text())
     assert report["error"]["kind"] == "divisor"
+
+
+# -- report emission -----------------------------------------------------------
+
+JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda kids: st.lists(kids) | st.lists(kids).map(tuple) | st.dictionaries(st.text(), kids),
+    max_leaves=40,
+)
+
+
+@given(JSON_TREES)
+@example({"a": [], "b": {}, "c": [[], {}, [[]], {"d": {}}], "\u00e9\n\"\\": ["\u2203", 1.5, True, None]})
+def test_emitter_matches_json_dumps_on_trees(tree):
+    assert cli._json(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+
+def test_emitter_matches_json_dumps_on_bench_reports(tmp_path):
+    """Every report of the benchmark's stability-leaf workload at its
+    default seed is written with the bytes of json.dumps(indent=2)."""
+    bench = str(Path(__file__).resolve().parent.parent / "bench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    run, workloads = importlib.import_module("run"), importlib.import_module("workloads")
+    ops = [
+        op
+        for r in range(workloads.RUN_ROUNDS["stability-leaf"])
+        for op in run.write_round("stability-leaf", run.DEFAULT_SEED, r, tmp_path)
+    ]
+    assert len(ops) >= 200
+    for op in ops:
+        report = cli.run(op.command, cli.ParsedConfig(json.loads(op.path.read_text())))
+        assert cli._json(report) == json.dumps(report, sort_keys=True, indent=2), op.id

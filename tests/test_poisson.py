@@ -1,10 +1,14 @@
+import dataclasses
 import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from logahoric import linalgq, poisson
 from logahoric.errors import (
@@ -55,6 +59,7 @@ from support import (
     rnd_field,
     rnd_invertible,
     rnd_matrix,
+    site_block_rank,
     strictly_upper,
     variables,
     with_sum_zero,
@@ -684,10 +689,12 @@ def test_moment_map_shape_errors():
     f = rnd_field(rng, 2, 2)
     with pytest.raises(ShapeError):
         build_field(f.points, f.residues, f.group, theta_data=[wt(A1, 0)])
-    b2 = build_root_system("B", 2)
-    f = build_field(f.points, f.residues, f.group, theta_data=[wt(b2, 0, 0), None])
-    with pytest.raises(ShapeError):
-        moment_map(f)
+    for datum in (wt(build_root_system("B", 2), 0, 0), wt(A2, 0, 0)):
+        with pytest.raises(ShapeError, match="theta_data\\[0\\]"):
+            build_field(f.points, f.residues, f.group, theta_data=[datum, None])
+        # A field built without build_field's checks is refused by moment_map.
+        with pytest.raises(ShapeError):
+            moment_map(dataclasses.replace(f, theta_data=(datum, None)))
 
 
 # -- coadjoint action ---------------------------------------------------------
@@ -823,17 +830,141 @@ def _bivector_points(rng, alg, data):
 
 
 def test_bivector_rank_blocks_match_full_matrix():
-    """The per-site block ranks sum to the rank of the whole bivector, with
-    each Levi site read off the weight data of the point."""
+    """The per-class ranks sum to the rank of the whole bivector and to the
+    Bareiss ranks of the whole site blocks, with each Levi site read off the
+    weight data of the point; the weights include ties (classes {0, 2} on
+    A2, and {0, 2}, {1, 3} on A3)."""
     rng = random.Random(123)
+    ties = (wt(build_root_system("A", 3), Fraction(1, 4), 0, Fraction(1, 4)),)
+    shapes = oracle_shapes() + [(matrix_poisson_algebra(4, 2), None), (levi_algebra(ties), ties)]
     ranks = set()
-    for alg, data in oracle_shapes() + [(matrix_poisson_algebra(4, 2), None)]:
+    for alg, data in shapes:
         for xi in _bivector_points(rng, alg, data):
             got = bivector_rank_at(xi)
-            assert got == reference_bivector_rank(xi, alg)
+            assert got == reference_bivector_rank(xi, alg) == site_block_rank(xi)
             assert leaf_invariants(xi).bivector_rank == got
             ranks.add(got)
     assert len(ranks) >= 5
+
+
+def _conjugated(t, lower):
+    """L t L^-1 for the unipotent lower-triangular L with the given entries
+    below the diagonal."""
+    b = len(t)
+    l_mat = [[Fraction(int(i == j) if j >= i else lower[i][j]) for j in range(b)] for i in range(b)]
+    return linalgq.mat_mul(linalgq.mat_mul(l_mat, t), linalgq.inverse(l_mat))
+
+
+@st.composite
+def class_blocks(draw):
+    """(kind, x): a b x b matrix, b = 1..5, of one kind, conjugated by an
+    integer unipotent L.  Dense and distinct-diagonal matrices and a single
+    nilpotent Jordan block are regular; scalar matrices, repeated blocks
+    R + R (+ c), several Jordan blocks and rank one are derogatory for most
+    b >= 2."""
+    b = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["dense", "scalar", "repeated", "jordan", "diagonal", "rank_one"]))
+    ints = st.integers(-3, 3)
+    t = [[0] * b for _ in range(b)]
+    if kind == "dense":
+        t = draw(st.lists(st.lists(ints, min_size=b, max_size=b), min_size=b, max_size=b))
+    elif kind == "scalar":
+        c = draw(ints)
+        t = [[c if i == j else 0 for j in range(b)] for i in range(b)]
+    elif kind == "repeated":
+        h = b // 2
+        r = draw(st.lists(st.lists(ints, min_size=h, max_size=h), min_size=h, max_size=h))
+        for i in range(2 * h):
+            for j in range(2 * h):
+                if i // h == j // h:
+                    t[i][j] = r[i % h][j % h]
+        if b % 2:
+            t[b - 1][b - 1] = draw(ints)
+    elif kind == "jordan":
+        cuts = draw(st.sets(st.integers(1, b - 1))) if b > 1 else set()
+        for i in range(b - 1):
+            if i + 1 not in cuts:
+                t[i][i + 1] = 1
+    elif kind == "diagonal":
+        ds = draw(st.lists(st.integers(-9, 9), min_size=b, max_size=b, unique=True))
+        t = [[ds[i] if i == j else 0 for j in range(b)] for i in range(b)]
+    else:
+        u = draw(st.lists(ints, min_size=b, max_size=b))
+        v = draw(st.lists(ints, min_size=b, max_size=b))
+        t = [[x * y for y in v] for x in u]
+    lower = draw(st.lists(st.lists(st.integers(-2, 2), min_size=b, max_size=b), min_size=b, max_size=b))
+    return kind, _conjugated([[Fraction(v) for v in row] for row in t], lower)
+
+
+@given(class_blocks())
+def test_class_rank_matches_whole_bivector(kind_x):
+    """On one full site, the certificate (or its fallback) gives the rank of
+    the whole bivector by sympy and the Bareiss rank of the whole block."""
+    _, x = kind_x
+    xi = MomentValue(sites=(x,))
+    expected = reference_bivector_rank(xi, matrix_poisson_algebra(len(x), 1))
+    assert bivector_rank_at(xi) == expected == site_block_rank(xi)
+
+
+def _diag(*entries):
+    return [[Fraction(v if i == j else 0) for j, _ in enumerate(entries)] for i, v in enumerate(entries)]
+
+
+def test_derogatory_block_reaches_the_fallback(monkeypatch):
+    """A regular block is certified by Krylov matrices (b x b ranks only); a
+    derogatory one, with no cyclic vector, takes the b^2 x b^2 Bareiss rank."""
+    sizes = []
+    rank = linalgq.rank
+    monkeypatch.setattr(linalgq, "rank", lambda a: sizes.append(len(a)) or rank(a))
+    jordan = [[Fraction(int(q == p + 1)) for q in range(4)] for p in range(4)]
+    assert bivector_rank_at(MomentValue(sites=(jordan, _diag(1, -1)))) == 12 + 2
+    assert max(sizes) == 4
+    sizes.clear()
+    assert bivector_rank_at(MomentValue(sites=(_diag(1, 1, 2, 2),))) == 16 - 8
+    assert max(sizes) == 16
+
+
+def test_leaf_fallback_cap():
+    """Derogatory blocks are accepted up to LEAF_MAX_FALLBACK_BLOCK and
+    refused past it; a regular block past it that no listed vector
+    certifies is still ranked b^2 - b."""
+    b = poisson.LEAF_MAX_FALLBACK_BLOCK
+    h = b // 2
+    start = time.perf_counter()
+    xi = MomentValue(sites=(_diag(*[1] * h, *[2] * (b - h)),))
+    assert bivector_rank_at(xi) == b * b - h * h - (b - h) ** 2
+    assert time.perf_counter() - start < 5
+    with pytest.raises(ShapeError, match=f"up to {b}x{b}, got a {b + 1}x{b + 1}"):
+        bivector_rank_at(MomentValue(sites=(_diag(*[1] * h, *[2] * (b + 1 - h)),)))
+    # diag(A, 5, 6, ...), A = [[1, -1], [1, -1]] nilpotent: regular, but
+    # A(1, 1) = 0 and each e_i stays in one block, so no vector tried is cyclic.
+    x = _diag(0, 0, *range(5, b + 4))
+    x[0][:2], x[1][:2] = [Fraction(1), Fraction(-1)], [Fraction(1), Fraction(-1)]
+    assert bivector_rank_at(MomentValue(sites=(x,))) == (b + 1) ** 2 - (b + 1)
+
+
+def test_large_regular_sites_skip_the_fallback():
+    """Three random 18 x 18 sites are certified regular well within a
+    second (the whole-block Bareiss rank takes about 10 s per site)."""
+    rng = random.Random(18)
+    xi = MomentValue(sites=tuple(rnd_matrix(rng, 18) for _ in range(3)))
+    start = time.perf_counter()
+    assert bivector_rank_at(xi) == 3 * (18 * 18 - 18)
+    assert time.perf_counter() - start < 1
+
+
+def test_moment_value_refuses_data_of_another_length():
+    """Weight data of another length than the sites is refused when the
+    value is built, so no reader of data meets a bare IndexError."""
+    ident = linalgq.identity(2)
+    calls = (bivector_rank_at, leaf_invariants, lambda m: coadjoint_act([ident, ident], m))
+    for data in ((None,), (None, None, None), ()):
+        for call in calls:
+            with pytest.raises(ShapeError, match="2 sites but"):
+                call(MomentValue(sites=(H2, H2), data=data))
+    xi = MomentValue(sites=(H2, H2), data=(None, wt(A1, 0)))
+    assert bivector_rank_at(xi) == leaf_invariants(xi).bivector_rank == 4
+    assert coadjoint_act([ident, ident], xi) == xi
 
 
 def test_bivector_rank_rejects_mismatched_algebra():
