@@ -291,7 +291,8 @@ def levi_evaluate(x: LoopElement, d: ParahoricDatum) -> Matrix:
     """Per-channel evaluation of a Levi-slice element to a flat matrix.
 
     Each Levi channel is shifted from its bottom exponent to exponent zero
-    and z is set to 1; torus coordinates pass through unchanged.  Only the
+    and z is set to 1; torus coordinates pass through unchanged.  So the
+    result is the sum of the Laurent coefficients of x (z = 1).  Only the
     type-A realization is available for the flat target.
     """
     rs = x.system
@@ -299,15 +300,9 @@ def levi_evaluate(x: LoopElement, d: ParahoricDatum) -> Matrix:
         raise UnsupportedRealizationError("flat evaluation needs the type-A realization")
     if levi_project(x, d) != x:
         raise FiltrationError("element has a term outside the lifted Levi slice")
-    n = rs.rank + 1
-    out = linalgq.zeros(n)
-    for _, coords in x.torus_terms:
-        diag = cocharacter_to_diagonal(rs, RationalCocharacter(tuple(coords)))
-        for i, t in enumerate(diag):
-            out[i][i] += t
-    for r, _, c in x.root_terms:
-        p, q = root_to_entry(rs, r)
-        out[p][q] += c
+    out = linalgq.zeros(rs.rank + 1)
+    for m in loop_to_laurent(x).values():
+        out = linalgq.mat_add(out, m)
     return out
 
 

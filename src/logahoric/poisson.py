@@ -18,6 +18,14 @@ is the only form of a site's bracket, applied where it is used, with no
 table and no check at run time; tests/test_poisson.py checks it against
 matrix commutators of the trace-form dual basis (closure, antisymmetry,
 Jacobi) for every site shape up to 5x5.
+
+A weight acts here only through its diagonal t (_weight_diagonal), with
+t_p - t_q the pairing of theta with the root of E_pq: the parahoric stalk is
+{t_p >= t_q}, the Levi block {t_p == t_q}, the leaf classes those of equal t.
+This zero-pairing block is not analyze_weight's levi_roots (integer pairing);
+the two differ on affine walls: SL2 at theta = 1/2 is hyperspecial there,
+with Levi roots +-alpha, but its site here is the diagonal (t = (1/2, -1/2)),
+of leaf rank 0 at diag(1, -1), against 2 at theta = 0.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import ceil
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -40,7 +49,7 @@ from .errors import (
 from .higgs import LogHiggsField
 from .linalgq import Matrix
 from .parahoric import ParahoricDatum
-from .rootsys import cocharacter_to_diagonal, entry_to_root
+from .rootsys import cocharacter_to_diagonal
 
 Monomial = Tuple[Tuple[int, int], ...]  # ((generator, exponent), ...) sorted
 
@@ -70,14 +79,6 @@ class SiteAlgebra:
 
 def full_site(n: int) -> SiteAlgebra:
     return SiteAlgebra(n, tuple((p, q) for p in range(n) for q in range(n)))
-
-
-def levi_site(datum: ParahoricDatum) -> SiteAlgebra:
-    """Levi block of the weight at a point, in the type-A realization: the
-    entries (p, q), row-major, whose weight diagonal t has t_p == t_q."""
-    t = cocharacter_to_diagonal(datum.system, datum.theta)
-    n = len(t)
-    return SiteAlgebra(n, tuple((p, q) for p in range(n) for q in range(n) if t[p] == t[q]))
 
 
 @dataclass(frozen=True)
@@ -541,13 +542,17 @@ def hitchin_coefficient_hamiltonians(
 
 @dataclass(frozen=True)
 class MomentValue:
-    """One matrix per site and, optionally, one weight datum (or None) per
-    site; data of another length raises ShapeError."""
+    """One square matrix per site and, optionally, one weight datum (or
+    None) per site; a site that is not square, or data of another length,
+    raises ShapeError."""
 
     sites: Tuple[Matrix, ...]
     data: Optional[Tuple[Optional[ParahoricDatum], ...]] = None
 
     def __post_init__(self):
+        for j, site in enumerate(self.sites):
+            if any(len(row) != len(site) for row in site):
+                raise ShapeError(f"site {j} is not square")
         if self.data is not None and len(self.data) != len(self.sites):
             raise ShapeError(
                 f"{len(self.sites)} sites but {len(self.data)} weight data"
@@ -558,73 +563,70 @@ class MomentValue:
         return len(self.sites)
 
 
+def _weight_diagonal(data: Optional[Sequence], j: int, n: int) -> List[Fraction]:
+    """Weight diagonal t of the datum at point j in the n x n realization,
+    all int zeros (cheap to compare) where there is none; a datum of another
+    realization raises ShapeError.  By the rule of the module docstring, t
+    decides the stalk, the Levi block and the leaf classes at the point."""
+    datum = data[j] if data is not None else None
+    if datum is None:
+        return [0] * n
+    rs = datum.system
+    if rs.family != "A" or rs.rank + 1 != n:
+        raise ShapeError(f"weight datum at point {j} does not match the {n}x{n} realization")
+    return cocharacter_to_diagonal(rs, datum.theta)
+
+
 def moment_map(f: LogHiggsField) -> MomentValue:
     """Coresidues of the field: block projections of the residues.
 
     The weight data are the field's own theta_data.  With none, every
     residue passes through unchanged.  A weight at a point first constrains
     the residue (the constant Laurent class must lie in the weight's
-    parahoric stalk: entries in channels with positive jump must vanish) and
-    then keeps only the block part, the entries whose weight diagonal values
-    agree; the discarded part pairs to zero with the block subalgebra under
-    the trace form.
+    parahoric stalk: entry (p, q) must vanish where t_p < t_q, the channels
+    with jump ceil(t_q - t_p) > 0) and then keeps only the block part, the
+    entries with t_p == t_q; the discarded part pairs to zero with the block
+    subalgebra under the trace form.
     """
-    data = f.theta_data
     n = f.matrix_size
+    zero = Fraction(0)
     sites: List[Matrix] = []
     for j, res in enumerate(f.residues):
-        datum = data[j] if data is not None else None
-        if datum is None:
-            sites.append(linalgq.copy(res))
-            continue
-        rs = datum.system
-        if rs.family != "A" or rs.rank + 1 != n:
-            raise ShapeError(
-                f"weight datum at point {j} does not match the {n}x{n} realization"
-            )
+        t = _weight_diagonal(f.theta_data, j, n)
         for p in range(n):
             for q in range(n):
-                if p != q and res[p][q] != 0:
-                    r = entry_to_root(rs, p, q)
-                    if datum.jumps[r] > 0:
-                        raise FiltrationError(
-                            f"residue {j} entry ({p},{q}) is outside the parahoric "
-                            f"stalk (jump {datum.jumps[r]} > 0)"
-                        )
-        proj = linalgq.zeros(n)
-        for p, q in levi_site(datum).entries:
-            proj[p][q] = Fraction(res[p][q])
-        sites.append(proj)
-    return MomentValue(sites=tuple(sites), data=data)
-
-
-def _check_levi_group_element(g: Matrix, datum: Optional[ParahoricDatum], n: int):
-    if len(g) != n or any(len(row) != n for row in g):
-        raise ShapeError(f"group element must be {n}x{n}")
-    if datum is not None:
-        block = levi_site(datum).index
-        for p in range(n):
-            for q in range(n):
-                if (p, q) not in block and g[p][q] != 0:
-                    raise GroupError(
-                        f"entry ({p},{q}) is outside the weight's block subgroup"
+                if t[p] < t[q] and res[p][q] != 0:
+                    raise FiltrationError(
+                        f"residue {j} entry ({p},{q}) is outside the parahoric "
+                        f"stalk (jump {ceil(t[q] - t[p])} > 0)"
                     )
-    try:
-        return linalgq.inverse(g)
-    except ArithmeticError:
-        raise GroupError("group element is singular")
+        sites.append([[v if t[p] == t[q] else zero for q, v in enumerate(row)]
+                      for p, row in enumerate(res)])
+    return MomentValue(sites=tuple(sites), data=f.theta_data)
 
 
 def coadjoint_act(gs: Sequence[Matrix], m: MomentValue) -> MomentValue:
-    """Site-wise conjugation of the form-dual representatives."""
+    """Site-wise conjugation of the form-dual representatives by elements of
+    the block subgroups {g_pq = 0 unless t_p == t_q} (GroupError otherwise)."""
     if len(gs) != m.site_count:
         raise ShapeError("one group element per site is required")
     out = []
     for j, (g, site) in enumerate(zip(gs, m.sites)):
         n = len(site)
-        datum = m.data[j] if m.data is not None else None
+        t = _weight_diagonal(m.data, j, n)
         g = linalgq.mat(g)
-        ginv = _check_levi_group_element(g, datum, n)
+        if len(g) != n or any(len(row) != n for row in g):
+            raise ShapeError(f"group element must be {n}x{n}")
+        for p in range(n):
+            for q in range(n):
+                if t[p] != t[q] and g[p][q] != 0:
+                    raise GroupError(
+                        f"entry ({p},{q}) is outside the weight's block subgroup"
+                    )
+        try:
+            ginv = linalgq.inverse(g)
+        except ArithmeticError:
+            raise GroupError("group element is singular")
         out.append(linalgq.mat_mul(linalgq.mat_mul(g, site), ginv))
     return MomentValue(sites=tuple(out), data=m.data)
 
@@ -699,19 +701,13 @@ def bivector_rank_at(xi: MomentValue) -> int:
     equal weight (the whole index range for a full site), so the bivector is
     block-diagonal over the classes, and on a class of size b it is the gl_b
     bivector at the b x b block of the site's matrix on that class; its rank
-    is _class_rank of that block.  A datum whose matrix size is not that of
-    its point's site raises AlgebraMismatchError, and a derogatory class
-    block larger than LEAF_MAX_FALLBACK_BLOCK raises ShapeError.
+    is _class_rank of that block.  A datum of another realization than its
+    point's site, or a derogatory class block larger than
+    LEAF_MAX_FALLBACK_BLOCK, raises ShapeError.
     """
     total = 0
     for j, values in enumerate(xi.sites):
-        datum = xi.data[j] if xi.data is not None else None
-        n = len(values)
-        t = [0] * n if datum is None else cocharacter_to_diagonal(datum.system, datum.theta)
-        if len(t) != n:
-            raise AlgebraMismatchError(
-                f"site {j} has matrix size {len(t)}, the point's site {j} is {n}x{n}"
-            )
+        t = _weight_diagonal(xi.data, j, len(values))
         classes: Dict[Fraction, List[int]] = {}
         for p, w in enumerate(t):
             classes.setdefault(w, []).append(p)

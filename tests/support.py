@@ -254,12 +254,24 @@ def evaluate(f, site_values) -> Fraction:
     return total
 
 
+def levi_site(datum):
+    """Levi block of the weight at a point, in the type-A realization: the
+    SiteAlgebra of the entries (p, q), row-major, whose weight diagonal t has
+    t_p == t_q."""
+    from logahoric.poisson import SiteAlgebra
+    from logahoric.rootsys import cocharacter_to_diagonal
+
+    t = cocharacter_to_diagonal(datum.system, datum.theta)
+    n = len(t)
+    return SiteAlgebra(n, tuple((p, q) for p in range(n) for q in range(n) if t[p] == t[q]))
+
+
 def levi_algebra(data):
     """The Lie-Poisson algebra with one site per weight datum: the Levi
     block of each weight."""
     from logahoric import poisson
 
-    return poisson._assemble([poisson.levi_site(d) for d in data])
+    return poisson._assemble([levi_site(d) for d in data])
 
 
 def variables(f) -> List[int]:
@@ -518,7 +530,7 @@ def site_block_rank(xi) -> int:
     total = 0
     for j, values in enumerate(xi.sites):
         datum = xi.data[j] if xi.data is not None else None
-        site = poisson.full_site(len(values)) if datum is None else poisson.levi_site(datum)
+        site = poisson.full_site(len(values)) if datum is None else levi_site(datum)
         total += linalgq.rank(
             [
                 [

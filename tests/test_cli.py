@@ -254,6 +254,28 @@ def test_leaf_command(tmp_path, capsys):
     ]
 
 
+def test_two_levi_sets_differ_on_affine_walls(tmp_path, capsys):
+    """analyze_weight's levi_roots are the roots of integer pairing, while the
+    leaf's site is the block of zero pairing {t_p == t_q}: for SL2 at
+    theta = 1/2 (pairing 1) and theta = 0, parahoric-analyze reports both
+    points hyperspecial with Levi roots +-alpha, but leaf at diag(1, -1)
+    ranks the theta = 1/2 site 0 (its block is the diagonal) and the
+    theta = 0 site 2.  This pins the current matrix-side rule."""
+    group = {"family": "A", "rank": 1, "form": "SL"}
+    points = [{"x": 0, "theta": ["1/2"]}, {"x": 1, "theta": [0]}]
+    cfg = write_config(tmp_path, {"group": group, "points": points})
+    for pt in run_json(capsys, ["parahoric-analyze", "--config", cfg])["results"]["points"]:
+        assert pt["facet"] == parahoric.FACET_HYPERSPECIAL
+        assert sorted(pt["levi_roots"]) == ["-1", "1"]
+    h = [[1, 0], [0, -1]]
+    for point, rank in zip(points, (0, 2)):
+        cfg = write_config(tmp_path, {"group": group, "points": [point], "residues": [h]})
+        res = run_json(capsys, ["leaf", "--config", cfg])["results"]
+        assert (res["bivector_rank"], res["sites"]) == (rank, [[["1", "0"], ["0", "-1"]]])
+    cfg = write_config(tmp_path, {"group": group, "points": points, "residues": [h, h]})
+    assert run_json(capsys, ["leaf", "--config", cfg])["results"]["bivector_rank"] == 2
+
+
 # -- report plumbing ------------------------------------------------------------
 
 

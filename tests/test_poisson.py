@@ -1,10 +1,12 @@
 import dataclasses
 import os
 import random
+import re
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given
@@ -41,7 +43,7 @@ from logahoric.poisson import (
     site_invariant_polynomials,
     verify_involution,
 )
-from logahoric.rootsys import GroupTag, RationalCocharacter, build_root_system
+from logahoric.rootsys import GroupTag, RationalCocharacter, build_root_system, entry_to_root, pair
 from support import (
     E2,
     F2,
@@ -49,6 +51,7 @@ from support import (
     commutator_constants,
     evaluate,
     levi_algebra,
+    levi_site,
     mat_eq,
     matrix_to_sympy,
     nilpotent_exp,
@@ -176,7 +179,7 @@ def test_every_site_shape_matches_matrix_commutators():
         (build_root_system("A", 4), (0, Fraction(1, 2), 0, 0)),
         (build_root_system("A", 4), (Fraction(1, 3), 0, 0, Fraction(1, 3))),
     ]:
-        site = poisson.levi_site(wt(rs, *coeffs))
+        site = levi_site(wt(rs, *coeffs))
         levi_shapes.add((site.matrix_size, site.entries))
     assert len(levi_shapes) == 7 and levi_shapes <= set(shapes)
     for n, entries in shapes:
@@ -693,8 +696,70 @@ def test_moment_map_shape_errors():
         with pytest.raises(ShapeError, match="theta_data\\[0\\]"):
             build_field(f.points, f.residues, f.group, theta_data=[datum, None])
         # A field built without build_field's checks is refused by moment_map.
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match="point 0 does not match the 2x2"):
             moment_map(dataclasses.replace(f, theta_data=(datum, None)))
+
+
+@st.composite
+def wall_weights(draw):
+    """A type-A weight datum of rank 1..3 drawn by its diagonal gaps
+    t_i - t_(i+1) in {0, +-1, +-1/2, 1/3, -2/3}: ties (a gap of 0, or gaps
+    summing to 0) and integer pairings on affine walls are both common.
+    Theta's coroot coordinates are the partial sums t_0 + ... + t_i."""
+    n = draw(st.integers(2, 4))
+    gaps = [0, 1, -1, Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(-2, 3)]
+    t = [Fraction(0)]
+    for gap in draw(st.lists(st.sampled_from(gaps), min_size=n - 1, max_size=n - 1)):
+        t.append(t[-1] - gap)
+    mean = sum(t) / n
+    t = [v - mean for v in t]
+    return wt(build_root_system("A", n - 1), *accumulate(t[:-1]))
+
+
+@given(wall_weights(), st.lists(st.integers(-2, 2), min_size=16, max_size=16))
+def test_weight_diagonal_rule_matches_root_data(datum, values):
+    """The diagonal rule of moment_map, coadjoint_act and bivector_rank_at
+    against the root data: a residue with one non-zero entry (p, q) is
+    refused exactly when the jump of the root of E_pq is positive, with that
+    jump in the message; the kept entries are the block of zero pairing
+    (support.levi_site); the unipotent I + E_pq acts exactly when (p, q) is
+    in the block; and the leaf rank is the whole-site block rank."""
+    rs = datum.system
+    n = rs.rank + 1
+    group = GroupTag("A", rs.rank, "SL")
+    block = set(levi_site(datum).entries)
+    assert block == {
+        (p, q) for p in range(n) for q in range(n)
+        if p == q or pair(rs, datum.theta, entry_to_root(rs, p, q)) == 0
+    }
+    zero = MomentValue(sites=(linalgq.zeros(n),), data=(datum,))
+    stalk = [[Fraction(0)] * n for _ in range(n)]
+    for p in range(n):
+        stalk[p][p] = Fraction(p + 1 if p < n - 1 else -n * (n - 1) // 2)
+    for p, q in [(p, q) for p in range(n) for q in range(n) if p != q]:
+        residue = linalgq.zeros(n)
+        residue[p][q] = Fraction(p + n * q + 1)
+        f = build_field([0], [residue], group, theta_data=[datum])
+        jump = datum.jumps[entry_to_root(rs, p, q)]
+        if jump > 0:
+            message = f"residue 0 entry ({p},{q}) is outside the parahoric stalk (jump {jump} > 0)"
+            with pytest.raises(FiltrationError, match=re.escape(message)):
+                moment_map(f)
+        else:
+            stalk[p][q] = residue[p][q]
+            assert moment_map(f).sites[0] == (residue if (p, q) in block else linalgq.zeros(n))
+        g = linalgq.identity(n)
+        g[p][q] = Fraction(1)
+        if (p, q) in block:
+            assert coadjoint_act([g], zero) == zero
+        else:
+            with pytest.raises(GroupError, match="block"):
+                coadjoint_act([g], zero)
+    kept = moment_map(build_field([0], [stalk], group, theta_data=[datum])).sites[0]
+    assert {(p, q) for p in range(n) for q in range(n) if kept[p][q]} == block
+    xi = MomentValue(sites=([[Fraction(v) for v in values[p * n:(p + 1) * n]] for p in range(n)],),
+                     data=(datum,))
+    assert bivector_rank_at(xi) == site_block_rank(xi)
 
 
 # -- coadjoint action ---------------------------------------------------------
@@ -954,27 +1019,35 @@ def test_large_regular_sites_skip_the_fallback():
 
 
 def test_moment_value_refuses_data_of_another_length():
-    """Weight data of another length than the sites is refused when the
-    value is built, so no reader of data meets a bare IndexError."""
+    """Weight data of another length than the sites, and a site that is not
+    square (one row of two entries, or ragged rows), are refused when the
+    value is built, so no reader meets a bare IndexError or a wrong rank."""
     ident = linalgq.identity(2)
     calls = (bivector_rank_at, leaf_invariants, lambda m: coadjoint_act([ident, ident], m))
-    for data in ((None,), (None, None, None), ()):
+    cases = [((H2, H2), data, "2 sites but") for data in ((None,), (None, None, None), ())]
+    cases += [(([[1, 2]], H2), None, "site 0 is not square"),
+              ((H2, [[1, 2], [3]]), (None, None), "site 1 is not square")]
+    for sites, data, message in cases:
         for call in calls:
-            with pytest.raises(ShapeError, match="2 sites but"):
-                call(MomentValue(sites=(H2, H2), data=data))
+            with pytest.raises(ShapeError, match=message):
+                call(MomentValue(sites=sites, data=data))
     xi = MomentValue(sites=(H2, H2), data=(None, wt(A1, 0)))
     assert bivector_rank_at(xi) == leaf_invariants(xi).bivector_rank == 4
     assert coadjoint_act([ident, ident], xi) == xi
 
 
 def test_bivector_rank_rejects_mismatched_algebra():
-    """A weight datum must have the matrix size of its point's site."""
+    """A weight datum must have the matrix size of its point's site: the
+    rank, the leaf and the level action all refuse an A2 datum on a 2x2
+    site with the ShapeError of the weight diagonal (moment_map's own case
+    is in test_moment_map_shape_errors)."""
     assert bivector_rank_at(MomentValue(sites=(H2, H2), data=(wt(A1, 0), None))) == 4
     xi = MomentValue(sites=(H2, H2), data=(wt(A1, 0), wt(A2, 0, 0)))
-    with pytest.raises(AlgebraMismatchError):
-        bivector_rank_at(xi)
-    with pytest.raises(AlgebraMismatchError):
-        leaf_invariants(xi)
+    ident = linalgq.identity(2)
+    for call in (bivector_rank_at, leaf_invariants, lambda m: coadjoint_act([ident, ident], m)):
+        with pytest.raises(ShapeError, match="point 1 does not match the 2x2") as err:
+            call(xi)
+        assert err.value.kind == "shape"
 
 
 def test_leaf_invariants_examples():
