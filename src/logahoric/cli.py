@@ -445,11 +445,19 @@ def _cmd_stability(cfg: ParsedConfig) -> dict:
             parsed_pts = cfg.points
         report = parahoric.rank2_semistability(split, parsed_flags, parsed_weights, parsed_pts)
 
+        # Candidates of equal weighted degree share one Fraction, which the
+        # report keeps alive, so each distinct weighted degree is formatted
+        # once, keyed by identity.
+        texts = {}
+
         def cand_out(c):
+            wd = c.weighted_degree
+            if id(wd) not in texts:
+                texts[id(wd)] = _s(wd)
             return {
                 "degree": c.degree,
                 "incidences": list(c.incidences),
-                "weighted_degree": _s(c.weighted_degree),
+                "weighted_degree": texts[id(wd)],
                 "verdict": c.verdict,
             }
 

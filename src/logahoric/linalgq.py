@@ -2,8 +2,9 @@
 
 Matrices are plain lists of lists.  Most callers work with Fraction entries;
 the characteristic-polynomial routine is Berkowitz's division-free one,
-written with `+`, `-` and `*` only, so it runs on int matrices (the numeric
-Lax samples) and on matrices of symbolic Poisson polynomials alike.
+written with `+`, `-` and `*` only, so it runs on int matrices (rational
+ones are cleared to ints first) and on matrices of symbolic Poisson
+polynomials alike.
 
 There is one elimination routine, the fraction-free _echelon in ints:
 `rank` counts its pivots and `nullspace` back-substitutes through its rows.
@@ -54,7 +55,8 @@ def mat_scale(a, c):
 
 
 def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
+    """a*b; an operand with no rows gives a product with no rows or columns."""
+    n, k, m = len(a), len(b), len(b[0]) if b else 0
     out = zeros(n, m)
     for i in range(n):
         for t in range(k):
@@ -85,9 +87,10 @@ def copy(a):
 
 def integer_form(values) -> Tuple[int, List[int]]:
     """(den, ints) with values[i] == ints[i] / den, den the lcm of the
-    denominators (1 for no values).  Fractions are read as they are; any
-    other value is converted to one first."""
-    values = [x if type(x) is Fraction else Fraction(x) for x in values]
+    denominators (1 for no values).  Ints and Fractions are read as they
+    are, through their numerator and denominator; any other value is
+    converted to a Fraction first."""
+    values = [x if type(x) is int or type(x) is Fraction else Fraction(x) for x in values]
     den = math.lcm(*(x.denominator for x in values))
     return den, [x.numerator * (den // x.denominator) for x in values]
 
@@ -158,9 +161,26 @@ def char_coeffs(m) -> list:
     a trailing block [[a, r], [s, B]], its coefficients, highest first, are
     the lower-triangular Toeplitz matrix with first column
     (1, -a, -r s, -r B s, -r B^2 s, ...) times those of B.  Only `+`, `-`
-    and `*` touch the entries, so one body runs over ints, Fractions and
-    Poisson polynomials; c_n is Fraction(1), int coefficients become Fractions.
+    and `*` touch the entries, so one body runs over ints and over Poisson
+    polynomials.  A matrix of ints and Fractions, at least one a Fraction,
+    is first cleared by integer_form to the int matrix d*M, and
+    c_k(M) = c_k(d*M) / d^(n-k); the coefficients of an int or rational
+    matrix are Fractions, c_n = Fraction(1).
     """
+    n = len(m)
+    d = 1
+    kinds = {type(x) for row in m for x in row}
+    if Fraction in kinds and kinds <= {int, Fraction}:
+        d, flat = integer_form(x for row in m for x in row)
+        m = [flat[i * n:(i + 1) * n] for i in range(n)]
+    low = _berkowitz(m)
+    return [
+        Fraction(c, d ** (n - k)) if type(c) is int else c for k, c in enumerate(reversed(low))
+    ] + [Fraction(1)]
+
+
+def _berkowitz(m) -> list:
+    """c_(n-1), ..., c_0 of det(lambda*I - M) by the recursion of char_coeffs."""
     n = len(m)
     low: list = []  # c_(k-1), ..., c_0 of the current trailing block of size k
     for i in range(n - 1, -1, -1):
@@ -172,7 +192,7 @@ def char_coeffs(m) -> list:
             us.append(reduce(add, map(mul, row, col)))
         acc = [reduce(add, map(mul, reversed(us[:k]), low), u) for k, u in enumerate(us)]
         low = [c - a for c, a in zip(low, acc)] + [-acc[-1]]
-    return [Fraction(c) if type(c) is int else c for c in reversed(low)] + [Fraction(1)]
+    return low
 
 
 def invariant_values(m) -> list:

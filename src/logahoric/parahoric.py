@@ -29,6 +29,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from . import linalgq
@@ -49,7 +50,6 @@ from .rootsys import (
     cocharacter_to_diagonal,
     entry_to_root,
     negate,
-    pair,
     root_to_entry,
 )
 
@@ -74,23 +74,32 @@ class ParahoricDatum:
 
 
 def analyze_weight(rs: RootSystem, theta: RationalCocharacter) -> ParahoricDatum:
-    """Jump table, Levi root set, radical grading and facet class of theta."""
+    """Jump table, Levi root set, radical grading and facet class of theta.
+
+    theta is cleared once by linalgq.integer_form to cs/den, and
+    u_j = sum_i cs_i * cartan[i][j] folds the Cartan matrix in, so each
+    root's pairing r(theta) = (u . r)/den is one int dot product.  One
+    divmod by den gives its floor q and remainder: the jump
+    ceil(-r(theta)) is -q, and r is a Levi root exactly when the remainder
+    is 0 (integer pairing).  rootsys.pair is the scalar reference.
+    """
     if len(theta.coeffs) != rs.rank:
         raise ShapeError(
             f"theta has {len(theta.coeffs)} coordinates, system rank is {rs.rank}"
         )
+    den, cs = linalgq.integer_form(theta.coeffs)
+    u = [sum(map(mul, cs, col)) for col in zip(*rs.cartan_matrix)]
     jumps: Dict[Root, int] = {}
     levi: List[Root] = []
     plus: Dict[Root, int] = {}
     for r in rs.roots:
-        value = pair(rs, theta, r)
-        m = math.ceil(-value)
-        jumps[r] = m
-        if value.denominator == 1:
-            levi.append(r)
-            plus[r] = m + 1
+        q, rem = divmod(sum(map(mul, u, r)), den)
+        jumps[r] = -q
+        if rem:
+            plus[r] = -q
         else:
-            plus[r] = m
+            levi.append(r)
+            plus[r] = 1 - q
     if len(levi) == len(rs.roots):
         facet = FACET_HYPERSPECIAL
     elif not levi:
@@ -377,9 +386,16 @@ def slope_test(rd: ReductionDatum, total: Optional[ReductionDatum] = None) -> st
 
 @dataclass(frozen=True)
 class Rank2Candidate:
+    """A line subbundle of degree `degree` meeting the flags `incidences`.
+
+    Its ReductionDatum would be (degree, 1, a1 + a2, 2) with the on-flag
+    weight at each incidence and the off-flag weight elsewhere; the
+    enumerator keeps only its weighted degree and verdict, which candidates
+    of equal weighted degree share.
+    """
+
     degree: int
     incidences: Tuple[int, ...]
-    reduction: ReductionDatum
     weighted_degree: Fraction
     verdict: str
 
@@ -437,8 +453,9 @@ def _incidence_closures(rows: List[List[int]], nvars: int) -> Set[Tuple[int, ...
     nonzero = [k for k, row in enumerate(rows) if any(row)]
     f = len(nonzero)
     if f <= nvars and linalgq.rank([rows[k] for k in nonzero]) == f:
+        # combinations of the ascending list nonzero come out sorted
         return {
-            tuple(sorted(zero + list(chosen)))
+            tuple(sorted(zero + list(chosen))) if zero else chosen
             for size in range(min(f, nvars - 1) + 1)
             for chosen in itertools.combinations(nonzero, size)
         }
@@ -508,6 +525,9 @@ def rank2_semistability(
     incidences S has num = a*w + sum(off_i) + sum_{i in S}(on_i - off_i),
     the bundle total_num = (a1 + a2)*w + sum(on_i + off_i).  Verdicts
     compare 2*num with total_num, and candidates sort on (-num, -a, S).
+    Each candidate is built from its (num, a, S) key alone: one
+    Fraction(num, w) and one verdict per distinct num, shared by the
+    candidates that have it; no ReductionDatum is built.
 
     At most RANK2_MAX_FLAGS flags and a gap |a1 - a2| of at most
     RANK2_MAX_GAP are accepted; beyond either ShapeError is raised before
@@ -546,8 +566,7 @@ def rank2_semistability(
     w, cleared = linalgq.integer_form(v for pair in wpairs for v in pair)
     gains = [on - off for on, off in zip(cleared[::2], cleared[1::2])]
     off_sum = sum(cleared[1::2])
-    total_degree = a1 + a2
-    total_num = total_degree * w + sum(cleared)
+    total_num = (a1 + a2) * w + sum(cleared)
 
     degrees = sorted({a1} | {a2 - k for k in range(m + 1)}, reverse=True)
     keys = []  # (-numerator, -degree, incidences): the report's order
@@ -563,16 +582,13 @@ def rank2_semistability(
             keys.append((-base - sum([gains[i] for i in actual]), -a, actual))
     keys.sort()
 
-    wds = {num: Fraction(num, w) for num in {-key[0] for key in keys}}
-    off_pairings = [wo for _, wo in wpairs]
     candidates = []
+    last = None
     for neg_num, neg_a, actual in keys:
-        num, a = -neg_num, -neg_a
-        pairings = off_pairings[:]
-        for i in actual:
-            pairings[i] = wpairs[i][0]
-        rd = ReductionDatum(a, 1, total_degree, 2, tuple(pairings))
-        candidates.append(Rank2Candidate(a, actual, rd, wds[num], verdict(2 * num, total_num)))
+        if neg_num != last:  # keys sort on -num: one Fraction and verdict per num
+            last = neg_num
+            wd, v = Fraction(-neg_num, w), verdict(-2 * neg_num, total_num)
+        candidates.append(Rank2Candidate(-neg_a, actual, wd, v))
     witness = candidates[0]
     return Rank2Report(
         verdict=witness.verdict,

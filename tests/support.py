@@ -369,6 +369,46 @@ def reference_bracket(f, g, alg):
     return PoissonPolynomial._from_dict(alg, acc)
 
 
+def reference_weight_datum(rs, theta):
+    """(jumps, levi_roots, plus_grading, facet_class) of theta, root by root
+    from the scalar pairing rootsys.pair: the jump ceil(-r(theta)), Levi
+    roots those of integer pairing, the radical grading one above the jump
+    on Levi roots, and the facet class from the Levi root count."""
+    import math
+
+    from logahoric.parahoric import FACET_HYPERSPECIAL, FACET_IWAHORI, FACET_PROPER
+    from logahoric.rootsys import pair
+
+    jumps, levi, plus = {}, [], {}
+    for r in rs.roots:
+        value = pair(rs, theta, r)
+        jumps[r] = math.ceil(-value)
+        integral = value.denominator == 1
+        if integral:
+            levi.append(r)
+        plus[r] = jumps[r] + integral
+    if len(levi) == len(rs.roots):
+        facet = FACET_HYPERSPECIAL
+    elif levi:
+        facet = FACET_PROPER
+    else:
+        facet = FACET_IWAHORI
+    return jumps, tuple(levi), plus, facet
+
+
+def rank2_reduction(cand, split_degrees, weights):
+    """The ReductionDatum of a rank-2 candidate, rebuilt from its degree and
+    incidences and the input weight pairs (on-flag, off-flag): a line
+    subbundle of degree cand.degree in the rank-2 bundle of degree
+    a1 + a2, with the on-flag weight at each incidence and the off-flag
+    weight at every other flag."""
+    from logahoric.parahoric import ReductionDatum
+
+    held = set(cand.incidences)
+    pairings = [on if i in held else off for i, (on, off) in enumerate(weights)]
+    return ReductionDatum.of(cand.degree, 1, sum(split_degrees), 2, pairings)
+
+
 def reference_rank2(split_degrees, flags=(), weights=(), points=None):
     """The rank-2 enumerator by the all-subsets route, kept as a test oracle:
     for each degree a and every subset of the incidence conditions, a
@@ -448,7 +488,7 @@ def reference_rank2(split_degrees, flags=(), weights=(), points=None):
                     verdict = VERDICT_BOUNDARY
                 else:
                     verdict = VERDICT_STABLE
-                found[(a, actual)] = Rank2Candidate(a, actual, rd, wd, verdict)
+                found[(a, actual)] = Rank2Candidate(a, actual, wd, verdict)
 
     candidates = tuple(
         sorted(found.values(), key=lambda c: (-c.weighted_degree, -c.degree, c.incidences))

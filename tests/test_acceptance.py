@@ -62,6 +62,7 @@ from support import (
     rnd_invertible,
     rnd_matrix,
     rnd_points,
+    rank2_reduction,
     strictly_upper,
 )
 
@@ -387,7 +388,8 @@ def test_criterion_10_rank2_stability():
             a1 + a2, 2, a1 + a2, 2, [w for pair_ in weights for w in pair_]
         )
         for cand in report.candidates:
-            assert slope_test(cand.reduction, total) == cand.verdict
+            rd = rank2_reduction(cand, (a1, a2), weights)
+            assert slope_test(rd, total) == cand.verdict
             crosschecked += 1
         assert report.witness.weighted_degree == max(
             c.weighted_degree for c in report.candidates

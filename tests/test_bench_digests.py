@@ -1,12 +1,14 @@
-"""Rank-2 reports stay byte-identical to the benchmark's committed digests.
+"""stability-leaf reports stay byte-identical to the benchmark's digests.
 
 The benchmark checks every report against `bench/digests.json`, a hash of
 each operation's results payload at seed 7.  This test rebuilds every round
 (`workloads.RUN_ROUNDS`) of `stability-leaf` configs with the benchmark's
-own generator, runs their `stability` operations through `cli.main`, and
-compares each digest, so a change in the bytes of a rank-2 report fails
-here as well as in the benchmark.  It only reads `bench/`.  The 84
-operations of seed 7 take about 1.2 s on a shared 2-CPU host.
+own generator, runs all their operations (`stability`, `leaf`, `moment`
+and `parahoric-analyze`) through `cli.main`, and checks each report with
+the benchmark's own check and digest, so a change in the bytes of one of
+these reports fails here as well as in the benchmark.  It only reads
+`bench/`.  The 234 operations of seed 7 take about 2 s on a shared 2-CPU
+host.
 """
 
 import importlib
@@ -34,9 +36,10 @@ def test_stability_reports_match_committed_digests(tmp_path):
         op
         for r in range(rounds)
         for op in run.write_round(WORKLOAD, run.DEFAULT_SEED, r, tmp_path)
-        if op.command == "stability"
     ]
-    assert len(ops) >= 10 * rounds
+    commands = {"stability", "leaf", "moment", "parahoric-analyze"}
+    assert {op.command for op in ops} == commands
+    assert len(ops) == len(expected)
     out = tmp_path / "report.json"
     for op in ops:
         assert cli.main([op.command, "--config", str(op.path), "--out", str(out)]) == 0

@@ -245,31 +245,42 @@ def test_char_coeffs_match_sympy_charpoly():
 
 
 @st.composite
-def char_matrices(draw):
+def char_matrices(draw, kinds=("dense", "nilpotent", "scalar", "repeated"), mixed=False):
     """(kind, matrix): an n x n matrix, n = 0..6, with all-int or all-Fraction
-    entries, of one kind.  Nilpotent and repeated-eigenvalue matrices are a
-    triangular T conjugated by an integer unipotent L, L T L^-1; a scalar
-    matrix is c*I."""
+    entries, of one of kinds.  Nilpotent and repeated-eigenvalue matrices
+    are a triangular T conjugated by an integer unipotent L, L T L^-1; a
+    scalar matrix is c*I, a zero matrix 0.  With mixed, some Fraction
+    matrices hold their integral entries as plain ints."""
     n = draw(st.integers(0, 6))
-    kind = draw(st.sampled_from(["dense", "nilpotent", "scalar", "repeated"]))
+    kind = draw(st.sampled_from(kinds))
     ints = draw(st.booleans())
+    mixed = mixed and not ints and draw(st.sampled_from([True, False]))
     entries = st.integers(-9, 9) if ints else RATIONALS
     zero = 0 if ints else Fraction(0)
     square = st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    if kind == "zero":
+        return kind, _mixed([[zero] * n for _ in range(n)], mixed)
     if kind == "dense":
-        return kind, draw(square)
+        return kind, _mixed(draw(square), mixed)
     if kind == "scalar":
         c = draw(entries)
-        return kind, [[c if i == j else zero for j in range(n)] for i in range(n)]
+        return kind, _mixed([[c if i == j else zero for j in range(n)] for i in range(n)], mixed)
     t = draw(square)
     diag = [zero] if kind == "nilpotent" else draw(st.lists(entries, min_size=1, max_size=2))
     for i in range(n):
         t[i][:i + 1] = [zero] * i + [diag[i % len(diag)]]
     lower = sympy.Matrix(n, n, lambda i, j: draw(st.integers(-2, 2)) if j < i else int(i == j))
     conj = lower * matrix_to_sympy([list(map(Fraction, row)) for row in t]) * lower.inv()
-    return kind, [
+    return kind, _mixed([
         [int(x) if ints else Fraction(int(x.p), int(x.q)) for x in row] for row in conj.tolist()
-    ]
+    ], mixed)
+
+
+def _mixed(m, mixed):
+    """m, with each integral Fraction entry made a plain int when mixed."""
+    if not mixed:
+        return m
+    return [[int(x) if x.denominator == 1 else x for x in row] for row in m]
 
 
 @given(char_matrices())
@@ -293,6 +304,55 @@ def test_char_coeffs_property_against_sympy(kind_matrix):
     if kind == "scalar" and n:
         c = Fraction(m[0][0])
         assert cs == [math.comb(n, k) * (-c) ** (n - k) for k in range(n + 1)]
+
+
+@given(char_matrices(("dense", "nilpotent", "scalar", "repeated", "zero"), mixed=True))
+def test_cleared_char_coeffs_det_inverse_against_sympy(kind_matrix):
+    """On int, Fraction and mixed int/Fraction matrices of size 0..6 (zero,
+    scalar, nilpotent and repeated-eigenvalue ones included), char_coeffs,
+    det and inverse, which clear the matrix to ints first, equal sympy's
+    charpoly, det and inverse, as Fractions."""
+    kind, m = kind_matrix
+    n = len(m)
+    sm = matrix_to_sympy([list(map(Fraction, row)) for row in m])
+    cs = linalgq.char_coeffs(m)
+    assert all(type(c) is Fraction for c in cs)
+    lam = sympy.Symbol("lam")
+    theirs = sympy.Poly(sm.charpoly(lam).as_expr(), lam).all_coeffs()[::-1] if n else [1]
+    assert [sympy.Rational(c.numerator, c.denominator) for c in cs] == theirs
+    d = linalgq.det(m)
+    assert type(d) is Fraction
+    if not n:
+        assert d == 1 and linalgq.inverse(m) == []
+    elif d == 0:
+        assert sm.det() == 0
+        with pytest.raises(ArithmeticError):
+            linalgq.inverse(m)
+    else:
+        assert sympy.Rational(d.numerator, d.denominator) == sm.det()
+        assert linalgq.inverse(m) == _fractions(sm.inv().tolist())
+    if kind in ("zero", "nilpotent"):
+        assert cs == [0] * n + [1]
+
+
+def test_rational_char_coeffs_run_on_ints(monkeypatch):
+    """A matrix with Fraction entries reaches the Berkowitz body cleared to
+    ints, once; a matrix of Poisson polynomials reaches it as it is."""
+    seen = []
+    body = linalgq._berkowitz
+
+    def spy(m):
+        seen.append({type(x) for row in m for x in row})
+        return body(m)
+
+    monkeypatch.setattr(linalgq, "_berkowitz", spy)
+    m = [[Fraction(1, 2), 3], [Fraction(-2, 3), Fraction(5)]]
+    assert linalgq.char_coeffs(m) == [Fraction(5, 2) + 2, Fraction(-11, 2), 1]
+    assert linalgq.det(m) == Fraction(9, 2)
+    assert seen == [{int}, {int}]
+    alg = poisson.matrix_poisson_algebra(1, 1)
+    linalgq.char_coeffs([[alg.generator(0, 0, 0)]])
+    assert seen[-1] == {poisson.PoissonPolynomial}
 
 
 def _site_algebras():

@@ -5,8 +5,11 @@ import subprocess
 import sys
 import types
 from fractions import Fraction
+from operator import mul
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from logahoric import linalgq, parahoric
 from logahoric.errors import (
@@ -50,9 +53,11 @@ from support import (
     loop_sub,
     loop_zero,
     mat_eq,
+    rank2_reduction,
     reference_incidence_closures,
     reference_rank,
     reference_rank2,
+    reference_weight_datum,
 )
 
 A1 = build_root_system("A", 1)
@@ -126,6 +131,58 @@ def test_jump_sum_dichotomy_random():
                 else:
                     assert r not in set(d.levi_roots)
                     assert total == 1
+
+
+PAIRING_SYSTEMS = [
+    build_root_system(f, r)
+    for f, r in (("A", 4), ("B", 2), ("B", 4), ("C", 3), ("D", 4), ("D", 5), ("G", 2))
+]
+THETA_COORDS = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+
+
+@st.composite
+def weights_on_walls(draw):
+    """(rs, theta, on): theta with coordinates of denominator up to 12,
+    negative ones included, moved onto the facet walls r(theta) = k of up
+    to two drawn roots r (the list on), k an integer in -3..3.  Each wall
+    is the linear condition c . v = k on the coordinates c, v_i the Cartan
+    row i applied to r; it is reduced against the walls before it and
+    solved for one pivot coordinate, the last wall first."""
+    rs = draw(st.sampled_from(PAIRING_SYSTEMS))
+    coeffs = draw(st.lists(THETA_COORDS, min_size=rs.rank, max_size=rs.rank))
+    walls, on = [], []  # (pivot, v, k), v zero at the pivots before it
+    for _ in range(draw(st.integers(0, 2))):
+        r = draw(st.sampled_from(rs.roots))
+        v = [Fraction(sum(map(mul, crow, r))) for crow in rs.cartan_matrix]
+        k = Fraction(draw(st.integers(-3, 3)))
+        for i, w, kw in walls:
+            f = v[i] / w[i]
+            v = [x - f * y for x, y in zip(v, w)]
+            k -= f * kw
+        pivots = [i for i, x in enumerate(v) if x]
+        if pivots:  # else r(theta) is fixed by the walls before it
+            walls.append((draw(st.sampled_from(pivots)), v, k))
+            on.append(r)
+    for i, v, k in reversed(walls):
+        coeffs[i] = (k - sum(c * x for j, (c, x) in enumerate(zip(coeffs, v)) if j != i)) / v[i]
+    return rs, RationalCocharacter.of(coeffs), on
+
+
+@given(weights_on_walls())
+def test_analyze_weight_matches_scalar_pairing(case):
+    """analyze_weight's integer route (theta cleared once, one divmod per
+    root) gives the jumps, Levi roots, radical grading and facet class of
+    the scalar rootsys.pair reference, on A4, B2, B4, C3, D4, D5 and G2,
+    for theta off and on facet walls."""
+    rs, theta, on = case
+    d = analyze_weight(rs, theta)
+    jumps, levi, plus, facet = reference_weight_datum(rs, theta)
+    assert list(d.jumps.items()) == list(jumps.items())
+    assert d.levi_roots == levi
+    assert list(d.plus_grading.items()) == list(plus.items())
+    assert d.facet_class == facet
+    assert all(type(m) is int for m in (*d.jumps.values(), *d.plus_grading.values()))
+    assert set(on) <= set(d.levi_roots)
 
 
 # -- membership -------------------------------------------------------------
@@ -412,7 +469,8 @@ def test_rank2_candidates_agree_with_slope_test():
             a1 + a2, 2, a1 + a2, 2, [w for pair_ in weights for w in pair_]
         )
         for cand in report.candidates:
-            assert slope_test(cand.reduction, total) == cand.verdict
+            rd = rank2_reduction(cand, (a1, a2), weights)
+            assert slope_test(rd, total) == cand.verdict
         best = max(c.weighted_degree for c in report.candidates)
         assert report.witness.weighted_degree == best
 
@@ -473,7 +531,7 @@ def test_rank2_matches_reference_oracle():
             candidates, witness, total_wd, total_slope = reference_rank2(
                 degrees, flags, weights, points
             )
-            assert report.candidates == candidates  # every field, reduction too
+            assert report.candidates == candidates  # every field
             assert report.witness == witness
             assert report.verdict == witness.verdict
             assert report.total_weighted_degree == total_wd
@@ -524,6 +582,7 @@ def test_rank2_weighted_degree_ties_match_reference_oracle():
         report = _assert_rank2_matches_reference(degrees, flags, [(Fraction(1, 2), 0)] * 4)
         pairs = list(zip(report.candidates, report.candidates[1:]))
         ties = [(x, y) for x, y in pairs if x.weighted_degree == y.weighted_degree]
+        assert all(x.weighted_degree is y.weighted_degree for x, y in ties)  # one Fraction each
         assert any(x.degree > y.degree for x, y in ties)
         assert any(x.degree == y.degree and x.incidences < y.incidences for x, y in ties)
 

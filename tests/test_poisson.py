@@ -774,6 +774,20 @@ def test_coadjoint_identity_and_conjugation():
     assert mat_eq(out.sites[0], E2)
 
 
+def test_coadjoint_acts_on_the_empty_site():
+    """The 0x0 group element acts on a 0x0 site and gives the 0x0 site back,
+    which leaf_invariants ranks 0, as it does before the action; linalgq's
+    products accept operands with no rows."""
+    m = MomentValue(sites=([],))
+    out = coadjoint_act([[]], m)
+    assert out.sites == ([],)
+    assert leaf_invariants(out) == leaf_invariants(m)
+    assert leaf_invariants(out).bivector_rank == 0
+    assert linalgq.mat_mul([], []) == []
+    assert linalgq.mat_mul([[]], []) == [[]]
+    assert linalgq.mat_mul([[], []], []) == [[], []]
+
+
 def test_coadjoint_respects_block_constraint():
     iwa = wt(A1, Fraction(1, 4))
     m = MomentValue(sites=(H2,), data=(iwa,))
