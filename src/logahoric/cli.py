@@ -86,7 +86,6 @@ class ParsedConfig:
     def __init__(self, raw: dict, csv_path: Optional[str] = None):
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
-        self.raw = raw
         self.csv_path = csv_path
         self.command: Optional[str] = raw.get("command")
         if self.command is not None and self.command not in COMMANDS:
@@ -305,6 +304,15 @@ def _cmd_moment(cfg: ParsedConfig) -> dict:
 # takes 18 s and n = 4, s = 3 three minutes.
 HITCHIN_INVOLUTION_MAX_POINTS = {2: 12, 3: 4}
 
+# Largest n*s, matrix size times point count, that `involution` with Gaudin
+# Hamiltonians accepts; larger shapes are refused (ShapeError) before the
+# Hamiltonians are built.  The cost tracks n*s.  On a shared 2-CPU host
+# (random integer residues in -3..3, residue sum zero): n*s = 64 took
+# 0.5-0.8 s (n = 8, s = 8; 4, 16; 16, 4), 80 took 1.1-2.1 s (8, 10; 10, 8;
+# 2, 40; 20, 4), 96 took 2.8-3.5 s (8, 12; 12, 8), 128 took 5-7 s (8, 16;
+# 2, 64) and n = 10, s = 20 more than 25 s.
+GAUDIN_INVOLUTION_MAX_SIZE = 80
+
 
 def _hitchin_symbolic_hams(cfg: ParsedConfig):
     group = cfg.require_group()
@@ -332,7 +340,14 @@ def _hitchin_symbolic_hams(cfg: ParsedConfig):
 def _cmd_involution(cfg: ParsedConfig) -> dict:
     which = cfg.options.get("hamiltonians", "gaudin")
     if which == "gaudin":
-        data = higgs.gaudin_hamiltonians(cfg.field())
+        f = cfg.field()
+        size = f.matrix_size * f.site_count
+        if size > GAUDIN_INVOLUTION_MAX_SIZE:
+            raise ShapeError(
+                f"Gaudin involution takes n*s at most {GAUDIN_INVOLUTION_MAX_SIZE}; "
+                f"n = {f.matrix_size} with {f.site_count} points gives {size}"
+            )
+        data = higgs.gaudin_hamiltonians(f)
         alg, hams = data.algebra, list(data.polynomials)
     elif which == "hitchin":
         alg, hams = _hitchin_symbolic_hams(cfg)

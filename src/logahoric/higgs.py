@@ -19,14 +19,14 @@ degree-i section is the i-th elementary symmetric function of eigenvalues.
 The spectral data is the lambda-discriminant of det(lambda*I - A(z)),
 interpolated from its values at t = 0..n(n-1) deg A: the discriminants, in
 integers, of the characteristic polynomials of the samples B = D*A(t),
-divided by D^(n(n-1)) once.  Its squarefree test is a certificate modulo a
-prime, with the Euclidean gcd over Q as fallback, and a size cap keeps that
-fallback affordable.  The genus comes from Riemann-Hurwitz bookkeeping:
-genus = branch/2 - n + 1 where branch counts the (simple, finite)
-discriminant roots.  The genus field is meaningful for connected covers
-with no ramification over infinity, which is the generic situation; it is
-left undefined whenever the discriminant fails to be squarefree or has an
-odd number of roots.
+divided by D^(n(n-1)) once.  Its squarefree test is one integer
+gcd-degree routine, run modulo a prime as a certificate and over Q as the
+fallback, and a size cap keeps that fallback affordable.  The genus comes
+from Riemann-Hurwitz bookkeeping: genus = branch/2 - n + 1 where branch
+counts the (simple, finite) discriminant roots.  The genus field is
+meaningful for connected covers with no ramification over infinity, which
+is the generic situation; it is left undefined whenever the discriminant
+fails to be squarefree or has an odd number of roots.
 """
 
 from __future__ import annotations
@@ -237,12 +237,13 @@ class SpectralCurveData:
 
 
 # Largest accepted bound n(n-1) deg A on the discriminant degree.  A
-# discriminant with a square factor is decided by the Euclidean gcd over Q,
-# whose cost grows steeply with the degree: for block-diagonal GL fields
-# (whose discriminant carries a squared resultant) it took 0.43 s at degree
-# 60, 6.9 s at 100, 11 s at 120, 25 s at 140 and 93 s at 150 on a shared
-# 2-CPU host.  120 is the bound of n = 5, s = 7 with a non-zero residue sum,
-# the top of the size ladder.
+# discriminant with a square factor is decided by the gcd over Q of
+# polyq._gcd_degree, whose cost grows steeply with the degree: for
+# block-diagonal GL fields (n = 5, blocks 2 + 3, whose discriminant carries a
+# squared resultant) it took 0.09 s at degree 60, 0.32 s at 80, 1.2 s at
+# 100, 2.5-2.8 s at 120, 5.9 s at 140 and 13 s at 160 on a shared 2-CPU
+# host.  120 is the bound of n = 5, s = 7 with a non-zero residue sum, the
+# top of the size ladder.
 SPECTRAL_MAX_DEGREE = 120
 
 
@@ -256,8 +257,9 @@ def spectral_curve(f: LogHiggsField) -> SpectralCurveData:
     over Q[z]; the values at t = 0..N are interpolated.  Each is taken in
     ints, from the char_coeffs of the sample B = D*A(t); as B has D times
     the eigenvalues of A(t), the interpolant is divided by D^(n(n-1)) once.
-    The squarefree test is polyq.is_squarefree: a modular certificate, with
-    the Euclidean gcd over Q as fallback.
+    The squarefree test is polyq.is_squarefree: a primitive integer
+    pseudo-remainder sequence for the degree of gcd(disc, disc'), modulo a
+    prime as a certificate and over Q as fallback.
 
     Shapes whose bound N, with deg A <= s - 2 for fields regular at infinity
     and s - 1 otherwise, exceeds SPECTRAL_MAX_DEGREE are refused with

@@ -49,11 +49,6 @@ def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_scale(a, c):
-    c = Fraction(c)
-    return [[x * c for x in row] for row in a]
-
-
 def mat_mul(a, b):
     """a*b; an operand with no rows gives a product with no rows or columns."""
     n, k, m = len(a), len(b), len(b[0]) if b else 0
@@ -208,21 +203,23 @@ def det(m):
 
 
 def inverse(a) -> Matrix:
-    """A^-1 by Cayley-Hamilton, from the char_coeffs c_0..c_n of A:
+    """A^-1 by Cayley-Hamilton on the int matrix B = d*A of integer_form,
+    from the char_coeffs c_0..c_n of B:
 
-        A^-1 = -(A^(n-1) + c_(n-1) A^(n-2) + ... + c_1 I) / c_0,
+        A^-1 = d*B^-1 = -d*(B^(n-1) + c_(n-1) B^(n-2) + ... + c_1 I) / c_0,
 
-    with the bracket summed by Horner's rule.  Raises ArithmeticError iff
-    c_0 = (-1)^n det A is zero.
+    with the bracket summed by Horner's rule in ints and one Fraction made
+    per entry.  Raises ArithmeticError iff c_0 = (-1)^n det B is zero.
     """
-    a = mat(a)
     n = len(a)
-    cs = char_coeffs(a)
-    if cs[0] == 0:
+    d, flat = integer_form(x for row in a for x in row)
+    b = [flat[i * n:(i + 1) * n] for i in range(n)]
+    low = _berkowitz(b)  # c_(n-1), ..., c_0
+    if n and not low[-1]:
         raise ArithmeticError("matrix is singular")
-    out = identity(n)
-    for c in reversed(cs[1:n]):
-        out = mat_mul(a, out)
+    out = [[int(i == j) for j in range(n)] for i in range(n)]
+    for c in low[:-1]:
+        out = [[sum(map(mul, row, col)) for col in zip(*out)] for row in b]
         for i in range(n):
             out[i][i] += c
-    return mat_scale(out, -1 / cs[0])
+    return [[Fraction(-d * x, low[-1]) for x in row] for row in out]

@@ -7,14 +7,15 @@ characteristic polynomials and interpolates a discriminant of degree 100 and
 more with coefficients of a few hundred bits, so its three routines work in
 integers: `discriminant` is the determinant (`linalgq.det`) of the Hankel
 matrix of Newton power sums, `interpolate` takes forward differences over
-one common denominator, and `is_squarefree` first tries a certificate modulo
-the prime 2^61 - 1, keeping the Euclidean `gcd` over Q as its exact fallback.
+one common denominator, and `is_squarefree` runs one integer gcd-degree
+routine, modulo the prime 2^61 - 1 as a certificate and over Q as fallback.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from . import linalgq
 
@@ -55,80 +56,49 @@ def derivative(p: Sequence[Fraction]) -> Coeffs:
     return trim([c * i for i, c in enumerate(p)][1:])
 
 
-def divmod_(p: Sequence[Fraction], q: Sequence[Fraction]) -> Tuple[Coeffs, Coeffs]:
-    """Euclidean division p = quot*q + rem with deg rem < deg q, in Fractions."""
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = [c if type(c) is Fraction else Fraction(c) for c in p]
-    quot = [Fraction(0)] * max(0, len(p) - len(q) + 1)
-    lead = Fraction(q[-1])
-    while len(rem) >= len(q):
-        c = rem[-1] / lead
-        k = len(rem) - len(q)
-        quot[k] = c
-        for i, b in enumerate(q):
-            rem[k + i] -= c * b
-        trim(rem)
-    return trim(quot), trim(rem)
-
-
-def monic(p: Sequence[Fraction]) -> Coeffs:
-    if not p:
-        return []
-    lead = Fraction(p[-1])
-    return [c / lead for c in p]
-
-
-def gcd(p: Sequence[Fraction], q: Sequence[Fraction]) -> Coeffs:
-    """Monic gcd by the Euclidean algorithm over Q (the zero polynomial for
-    two zero inputs).  Each remainder is made monic before the next division,
-    which keeps coefficient growth in check without changing the result."""
-    a, b = list(p), list(q)
-    while b:
-        _, r = divmod_(a, b)
-        a, b = b, monic(r)
-    return monic(a)
-
-
 # A fixed Mersenne prime for the squarefree certificate.
 MODULUS = 2**61 - 1
 
 
-def _gcd_degree_mod(a: List[int], b: List[int]) -> int:
-    """Degree of gcd(a, b) over GF(MODULUS); a and b are reduced, trimmed
-    coefficient lists, a non-zero."""
+def _gcd_degree(a: List[int], b: List[int], modulus: int = 0) -> int:
+    """Degree of gcd(a, b) over GF(modulus), or over Q for modulus 0, of
+    trimmed int lists, a non-zero (reduced, given a modulus).  A primitive
+    pseudo-remainder sequence (Collins 1967; Brown 1971): each remainder is
+    taken in ints by steps a <- lc(b)*a - lc(a)*z^k*b, then normalised by
+    reduction modulo the prime or, over Q, by division by its content; by
+    Gauss's lemma neither changes the gcd's degree."""
     while b:
-        inv = pow(b[-1], -1, MODULUS)
-        db = len(b) - 1
-        while len(a) >= len(b):
-            c = a[-1] * inv % MODULUS
-            k = len(a) - 1 - db
-            for i in range(db):
-                a[k + i] = (a[k + i] - c * b[i]) % MODULUS
-            a.pop()
-            trim(a)
-        a, b = b, a
+        lead, db = b[-1], len(b) - 1
+        while len(a) > db:
+            c, k = a[-1], len(a) - 1 - db
+            a = trim([lead * x for x in a[:k]] + [lead * x - c * y for x, y in zip(a[k:-1], b)])
+        if modulus:
+            a = [x % modulus for x in a]
+        else:
+            g = math.gcd(*a)
+            if g > 1:
+                a = [x // g for x in a]
+        a, b = b, trim(a)
     return len(a) - 1
 
 
 def is_squarefree(p: Sequence[Fraction]) -> bool:
     """Whether p has no repeated factor over Q; constants count as squarefree.
 
-    Certificate first: clear p to integers and reduce modulo the prime
-    MODULUS.  When the prime does not divide the leading coefficient and the
-    reduction is coprime to its derivative, p is squarefree, exactly: a
-    square factor q^2 of p over Z (Gauss's lemma) would reduce to a square
-    factor of the same degree.  Every other case, a failed certificate
-    included, is decided by the Euclidean gcd over Q.
+    p is cleared to an int list a once.  Certificate first: when the prime
+    MODULUS does not divide lc(a) and the reduction of a is coprime to its
+    derivative, p is squarefree, exactly: a square factor q^2 of a over Z
+    (Gauss's lemma) would reduce to one of the same degree.  Every other
+    case is decided by the degree of gcd(a, a') over Q.
     """
     if degree(p) <= 0:
         return True
-    red = [c % MODULUS for c in linalgq.integer_form(p)[1]]
-    if red[-1]:
-        dred = trim([i * c % MODULUS for i, c in enumerate(red)][1:])
-        if _gcd_degree_mod(red, dred) == 0:
-            return True
-    return degree(gcd(p, derivative(p))) == 0
+    a = linalgq.integer_form(p)[1]
+    da = derivative(a)
+    red = [c % MODULUS for c in a]
+    if red[-1] and _gcd_degree(red, trim([c % MODULUS for c in da]), MODULUS) == 0:
+        return True
+    return _gcd_degree(a, da) == 0
 
 
 def discriminant(p: Sequence[Fraction]) -> Fraction:

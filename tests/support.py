@@ -22,6 +22,12 @@ def mat_eq(a, b) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
+def mat_scale(a, c) -> List[List[Fraction]]:
+    """c*A entrywise, with c read as a Fraction."""
+    c = Fraction(c)
+    return [[x * c for x in row] for row in a]
+
+
 def basis_matrix(n: int, p: int, q: int) -> List[List[Fraction]]:
     """The matrix unit E_pq (0-indexed) of size n."""
     out = linalgq.zeros(n)
@@ -66,7 +72,7 @@ def lax_value(f: LogHiggsField, z) -> List[List[Fraction]]:
     marked points."""
     out = linalgq.zeros(f.matrix_size)
     for x, res in zip(f.points, f.residues):
-        out = linalgq.mat_add(out, linalgq.mat_scale(res, 1 / (Fraction(z) - x)))
+        out = linalgq.mat_add(out, mat_scale(res, 1 / (Fraction(z) - x)))
     return out
 
 
@@ -78,7 +84,7 @@ def nilpotent_exp(y) -> List[List[Fraction]]:
     for k in range(1, n):
         power = linalgq.mat_mul(power, y)
         fact *= k
-        out = linalgq.mat_add(out, linalgq.mat_scale(power, Fraction(1, fact)))
+        out = linalgq.mat_add(out, mat_scale(power, Fraction(1, fact)))
     return out
 
 
@@ -205,14 +211,15 @@ def to_string(p, var: str = "z") -> str:
 
 
 def squarefree_oracles(p):
-    """The squarefree verdicts on a non-zero polynomial of the Euclidean gcd
-    over Q and of sympy's squarefree factorization."""
+    """The squarefree verdicts on a non-zero polynomial of sympy's gcd(p, p')
+    and of sympy's squarefree factorization."""
     import sympy
 
     z = sympy.Symbol("z")
-    euclid = polyq.degree(polyq.gcd(p, polyq.derivative(p))) <= 0
-    _, factors = sympy.sqf_list(coeffs_to_sympy(p, z), z)
-    return euclid, all(mult == 1 for _, mult in factors)
+    expr = coeffs_to_sympy(p, z)
+    coprime = sympy.degree(sympy.gcd(expr, sympy.diff(expr, z)), z) <= 0
+    _, factors = sympy.sqf_list(expr, z)
+    return coprime, all(mult == 1 for _, mult in factors)
 
 
 def matrix_to_sympy(m):

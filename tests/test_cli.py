@@ -405,6 +405,26 @@ def test_bad_hamiltonian_choice(tmp_path, capsys):
     assert "hamiltonians" in err
 
 
+def test_stability_rank2_weight_walls(tmp_path, capsys):
+    """Rank-2 weights of exactly 0 are accepted; a weight of exactly 1 is a
+    normalization failure, exit 1."""
+
+    def config(weight):
+        rank2 = {"split_degrees": [0, 0], "flags": [["1", "0"], ["1", "1"]], "weights": weight}
+        return {"options": {"rank2": rank2}}
+
+    cfg = write_config(tmp_path, config([["0", "0"], ["0", "1/2"]]))
+    r2 = run_json(capsys, ["stability", "--config", cfg])["results"]["rank2"]
+    assert r2["total_slope"] == "1/4"
+    for weight in ([["1", "0"], ["0", "0"]], [["0", "0"], ["0", "1"]]):
+        cfg = write_config(tmp_path, config(weight))
+        code, out, _ = run_cli(capsys, ["stability", "--config", cfg])
+        assert code == 1
+        report = json.loads(out)
+        assert report["error"]["kind"] == "normalization"
+        assert "results" not in report
+
+
 def test_stability_without_options(tmp_path, capsys):
     cfg = write_config(tmp_path, {"options": {}})
     code, _, err = run_cli(capsys, ["stability", "--config", cfg])
@@ -578,6 +598,33 @@ def test_hitchin_involution_cap_report(tmp_path, capsys):
         cfg = write_config(tmp_path, hitchin_involution_config(n, s))
         res = run_json(capsys, ["involution", "--config", cfg])["results"]
         assert res["all_commute"] is True
+
+
+def test_gaudin_involution_cap_report(tmp_path, capsys):
+    """n*s past cli.GAUDIN_INVOLUTION_MAX_SIZE is a shape failure; the
+    largest bench shapes, n = 5, s = 5 and n = 2, s = 7, are accepted."""
+    cap = cli.GAUDIN_INVOLUTION_MAX_SIZE
+
+    def config(n, s):
+        unit = [[int((p, q) == (0, n - 1)) for q in range(n)] for p in range(n)]
+        last = [[-(s - 1) * v for v in row] for row in unit]
+        return {
+            "group": {"family": "A", "rank": n - 1, "form": "SL"},
+            "points": [{"x": x} for x in range(s)],
+            "residues": [unit] * (s - 1) + [last],
+        }
+
+    assert 25 <= cap < 81
+    cfg = write_config(tmp_path, config(9, 9))
+    code, out, _ = run_cli(capsys, ["involution", "--config", cfg])
+    assert code == 1
+    report = json.loads(out)
+    assert report["error"]["kind"] == "shape"
+    assert f"n*s at most {cap}" in report["error"]["message"]
+    assert "results" not in report
+    for n, s in ((5, 5), (2, 7)):
+        cfg = write_config(tmp_path, config(n, s))
+        assert run_json(capsys, ["involution", "--config", cfg])["results"]["all_commute"]
 
 
 def test_rank2_gap_cap_report(tmp_path, capsys):

@@ -23,15 +23,18 @@ from logahoric.higgs import (
     spectral_curve,
     spectral_genus,
 )
+from logahoric.poisson import quotient_diagram_check
 from logahoric.rootsys import GroupTag
 from support import (
     E2,
     F2,
     H2,
+    coeffs_to_sympy,
     is_strongly_logarithmic_image,
     lax_value,
     make_traceless,
     mat_eq,
+    mat_scale,
     matrix_to_sympy,
     poly,
     reference_char_coeff_polys,
@@ -99,11 +102,11 @@ def test_clear_denominators_worked_example():
 
 def test_clear_denominators_two_point_constant():
     x = [[Fraction(2), Fraction(1)], [Fraction(0), Fraction(-2)]]
-    neg = linalgq.mat_scale(x, Fraction(-1))
+    neg = mat_scale(x, Fraction(-1))
     f = build_field([Fraction(1, 2), Fraction(5, 2)], [x, neg], SL2)
     a = clear_denominators(f)
     assert a.degree == 0
-    assert mat_eq(a.coeffs[0], linalgq.mat_scale(x, Fraction(-2)))
+    assert mat_eq(a.coeffs[0], mat_scale(x, Fraction(-2)))
 
 
 def test_degree_bound_random():
@@ -130,8 +133,8 @@ def test_polynomial_matrix_evaluate_matches_field():
             prefactor *= z - x
         value = linalgq.zeros(2)
         for k, m in enumerate(a.coeffs):
-            value = linalgq.mat_add(value, linalgq.mat_scale(m, z**k))
-        assert mat_eq(value, linalgq.mat_scale(lax_value(f, z), prefactor))
+            value = linalgq.mat_add(value, mat_scale(m, z**k))
+        assert mat_eq(value, mat_scale(lax_value(f, z), prefactor))
 
 
 # -- Hitchin map --------------------------------------------------------------
@@ -173,6 +176,31 @@ def test_hitchin_map_conjugation_invariant():
         ]
         fc = build_field(f.points, conj, f.group)
         assert hitchin_map(fc).sections == hitchin_map(f).sections
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_hitchin_and_diagram_check_at_one_and_two_points(s):
+    """hitchin_map and quotient_diagram_check at s = 1 and 2, SL and GL,
+    residue sum zero or not: each section is sympy's e_i of the symbolic
+    A(z) and lies in its ambient space, and every diagram row has equal
+    routes."""
+    rng = random.Random(98 + s)
+    z, lam = sympy.symbols("z lam")
+    for n in (2, 3):
+        for form in ("SL", "GL"):
+            for sum_zero in (True, False):
+                f = rnd_field(rng, n, s, form=form, sum_zero=sum_zero)
+                image = hitchin_map(f)
+                char = sympy.Poly(reference_lax_matrix(f, z).charpoly(lam).as_expr(), lam)
+                assert image.degrees == tuple(higgs.invariant_degrees(f))
+                for i, sec, dim in zip(image.degrees, image.sections, image.ambient_dims):
+                    e_i = (-1) ** i * char.coeff_monomial(lam ** (n - i))
+                    assert sec == sympy_to_coeffs(sympy.expand(e_i), z)
+                    assert len(sec) <= dim
+                report = quotient_diagram_check(f)
+                assert len(report.rows) == s * len(image.degrees)
+                assert all(row.residue_route == row.moment_route for row in report.rows)
+                assert report.all_equal
 
 
 def test_hitchin_ambient_dims_follow_regularity():
@@ -344,11 +372,11 @@ def test_spectral_discriminant_matches_sympy():
         s1 = linalgq.zeros(n)
         for x, m in zip(xs, head):
             s0 = linalgq.mat_add(s0, m)
-            s1 = linalgq.mat_add(s1, linalgq.mat_scale(m, x))
+            s1 = linalgq.mat_add(s1, mat_scale(m, x))
         # X_a + X_b = -s0 and a X_a + b X_b = -s1 at the last two points a, b.
         a, b = xs[-2:]
-        xb = linalgq.mat_scale(linalgq.mat_sub(linalgq.mat_scale(s0, a), s1), 1 / (b - a))
-        xa = linalgq.mat_sub(linalgq.mat_scale(s0, Fraction(-1)), xb)
+        xb = mat_scale(linalgq.mat_sub(mat_scale(s0, a), s1), 1 / (b - a))
+        xa = linalgq.mat_sub(mat_scale(s0, Fraction(-1)), xb)
         f = build_field(xs, head + [xa, xb], GroupTag("A", n - 1, "SL"))
         assert clear_denominators(f).degree == s - 3
         check(f)
@@ -381,8 +409,8 @@ def test_squarefree_verdict_on_discriminants():
         m = rnd_matrix(rng, n)
         mats = [
             linalgq.mat_add(
-                linalgq.mat_scale(m, Fraction(rng.randint(-3, 3))),
-                linalgq.mat_scale(linalgq.identity(n), Fraction(rng.randint(-3, 3))),
+                mat_scale(m, Fraction(rng.randint(-3, 3))),
+                mat_scale(linalgq.identity(n), Fraction(rng.randint(-3, 3))),
             )
             for _ in range(s)
         ]
@@ -421,22 +449,60 @@ def test_squarefree_verdict_on_discriminants():
     assert verdicts.count(True) >= 10 and verdicts.count(False) >= 8
 
 
+def _gcd_degree_spy(monkeypatch):
+    """Record the modulus of every polyq._gcd_degree call (0 over Q)."""
+    body = polyq._gcd_degree
+    calls = []
+
+    def spy(a, b, modulus=0):
+        calls.append(modulus)
+        return body(a, b, modulus)
+
+    monkeypatch.setattr(polyq, "_gcd_degree", spy)
+    return calls
+
+
 def test_spectral_route_runs_without_polynomial_division(monkeypatch):
-    """polyq.discriminant, and spectral_curve on generic fields, whose
-    discriminant is squarefree so the modular certificate decides, never
-    divide polynomials: the discriminant route stays in ints."""
-
-    def no_division(p, q):
-        raise AssertionError("polyq.divmod_ was called")
-
-    monkeypatch.setattr(polyq, "divmod_", no_division)
+    """polyq.discriminant takes no gcd, and spectral_curve on generic
+    fields, whose discriminant is squarefree so the modular certificate
+    decides, calls polyq._gcd_degree only with the modulus: the gcd over Q,
+    which divides remainders by their content, is not reached."""
+    calls = _gcd_degree_spy(monkeypatch)
     rng = random.Random(96)
     for _ in range(30):
         p = poly([rnd_fraction(rng) for _ in range(rng.randint(2, 8))])
         if polyq.degree(p) >= 1:
             assert type(polyq.discriminant(p)) is Fraction
+    assert calls == []
     for n, s, form in [(2, 3, "SL"), (2, 5, "GL"), (3, 4, "SL"), (3, 3, "GL"), (4, 3, "SL")]:
         assert spectral_curve(rnd_field(rng, n, s, form)).is_squarefree
+    assert len(calls) == 5 and set(calls) == {polyq.MODULUS}
+
+
+def test_square_factor_discriminant_takes_the_exact_route(monkeypatch):
+    """A block-diagonal GL field (blocks 1 + 2, residue sum non-zero) has a
+    discriminant with a squared resultant factor: the certificate fails,
+    and the gcd over Q gives sympy's gcd degree and squarefree verdict."""
+    rng = random.Random(97)
+    residues = []
+    for _ in range(4):
+        m = linalgq.zeros(3)
+        for p in range(3):
+            for q in range(3):
+                if (p < 1) == (q < 1):
+                    m[p][q] = Fraction(rng.randint(-3, 3))
+        residues.append(m)
+    f = build_field(NON_INTEGER_POINTS[:4], residues, GroupTag("A", 2, "GL"))
+    calls = _gcd_degree_spy(monkeypatch)
+    disc = spectral_curve(f).discriminant
+    assert not polyq.is_squarefree(disc)
+    assert calls == [polyq.MODULUS, 0] * 2
+    z = sympy.Symbol("z")
+    expr = coeffs_to_sympy(disc, z)
+    shared = sympy.degree(sympy.gcd(expr, sympy.diff(expr, z)), z)
+    a = linalgq.integer_form(disc)[1]
+    assert shared > 0 and polyq._gcd_degree(a, polyq.derivative(a)) == shared
+    assert squarefree_oracles(disc) == (False, False)
 
 
 def _edge_residues(rng, n, kind, count):
@@ -634,7 +700,7 @@ def test_residue_of_invariant_index_errors():
 def test_strongly_logarithmic_cases():
     rng = random.Random(94)
     ups = [strictly_upper(rng, 2) for _ in range(2)]
-    third = linalgq.mat_scale(linalgq.mat_add(ups[0], ups[1]), Fraction(-1))
+    third = mat_scale(linalgq.mat_add(ups[0], ups[1]), Fraction(-1))
     nil = build_field([0, 1, 2], ups + [third], SL2)
     assert is_strongly_logarithmic_image(hitchin_map(nil), nil)
 

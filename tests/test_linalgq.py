@@ -15,6 +15,7 @@ from support import (
     evaluate,
     levi_algebra,
     mat_eq,
+    mat_scale,
     matrix_to_sympy,
     rnd_fraction,
     rnd_invertible,
@@ -402,5 +403,5 @@ def test_commutator_and_trace_identities():
         assert linalgq.trace(linalgq.commutator(a, b)) == 0
         assert mat_eq(
             linalgq.commutator(a, b),
-            linalgq.mat_scale(linalgq.commutator(b, a), Fraction(-1)),
+            mat_scale(linalgq.commutator(b, a), Fraction(-1)),
         )

@@ -553,6 +553,23 @@ def _assert_rank2_matches_reference(degrees, flags, weights, points=None):
     return report
 
 
+def test_rank2_weights_on_the_walls_of_the_unit_interval():
+    """A weight of exactly 0, on or off the flag, is accepted and matches
+    the oracle; a weight of exactly 1, on or off the flag, is refused with
+    NormalizationError."""
+    flags = [(1, 0), (1, 1), (0, 1)]
+    for weights in (
+        [(0, Fraction(1, 2)), (Fraction(2, 3), 0), (0, 0)],
+        [(0, Fraction(99, 100))] * 3,
+        [(Fraction(99, 100), 0)] * 3,
+    ):
+        for degrees in ((0, 0), (1, 0), (0, 2)):
+            _assert_rank2_matches_reference(degrees, flags, weights)
+    for bad in ((1, 0), (0, 1), (1, 1), (Fraction(1), Fraction(1, 2))):
+        with pytest.raises(NormalizationError, match=r"\[0, 1\)"):
+            rank2_semistability((0, 0), flags, [(0, 0), bad, (0, 0)])
+
+
 def test_rank2_edge_weights_match_reference_oracle():
     """Weight shapes the seeded oracle test never draws: all weights zero
     (one common denominator w = 1), on-flag equal to off-flag at every point

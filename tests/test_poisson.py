@@ -53,6 +53,7 @@ from support import (
     levi_algebra,
     levi_site,
     mat_eq,
+    mat_scale,
     matrix_to_sympy,
     nilpotent_exp,
     partial,
@@ -853,12 +854,12 @@ def test_infinitesimal_action_is_exp_derivative():
         m = MomentValue(sites=(x,))
 
         def diff_quotient(t: Fraction):
-            conj = coadjoint_act([nilpotent_exp(linalgq.mat_scale(y, t))], m).sites[0]
-            return linalgq.mat_scale(linalgq.mat_sub(conj, x), 1 / t)
+            conj = coadjoint_act([nilpotent_exp(mat_scale(y, t))], m).sites[0]
+            return mat_scale(linalgq.mat_sub(conj, x), 1 / t)
 
         d1 = diff_quotient(Fraction(1, 100))
         d2 = diff_quotient(Fraction(1, 200))
-        extrap = linalgq.mat_sub(linalgq.mat_scale(d2, Fraction(2)), d1)
+        extrap = linalgq.mat_sub(mat_scale(d2, Fraction(2)), d1)
         assert mat_eq(extrap, linalgq.commutator(y, x))
 
 
@@ -898,7 +899,7 @@ def _bivector_points(rng, alg, data):
 
     yield point(rnd_matrix(rng, n) for n in sizes)
     yield point(linalgq.zeros(n) for n in sizes)
-    yield point(linalgq.mat_scale(linalgq.identity(n), 3) for n in sizes)
+    yield point(mat_scale(linalgq.identity(n), 3) for n in sizes)
     yield point(strictly_upper(rng, n) for n in sizes)
     rank_one = []
     for n in sizes:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from logahoric import polyq
+from logahoric import linalgq, polyq
 from support import (
     coeffs_to_sympy,
     poly,
@@ -24,22 +24,6 @@ def test_trim_and_degree():
     assert polyq.is_zero(poly([0, 0]))
 
 
-def test_arithmetic_matches_sympy():
-    """divmod_ agrees with sympy on random rational polys."""
-    rng = random.Random(101)
-    z = sympy.Symbol("z")
-    for _ in range(40):
-        a = [rnd_fraction(rng) for _ in range(rng.randint(0, 5))]
-        b = [rnd_fraction(rng) for _ in range(rng.randint(1, 5))]
-        pa, pb = poly(a), poly(b)
-        sa, sb = coeffs_to_sympy(pa, z), coeffs_to_sympy(pb, z)
-        if not polyq.is_zero(pb):
-            q, r = polyq.divmod_(pa, pb)
-            qq, rr = sympy.div(sa, sb, z)
-            assert coeffs_to_sympy(q, z) == sympy.expand(qq)
-            assert coeffs_to_sympy(r, z) == sympy.expand(rr)
-
-
 def test_evaluate_horner():
     rng = random.Random(33)
     for _ in range(25):
@@ -55,12 +39,31 @@ def test_derivative():
     assert polyq.derivative([Fraction(7)]) == []
 
 
+def _gcd_degrees(p, q):
+    """The degree of gcd(p, q) from polyq._gcd_degree over Q and over
+    GF(MODULUS), on p and q cleared to ints."""
+    ell = polyq.MODULUS
+    a, b = linalgq.integer_form(p)[1], linalgq.integer_form(q)[1]
+    return (
+        polyq._gcd_degree(a, b),
+        polyq._gcd_degree(polyq.trim([c % ell for c in a]), polyq.trim([c % ell for c in b]), ell),
+    )
+
+
+def _sympy_gcd_degree(e, f, z):
+    return sympy.degree(sympy.gcd(e, f), z)
+
+
 def test_gcd_and_squarefree():
     # (z-1)^2 (z+2) has gcd (z-1) with its derivative
     z = sympy.Symbol("z")
-    p = sympy_to_coeffs((z - 1) ** 2 * (z + 2), z)
-    g = polyq.gcd(p, polyq.derivative(p))
-    assert g == sympy_to_coeffs(z - 1, z)
+    e = (z - 1) ** 2 * (z + 2)
+    p = sympy_to_coeffs(e, z)
+    assert _sympy_gcd_degree(e, sympy.diff(e, z), z) == 1
+    assert _gcd_degrees(p, polyq.derivative(p)) == (1, 1)
+    assert _gcd_degrees(p, sympy_to_coeffs(z - 1, z)) == (1, 1)
+    assert _gcd_degrees(p, sympy_to_coeffs(z + 5, z)) == (0, 0)
+    assert _gcd_degrees(p, []) == (3, 3)
     assert not polyq.is_squarefree(p)
     assert polyq.is_squarefree(sympy_to_coeffs(z * (z - 1) * (z - 2), z))
     assert polyq.is_squarefree([Fraction(4)])
@@ -68,17 +71,15 @@ def test_gcd_and_squarefree():
 
 def test_gcd_matches_sympy():
     """Degree 20-30 products of random rational factors, some repeated:
-    the monic gcd with a second product and with the derivative agrees with
-    sympy, and so does the squarefree verdict."""
+    the gcd degree with a second product and with the derivative, over Q
+    and over GF(MODULUS), agrees with sympy, and so does the squarefree
+    verdict."""
     rng = random.Random(107)
     z = sympy.Symbol("z")
 
     def factor():
         lead = Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.randint(1, 4))
         return coeffs_to_sympy([rnd_fraction(rng) for _ in range(rng.randint(1, 3))] + [lead], z)
-
-    def monic_sympy(expr):
-        return sympy.Poly(expr, z).monic().as_expr()
 
     verdicts = set()
     for trial in range(8):
@@ -96,15 +97,11 @@ def test_gcd_matches_sympy():
             sq *= factor()
         p, q = sympy_to_coeffs(sp, z), sympy_to_coeffs(sq, z)
         assert 20 <= polyq.degree(p) <= 30
-        g = polyq.gcd(p, q)
-        assert g[-1] == 1
-        assert sympy.expand(coeffs_to_sympy(g, z) - monic_sympy(sympy.gcd(sp, sq))) == 0
-        dp = polyq.derivative(p)
-        gd = sympy.gcd(sp, sympy.diff(sp, z))
-        assert sympy.expand(
-            coeffs_to_sympy(polyq.gcd(p, dp), z) - monic_sympy(gd)
-        ) == 0
-        squarefree = sympy.degree(gd, z) == 0
+        shared_degree = _sympy_gcd_degree(sp, sq, z)
+        assert _gcd_degrees(p, q) == (shared_degree, shared_degree)
+        own_degree = _sympy_gcd_degree(sp, sympy.diff(sp, z), z)
+        assert _gcd_degrees(p, polyq.derivative(p)) == (own_degree, own_degree)
+        squarefree = own_degree == 0
         assert polyq.is_squarefree(p) == squarefree
         verdicts.add(squarefree)
     assert verdicts == {True, False}
@@ -137,24 +134,60 @@ def test_squarefree_certificate_edge_cases():
 
 def test_squarefree_certificate_decides_without_fallback(monkeypatch):
     """A squarefree polynomial whose reduction stays squarefree is decided
-    by the certificate alone; the misleading reductions reach the gcd."""
+    by the certificate alone; the misleading reductions reach the gcd over
+    Q."""
     rng = random.Random(109)
     ell = polyq.MODULUS
     z = sympy.Symbol("z")
 
-    def no_gcd(p, q):
-        raise AssertionError("fallback reached")
+    body = polyq._gcd_degree
+
+    def no_gcd_over_q(a, b, modulus=0):
+        if not modulus:
+            raise AssertionError("fallback reached")
+        return body(a, b, modulus)
 
     checked = []
     for _ in range(10):
         roots = {rnd_fraction(rng, -50, 50, 9) for _ in range(rng.randint(2, 40))}
         lead = rnd_fraction(rng, 1, 5)
         checked.append(sympy_to_coeffs(lead * sympy.prod([z - r for r in roots]), z))
-    monkeypatch.setattr(polyq, "gcd", no_gcd)
+    monkeypatch.setattr(polyq, "_gcd_degree", no_gcd_over_q)
     assert all(polyq.is_squarefree(p) for p in checked)
     for expr in (z * (z - ell), (z - 2) ** 2, ell * z**2 + 1):
         with pytest.raises(AssertionError, match="fallback reached"):
             polyq.is_squarefree(sympy_to_coeffs(expr, z))
+
+
+def test_exact_route_when_the_prime_divides_the_lead(monkeypatch):
+    """With MODULUS a prime that divides the leading coefficient of the
+    cleared polynomial, the certificate is skipped and the gcd over Q alone
+    decides: squarefree inputs, integer and rational, and square-factor
+    ones, each against sympy."""
+    z = sympy.Symbol("z")
+    body = polyq._gcd_degree
+    calls = []
+
+    def spy(a, b, modulus=0):
+        calls.append(modulus)
+        return body(a, b, modulus)
+
+    monkeypatch.setattr(polyq, "_gcd_degree", spy)
+    monkeypatch.setattr(polyq, "MODULUS", 7)
+    cases = [
+        (7 * (z - 1) * (z + 2) * (z - 5), True),
+        ((z - sympy.Rational(1, 7)) * (z + 2) * (3 * z**2 + z + 1), True),
+        (14 * z**5 + 3 * z**2 - z + 9, True),
+        (7 * (z - 1) ** 2 * (z + 2), False),
+        ((z - sympy.Rational(1, 7)) ** 3 * (2 * z + 1), False),
+    ]
+    for expr, expected in cases:
+        calls.clear()
+        p = sympy_to_coeffs(sympy.expand(expr), z)
+        assert linalgq.integer_form(p)[1][-1] % 7 == 0
+        assert polyq.is_squarefree(p) == expected
+        assert calls == [0]
+        assert squarefree_oracles(p) == (expected, expected)
 
 
 def test_interpolate_matches_sympy():
@@ -239,10 +272,6 @@ def test_discriminant_matches_sympy():
         assert sympy.Rational(ours.numerator, ours.denominator) == theirs
 
 
-def _all_fractions(p):
-    return all(type(c) is Fraction for c in p)
-
-
 def _sylvester_resultant(a, b):
     """Res(a, b) as the determinant of the Sylvester matrix, in sympy.  (The
     oracle is built here because sympy 1.14's `resultant` returns Res(b, a)
@@ -254,38 +283,18 @@ def _sylvester_resultant(a, b):
 
 
 def test_int_coefficients_are_exact():
-    """Int coefficient lists divide as Fractions: exact values, Fraction type."""
+    """The discriminant of an int coefficient list is an exact Fraction."""
     # (z + 1)^2 (z + 3): a double root, so the discriminant is exactly 0.
     disc = polyq.discriminant([3, 7, 5, 1])
     assert disc == 0 and type(disc) is Fraction
-    quot, rem = polyq.divmod_([1, 2, 3], [1, 3])
-    assert (quot, rem) == ([Fraction(1, 3), Fraction(1)], [Fraction(2, 3)])
-    assert _all_fractions(quot) and _all_fractions(rem)
-    # A dividend of lower degree is the remainder, as Fractions.
-    quot, rem = polyq.divmod_([5, 0, 0, 1], [0, 1])
-    assert (quot, rem) == ([0, 0, 1], [5]) and _all_fractions(quot + rem)
-    quot, rem = polyq.divmod_([5], [1, 1])
-    assert (quot, rem) == ([], [5]) and _all_fractions(rem)
-    monic = polyq.monic([2, 4])
-    assert monic == [Fraction(1, 2), 1] and _all_fractions(monic)
-    g = polyq.gcd([3, 7, 5, 1], [7, 10, 3])
-    assert g == [1, 1] and _all_fractions(g)
     rng = random.Random(9)
     z = sympy.Symbol("z")
     for _ in range(20):
         a = polyq.trim([rng.randint(-9, 9) for _ in range(rng.randint(2, 6))])
-        b = polyq.trim([rng.randint(-9, 9) for _ in range(rng.randint(2, 6))])
-        if polyq.degree(a) < 2 or polyq.degree(b) < 1:
+        if polyq.degree(a) < 2:
             continue
-        sa, sb = coeffs_to_sympy(a, z), coeffs_to_sympy(b, z)
         disc = polyq.discriminant(a)
-        assert type(disc) is Fraction and disc == sympy.discriminant(sa, z)
-        quot, rem = polyq.divmod_(a, b)
-        qq, rr = sympy.div(sa, sb, z)
-        assert coeffs_to_sympy(quot, z) == sympy.expand(qq)
-        assert coeffs_to_sympy(rem, z) == sympy.expand(rr)
-        assert _all_fractions(quot) and _all_fractions(rem)
-        assert _all_fractions(polyq.gcd(a, b))
+        assert type(disc) is Fraction and disc == sympy.discriminant(coeffs_to_sympy(a, z), z)
 
 
 def test_discriminant_matches_sylvester_resultant():
