@@ -42,7 +42,15 @@ def _rat(value, where: str) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        # Fraction(str) reads "[sign]digits[/digits]" with \d, the set that
+        # str.isdecimal tests.  The common form "[-]digits[/digits]" is read
+        # here in ints; every other string (spaces, '+', '_', decimals,
+        # exponents) goes to Fraction itself, so the grammar is Fraction's.
+        num, slash, den = value.partition("/")
+        digits = num[1:] if num[:1] == "-" else num
         try:
+            if digits.isdecimal() and (den.isdecimal() or not slash):
+                return Fraction(int(num), int(den or 1))
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
             raise ConfigError(f"{where}: {value!r} is not a rational 'p/q' string")
@@ -88,6 +96,8 @@ class ParsedConfig:
             raise ConfigError("config root must be a JSON object")
         self.csv_path = csv_path
         self.command: Optional[str] = raw.get("command")
+        if self.command is not None and not isinstance(self.command, str):
+            raise ConfigError("command must be a string")
         if self.command is not None and self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r} in config")
         self.options: dict = {} if raw.get("options") is None else raw["options"]
@@ -239,12 +249,16 @@ def _cmd_parahoric_analyze(cfg: ParsedConfig) -> dict:
 
 
 def _cmd_gaudin(cfg: ParsedConfig) -> dict:
-    data = higgs.gaudin_hamiltonians(cfg.field())
+    """The Hamiltonians as numbers; their counts come from the field's
+    shape (one per point, n^2 coordinates per point), so nothing symbolic
+    is built."""
+    f = cfg.field()
+    values = higgs.gaudin_values(f)
     return {
-        "values": [_s(v) for v in data.values],
-        "value_sum": _s(sum(data.values, Fraction(0))),
-        "hamiltonian_count": len(data.polynomials),
-        "generator_count": data.algebra.gen_count,
+        "values": [_s(v) for v in values],
+        "value_sum": _s(sum(values, Fraction(0))),
+        "hamiltonian_count": len(values),
+        "generator_count": f.matrix_size ** 2 * f.site_count,
     }
 
 

@@ -27,6 +27,12 @@ counts the (simple, finite) discriminant roots.  The genus field is
 meaningful for connected covers with no ramification over infinity, which
 is the generic situation; it is left undefined whenever the discriminant
 fails to be squarefree or has an odd number of roots.
+
+The Gaudin Hamiltonians H_j = sum_{k != j} tr(X_j X_k)/(x_j - x_k) come
+as numbers from gaudin_values, one int trace per pair of cleared residues;
+gaudin_hamiltonians adds their symbolic forms in the Lie-Poisson
+coordinates for bracket checks.  Regularity at infinity, the residue sum
+being zero, is tested in ints too, when build_field makes the field.
 """
 
 from __future__ import annotations
@@ -76,7 +82,8 @@ def build_field(
 ) -> LogHiggsField:
     """Validate marked points, residues and weight data (one datum or None
     per point, each of the field's root system) and flag regularity at
-    infinity."""
+    infinity: the residues, cleared once by linalgq.integer_form to ints
+    R_j = d*X_j over a common denominator d, sum to zero at every entry."""
     xs = [Fraction(x) for x in points]
     if not xs:
         raise DivisorError("divisor must be nonempty")
@@ -104,15 +111,14 @@ def build_field(
                     f"theta_data[{j}] is a {datum.system.family}{datum.system.rank} "
                     f"datum; the field's group is {group.family}{group.rank}"
                 )
-    total = linalgq.zeros(n)
-    for m in mats:
-        total = linalgq.mat_add(total, m)
+    size = n * n
+    _, flat = linalgq.integer_form(x for m in mats for row in m for x in row)
     return LogHiggsField(
         points=tuple(xs),
         residues=tuple(mats),
         group=group,
         theta_data=tuple(theta_data) if theta_data is not None else None,
-        regular_at_infinity=linalgq.is_zero_matrix(total),
+        regular_at_infinity=not any(sum(flat[e::size]) for e in range(size)),
     )
 
 
@@ -340,19 +346,17 @@ class GaudinData:
     algebra: object
 
 
-def gaudin_hamiltonians(f: LogHiggsField) -> GaudinData:
-    """Quadratic Hamiltonians at the marked points.
+def gaudin_values(f: LogHiggsField) -> Tuple[Fraction, ...]:
+    """The quadratic Gaudin Hamiltonians at the marked points, as numbers.
 
-    The numeric value at point j is sum over k != j of tr(X_j X_k)/(x_j-x_k),
-    the simple-pole coefficient of (1/2) tr L(z)^2 at x_j; the values always
-    sum to zero.  Alongside the numbers the same expressions are returned as
-    abstract quadratic polynomials in the matrix-entry coordinates of the
-    site duals, ready for symbolic bracket checks.
+    The value at point j is sum over k != j of tr(X_j X_k)/(x_j-x_k), the
+    simple-pole coefficient of (1/2) tr L(z)^2 at x_j; the values always
+    sum to zero.  Taken in ints: one trace tr(R_j R_k) of the cleared
+    residues per unordered pair.  Raises ConstraintError unless the field
+    is regular at infinity.
     """
     if not f.regular_at_infinity:
         raise ConstraintError("Hamiltonian extraction needs a residue sum of zero")
-    from . import poisson  # deferred: poisson imports this module at top level
-
     s = f.site_count
     n = f.matrix_size
     dx, ax = linalgq.integer_form(f.points)
@@ -367,6 +371,23 @@ def gaudin_hamiltonians(f: LogHiggsField) -> GaudinData:
             term = Fraction(sum(map(mul, rs[j], transposes[k])) * dx, dr * dr * (ax[j] - ax[k]))
             values[j] += term
             values[k] -= term
+    return tuple(values)
+
+
+def gaudin_hamiltonians(f: LogHiggsField) -> GaudinData:
+    """Quadratic Hamiltonians at the marked points, numeric and symbolic.
+
+    The values are gaudin_values(f).  Alongside them the same expressions
+    are returned as abstract quadratic polynomials in the matrix-entry
+    coordinates of the site duals (n^2 (s-1) terms each), ready for
+    symbolic bracket checks; callers that need only the numbers call
+    gaudin_values.
+    """
+    values = gaudin_values(f)
+    from . import poisson  # deferred: poisson imports this module at top level
+
+    s = f.site_count
+    n = f.matrix_size
     alg = poisson.matrix_poisson_algebra(n, s)
     gens = [
         [[alg.generator_index(j, p, q) for q in range(n)] for p in range(n)]
@@ -386,4 +407,4 @@ def gaudin_hamiltonians(f: LogHiggsField) -> GaudinData:
                     a, b = (gens[j][p][q], 1), (gens[k][q][p], 1)
                     terms[(a, b) if j < k else (b, a)] = c
         polys.append(poisson.PoissonPolynomial._from_dict(alg, terms))
-    return GaudinData(values=tuple(values), polynomials=tuple(polys), algebra=alg)
+    return GaudinData(values=values, polynomials=tuple(polys), algebra=alg)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from logahoric import __version__, cli, higgs, parahoric, poisson
 from logahoric.cli import main
+from logahoric.errors import ConfigError
 
 EFH = {
     "group": {"family": "A", "rank": 1, "form": "SL"},
@@ -66,6 +67,27 @@ def test_gaudin_command(tmp_path, capsys):
     assert report["results"]["hamiltonian_count"] == 3
     assert report["results"]["generator_count"] == 12
     assert isinstance(report["timing_seconds"], float)
+
+
+def test_gaudin_command_builds_nothing_symbolic(tmp_path, capsys, monkeypatch):
+    """`gaudin` reports numbers only: with the Poisson algebra and polynomial
+    constructors made to fail, it still gives test_gaudin_command's report."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("gaudin built a symbolic Hamiltonian")
+
+    monkeypatch.setattr(poisson, "matrix_poisson_algebra", refuse)
+    monkeypatch.setattr(poisson.PoissonPolynomial, "_from_dict", staticmethod(refuse))
+    field = cli.ParsedConfig(EFH).field()
+    with pytest.raises(AssertionError):  # the spies bite on the symbolic route
+        higgs.gaudin_hamiltonians(field)
+    cfg = write_config(tmp_path, EFH)
+    assert run_json(capsys, ["gaudin", "--config", cfg])["results"] == {
+        "values": ["-1/2", "2", "-3/2"],
+        "value_sum": "0",
+        "hamiltonian_count": 3,
+        "generator_count": 12,
+    }
 
 
 def test_parahoric_analyze_command(tmp_path, capsys):
@@ -389,11 +411,46 @@ def test_rat_refused_values(tmp_path, capsys, value):
     assert err.startswith("config error: points[0].x: ")
 
 
+# Fraction(str) accepts \d digits, which include non-ASCII decimals such as
+# '\u0663' but not other digits such as '\u00b2'.
+@given(st.text(alphabet="0123456789-+/ _.e\u0663\u00b2", max_size=8))
+@example("-\u0663/\u0663")
+@example("\u00b2")
+@example("--1")
+@example("-")
+@example("3/")
+@example("-0/5")
+@example("12/08")
+@example("9" * 5000)  # past int's digit limit (Python 3.11+): both refuse
+@example("-1/" + "9" * 5000)
+def test_rat_reads_what_fraction_reads(text):
+    """_rat accepts exactly the strings Fraction(str) accepts, with the same
+    value, and refuses every other one with ConfigError."""
+    try:
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ConfigError, match="is not a rational 'p/q' string"):
+            cli._rat(text, "x")
+    else:
+        value = cli._rat(text, "x")
+        assert type(value) is Fraction and value == expected
+
+
 def test_unknown_command_in_config(tmp_path, capsys):
     cfg = write_config(tmp_path, {"command": "make-coffee"})
     code, _, err = run_cli(capsys, ["gaudin", "--config", cfg])
     assert code == 2
     assert "unknown command" in err
+
+
+@pytest.mark.parametrize("command", [[0], {}, 1, True])
+def test_non_string_command_in_config(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, dict(EFH, command=command))
+    assert run_cli(capsys, ["gaudin", "--config", cfg]) == (
+        2,
+        "",
+        "config error: command must be a string\n",
+    )
 
 
 def test_bad_hamiltonian_choice(tmp_path, capsys):

@@ -18,6 +18,7 @@ from logahoric.higgs import (
     build_field,
     clear_denominators,
     gaudin_hamiltonians,
+    gaudin_values,
     hitchin_map,
     residue_of_invariant,
     spectral_curve,
@@ -88,6 +89,44 @@ def test_build_field_validation():
         build_field([0, 1], [E2], SL2)
     # the same residue is fine for GL
     build_field([0], [[[1, 0], [0, 0]]], GL2)
+
+
+RATIONALS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+
+@st.composite
+def residue_sums(draw):
+    """(n, form, points, residues, regular): s - 1 rational residues (trace
+    zero in SL mode) and a last one that is minus their sum, or that plus
+    E_pq/m, which leaves the sum non-zero (p != q in SL mode)."""
+    n = draw(st.integers(1, 4))
+    s = draw(st.integers(1, 5))
+    form = "GL" if n == 1 else draw(st.sampled_from(["SL", "GL"]))
+    points = draw(st.lists(RATIONALS, min_size=s, max_size=s, unique=True))
+    mats = []
+    for _ in range(s - 1):
+        m = [draw(st.lists(RATIONALS, min_size=n, max_size=n)) for _ in range(n)]
+        mats.append(make_traceless(m) if form == "SL" else m)
+    last = [[-sum((m[p][q] for m in mats), Fraction(0)) for q in range(n)] for p in range(n)]
+    regular = draw(st.booleans())
+    if not regular:
+        p = draw(st.integers(0, n - 1))
+        q = draw(st.integers(0, n - 1).filter(lambda q: form == "GL" or q != p))
+        last[p][q] += Fraction(1, draw(st.integers(1, 7)))
+    return n, form, points, mats + [last], regular
+
+
+@given(residue_sums())
+def test_regular_at_infinity_matches_fraction_sum(case):
+    """build_field's int residue-sum test gives the verdict of a plain
+    Fraction sum of the residues."""
+    n, form, points, residues, regular = case
+    total = [
+        [sum((m[p][q] for m in residues), Fraction(0)) for q in range(n)] for p in range(n)
+    ]
+    assert all(x == 0 for row in total for x in row) == regular
+    f = build_field(points, residues, GroupTag("A", n - 1, form))
+    assert f.regular_at_infinity == regular
 
 
 # -- polynomial Lax form -----------------------------------------------------
@@ -247,17 +286,22 @@ def test_gaudin_worked_values():
     data = gaudin_hamiltonians(efh_field())
     assert data.values == (Fraction(-1, 2), Fraction(2), Fraction(-3, 2))
     assert sum(data.values, Fraction(0)) == 0
+    assert gaudin_values(efh_field()) == data.values
+    assert gaudin_values(heh_field()) == gaudin_hamiltonians(heh_field()).values
 
 
 def test_gaudin_requires_regularity():
     f = build_field([0, 1], [H2, H2], SL2)
     with pytest.raises(ConstraintError):
         gaudin_hamiltonians(f)
+    with pytest.raises(ConstraintError, match="residue sum of zero"):
+        gaudin_values(f)
 
 
 def test_gaudin_zero_field():
     f = build_field([0, 1], [linalgq.zeros(2)] * 2, SL2)
     assert gaudin_hamiltonians(f).values == (Fraction(0), Fraction(0))
+    assert gaudin_values(f) == (Fraction(0), Fraction(0))
 
 
 def test_gaudin_generating_function_reconstruction():
@@ -268,6 +312,7 @@ def test_gaudin_generating_function_reconstruction():
         s = rng.randint(2, 4)
         f = rnd_field(rng, n, s)
         data = gaudin_hamiltonians(f)
+        assert gaudin_values(f) == data.values
         for _ in range(10):
             z = Fraction(rng.randint(20, 60), rng.randint(1, 3))
             lz = lax_value(f, z)
