@@ -388,7 +388,7 @@ def gaudin_hamiltonians(f: LogHiggsField) -> GaudinData:
 
     s = f.site_count
     n = f.matrix_size
-    alg = poisson.matrix_poisson_algebra(n, s)
+    alg = poisson.LiePoissonAlgebra(n, s)
     gens = [
         [[alg.generator_index(j, p, q) for q in range(n)] for p in range(n)]
         for j in range(s)

@@ -11,13 +11,15 @@ and invariant polynomials of a matrix agree literally with the same
 polynomials in the entry coordinates, which removes any basis-translation
 layer between the matrix side and the symbolic side.
 
-Sites are either a full matrix algebra (weight zero) or the block
-subalgebra cut out by a parahoric weight: entries (p, q) whose weight
-diagonal satisfies t_p == t_q, a set closed under the rule above.  The rule
-is the only form of a site's bracket, applied where it is used, with no
-table and no check at run time; tests/test_poisson.py checks it against
-matrix commutators of the trace-form dual basis (closure, antisymmetry,
-Jacobi) for every site shape up to 5x5.
+The symbolic algebra is the product of s copies of gl_n*, one per marked
+point, with generator (j*n + p)*n + q the entry (p, q) of site j, so every
+lookup is integer arithmetic.  Only full sites are needed: a product of
+restricted sites (each point's parabolic stalk or Levi block) breaks the
+involution of the spectral invariants, since the paper's bracket comes by
+reduction from the full product.  The rule is the only form of the bracket,
+applied where it is used, with no table and no check at run time;
+tests/test_poisson.py checks it against matrix commutators of the
+trace-form dual basis (antisymmetry, Jacobi) on gl_n for n = 1..5.
 
 A weight acts here only through its diagonal t (_weight_diagonal), with
 t_p - t_q the pairing of theta with the root of E_pq: the parahoric stalk is
@@ -30,7 +32,7 @@ of leaf rank 0 at diag(1, -1), against 2 at theta = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import ceil
@@ -55,92 +57,46 @@ Monomial = Tuple[Tuple[int, int], ...]  # ((generator, exponent), ...) sorted
 
 
 # ---------------------------------------------------------------------------
-# Site algebras
+# The product of the site duals
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SiteAlgebra:
-    """A block subalgebra of gl_n, n = matrix_size: its entries (p, q) in
-    row-major order, and index, the local generator of each entry.  Its
-    bracket is the rule of the module docstring, applied where it is used."""
-
-    matrix_size: int
-    entries: Tuple[Tuple[int, int], ...]
-    index: Dict[Tuple[int, int], int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "index", {e: a for a, e in enumerate(self.entries)})
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
-
-def full_site(n: int) -> SiteAlgebra:
-    return SiteAlgebra(n, tuple((p, q) for p in range(n) for q in range(n)))
+def full_site(n: int) -> Tuple[Tuple[int, int], ...]:
+    """The entries (p, q) of gl_n in row-major order, the order of a site's
+    generators."""
+    return tuple((p, q) for p in range(n) for q in range(n))
 
 
 @dataclass(frozen=True)
 class LiePoissonAlgebra:
-    sites: Tuple[SiteAlgebra, ...]
-    offsets: Tuple[int, ...]
-    gen_count: int
-    labels: Tuple[str, ...]
-    gen_sites: Tuple[int, ...]  # site index of each generator
+    """The product of site_count copies of gl_n*, n = matrix_size: generator
+    (j*n + p)*n + q is the entry (p, q) of site j."""
 
-    def site_of(self, gen: int) -> int:
-        """Index of the site that owns generator gen (a tuple lookup).
+    matrix_size: int
+    site_count: int
 
-        Raises AlgebraMismatchError unless 0 <= gen < gen_count, so a
-        negative index never wraps around to the last site.
-        """
-        if not 0 <= gen < self.gen_count:
-            raise AlgebraMismatchError(f"generator {gen} out of range")
-        return self.gen_sites[gen]
+    @property
+    def gen_count(self) -> int:
+        return self.matrix_size**2 * self.site_count
 
     def generator_index(self, j: int, p: int, q: int) -> int:
         """Index of site j's generator at matrix entry (p, q).
 
-        Raises AlgebraMismatchError unless 0 <= j < len(sites) and the site
-        has the entry, so a negative j never wraps around to the last site.
+        Raises AlgebraMismatchError unless 0 <= j < site_count and
+        0 <= p, q < matrix_size, so a negative index never wraps around.
         """
-        if not 0 <= j < len(self.sites):
+        n = self.matrix_size
+        if not 0 <= j < self.site_count:
             raise AlgebraMismatchError(f"site {j} out of range")
-        local = self.sites[j].index.get((p, q))
-        if local is None:
+        if not (0 <= p < n and 0 <= q < n):
             raise AlgebraMismatchError(
                 f"site {j} has no generator at entry ({p}, {q})"
             )
-        return self.offsets[j] + local
+        return (j * n + p) * n + q
 
     def generator(self, j: int, p: int, q: int) -> "PoissonPolynomial":
         gen = self.generator_index(j, p, q)
         return PoissonPolynomial(self, (((((gen, 1),)), Fraction(1)),))
-
-
-def _assemble(sites: Sequence[SiteAlgebra]) -> LiePoissonAlgebra:
-    offsets = []
-    count = 0
-    labels: List[str] = []
-    gen_sites: List[int] = []
-    for j, site in enumerate(sites):
-        offsets.append(count)
-        count += site.dim
-        labels.extend(f"x{j}_{p}{q}" for p, q in site.entries)
-        gen_sites.extend([j] * site.dim)
-    return LiePoissonAlgebra(
-        sites=tuple(sites),
-        offsets=tuple(offsets),
-        gen_count=count,
-        labels=tuple(labels),
-        gen_sites=tuple(gen_sites),
-    )
-
-
-def matrix_poisson_algebra(n: int, site_count: int) -> LiePoissonAlgebra:
-    """Product of site_count copies of the full matrix dual."""
-    return _assemble([full_site(n)] * site_count)
 
 
 # ---------------------------------------------------------------------------
@@ -225,11 +181,14 @@ class PoissonPolynomial:
         _check_member(self, self.algebra)
         if not self.terms:
             return "0"
+        n = self.algebra.matrix_size
         parts = []
         for mono, c in self.terms:
             factors = []
             for g, e in mono:
-                lbl = self.algebra.labels[g]
+                j, a = divmod(g, n * n)
+                p, q = divmod(a, n)
+                lbl = f"x{j}_{p}{q}"
                 factors.append(lbl if e == 1 else f"{lbl}^{e}")
             body = "*".join(factors)
             if body:
@@ -288,7 +247,7 @@ def _unpack(
     return PoissonPolynomial(alg, tuple(terms))
 
 
-# site j -> local generator a -> [(k*e_a, packed m/x_a), ...]
+# site j -> local generator a = p*n + q -> [(k*e_a, packed m/x_a), ...]
 Partials = Dict[int, Dict[int, List[Tuple[int, int]]]]
 
 
@@ -303,12 +262,12 @@ def _partials(
     k*e_a*(m/x_a) over den.  Packed, m/x_a is m - (1 << width*a).
     """
     den, packed = _pack(pol, width)
+    nn = alg.matrix_size**2
     parts: Partials = {}
     for (mono, _), (m, k) in zip(pol.terms, packed):
         for gen, e in mono:
-            j = alg.gen_sites[gen]
-            site = parts.setdefault(j, {})
-            site.setdefault(gen - alg.offsets[j], []).append(
+            j, a = divmod(gen, nn)
+            parts.setdefault(j, {}).setdefault(a, []).append(
                 (k * e, m - (1 << width * gen))
             )
     return den, parts
@@ -335,24 +294,24 @@ def _bracket_packed(
     generators on each site are grouped by column and by row; x_a with
     itself is skipped, as {x_a, x_a} = 0.
     """
+    n = alg.matrix_size
     acc: Dict[int, int] = {}
     get = acc.get
     for j, f_site in fparts.items():
         g_site = gparts.get(j)
         if not g_site:
             continue
-        offset = alg.offsets[j]
-        entries, index = alg.sites[j].entries, alg.sites[j].index
+        offset = j * n * n
         by_col: Dict[int, list] = {}
         by_row: Dict[int, list] = {}
         for b, g_list in g_site.items():
-            r, s = entries[b]
+            r, s = divmod(b, n)
             by_col.setdefault(s, []).append((b, r, g_list))
             by_row.setdefault(r, []).append((b, s, g_list))
         for a, f_list in f_site.items():
-            p, q = entries[a]
-            terms = [(index[r, q], 1, gl) for b, r, gl in by_col.get(p, ()) if b != a]
-            terms += [(index[p, s], -1, gl) for b, s, gl in by_row.get(q, ()) if b != a]
+            p, q = divmod(a, n)
+            terms = [(r * n + q, 1, gl) for b, r, gl in by_col.get(p, ()) if b != a]
+            terms += [(p * n + s, -1, gl) for b, s, gl in by_row.get(q, ()) if b != a]
             for c, sign, g_list in terms:
                 xc = 1 << width * (offset + c)
                 for ka, ra in f_list:
@@ -377,8 +336,8 @@ def bracket(
 
     with e_a, e_b the exponents of x_a, x_b and {x_a, x_b} the matrix-unit
     rule of the module docstring, applied directly by _bracket_packed (its
-    structure constants are checked against matrix commutators, for every
-    site shape the library builds, in tests/test_poisson.py).
+    structure constants are checked against matrix commutators on gl_n,
+    n = 1..5, in tests/test_poisson.py).
     Both operands must belong to alg (AlgebraMismatchError otherwise).
     Each is then cleared to integer coefficients over the lcm of its
     denominators and packed: every monomial becomes one int with width
@@ -399,10 +358,10 @@ def bracket(
 
 
 def site_casimir(alg: LiePoissonAlgebra, j: int) -> PoissonPolynomial:
-    """Quadratic Casimir of site j: half the form-trace of the square."""
-    site = alg.sites[j]
+    """Quadratic Casimir of site j: half the form-trace of the square.
+    A site outside 0..site_count-1 raises AlgebraMismatchError."""
     out = PoissonPolynomial.zero(alg)
-    for p, q in site.entries:
+    for p, q in full_site(alg.matrix_size):
         out = out + (alg.generator(j, p, q) * alg.generator(j, q, p)).scaled(
             Fraction(1, 2)
         )
@@ -414,18 +373,12 @@ def site_invariant_polynomials(
 ) -> Tuple[PoissonPolynomial, ...]:
     """Characteristic-coefficient functions of site j's matrix of generators.
 
-    Entries outside the site's block are filled with the zero polynomial.
     Every one of these is a Casimir: it brackets to zero with each generator
-    of the site, which the symbolic bracket verifies exactly in tests.
+    of the site, which the symbolic bracket verifies exactly in tests.  A
+    site outside 0..site_count-1 raises AlgebraMismatchError.
     """
-    site = alg.sites[j]
-    n = site.matrix_size
-    zero = PoissonPolynomial.zero(alg)
-    present = set(site.entries)
-    rows = [
-        [alg.generator(j, p, q) if (p, q) in present else zero for q in range(n)]
-        for p in range(n)
-    ]
+    n = alg.matrix_size
+    rows = [[alg.generator(j, p, q) for q in range(n)] for p in range(n)]
     return tuple(linalgq.invariant_values(rows))
 
 
@@ -503,7 +456,7 @@ def hitchin_coefficient_hamiltonians(
     if len(set(a)) != len(a):
         raise DivisorError("marked points must be pairwise distinct")
     s = len(a)
-    alg = matrix_poisson_algebra(n, s)
+    alg = LiePoissonAlgebra(n, s)
     gens = [
         [[alg.generator_index(j, p, q) for j in range(s)] for q in range(n)]
         for p in range(n)
@@ -683,7 +636,7 @@ def _class_rank(x: Matrix) -> int:
                 f"{LEAF_MAX_FALLBACK_BLOCK}, got a {b}x{b} one"
             )
         return b * b - b
-    entries = [(p, q) for p in range(b) for q in range(b)]
+    entries = full_site(b)
     return linalgq.rank(
         [
             [(x[r][q] if p == s else 0) - (x[p][s] if q == r else 0) for r, s in entries]

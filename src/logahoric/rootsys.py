@@ -65,6 +65,8 @@ class GroupTag:
     def __post_init__(self):
         if self.form not in ("SL", "GL"):
             raise UnsupportedTypeError(f"unknown form {self.form!r}; use SL or GL")
+        if self.rank < 0:
+            raise UnsupportedTypeError(f"rank must be at least 0, got {self.rank}")
 
     @property
     def matrix_size(self) -> int:

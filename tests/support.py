@@ -247,38 +247,40 @@ def reference_mul(f, g):
     return PoissonPolynomial._from_dict(f.algebra, d)
 
 
+def entry_of(alg, g) -> Tuple[int, int, int]:
+    """(j, p, q) of generator g of a LiePoissonAlgebra on n x n sites, read
+    off the documented index g = (j*n + p)*n + q."""
+    n = alg.matrix_size
+    rest, q = divmod(g, n)
+    j, p = divmod(rest, n)
+    return j, p, q
+
+
 def evaluate(f, site_values) -> Fraction:
     """Value of a PoissonPolynomial at a point given as one matrix per site:
     each generator x_pq of site j reads site_values[j][p][q]."""
-    alg = f.algebra
     total = Fraction(0)
     for mono, c in f.terms:
         for g, e in mono:
-            j = alg.site_of(g)
-            p, q = alg.sites[j].entries[g - alg.offsets[j]]
+            j, p, q = entry_of(f.algebra, g)
             c *= Fraction(site_values[j][p][q]) ** e
         total += c
     return total
 
 
-def levi_site(datum):
+def entries_of(t) -> Tuple[Tuple[int, int], ...]:
+    """The entries (p, q), row-major, whose weight diagonal t has t_p == t_q:
+    the block of zero pairing (the whole of gl_n for t = 0)."""
+    n = len(t)
+    return tuple((p, q) for p in range(n) for q in range(n) if t[p] == t[q])
+
+
+def levi_site(datum) -> Tuple[Tuple[int, int], ...]:
     """Levi block of the weight at a point, in the type-A realization: the
-    SiteAlgebra of the entries (p, q), row-major, whose weight diagonal t has
-    t_p == t_q."""
-    from logahoric.poisson import SiteAlgebra
+    entries (p, q), row-major, whose weight diagonal t has t_p == t_q."""
     from logahoric.rootsys import cocharacter_to_diagonal
 
-    t = cocharacter_to_diagonal(datum.system, datum.theta)
-    n = len(t)
-    return SiteAlgebra(n, tuple((p, q) for p in range(n) for q in range(n) if t[p] == t[q]))
-
-
-def levi_algebra(data):
-    """The Lie-Poisson algebra with one site per weight datum: the Levi
-    block of each weight."""
-    from logahoric import poisson
-
-    return poisson._assemble([levi_site(d) for d in data])
+    return entries_of(cocharacter_to_diagonal(datum.system, datum.theta))
 
 
 def variables(f) -> List[int]:
@@ -354,26 +356,69 @@ def reference_bracket(f, g, alg):
     gvars = variables(g)
     fparts = {a: partial(f, a) for a in fvars}
     gparts = {b: partial(g, b) for b in gvars}
+    n = alg.matrix_size
+    entries = entries_of([0] * n)
+    constants = commutator_constants(n, entries)
     for a in fvars:
-        ja = alg.site_of(a)
-        offset = alg.offsets[ja]
-        site = alg.sites[ja]
-        constants = commutator_constants(site.matrix_size, site.entries)
+        ja, pa, qa = entry_of(alg, a)
         for b in gvars:
-            if alg.site_of(b) != ja or a == b:
+            jb, pb, qb = entry_of(alg, b)
+            if jb != ja or a == b:
                 continue
-            row = constants.get((a - offset, b - offset))
+            row = constants.get((entries.index((pa, qa)), entries.index((pb, qb))))
             if not row:
                 continue
             prod = reference_mul(fparts[a], gparts[b])
             if prod.is_zero:
                 continue
-            for entry, coeff in row.items():
-                c = offset + site.entries.index(entry)
+            for (i, k), coeff in row.items():
+                c = (ja * n + i) * n + k
                 gen_poly = PoissonPolynomial(alg, ((((c, 1),), Fraction(1)),))
                 for mono, cf in reference_mul(prod, gen_poly).terms:
                     acc[mono] = acc.get(mono, Fraction(0)) + cf * coeff
     return PoissonPolynomial._from_dict(alg, acc)
+
+
+def liouville_counts(hams, alg, point) -> Tuple[int, int]:
+    """(independent functions, independent vector fields) of hams at the
+    point P, one n x n matrix per site, kept as a test oracle for the
+    Liouville count: the ranks, by linalgq.rank, of the exact gradients
+    dH(P), taken from each Hamiltonian's terms, and of the Hamiltonian
+    vector fields Pi(P) dH(P), with the bivector Pi(P) built from the
+    commutator_constants of gl_n, sharing no code with the library's
+    bracket."""
+    n = alg.matrix_size
+    entries = entries_of([0] * n)
+    values = []
+    for g in range(alg.gen_count):
+        j, p, q = entry_of(alg, g)
+        values.append(Fraction(point[j][p][q]))
+    # pi[j]: (a, b) -> {x_a, x_b}(P) over the local indices of site j
+    pi = [
+        {
+            ab: sum(coeff * Fraction(site[i][k]) for (i, k), coeff in row.items())
+            for ab, row in commutator_constants(n, entries).items()
+        }
+        for site in point
+    ]
+    grads, fields = [], []
+    for h in hams:
+        grad = [Fraction(0)] * alg.gen_count
+        for mono, c in h.terms:
+            for g, e in mono:
+                term = c * e * values[g] ** (e - 1)
+                for other, e2 in mono:
+                    if other != g:
+                        term *= values[other] ** e2
+                grad[g] += term
+        field = [Fraction(0)] * alg.gen_count
+        for j, site_pi in enumerate(pi):
+            offset = j * len(entries)
+            for (a, b), v in site_pi.items():
+                field[offset + a] += v * grad[offset + b]
+        grads.append(grad)
+        fields.append(field)
+    return linalgq.rank(grads), linalgq.rank(fields)
 
 
 def reference_weight_datum(rs, theta):
@@ -548,22 +593,31 @@ def reference_residue_invariants(f: LogHiggsField, j: int) -> List[Fraction]:
     ]
 
 
-def reference_bivector_rank(xi, alg):
-    """Rank of the Poisson bivector as one gen_count x gen_count matrix, kept
-    as a test oracle: sympy's rank of the whole matrix, built from the
-    commutator_constants of each site, independent of the site-by-site rule
-    and linalgq.rank it checks."""
+def reference_bivector_rank(xi):
+    """Rank of the Poisson bivector at a MomentValue as one matrix over every
+    site's generators, kept as a test oracle: each site is the block whose
+    entries cocharacter_to_diagonal's diagonal of the point's weight ties
+    (the full site where there is none), its bivector is built from the
+    commutator_constants of those entries, and the rank of the whole matrix
+    is sympy's, independent of the site-by-site rule and linalgq.rank it
+    checks."""
     import sympy
 
-    size = alg.gen_count
-    pi = sympy.zeros(size)
-    for j, site in enumerate(alg.sites):
-        offset = alg.offsets[j]
-        values = xi.sites[j]
-        constants = commutator_constants(site.matrix_size, site.entries)
-        for (a, b), row in constants.items():
+    from logahoric.rootsys import cocharacter_to_diagonal
+
+    blocks = []
+    for j, values in enumerate(xi.sites):
+        datum = xi.data[j] if xi.data is not None else None
+        n = len(values)
+        t = [0] * n if datum is None else cocharacter_to_diagonal(datum.system, datum.theta)
+        blocks.append((values, entries_of(t)))
+    pi = sympy.zeros(sum(len(entries) for _, entries in blocks))
+    offset = 0
+    for values, entries in blocks:
+        for (a, b), row in commutator_constants(len(values), entries).items():
             acc = Fraction(sum(coeff * values[i][k] for (i, k), coeff in row.items()))
             pi[offset + a, offset + b] = sympy.Rational(acc.numerator, acc.denominator)
+        offset += len(entries)
     return pi.rank()
 
 
@@ -582,9 +636,9 @@ def site_block_rank(xi) -> int:
             [
                 [
                     (values[r][q] if p == s else 0) - (values[p][s] if q == r else 0)
-                    for r, s in site.entries
+                    for r, s in site
                 ]
-                for p, q in site.entries
+                for p, q in site
             ]
         )
     return total

@@ -8,12 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from logahoric import linalgq, poisson
-from logahoric.parahoric import analyze_weight
-from logahoric.rootsys import RationalCocharacter, build_root_system
 from support import (
     coeffs_to_sympy,
     evaluate,
-    levi_algebra,
     mat_eq,
     mat_scale,
     matrix_to_sympy,
@@ -224,7 +221,7 @@ def test_char_coeffs_match_sympy_charpoly():
     # A matrix of Poisson polynomials: each symbolic coefficient, evaluated
     # at a random point, is the coefficient of the evaluated matrix.
     for n, s in [(1, 2), (2, 1), (2, 2), (3, 1)]:
-        alg = poisson.matrix_poisson_algebra(n, s)
+        alg = poisson.LiePoissonAlgebra(n, s)
         gens = [alg.generator(j, p, q) for j in range(s) for p in range(n) for q in range(n)]
         entries = [
             [
@@ -351,38 +348,25 @@ def test_rational_char_coeffs_run_on_ints(monkeypatch):
     assert linalgq.char_coeffs(m) == [Fraction(5, 2) + 2, Fraction(-11, 2), 1]
     assert linalgq.det(m) == Fraction(9, 2)
     assert seen == [{int}, {int}]
-    alg = poisson.matrix_poisson_algebra(1, 1)
+    alg = poisson.LiePoissonAlgebra(1, 1)
     linalgq.char_coeffs([[alg.generator(0, 0, 0)]])
     assert seen[-1] == {poisson.PoissonPolynomial}
 
 
-def _site_algebras():
-    """Full matrix sites for n = 1..4 with one or two sites, and Levi sites of
-    weights on A2 and A3 (zero-filled outside their blocks)."""
-    algs = [poisson.matrix_poisson_algebra(n, s) for n in range(1, 5) for s in (1, 2)]
-    for rank, coeffs in ((2, (Fraction(-1, 2), Fraction(1, 2))), (3, (Fraction(1, 4), 0, 0))):
-        datum = analyze_weight(build_root_system("A", rank), RationalCocharacter.of(coeffs))
-        algs.append(levi_algebra([datum, datum]))
-    return algs
-
-
-SITE_ALGEBRAS = _site_algebras()
+SITE_ALGEBRAS = [poisson.LiePoissonAlgebra(n, s) for n in range(1, 5) for s in (1, 2)]
 
 
 @given(st.sampled_from(SITE_ALGEBRAS), st.integers(0, 2**32))
 def test_site_invariant_polynomials_evaluate_to_invariant_values(alg, seed):
     """The Berkowitz coefficients of a site's matrix of generators, evaluated
     at a seeded rational point, are the numeric invariant_values of the
-    site's matrix there (entries outside a Levi block read as 0)."""
+    site's matrix there."""
     rng = random.Random(seed)
-    n = alg.sites[0].matrix_size
-    point = [rnd_matrix(rng, n) for _ in alg.sites]
-    for j, site in enumerate(alg.sites):
-        block = [
-            [point[j][p][q] if (p, q) in site.entries else 0 for q in range(n)] for p in range(n)
-        ]
+    n = alg.matrix_size
+    point = [rnd_matrix(rng, n) for _ in range(alg.site_count)]
+    for j in range(alg.site_count):
         invs = poisson.site_invariant_polynomials(alg, j)
-        assert [evaluate(inv, point) for inv in invs] == linalgq.invariant_values(block)
+        assert [evaluate(inv, point) for inv in invs] == linalgq.invariant_values(point[j])
 
 
 def test_invariant_values_trace_and_det():
