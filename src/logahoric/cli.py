@@ -58,10 +58,29 @@ def _rat(value, where: str) -> Fraction:
 
 
 def _int(value, where: str) -> int:
+    if value is None:
+        raise ConfigError(f"{where}: missing required integer")
+    if not isinstance(value, (int, float, str)):
+        raise ConfigError(f"{where}: expected an integer, got {type(value).__name__}")
     f = _rat(value, where)
     if f.denominator != 1:
         raise ConfigError(f"{where}: expected an integer, got {f}")
     return f.numerator
+
+
+def _list(value, where: str, item=_rat, nonempty: bool = False) -> list:
+    """item(v, where[i]) for each item v of the JSON list value."""
+    if not isinstance(value, list) or (nonempty and not value):
+        raise ConfigError(f"{where} must be a {'nonempty ' if nonempty else ''}list")
+    return [item(v, f"{where}[{i}]") for i, v in enumerate(value)]
+
+
+def _point(entry, where: str) -> Tuple[Fraction, Optional[List[Fraction]]]:
+    if not isinstance(entry, dict):
+        raise ConfigError(f"{where} must be an object")
+    x = _rat(entry.get("x"), f"{where}.x")
+    theta = entry.get("theta")
+    return x, None if theta is None else _list(theta, f"{where}.theta")
 
 
 def _matrix(value, n: int, where: str) -> List[List[Fraction]]:
@@ -123,39 +142,21 @@ class ParsedConfig:
     def _parse_points(self, raw):
         if raw is None:
             return None, None
-        if not isinstance(raw, list):
-            raise ConfigError("points must be a list")
-        if len(raw) == 0:
-            raise ConfigError("divisor must be nonempty")
-        xs: List[Fraction] = []
-        thetas: List[Optional[List[Fraction]]] = []
-        for i, entry in enumerate(raw):
-            if not isinstance(entry, dict):
-                raise ConfigError(f"points[{i}] must be an object")
-            xs.append(_rat(entry.get("x"), f"points[{i}].x"))
-            th = entry.get("theta")
-            if th is None:
-                thetas.append(None)
-            else:
-                if not isinstance(th, list):
-                    raise ConfigError(f"points[{i}].theta must be a list")
-                thetas.append(
-                    [_rat(v, f"points[{i}].theta[{j}]") for j, v in enumerate(th)]
-                )
-        return xs, thetas
+        points = _list(raw, "points", _point, nonempty=True)
+        return [x for x, _ in points], [theta for _, theta in points]
 
     def _parse_residues(self, raw):
         if raw is None:
             return None
-        if not isinstance(raw, list):
-            raise ConfigError("residues must be a list of matrices")
+        # A residues value that is not a list is reported before a missing group.
+        _list(raw, "residues", lambda m, where: m)
         if self.group is None:
             raise ConfigError("residues need a group to fix the matrix size")
         try:
             n = self.group.matrix_size
         except LogahoricError as exc:
             raise ConfigError(f"group: {exc}")
-        return [_matrix(m, n, f"residues[{i}]") for i, m in enumerate(raw)]
+        return _list(raw, "residues", lambda m, where: _matrix(m, n, where))
 
     # -- assembled library objects -------------------------------------
 
@@ -293,9 +294,7 @@ def _cmd_spectral(cfg: ParsedConfig) -> dict:
         if raw_grid is None:
             grid = _default_grid(f.site_count)
         else:
-            if not isinstance(raw_grid, list) or not raw_grid:
-                raise ConfigError("options.grid must be a nonempty list of rationals")
-            grid = [_rat(v, f"options.grid[{i}]") for i, v in enumerate(raw_grid)]
+            grid = _list(raw_grid, "options.grid", nonempty=True)
         lines = ["z,disc"]
         for z in grid:
             lines.append(f"{z},{polyq.evaluate(sc.discriminant, z)}")
@@ -384,20 +383,41 @@ def _cmd_diagram_check(cfg: ParsedConfig) -> dict:
     return poisson.quotient_diagram_check(cfg.field()).to_json_dict()
 
 
-def _reduction_from(entry: dict, where: str) -> ReductionDatum:
-    for key in ("sub_degree", "sub_rank", "total_degree", "total_rank"):
-        if key not in entry:
-            raise ConfigError(f"{where}: missing required key {key!r}")
-    pairings = entry.get("weight_pairings", [])
-    if not isinstance(pairings, list):
-        raise ConfigError(f"{where}.weight_pairings must be a list")
-    return ReductionDatum.of(
-        _int(entry["sub_degree"], f"{where}.sub_degree"),
-        _int(entry["sub_rank"], f"{where}.sub_rank"),
-        _int(entry["total_degree"], f"{where}.total_degree"),
-        _int(entry["total_rank"], f"{where}.total_rank"),
-        [_rat(w, f"{where}.weight_pairings[{i}]") for i, w in enumerate(pairings)],
+def _reduction_test(entry, where: str) -> dict:
+    """The slope and character tests of one options.reductions entry."""
+    if not isinstance(entry, dict):
+        raise ConfigError(f"{where} must be an object")
+    rd = ReductionDatum.of(
+        _int(entry.get("sub_degree"), f"{where}.sub_degree"),
+        _int(entry.get("sub_rank"), f"{where}.sub_rank"),
+        _int(entry.get("total_degree"), f"{where}.total_degree"),
+        _int(entry.get("total_rank"), f"{where}.total_rank"),
+        _list(entry.get("weight_pairings", []), f"{where}.weight_pairings"),
     )
+    total_raw = entry.get("total_weight_pairings")
+    if total_raw is None:
+        total, total_deg = None, Fraction(rd.total_degree)
+    else:
+        total = ReductionDatum.of(
+            rd.total_degree,
+            rd.total_rank,
+            rd.total_degree,
+            rd.total_rank,
+            _list(total_raw, f"{where}.total_weight_pairings"),
+        )
+        total_deg = parahoric.parahoric_degree(total)
+    verdict = parahoric.slope_test(rd, total)
+    sub_deg = parahoric.parahoric_degree(rd)
+    sub_side, total_side = sub_deg * rd.total_rank, total_deg * rd.sub_rank
+    return {
+        "sub_parhdeg": _s(sub_deg),
+        "total_parhdeg": _s(total_deg),
+        "sub_slope": _s(sub_deg / rd.sub_rank),
+        "total_slope": _s(total_deg / rd.total_rank),
+        "slope_verdict": verdict,
+        "character_margin": _s(total_side - sub_side),
+        "character_verdict": parahoric.verdict(sub_side, total_side),
+    }
 
 
 def _cmd_stability(cfg: ParsedConfig) -> dict:
@@ -407,71 +427,19 @@ def _cmd_stability(cfg: ParsedConfig) -> dict:
         raise ConfigError("stability needs options.reductions or options.rank2")
     results: dict = {}
     if reductions is not None:
-        if not isinstance(reductions, list) or not reductions:
-            raise ConfigError("options.reductions must be a nonempty list")
-        tests = []
-        for i, entry in enumerate(reductions):
-            if not isinstance(entry, dict):
-                raise ConfigError(f"options.reductions[{i}] must be an object")
-            where = f"options.reductions[{i}]"
-            rd = _reduction_from(entry, where)
-            total = None
-            total_raw = entry.get("total_weight_pairings")
-            if total_raw is not None:
-                if not isinstance(total_raw, list):
-                    raise ConfigError(f"{where}.total_weight_pairings must be a list")
-                total = ReductionDatum.of(
-                    rd.total_degree,
-                    rd.total_rank,
-                    rd.total_degree,
-                    rd.total_rank,
-                    [
-                        _rat(w, f"{where}.total_weight_pairings[{k}]")
-                        for k, w in enumerate(total_raw)
-                    ],
-                )
-            verdict = parahoric.slope_test(rd, total)
-            sub_deg = parahoric.parahoric_degree(rd)
-            total_deg = (
-                parahoric.parahoric_degree(total)
-                if total is not None
-                else Fraction(rd.total_degree)
-            )
-            sub_side, total_side = sub_deg * rd.total_rank, total_deg * rd.sub_rank
-            tests.append(
-                {
-                    "sub_parhdeg": _s(sub_deg),
-                    "total_parhdeg": _s(total_deg),
-                    "sub_slope": _s(sub_deg / rd.sub_rank),
-                    "total_slope": _s(total_deg / rd.total_rank),
-                    "slope_verdict": verdict,
-                    "character_margin": _s(total_side - sub_side),
-                    "character_verdict": parahoric.verdict(sub_side, total_side),
-                }
-            )
-        results["reductions"] = tests
+        results["reductions"] = _list(
+            reductions, "options.reductions", _reduction_test, nonempty=True
+        )
     if rank2 is not None:
         if not isinstance(rank2, dict):
             raise ConfigError("options.rank2 must be an object")
         if "split_degrees" not in rank2:
             raise ConfigError("options.rank2 needs split_degrees [a1, a2]")
         split = _pair(rank2["split_degrees"], "options.rank2.split_degrees", _int)
-        flags = rank2.get("flags", [])
-        weights = rank2.get("weights", [])
-        if not isinstance(flags, list) or not isinstance(weights, list):
-            raise ConfigError("options.rank2.flags and .weights must be lists")
-        parsed_flags = [_pair(fl, f"options.rank2.flags[{i}]") for i, fl in enumerate(flags)]
-        parsed_weights = [_pair(w, f"options.rank2.weights[{i}]") for i, w in enumerate(weights)]
+        parsed_flags = _list(rank2.get("flags", []), "options.rank2.flags", _pair)
+        parsed_weights = _list(rank2.get("weights", []), "options.rank2.weights", _pair)
         pts = rank2.get("points")
-        parsed_pts = None
-        if pts is not None:
-            if not isinstance(pts, list):
-                raise ConfigError("options.rank2.points must be a list")
-            parsed_pts = [
-                _rat(p, f"options.rank2.points[{i}]") for i, p in enumerate(pts)
-            ]
-        elif cfg.points is not None:
-            parsed_pts = cfg.points
+        parsed_pts = cfg.points if pts is None else _list(pts, "options.rank2.points")
         report = parahoric.rank2_semistability(split, parsed_flags, parsed_weights, parsed_pts)
 
         # Candidates of equal weighted degree share one Fraction, which the
@@ -612,18 +580,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 raw = json.load(handle)
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}")
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # Malformed JSON, bytes that are not UTF-8, an integer literal
+            # past Python's digit limit, or nesting past the recursion limit.
             raise ConfigError(f"config is not valid JSON: {exc}")
         cfg = ParsedConfig(raw, args.csv)
         if cfg.command is not None and cfg.command != args.command:
             raise ConfigError(
                 f"config file says command {cfg.command!r} but argv says {args.command!r}"
             )
-    except ConfigError as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return 2
-
-    try:
         report = run(args.command, cfg)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")

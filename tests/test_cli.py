@@ -370,6 +370,26 @@ def test_invalid_json(tmp_path, capsys):
     assert "config error" in err
 
 
+# Each byte string gets past a json.dumps-based fuzzer: bytes that are not
+# UTF-8, nesting past the recursion limit, an integer past the digit limit.
+UNREADABLE_CONFIGS = {
+    "not-utf8": b'\xff\xfe{"command": "gaudin"}',
+    "deep-nesting": b"[" * 200_000,
+    "long-integer": b'{"group": {"family": "A", "rank": ' + b"1" * 5000 + b"}}",
+}
+
+
+@pytest.mark.parametrize("case", list(UNREADABLE_CONFIGS))
+def test_unreadable_config_bytes_are_config_errors(tmp_path, capsys, case):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(UNREADABLE_CONFIGS[case])
+    code, out, err = run_cli(capsys, ["gaudin", "--config", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: config is not valid JSON: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
+
+
 def test_empty_points_rejected(tmp_path, capsys):
     payload = dict(EFH)
     payload["points"] = []
@@ -494,6 +514,8 @@ def test_stability_without_options(tmp_path, capsys):
     assert code == 2
 
 
+REDUCTION = {"sub_degree": 0, "sub_rank": 1, "total_degree": 0, "total_rank": 2}
+
 CONFIG_ERRORS = {
     "split-degrees-pair": (
         "stability",
@@ -547,6 +569,99 @@ CONFIG_ERRORS = {
             "residues": [[[1, 0], [0, -1]], [[-1, 0], [0, 1]]],
         },
         "points[1].theta must have 1 coroot coordinates",
+    ),
+    # Integer fields: a missing or null value, and a container.
+    "rank-missing": (
+        "gaudin",
+        dict(EFH, group={"family": "A", "form": "SL"}),
+        "group.rank: missing required integer",
+    ),
+    "rank-null": (
+        "gaudin",
+        dict(EFH, group={"family": "A", "rank": None, "form": "SL"}),
+        "group.rank: missing required integer",
+    ),
+    "rank-list": (
+        "gaudin",
+        dict(EFH, group={"family": "A", "rank": [1], "form": "SL"}),
+        "group.rank: expected an integer, got list",
+    ),
+    "sub-rank-null": (
+        "stability",
+        {"options": {"reductions": [dict(REDUCTION, sub_rank=None)]}},
+        "options.reductions[0].sub_rank: missing required integer",
+    ),
+    "total-rank-missing": (
+        "stability",
+        {"options": {"reductions": [{"sub_degree": 0, "sub_rank": 1, "total_degree": 0}]}},
+        "options.reductions[0].total_rank: missing required integer",
+    ),
+    "split-degree-null": (
+        "stability",
+        {"options": {"rank2": {"split_degrees": [None, 0]}}},
+        "options.rank2.split_degrees[0]: missing required integer",
+    ),
+    # Each list in the config names its own location.
+    "points-not-list": (
+        "gaudin",
+        dict(EFH, points={"x": 0}),
+        "points must be a nonempty list",
+    ),
+    "points-empty": ("gaudin", dict(EFH, points=[]), "points must be a nonempty list"),
+    "theta-not-list": (
+        "parahoric-analyze",
+        {"group": EFH["group"], "points": [{"x": 0, "theta": "1/4"}]},
+        "points[0].theta must be a list",
+    ),
+    "residues-not-list": (
+        "gaudin",
+        dict(EFH, residues={"0": [[0, 0], [0, 0]]}),
+        "residues must be a list",
+    ),
+    "residues-not-list-before-group": (
+        "gaudin",
+        {"points": EFH["points"], "residues": "none"},
+        "residues must be a list",
+    ),
+    "grid-not-list": (
+        "spectral",
+        dict(EFH, options={"emit_csv": "never-written.csv", "grid": "0"}),
+        "options.grid must be a nonempty list",
+    ),
+    "weight-pairings-not-list": (
+        "stability",
+        {"options": {"reductions": [dict(REDUCTION, weight_pairings="1/2")]}},
+        "options.reductions[0].weight_pairings must be a list",
+    ),
+    "total-weight-pairings-not-list": (
+        "stability",
+        {"options": {"reductions": [dict(REDUCTION, total_weight_pairings={})]}},
+        "options.reductions[0].total_weight_pairings must be a list",
+    ),
+    "reductions-empty": (
+        "stability",
+        {"options": {"reductions": []}},
+        "options.reductions must be a nonempty list",
+    ),
+    "reduction-not-object": (
+        "stability",
+        {"options": {"reductions": [REDUCTION, [0, 1, 0, 2]]}},
+        "options.reductions[1] must be an object",
+    ),
+    "flags-not-list": (
+        "stability",
+        {"options": {"rank2": {"split_degrees": [0, 0], "flags": "none"}}},
+        "options.rank2.flags must be a list",
+    ),
+    "weights-not-list": (
+        "stability",
+        {"options": {"rank2": {"split_degrees": [0, 0], "weights": {}}}},
+        "options.rank2.weights must be a list",
+    ),
+    "rank2-points-not-list": (
+        "stability",
+        {"options": {"rank2": {"split_degrees": [0, 0], "points": 0}}},
+        "options.rank2.points must be a list",
     ),
 }
 
