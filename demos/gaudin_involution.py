@@ -7,7 +7,7 @@ polynomial forms to confirm they commute identically, not just at this
 particular point of the phase space.
 """
 
-from logahoric.higgs import build_field, gaudin_hamiltonians, hitchin_map
+from logahoric.higgs import build_field, gaudin_hamiltonians, gaudin_values, hitchin_map
 from logahoric.poisson import bracket, site_casimir, verify_involution
 from logahoric.rootsys import GroupTag
 
@@ -22,24 +22,25 @@ def main():
         GroupTag("A", 1, "SL"),
     )
 
-    data = gaudin_hamiltonians(field)
+    values = gaudin_values(field)
     print("numeric Hamiltonians at the three sites:")
-    for x, value in zip(field.points, data.values):
+    for x, value in zip(field.points, values):
         print(f"  H({x}) = {value}")
-    print(f"  sum = {sum(data.values)}")
+    print(f"  sum = {sum(values)}")
 
     print()
     print("symbolic Hamiltonians (entry coordinates, site-major):")
-    for j, ham in enumerate(data.polynomials):
+    alg, hams = gaudin_hamiltonians(field)
+    for j, ham in enumerate(hams):
         print(f"  H_{j} = {ham.to_string()}")
 
-    report = verify_involution(data.polynomials, data.algebra)
+    report = verify_involution(hams, alg)
     print()
     print(f"pairwise brackets checked: {report.pair_count}")
     print(f"all commute exactly: {report.all_commute}")
 
-    cas = site_casimir(data.algebra, 0)
-    probe = bracket(cas, data.polynomials[1], data.algebra)
+    cas = site_casimir(alg, 0)
+    probe = bracket(cas, hams[1], alg)
     print(f"site-0 Casimir brackets to zero against H_1: {probe.is_zero}")
 
     image = hitchin_map(field)

@@ -22,7 +22,7 @@ from json.encoder import encode_basestring_ascii as _escape
 from typing import List, Optional, Sequence, Tuple
 
 from . import __version__, higgs, parahoric, poisson, polyq
-from .errors import ConfigError, LogahoricError, ShapeError
+from .errors import ConfigError, LogahoricError
 from .higgs import LogHiggsField
 from .parahoric import ParahoricDatum, ReductionDatum
 from .rootsys import GroupTag, RationalCocharacter, RootSystem, build_root_system
@@ -152,10 +152,7 @@ class ParsedConfig:
         _list(raw, "residues", lambda m, where: m)
         if self.group is None:
             raise ConfigError("residues need a group to fix the matrix size")
-        try:
-            n = self.group.matrix_size
-        except LogahoricError as exc:
-            raise ConfigError(f"group: {exc}")
+        n = self.matrix_size()
         return _list(raw, "residues", lambda m, where: _matrix(m, n, where))
 
     # -- assembled library objects -------------------------------------
@@ -164,6 +161,13 @@ class ParsedConfig:
         if self.group is None:
             raise ConfigError("this command needs a group section")
         return self.group
+
+    def matrix_size(self) -> int:
+        """The matrix size n of the group section, which must be present."""
+        try:
+            return self.group.matrix_size
+        except LogahoricError as exc:
+            raise ConfigError(f"group: {exc}")
 
     def require_points(self) -> List[Fraction]:
         if self.points is None:
@@ -310,60 +314,13 @@ def _cmd_moment(cfg: ParsedConfig) -> dict:
     return {"sites": [_matrix_out(site) for site in mv.sites]}
 
 
-# Largest point count s that `involution` with Hitchin-coefficient
-# Hamiltonians accepts for each matrix size n; other sizes are refused
-# (ShapeError) before any work.  On a shared 2-CPU host the largest accepted
-# shapes, n = 2, s = 12 and n = 3, s = 4, take 2-4 s each; n = 3, s = 5
-# takes 18 s and n = 4, s = 3 three minutes.
-HITCHIN_INVOLUTION_MAX_POINTS = {2: 12, 3: 4}
-
-# Largest n*s, matrix size times point count, that `involution` with Gaudin
-# Hamiltonians accepts; larger shapes are refused (ShapeError) before the
-# Hamiltonians are built.  The cost tracks n*s.  On a shared 2-CPU host
-# (random integer residues in -3..3, residue sum zero): n*s = 64 took
-# 0.5-0.8 s (n = 8, s = 8; 4, 16; 16, 4), 80 took 1.1-2.1 s (8, 10; 10, 8;
-# 2, 40; 20, 4), 96 took 2.8-3.5 s (8, 12; 12, 8), 128 took 5-7 s (8, 16;
-# 2, 64) and n = 10, s = 20 more than 25 s.
-GAUDIN_INVOLUTION_MAX_SIZE = 80
-
-
-def _hitchin_symbolic_hams(cfg: ParsedConfig):
-    group = cfg.require_group()
-    points = cfg.require_points()
-    try:
-        n = group.matrix_size
-    except LogahoricError as exc:
-        raise ConfigError(f"group: {exc}")
-    limit = HITCHIN_INVOLUTION_MAX_POINTS.get(n)
-    if limit is None:
-        raise ShapeError(
-            "Hitchin-coefficient involution takes matrix size n = "
-            f"{min(HITCHIN_INVOLUTION_MAX_POINTS)}..{max(HITCHIN_INVOLUTION_MAX_POINTS)}"
-            f", got {n}"
-        )
-    if len(points) > limit:
-        raise ShapeError(
-            f"Hitchin-coefficient involution takes at most {limit} points "
-            f"for n = {n}, got {len(points)}"
-        )
-    alg, hams = poisson.hitchin_coefficient_hamiltonians(points, n, group.form)
-    return alg, list(hams)
-
-
 def _cmd_involution(cfg: ParsedConfig) -> dict:
     which = cfg.options.get("hamiltonians", "gaudin")
     if which == "gaudin":
-        f = cfg.field()
-        size = f.matrix_size * f.site_count
-        if size > GAUDIN_INVOLUTION_MAX_SIZE:
-            raise ShapeError(
-                f"Gaudin involution takes n*s at most {GAUDIN_INVOLUTION_MAX_SIZE}; "
-                f"n = {f.matrix_size} with {f.site_count} points gives {size}"
-            )
-        data = higgs.gaudin_hamiltonians(f)
-        alg, hams = data.algebra, list(data.polynomials)
+        alg, hams = higgs.gaudin_hamiltonians(cfg.field())
     elif which == "hitchin":
-        alg, hams = _hitchin_symbolic_hams(cfg)
+        form, points = cfg.require_group().form, cfg.require_points()
+        alg, hams = poisson.hitchin_coefficient_hamiltonians(points, cfg.matrix_size(), form)
     else:
         raise ConfigError(
             f"options.hamiltonians must be 'gaudin' or 'hitchin', got {which!r}"

@@ -30,9 +30,10 @@ fails to be squarefree or has an odd number of roots.
 
 The Gaudin Hamiltonians H_j = sum_{k != j} tr(X_j X_k)/(x_j - x_k) come
 as numbers from gaudin_values, one int trace per pair of cleared residues;
-gaudin_hamiltonians adds their symbolic forms in the Lie-Poisson
-coordinates for bracket checks.  Regularity at infinity, the residue sum
-being zero, is tested in ints too, when build_field makes the field.
+gaudin_hamiltonians returns their symbolic forms in the Lie-Poisson
+coordinates as (alg, hams), like poisson.hitchin_coefficient_hamiltonians,
+for bracket checks.  Regularity at infinity, the residue sum being zero,
+is tested in ints too, when build_field makes the field.
 """
 
 from __future__ import annotations
@@ -339,13 +340,6 @@ def residue_of_invariant(f: LogHiggsField, j: int, i: int) -> Fraction:
     return _residue_invariants(f, [j])[0][i - 1]
 
 
-@dataclass(frozen=True)
-class GaudinData:
-    values: Tuple[Fraction, ...]
-    polynomials: tuple
-    algebra: object
-
-
 def gaudin_values(f: LogHiggsField) -> Tuple[Fraction, ...]:
     """The quadratic Gaudin Hamiltonians at the marked points, as numbers.
 
@@ -374,20 +368,35 @@ def gaudin_values(f: LogHiggsField) -> Tuple[Fraction, ...]:
     return tuple(values)
 
 
-def gaudin_hamiltonians(f: LogHiggsField) -> GaudinData:
-    """Quadratic Hamiltonians at the marked points, numeric and symbolic.
+# Largest n*s, matrix size times point count, that gaudin_hamiltonians
+# accepts (the `involution` command's default family); larger shapes are
+# refused (ShapeError) before the Hamiltonians are built.  The cost tracks
+# n*s.  On a shared 2-CPU host (random integer residues in -3..3, residue
+# sum zero): n*s = 64 took 0.5-0.8 s (n = 8, s = 8; 4, 16; 16, 4), 80 took
+# 1.1-2.1 s (8, 10; 10, 8; 2, 40; 20, 4), 96 took 2.8-3.5 s (8, 12; 12, 8),
+# 128 took 5-7 s (8, 16; 2, 64) and n = 10, s = 20 more than 25 s.
+GAUDIN_INVOLUTION_MAX_SIZE = 80
 
-    The values are gaudin_values(f).  Alongside them the same expressions
-    are returned as abstract quadratic polynomials in the matrix-entry
-    coordinates of the site duals (n^2 (s-1) terms each), ready for
-    symbolic bracket checks; callers that need only the numbers call
-    gaudin_values.
+
+def gaudin_hamiltonians(f: LogHiggsField) -> tuple:
+    """(alg, hams), the shape of poisson.hitchin_coefficient_hamiltonians:
+    the quadratic Hamiltonians of gaudin_values as abstract polynomials in
+    the matrix-entry coordinates of LiePoissonAlgebra(n, s) (n^2 (s-1) terms
+    each), for symbolic bracket checks.  Shapes with n*s past
+    GAUDIN_INVOLUTION_MAX_SIZE raise ShapeError before any work, and fields
+    not regular at infinity ConstraintError.
     """
-    values = gaudin_values(f)
-    from . import poisson  # deferred: poisson imports this module at top level
-
     s = f.site_count
     n = f.matrix_size
+    if n * s > GAUDIN_INVOLUTION_MAX_SIZE:
+        raise ShapeError(
+            f"Gaudin involution takes n*s at most {GAUDIN_INVOLUTION_MAX_SIZE}; "
+            f"n = {n} with {s} points gives {n * s}"
+        )
+    if not f.regular_at_infinity:
+        raise ConstraintError("Hamiltonian extraction needs a residue sum of zero")
+    from . import poisson  # deferred: poisson imports this module at top level
+
     alg = poisson.LiePoissonAlgebra(n, s)
     gens = [
         [[alg.generator_index(j, p, q) for q in range(n)] for p in range(n)]
@@ -407,4 +416,4 @@ def gaudin_hamiltonians(f: LogHiggsField) -> GaudinData:
                     a, b = (gens[j][p][q], 1), (gens[k][q][p], 1)
                     terms[(a, b) if j < k else (b, a)] = c
         polys.append(poisson.PoissonPolynomial._from_dict(alg, terms))
-    return GaudinData(values=values, polynomials=tuple(polys), algebra=alg)
+    return alg, tuple(polys)

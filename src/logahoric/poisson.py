@@ -432,6 +432,14 @@ def verify_involution(
     return InvolutionReport(pair_count=len(pairs), nonzero_pairs=tuple(nonzero))
 
 
+# Largest point count s that hitchin_coefficient_hamiltonians accepts for
+# each matrix size n; other sizes are refused (ShapeError) before any work.
+# On a shared 2-CPU host the largest accepted shapes, n = 2, s = 12 and
+# n = 3, s = 4, take 2-4 s each; n = 3, s = 5 takes 18 s and n = 4, s = 3
+# three minutes.
+HITCHIN_INVOLUTION_MAX_POINTS = {2: 12, 3: 4}
+
+
 def hitchin_coefficient_hamiltonians(
     points: Sequence, n: int, form: str = "SL"
 ) -> Tuple[LiePoissonAlgebra, Tuple[PoissonPolynomial, ...]]:
@@ -446,8 +454,22 @@ def hitchin_coefficient_hamiltonians(
     the z-coefficients of section i come from polyq.interpolate over each
     monomial's series, divided by d_x^((s-1)i).  Every non-zero z-coefficient
     of every section is returned as a polynomial Hamiltonian, by ascending
-    degree i, then ascending power of z.
+    degree i, then ascending power of z.  A matrix size n with no entry in
+    HITCHIN_INVOLUTION_MAX_POINTS, or more points than its entry, raises
+    ShapeError before any work.
     """
+    limit = HITCHIN_INVOLUTION_MAX_POINTS.get(n)
+    if limit is None:
+        raise ShapeError(
+            "Hitchin-coefficient involution takes matrix size n = "
+            f"{min(HITCHIN_INVOLUTION_MAX_POINTS)}..{max(HITCHIN_INVOLUTION_MAX_POINTS)}"
+            f", got {n}"
+        )
+    if len(points) > limit:
+        raise ShapeError(
+            f"Hitchin-coefficient involution takes at most {limit} points "
+            f"for n = {n}, got {len(points)}"
+        )
     if form not in ("SL", "GL"):
         raise ShapeError(f"form must be SL or GL, got {form!r}")
     dx, a = linalgq.integer_form(points)

@@ -593,6 +593,30 @@ def reference_residue_invariants(f: LogHiggsField, j: int) -> List[Fraction]:
     ]
 
 
+def reference_gaudin_values(f: LogHiggsField) -> List[Fraction]:
+    """The Gaudin values read off the Hitchin quadratic section, for a field
+    regular at infinity.  With w = prod(z - x_k) and g = e_2 - e_1^2/2 from
+    hitchin_map's sections e_i of A(z) (e_1 = 0 in SL), (1/2) tr L^2 is
+    -g/w^2, so H_j = -Res_{x_j} g/w^2 = -(g' w_j - 2 g w_j')/w_j^3 at x_j,
+    where w_j = prod_{k != j}(z - x_k) and w_j'/w_j = sum_{k != j} 1/(x_j - x_k)."""
+    from logahoric.higgs import hitchin_map
+
+    image = hitchin_map(f)
+    sections = dict(zip(image.degrees, image.sections))
+    e1, e2 = sections.get(1, []), sections[2]
+    out = []
+    for j, x in enumerate(f.points):
+        gaps = [x - y for k, y in enumerate(f.points) if k != j]
+        e1x, de1x = polyq.evaluate(e1, x), polyq.evaluate(polyq.derivative(e1), x)
+        g = polyq.evaluate(e2, x) - e1x * e1x / 2
+        dg = polyq.evaluate(polyq.derivative(e2), x) - e1x * de1x
+        w = Fraction(1)
+        for d in gaps:
+            w *= d
+        out.append(-(dg - 2 * g * sum(1 / d for d in gaps)) / (w * w))
+    return out
+
+
 def reference_bivector_rank(xi):
     """Rank of the Poisson bivector at a MomentValue as one matrix over every
     site's generators, kept as a test oracle: each site is the block whose

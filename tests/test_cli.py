@@ -770,7 +770,7 @@ def test_hitchin_involution_cap_report(tmp_path, capsys):
         assert report["error"]["kind"] == "shape"
         assert phrase in report["error"]["message"]
         assert "results" not in report
-    caps = cli.HITCHIN_INVOLUTION_MAX_POINTS
+    caps = poisson.HITCHIN_INVOLUTION_MAX_POINTS
     assert caps[2] >= 7 and caps[3] == 4 and max(caps) == 3
     for n, s in ((2, 7), (3, 3)):
         cfg = write_config(tmp_path, hitchin_involution_config(n, s))
@@ -779,9 +779,9 @@ def test_hitchin_involution_cap_report(tmp_path, capsys):
 
 
 def test_gaudin_involution_cap_report(tmp_path, capsys):
-    """n*s past cli.GAUDIN_INVOLUTION_MAX_SIZE is a shape failure; the
+    """n*s past higgs.GAUDIN_INVOLUTION_MAX_SIZE is a shape failure; the
     largest bench shapes, n = 5, s = 5 and n = 2, s = 7, are accepted."""
-    cap = cli.GAUDIN_INVOLUTION_MAX_SIZE
+    cap = higgs.GAUDIN_INVOLUTION_MAX_SIZE
 
     def config(n, s):
         unit = [[int((p, q) == (0, n - 1)) for q in range(n)] for p in range(n)]

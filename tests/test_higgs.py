@@ -31,6 +31,7 @@ from support import (
     F2,
     H2,
     coeffs_to_sympy,
+    evaluate,
     is_strongly_logarithmic_image,
     lax_value,
     make_traceless,
@@ -39,6 +40,7 @@ from support import (
     matrix_to_sympy,
     poly,
     reference_char_coeff_polys,
+    reference_gaudin_values,
     reference_lax_matrix,
     reference_residue_invariants,
     rnd_field,
@@ -159,6 +161,21 @@ def test_degree_bound_random():
         g = rnd_field(rng, n, s, sum_zero=False)
         if not g.regular_at_infinity:
             assert clear_denominators(g).degree == s - 1
+
+
+def test_degree_bound_is_the_degree_of_a():
+    """_degree_bound, the sample count of every interpolation, is the true
+    degree of A on generic fields: s - 1 for s = 1..7 with a non-zero residue
+    sum, s - 2 for s = 2..7 with a zero one.  A bound past the degree leaves
+    every value the same and only costs samples, so no value test sees it."""
+    rng = random.Random(87)
+    shapes = [(s, False) for s in range(1, 8)] + [(s, True) for s in range(2, 8)]
+    for n in (2, 3):
+        for form in ("SL", "GL"):
+            for s, sum_zero in shapes:
+                f = rnd_field(rng, n, s, form=form, sum_zero=sum_zero)
+                assert f.regular_at_infinity == sum_zero
+                assert higgs._degree_bound(f) == clear_denominators(f).degree
 
 
 def test_polynomial_matrix_evaluate_matches_field():
@@ -283,11 +300,9 @@ def test_hitchin_map_rejects_non_type_a():
 
 
 def test_gaudin_worked_values():
-    data = gaudin_hamiltonians(efh_field())
-    assert data.values == (Fraction(-1, 2), Fraction(2), Fraction(-3, 2))
-    assert sum(data.values, Fraction(0)) == 0
-    assert gaudin_values(efh_field()) == data.values
-    assert gaudin_values(heh_field()) == gaudin_hamiltonians(heh_field()).values
+    values = gaudin_values(efh_field())
+    assert values == (Fraction(-1, 2), Fraction(2), Fraction(-3, 2))
+    assert sum(values, Fraction(0)) == 0
 
 
 def test_gaudin_requires_regularity():
@@ -300,7 +315,8 @@ def test_gaudin_requires_regularity():
 
 def test_gaudin_zero_field():
     f = build_field([0, 1], [linalgq.zeros(2)] * 2, SL2)
-    assert gaudin_hamiltonians(f).values == (Fraction(0), Fraction(0))
+    _, hams = gaudin_hamiltonians(f)
+    assert [evaluate(h, f.residues) for h in hams] == [Fraction(0), Fraction(0)]
     assert gaudin_values(f) == (Fraction(0), Fraction(0))
 
 
@@ -311,8 +327,7 @@ def test_gaudin_generating_function_reconstruction():
         n = rng.randint(2, 3)
         s = rng.randint(2, 4)
         f = rnd_field(rng, n, s)
-        data = gaudin_hamiltonians(f)
-        assert gaudin_values(f) == data.values
+        values = gaudin_values(f)
         for _ in range(10):
             z = Fraction(rng.randint(20, 60), rng.randint(1, 3))
             lz = lax_value(f, z)
@@ -321,8 +336,44 @@ def test_gaudin_generating_function_reconstruction():
             for j in range(s):
                 dz = z - f.points[j]
                 cas = linalgq.trace(linalgq.mat_mul(f.residues[j], f.residues[j])) / 2
-                rhs += cas / dz**2 + data.values[j] / dz
+                rhs += cas / dz**2 + values[j] / dz
             assert lhs == rhs
+
+
+@given(
+    st.integers(2, 4),
+    st.integers(2, 6),
+    st.sampled_from(["SL", "GL"]),
+    st.sampled_from(["dense", "nilpotent", "repeated"]),
+    st.integers(0, 2**32),
+)
+def test_gaudin_values_are_residues_of_the_hitchin_section(n, s, form, kind, seed):
+    """gaudin_values against support.reference_gaudin_values, the residues
+    of hitchin_map's quadratic section: SL and GL, n = 2..4, s = 2..6, dense,
+    nilpotent and repeated-eigenvalue residues (shifted to trace zero in SL,
+    which keeps the eigenvalue multiplicities), at points with denominators
+    2 and 3."""
+    rng = random.Random(seed)
+    points = sorted(rng.sample(NON_INTEGER_POINTS, s))
+    residues = _edge_residues(rng, n, kind, s - 1)
+    if form == "SL":
+        residues = [
+            linalgq.mat_sub(m, mat_scale(linalgq.identity(n), linalgq.trace(m) / n))
+            for m in residues
+        ]
+    f = build_field(points, with_sum_zero(residues), GroupTag("A", n - 1, form))
+    assert list(gaudin_values(f)) == reference_gaudin_values(f)
+
+
+def test_gaudin_two_point_values_are_opposite():
+    """At s = 2 the two values are opposite and, for X_1 = -X_2 with
+    tr X_1^2 != 0, non-zero: tr(X_1 X_2)/(x_1 - x_2), by both routes."""
+    for x, form, first in ((H2, "SL", Fraction(12, 7)), ([[1, 2], [0, 3]], "GL", Fraction(60, 7))):
+        f = build_field(
+            [Fraction(1, 2), Fraction(5, 3)], [x, mat_scale(x, -1)], GroupTag("A", 1, form)
+        )
+        assert gaudin_values(f) == (first, -first)
+        assert reference_gaudin_values(f) == [first, -first]
 
 
 # -- spectral curves ----------------------------------------------------------
