@@ -9,15 +9,9 @@ side agree with the ones computed from the coresidues.
 
 from fractions import Fraction
 
-from logahoric.higgs import build_field
+from logahoric.higgs import build_field, quotient_diagram_check
 from logahoric.parahoric import analyze_weight
-from logahoric.poisson import (
-    bivector_rank_at,
-    coadjoint_act,
-    leaf_invariants,
-    moment_map,
-    quotient_diagram_check,
-)
+from logahoric.poisson import bivector_rank_at, coadjoint_act, leaf_invariants, moment_map
 from logahoric.rootsys import GroupTag, RationalCocharacter, build_root_system
 
 

@@ -326,18 +326,35 @@ def _cmd_involution(cfg: ParsedConfig) -> dict:
             f"options.hamiltonians must be 'gaudin' or 'hitchin', got {which!r}"
         )
     report = poisson.verify_involution(hams, alg)
-    payload = report.to_json_dict()
-    payload["hamiltonians"] = which
-    payload["hamiltonian_count"] = len(hams)
     if report.all_commute:
-        payload["message"] = f"all {report.pair_count} pairs commute"
+        message = f"all {report.pair_count} pairs commute"
     else:
-        payload["message"] = f"{len(report.nonzero_pairs)} pairs fail to commute"
-    return payload
+        message = f"{len(report.nonzero_pairs)} pairs fail to commute"
+    return {
+        "hamiltonians": which,
+        "hamiltonian_count": len(hams),
+        "pair_count": report.pair_count,
+        "all_commute": report.all_commute,
+        "nonzero_pairs": [{"i": i, "j": j, "bracket": b} for i, j, b in report.nonzero_pairs],
+        "message": message,
+    }
 
 
 def _cmd_diagram_check(cfg: ParsedConfig) -> dict:
-    return poisson.quotient_diagram_check(cfg.field()).to_json_dict()
+    report = higgs.quotient_diagram_check(cfg.field())
+    return {
+        "all_equal": report.all_equal,
+        "rows": [
+            {
+                "point": r.point,
+                "degree": r.degree,
+                "residue_route": _s(r.residue_route),
+                "moment_route": _s(r.moment_route),
+                "equal": r.equal,
+            }
+            for r in report.rows
+        ],
+    }
 
 
 def _reduction_test(entry, where: str) -> dict:
@@ -427,10 +444,12 @@ def _cmd_stability(cfg: ParsedConfig) -> dict:
 
 def _cmd_leaf(cfg: ParsedConfig) -> dict:
     mv = poisson.moment_map(cfg.field())
-    descriptor = poisson.leaf_invariants(mv)
-    payload = descriptor.to_json_dict()
-    payload["sites"] = [_matrix_out(site) for site in mv.sites]
-    return payload
+    leaf = poisson.leaf_invariants(mv)
+    return {
+        "site_invariants": [_coeffs_out(site) for site in leaf.site_invariants],
+        "bivector_rank": leaf.bivector_rank,
+        "sites": [_matrix_out(site) for site in mv.sites],
+    }
 
 
 # The commands, in the order of the usage message.

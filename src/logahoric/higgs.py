@@ -34,17 +34,19 @@ gaudin_hamiltonians returns their symbolic forms in the Lie-Poisson
 coordinates as (alg, hams), like poisson.hitchin_coefficient_hamiltonians,
 for bracket checks.  Regularity at infinity, the residue sum being zero,
 is tested in ints too, when build_field makes the field.
+
+quotient_diagram_check (here, above poisson in the one-way import order)
+sets each point's _residue_invariants against its coresidue's invariants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import linalgq, polyq
+from . import linalgq, poisson, polyq
 from .errors import (
     ConstraintError,
     DivisorError,
@@ -85,24 +87,28 @@ def build_field(
     per point, each of the field's root system) and flag regularity at
     infinity: the residues, cleared once by linalgq.integer_form to ints
     R_j = d*X_j over a common denominator d, sum to zero at every entry."""
+    if not linalgq.has_shape(points, None):
+        raise ShapeError("points must be a sequence of rationals")
     xs = [Fraction(x) for x in points]
     if not xs:
         raise DivisorError("divisor must be nonempty")
     if len(set(xs)) != len(xs):
         raise DivisorError("marked points must be pairwise distinct")
     n = group.matrix_size
+    if not linalgq.has_shape(residues, None):
+        raise ShapeError("residues must be a sequence of matrices")
     if len(residues) != len(xs):
         raise ShapeError(f"{len(xs)} points but {len(residues)} residues")
     mats = []
     for j, raw in enumerate(residues):
-        m = linalgq.mat(raw)
-        if len(m) != n or any(len(row) != n for row in m):
+        if not linalgq.has_shape(raw, n, n):
             raise ShapeError(f"residue {j} must be {n}x{n} for {group.family}{group.rank}")
+        m = linalgq.mat(raw)
         if group.form == "SL" and linalgq.trace(m) != 0:
             raise TraceError(f"residue {j} has trace {linalgq.trace(m)}; SL mode needs 0")
         mats.append(m)
     if theta_data is not None:
-        if len(theta_data) != len(xs):
+        if not linalgq.has_shape(theta_data, len(xs)):
             raise ShapeError("theta_data must list one parahoric datum per point")
         for j, datum in enumerate(theta_data):
             if datum is not None and (datum.system.family, datum.system.rank) != (
@@ -133,28 +139,19 @@ class PolynomialMatrix:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-def _lagrange_weights(xs: Sequence, t) -> list:
-    """[w_0(t), ..., w_{s-1}(t)] with w_j(t) = prod_{k != j}(t - x_k), so
-    that A(t) = sum_j w_j(t) X_j: the products of the factors t - x_k before
-    and after k = j, with no division, so at t = x_j only w_j is non-zero."""
-    diffs = [t - x for x in xs]
-    before = accumulate(diffs[:-1], mul, initial=1)
-    after = list(accumulate(reversed(diffs[1:]), mul, initial=1))
-    return [b * a for b, a in zip(before, reversed(after))]
-
 
 def _lax_samples(f: LogHiggsField, ts) -> Tuple[int, List[List[List[int]]]]:
     """(D, [B(t d_x) for t in ts]), each t d_x an integer: with the points
     x_k = a_k/d_x and the residues X_j = R_j/d_r cleared once by
     linalgq.integer_form, B(tau) = sum_j w_j(tau) R_j is an int matrix, w the
-    _lagrange_weights of the a_k, and A(t) = B(t d_x)/D, D = d_x^(s-1) d_r."""
+    polyq.lagrange_weights of the a_k, and A(t) = B(t d_x)/D, D = d_x^(s-1) d_r."""
     n, size = f.matrix_size, f.matrix_size ** 2
     dx, a = linalgq.integer_form(f.points)
     dr, flat = linalgq.integer_form(x for res in f.residues for row in res for x in row)
     entries = [flat[e::size] for e in range(size)]  # R_j[p][q] over j, row by row
     out = []
     for t in ts:
-        ws = _lagrange_weights(a, int(t * dx))
+        ws = polyq.lagrange_weights(a, int(t * dx))
         out.append([[sum(map(mul, ws, e)) for e in entries[p:p + n]] for p in range(0, size, n)])
     return dx ** (f.site_count - 1) * dr, out
 
@@ -316,7 +313,7 @@ def _residue_invariants(f: LogHiggsField, js=None) -> List[List[Fraction]]:
     big_d, lax = _lax_samples(f, xs)
     out = []
     for j, x, at in zip(js, xs, lax):
-        denom = big_d * _lagrange_weights(f.points, x)[j]
+        denom = big_d * polyq.lagrange_weights(f.points, x)[j]
         out.append([v / denom**i for i, v in enumerate(linalgq.invariant_values(at), 1)])
     return out
 
@@ -395,8 +392,6 @@ def gaudin_hamiltonians(f: LogHiggsField) -> tuple:
         )
     if not f.regular_at_infinity:
         raise ConstraintError("Hamiltonian extraction needs a residue sum of zero")
-    from . import poisson  # deferred: poisson imports this module at top level
-
     alg = poisson.LiePoissonAlgebra(n, s)
     gens = [
         [[alg.generator_index(j, p, q) for q in range(n)] for p in range(n)]
@@ -417,3 +412,51 @@ def gaudin_hamiltonians(f: LogHiggsField) -> tuple:
                     terms[(a, b) if j < k else (b, a)] = c
         polys.append(poisson.PoissonPolynomial._from_dict(alg, terms))
     return alg, tuple(polys)
+
+
+@dataclass(frozen=True)
+class DiagramRow:
+    point: int
+    degree: int
+    residue_route: Fraction
+    moment_route: Fraction
+
+    @property
+    def equal(self) -> bool:
+        return self.residue_route == self.moment_route
+
+
+@dataclass(frozen=True)
+class DiagramReport:
+    rows: Tuple[DiagramRow, ...]
+
+    @property
+    def all_equal(self) -> bool:
+        return all(r.equal for r in self.rows)
+
+
+def quotient_diagram_check(f: LogHiggsField) -> DiagramReport:
+    """Compare two routes to the invariant values over the divisor.
+
+    Route one evaluates each invariant section of the field at a marked
+    point in the polar frame (a limit on the polynomial side); route two
+    applies the same invariant to that point's coresidue, with the field's
+    own theta_data as the weights of poisson.moment_map.  The two are
+    computed independently and compared exactly.  Route one takes all
+    points from one sampler call, for all degrees together.
+    """
+    mv = poisson.moment_map(f)
+    degrees = invariant_degrees(f)
+    rows = []
+    for j, residue_vals in enumerate(_residue_invariants(f)):
+        site_vals = linalgq.invariant_values(mv.sites[j])
+        for i in degrees:
+            rows.append(
+                DiagramRow(
+                    point=j,
+                    degree=i,
+                    residue_route=residue_vals[i - 1],
+                    moment_route=site_vals[i - 1],
+                )
+            )
+    return DiagramReport(rows=tuple(rows))

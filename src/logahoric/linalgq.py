@@ -16,6 +16,7 @@ rationals to integers over a common denominator.
 from __future__ import annotations
 
 import math
+from collections import abc
 from fractions import Fraction
 from functools import reduce
 from operator import add, mul
@@ -34,6 +35,15 @@ def identity(n: int) -> Matrix:
     for i in range(n):
         out[i][i] = Fraction(1)
     return out
+
+
+def has_shape(value, length: int | None, width: int | None = None) -> bool:
+    """Whether value is a sequence of length items (any number for None)
+    and, given a width, each item a sequence of width entries: the check
+    the library's entry points make on user data before any work."""
+    if not isinstance(value, abc.Sequence) or length is not None and len(value) != length:
+        return False
+    return width is None or all(isinstance(v, abc.Sequence) and len(v) == width for v in value)
 
 
 def mat(rows: Sequence[Sequence]) -> Matrix:

@@ -83,10 +83,8 @@ def analyze_weight(rs: RootSystem, theta: RationalCocharacter) -> ParahoricDatum
     ceil(-r(theta)) is -q, and r is a Levi root exactly when the remainder
     is 0 (integer pairing).  rootsys.pair is the scalar reference.
     """
-    if len(theta.coeffs) != rs.rank:
-        raise ShapeError(
-            f"theta has {len(theta.coeffs)} coordinates, system rank is {rs.rank}"
-        )
+    if not linalgq.has_shape(theta.coeffs, rs.rank):
+        raise ShapeError(f"theta needs {rs.rank} coroot coordinates, the system rank")
     den, cs = linalgq.integer_form(theta.coeffs)
     u = [sum(map(mul, cs, col)) for col in zip(*rs.cartan_matrix)]
     jumps: Dict[Root, int] = {}
@@ -212,7 +210,7 @@ def laurent_to_loop(rs: RootSystem, coeffs: Mapping[int, Matrix]) -> LoopElement
     torus: Dict[int, List[Fraction]] = {}
     roots: Dict[Tuple[Root, int], Fraction] = {}
     for k, m in coeffs.items():
-        if len(m) != n or any(len(row) != n for row in m):
+        if not linalgq.has_shape(m, n, n):
             raise ShapeError(f"coefficient at z^{k} must be {n}x{n}")
         diag = [Fraction(m[i][i]) for i in range(n)]
         if sum(diag) != 0:
@@ -532,20 +530,26 @@ def rank2_semistability(
     At most RANK2_MAX_FLAGS flags and a gap |a1 - a2| of at most
     RANK2_MAX_GAP are accepted; beyond either ShapeError is raised before
     any work, since the candidate list grows like 2^m and the incidence
-    rows grow with the gap.
+    rows grow with the gap.  split_degrees, flags and weights that are not
+    pairs, and weight or point lists of another length than flags, raise
+    ShapeError too.
     """
+    if not linalgq.has_shape(flags, None, 2):
+        raise ShapeError("each flag must be a coordinate pair")
     m = len(flags)
     if m > RANK2_MAX_FLAGS:
         raise ShapeError(
             f"rank-2 enumeration takes at most {RANK2_MAX_FLAGS} flags, got {m}"
         )
+    if not linalgq.has_shape(split_degrees, 2):
+        raise ShapeError("split_degrees must be a pair (a1, a2)")
     a1, a2 = int(split_degrees[0]), int(split_degrees[1])
     if abs(a1 - a2) > RANK2_MAX_GAP:
         raise ShapeError(
             f"rank-2 enumeration takes a split-degree gap of at most "
             f"{RANK2_MAX_GAP}, got {abs(a1 - a2)}"
         )
-    if len(weights) != m:
+    if not linalgq.has_shape(weights, m, 2):
         raise ShapeError("one weight pair per flag is required")
     flag_dirs = [tuple(linalgq.integer_form(flag)[1]) for flag in flags]
     if (0, 0) in flag_dirs:
@@ -553,9 +557,9 @@ def rank2_semistability(
     wpairs = [(Fraction(wf), Fraction(wo)) for wf, wo in weights]
     if not all(0 <= v < 1 for pair in wpairs for v in pair):
         raise NormalizationError("weights must lie in [0, 1)")
-    dx, xs = linalgq.integer_form(range(m) if points is None else points)
-    if len(xs) != m:
+    if points is not None and not linalgq.has_shape(points, m):
         raise ShapeError("one marked point per flag is required")
+    dx, xs = linalgq.integer_form(range(m) if points is None else points)
     if len(set(xs)) != m:
         raise DivisorError("marked points must be pairwise distinct")
 

@@ -28,6 +28,10 @@ This zero-pairing block is not analyze_weight's levi_roots (integer pairing);
 the two differ on affine walls: SL2 at theta = 1/2 is hyperspecial there,
 with Levi roots +-alpha, but its site here is the diagonal (t = (1/2, -1/2)),
 of leaf rank 0 at diag(1, -1), against 2 at theta = 0.
+
+higgs builds on this module, and nothing here imports higgs: the quotient
+diagram check, moment_map's coresidues against the field's residues, lives
+there (higgs.quotient_diagram_check).
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from math import ceil
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import higgs, linalgq, polyq
+from . import linalgq, polyq
 from .errors import (
     AlgebraMismatchError,
     ConstraintError,
@@ -48,7 +52,6 @@ from .errors import (
     GroupError,
     ShapeError,
 )
-from .higgs import LogHiggsField
 from .linalgq import Matrix
 from .parahoric import ParahoricDatum
 from .rootsys import cocharacter_to_diagonal
@@ -368,20 +371,6 @@ def site_casimir(alg: LiePoissonAlgebra, j: int) -> PoissonPolynomial:
     return out
 
 
-def site_invariant_polynomials(
-    alg: LiePoissonAlgebra, j: int
-) -> Tuple[PoissonPolynomial, ...]:
-    """Characteristic-coefficient functions of site j's matrix of generators.
-
-    Every one of these is a Casimir: it brackets to zero with each generator
-    of the site, which the symbolic bracket verifies exactly in tests.  A
-    site outside 0..site_count-1 raises AlgebraMismatchError.
-    """
-    n = alg.matrix_size
-    rows = [[alg.generator(j, p, q) for q in range(n)] for p in range(n)]
-    return tuple(linalgq.invariant_values(rows))
-
-
 # ---------------------------------------------------------------------------
 # Involution verification
 # ---------------------------------------------------------------------------
@@ -395,15 +384,6 @@ class InvolutionReport:
     @property
     def all_commute(self) -> bool:
         return not self.nonzero_pairs
-
-    def to_json_dict(self) -> dict:
-        return {
-            "pair_count": self.pair_count,
-            "all_commute": self.all_commute,
-            "nonzero_pairs": [
-                {"i": i, "j": j, "bracket": s} for i, j, s in self.nonzero_pairs
-            ],
-        }
 
 
 def verify_involution(
@@ -449,7 +429,7 @@ def hitchin_coefficient_hamiltonians(
     per marked point, so A(z) = prod(z - x_k) L(z) has degree s-1 and the
     degree-i invariant section has degree at most i(s-1) in z.  As in
     higgs._lax_samples, x_k = a_k/d_x and each entry of d_x^(s-1) A(tau/d_x) =
-    sum_j w_j(tau) X_j, with the int higgs._lagrange_weights, is one linear
+    sum_j w_j(tau) X_j, with the int polyq.lagrange_weights, is one linear
     polynomial; its invariants are taken at tau = t d_x, t = 0..n(s-1), and
     the z-coefficients of section i come from polyq.interpolate over each
     monomial's series, divided by d_x^((s-1)i).  Every non-zero z-coefficient
@@ -485,7 +465,7 @@ def hitchin_coefficient_hamiltonians(
     ]
     samples = []
     for t in range(n * (s - 1) + 1):
-        ws = higgs._lagrange_weights(a, t * dx)
+        ws = polyq.lagrange_weights(a, t * dx)
         # Site j's generators precede site j+1's, so each entry's terms come
         # sorted; a zero weight (tau a cleared point) leaves no term.
         at = [
@@ -518,20 +498,22 @@ def hitchin_coefficient_hamiltonians(
 @dataclass(frozen=True)
 class MomentValue:
     """One square matrix per site and, optionally, one weight datum (or
-    None) per site; a site that is not square, or data of another length,
-    raises ShapeError."""
+    None) per site; sites or data that are not sequences, a site that is not
+    square, or data of another length, raise ShapeError."""
 
     sites: Tuple[Matrix, ...]
     data: Optional[Tuple[Optional[ParahoricDatum], ...]] = None
 
     def __post_init__(self):
+        if not linalgq.has_shape(self.sites, None):
+            raise ShapeError("sites must be a sequence of square matrices")
         for j, site in enumerate(self.sites):
-            if any(len(row) != len(site) for row in site):
+            if not (linalgq.has_shape(site, None) and linalgq.has_shape(site, None, len(site))):
                 raise ShapeError(f"site {j} is not square")
+        if self.data is not None and not linalgq.has_shape(self.data, None):
+            raise ShapeError("data must be a sequence of weight data")
         if self.data is not None and len(self.data) != len(self.sites):
-            raise ShapeError(
-                f"{len(self.sites)} sites but {len(self.data)} weight data"
-            )
+            raise ShapeError(f"{len(self.sites)} sites but {len(self.data)} weight data")
 
     @property
     def site_count(self) -> int:
@@ -552,8 +534,9 @@ def _weight_diagonal(data: Optional[Sequence], j: int, n: int) -> List[Fraction]
     return cocharacter_to_diagonal(rs, datum.theta)
 
 
-def moment_map(f: LogHiggsField) -> MomentValue:
-    """Coresidues of the field: block projections of the residues.
+def moment_map(f) -> MomentValue:
+    """Coresidues of the field f: block projections of the residues.  Only
+    f's matrix_size, residues and theta_data are read.
 
     The weight data are the field's own theta_data.  With none, every
     residue passes through unchanged.  A weight at a point first constrains
@@ -583,15 +566,15 @@ def moment_map(f: LogHiggsField) -> MomentValue:
 def coadjoint_act(gs: Sequence[Matrix], m: MomentValue) -> MomentValue:
     """Site-wise conjugation of the form-dual representatives by elements of
     the block subgroups {g_pq = 0 unless t_p == t_q} (GroupError otherwise)."""
-    if len(gs) != m.site_count:
+    if not linalgq.has_shape(gs, m.site_count):
         raise ShapeError("one group element per site is required")
     out = []
     for j, (g, site) in enumerate(zip(gs, m.sites)):
         n = len(site)
         t = _weight_diagonal(m.data, j, n)
-        g = linalgq.mat(g)
-        if len(g) != n or any(len(row) != n for row in g):
+        if not linalgq.has_shape(g, n, n):
             raise ShapeError(f"group element must be {n}x{n}")
+        g = linalgq.mat(g)
         for p in range(n):
             for q in range(n):
                 if t[p] != t[q] and g[p][q] != 0:
@@ -607,7 +590,7 @@ def coadjoint_act(gs: Sequence[Matrix], m: MomentValue) -> MomentValue:
 
 
 # ---------------------------------------------------------------------------
-# Leaves, ranks and the quotient diagram
+# Leaves and ranks
 # ---------------------------------------------------------------------------
 
 
@@ -696,88 +679,12 @@ class LeafDescriptor:
     site_invariants: Tuple[Tuple[Fraction, ...], ...]
     bivector_rank: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "site_invariants": [
-                [str(v) for v in site] for site in self.site_invariants
-            ],
-            "bivector_rank": self.bivector_rank,
-        }
-
 
 def leaf_invariants(xi: MomentValue) -> LeafDescriptor:
     """Conjugation-invariant coordinates of the leaf through the point: the
     invariant values of each site and the bivector_rank_at the point."""
-    invs = tuple(
-        tuple(linalgq.invariant_values(site)) for site in xi.sites
-    )
-    return LeafDescriptor(
-        site_invariants=invs,
-        bivector_rank=bivector_rank_at(xi),
-    )
-
-
-@dataclass(frozen=True)
-class DiagramRow:
-    point: int
-    degree: int
-    residue_route: Fraction
-    moment_route: Fraction
-
-    @property
-    def equal(self) -> bool:
-        return self.residue_route == self.moment_route
-
-
-@dataclass(frozen=True)
-class DiagramReport:
-    rows: Tuple[DiagramRow, ...]
-
-    @property
-    def all_equal(self) -> bool:
-        return all(r.equal for r in self.rows)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "all_equal": self.all_equal,
-            "rows": [
-                {
-                    "point": r.point,
-                    "degree": r.degree,
-                    "residue_route": str(r.residue_route),
-                    "moment_route": str(r.moment_route),
-                    "equal": r.equal,
-                }
-                for r in self.rows
-            ],
-        }
-
-
-def quotient_diagram_check(f: LogHiggsField) -> DiagramReport:
-    """Compare two routes to the invariant values over the divisor.
-
-    Route one evaluates each invariant section of the field at a marked
-    point in the polar frame (a limit on the polynomial side); route two
-    applies the same invariant to that point's coresidue, with the field's
-    own theta_data as the weights of moment_map.  The two are
-    computed independently and compared exactly.  Route one takes all
-    points from one sampler call, for all degrees together.
-    """
-    mv = moment_map(f)
-    degrees = higgs.invariant_degrees(f)
-    rows = []
-    for j, residue_vals in enumerate(higgs._residue_invariants(f)):
-        site_vals = linalgq.invariant_values(mv.sites[j])
-        for i in degrees:
-            rows.append(
-                DiagramRow(
-                    point=j,
-                    degree=i,
-                    residue_route=residue_vals[i - 1],
-                    moment_route=site_vals[i - 1],
-                )
-            )
-    return DiagramReport(rows=tuple(rows))
+    invs = tuple(tuple(linalgq.invariant_values(site)) for site in xi.sites)
+    return LeafDescriptor(site_invariants=invs, bivector_rank=bivector_rank_at(xi))
 
 
 def nilpotent_vanishing_check(x: Matrix) -> bool:

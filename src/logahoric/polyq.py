@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 from typing import List, Sequence
 
 from . import linalgq
@@ -54,6 +56,16 @@ def evaluate(p: Sequence[Fraction], x) -> Fraction:
 
 def derivative(p: Sequence[Fraction]) -> Coeffs:
     return trim([c * i for i, c in enumerate(p)][1:])
+
+
+def lagrange_weights(xs: Sequence, t) -> list:
+    """[w_0(t), ..., w_{s-1}(t)] with w_j(t) = prod_{k != j}(t - x_k), so
+    that A(t) = sum_j w_j(t) X_j: the products of the factors t - x_k before
+    and after k = j, with no division, so at t = x_j only w_j is non-zero."""
+    diffs = [t - x for x in xs]
+    before = accumulate(diffs[:-1], mul, initial=1)
+    after = list(accumulate(reversed(diffs[1:]), mul, initial=1))
+    return [b * a for b, a in zip(before, reversed(after))]
 
 
 # A fixed Mersenne prime for the squarefree certificate.

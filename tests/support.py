@@ -268,6 +268,18 @@ def evaluate(f, site_values) -> Fraction:
     return total
 
 
+def site_invariant_polynomials(alg, j: int) -> tuple:
+    """Characteristic-coefficient functions of site j's matrix of generators.
+
+    Every one of these is a Casimir: it brackets to zero with each generator
+    of the site, which the symbolic bracket verifies exactly in tests.  A
+    site outside 0..site_count-1 raises AlgebraMismatchError.
+    """
+    n = alg.matrix_size
+    rows = [[alg.generator(j, p, q) for q in range(n)] for p in range(n)]
+    return tuple(linalgq.invariant_values(rows))
+
+
 def entries_of(t) -> Tuple[Tuple[int, int], ...]:
     """The entries (p, q), row-major, whose weight diagonal t has t_p == t_q:
     the block of zero pairing (the whole of gl_n for t = 0)."""

@@ -196,7 +196,7 @@ def test_criterion_02_worked_hitchin_image():
 
 
 def test_criterion_03_diagram_commutes():
-    from logahoric.poisson import quotient_diagram_check
+    from logahoric.higgs import quotient_diagram_check
 
     rng = random.Random(1003)
     for trial in range(200):

@@ -282,6 +282,56 @@ def test_leaf_command(tmp_path, capsys):
     ]
 
 
+def test_involution_leaf_and_diagram_reports_in_full(tmp_path, capsys):
+    """cli builds these three reports from the library's result objects;
+    each is pinned whole, on the fields of the library tests
+    test_gaudin_involution, test_leaf_invariants_examples and
+    test_quotient_diagram_frozen_example."""
+    cfg = write_config(tmp_path, EFH)
+    assert run_json(capsys, ["involution", "--config", cfg])["results"] == {
+        "hamiltonians": "gaudin",
+        "hamiltonian_count": 3,
+        "pair_count": 3,
+        "all_commute": True,
+        "nonzero_pairs": [],
+        "message": "all 3 pairs commute",
+    }
+    group = {"family": "A", "rank": 1, "form": "SL"}
+    h = [[1, 0], [0, -1]]
+    cfg = write_config(tmp_path, {"group": group, "points": [{"x": 0}], "residues": [h]})
+    assert run_json(capsys, ["leaf", "--config", cfg])["results"] == {
+        "site_invariants": [["0", "-1"]],
+        "bivector_rank": 2,
+        "sites": [[["1", "0"], ["0", "-1"]]],
+    }
+    cfg = write_config(tmp_path, HEH)
+    assert run_json(capsys, ["diagram-check", "--config", cfg])["results"] == {
+        "all_equal": True,
+        "rows": [
+            {"point": j, "degree": 2, "residue_route": v, "moment_route": v, "equal": True}
+            for j, v in enumerate(["-1", "0", "-1"])
+        ],
+    }
+
+
+def test_involution_report_lists_a_noncommuting_pair(tmp_path, capsys, monkeypatch):
+    """With gaudin_hamiltonians made to return x_00 and x_01 of one gl_2
+    site, whose bracket is -x_01, involution still exits 0 and reports the
+    pair, its bracket and the count of failing pairs."""
+    alg = poisson.LiePoissonAlgebra(2, 1)
+    pair = (alg.generator(0, 0, 0), alg.generator(0, 0, 1))
+    monkeypatch.setattr(higgs, "gaudin_hamiltonians", lambda f: (alg, pair))
+    cfg = write_config(tmp_path, EFH)
+    assert run_json(capsys, ["involution", "--config", cfg])["results"] == {
+        "hamiltonians": "gaudin",
+        "hamiltonian_count": 2,
+        "pair_count": 1,
+        "all_commute": False,
+        "nonzero_pairs": [{"i": 0, "j": 1, "bracket": "-1*x0_01"}],
+        "message": "1 pairs fail to commute",
+    }
+
+
 def test_two_levi_sets_differ_on_affine_walls(tmp_path, capsys):
     """analyze_weight's levi_roots are the roots of integer pairing, while the
     leaf's site is the block of zero pairing {t_p == t_q}: for SL2 at

@@ -1,0 +1,166 @@
+"""The library's entry points refuse malformed shapes with domain errors.
+
+`build_field`, `MomentValue`, `coadjoint_act`, `rank2_semistability` and
+`analyze_weight` take user data as nested sequences.  Each test draws a valid input built
+from valid numbers, checks that it is accepted, then makes one structural
+change at a drawn sequence node of one argument: the node replaced by a
+number (a scalar where a sequence belongs), its last item dropped, or its
+last item repeated (wrong lengths and ragged rows).  Every length in these
+inputs is tied to another, so each change must be refused, and the refusal
+must be a LogahoricError subclass, not a bare TypeError, ValueError or
+IndexError from inside the computation.  Strings that are not rationals
+are out of scope.
+"""
+
+import copy
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from logahoric import linalgq
+from logahoric.errors import LogahoricError
+from logahoric.higgs import build_field
+from logahoric.parahoric import analyze_weight, rank2_semistability
+from logahoric.poisson import MomentValue, coadjoint_act
+from logahoric.rootsys import GroupTag, RationalCocharacter, build_root_system
+
+RATIONALS = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+UNIT = st.builds(Fraction, st.integers(0, 2), st.just(3))  # in [0, 1)
+SYSTEMS = {r: build_root_system("A", r) for r in range(1, 4)}
+
+
+def sequence_paths(tree, path=()):
+    """The index paths of every list node of a nested-list tree."""
+    if isinstance(tree, list):
+        yield path
+        for i, item in enumerate(tree):
+            yield from sequence_paths(item, path + (i,))
+
+
+@st.composite
+def malformed(draw, args: dict) -> dict:
+    """A copy of args, a dict of nested lists, with one structural change
+    at one list node of one argument."""
+    name = draw(st.sampled_from(sorted(args)))
+    path = draw(st.sampled_from(list(sequence_paths(args[name]))))
+    out = copy.deepcopy(args)
+    parent, key = out, name
+    for i in path:
+        parent, key = parent[key], i
+    node = parent[key]
+    hows = ["scalar", "grow"] + (["drop"] if node else [])
+    how = draw(st.sampled_from(hows))
+    if how == "scalar":
+        parent[key] = draw(RATIONALS)
+    elif how == "drop":
+        node.pop()
+    else:
+        node.append(copy.deepcopy(node[-1]) if node else draw(RATIONALS))
+    return out
+
+
+def matrix(n):
+    return st.lists(st.lists(RATIONALS, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+@st.composite
+def field_args(draw) -> tuple:
+    n = draw(st.integers(1, 3))
+    s = draw(st.integers(1, 4))
+    points = draw(st.lists(st.integers(-5, 5), min_size=s, max_size=s, unique=True))
+    args = {
+        "points": [Fraction(x) for x in points],
+        "residues": draw(st.lists(matrix(n), min_size=s, max_size=s)),
+        "theta_data": [None] * s,
+    }
+    return args, GroupTag("A", n - 1, "GL")
+
+
+@st.composite
+def moment_args(draw) -> dict:
+    sizes = draw(st.lists(st.integers(2, 3), min_size=1, max_size=3))
+    sites = [draw(matrix(n)) for n in sizes]
+    return {"sites": sites, "data": [None] * len(sites)}
+
+
+@st.composite
+def rank2_args(draw) -> dict:
+    m = draw(st.integers(1, 3))
+    flag = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any).map(list)
+    return {
+        "split_degrees": [draw(st.integers(-2, 2)), draw(st.integers(-2, 2))],
+        "flags": draw(st.lists(flag, min_size=m, max_size=m)),
+        "weights": draw(st.lists(st.lists(UNIT, min_size=2, max_size=2), min_size=m, max_size=m)),
+        "points": draw(st.lists(st.integers(-5, 5), min_size=m, max_size=m, unique=True)),
+    }
+
+
+def refused(call):
+    with pytest.raises(LogahoricError):
+        call()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_build_field_refuses_malformed_shapes(data):
+    args, group = data.draw(field_args())
+    build_field(group=group, **args)
+    bad = data.draw(malformed(args))
+    refused(lambda: build_field(group=group, **bad))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_moment_value_refuses_malformed_shapes(data):
+    args = data.draw(moment_args())
+    MomentValue(**args)
+    bad = data.draw(malformed(args))
+    refused(lambda: MomentValue(**bad))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_coadjoint_act_refuses_malformed_shapes(data):
+    m = MomentValue(**data.draw(moment_args()))
+    args = {"gs": [linalgq.identity(len(site)) for site in m.sites]}
+    coadjoint_act(args["gs"], m)
+    bad = data.draw(malformed(args))
+    refused(lambda: coadjoint_act(bad["gs"], m))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_rank2_semistability_refuses_malformed_shapes(data):
+    args = data.draw(rank2_args())
+    rank2_semistability(**args)
+    bad = data.draw(malformed(args))
+    refused(lambda: rank2_semistability(**bad))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(SYSTEMS)), st.data())
+def test_analyze_weight_refuses_malformed_shapes(rank, data):
+    rs = SYSTEMS[rank]
+    args = {"coeffs": data.draw(st.lists(RATIONALS, min_size=rank, max_size=rank))}
+    analyze_weight(rs, RationalCocharacter(tuple(args["coeffs"])))
+    bad = data.draw(malformed(args))
+    refused(lambda: analyze_weight(rs, RationalCocharacter(bad["coeffs"])))
+
+
+def test_the_shapes_that_crashed_are_shape_errors():
+    """The calls that raised bare exceptions before their entry points
+    checked shapes, each now refused up front."""
+    sl2 = GroupTag("A", 1, "SL")
+    for call, match in [
+        (lambda: rank2_semistability((1, 0), [(1, 2, 3)], [(0, 0)]), "coordinate pair"),
+        (lambda: rank2_semistability((1, 0), [(1,)], [(0, 0)]), "coordinate pair"),
+        (lambda: rank2_semistability((1, 0), [(1, 0)], [(0, 0, 0)]), "weight pair"),
+        (lambda: rank2_semistability((1,), [(1, 0)], [(0, 0)]), "split_degrees"),
+        (lambda: build_field([0, 1], [5, 6], sl2), "residue 0 must be 2x2"),
+        (lambda: MomentValue(sites=(5,)), "site 0 is not square"),
+    ]:
+        with pytest.raises(LogahoricError, match=match) as err:
+            call()
+        assert err.value.kind == "shape"

@@ -20,11 +20,11 @@ from logahoric.higgs import (
     gaudin_hamiltonians,
     gaudin_values,
     hitchin_map,
+    quotient_diagram_check,
     residue_of_invariant,
     spectral_curve,
     spectral_genus,
 )
-from logahoric.poisson import quotient_diagram_check
 from logahoric.rootsys import GroupTag
 from support import (
     E2,

@@ -17,6 +17,7 @@ from support import (
     rnd_fraction,
     rnd_invertible,
     rnd_matrix,
+    site_invariant_polynomials,
 )
 
 
@@ -365,7 +366,7 @@ def test_site_invariant_polynomials_evaluate_to_invariant_values(alg, seed):
     n = alg.matrix_size
     point = [rnd_matrix(rng, n) for _ in range(alg.site_count)]
     for j in range(alg.site_count):
-        invs = poisson.site_invariant_polynomials(alg, j)
+        invs = site_invariant_polynomials(alg, j)
         assert [evaluate(inv, point) for inv in invs] == linalgq.invariant_values(point[j])
 
 
