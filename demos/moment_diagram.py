@@ -10,14 +10,12 @@ side agree with the ones computed from the coresidues.
 from fractions import Fraction
 
 from logahoric.higgs import build_field, quotient_diagram_check
-from logahoric.parahoric import analyze_weight
 from logahoric.poisson import bivector_rank_at, coadjoint_act, leaf_invariants, moment_map
-from logahoric.rootsys import GroupTag, RationalCocharacter, build_root_system
+from logahoric.rootsys import GroupTag, RationalCocharacter
 
 
 def main():
-    a1 = build_root_system("A", 1)
-    iwahori = analyze_weight(a1, RationalCocharacter.of([Fraction(1, 4)]))
+    iwahori = RationalCocharacter.of([Fraction(1, 4)])
 
     field = build_field(
         [0, 1],

@@ -74,11 +74,10 @@ def main():
 
     print()
     print("== parahoric degrees and slopes ==")
-    rd = ReductionDatum.of(0, 1, 0, 2, [Fraction(1, 4)])
+    rd = ReductionDatum.of(0, 1, 0, 2, [Fraction(1, 4)], [Fraction(1, 4), Fraction(0)])
     print(f"  sub datum parhdeg = {parahoric_degree(rd)}")
-    total = ReductionDatum.of(0, 2, 0, 2, [Fraction(1, 4), Fraction(0)])
-    print(f"  ambient parhdeg  = {parahoric_degree(total)}")
-    print(f"  slope test verdict: {slope_test(rd, total)}")
+    print(f"  ambient parhdeg  = {rd.total_degree + sum(rd.total_pairings)}")
+    print(f"  slope test verdict: {slope_test(rd)}")
 
 
 if __name__ == "__main__":

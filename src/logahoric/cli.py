@@ -24,8 +24,8 @@ from typing import List, Optional, Sequence, Tuple
 from . import __version__, higgs, parahoric, poisson, polyq
 from .errors import ConfigError, LogahoricError
 from .higgs import LogHiggsField
-from .parahoric import ParahoricDatum, ReductionDatum
-from .rootsys import GroupTag, RationalCocharacter, RootSystem, build_root_system
+from .parahoric import ReductionDatum
+from .rootsys import GroupTag, RationalCocharacter, build_root_system
 
 # ---------------------------------------------------------------------------
 # Config parsing: rationals as strings, matrices as nested lists
@@ -174,26 +174,22 @@ class ParsedConfig:
             raise ConfigError("this command needs a points list")
         return self.points
 
-    def weight_system(self, group: GroupTag, every_point: bool = False) -> RootSystem:
-        """The root system of group, built only once each point's theta is
-        checked to have group.rank coordinates: building it takes seconds
-        at rank 100.  With every_point, a point with no theta is refused."""
+    def theta_data(
+        self, every_point: bool = False
+    ) -> Optional[Tuple[Optional[RationalCocharacter], ...]]:
+        """Each point's theta as a cocharacter (None where there is none),
+        once each is checked to have group.rank coordinates; None when no
+        point has one.  With every_point, a point with no theta is refused."""
+        if not every_point and all(th is None for th in self.thetas):
+            return None
+        rank = self.require_group().rank
         for i, th in enumerate(self.thetas):
             if th is None:
                 if every_point:
                     raise ConfigError(f"points[{i}] has no theta; parahoric-analyze needs one")
-            elif len(th) != group.rank:
-                raise ConfigError(f"points[{i}].theta must have {group.rank} coroot coordinates")
-        return build_root_system(group.family, group.rank)
-
-    def theta_data(self) -> Optional[Tuple[Optional[ParahoricDatum], ...]]:
-        if self.thetas is None or all(t is None for t in self.thetas):
-            return None
-        rs = self.weight_system(self.require_group())
-        return tuple(
-            None if th is None else parahoric.analyze_weight(rs, RationalCocharacter.of(th))
-            for th in self.thetas
-        )
+            elif len(th) != rank:
+                raise ConfigError(f"points[{i}].theta must have {rank} coroot coordinates")
+        return tuple(None if th is None else RationalCocharacter(tuple(th)) for th in self.thetas)
 
     def field(self) -> LogHiggsField:
         group = self.require_group()
@@ -232,16 +228,16 @@ def _root_key(root: Tuple[int, ...]) -> str:
 def _cmd_parahoric_analyze(cfg: ParsedConfig) -> dict:
     group = cfg.require_group()
     points = cfg.require_points()
-    if cfg.thetas is None:
-        raise ConfigError("parahoric-analyze needs a theta at each point")
-    rs = cfg.weight_system(group, every_point=True)
+    thetas = cfg.theta_data(every_point=True)
+    # Built only once every theta is checked: it takes seconds at rank 100.
+    rs = build_root_system(group.family, group.rank)
     out = []
-    for x, th in zip(points, cfg.thetas):
-        datum = parahoric.analyze_weight(rs, RationalCocharacter.of(th))
+    for x, theta in zip(points, thetas):
+        datum = parahoric.analyze_weight(rs, theta)
         out.append(
             {
                 "x": _s(x),
-                "theta": [_s(c) for c in th],
+                "theta": [_s(c) for c in theta.coeffs],
                 "facet": datum.facet_class,
                 "jumps": {_root_key(r): m for r, m in sorted(datum.jumps.items())},
                 "levi_roots": [_root_key(r) for r in datum.levi_roots],
@@ -361,26 +357,17 @@ def _reduction_test(entry, where: str) -> dict:
     """The slope and character tests of one options.reductions entry."""
     if not isinstance(entry, dict):
         raise ConfigError(f"{where} must be an object")
+    total_raw = entry.get("total_weight_pairings")  # absent or null: none
     rd = ReductionDatum.of(
         _int(entry.get("sub_degree"), f"{where}.sub_degree"),
         _int(entry.get("sub_rank"), f"{where}.sub_rank"),
         _int(entry.get("total_degree"), f"{where}.total_degree"),
         _int(entry.get("total_rank"), f"{where}.total_rank"),
         _list(entry.get("weight_pairings", []), f"{where}.weight_pairings"),
+        () if total_raw is None else _list(total_raw, f"{where}.total_weight_pairings"),
     )
-    total_raw = entry.get("total_weight_pairings")
-    if total_raw is None:
-        total, total_deg = None, Fraction(rd.total_degree)
-    else:
-        total = ReductionDatum.of(
-            rd.total_degree,
-            rd.total_rank,
-            rd.total_degree,
-            rd.total_rank,
-            _list(total_raw, f"{where}.total_weight_pairings"),
-        )
-        total_deg = parahoric.parahoric_degree(total)
-    verdict = parahoric.slope_test(rd, total)
+    verdict = parahoric.slope_test(rd)
+    total_deg = rd.total_degree + sum(rd.total_pairings, Fraction(0))
     sub_deg = parahoric.parahoric_degree(rd)
     sub_side, total_side = sub_deg * rd.total_rank, total_deg * rd.sub_rank
     return {
@@ -565,21 +552,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise ConfigError(
                 f"config file says command {cfg.command!r} but argv says {args.command!r}"
             )
-        report = run(args.command, cfg)
+        report, code = run(args.command, cfg), 0
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
     except LogahoricError as exc:
-        failure = {
-            "command": args.command,
-            "version": __version__,
-            "error": {"kind": exc.kind, "message": str(exc)},
-        }
-        try:
-            _emit(failure, args.out)
-        except OSError as io_exc:
-            sys.stderr.write(f"cannot write report: {io_exc}\n")
-        return 1
+        error = {"kind": exc.kind, "message": str(exc)}
+        report, code = {"command": args.command, "version": __version__, "error": error}, 1
     except OSError as exc:
         sys.stderr.write(f"i/o error: {exc}\n")
         return 1
@@ -589,7 +568,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         sys.stderr.write(f"cannot write report: {exc}\n")
         return 1
-    return 0
+    return code
 
 
 if __name__ == "__main__":

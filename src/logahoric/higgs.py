@@ -55,9 +55,8 @@ from .errors import (
     UnsupportedRealizationError,
 )
 from .linalgq import Matrix
-from .parahoric import ParahoricDatum
 from .polyq import Coeffs
-from .rootsys import GroupTag
+from .rootsys import GroupTag, RationalCocharacter
 
 
 @dataclass(frozen=True)
@@ -65,7 +64,7 @@ class LogHiggsField:
     points: Tuple[Fraction, ...]
     residues: Tuple[Matrix, ...]
     group: GroupTag
-    theta_data: Optional[Tuple[ParahoricDatum, ...]]
+    theta_data: Optional[Tuple[Optional[RationalCocharacter], ...]]
     regular_at_infinity: bool
 
     @property
@@ -81,12 +80,13 @@ def build_field(
     points: Sequence,
     residues: Sequence[Sequence[Sequence]],
     group: GroupTag,
-    theta_data: Optional[Sequence[ParahoricDatum]] = None,
+    theta_data: Optional[Sequence[Optional[RationalCocharacter]]] = None,
 ) -> LogHiggsField:
-    """Validate marked points, residues and weight data (one datum or None
-    per point, each of the field's root system) and flag regularity at
-    infinity: the residues, cleared once by linalgq.integer_form to ints
-    R_j = d*X_j over a common denominator d, sum to zero at every entry."""
+    """Validate marked points, residues and weights (one cocharacter theta
+    or None per point, each with the group's rank of coroot coordinates) and
+    flag regularity at infinity: the residues, cleared once by
+    linalgq.integer_form to ints R_j = d*X_j over a common denominator d,
+    sum to zero at every entry."""
     if not linalgq.has_shape(points, None):
         raise ShapeError("points must be a sequence of rationals")
     xs = [Fraction(x) for x in points]
@@ -109,15 +109,12 @@ def build_field(
         mats.append(m)
     if theta_data is not None:
         if not linalgq.has_shape(theta_data, len(xs)):
-            raise ShapeError("theta_data must list one parahoric datum per point")
-        for j, datum in enumerate(theta_data):
-            if datum is not None and (datum.system.family, datum.system.rank) != (
-                group.family, group.rank
-            ):
-                raise ShapeError(
-                    f"theta_data[{j}] is a {datum.system.family}{datum.system.rank} "
-                    f"datum; the field's group is {group.family}{group.rank}"
-                )
+            raise ShapeError("theta_data must list one cocharacter per point")
+        for j, theta in enumerate(theta_data):
+            if theta is not None and not (isinstance(theta, RationalCocharacter)
+                                          and linalgq.has_shape(theta.coeffs, group.rank)):
+                raise ShapeError(f"theta_data[{j}] must be a cocharacter of {group.rank} "
+                                 f"coordinates for {group.family}{group.rank}")
     size = n * n
     _, flat = linalgq.integer_form(x for m in mats for row in m for x in row)
     return LogHiggsField(

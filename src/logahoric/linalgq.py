@@ -40,10 +40,13 @@ def identity(n: int) -> Matrix:
 def has_shape(value, length: int | None, width: int | None = None) -> bool:
     """Whether value is a sequence of length items (any number for None)
     and, given a width, each item a sequence of width entries: the check
-    the library's entry points make on user data before any work."""
-    if not isinstance(value, abc.Sequence) or length is not None and len(value) != length:
+    the library's entry points make on user data before any work.  A str,
+    bytes or bytearray is text, not a sequence, at any depth."""
+    if not isinstance(value, abc.Sequence) or isinstance(value, (str, bytes, bytearray)):
         return False
-    return width is None or all(isinstance(v, abc.Sequence) and len(v) == width for v in value)
+    if length is not None and len(value) != length:
+        return False
+    return width is None or all(has_shape(v, width) for v in value)
 
 
 def mat(rows: Sequence[Sequence]) -> Matrix:

@@ -192,7 +192,7 @@ def loop_to_laurent(x: LoopElement) -> Dict[int, Matrix]:
         return out[k]
 
     for k, coords in x.torus_terms:
-        diag = cocharacter_to_diagonal(rs, RationalCocharacter(tuple(coords)))
+        diag = cocharacter_to_diagonal(RationalCocharacter(tuple(coords)))
         m = coeff(k)
         for i, t in enumerate(diag):
             m[i][i] += t
@@ -320,20 +320,26 @@ def levi_evaluate(x: LoopElement, d: ParahoricDatum) -> Matrix:
 
 @dataclass(frozen=True)
 class ReductionDatum:
+    """A reduction (sub_*) of an ambient object (total_*), each with its
+    degree, rank and marked-point pairings."""
+
     sub_degree: int
     sub_rank: int
     total_degree: int
     total_rank: int
     weight_pairings: Tuple[Fraction, ...] = ()
+    total_pairings: Tuple[Fraction, ...] = ()
 
     @staticmethod
-    def of(sub_degree, sub_rank, total_degree, total_rank, weight_pairings=()):
+    def of(sub_degree, sub_rank, total_degree, total_rank, weight_pairings=(),
+           total_pairings=()):
         return ReductionDatum(
             int(sub_degree),
             int(sub_rank),
             int(total_degree),
             int(total_rank),
             tuple(Fraction(w) for w in weight_pairings),
+            tuple(Fraction(w) for w in total_pairings),
         )
 
 
@@ -357,29 +363,15 @@ def parahoric_degree(rd: ReductionDatum) -> Fraction:
     return Fraction(rd.sub_degree) + sum(rd.weight_pairings, Fraction(0))
 
 
-def slope_test(rd: ReductionDatum, total: Optional[ReductionDatum] = None) -> str:
-    """Compare the weighted slope of a reduction against the full object.
-
-    With only one datum the ambient object is taken to carry no weight
-    contributions (its weighted degree is rd.total_degree).  Passing a
-    second datum for the full object supplies its own pairings; that datum's
-    sub_* fields describe the full object itself.
-    """
-    if total is not None:
-        if rd.total_rank != total.sub_rank or rd.total_degree != total.sub_degree:
-            raise InvalidReductionError(
-                "total datum disagrees with the reduction's ambient fields"
-            )
-        total_rank = total.sub_rank
-        total_deg = parahoric_degree(total)
-    else:
-        total_rank = rd.total_rank
-        total_deg = Fraction(rd.total_degree)
-    if not 0 < rd.sub_rank < total_rank:
+def slope_test(rd: ReductionDatum) -> str:
+    """Compare the weighted slope of a reduction against the full object,
+    whose weighted degree is rd.total_degree plus rd.total_pairings."""
+    if not 0 < rd.sub_rank < rd.total_rank:
         raise InvalidReductionError(
-            f"sub_rank must lie strictly between 0 and {total_rank}, got {rd.sub_rank}"
+            f"sub_rank must lie strictly between 0 and {rd.total_rank}, got {rd.sub_rank}"
         )
-    return verdict(parahoric_degree(rd) / rd.sub_rank, total_deg / total_rank)
+    total_deg = rd.total_degree + sum(rd.total_pairings, Fraction(0))
+    return verdict(parahoric_degree(rd) / rd.sub_rank, total_deg / rd.total_rank)
 
 
 @dataclass(frozen=True)
@@ -387,9 +379,9 @@ class Rank2Candidate:
     """A line subbundle of degree `degree` meeting the flags `incidences`.
 
     Its ReductionDatum would be (degree, 1, a1 + a2, 2) with the on-flag
-    weight at each incidence and the off-flag weight elsewhere; the
-    enumerator keeps only its weighted degree and verdict, which candidates
-    of equal weighted degree share.
+    weight at each incidence and the off-flag weight elsewhere, and every
+    weight among its total_pairings; the enumerator keeps only its weighted
+    degree and verdict, which candidates of equal weighted degree share.
     """
 
     degree: int

@@ -21,9 +21,10 @@ applied where it is used, with no table and no check at run time;
 tests/test_poisson.py checks it against matrix commutators of the
 trace-form dual basis (antisymmetry, Jacobi) on gl_n for n = 1..5.
 
-A weight acts here only through its diagonal t (_weight_diagonal), with
-t_p - t_q the pairing of theta with the root of E_pq: the parahoric stalk is
-{t_p >= t_q}, the Levi block {t_p == t_q}, the leaf classes those of equal t.
+A point's weight, its cocharacter theta, acts here only through its
+diagonal t (_weight_diagonal), with t_p - t_q the pairing of theta with the
+root of E_pq: the parahoric stalk is {t_p >= t_q}, the Levi block
+{t_p == t_q}, the leaf classes those of equal t.
 This zero-pairing block is not analyze_weight's levi_roots (integer pairing);
 the two differ on affine walls: SL2 at theta = 1/2 is hyperspecial there,
 with Levi roots +-alpha, but its site here is the diagonal (t = (1/2, -1/2)),
@@ -53,8 +54,7 @@ from .errors import (
     ShapeError,
 )
 from .linalgq import Matrix
-from .parahoric import ParahoricDatum
-from .rootsys import cocharacter_to_diagonal
+from .rootsys import RationalCocharacter, cocharacter_to_diagonal
 
 Monomial = Tuple[Tuple[int, int], ...]  # ((generator, exponent), ...) sorted
 
@@ -497,12 +497,12 @@ def hitchin_coefficient_hamiltonians(
 
 @dataclass(frozen=True)
 class MomentValue:
-    """One square matrix per site and, optionally, one weight datum (or
-    None) per site; sites or data that are not sequences, a site that is not
-    square, or data of another length, raise ShapeError."""
+    """One square matrix per site and, optionally, one weight, a cocharacter
+    theta (or None), per site; sites or data that are not sequences, a site
+    that is not square, or data of another length, raise ShapeError."""
 
     sites: Tuple[Matrix, ...]
-    data: Optional[Tuple[Optional[ParahoricDatum], ...]] = None
+    data: Optional[Tuple[Optional[RationalCocharacter], ...]] = None
 
     def __post_init__(self):
         if not linalgq.has_shape(self.sites, None):
@@ -521,24 +521,24 @@ class MomentValue:
 
 
 def _weight_diagonal(data: Optional[Sequence], j: int, n: int) -> List[Fraction]:
-    """Weight diagonal t of the datum at point j in the n x n realization,
-    all int zeros (cheap to compare) where there is none; a datum of another
-    realization raises ShapeError.  By the rule of the module docstring, t
-    decides the stalk, the Levi block and the leaf classes at the point."""
-    datum = data[j] if data is not None else None
-    if datum is None:
+    """Weight diagonal t of the cocharacter theta at point j in the n x n
+    realization, all int zeros (cheap to compare) where there is none; a
+    weight that is not a cocharacter of n - 1 coordinates raises ShapeError.
+    By the rule of the module docstring, t decides the stalk, the Levi block
+    and the leaf classes at the point."""
+    theta = data[j] if data is not None else None
+    if theta is None:
         return [0] * n
-    rs = datum.system
-    if rs.family != "A" or rs.rank + 1 != n:
-        raise ShapeError(f"weight datum at point {j} does not match the {n}x{n} realization")
-    return cocharacter_to_diagonal(rs, datum.theta)
+    if not (isinstance(theta, RationalCocharacter) and linalgq.has_shape(theta.coeffs, n - 1)):
+        raise ShapeError(f"weight at point {j} does not match the {n}x{n} realization")
+    return cocharacter_to_diagonal(theta)
 
 
 def moment_map(f) -> MomentValue:
     """Coresidues of the field f: block projections of the residues.  Only
     f's matrix_size, residues and theta_data are read.
 
-    The weight data are the field's own theta_data.  With none, every
+    The weights are the field's own theta_data.  With none, every
     residue passes through unchanged.  A weight at a point first constrains
     the residue (the constant Laurent class must lie in the weight's
     parahoric stalk: entry (p, q) must vanish where t_p < t_q, the channels
@@ -653,13 +653,13 @@ def _class_rank(x: Matrix) -> int:
 def bivector_rank_at(xi: MomentValue) -> int:
     """Rank of the Poisson bivector at the point: dimension of its leaf.
 
-    Site j is the Levi block of the point's weight datum data[j], or the
+    Site j is the Levi block of the point's weight theta data[j], or the
     full matrix algebra of its size where there is none.  The bracket couples
     only the generators x_pq of one site with p and q in one index class of
     equal weight (the whole index range for a full site), so the bivector is
     block-diagonal over the classes, and on a class of size b it is the gl_b
     bivector at the b x b block of the site's matrix on that class; its rank
-    is _class_rank of that block.  A datum of another realization than its
+    is _class_rank of that block.  A weight of another realization than its
     point's site, or a derogatory class block larger than
     LEAF_MAX_FALLBACK_BLOCK, raises ShapeError.
     """

@@ -130,10 +130,14 @@ def build_root_system(family: str, rank: int) -> RootSystem:
 
     Roots are generated as the closure of the simple roots under all simple
     reflections and listed in (height, lexicographic) order so that reports
-    are byte-for-byte reproducible.
+    are byte-for-byte reproducible.  The closure stops once it passes the
+    2 * sum(d_i - 1) roots the invariant degrees d_i fix, and any other
+    count raises RuntimeError: the tables, not the input, are then wrong.
     """
     _validate_type(family, rank)
     cartan = _cartan(family, rank)
+    degrees = _degrees(family, rank)
+    count = 2 * sum(d - 1 for d in degrees)  # |roots|, twice the positive ones
     simples = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
 
     def reflect(a: Root, i: int) -> Root:
@@ -144,7 +148,7 @@ def build_root_system(family: str, rank: int) -> RootSystem:
 
     seen = set(simples)
     frontier = list(simples)
-    while frontier:
+    while frontier and len(seen) <= count:
         nxt = []
         for a in frontier:
             for i in range(rank):
@@ -153,6 +157,8 @@ def build_root_system(family: str, rank: int) -> RootSystem:
                     seen.add(b)
                     nxt.append(b)
         frontier = nxt
+    if len(seen) != count:
+        raise RuntimeError(f"{family}{rank} closure has {len(seen)} roots, not {count}")
 
     roots = sorted(seen, key=lambda a: (sum(a), a))
     return RootSystem(
@@ -161,7 +167,7 @@ def build_root_system(family: str, rank: int) -> RootSystem:
         roots=tuple(roots),
         simple_roots=tuple(simples),
         cartan_matrix=tuple(tuple(row) for row in cartan),
-        invariant_degrees=_degrees(family, rank),
+        invariant_degrees=degrees,
     )
 
 
@@ -218,17 +224,14 @@ def entry_to_root(rs: RootSystem, p: int, q: int) -> Root:
     return tuple(coords)
 
 
-def cocharacter_to_diagonal(rs: RootSystem, theta: RationalCocharacter) -> List[Fraction]:
+def cocharacter_to_diagonal(theta: RationalCocharacter) -> List[Fraction]:
     """Diagonal entries (t_0..t_n) of theta in the fundamental representation.
 
-    Simple coroots map to E_ii - E_{i+1,i+1}; the result is traceless and
-    satisfies t_p - t_q = pair(theta, root of E_pq) for every off-diagonal
-    position.
+    theta is read as a cocharacter of A_n, n its coordinate count.  Simple
+    coroots map to E_ii - E_{i+1,i+1}; the result is traceless and satisfies
+    t_p - t_q = pair(theta, root of E_pq) for every off-diagonal position.
     """
-    if rs.family != "A":
-        raise UnsupportedRealizationError("cocharacter_to_diagonal is a type-A operation")
-    n = rs.rank + 1
-    t = [Fraction(0)] * n
+    t = [Fraction(0)] * (len(theta.coeffs) + 1)
     for i, c in enumerate(theta.coeffs):
         t[i] += c
         t[i + 1] -= c

@@ -287,12 +287,12 @@ def entries_of(t) -> Tuple[Tuple[int, int], ...]:
     return tuple((p, q) for p in range(n) for q in range(n) if t[p] == t[q])
 
 
-def levi_site(datum) -> Tuple[Tuple[int, int], ...]:
-    """Levi block of the weight at a point, in the type-A realization: the
-    entries (p, q), row-major, whose weight diagonal t has t_p == t_q."""
+def levi_site(theta) -> Tuple[Tuple[int, int], ...]:
+    """Levi block of the weight theta at a point, in the type-A realization:
+    the entries (p, q), row-major, whose weight diagonal t has t_p == t_q."""
     from logahoric.rootsys import cocharacter_to_diagonal
 
-    return entries_of(cocharacter_to_diagonal(datum.system, datum.theta))
+    return entries_of(cocharacter_to_diagonal(theta))
 
 
 def variables(f) -> List[int]:
@@ -465,12 +465,14 @@ def rank2_reduction(cand, split_degrees, weights):
     incidences and the input weight pairs (on-flag, off-flag): a line
     subbundle of degree cand.degree in the rank-2 bundle of degree
     a1 + a2, with the on-flag weight at each incidence and the off-flag
-    weight at every other flag."""
+    weight at every other flag, and every weight among the bundle's
+    total_pairings."""
     from logahoric.parahoric import ReductionDatum
 
     held = set(cand.incidences)
     pairings = [on if i in held else off for i, (on, off) in enumerate(weights)]
-    return ReductionDatum.of(cand.degree, 1, sum(split_degrees), 2, pairings)
+    every = [w for pair in weights for w in pair]
+    return ReductionDatum.of(cand.degree, 1, sum(split_degrees), 2, pairings, every)
 
 
 def reference_rank2(split_degrees, flags=(), weights=(), points=None):
@@ -643,9 +645,9 @@ def reference_bivector_rank(xi):
 
     blocks = []
     for j, values in enumerate(xi.sites):
-        datum = xi.data[j] if xi.data is not None else None
+        theta = xi.data[j] if xi.data is not None else None
         n = len(values)
-        t = [0] * n if datum is None else cocharacter_to_diagonal(datum.system, datum.theta)
+        t = [0] * n if theta is None else cocharacter_to_diagonal(theta)
         blocks.append((values, entries_of(t)))
     pi = sympy.zeros(sum(len(entries) for _, entries in blocks))
     offset = 0
@@ -666,8 +668,8 @@ def site_block_rank(xi) -> int:
 
     total = 0
     for j, values in enumerate(xi.sites):
-        datum = xi.data[j] if xi.data is not None else None
-        site = poisson.full_site(len(values)) if datum is None else levi_site(datum)
+        theta = xi.data[j] if xi.data is not None else None
+        site = poisson.full_site(len(values)) if theta is None else levi_site(theta)
         total += linalgq.rank(
             [
                 [

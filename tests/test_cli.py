@@ -369,6 +369,55 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert report["results"]["values"] == ["-1/2", "2", "-3/2"]
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [EFH, dict(EFH, points=[{"x": 0}, {"x": 0}, {"x": 2}])],
+    ids=["success", "domain-failure"],
+)
+def test_unwritable_report_is_one_stderr_line(tmp_path, capsys, payload):
+    """An --out under a missing directory, after a run that succeeds or one
+    that fails with a domain error: exit 1, nothing on stdout and one
+    'cannot write report:' line on stderr."""
+    cfg = write_config(tmp_path, payload)
+    out_path = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(capsys, ["gaudin", "--config", cfg, "--out", str(out_path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("cannot write report: ") and err.count("\n") == 1
+    assert err.endswith("\n") and not out_path.parent.exists()
+
+
+def test_timing_seconds_is_a_duration(tmp_path, capsys):
+    """timing_seconds lies between 0 and the wall time of the main call
+    around it."""
+    cfg = write_config(tmp_path, EFH)
+    start = time.perf_counter()
+    report = run_json(capsys, ["hitchin", "--config", cfg])
+    wall = time.perf_counter() - start
+    assert 0 <= report["timing_seconds"] <= wall
+
+
+GL1 = {
+    "group": {"family": "A", "rank": 0, "form": "GL"},
+    "points": [{"x": 0}, {"x": 1}, {"x": 3}],
+    "residues": [[["1"]], [["-3/2"]], [["1/2"]]],
+}
+
+
+@pytest.mark.parametrize("command", ["moment", "leaf", "diagram-check", "gaudin"])
+def test_gl1_field_with_empty_thetas_runs_as_without(tmp_path, capsys, command):
+    """A GL1 point's theta has no coordinates: with theta [] at every point
+    a field command reports what it reports for the same field with no
+    theta.  It once failed (exit 1, unsupported-type) building an A0 root
+    system that nothing read."""
+    weighted = dict(GL1, points=[dict(p, theta=[]) for p in GL1["points"]])
+    reports = []
+    for name, payload in (("plain.json", GL1), ("weighted.json", weighted)):
+        report = run_json(capsys, [command, "--config", write_config(tmp_path, payload, name)])
+        report.pop("timing_seconds")
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
 def test_reports_are_deterministic(tmp_path, capsys):
     cfg = write_config(tmp_path, EFH)
     code, out1, _ = run_cli(capsys, ["spectral", "--config", cfg])

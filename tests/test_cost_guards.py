@@ -74,3 +74,23 @@ def test_incidence_walk_starts_from_primitive_columns(monkeypatch):
     monkeypatch.setattr(parahoric, "math", SimpleNamespace(gcd=gcd))
     assert parahoric._incidence_closures(rows, 3) == reference_incidence_closures(small, 3)
     assert seen and max(map(abs, seen)) <= 3 * k
+
+
+def test_incidence_walk_divides_each_step_by_its_content(monkeypatch):
+    """Six condition rows on four unknowns, dependent, take the walk.  Each
+    column step is divided by its gcd, so no integer handed to gcd exceeds
+    2,904 here; a step that multiplied by the gcd instead keeps every value
+    but reaches 1,574,640.  The bound sits between the two."""
+    rows = [
+        [3, -2, -3, 0], [-3, 3, 0, 0], [1, 3, 3, -3],
+        [2, 0, -1, 2], [3, -2, 1, -3], [-1, -3, -3, -3],
+    ]
+    seen = []
+
+    def gcd(*xs):
+        seen.extend(xs)
+        return math.gcd(*xs)
+
+    monkeypatch.setattr(parahoric, "math", SimpleNamespace(gcd=gcd))
+    assert parahoric._incidence_closures(rows, 4) == reference_incidence_closures(rows, 4)
+    assert seen and max(map(abs, seen)) <= 10**4

@@ -9,7 +9,7 @@ last item repeated (wrong lengths and ragged rows).  Every length in these
 inputs is tied to another, so each change must be refused, and the refusal
 must be a LogahoricError subclass, not a bare TypeError, ValueError or
 IndexError from inside the computation.  Strings that are not rationals
-are out of scope.
+are out of scope, but text where a sequence belongs is refused.
 """
 
 import copy
@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logahoric import linalgq
-from logahoric.errors import LogahoricError
+from logahoric.errors import LogahoricError, ShapeError
 from logahoric.higgs import build_field
 from logahoric.parahoric import analyze_weight, rank2_semistability
 from logahoric.poisson import MomentValue, coadjoint_act
@@ -164,3 +164,21 @@ def test_the_shapes_that_crashed_are_shape_errors():
         with pytest.raises(LogahoricError, match=match) as err:
             call()
         assert err.value.kind == "shape"
+
+
+def test_text_is_not_a_sequence():
+    """A str, bytes or bytearray where a sequence belongs is refused with
+    ShapeError, not read as a sequence of characters or byte values."""
+    gl1 = GroupTag("A", 0, "GL")
+    for call in [
+        lambda: build_field("12", [[[0]], [[0]]], gl1),
+        lambda: build_field(b"12", [[[0]], [[0]]], gl1),
+        lambda: build_field(bytearray(b"12"), [[[0]], [[0]]], gl1),
+        lambda: build_field([0], [[[0]]], gl1, theta_data="a"),
+        lambda: rank2_semistability("10", ["11"], ["00"]),
+        lambda: rank2_semistability((1, 0), ["11"], [(0, 0)]),
+        lambda: rank2_semistability((1, 0), [(1, 1)], [b"00"]),
+        lambda: MomentValue(sites=("a",)),
+    ]:
+        with pytest.raises(ShapeError):
+            call()

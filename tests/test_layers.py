@@ -131,3 +131,32 @@ def test_only_cli_builds_report_dicts():
     assert {name: report_writers(src) for name, src in modules().items()} == {
         name: [] for name in modules()
     }
+
+
+def identifiers(source: str) -> set:
+    """Every name a module spells in code: bare names, attribute names and
+    the names it imports (docstrings and comments do not count)."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_weights_are_cocharacters_outside_parahoric():
+    """A point's weight is its cocharacter theta: ParahoricDatum, the
+    derived data of parahoric.analyze_weight, is named in no module but
+    parahoric.py, and poisson and higgs import nothing from parahoric."""
+    assert identifiers("from .a import D\nx: D = m.D\nD()\n'''D'''\n") == {"D", "x", "m"}
+    sources = modules()
+    assert [
+        name
+        for name, src in sources.items()
+        if name != "parahoric" and "ParahoricDatum" in identifiers(src)
+    ] == []
+    assert "parahoric" not in package_imports(sources["poisson"])
+    assert "parahoric" not in package_imports(sources["higgs"])

@@ -1,8 +1,9 @@
-"""Only one function in src/logahoric/poisson.py reads weight data.
+"""Only one function in src/logahoric/poisson.py reads a point's weight.
 
 The stalk, the Levi block and the leaf classes at a point are all read off
-its weight diagonal, which `poisson._weight_diagonal` alone computes, with
-the one size check for a datum of another realization.  A stdlib `ast` scan
+the diagonal of its weight, a cocharacter theta, which
+`poisson._weight_diagonal` alone computes, with the one check for a weight
+that is not a cocharacter of the site's realization.  A stdlib `ast` scan
 of poisson.py lists the functions that call `cocharacter_to_diagonal` or
 subscript a `.data` or `.theta_data` attribute (as in `xi.data[j]`).
 """
@@ -56,8 +57,8 @@ def test_scan_names_the_reading_function():
         "    return h\n"
         "def k(rs, theta, data, j):\n"
         "    data[j], rs.other[j]\n"
-        "    return rootsys.cocharacter_to_diagonal(rs, theta)\n"
-        "T = cocharacter_to_diagonal(None, None)\n"
+        "    return rootsys.cocharacter_to_diagonal(theta)\n"
+        "T = cocharacter_to_diagonal(None)\n"
     )
     assert weight_readers(source) == [("f", 4), ("h", 7), ("k", 11), ("<module>", 12)]
 

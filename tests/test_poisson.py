@@ -28,7 +28,7 @@ from logahoric.higgs import (
     quotient_diagram_check,
     residue_of_invariant,
 )
-from logahoric.parahoric import ParahoricDatum, analyze_weight
+from logahoric.parahoric import analyze_weight
 from logahoric.poisson import (
     LiePoissonAlgebra,
     MomentValue,
@@ -76,8 +76,8 @@ SL2 = GroupTag("A", 1, "SL")
 A1 = build_root_system("A", 1)
 
 
-def wt(rs, *coeffs) -> ParahoricDatum:
-    return analyze_weight(rs, RationalCocharacter.of([Fraction(c) for c in coeffs]))
+def wt(*coeffs) -> RationalCocharacter:
+    return RationalCocharacter.of([Fraction(c) for c in coeffs])
 
 
 def rnd_poly(rng, alg, max_terms=3) -> PoissonPolynomial:
@@ -197,7 +197,7 @@ def test_every_site_shape_matches_matrix_commutators():
         (build_root_system("A", 4), (0, Fraction(1, 2), 0, 0)),
         (build_root_system("A", 4), (Fraction(1, 3), 0, 0, Fraction(1, 3))),
     ]:
-        levi_shapes.add((rs.rank + 1, levi_site(wt(rs, *coeffs))))
+        levi_shapes.add((rs.rank + 1, levi_site(wt(*coeffs))))
     assert len(levi_shapes) == 7 and levi_shapes <= set(shapes)
     for n, entries in shapes:
         present = set(entries)
@@ -312,23 +312,23 @@ def oracle_algebras():
 
 
 def bivector_shapes():
-    """(site sizes, weight data) of points for the bivector rank: full
-    sites (data None), and Levi sites, one weight datum per site, whose
-    Levi block is the site."""
-    full_a2 = wt(A2, 0, 0)
-    block = wt(A2, Fraction(-1, 2), Fraction(1, 2))  # 2x2 block on {0, 2}
-    torus = wt(A2, Fraction(1, 4), 0)
-    ties = (wt(build_root_system("A", 3), Fraction(1, 4), 0, Fraction(1, 4)),)
+    """(site sizes, weights) of points for the bivector rank: full sites
+    (data None), and Levi sites, one weight theta per site, whose Levi block
+    is the site."""
+    full_a2 = wt(0, 0)
+    block = wt(Fraction(-1, 2), Fraction(1, 2))  # 2x2 block on {0, 2}
+    torus = wt(Fraction(1, 4), 0)
+    ties = (wt(Fraction(1, 4), 0, Fraction(1, 4)),)
     full = [[2], [2, 2, 2], [3, 3]]
     levi = [
         (block,),
         (full_a2, block),
         (torus, block, full_a2),
-        (wt(A1, Fraction(1, 4)), wt(A1, 0)),
+        (wt(Fraction(1, 4)), wt(0)),
     ]
     return (
         [(sizes, None) for sizes in full]
-        + [([d.system.rank + 1 for d in data], data) for data in levi]
+        + [([len(theta.coeffs) + 1 for theta in data], data) for data in levi]
         + [([4, 4], None), ([4], ties)]  # ties: classes {0, 2} and {1, 3}
     )
 
@@ -772,14 +772,14 @@ def test_moment_map_without_weights_is_identity():
 
 
 def test_moment_map_zero_weight_keeps_full_matrix():
-    f = build_field([0], [[[1, 2], [3, -1]]], SL2, theta_data=[wt(A1, 0)])
+    f = build_field([0], [[[1, 2], [3, -1]]], SL2, theta_data=[wt(0)])
     m = moment_map(f)
     assert mat_eq(m.sites[0], f.residues[0])
 
 
 def test_moment_map_iwahori_projection():
     """h + e is in the Iwahori stalk and its coresidue is the diagonal part."""
-    iwa = wt(A1, Fraction(1, 4))
+    iwa = wt(Fraction(1, 4))
     f = build_field([0], [[[1, 1], [0, -1]]], SL2, theta_data=[iwa])
     m = moment_map(f)
     assert mat_eq(m.sites[0], H2)
@@ -788,7 +788,7 @@ def test_moment_map_iwahori_projection():
 def test_moment_map_explicit_data_overrides():
     """Weight data given per point: e is in the Iwahori stalk with a zero
     coresidue, and a point with no weight keeps its residue."""
-    iwa = wt(A1, Fraction(1, 4))
+    iwa = wt(Fraction(1, 4))
     f = build_field([0, 1], [E2, [[0, -1], [0, 0]]], SL2, theta_data=[iwa, None])
     m = moment_map(f)
     assert linalgq.is_zero_matrix(m.sites[0])
@@ -796,7 +796,7 @@ def test_moment_map_explicit_data_overrides():
 
 
 def test_moment_map_rejects_inadmissible_residue():
-    iwa = wt(A1, Fraction(1, 4))
+    iwa = wt(Fraction(1, 4))
     f = build_field([0], [F2], SL2, theta_data=[iwa])
     with pytest.raises(FiltrationError, match="jump"):
         moment_map(f)
@@ -806,13 +806,14 @@ def test_moment_map_shape_errors():
     rng = random.Random(115)
     f = rnd_field(rng, 2, 2)
     with pytest.raises(ShapeError):
-        build_field(f.points, f.residues, f.group, theta_data=[wt(A1, 0)])
-    for datum in (wt(build_root_system("B", 2), 0, 0), wt(A2, 0, 0)):
+        build_field(f.points, f.residues, f.group, theta_data=[wt(0)])
+    # An A2 theta, and a parahoric datum in place of its theta.
+    for theta in (wt(0, 0), analyze_weight(A1, wt(0))):
         with pytest.raises(ShapeError, match="theta_data\\[0\\]"):
-            build_field(f.points, f.residues, f.group, theta_data=[datum, None])
+            build_field(f.points, f.residues, f.group, theta_data=[theta, None])
         # A field built without build_field's checks is refused by moment_map.
         with pytest.raises(ShapeError, match="point 0 does not match the 2x2"):
-            moment_map(dataclasses.replace(f, theta_data=(datum, None)))
+            moment_map(dataclasses.replace(f, theta_data=(theta, None)))
 
 
 @st.composite
@@ -828,7 +829,7 @@ def wall_weights(draw):
         t.append(t[-1] - gap)
     mean = sum(t) / n
     t = [v - mean for v in t]
-    return wt(build_root_system("A", n - 1), *accumulate(t[:-1]))
+    return analyze_weight(build_root_system("A", n - 1), wt(*accumulate(t[:-1])))
 
 
 @given(wall_weights(), st.lists(st.integers(-2, 2), min_size=16, max_size=16))
@@ -842,19 +843,19 @@ def test_weight_diagonal_rule_matches_root_data(datum, values):
     rs = datum.system
     n = rs.rank + 1
     group = GroupTag("A", rs.rank, "SL")
-    block = set(levi_site(datum))
+    block = set(levi_site(datum.theta))
     assert block == {
         (p, q) for p in range(n) for q in range(n)
         if p == q or pair(rs, datum.theta, entry_to_root(rs, p, q)) == 0
     }
-    zero = MomentValue(sites=(linalgq.zeros(n),), data=(datum,))
+    zero = MomentValue(sites=(linalgq.zeros(n),), data=(datum.theta,))
     stalk = [[Fraction(0)] * n for _ in range(n)]
     for p in range(n):
         stalk[p][p] = Fraction(p + 1 if p < n - 1 else -n * (n - 1) // 2)
     for p, q in [(p, q) for p in range(n) for q in range(n) if p != q]:
         residue = linalgq.zeros(n)
         residue[p][q] = Fraction(p + n * q + 1)
-        f = build_field([0], [residue], group, theta_data=[datum])
+        f = build_field([0], [residue], group, theta_data=[datum.theta])
         jump = datum.jumps[entry_to_root(rs, p, q)]
         if jump > 0:
             message = f"residue 0 entry ({p},{q}) is outside the parahoric stalk (jump {jump} > 0)"
@@ -870,10 +871,10 @@ def test_weight_diagonal_rule_matches_root_data(datum, values):
         else:
             with pytest.raises(GroupError, match="block"):
                 coadjoint_act([g], zero)
-    kept = moment_map(build_field([0], [stalk], group, theta_data=[datum])).sites[0]
+    kept = moment_map(build_field([0], [stalk], group, theta_data=[datum.theta])).sites[0]
     assert {(p, q) for p in range(n) for q in range(n) if kept[p][q]} == block
     xi = MomentValue(sites=([[Fraction(v) for v in values[p * n:(p + 1) * n]] for p in range(n)],),
-                     data=(datum,))
+                     data=(datum.theta,))
     assert bivector_rank_at(xi) == site_block_rank(xi)
 
 
@@ -904,7 +905,7 @@ def test_coadjoint_acts_on_the_empty_site():
 
 
 def test_coadjoint_respects_block_constraint():
-    iwa = wt(A1, Fraction(1, 4))
+    iwa = wt(Fraction(1, 4))
     m = MomentValue(sites=(H2,), data=(iwa,))
     g = [[Fraction(2), Fraction(0)], [Fraction(0), Fraction(1)]]
     out = coadjoint_act([g], m)
@@ -1158,18 +1159,18 @@ def test_moment_value_refuses_data_of_another_length():
         for call in calls:
             with pytest.raises(ShapeError, match=message):
                 call(MomentValue(sites=sites, data=data))
-    xi = MomentValue(sites=(H2, H2), data=(None, wt(A1, 0)))
+    xi = MomentValue(sites=(H2, H2), data=(None, wt(0)))
     assert bivector_rank_at(xi) == leaf_invariants(xi).bivector_rank == 4
     assert coadjoint_act([ident, ident], xi) == xi
 
 
 def test_bivector_rank_rejects_mismatched_algebra():
-    """A weight datum must have the matrix size of its point's site: the
-    rank, the leaf and the level action all refuse an A2 datum on a 2x2
+    """A weight theta must have the matrix size of its point's site: the
+    rank, the leaf and the level action all refuse an A2 theta on a 2x2
     site with the ShapeError of the weight diagonal (moment_map's own case
     is in test_moment_map_shape_errors)."""
-    assert bivector_rank_at(MomentValue(sites=(H2, H2), data=(wt(A1, 0), None))) == 4
-    xi = MomentValue(sites=(H2, H2), data=(wt(A1, 0), wt(A2, 0, 0)))
+    assert bivector_rank_at(MomentValue(sites=(H2, H2), data=(wt(0), None))) == 4
+    xi = MomentValue(sites=(H2, H2), data=(wt(0), wt(0, 0)))
     ident = linalgq.identity(2)
     for call in (bivector_rank_at, leaf_invariants, lambda m: coadjoint_act([ident, ident], m)):
         with pytest.raises(ShapeError, match="point 1 does not match the 2x2") as err:
@@ -1220,7 +1221,7 @@ def test_quotient_diagram_zero_field():
 
 
 def test_quotient_diagram_with_weights():
-    iwa = wt(A1, Fraction(1, 4))
+    iwa = wt(Fraction(1, 4))
     f = build_field(
         [0, 1],
         [[[1, 1], [0, -1]], [[-1, -1], [0, 1]]],
@@ -1244,8 +1245,7 @@ def test_quotient_diagram_rows_match_residue_of_invariant():
     # Upper triangular residues are admissible for theta = (1/4, ..., 1/4),
     # whose weight diagonal strictly decreases.
     for n, s in ((2, 3), (3, 4)):
-        rs = build_root_system("A", n - 1)
-        datum = wt(rs, *([Fraction(1, 4)] * (n - 1)))
+        theta = wt(*([Fraction(1, 4)] * (n - 1)))
         ups = []
         for _ in range(s - 1):
             m = strictly_upper(rng, n)
@@ -1255,7 +1255,7 @@ def test_quotient_diagram_rows_match_residue_of_invariant():
             ups.append(m)
         f = build_field(
             range(s), with_sum_zero(ups), GroupTag("A", n - 1, "SL"),
-            theta_data=[datum] * (s - 1) + [wt(rs, *([0] * (n - 1)))],
+            theta_data=[theta] * (s - 1) + [wt(*([0] * (n - 1)))],
         )
         fields.append(f)
     for f in fields:

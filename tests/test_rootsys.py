@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from logahoric import rootsys
 from logahoric.errors import ShapeError, UnsupportedRealizationError, UnsupportedTypeError
 from logahoric.rootsys import (
     GroupTag,
@@ -33,9 +34,38 @@ def test_root_counts():
     for (family, rank), count in ROOT_COUNTS.items():
         rs = build_root_system(family, rank)
         assert len(rs.roots) == count, (family, rank)
+        # the count build_root_system holds its closure to
+        assert 2 * sum(d - 1 for d in rs.invariant_degrees) == count, (family, rank)
         # roots come in +/- pairs
         as_set = set(rs.roots)
         assert all(negate(r) in as_set for r in rs.roots)
+
+
+def test_wrong_tables_fail_the_first_build(monkeypatch):
+    """A Cartan matrix of an infinite Weyl group, or a degree list off the
+    root count, stops the closure at 2 * sum(d_i - 1) roots with an internal
+    RuntimeError, not a LogahoricError: the tables are wrong, not the input,
+    and no closure runs forever."""
+    real_cartan, real_degrees = rootsys._cartan, rootsys._degrees
+
+    def cartan(entry, value):
+        def patched(family, rank):
+            c = real_cartan(family, rank)
+            c[entry[0]][entry[1]] = value
+            return c
+        return patched
+
+    for family, rank, patch in [
+        ("G", 2, ("_cartan", cartan((0, 1), -4))),  # affine: 4 = -4 * -1
+        ("B", 3, ("_cartan", cartan((2, 1), -3))),  # hyperbolic
+        ("G", 2, ("_degrees", lambda family, rank: (2, 4))),  # too few roots
+        ("G", 2, ("_degrees", lambda family, rank: (2, 8))),  # too many
+    ]:
+        with monkeypatch.context() as m:
+            m.setattr(rootsys, *patch)
+            with pytest.raises(RuntimeError, match="closure has"):
+                build_root_system(family, rank)
+    assert (rootsys._cartan, rootsys._degrees) == (real_cartan, real_degrees)
 
 
 def test_invariant_degrees():
@@ -123,8 +153,6 @@ def test_entry_map_rejects_non_type_a():
     rs = build_root_system("B", 2)
     with pytest.raises(UnsupportedRealizationError):
         root_to_entry(rs, rs.roots[0])
-    with pytest.raises(UnsupportedRealizationError):
-        cocharacter_to_diagonal(rs, RationalCocharacter.of([0, 0]))
 
 
 def test_cocharacter_diagonal_matches_pairings():
@@ -137,7 +165,7 @@ def test_cocharacter_diagonal_matches_pairings():
             theta = RationalCocharacter.of(
                 [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rank)]
             )
-            t = cocharacter_to_diagonal(rs, theta)
+            t = cocharacter_to_diagonal(theta)
             assert sum(t, Fraction(0)) == 0
             for p in range(n):
                 for q in range(n):
