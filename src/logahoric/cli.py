@@ -220,6 +220,31 @@ def _root_key(root: Tuple[int, ...]) -> str:
     return ",".join(str(c) for c in root)
 
 
+class _Encoded(str):
+    """JSON text already encoded at nesting level 0, as
+    json.dumps(value, sort_keys=True, indent=2) writes value: a report leaf
+    that _chunks splices in at its depth.  _candidate_texts makes them."""
+
+
+def _candidate_texts(candidates) -> List[_Encoded]:
+    """Each rank-2 candidate's report object as encoded text.  The incidence
+    list is formatted once per distinct tuple, and the verdict and weighted
+    degree once per shared Fraction, keyed by identity (the report keeps
+    each one alive)."""
+    incidence_texts, tails, out = {}, {}, []
+    for degree, incidences, wd, verdict in candidates:
+        inc = incidence_texts.get(incidences)
+        if inc is None:
+            items = ",\n    ".join(map(str, incidences))
+            inc = incidence_texts[incidences] = f"[\n    {items}\n  ]" if incidences else "[]"
+        tail = tails.get(id(wd))
+        if tail is None:
+            tail = f'"verdict": {_escape(verdict)},\n  "weighted_degree": {_escape(_s(wd))}'
+            tails[id(wd)] = tail
+        out.append(_Encoded(f'{{\n  "degree": {degree},\n  "incidences": {inc},\n  {tail}\n}}'))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Command implementations
 # ---------------------------------------------------------------------------
@@ -402,29 +427,13 @@ def _cmd_stability(cfg: ParsedConfig) -> dict:
         pts = rank2.get("points")
         parsed_pts = cfg.points if pts is None else _list(pts, "options.rank2.points")
         report = parahoric.rank2_semistability(split, parsed_flags, parsed_weights, parsed_pts)
-
-        # Candidates of equal weighted degree share one Fraction, which the
-        # report keeps alive, so each distinct weighted degree is formatted
-        # once, keyed by identity.
-        texts = {}
-
-        def cand_out(c):
-            wd = c.weighted_degree
-            if id(wd) not in texts:
-                texts[id(wd)] = _s(wd)
-            return {
-                "degree": c.degree,
-                "incidences": list(c.incidences),
-                "weighted_degree": texts[id(wd)],
-                "verdict": c.verdict,
-            }
-
+        witness, *candidates = _candidate_texts((report.witness, *report.candidates))
         results["rank2"] = {
             "verdict": report.verdict,
             "total_weighted_degree": _s(report.total_weighted_degree),
             "total_slope": _s(report.total_slope),
-            "witness": cand_out(report.witness),
-            "candidates": [cand_out(c) for c in report.candidates],
+            "witness": witness,
+            "candidates": candidates,
         }
     return results
 
@@ -466,12 +475,17 @@ def _chunks(value, indent: str, out: List[str]) -> None:
     keys go through json's C escaper, containers are walked directly, and
     only other scalars (floats, bools, None) and empty containers reach
     json.dumps.  The caller joins out once, so no container's text is built
-    and then copied into its parent's.
+    and then copied into its parent's.  An _Encoded leaf (the rank-2
+    candidates, from _candidate_texts) is indented to this level in one
+    replace: escaped JSON strings hold no raw newline, so each newline in
+    it is a line break.
     """
     if type(value) is str:
         out.append(_escape(value))
     elif type(value) is int:
         out.append(str(value))
+    elif type(value) is _Encoded:
+        out.append(value.replace("\n", "\n" + indent))
     elif isinstance(value, (dict, list, tuple)) and value:
         inner = indent + "  "
         sep = ",\n" + inner
@@ -493,7 +507,8 @@ def _chunks(value, indent: str, out: List[str]) -> None:
 
 
 def _json(value) -> str:
-    """The text of json.dumps(value, sort_keys=True, indent=2)."""
+    """The text of json.dumps(value, sort_keys=True, indent=2), each
+    _Encoded leaf standing for the value whose text it holds."""
     out: List[str] = []
     _chunks(value, "", out)
     return "".join(out)

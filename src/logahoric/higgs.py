@@ -26,7 +26,9 @@ from Riemann-Hurwitz bookkeeping: genus = branch/2 - n + 1 where branch
 counts the (simple, finite) discriminant roots.  The genus field is
 meaningful for connected covers with no ramification over infinity, which
 is the generic situation; it is left undefined whenever the discriminant
-fails to be squarefree or has an odd number of roots.
+fails to be squarefree, has an odd number of roots, or has fewer than
+2(n - 1), where the formula goes negative (n disjoint sheets, say, when the
+eigenvalues of A(z) are constant).
 
 The Gaudin Hamiltonians H_j = sum_{k != j} tr(X_j X_k)/(x_j - x_k) come
 as numbers from gaudin_values, one int trace per pair of cleared residues;
@@ -281,7 +283,7 @@ def spectral_curve(f: LogHiggsField) -> SpectralCurveData:
     squarefree = not polyq.is_zero(disc) and polyq.is_squarefree(disc)
     branch = max(polyq.degree(disc), 0)
     genus: Optional[int] = None
-    if squarefree and branch % 2 == 0:
+    if squarefree and branch % 2 == 0 and branch >= 2 * (n - 1):
         genus = branch // 2 - n + 1
     return SpectralCurveData(
         char_coeffs=tuple(cs),

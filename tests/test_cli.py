@@ -14,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from logahoric import __version__, cli, higgs, parahoric, poisson
@@ -146,6 +146,27 @@ def test_spectral_command_with_csv(tmp_path, capsys):
     lines = csv_path.read_text().splitlines()
     # the disc changes sign between -1 and 1/2 and back: a root is bracketed
     assert lines == ["z,disc", "-1,16", "1/2,-2", "2,16"]
+
+
+def test_spectral_genus_is_null_where_the_formula_goes_negative(tmp_path, capsys):
+    """Triangular residues give A(z) constant eigenvalues: the spectral
+    curve is two disjoint sheets, the discriminant a non-zero constant with
+    no roots, and branch/2 - n + 1 = -1 is no genus.  The weighted points
+    are part of the config as found and change nothing here."""
+    payload = {
+        "group": {"family": "A", "rank": 1, "form": "SL"},
+        "points": [{"x": "-9/2", "theta": ["-1/3"]}, {"x": -2, "theta": ["1/2"]}, {"x": "1/2"}],
+        "residues": [
+            [["1/2", 0], [1, "-1/2"]],
+            [[-1, 0], [0, 1]],
+            [["1/2", 0], [-1, "-1/2"]],
+        ],
+    }
+    res = run_json(capsys, ["spectral", "--config", write_config(tmp_path, payload)])["results"]
+    assert res["discriminant"] == ["625/4"]
+    assert res["branch_count"] == 0
+    assert res["is_squarefree"] is True
+    assert res["genus"] is None
 
 
 def test_spectral_default_grid_via_option(tmp_path, capsys):
@@ -1105,6 +1126,41 @@ def test_emitter_matches_json_dumps_on_trees(tree):
     assert cli._json(tree) == json.dumps(tree, sort_keys=True, indent=2)
 
 
+def subtree_paths(tree, path=()):
+    """The key/index path of every node of a JSON tree, the root included."""
+    yield path
+    if isinstance(tree, dict):
+        for k, v in tree.items():
+            yield from subtree_paths(v, path + (k,))
+    elif isinstance(tree, (list, tuple)):
+        for i, v in enumerate(tree):
+            yield from subtree_paths(v, path + (i,))
+
+
+def with_subtree(tree, path, leaf):
+    """A copy of tree with the node at path replaced by leaf."""
+    if not path:
+        return leaf
+    head, rest = path[0], path[1:]
+    if isinstance(tree, dict):
+        return {**tree, head: with_subtree(tree[head], rest, leaf)}
+    items = list(tree)
+    items[head] = with_subtree(tree[head], rest, leaf)
+    return items
+
+
+@given(JSON_TREES, st.data())
+def test_emitter_splices_encoded_text_at_any_depth(tree, data):
+    """Any subtree may be replaced by its own encoded text, as the rank-2
+    candidates are: the emitted bytes stay those of the whole tree."""
+    path = data.draw(st.sampled_from(list(subtree_paths(tree))))
+    node = tree
+    for key in path:
+        node = node[key]
+    encoded = cli._Encoded(json.dumps(node, sort_keys=True, indent=2))
+    assert cli._json(with_subtree(tree, path, encoded)) == cli._json(tree)
+
+
 def test_emitter_matches_json_dumps_on_bench_reports(tmp_path):
     """Every report of the benchmark's stability-leaf workload at its
     default seed is written with the bytes of json.dumps(indent=2)."""
@@ -1118,9 +1174,61 @@ def test_emitter_matches_json_dumps_on_bench_reports(tmp_path):
         for op in run.write_round("stability-leaf", run.DEFAULT_SEED, r, tmp_path)
     ]
     assert len(ops) >= 200
+    out = tmp_path / "report.json"
     for op in ops:
-        report = cli.run(op.command, cli.ParsedConfig(json.loads(op.path.read_text())))
-        assert cli._json(report) == json.dumps(report, sort_keys=True, indent=2), op.id
+        assert main([op.command, "--config", str(op.path), "--out", str(out)]) == 0, op.id
+        text = out.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n", op.id
+
+
+def candidate_mapping(c):
+    """A rank-2 candidate as the report lists it, built field by field."""
+    return {
+        "degree": c.degree,
+        "incidences": list(c.incidences),
+        "weighted_degree": str(c.weighted_degree),
+        "verdict": c.verdict,
+    }
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.data())
+def test_rank2_report_lists_the_library_candidates(tmp_path_factory, data):
+    """The witness and candidates `stability` writes are the enumerator's,
+    in its order, on inputs that take both routes of the enumerator: flags
+    of the repeated direction (1, 0) make the rows dependent (the walk), and
+    points k/p over distinct primes p clear to one large denominator."""
+    m = data.draw(st.integers(1, 8))
+    gap = data.draw(st.integers(0, 4))
+    a2 = data.draw(st.integers(-2, 2))
+    split = data.draw(st.sampled_from([[a2 + gap, a2], [a2, a2 + gap]]))
+    direction = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any)
+    flags = data.draw(
+        st.lists(st.one_of(st.just((1, 0)), direction), min_size=m, max_size=m)
+    )
+    unit = st.builds(Fraction, st.integers(0, 6), st.just(7))
+    weights = data.draw(st.lists(st.tuples(unit, unit), min_size=m, max_size=m))
+    points = [
+        Fraction(data.draw(st.integers(-9, 9)), p) if data.draw(st.booleans()) else Fraction(i)
+        for i, p in enumerate(PRIMES[:m])
+    ]
+    assume(len(set(points)) == m)
+    rank2 = {
+        "split_degrees": split,
+        "flags": [[str(c), str(d)] for c, d in flags],
+        "weights": [[str(on), str(off)] for on, off in weights],
+        "points": [str(x) for x in points],
+    }
+    tmp = tmp_path_factory.mktemp("rank2")
+    cfg, out = write_config(tmp, {"options": {"rank2": rank2}}), tmp / "report.json"
+    assert main(["stability", "--config", cfg, "--out", str(out)]) == 0
+    written = json.loads(out.read_text(encoding="utf-8"))["results"]["rank2"]
+    report = parahoric.rank2_semistability(split, flags, weights, points)
+    assert written["witness"] == candidate_mapping(report.witness)
+    assert written["candidates"] == [candidate_mapping(c) for c in report.candidates]
 
 
 def test_negative_group_rank_is_a_config_error(tmp_path, capsys):

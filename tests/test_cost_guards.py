@@ -8,6 +8,7 @@ A change that keeps every value but takes the slow route fails here.
 
 import math
 import random
+from fractions import Fraction
 from types import SimpleNamespace
 
 from logahoric import higgs, linalgq, parahoric, poisson, polyq
@@ -94,3 +95,36 @@ def test_incidence_walk_divides_each_step_by_its_content(monkeypatch):
     monkeypatch.setattr(parahoric, "math", SimpleNamespace(gcd=gcd))
     assert parahoric._incidence_closures(rows, 4) == reference_incidence_closures(rows, 4)
     assert seen and max(map(abs, seen)) <= 10**4
+
+
+def test_incidence_rows_carry_one_power_of_the_point_denominator(monkeypatch):
+    """At points x_i = u_i/D the rank-2 rows are cleared once: the entry of
+    x_i^k in a row of degree a is u_i^k D^(dim_p - 1 - k) times a flag
+    coordinate, dim_p = a1 - a + 1, so no entry exceeds
+    max(|u_i|, D)^(dim_p - 1) max(|c_i|, |d_i|).  A row built with
+    D^(dim_p - 1 + k) gives the same closures from entries up to
+    D^(2 dim_p - 2)."""
+    calls = []
+
+    def spy(rows, nvars):
+        calls.append(rows)
+        return real(rows, nvars)
+
+    real = parahoric._incidence_closures
+    monkeypatch.setattr(parahoric, "_incidence_closures", spy)
+    rng = random.Random(5)
+    for _ in range(12):
+        m, gap, a2 = rng.randint(2, 5), rng.randint(1, 4), rng.randint(-2, 2)
+        a1 = a2 + gap
+        flags = [rng.choice([(1, 0), (rng.randint(-3, 3), rng.randint(1, 3))]) for _ in range(m)]
+        points = rng.sample([Fraction(k, p) for p in (2, 3, 5, 7) for k in range(1, p)], m)
+        weights = [(Fraction(1, 3), 0)] * m
+        dx, us = linalgq.integer_form(points)
+        calls.clear()
+        parahoric.rank2_semistability((a1, a2), flags, weights, points)
+        degrees = sorted({a1, *range(a2 - m, a2 + 1)}, reverse=True)
+        assert len(calls) == len(degrees)
+        for a, rows in zip(degrees, calls):
+            for (c, d), u, row in zip(flags, us, rows):
+                bound = max(abs(u), dx) ** (a1 - a) * max(abs(c), abs(d))
+                assert max(map(abs, row)) <= bound, (a, row)

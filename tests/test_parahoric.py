@@ -388,6 +388,28 @@ def test_slope_test_rank_bounds():
         slope_test(ReductionDatum.of(0, 0, 0, 2))
 
 
+@pytest.mark.parametrize("bad", [Fraction(3, 2), "1/2", "x", 1.5, None])
+def test_reduction_degrees_and_ranks_must_be_integers(bad):
+    """A degree or rank that is not an integer is refused, not truncated
+    (3/2 once became sub_degree 1) or left to raise a bare ValueError."""
+    for i in range(4):
+        args = [0, 1, 0, 2]
+        args[i] = bad
+        with pytest.raises(InvalidReductionError, match="must be an integer"):
+            ReductionDatum.of(*args)
+    assert ReductionDatum.of(Fraction(4, 2), "1", 0, 2).sub_degree == 2
+
+
+@pytest.mark.parametrize("bad", [Fraction(5, 2), "1/2", "x", 0.5, None])
+def test_rank2_split_degrees_must_be_integers(bad):
+    """A split degree that is not an integer is a ShapeError: (5/2, 0) once
+    ran as the gap-2 bundle (2, 0)."""
+    for split in [(bad, 0), (0, bad)]:
+        with pytest.raises(ShapeError, match="must be an integer"):
+            rank2_semistability(split, [(1, 0)], [(Fraction(1, 2), 0)])
+    assert rank2_semistability((Fraction(4, 2), 0)) == rank2_semistability((2, 0))
+
+
 # -- rank-2 enumeration ------------------------------------------------------
 
 
