@@ -74,7 +74,7 @@ def main():
 
     print()
     print("== parahoric degrees and slopes ==")
-    rd = ReductionDatum.of(0, 1, 0, 2, [Fraction(1, 4)], [Fraction(1, 4), Fraction(0)])
+    rd = ReductionDatum(0, 1, 0, 2, [Fraction(1, 4)], [Fraction(1, 4), Fraction(0)])
     print(f"  sub datum parhdeg = {parahoric_degree(rd)}")
     print(f"  ambient parhdeg  = {rd.total_degree + sum(rd.total_pairings)}")
     print(f"  slope test verdict: {slope_test(rd)}")

@@ -383,7 +383,7 @@ def _reduction_test(entry, where: str) -> dict:
     if not isinstance(entry, dict):
         raise ConfigError(f"{where} must be an object")
     total_raw = entry.get("total_weight_pairings")  # absent or null: none
-    rd = ReductionDatum.of(
+    rd = ReductionDatum(
         _int(entry.get("sub_degree"), f"{where}.sub_degree"),
         _int(entry.get("sub_rank"), f"{where}.sub_rank"),
         _int(entry.get("total_degree"), f"{where}.total_degree"),

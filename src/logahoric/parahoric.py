@@ -330,19 +330,14 @@ class ReductionDatum:
     weight_pairings: Tuple[Fraction, ...] = ()
     total_pairings: Tuple[Fraction, ...] = ()
 
-    @staticmethod
-    def of(sub_degree, sub_rank, total_degree, total_rank, weight_pairings=(),
-           total_pairings=()):
-        """The datum of the given values; a degree or rank that is not an
-        integer raises InvalidReductionError."""
-        return ReductionDatum(
-            _integer(sub_degree, "sub_degree", InvalidReductionError),
-            _integer(sub_rank, "sub_rank", InvalidReductionError),
-            _integer(total_degree, "total_degree", InvalidReductionError),
-            _integer(total_rank, "total_rank", InvalidReductionError),
-            tuple(Fraction(w) for w in weight_pairings),
-            tuple(Fraction(w) for w in total_pairings),
-        )
+    def __post_init__(self):
+        """Degrees and ranks are kept as ints and pairings as Fractions; a
+        degree or rank that is not an integer raises InvalidReductionError."""
+        for name in ("sub_degree", "sub_rank", "total_degree", "total_rank"):
+            value = _integer(getattr(self, name), name, InvalidReductionError)
+            object.__setattr__(self, name, value)
+        for name in ("weight_pairings", "total_pairings"):
+            object.__setattr__(self, name, tuple(map(Fraction, getattr(self, name))))
 
 
 def _integer(value, what: str, error) -> int:
@@ -355,6 +350,19 @@ def _integer(value, what: str, error) -> int:
     if q.denominator != 1:
         raise error(f"{what} must be an integer, got {q}")
     return q.numerator
+
+
+def _rationals(values, what: str) -> list:
+    """values as a list of rationals, ints and Fractions as they are; an
+    entry that is not a rational raises ShapeError naming it what[i]."""
+    out = list(values)
+    for i, v in enumerate(out):
+        if type(v) is not int and type(v) is not Fraction:
+            try:
+                out[i] = Fraction(v)
+            except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+                raise ShapeError(f"{what}[{i}] must be a rational, got {v!r}")
+    return out
 
 
 VERDICT_STABLE = "stable-pass"
@@ -541,8 +549,9 @@ def rank2_semistability(
     RANK2_MAX_GAP are accepted; beyond either ShapeError is raised before
     any work, since the candidate list grows like 2^m and the incidence
     rows grow with the gap.  split_degrees, flags and weights that are not
-    pairs, split degrees that are not integers, and weight or point lists
-    of another length than flags, raise ShapeError too.
+    pairs, split degrees that are not integers, flag, weight or point
+    entries that are not rationals, and weight or point lists of another
+    length than flags, raise ShapeError too.
     """
     if not linalgq.has_shape(flags, None, 2):
         raise ShapeError("each flag must be a coordinate pair")
@@ -561,15 +570,18 @@ def rank2_semistability(
         )
     if not linalgq.has_shape(weights, m, 2):
         raise ShapeError("one weight pair per flag is required")
-    flag_dirs = [tuple(linalgq.integer_form(flag)[1]) for flag in flags]
+    flag_dirs = [
+        tuple(linalgq.integer_form(_rationals(flag, f"flags[{i}]"))[1])
+        for i, flag in enumerate(flags)
+    ]
     if (0, 0) in flag_dirs:
         raise ShapeError("flag direction must be a nonzero coordinate pair")
-    wpairs = [(Fraction(wf), Fraction(wo)) for wf, wo in weights]
+    wpairs = [_rationals(pair, f"weights[{i}]") for i, pair in enumerate(weights)]
     if not all(0 <= v < 1 for pair in wpairs for v in pair):
         raise NormalizationError("weights must lie in [0, 1)")
     if points is not None and not linalgq.has_shape(points, m):
         raise ShapeError("one marked point per flag is required")
-    dx, xs = linalgq.integer_form(range(m) if points is None else points)
+    dx, xs = linalgq.integer_form(range(m) if points is None else _rationals(points, "points"))
     if len(set(xs)) != m:
         raise DivisorError("marked points must be pairwise distinct")
 

@@ -39,8 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import ceil
+from math import ceil, comb
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -250,29 +249,23 @@ def _unpack(
     return PoissonPolynomial(alg, tuple(terms))
 
 
-# site j -> local generator a = p*n + q -> [(k*e_a, packed m/x_a), ...]
-Partials = Dict[int, Dict[int, List[Tuple[int, int]]]]
+# generator a -> {packed m/x_a: k*e_a, ...}
+Partials = Dict[int, Dict[int, int]]
 
 
-def _partials(
-    pol: PoissonPolynomial, alg: LiePoissonAlgebra, width: int
-) -> Tuple[int, Partials]:
+def _partials(pol: PoissonPolynomial, width: int) -> Tuple[int, Partials]:
     """pol packed at width and split by generator.
 
-    Returns den, as in _pack, and the Partials of pol: one entry
-    (k*e_a, m/x_a) for each term (k/den)*m of pol and each generator x_a of
-    m, with e_a its exponent, so that d(pol)/dx_a is the sum of
+    Returns den, as in _pack, and the Partials of pol: the entry
+    m/x_a: k*e_a under x_a for each term (k/den)*m of pol and each generator
+    x_a of m, with e_a its exponent, so that d(pol)/dx_a is the sum of
     k*e_a*(m/x_a) over den.  Packed, m/x_a is m - (1 << width*a).
     """
     den, packed = _pack(pol, width)
-    nn = alg.matrix_size**2
     parts: Partials = {}
     for (mono, _), (m, k) in zip(pol.terms, packed):
         for gen, e in mono:
-            j, a = divmod(gen, nn)
-            parts.setdefault(j, {}).setdefault(a, []).append(
-                (k * e, m - (1 << width * gen))
-            )
+            parts.setdefault(gen, {})[m - (1 << width * gen)] = k * e
     return den, parts
 
 
@@ -286,43 +279,39 @@ def _check_member(pol: PoissonPolynomial, alg: LiePoissonAlgebra) -> None:
                 raise AlgebraMismatchError(f"foreign generator {gen}")
 
 
+def _partners(n: int) -> List[List[Tuple[int, int, int]]]:
+    """For each entry a = p*n + q of an n x n site, its 2n partners (b, c,
+    sign) by the rule {x_pq, x_rs} = [p == s] x_rq - [q == r] x_ps: x_rp
+    gives +x_rq and x_qs gives -x_ps; b = a, whose two terms cancel, is out."""
+    return [
+        [(r * n + p, r * n + q, 1) for r in range(n) if r * n + p != a]
+        + [(q * n + s, p * n + s, -1) for s in range(n) if q * n + s != a]
+        for a, (p, q) in enumerate(full_site(n))
+    ]
+
+
 def _bracket_packed(
-    fparts: Partials, gparts: Partials, alg: LiePoissonAlgebra, width: int
+    fparts: Partials, gparts: Partials, partners: list, width: int
 ) -> Dict[int, int]:
     """{f, g} times the two denominators, as packed monomial -> int, from
-    the Partials of f and g packed at width.
-
-    By the rule {x_pq, x_rs} = [p == s] x_rq - [q == r] x_ps, x_pq meets
-    only the x_rp of g (giving +x_rq) and the x_qs (giving -x_ps), so g's
-    generators on each site are grouped by column and by row; x_a with
-    itself is skipped, as {x_a, x_a} = 0.
-    """
-    n = alg.matrix_size
+    the Partials of f and g packed at width and the _partners of the
+    algebra's matrix size."""
+    nn = len(partners)
     acc: Dict[int, int] = {}
     get = acc.get
-    for j, f_site in fparts.items():
-        g_site = gparts.get(j)
-        if not g_site:
-            continue
-        offset = j * n * n
-        by_col: Dict[int, list] = {}
-        by_row: Dict[int, list] = {}
-        for b, g_list in g_site.items():
-            r, s = divmod(b, n)
-            by_col.setdefault(s, []).append((b, r, g_list))
-            by_row.setdefault(r, []).append((b, s, g_list))
-        for a, f_list in f_site.items():
-            p, q = divmod(a, n)
-            terms = [(r * n + q, 1, gl) for b, r, gl in by_col.get(p, ()) if b != a]
-            terms += [(p * n + s, -1, gl) for b, s, gl in by_row.get(q, ()) if b != a]
-            for c, sign, g_list in terms:
-                xc = 1 << width * (offset + c)
-                for ka, ra in f_list:
-                    m = ra + xc
-                    k = ka * sign
-                    for kb, rb in g_list:
-                        key = m + rb
-                        acc[key] = get(key, 0) + k * kb
+    for a, f_terms in fparts.items():
+        offset = a - a % nn
+        for b, c, sign in partners[a - offset]:
+            g_terms = gparts.get(offset + b)
+            if g_terms is None:
+                continue
+            xc = 1 << width * (offset + c)
+            for rb, kb in g_terms.items():
+                m = rb + xc
+                k = kb * sign
+                for ra, ka in f_terms.items():
+                    key = m + ra
+                    acc[key] = get(key, 0) + ka * k
     return acc
 
 
@@ -354,9 +343,9 @@ def bracket(
     _check_member(g, alg)
     df, dg = _degree(f), _degree(g)
     width = _width(max(df + dg - 1, df, dg))
-    fden, fparts = _partials(f, alg, width)
-    gden, gparts = _partials(g, alg, width)
-    acc = _bracket_packed(fparts, gparts, alg, width)
+    fden, fparts = _partials(f, width)
+    gden, gparts = _partials(g, width)
+    acc = _bracket_packed(fparts, gparts, _partners(alg.matrix_size), width)
     return _unpack(alg, acc, fden * gden, width)
 
 
@@ -389,34 +378,70 @@ class InvolutionReport:
 def verify_involution(
     hams: Sequence[PoissonPolynomial], alg: LiePoissonAlgebra
 ) -> InvolutionReport:
-    """Bracket every pair of Hamiltonians, in pair order, and list the pairs
+    """Bracket every pair of Hamiltonians and list, in pair order, the pairs
     whose bracket is not identically zero.
 
     Each Hamiltonian is checked against alg (AlgebraMismatchError for another
     algebra or a foreign generator) and packed once, all at one width set by
     twice the largest degree D: _width(2D - 1) holds every exponent of every
-    pairwise bracket.  Each pair then runs the packed kernel of bracket.
+    pairwise bracket.  Cleared, H_i is (1/den_i) times an int polynomial h_i.
+
+    One pass of the kernel brackets H_j with all earlier Hamiltonians at
+    once (Kronecker substitution in the Hamiltonian index; Harvey, J.
+    Symbolic Comput. 44, 2009): its f side is S_j = sum over i < j of
+    h_i 2^(beta i), each h_i's coefficients in their own beta-bit slot of
+    one int, so slot i of each result coefficient is the int numerator of
+    {H_i, H_j}.  The slots are read back as balanced (signed) base-2^beta
+    digits and divided by den_i den_j; where the pass gives only zeros, the
+    usual commuting case, nothing is decoded.  K Hamiltonians take K - 1
+    passes, not K(K - 1)/2.
+
+    The read is exact.  Let |h| be the sum of |k| deg(m) over the terms k m
+    of h.  A result term of {h_i, h_j} gets one contribution from each pair
+    (a, b) of a generator a in a term of h_i and b in a term of h_j, of size
+    at most |k_a e_a k_b e_b|: when both rules fire, b is the transpose of
+    a != b and they give x_qq and -x_pp, two different monomials.  So every
+    slot is at most |h_i| |h_j| <= M^2, M the largest |h|, and
+    beta = bitlength(M^2) + 1 keeps it below 2^(beta - 1).
     """
     for ham in hams:
         _check_member(ham, alg)
     width = _width(2 * max(map(_degree, hams), default=0) - 1)
-    parts = [_partials(ham, alg, width) for ham in hams]
-    pairs = list(combinations(range(len(hams)), 2))
+    parts = [_partials(ham, width) for ham in hams]
+    norm = max((sum(abs(c) for ks in p.values() for c in ks.values()) for _, p in parts), default=0)
+    beta = (norm * norm).bit_length() + 1
+    base, half = 1 << beta, 1 << beta - 1
+    partners = _partners(alg.matrix_size)
+    batch: Partials = {}
     nonzero = []
-    for i, j in pairs:
-        (fden, fparts), (gden, gparts) = parts[i], parts[j]
-        acc = _bracket_packed(fparts, gparts, alg, width)
-        value = _unpack(alg, acc, fden * gden, width)
-        if not value.is_zero:
-            nonzero.append((i, j, value.to_string()))
-    return InvolutionReport(pair_count=len(pairs), nonzero_pairs=tuple(nonzero))
+    for j in range(1, len(hams)):
+        for gen, ks in parts[j - 1][1].items():
+            into = batch.setdefault(gen, {})
+            for r, c in ks.items():
+                into[r] = into.get(r, 0) + (c << beta * (j - 1))
+        gden, gparts = parts[j]
+        acc = _bracket_packed(batch, gparts, partners, width)
+        if any(acc.values()):
+            slots: List[Dict[int, int]] = [{} for _ in range(j)]
+            for key, v in acc.items():
+                for slot in slots:
+                    d = (v + half) % base - half
+                    if d:
+                        slot[key] = d
+                    v = (v - d) >> beta
+            for i, slot in enumerate(slots):
+                if slot:
+                    value = _unpack(alg, slot, parts[i][0] * gden, width)
+                    nonzero.append((i, j, value.to_string()))
+        del acc  # one pass's sums at a time
+    return InvolutionReport(pair_count=comb(len(hams), 2), nonzero_pairs=tuple(sorted(nonzero)))
 
 
 # Largest point count s that hitchin_coefficient_hamiltonians accepts for
 # each matrix size n; other sizes are refused (ShapeError) before any work.
-# On a shared 2-CPU host the largest accepted shapes, n = 2, s = 12 and
-# n = 3, s = 4, take 2-4 s each; n = 3, s = 5 takes 18 s and n = 4, s = 3
-# three minutes.
+# On a shared 2-CPU host, building and checking, the largest accepted
+# shapes, n = 2, s = 12 and n = 3, s = 4, take 0.6 and 1.9 s; n = 3, s = 5
+# takes 8 s and n = 4, s = 3 two minutes and 285 MB.
 HITCHIN_INVOLUTION_MAX_POINTS = {2: 12, 3: 4}
 
 

@@ -472,7 +472,7 @@ def rank2_reduction(cand, split_degrees, weights):
     held = set(cand.incidences)
     pairings = [on if i in held else off for i, (on, off) in enumerate(weights)]
     every = [w for pair in weights for w in pair]
-    return ReductionDatum.of(cand.degree, 1, sum(split_degrees), 2, pairings, every)
+    return ReductionDatum(cand.degree, 1, sum(split_degrees), 2, pairings, every)
 
 
 def reference_rank2(split_degrees, flags=(), weights=(), points=None):

@@ -128,3 +128,26 @@ def test_incidence_rows_carry_one_power_of_the_point_denominator(monkeypatch):
             for (c, d), u, row in zip(flags, us, rows):
                 bound = max(abs(u), dx) ** (a1 - a) * max(abs(c), abs(d))
                 assert max(map(abs, row)) <= bound, (a, row)
+
+
+def test_involution_runs_one_kernel_pass_per_hamiltonian(monkeypatch):
+    """verify_involution brackets each Hamiltonian with all earlier ones in
+    one pass of the kernel: K - 1 passes for K Hamiltonians, none for K <= 1,
+    whether the family commutes or not; bracket runs one pass."""
+    real_kernel, passes = poisson._bracket_packed, []
+
+    def kernel(*args):
+        passes.append(args)
+        return real_kernel(*args)
+
+    monkeypatch.setattr(poisson, "_bracket_packed", kernel)
+    alg, hams = poisson.hitchin_coefficient_hamiltonians([0, 1, 2, 3], 2)
+    x = alg.generator
+    for family in (hams, [x(0, 0, 0), x(0, 0, 1), x(1, 1, 0), x(0, 1, 0)]):
+        for k in range(len(family) + 1):
+            passes.clear()
+            poisson.verify_involution(family[:k], alg)
+            assert len(passes) == max(k - 1, 0)
+    passes.clear()
+    assert not poisson.bracket(x(0, 0, 1), x(0, 1, 0), alg).is_zero
+    assert len(passes) == 1

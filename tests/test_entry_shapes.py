@@ -8,8 +8,8 @@ number (a scalar where a sequence belongs), its last item dropped, or its
 last item repeated (wrong lengths and ragged rows).  Every length in these
 inputs is tied to another, so each change must be refused, and the refusal
 must be a LogahoricError subclass, not a bare TypeError, ValueError or
-IndexError from inside the computation.  Strings that are not rationals
-are out of scope, but text where a sequence belongs is refused.
+IndexError from inside the computation.  Text where a sequence belongs is
+refused, and so is a value that is not a rational where a number belongs.
 """
 
 import copy
@@ -182,3 +182,25 @@ def test_text_is_not_a_sequence():
     ]:
         with pytest.raises(ShapeError):
             call()
+
+
+@pytest.mark.parametrize("bad", ["x", "1/0", None, [1]])
+def test_rank2_semistability_names_an_entry_that_is_not_a_rational(bad):
+    """A flag coordinate, weight or point that Fraction cannot read is a
+    ShapeError naming the entry, not a bare ValueError or TypeError."""
+    args = {"split_degrees": (1, 0), "flags": [(1, 0), (1, 1)],
+            "weights": [(0, 0), (Fraction(1, 2), 0)], "points": [0, 1]}
+    rank2_semistability(**args)
+    for name, where, at in [
+        ("flags", (1, 0), r"flags\[1\]\[0\]"),
+        ("weights", (0, 1), r"weights\[0\]\[1\]"),
+        ("points", (1,), r"points\[1\]"),
+    ]:
+        bad_args = copy.deepcopy(args)
+        node = bad_args[name]
+        for i in where[:-1]:
+            node[i] = list(node[i])
+            node = node[i]
+        node[where[-1]] = bad
+        with pytest.raises(ShapeError, match=at + " must be a rational"):
+            rank2_semistability(**bad_args)

@@ -361,31 +361,31 @@ def test_laurent_to_loop_rejects_trace():
 
 
 def test_parahoric_degree_examples():
-    assert parahoric_degree(ReductionDatum.of(-1, 1, 0, 2, [Fraction(1, 2)])) == Fraction(-1, 2)
-    assert parahoric_degree(ReductionDatum.of(0, 1, 0, 2)) == 0
+    assert parahoric_degree(ReductionDatum(-1, 1, 0, 2, [Fraction(1, 2)])) == Fraction(-1, 2)
+    assert parahoric_degree(ReductionDatum(0, 1, 0, 2)) == 0
     assert parahoric_degree(
-        ReductionDatum.of(2, 1, 0, 2, [Fraction(1, 3), Fraction(-1, 4)])
+        ReductionDatum(2, 1, 0, 2, [Fraction(1, 3), Fraction(-1, 4)])
     ) == Fraction(25, 12)
 
 
 def test_slope_test_examples():
-    assert slope_test(ReductionDatum.of(0, 1, 0, 2)) == VERDICT_BOUNDARY
+    assert slope_test(ReductionDatum(0, 1, 0, 2)) == VERDICT_BOUNDARY
     assert (
-        slope_test(ReductionDatum.of(0, 1, 0, 2, [Fraction(1, 4)])) == VERDICT_FAIL
+        slope_test(ReductionDatum(0, 1, 0, 2, [Fraction(1, 4)])) == VERDICT_FAIL
     )
-    assert slope_test(ReductionDatum.of(-1, 1, 0, 2)) == VERDICT_STABLE
+    assert slope_test(ReductionDatum(-1, 1, 0, 2)) == VERDICT_STABLE
 
 
 def test_slope_test_with_total_datum():
-    sub = ReductionDatum.of(0, 1, 0, 2, [Fraction(1, 4)], [Fraction(1, 4), Fraction(0)])
+    sub = ReductionDatum(0, 1, 0, 2, [Fraction(1, 4)], [Fraction(1, 4), Fraction(0)])
     assert slope_test(sub) == VERDICT_FAIL
 
 
 def test_slope_test_rank_bounds():
     with pytest.raises(InvalidReductionError):
-        slope_test(ReductionDatum.of(0, 2, 0, 2))
+        slope_test(ReductionDatum(0, 2, 0, 2))
     with pytest.raises(InvalidReductionError):
-        slope_test(ReductionDatum.of(0, 0, 0, 2))
+        slope_test(ReductionDatum(0, 0, 0, 2))
 
 
 @pytest.mark.parametrize("bad", [Fraction(3, 2), "1/2", "x", 1.5, None])
@@ -396,8 +396,22 @@ def test_reduction_degrees_and_ranks_must_be_integers(bad):
         args = [0, 1, 0, 2]
         args[i] = bad
         with pytest.raises(InvalidReductionError, match="must be an integer"):
-            ReductionDatum.of(*args)
-    assert ReductionDatum.of(Fraction(4, 2), "1", 0, 2).sub_degree == 2
+            ReductionDatum(*args)
+    assert ReductionDatum(Fraction(4, 2), "1", 0, 2).sub_degree == 2
+
+
+def test_reduction_datum_checks_its_fields_when_built():
+    """The constructor is the one way in: a direct ReductionDatum with a
+    degree of 3/2 is refused, where it once reached slope_test and read
+    as a failing reduction, and accepted values are kept as ints and
+    Fractions."""
+    with pytest.raises(InvalidReductionError, match="sub_degree must be an integer"):
+        slope_test(ReductionDatum(Fraction(3, 2), 1, 0, 2))
+    rd = ReductionDatum(Fraction(4, 2), "1", 0, 2, ["1/4"], [Fraction(1, 4), 0])
+    assert [type(v) for v in (rd.sub_degree, rd.sub_rank)] == [int, int]
+    assert rd.weight_pairings == (Fraction(1, 4),)
+    assert rd.total_pairings == (Fraction(1, 4), Fraction(0))
+    assert slope_test(rd) == VERDICT_FAIL
 
 
 @pytest.mark.parametrize("bad", [Fraction(5, 2), "1/2", "x", 0.5, None])

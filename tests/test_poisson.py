@@ -9,7 +9,7 @@ from fractions import Fraction
 from itertools import accumulate, product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logahoric import linalgq, poisson
@@ -502,6 +502,79 @@ def test_verify_involution_checks_each_hamiltonian():
     assert verify_involution([], alg).pair_count == 0
     assert verify_involution([], alg).all_commute
     assert verify_involution([x], alg).pair_count == 0
+
+
+# Denominators: 1 and distinct large primes, so that the lcm of a
+# Hamiltonian's denominators, and the product of two of them, is large.
+INVOLUTION_DENOMINATORS = (1, 3, 2**31 - 1, 10**9 + 7, 998244353, 2**61 - 1)
+INVOLUTION_ALGEBRAS = ((1, 2), (2, 1), (2, 2), (3, 1))
+
+
+@st.composite
+def hamiltonian_sets(draw):
+    """An algebra and 0..7 Hamiltonians of degree 0..3 with coefficients up
+    to 10^30 of either sign over large coprime denominators, among them zero,
+    constant and duplicate Hamiltonians."""
+    alg = LiePoissonAlgebra(*draw(st.sampled_from(INVOLUTION_ALGEBRAS)))
+    coeff = st.builds(
+        Fraction, st.integers(-(10**30), 10**30), st.sampled_from(INVOLUTION_DENOMINATORS)
+    )
+    monomial = st.lists(st.integers(0, alg.gen_count - 1), max_size=3)
+    hams = []
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.sampled_from(["random"] * 4 + ["zero", "constant", "duplicate"]))
+        if kind == "zero":
+            hams.append(PoissonPolynomial.zero(alg))
+        elif kind == "constant":
+            hams.append(PoissonPolynomial.constant(alg, draw(coeff)))
+        elif kind == "duplicate" and hams:
+            hams.append(draw(st.sampled_from(hams)))
+        else:
+            terms = {}
+            for gens, c in draw(st.lists(st.tuples(monomial, coeff), min_size=1, max_size=4)):
+                mono = tuple((g, gens.count(g)) for g in sorted(set(gens)))
+                terms[mono] = terms.get(mono, Fraction(0)) + c
+            hams.append(PoissonPolynomial._from_dict(alg, terms))
+    return alg, hams
+
+
+def pairwise_involution(hams, alg):
+    """The nonzero pairs of verify_involution, one reference_bracket each."""
+    out = []
+    for j, h in enumerate(hams):
+        for i in range(j):
+            value = reference_bracket(hams[i], h, alg)
+            if not value.is_zero:
+                out.append((i, j, value.to_string()))
+    return tuple(sorted(out))
+
+
+@settings(max_examples=150)
+@given(hamiltonian_sets())
+def test_verify_involution_matches_pairwise_reference(alg_hams):
+    """Batching the earlier Hamiltonians into slots of one int reads back
+    each pair's bracket exactly: same pairs, in pair order, same strings."""
+    alg, hams = alg_hams
+    report = verify_involution(hams, alg)
+    assert report.pair_count == len(hams) * (len(hams) - 1) // 2
+    assert report.nonzero_pairs == pairwise_involution(hams, alg)
+
+
+def test_verify_involution_borrows_across_slots():
+    """With h = x00 - x11, {a h, 2a x10} = 4a^2 x10 and {-a h, 2a x10} is
+    its negative, so the two slots of one pass hold +4a^2 and -4a^2: the
+    negative slot borrows from the one below it, which a signed digit read
+    undoes.  Each Hamiltonian has |h| = 2a, so 4a^2 is the largest value a
+    slot can hold, and a slot one bit narrower misreads it."""
+    alg = LiePoissonAlgebra(2, 1)
+    a = 10**30
+    h = alg.generator(0, 0, 0) - alg.generator(0, 1, 1)
+    x10 = alg.generator(0, 1, 0)
+    hams = [h.scaled(a), h.scaled(-a), x10.scaled(2 * a), x10.scaled(Fraction(-2 * a, 7))]
+    report = verify_involution(hams, alg)
+    assert report.nonzero_pairs == pairwise_involution(hams, alg)
+    assert [(i, j) for i, j, _ in report.nonzero_pairs] == [(0, 2), (0, 3), (1, 2), (1, 3)]
+    assert report.nonzero_pairs[0][2] == f"{4 * a * a}*x0_10"
 
 
 def test_evaluate_and_partial():
