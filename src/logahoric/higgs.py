@@ -88,10 +88,10 @@ def build_field(
     or None per point, each with the group's rank of coroot coordinates) and
     flag regularity at infinity: the residues, cleared once by
     linalgq.integer_form to ints R_j = d*X_j over a common denominator d,
-    sum to zero at every entry."""
+    sum to zero at every entry.  Numbers are read by linalgq.rationals."""
     if not linalgq.has_shape(points, None):
         raise ShapeError("points must be a sequence of rationals")
-    xs = [Fraction(x) for x in points]
+    xs = [Fraction(x) for x in linalgq.rationals(points, "points")]
     if not xs:
         raise DivisorError("divisor must be nonempty")
     if len(set(xs)) != len(xs):
@@ -105,7 +105,7 @@ def build_field(
     for j, raw in enumerate(residues):
         if not linalgq.has_shape(raw, n, n):
             raise ShapeError(f"residue {j} must be {n}x{n} for {group.family}{group.rank}")
-        m = linalgq.mat(raw)
+        m = linalgq.mat(linalgq.rationals(row, f"residues[{j}][{p}]") for p, row in enumerate(raw))
         if group.form == "SL" and linalgq.trace(m) != 0:
             raise TraceError(f"residue {j} has trace {linalgq.trace(m)}; SL mode needs 0")
         mats.append(m)
@@ -117,13 +117,15 @@ def build_field(
                                           and linalgq.has_shape(theta.coeffs, group.rank)):
                 raise ShapeError(f"theta_data[{j}] must be a cocharacter of {group.rank} "
                                  f"coordinates for {group.family}{group.rank}")
+        theta_data = tuple(None if th is None else RationalCocharacter(tuple(linalgq.rationals(
+            th.coeffs, f"theta_data[{j}]"))) for j, th in enumerate(theta_data))
     size = n * n
     _, flat = linalgq.integer_form(x for m in mats for row in m for x in row)
     return LogHiggsField(
         points=tuple(xs),
         residues=tuple(mats),
         group=group,
-        theta_data=tuple(theta_data) if theta_data is not None else None,
+        theta_data=theta_data,
         regular_at_infinity=not any(sum(flat[e::size]) for e in range(size)),
     )
 

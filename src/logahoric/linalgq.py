@@ -22,6 +22,8 @@ from functools import reduce
 from operator import add, mul
 from typing import List, Sequence, Tuple
 
+from .errors import ShapeError
+
 Matrix = List[List[Fraction]]
 
 
@@ -47,6 +49,19 @@ def has_shape(value, length: int | None, width: int | None = None) -> bool:
     if length is not None and len(value) != length:
         return False
     return width is None or all(has_shape(v, width) for v in value)
+
+
+def rationals(values, what: str, error=ShapeError) -> list:
+    """values as a list of rationals, ints and Fractions as they are, for the
+    library's entry points; an entry that is not one raises error(what[i])."""
+    out = list(values)
+    for i, v in enumerate(out):
+        if type(v) is not int and type(v) is not Fraction:
+            try:
+                out[i] = Fraction(v)
+            except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+                raise error(f"{what}[{i}] must be a rational, got {v!r}")
+    return out
 
 
 def mat(rows: Sequence[Sequence]) -> Matrix:

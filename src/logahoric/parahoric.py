@@ -81,11 +81,13 @@ def analyze_weight(rs: RootSystem, theta: RationalCocharacter) -> ParahoricDatum
     root's pairing r(theta) = (u . r)/den is one int dot product.  One
     divmod by den gives its floor q and remainder: the jump
     ceil(-r(theta)) is -q, and r is a Levi root exactly when the remainder
-    is 0 (integer pairing).  rootsys.pair is the scalar reference.
+    is 0 (integer pairing).  rootsys.pair is the scalar reference.  theta
+    of another coordinate count, or with a coordinate that is not a
+    rational, raises ShapeError.
     """
     if not linalgq.has_shape(theta.coeffs, rs.rank):
         raise ShapeError(f"theta needs {rs.rank} coroot coordinates, the system rank")
-    den, cs = linalgq.integer_form(theta.coeffs)
+    den, cs = linalgq.integer_form(linalgq.rationals(theta.coeffs, "theta"))
     u = [sum(map(mul, cs, col)) for col in zip(*rs.cartan_matrix)]
     jumps: Dict[Root, int] = {}
     levi: List[Root] = []
@@ -332,12 +334,14 @@ class ReductionDatum:
 
     def __post_init__(self):
         """Degrees and ranks are kept as ints and pairings as Fractions; a
-        degree or rank that is not an integer raises InvalidReductionError."""
+        degree or rank that is not an integer, or a pairing that is not a
+        rational, raises InvalidReductionError."""
         for name in ("sub_degree", "sub_rank", "total_degree", "total_rank"):
             value = _integer(getattr(self, name), name, InvalidReductionError)
             object.__setattr__(self, name, value)
         for name in ("weight_pairings", "total_pairings"):
-            object.__setattr__(self, name, tuple(map(Fraction, getattr(self, name))))
+            values = linalgq.rationals(getattr(self, name), name, InvalidReductionError)
+            object.__setattr__(self, name, tuple(map(Fraction, values)))
 
 
 def _integer(value, what: str, error) -> int:
@@ -350,19 +354,6 @@ def _integer(value, what: str, error) -> int:
     if q.denominator != 1:
         raise error(f"{what} must be an integer, got {q}")
     return q.numerator
-
-
-def _rationals(values, what: str) -> list:
-    """values as a list of rationals, ints and Fractions as they are; an
-    entry that is not a rational raises ShapeError naming it what[i]."""
-    out = list(values)
-    for i, v in enumerate(out):
-        if type(v) is not int and type(v) is not Fraction:
-            try:
-                out[i] = Fraction(v)
-            except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-                raise ShapeError(f"{what}[{i}] must be a rational, got {v!r}")
-    return out
 
 
 VERDICT_STABLE = "stable-pass"
@@ -571,17 +562,17 @@ def rank2_semistability(
     if not linalgq.has_shape(weights, m, 2):
         raise ShapeError("one weight pair per flag is required")
     flag_dirs = [
-        tuple(linalgq.integer_form(_rationals(flag, f"flags[{i}]"))[1])
+        tuple(linalgq.integer_form(linalgq.rationals(flag, f"flags[{i}]"))[1])
         for i, flag in enumerate(flags)
     ]
     if (0, 0) in flag_dirs:
         raise ShapeError("flag direction must be a nonzero coordinate pair")
-    wpairs = [_rationals(pair, f"weights[{i}]") for i, pair in enumerate(weights)]
+    wpairs = [linalgq.rationals(pair, f"weights[{i}]") for i, pair in enumerate(weights)]
     if not all(0 <= v < 1 for pair in wpairs for v in pair):
         raise NormalizationError("weights must lie in [0, 1)")
     if points is not None and not linalgq.has_shape(points, m):
         raise ShapeError("one marked point per flag is required")
-    dx, xs = linalgq.integer_form(range(m) if points is None else _rationals(points, "points"))
+    dx, xs = linalgq.integer_form(linalgq.rationals(points or range(m), "points"))
     if len(set(xs)) != m:
         raise DivisorError("marked points must be pairwise distinct")
 

@@ -39,7 +39,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, comb
+from itertools import combinations, permutations, product
+from math import ceil, comb, prod
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -437,11 +438,10 @@ def verify_involution(
     return InvolutionReport(pair_count=comb(len(hams), 2), nonzero_pairs=tuple(sorted(nonzero)))
 
 
-# Largest point count s that hitchin_coefficient_hamiltonians accepts for
-# each matrix size n; other sizes are refused (ShapeError) before any work.
-# On a shared 2-CPU host, building and checking, the largest accepted
-# shapes, n = 2, s = 12 and n = 3, s = 4, take 0.6 and 1.9 s; n = 3, s = 5
-# takes 8 s and n = 4, s = 3 two minutes and 285 MB.
+# Largest point count s that hitchin_coefficient_hamiltonians accepts per
+# matrix size n (others are refused with ShapeError before any work).  Built
+# and checked on a shared 2-CPU host: n = 2, s = 12 takes 0.3 s, n = 3, s = 4
+# 0.65 s, n = 3, s = 5 6 s, and n = 4, s = 3 two minutes and 245 MB.
 HITCHIN_INVOLUTION_MAX_POINTS = {2: 12, 3: 4}
 
 
@@ -450,18 +450,21 @@ def hitchin_coefficient_hamiltonians(
 ) -> Tuple[LiePoissonAlgebra, Tuple[PoissonPolynomial, ...]]:
     """Expand the invariant sections of a symbolic Lax matrix.
 
-    The residues are matrices of coordinate generators, one full matrix site
-    per marked point, so A(z) = prod(z - x_k) L(z) has degree s-1 and the
-    degree-i invariant section has degree at most i(s-1) in z.  As in
-    higgs._lax_samples, x_k = a_k/d_x and each entry of d_x^(s-1) A(tau/d_x) =
-    sum_j w_j(tau) X_j, with the int polyq.lagrange_weights, is one linear
-    polynomial; its invariants are taken at tau = t d_x, t = 0..n(s-1), and
-    the z-coefficients of section i come from polyq.interpolate over each
-    monomial's series, divided by d_x^((s-1)i).  Every non-zero z-coefficient
-    of every section is returned as a polynomial Hamiltonian, by ascending
-    degree i, then ascending power of z.  A matrix size n with no entry in
-    HITCHIN_INVOLUTION_MAX_POINTS, or more points than its entry, raises
-    ShapeError before any work.
+    The residues X_j are matrices of coordinate generators, one full site
+    per point, so A(z) = sum_j w_j(z) X_j, w_j(z) = prod_(k != j)(z - x_k), and
+    its degree-i section, the sum of its principal i-minors, is by Leibniz
+
+        sum over rows R (|R| = i), sigma in Sym(R) and sites j: R -> 0..s-1
+        of sgn(sigma) prod_r w_(j_r)(z) x^(j_r)_(r, sigma(r)).
+
+    Each row occurs once in a triple (R, sigma, j), its site and column set
+    by the triple, so the triples give distinct square-free monomials and
+    nothing is accumulated: a monomial's z-coefficients are sgn(sigma) times
+    those of prod_r w_(j_r).  With x_k = a_k/d_x, they are polyq.interpolate
+    of that product of the int polyq.lagrange_weights of the a_k at tau =
+    t*d_x, t = 0..i(s-1), over d_x^((s-1)i).  Every non-zero z-coefficient
+    is a Hamiltonian, by ascending i, then power of z.  Non-rational points,
+    or shapes past HITCHIN_INVOLUTION_MAX_POINTS, raise ShapeError.
     """
     limit = HITCHIN_INVOLUTION_MAX_POINTS.get(n)
     if limit is None:
@@ -470,6 +473,8 @@ def hitchin_coefficient_hamiltonians(
             f"{min(HITCHIN_INVOLUTION_MAX_POINTS)}..{max(HITCHIN_INVOLUTION_MAX_POINTS)}"
             f", got {n}"
         )
+    if not linalgq.has_shape(points, None):
+        raise ShapeError("points must be a sequence of rationals")
     if len(points) > limit:
         raise ShapeError(
             f"Hitchin-coefficient involution takes at most {limit} points "
@@ -477,40 +482,27 @@ def hitchin_coefficient_hamiltonians(
         )
     if form not in ("SL", "GL"):
         raise ShapeError(f"form must be SL or GL, got {form!r}")
-    dx, a = linalgq.integer_form(points)
+    dx, a = linalgq.integer_form(linalgq.rationals(points, "points"))
     if not a:
         raise DivisorError("divisor must be nonempty")
     if len(set(a)) != len(a):
         raise DivisorError("marked points must be pairwise distinct")
     s = len(a)
     alg = LiePoissonAlgebra(n, s)
-    gens = [
-        [[alg.generator_index(j, p, q) for j in range(s)] for q in range(n)]
-        for p in range(n)
-    ]
-    samples = []
-    for t in range(n * (s - 1) + 1):
-        ws = polyq.lagrange_weights(a, t * dx)
-        # Site j's generators precede site j+1's, so each entry's terms come
-        # sorted; a zero weight (tau a cleared point) leaves no term.
-        at = [
-            [PoissonPolynomial(alg, tuple((((g, 1),), w) for g, w in zip(gq, ws) if w))
-             for gq in row]
-            for row in gens
-        ]
-        samples.append(linalgq.invariant_values(at))
-    start = 1 if form == "GL" else 2
     hams: List[PoissonPolynomial] = []
-    for i in range(start, n + 1):
-        series: Dict[Monomial, List[Fraction]] = {}
-        for t, es in enumerate(samples):
-            for mono, c in es[i - 1].terms:
-                series.setdefault(mono, [0] * len(samples))[t] = c
-        coeffs: List[Dict[Monomial, Fraction]] = [{} for _ in samples]
+    for i in range(1 if form == "GL" else 2, n + 1):
+        nodes = [polyq.lagrange_weights(a, t * dx) for t in range(i * (s - 1) + 1)]
+        coeffs: List[Dict[Monomial, Fraction]] = [{} for _ in nodes]
         scale = dx ** ((s - 1) * i)
-        for mono, ys in series.items():
-            for d, c in enumerate(polyq.interpolate(ys)):
-                coeffs[d][mono] = c / scale
+        for js in product(range(s), repeat=i):
+            zs = [c / scale for c in polyq.interpolate([prod(w[j] for j in js) for w in nodes])]
+            signed = (zs, [-c for c in zs])
+            for rows, p in product(combinations(range(n), i), permutations(range(i))):
+                gens = sorted((j * n + r) * n + rows[k] for j, r, k in zip(js, rows, p))
+                mono = tuple((g, 1) for g in gens)
+                odd = sum(x > y for x, y in combinations(p, 2)) % 2
+                for d, c in enumerate(signed[odd]):
+                    coeffs[d][mono] = c
         hams += [PoissonPolynomial._from_dict(alg, c) for c in coeffs if any(c.values())]
     return alg, tuple(hams)
 

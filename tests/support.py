@@ -247,6 +247,48 @@ def reference_mul(f, g):
     return PoissonPolynomial._from_dict(f.algebra, d)
 
 
+def reference_hitchin_hamiltonians(points, n: int, form: str = "SL"):
+    """(alg, hams) of poisson.hitchin_coefficient_hamiltonians by the
+    sampling route, kept as a test oracle: the matrix of PoissonPolynomials
+    d_x^(s-1) A(t) = sum_j w_j(t d_x) X_j is built at t = 0..n(s-1), its
+    invariants are taken by linalgq.invariant_values (symbolic Berkowitz),
+    and each monomial's series of values is interpolated and divided by
+    d_x^((s-1)i).  Inputs are taken as valid."""
+    from logahoric.poisson import LiePoissonAlgebra, PoissonPolynomial
+
+    dx, a = linalgq.integer_form(points)
+    s = len(a)
+    alg = LiePoissonAlgebra(n, s)
+    gens = [
+        [[alg.generator_index(j, p, q) for j in range(s)] for q in range(n)]
+        for p in range(n)
+    ]
+    samples = []
+    for t in range(n * (s - 1) + 1):
+        ws = polyq.lagrange_weights(a, t * dx)
+        # Site j's generators precede site j+1's, so each entry's terms come
+        # sorted; a zero weight (tau a cleared point) leaves no term.
+        at = [
+            [PoissonPolynomial(alg, tuple((((g, 1),), w) for g, w in zip(gq, ws) if w))
+             for gq in row]
+            for row in gens
+        ]
+        samples.append(linalgq.invariant_values(at))
+    hams = []
+    for i in range(1 if form == "GL" else 2, n + 1):
+        series = {}
+        for t, es in enumerate(samples):
+            for mono, c in es[i - 1].terms:
+                series.setdefault(mono, [0] * len(samples))[t] = c
+        coeffs = [{} for _ in samples]
+        scale = dx ** ((s - 1) * i)
+        for mono, ys in series.items():
+            for d, c in enumerate(polyq.interpolate(ys)):
+                coeffs[d][mono] = c / scale
+        hams += [PoissonPolynomial._from_dict(alg, c) for c in coeffs if any(c.values())]
+    return alg, tuple(hams)
+
+
 def entry_of(alg, g) -> Tuple[int, int, int]:
     """(j, p, q) of generator g of a LiePoissonAlgebra on n x n sites, read
     off the documented index g = (j*n + p)*n + q."""

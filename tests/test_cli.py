@@ -4,6 +4,7 @@ import functools
 import importlib
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -17,9 +18,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from logahoric import __version__, cli, higgs, parahoric, poisson
+from logahoric import __version__, cli, higgs, parahoric, poisson, polyq
 from logahoric.cli import main
 from logahoric.errors import ConfigError
+from support import poly
 
 EFH = {
     "group": {"family": "A", "rank": 1, "form": "SL"},
@@ -333,6 +335,108 @@ def test_involution_leaf_and_diagram_reports_in_full(tmp_path, capsys):
             for j, v in enumerate(["-1", "0", "-1"])
         ],
     }
+
+
+# Weight coordinates whose diagonals tie often enough to give Levi blocks
+# of every size, the whole matrix included.
+THETA_COORDS = [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(-1, 3)]
+
+
+def diagonal_of(theta):
+    """The type-A weight diagonal t of coroot coordinates theta: simple
+    coroot i is E_ii - E_(i+1)(i+1)."""
+    t = [Fraction(0)] * (len(theta) + 1)
+    for i, c in enumerate(theta):
+        t[i] += c
+        t[i + 1] -= c
+    return t
+
+
+@st.composite
+def field_configs(draw):
+    """(config, n, s, diagonals): a field regular at infinity, n = 2..4,
+    s = 3..6, SL or GL, with a weight theta at some points before the last,
+    whose residue is drawn in the weight's parahoric stalk (entry (p, q)
+    zero where t_p < t_q); the last residue is minus the sum of the others.
+    diagonals holds each point's t, None where it has no weight."""
+    n, s = draw(st.integers(2, 4)), draw(st.integers(3, 6))
+    form = draw(st.sampled_from(["SL", "GL"]))
+    xs = draw(st.lists(st.builds(Fraction, st.integers(-12, 12), st.integers(1, 2)),
+                       min_size=s, max_size=s, unique=True))
+    entry = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 2))
+    thetas, diagonals, residues = [], [], []
+    for j in range(s):
+        theta = None
+        if j < s - 1 and draw(st.booleans()):
+            theta = draw(st.lists(st.sampled_from(THETA_COORDS), min_size=n - 1, max_size=n - 1))
+        t = None if theta is None else diagonal_of(theta)
+        if j < s - 1:
+            m = [[draw(entry) if t is None or t[p] >= t[q] else Fraction(0) for q in range(n)]
+                 for p in range(n)]
+            if form == "SL":
+                m[n - 1][n - 1] -= sum(m[i][i] for i in range(n))
+        else:
+            m = [[-sum(r[p][q] for r in residues) for q in range(n)] for p in range(n)]
+        thetas.append(theta)
+        diagonals.append(t)
+        residues.append(m)
+    points = [{"x": str(x)} if th is None else {"x": str(x), "theta": [str(c) for c in th]}
+              for x, th in zip(xs, thetas)]
+    config = {
+        "group": {"family": "A", "rank": n - 1, "form": form},
+        "points": points,
+        "residues": [[[str(v) for v in row] for row in m] for m in residues],
+    }
+    return config, n, s, diagonals
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(field_configs())
+def test_reports_of_one_field_agree_across_commands(tmp_path_factory, case):
+    """Six commands on one field, read from their reports alone, agree:
+
+    - hitchin's section of degree i is (-1)^i spectral's char_coeffs[n - i];
+    - gaudin's values are the residues of the degree-2 section, by the
+      formula of support.reference_gaudin_values;
+    - leaf's sites are moment's;
+    - each diagram-check moment_route is leaf's site invariant of its point
+      and degree;
+    - where spectral gives a genus and the full branch count n(n-1)(s-2),
+      2 genus = bivector_rank + sum over weighted points of (n^2 - sum b^2)
+      - 2(n^2 - 1), b the Levi block sizes of the point's weight: the
+      Riemann-Hurwitz count of the eigenvalue curve against the dimension
+      of the generic symplectic leaf, reduced by the diagonal action
+      (Adams, Harnad and Hurtubise, Comm. Math. Phys. 134, 1990).
+    """
+    config, n, s, diagonals = case
+    tmp = tmp_path_factory.mktemp("oracle")
+    cfg = write_config(tmp, config)
+    reports = {}
+    for command in ("hitchin", "spectral", "gaudin", "moment", "leaf", "diagram-check"):
+        out = tmp / f"{command}.json"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        reports[command] = json.loads(out.read_text(encoding="utf-8"))["results"]
+    hitchin, spectral, leaf = reports["hitchin"], reports["spectral"], reports["leaf"]
+    for i, section in zip(hitchin["degrees"], hitchin["sections"]):
+        sign = -1 if i % 2 else 1
+        char = spectral["char_coeffs"][n - i]
+        assert poly(section) == [sign * c for c in poly(char)]
+    sections = dict(zip(hitchin["degrees"], map(poly, hitchin["sections"])))
+    e1, e2 = sections.get(1, []), sections[2]
+    xs = [Fraction(point["x"]) for point in config["points"]]
+    for j, (x, value) in enumerate(zip(xs, reports["gaudin"]["values"])):
+        gaps = [x - y for k, y in enumerate(xs) if k != j]
+        e1x, de1x = polyq.evaluate(e1, x), polyq.evaluate(polyq.derivative(e1), x)
+        g = polyq.evaluate(e2, x) - e1x * e1x / 2
+        dg = polyq.evaluate(polyq.derivative(e2), x) - e1x * de1x
+        w = math.prod(gaps)
+        assert Fraction(value) == -(dg - 2 * g * sum(1 / d for d in gaps)) / (w * w)
+    assert leaf["sites"] == reports["moment"]["sites"]
+    for row in reports["diagram-check"]["rows"]:
+        assert row["moment_route"] == leaf["site_invariants"][row["point"]][row["degree"] - 1]
+    if spectral["genus"] is not None and spectral["branch_count"] == n * (n - 1) * (s - 2):
+        lost = sum(n * n - sum(t.count(v) ** 2 for v in set(t)) for t in diagonals if t is not None)
+        assert 2 * spectral["genus"] == leaf["bivector_rank"] + lost - 2 * (n * n - 1)
 
 
 def test_involution_report_lists_a_noncommuting_pair(tmp_path, capsys, monkeypatch):

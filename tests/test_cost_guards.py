@@ -12,7 +12,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from logahoric import higgs, linalgq, parahoric, poisson, polyq
-from support import reference_incidence_closures, rnd_field
+from support import reference_hitchin_hamiltonians, reference_incidence_closures, rnd_field
 
 
 def test_class_rank_takes_no_fallback_on_a_block_with_a_cyclic_unit_vector(monkeypatch):
@@ -151,3 +151,27 @@ def test_involution_runs_one_kernel_pass_per_hamiltonian(monkeypatch):
     passes.clear()
     assert not poisson.bracket(x(0, 0, 1), x(0, 1, 0), alg).is_zero
     assert len(passes) == 1
+
+
+def test_hitchin_hamiltonians_take_no_symbolic_ring_arithmetic(monkeypatch):
+    """hitchin_coefficient_hamiltonians writes each Hamiltonian down term by
+    term: with char_coeffs, invariant_values and PoissonPolynomial's +, -
+    and * made to fail, it still builds, at the largest accepted shapes,
+    the family of the sampling route (symbolic Berkowitz and per-monomial
+    interpolation), which is computed before the spies go in."""
+    cases = [
+        (n, [Fraction(k, 3) for k in range(-s, s, 2)], form)
+        for n, s in sorted(poisson.HITCHIN_INVOLUTION_MAX_POINTS.items())
+        for form in ("SL", "GL")
+    ]
+    want = [reference_hitchin_hamiltonians(points, n, form) for n, points, form in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("symbolic ring arithmetic building Hitchin Hamiltonians")
+
+    monkeypatch.setattr(linalgq, "char_coeffs", refuse)
+    monkeypatch.setattr(linalgq, "invariant_values", refuse)
+    for name in ("__add__", "__sub__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(poisson.PoissonPolynomial, name, refuse)
+    got = [poisson.hitchin_coefficient_hamiltonians(points, n, form) for n, points, form in cases]
+    assert got == want

@@ -9,7 +9,8 @@ last item repeated (wrong lengths and ragged rows).  Every length in these
 inputs is tied to another, so each change must be refused, and the refusal
 must be a LogahoricError subclass, not a bare TypeError, ValueError or
 IndexError from inside the computation.  Text where a sequence belongs is
-refused, and so is a value that is not a rational where a number belongs.
+refused, and so is a value that is not a rational where a number belongs,
+there and in `ReductionDatum` and `hitchin_coefficient_hamiltonians`.
 """
 
 import copy
@@ -20,10 +21,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logahoric import linalgq
-from logahoric.errors import LogahoricError, ShapeError
+from logahoric.errors import InvalidReductionError, LogahoricError, ShapeError
 from logahoric.higgs import build_field
-from logahoric.parahoric import analyze_weight, rank2_semistability
-from logahoric.poisson import MomentValue, coadjoint_act
+from logahoric.parahoric import ReductionDatum, analyze_weight, rank2_semistability
+from logahoric.poisson import (
+    MomentValue,
+    coadjoint_act,
+    hitchin_coefficient_hamiltonians,
+    moment_map,
+)
 from logahoric.rootsys import GroupTag, RationalCocharacter, build_root_system
 
 RATIONALS = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
@@ -179,6 +185,9 @@ def test_text_is_not_a_sequence():
         lambda: rank2_semistability((1, 0), ["11"], [(0, 0)]),
         lambda: rank2_semistability((1, 0), [(1, 1)], [b"00"]),
         lambda: MomentValue(sites=("a",)),
+        lambda: hitchin_coefficient_hamiltonians("12", 2),
+        lambda: hitchin_coefficient_hamiltonians(b"12", 2),
+        lambda: hitchin_coefficient_hamiltonians(5, 2),
     ]:
         with pytest.raises(ShapeError):
             call()
@@ -204,3 +213,44 @@ def test_rank2_semistability_names_an_entry_that_is_not_a_rational(bad):
         node[where[-1]] = bad
         with pytest.raises(ShapeError, match=at + " must be a rational"):
             rank2_semistability(**bad_args)
+
+
+@pytest.mark.parametrize("bad", ["x", "1/0", None, [1]])
+def test_every_entry_point_names_a_number_that_is_not_a_rational(bad):
+    """A point, residue entry, theta coordinate or pairing that Fraction
+    cannot read is refused with a domain error naming the entry, at every
+    entry point that reads numbers through linalgq.rationals, not with a
+    bare ValueError or TypeError there or later, in moment_map."""
+    gl2 = GroupTag("A", 1, "GL")
+    zero = [[0, 0], [0, 0]]
+    for call, error, at in [
+        (lambda: build_field([0, bad], [zero, zero], gl2), ShapeError, r"points\[1\]"),
+        (lambda: build_field([0, 1], [zero, [[0, 0], [bad, 0]]], gl2), ShapeError,
+         r"residues\[1\]\[1\]\[0\]"),
+        (lambda: build_field([0, 1], [zero, zero], gl2, [None, RationalCocharacter((bad,))]),
+         ShapeError, r"theta_data\[1\]\[0\]"),
+        (lambda: analyze_weight(SYSTEMS[2], RationalCocharacter((0, bad))), ShapeError,
+         r"theta\[1\]"),
+        (lambda: ReductionDatum(1, 1, 2, 2, (0, bad)), InvalidReductionError,
+         r"weight_pairings\[1\]"),
+        (lambda: ReductionDatum(1, 1, 2, 2, (), (bad,)), InvalidReductionError,
+         r"total_pairings\[0\]"),
+        (lambda: hitchin_coefficient_hamiltonians([0, bad], 2), ShapeError, r"points\[1\]"),
+    ]:
+        with pytest.raises(error, match=at + " must be a rational"):
+            call()
+
+
+def test_rational_strings_are_read_as_rationals():
+    """Entries that Fraction reads, such as "1/2", are read as the rationals
+    they name, at every place a number may be one: a weight given as text
+    then acts in moment_map as the same weight given as a Fraction."""
+    gl2 = GroupTag("A", 1, "GL")
+    residues = [[[1, 2], [0, 3]], [[-1, -2], [0, -3]]]
+    half = Fraction(1, 2)
+    as_text = build_field(["0", "1/2"], residues, gl2, [RationalCocharacter(("1/2",)), None])
+    exact = build_field([0, half], residues, gl2, [RationalCocharacter((half,)), None])
+    assert as_text == exact
+    assert moment_map(as_text) == moment_map(exact)
+    hams = hitchin_coefficient_hamiltonians
+    assert hams(["0", "1/2"], 2) == hams([0, half], 2)

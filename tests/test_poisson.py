@@ -60,6 +60,7 @@ from support import (
     partial,
     reference_bivector_rank,
     reference_bracket,
+    reference_hitchin_hamiltonians,
     reference_mul,
     rnd_field,
     rnd_invertible,
@@ -757,6 +758,28 @@ def test_liouville_count_of_hitchin_and_gaudin_hamiltonians():
             assert functions - fields == s * len(degrees)
         galg, gaudin = gaudin_hamiltonians(rnd_field(rng, n, s))
         assert liouville_counts(gaudin, galg, point) == (s - 1, s - 1)
+
+
+# Point denominators, up to the Mersenne prime 2^31 - 1, so the clearing
+# factor d_x and its powers d_x^((s-1)i) vary from 1 to far past a machine word.
+POINT_DENOMINATORS = (1, 2, 3, 5, 7, 2**31 - 1)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_hitchin_coefficient_hamiltonians_match_the_sampling_reference(data):
+    """The Leibniz expansion gives the Hamiltonians of the sampling route
+    (symbolic Berkowitz at n(s-1) + 1 nodes, then per-monomial
+    interpolation), term for term and in the same order, for every
+    accepted shape, SL and GL, at negative and positive points over mixed
+    denominators."""
+    n = data.draw(st.sampled_from(sorted(poisson.HITCHIN_INVOLUTION_MAX_POINTS)))
+    s = data.draw(st.integers(1, poisson.HITCHIN_INVOLUTION_MAX_POINTS[n]))
+    form = data.draw(st.sampled_from(["SL", "GL"]))
+    point = st.builds(Fraction, st.integers(-60, 60), st.sampled_from(POINT_DENOMINATORS))
+    points = data.draw(st.lists(point, min_size=s, max_size=s, unique=True))
+    got = hitchin_coefficient_hamiltonians(points, n, form)
+    assert got == reference_hitchin_hamiltonians(points, n, form)
 
 
 def test_hitchin_coefficient_hamiltonians_rejects_bad_form():
