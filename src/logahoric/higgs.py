@@ -22,13 +22,16 @@ integers, of the characteristic polynomials of the samples B = D*A(t),
 divided by D^(n(n-1)) once.  Its squarefree test is one integer
 gcd-degree routine, run modulo a prime as a certificate and over Q as the
 fallback, and a size cap keeps that fallback affordable.  The genus comes
-from Riemann-Hurwitz bookkeeping: genus = branch/2 - n + 1 where branch
-counts the (simple, finite) discriminant roots.  The genus field is
-meaningful for connected covers with no ramification over infinity, which
-is the generic situation; it is left undefined whenever the discriminant
-fails to be squarefree, has an odd number of roots, or has fewer than
-2(n - 1), where the formula goes negative (n disjoint sheets, say, when the
-eigenvalues of A(z) are constant).
+from Riemann-Hurwitz bookkeeping over P^1: the discriminant, as a form of
+degree N = n(n-1) deg A, has deg(disc) simple finite roots when the affine
+discriminant is squarefree, and a root of order e = N - deg(disc) at
+infinity.  So genus = N/2 - n + 1 when the affine discriminant is
+squarefree and e <= 1 (every branch point simple, infinity included); it
+is left undefined for a square factor, for e >= 2 (the curve is singular
+over infinity), and for N < 2(n - 1), where the formula goes negative (n
+disjoint sheets, say, when the eigenvalues of A(z) are constant).
+branch_count and is_squarefree keep their affine meaning: the degree of
+the affine discriminant and its squarefree test.
 
 The Gaudin Hamiltonians H_j = sum_{k != j} tr(X_j X_k)/(x_j - x_k) come
 as numbers from gaudin_values, one int trace per pair of cleared residues;
@@ -264,7 +267,9 @@ def spectral_curve(f: LogHiggsField) -> SpectralCurveData:
     the eigenvalues of A(t), the interpolant is divided by D^(n(n-1)) once.
     The squarefree test is polyq.is_squarefree: a primitive integer
     pseudo-remainder sequence for the degree of gcd(disc, disc'), modulo a
-    prime as a certificate and over Q as fallback.
+    prime as a certificate and over Q as fallback.  The genus is N/2 - n + 1
+    when that test passes and N - deg(disc), the order of the root at
+    infinity, is at most 1 (module docstring), else None.
 
     Shapes whose bound N, with deg A <= s - 2 for fields regular at infinity
     and s - 1 otherwise, exceeds SPECTRAL_MAX_DEGREE are refused with
@@ -285,8 +290,8 @@ def spectral_curve(f: LogHiggsField) -> SpectralCurveData:
     squarefree = not polyq.is_zero(disc) and polyq.is_squarefree(disc)
     branch = max(polyq.degree(disc), 0)
     genus: Optional[int] = None
-    if squarefree and branch % 2 == 0 and branch >= 2 * (n - 1):
-        genus = branch // 2 - n + 1
+    if squarefree and bound - branch <= 1 and bound >= 2 * (n - 1):
+        genus = bound // 2 - n + 1
     return SpectralCurveData(
         char_coeffs=tuple(cs),
         discriminant=disc,

@@ -1,10 +1,9 @@
 """Exact matrix helpers over the rationals.
 
-Matrices are plain lists of lists.  Most callers work with Fraction entries;
-the characteristic-polynomial routine is Berkowitz's division-free one,
-written with `+`, `-` and `*` only, so it runs on int matrices (rational
-ones are cleared to ints first) and on matrices of symbolic Poisson
-polynomials alike.
+Matrices are plain lists of lists of numbers only: ints and Fractions.
+Most callers work with Fraction entries; the characteristic-polynomial
+routine is Berkowitz's division-free one, run on int matrices (rational
+ones are cleared to ints first).
 
 There is one elimination routine, the fraction-free _echelon in ints:
 `rank` counts its pivots and `nullspace` back-substitutes through its rows.
@@ -18,8 +17,7 @@ from __future__ import annotations
 import math
 from collections import abc
 from fractions import Fraction
-from functools import reduce
-from operator import add, mul
+from operator import mul
 from typing import List, Sequence, Tuple
 
 from .errors import ShapeError
@@ -178,32 +176,29 @@ def nullspace(a) -> List[List[Fraction]]:
 
 
 def char_coeffs(m) -> list:
-    """Coefficients [c_0, ..., c_n] of det(lambda*I - M), ascending in lambda.
+    """Coefficients [c_0, ..., c_n] of det(lambda*I - M), ascending in lambda,
+    for a matrix of numbers only (ints and Fractions), as Fractions.
 
     Berkowitz's division-free recursion, from the last diagonal entry up: for
     a trailing block [[a, r], [s, B]], its coefficients, highest first, are
     the lower-triangular Toeplitz matrix with first column
-    (1, -a, -r s, -r B s, -r B^2 s, ...) times those of B.  Only `+`, `-`
-    and `*` touch the entries, so one body runs over ints and over Poisson
-    polynomials.  A matrix of ints and Fractions, at least one a Fraction,
-    is first cleared by integer_form to the int matrix d*M, and
-    c_k(M) = c_k(d*M) / d^(n-k); the coefficients of an int or rational
-    matrix are Fractions, c_n = Fraction(1).
+    (1, -a, -r s, -r B s, -r B^2 s, ...) times those of B, all in ints.  A
+    matrix with an entry that is not an int is first cleared by integer_form
+    to the int matrix d*M, and c_k(M) = c_k(d*M) / d^(n-k); an entry that is
+    not a number raises TypeError there.
     """
     n = len(m)
     d = 1
-    kinds = {type(x) for row in m for x in row}
-    if Fraction in kinds and kinds <= {int, Fraction}:
+    if {type(x) for row in m for x in row} - {int}:
         d, flat = integer_form(x for row in m for x in row)
         m = [flat[i * n:(i + 1) * n] for i in range(n)]
     low = _berkowitz(m)
-    return [
-        Fraction(c, d ** (n - k)) if type(c) is int else c for k, c in enumerate(reversed(low))
-    ] + [Fraction(1)]
+    return [Fraction(c, d ** (n - k)) for k, c in enumerate(reversed(low))] + [Fraction(1)]
 
 
 def _berkowitz(m) -> list:
-    """c_(n-1), ..., c_0 of det(lambda*I - M) by the recursion of char_coeffs."""
+    """c_(n-1), ..., c_0 of det(lambda*I - M), for an int matrix M, by the
+    recursion of char_coeffs."""
     n = len(m)
     low: list = []  # c_(k-1), ..., c_0 of the current trailing block of size k
     for i in range(n - 1, -1, -1):
@@ -211,9 +206,9 @@ def _berkowitz(m) -> list:
         us = [m[i][i]]  # a, r s, r B s, ..., r B^(k-1) s
         for k in range(len(low)):
             if k:
-                col = [reduce(add, map(mul, r, col)) for r in block]
-            us.append(reduce(add, map(mul, row, col)))
-        acc = [reduce(add, map(mul, reversed(us[:k]), low), u) for k, u in enumerate(us)]
+                col = [sum(map(mul, r, col)) for r in block]
+            us.append(sum(map(mul, row, col)))
+        acc = [u + sum(map(mul, reversed(us[:k]), low)) for k, u in enumerate(us)]
         low = [c - a for c, a in zip(low, acc)] + [-acc[-1]]
     return low
 

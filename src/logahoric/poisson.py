@@ -154,29 +154,23 @@ class PoissonPolynomial:
         return PoissonPolynomial(self.algebra, tuple((m, k * c) for m, k in self.terms))
 
     def __mul__(self, other) -> "PoissonPolynomial":
-        """Product, on packed exponents.
-
-        Each operand is packed at the width _width(deg self + deg other), so
-        no product exponent can carry into the next generator's field, and
-        cleared to integer coefficients; a product of monomials is then one
-        int addition, and the result is divided by the two denominators once.
-        Both operands must belong to self's algebra, with every generator in
-        range (AlgebraMismatchError otherwise).
-        """
+        """Product: each pair of terms merges its monomials' exponents in a
+        dict, summed by monomial.  Both operands must belong to self's
+        algebra, with every generator in range (AlgebraMismatchError
+        otherwise)."""
         if isinstance(other, (int, Fraction)):
             return self.scaled(other)
         _check_member(self, self.algebra)
         _check_member(other, self.algebra)
-        width = _width(_degree(self) + _degree(other))
-        fden, fterms = _pack(self, width)
-        gden, gterms = _pack(other, width)
-        acc: Dict[int, int] = {}
-        get = acc.get
-        for m1, k1 in fterms:
-            for m2, k2 in gterms:
-                m = m1 + m2
-                acc[m] = get(m, 0) + k1 * k2
-        return _unpack(self.algebra, acc, fden * gden, width)
+        d: Dict[Monomial, Fraction] = {}
+        for m1, c1 in self.terms:
+            for m2, c2 in other.terms:
+                merged = dict(m1)
+                for g, e in m2:
+                    merged[g] = merged.get(g, 0) + e
+                key = tuple(sorted(merged.items()))
+                d[key] = d.get(key, 0) + c1 * c2
+        return PoissonPolynomial._from_dict(self.algebra, d)
 
     __rmul__ = __mul__
 
@@ -214,18 +208,6 @@ def _degree(pol: PoissonPolynomial) -> int:
     return max((sum(e for _, e in mono) for mono, _ in pol.terms), default=0)
 
 
-def _pack(pol: PoissonPolynomial, width: int) -> Tuple[int, List[Tuple[int, int]]]:
-    """pol cleared to integer coefficients, on packed monomials.
-
-    Returns den, the lcm of the coefficient denominators, and one pair
-    (packed m, k) for each term (k/den)*m of pol.
-    """
-    den, ks = linalgq.integer_form(c for _, c in pol.terms)
-    return den, [
-        (sum(e << width * g for g, e in mono), k) for (mono, _), k in zip(pol.terms, ks)
-    ]
-
-
 def _unpack(
     alg: LiePoissonAlgebra, acc: Dict[int, int], den: int, width: int
 ) -> PoissonPolynomial:
@@ -255,16 +237,18 @@ Partials = Dict[int, Dict[int, int]]
 
 
 def _partials(pol: PoissonPolynomial, width: int) -> Tuple[int, Partials]:
-    """pol packed at width and split by generator.
+    """pol cleared to integer coefficients, packed at width and split by
+    generator.
 
-    Returns den, as in _pack, and the Partials of pol: the entry
-    m/x_a: k*e_a under x_a for each term (k/den)*m of pol and each generator
-    x_a of m, with e_a its exponent, so that d(pol)/dx_a is the sum of
-    k*e_a*(m/x_a) over den.  Packed, m/x_a is m - (1 << width*a).
+    Returns den, the lcm of the coefficient denominators, and the Partials
+    of pol: the entry m/x_a: k*e_a under x_a for each term (k/den)*m of pol
+    and each generator x_a of m, with e_a its exponent, so that d(pol)/dx_a
+    is the sum of k*e_a*(m/x_a) over den.  Packed, m/x_a is m - (1 << width*a).
     """
-    den, packed = _pack(pol, width)
+    den, ks = linalgq.integer_form(c for _, c in pol.terms)
     parts: Partials = {}
-    for (mono, _), (m, k) in zip(pol.terms, packed):
+    for (mono, _), k in zip(pol.terms, ks):
+        m = sum(e << width * g for g, e in mono)
         for gen, e in mono:
             parts.setdefault(gen, {})[m - (1 << width * gen)] = k * e
     return den, parts

@@ -49,10 +49,6 @@ class RationalCocharacter:
     def of(values: Sequence) -> "RationalCocharacter":
         return RationalCocharacter(tuple(Fraction(v) for v in values))
 
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
 
 @dataclass(frozen=True)
 class GroupTag:

@@ -2,7 +2,9 @@
 fields, plus small conversion shims for the sympy cross-checks."""
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import combinations, permutations
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 from logahoric import linalgq, polyq
@@ -230,28 +232,29 @@ def matrix_to_sympy(m):
     )
 
 
-def reference_mul(f, g):
-    """The product of two PoissonPolynomials by merging exponent dicts, kept
-    as a test oracle: each pair of terms merges its monomials' exponents in
-    a dict and sorts them back into a ((generator, exponent), ...) tuple."""
-    from logahoric.poisson import PoissonPolynomial
-
-    d = {}
-    for m1, c1 in f.terms:
-        for m2, c2 in g.terms:
-            merged = dict(m1)
-            for gen, e in m2:
-                merged[gen] = merged.get(gen, 0) + e
-            key = tuple(sorted(merged.items()))
-            d[key] = d.get(key, Fraction(0)) + c1 * c2
-    return PoissonPolynomial._from_dict(f.algebra, d)
+def minor_sum_invariants(rows, zero) -> list:
+    """e_1..e_n of the square matrix rows, kept as a test oracle for any
+    entries with +, - and *: e_i is the sum of the principal i-minors, each
+    by the Leibniz expansion over the permutations of its rows, starting
+    from zero.  A different algorithm from linalgq's Berkowitz recursion."""
+    n = len(rows)
+    out = []
+    for i in range(1, n + 1):
+        e = zero
+        for idx in combinations(range(n), i):
+            for cols in permutations(idx):
+                term = reduce(mul, (rows[r][c] for r, c in zip(idx, cols)))
+                odd = sum(a > b for a, b in combinations(cols, 2)) % 2
+                e = e - term if odd else e + term
+        out.append(e)
+    return out
 
 
 def reference_hitchin_hamiltonians(points, n: int, form: str = "SL"):
     """(alg, hams) of poisson.hitchin_coefficient_hamiltonians by the
     sampling route, kept as a test oracle: the matrix of PoissonPolynomials
     d_x^(s-1) A(t) = sum_j w_j(t d_x) X_j is built at t = 0..n(s-1), its
-    invariants are taken by linalgq.invariant_values (symbolic Berkowitz),
+    invariants are taken as sums of principal minors (minor_sum_invariants),
     and each monomial's series of values is interpolated and divided by
     d_x^((s-1)i).  Inputs are taken as valid."""
     from logahoric.poisson import LiePoissonAlgebra, PoissonPolynomial
@@ -273,7 +276,7 @@ def reference_hitchin_hamiltonians(points, n: int, form: str = "SL"):
              for gq in row]
             for row in gens
         ]
-        samples.append(linalgq.invariant_values(at))
+        samples.append(minor_sum_invariants(at, PoissonPolynomial.zero(alg)))
     hams = []
     for i in range(1 if form == "GL" else 2, n + 1):
         series = {}
@@ -317,9 +320,11 @@ def site_invariant_polynomials(alg, j: int) -> tuple:
     of the site, which the symbolic bracket verifies exactly in tests.  A
     site outside 0..site_count-1 raises AlgebraMismatchError.
     """
+    from logahoric.poisson import PoissonPolynomial
+
     n = alg.matrix_size
     rows = [[alg.generator(j, p, q) for q in range(n)] for p in range(n)]
-    return tuple(linalgq.invariant_values(rows))
+    return tuple(minor_sum_invariants(rows, PoissonPolynomial.zero(alg)))
 
 
 def entries_of(t) -> Tuple[Tuple[int, int], ...]:
@@ -402,7 +407,7 @@ def reference_bracket(f, g, alg):
     """The Lie-Poisson bracket by the partial-product route, kept as a test
     oracle: sum over generator pairs (a, b) on one site of
     (df/dx_a)(dg/dx_b) {x_a, x_b}, built from partial derivatives,
-    reference_mul products and the commutator_constants of the site."""
+    PoissonPolynomial products and the commutator_constants of the site."""
     from logahoric.poisson import PoissonPolynomial
 
     acc = {}
@@ -422,13 +427,13 @@ def reference_bracket(f, g, alg):
             row = constants.get((entries.index((pa, qa)), entries.index((pb, qb))))
             if not row:
                 continue
-            prod = reference_mul(fparts[a], gparts[b])
+            prod = fparts[a] * gparts[b]
             if prod.is_zero:
                 continue
             for (i, k), coeff in row.items():
                 c = (ja * n + i) * n + k
                 gen_poly = PoissonPolynomial(alg, ((((c, 1),), Fraction(1)),))
-                for mono, cf in reference_mul(prod, gen_poly).terms:
+                for mono, cf in (prod * gen_poly).terms:
                     acc[mono] = acc.get(mono, Fraction(0)) + cf * coeff
     return PoissonPolynomial._from_dict(alg, acc)
 
@@ -523,8 +528,6 @@ def reference_rank2(split_degrees, flags=(), weights=(), points=None):
     Fraction nullspace of the subset's rows and a closure of every condition
     vanishing on it.  Inputs are taken as valid; returns
     (candidates, witness, total_weighted_degree, total_slope)."""
-    from itertools import combinations
-
     from logahoric.parahoric import (
         VERDICT_BOUNDARY,
         VERDICT_FAIL,
@@ -739,8 +742,6 @@ def reference_incidence_closures(rows, nvars: int):
     the reference_rank of every subset of rows, and for each subset of rank
     below nvars, every row whose addition leaves that rank unchanged (every
     row in the span of the subset)."""
-    from itertools import combinations
-
     m = len(rows)
     ranks = {
         subset: reference_rank([rows[k] for k in subset], nvars)

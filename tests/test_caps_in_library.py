@@ -101,7 +101,7 @@ def test_every_cap_is_read_where_it_is_defined():
 def test_cap_refusals_report_their_numbers():
     """Each refusal names the size it saw: |a1 - a2| (not |a1 + a2|), the
     flag count, the point count or matrix size, and the n*s or degree
-    bound."""
+    bound; a Gaudin shape with n*s at the bound is accepted."""
     with pytest.raises(ShapeError, match=r"at most 32, got 34$"):
         parahoric.rank2_semistability((-3, 31), [(1, 1)], [(0, 0)])
     flags = [(1, i + 1) for i in range(11)]
@@ -117,5 +117,8 @@ def test_cap_refusals_report_their_numbers():
 
     with pytest.raises(ShapeError, match=r"at most 80; n = 9 with 9 points gives 81$"):
         higgs.gaudin_hamiltonians(zero_field(9, 9))
+    for n, s in ((8, 10), (10, 8)):  # n*s = 80 exactly is accepted
+        alg, hams = higgs.gaudin_hamiltonians(zero_field(n, s))
+        assert (alg.matrix_size, alg.site_count, len(hams)) == (n, s, s)
     with pytest.raises(ShapeError, match=r"at most 120; n = 6 with 7 points gives 150$"):
         higgs.spectral_curve(zero_field(6, 7))

@@ -401,8 +401,7 @@ def test_reports_of_one_field_agree_across_commands(tmp_path_factory, case):
     - leaf's sites are moment's;
     - each diagram-check moment_route is leaf's site invariant of its point
       and degree;
-    - where spectral gives a genus and the full branch count n(n-1)(s-2),
-      2 genus = bivector_rank + sum over weighted points of (n^2 - sum b^2)
+    - where spectral gives a genus, 2 genus = bivector_rank + sum over weighted points of (n^2 - sum b^2)
       - 2(n^2 - 1), b the Levi block sizes of the point's weight: the
       Riemann-Hurwitz count of the eigenvalue curve against the dimension
       of the generic symplectic leaf, reduced by the diagonal action
@@ -434,9 +433,47 @@ def test_reports_of_one_field_agree_across_commands(tmp_path_factory, case):
     assert leaf["sites"] == reports["moment"]["sites"]
     for row in reports["diagram-check"]["rows"]:
         assert row["moment_route"] == leaf["site_invariants"][row["point"]][row["degree"] - 1]
-    if spectral["genus"] is not None and spectral["branch_count"] == n * (n - 1) * (s - 2):
+    if spectral["genus"] is not None:
         lost = sum(n * n - sum(t.count(v) ** 2 for v in set(t)) for t in diagonals if t is not None)
         assert 2 * spectral["genus"] == leaf["bivector_rank"] + lost - 2 * (n * n - 1)
+
+
+# Two SL2 fields whose affine discriminant falls short of its degree bound
+# N = n(n-1)(s-2) by e = 1 (points 0..3; sum_j x_j X_j = [[0, 1], [0, 0]] is
+# nilpotent) and by e = 2 (points 0..4; sum_j X_j and sum_j x_j X_j are 0).
+SHORT_DISCRIMINANTS = [
+    (
+        [[["1/3", "1/3"], ["4/3", "-1/3"]], [[0, -1], [-2, 0]], [[-1, 0], [0, 1]],
+         [["2/3", "2/3"], ["2/3", "-2/3"]]],
+        {"branch_count": 3, "is_squarefree": True, "genus": 1},
+        8,
+    ),
+    (
+        [[[4, 4], [11, -4]], [[-6, -7], [-15, 6]], [[1, 2], [0, -1]], [[0, 1], [1, 0]],
+         [[1, 0], [3, -1]]],
+        {"branch_count": 4, "is_squarefree": True, "genus": None},
+        10,
+    ),
+]
+
+
+@pytest.mark.parametrize("residues, curve, rank", SHORT_DISCRIMINANTS)
+def test_genus_sees_the_branch_point_at_infinity(tmp_path, capsys, residues, curve, rank):
+    """A discriminant short of its bound N by e has a root of order e at
+    infinity.  For e = 1 that is one more simple branch point, and the genus
+    is N/2 - n + 1 = 1, which leaf's count 2 genus = bivector_rank - 2(n^2 - 1)
+    confirms; for e = 2 the curve is singular over infinity, the count would
+    give 2 where the affine roots give 1, and no genus is reported.
+    branch_count and is_squarefree describe the affine discriminant."""
+    config = {
+        "group": {"family": "A", "rank": 1, "form": "SL"},
+        "points": [{"x": k} for k in range(len(residues))],
+        "residues": residues,
+    }
+    cfg = write_config(tmp_path, config)
+    spectral = run_json(capsys, ["spectral", "--config", cfg])["results"]
+    assert {key: spectral[key] for key in curve} == curve
+    assert run_json(capsys, ["leaf", "--config", cfg])["results"]["bivector_rank"] == rank
 
 
 def test_involution_report_lists_a_noncommuting_pair(tmp_path, capsys, monkeypatch):

@@ -157,7 +157,7 @@ def test_hitchin_hamiltonians_take_no_symbolic_ring_arithmetic(monkeypatch):
     """hitchin_coefficient_hamiltonians writes each Hamiltonian down term by
     term: with char_coeffs, invariant_values and PoissonPolynomial's +, -
     and * made to fail, it still builds, at the largest accepted shapes,
-    the family of the sampling route (symbolic Berkowitz and per-monomial
+    the family of the sampling route (symbolic minor sums and per-monomial
     interpolation), which is computed before the spies go in."""
     cases = [
         (n, [Fraction(k, 3) for k in range(-s, s, 2)], form)
@@ -175,3 +175,22 @@ def test_hitchin_hamiltonians_take_no_symbolic_ring_arithmetic(monkeypatch):
         monkeypatch.setattr(poisson.PoissonPolynomial, name, refuse)
     got = [poisson.hitchin_coefficient_hamiltonians(points, n, form) for n, points, form in cases]
     assert got == want
+
+
+def test_hitchin_hamiltonians_interpolate_on_i_times_s_minus_1_plus_1_nodes(monkeypatch):
+    """The weight product of degree i has degree i(s-1) in z, so each
+    polyq.interpolate call of hitchin_coefficient_hamiltonians takes exactly
+    i(s-1) + 1 values, one call per site tuple of every degree i; one node
+    more would give the same polynomial at a higher cost."""
+    real, sizes = polyq.interpolate, []
+
+    def interpolate(ys):
+        sizes.append(len(ys))
+        return real(ys)
+
+    monkeypatch.setattr(polyq, "interpolate", interpolate)
+    for n, s in [(2, 1), (2, 3), (2, 5), (3, 2), (3, 4)]:
+        for form, first in (("SL", 2), ("GL", 1)):
+            sizes.clear()
+            poisson.hitchin_coefficient_hamiltonians(list(range(s)), n, form)
+            assert sizes == [i * (s - 1) + 1 for i in range(first, n + 1) for _ in range(s**i)]

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logahoric import higgs, linalgq, polyq
+from logahoric import higgs, linalgq, poisson, polyq
 from logahoric.errors import (
     ConstraintError,
     DivisorError,
@@ -806,3 +806,51 @@ def test_strongly_logarithmic_cases():
 
     zero = build_field([0, 1], [linalgq.zeros(2)] * 2, SL2)
     assert is_strongly_logarithmic_image(hitchin_map(zero), zero)
+
+
+@st.composite
+def nilpotent_at_infinity_fields(draw):
+    """(n, field): a field regular at infinity, n = 2..3, s = 3..5 points,
+    SL or GL, whose leading Lax coefficient sum_j x_j X_j is nilpotent: a
+    strictly upper triangular U conjugated by an integer unipotent L.  The
+    first s - 2 residues are drawn; the last two are solved for from
+    sum_j X_j = 0 and sum_j x_j X_j = L U L^-1."""
+    n = draw(st.sampled_from([2, 2, 3]))
+    s = draw(st.integers(3, 5 if n == 2 else 4))
+    form = draw(st.sampled_from(["SL", "GL"]))
+    xs = draw(st.lists(st.integers(-4, 4), min_size=s, max_size=s, unique=True))
+    entry = st.integers(-3, 3)
+    square = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    drawn = [linalgq.mat(draw(square)) for _ in range(s - 2)]
+    if form == "SL":
+        drawn = [make_traceless(m) for m in drawn]
+    upper = [[draw(entry) if q > p else 0 for q in range(n)] for p in range(n)]
+    lower = sympy.Matrix(n, n, lambda p, q: draw(st.integers(-2, 2)) if q < p else int(p == q))
+    nil = (lower * sympy.Matrix(upper) * lower.inv()).tolist()
+    nil = [[Fraction(int(v.p), int(v.q)) for v in row] for row in nil]
+    r0 = [[sum(m[p][q] for m in drawn) for q in range(n)] for p in range(n)]
+    r1 = [[sum(x * m[p][q] for x, m in zip(xs, drawn)) for q in range(n)] for p in range(n)]
+    xa, xb = xs[-2:]
+    last = [[(nil[p][q] - r1[p][q] + xa * r0[p][q]) / (xb - xa) for q in range(n)] for p in range(n)]
+    before = [[-r0[p][q] - last[p][q] for q in range(n)] for p in range(n)]
+    return n, build_field(xs, drawn + [before, last], GroupTag("A", n - 1, form))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(nilpotent_at_infinity_fields())
+def test_genus_counts_the_branch_point_at_infinity(case):
+    """When sum_j x_j X_j is nilpotent, every eigenvalue of A(z)/z^(s-2)
+    tends to 0 at infinity, so the discriminant, a form of degree
+    N = n(n-1)(s-2) on P^1, has a root of order e >= n - 1 there: the affine
+    discriminant falls short of N by e.  A genus is given only for e <= 1,
+    so for n = 2, and there 2 genus = bivector_rank - 2(n^2 - 1), the
+    Riemann-Hurwitz count of the eigenvalue curve against the generic leaf
+    dimension, reduced by the diagonal action."""
+    n, f = case
+    big_n = n * (n - 1) * (f.site_count - 2)
+    sc = spectral_curve(f)
+    assert sc.branch_count <= big_n - (n - 1)
+    if sc.genus is not None:
+        assert n == 2 and sc.branch_count == big_n - 1 and sc.is_squarefree
+        rank = poisson.bivector_rank_at(poisson.moment_map(f))
+        assert 2 * sc.genus == rank - 2 * (n * n - 1)
