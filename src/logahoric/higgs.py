@@ -373,11 +373,10 @@ def gaudin_values(f: LogHiggsField) -> Tuple[Fraction, ...]:
 
 # Largest n*s, matrix size times point count, that gaudin_hamiltonians
 # accepts (the `involution` command's default family); larger shapes are
-# refused (ShapeError) before the Hamiltonians are built.  The cost tracks
-# n*s.  On a shared 2-CPU host (points 0..s-1, building and checking): n*s
-# = 64 took 0.5-0.7 s (n = 8, s = 8; 4, 16; 16, 4), 80 took 0.9-1.8 s at a
-# peak RSS of 31-77 MB (8, 10; 10, 8; 5, 16; 4, 20; 2, 40; 20, 4), 96 took
-# 3.2-3.7 s (8, 12; 12, 8), 128 9 s (8, 16; 2, 64) and n = 10, s = 20 71 s.
+# refused (ShapeError) before the Hamiltonians are built.  On a shared 2-CPU
+# host, building and checking at points 0..s-1 took 0.2 s at n*s = 64,
+# 0.4-0.7 s and 25-35 MB peak RSS at 80 (n, s = 8, 10; 10, 8; 5, 16; 16, 5;
+# 4, 20; 2, 40; 20, 4), 0.9 s at 96, 3-5 s at 128 and 12 s (130 MB) at 10, 20.
 GAUDIN_INVOLUTION_MAX_SIZE = 80
 
 

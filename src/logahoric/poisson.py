@@ -39,8 +39,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product
-from math import ceil, comb, prod
+from itertools import combinations, compress, permutations, product
+from math import ceil, comb, gcd, isqrt, log, prod
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -195,62 +195,68 @@ class PoissonPolynomial:
         return " + ".join(parts)
 
 
-# A packed monomial is one int holding exponent e of generator g in bits
-# [g*width, (g+1)*width); _width(bound) bits hold every exponent <= bound.
-
-
-def _width(bound: int) -> int:
-    """Bits per generator in a packed monomial whose exponents are <= bound."""
-    return max(bound, 1).bit_length()
-
-
-def _degree(pol: PoissonPolynomial) -> int:
-    return max((sum(e for _, e in mono) for mono, _ in pol.terms), default=0)
+def _primes(count: int) -> List[int]:
+    """The first count primes, sieved up to Rosser's bound on the k-th prime,
+    k(ln k + ln ln k) for k >= 6, or 15 > p_5 = 11.  A monomial prod x_g^e
+    has the key prod p_g^e, p_g the g-th prime: a product of monomials is one
+    product of keys, distinct by unique factorization at any degree."""
+    limit = 15 if count < 6 else int(count * (log(count) + log(log(count))))
+    sieve = bytearray([0, 0]) + bytearray([1]) * (limit - 1)
+    for i in range(2, isqrt(limit) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, limit + 1, i)))
+    return list(compress(range(limit + 1), sieve))[:count]
 
 
 def _unpack(
-    alg: LiePoissonAlgebra, acc: Dict[int, int], den: int, width: int
+    alg: LiePoissonAlgebra, acc: Dict[int, int], den: int, primes: List[int]
 ) -> PoissonPolynomial:
-    """The polynomial sum of (k/den)*m over the packed (m, k) of acc.
-
-    Only the non-zero k are unpacked, lowest set bit first, so each monomial
-    comes out with its generators in ascending order.
-    """
-    mask = (1 << width) - 1
+    """The polynomial sum of (k/den)*m over the (key of m, k) of acc.  Only
+    the non-zero k are decoded, site by site in ascending order, so each
+    monomial comes out with its generators ascending: the gcd of a key with a
+    site's primes' product is one of them or is split by them."""
+    nn = alg.matrix_size**2
+    index = {p: g for g, p in enumerate(primes)}
+    sites = [(prod(ps), ps) for ps in (primes[o : o + nn] for o in range(0, len(primes), nn))]
     terms = []
     for key, k in acc.items():
         if not k:
             continue
         mono = []
-        while key:
-            g = ((key & -key).bit_length() - 1) // width
-            e = (key >> g * width) & mask
-            mono.append((g, e))
-            key -= e << g * width
+        for whole, ps in sites:
+            if key == 1:
+                break
+            d = key if key in index else gcd(key, whole)  # a prime key is its last factor
+            if d > 1:
+                for p in (d,) if d in index else [p for p in ps if d % p == 0]:
+                    e = 0
+                    while not key % p:
+                        key //= p
+                        e += 1
+                    mono.append((index[p], e))
         terms.append((tuple(mono), Fraction(k, den)))
     terms.sort()
     return PoissonPolynomial(alg, tuple(terms))
 
 
-# generator a -> {packed m/x_a: k*e_a, ...}
+# generator a -> {key of m/x_a: k*e_a, ...}
 Partials = Dict[int, Dict[int, int]]
 
 
-def _partials(pol: PoissonPolynomial, width: int) -> Tuple[int, Partials]:
-    """pol cleared to integer coefficients, packed at width and split by
-    generator.
+def _partials(pol: PoissonPolynomial, primes: List[int]) -> Tuple[int, Partials]:
+    """pol cleared to integer coefficients, keyed by primes, split by generator.
 
     Returns den, the lcm of the coefficient denominators, and the Partials
     of pol: the entry m/x_a: k*e_a under x_a for each term (k/den)*m of pol
     and each generator x_a of m, with e_a its exponent, so that d(pol)/dx_a
-    is the sum of k*e_a*(m/x_a) over den.  Packed, m/x_a is m - (1 << width*a).
+    is the sum of k*e_a*(m/x_a) over den.  Keyed, m/x_a is m // p_a.
     """
     den, ks = linalgq.integer_form(c for _, c in pol.terms)
     parts: Partials = {}
     for (mono, _), k in zip(pol.terms, ks):
-        m = sum(e << width * g for g, e in mono)
+        m = prod(primes[g] ** e for g, e in mono)
         for gen, e in mono:
-            parts.setdefault(gen, {})[m - (1 << width * gen)] = k * e
+            parts.setdefault(gen, {})[m // primes[gen]] = k * e
     return den, parts
 
 
@@ -276,11 +282,10 @@ def _partners(n: int) -> List[List[Tuple[int, int, int]]]:
 
 
 def _bracket_packed(
-    fparts: Partials, gparts: Partials, partners: list, width: int
+    fparts: Partials, gparts: Partials, partners: list, primes: List[int]
 ) -> Dict[int, int]:
-    """{f, g} times the two denominators, as packed monomial -> int, from
-    the Partials of f and g packed at width and the _partners of the
-    algebra's matrix size."""
+    """{f, g} times the two denominators, as monomial key -> int, from the
+    Partials of f and g and the _partners of the algebra's matrix size."""
     nn = len(partners)
     acc: Dict[int, int] = {}
     get = acc.get
@@ -290,12 +295,12 @@ def _bracket_packed(
             g_terms = gparts.get(offset + b)
             if g_terms is None:
                 continue
-            xc = 1 << width * (offset + c)
+            xc = primes[offset + c]
             for rb, kb in g_terms.items():
-                m = rb + xc
+                m = rb * xc
                 k = kb * sign
                 for ra, ka in f_terms.items():
-                    key = m + ra
+                    key = m * ra
                     acc[key] = get(key, 0) + ka * k
     return acc
 
@@ -317,21 +322,17 @@ def bracket(
     n = 1..5, in tests/test_poisson.py).
     Both operands must belong to alg (AlgebraMismatchError otherwise).
     Each is then cleared to integer coefficients over the lcm of its
-    denominators and packed: every monomial becomes one int with width
-    bits per generator, width = _width(deg f + deg g - 1), the degree bound
-    of the result (and at least deg f and deg g), so that a product of
-    monomials is one int addition and no exponent carries into the next
-    generator's field.  The sum is taken in ints, and only its non-zero
-    terms are unpacked and divided by the two denominators.
+    denominators, with every monomial keyed by generator primes (_primes);
+    only the non-zero terms of the int sum are decoded and divided by the
+    two denominators.
     """
     _check_member(f, alg)
     _check_member(g, alg)
-    df, dg = _degree(f), _degree(g)
-    width = _width(max(df + dg - 1, df, dg))
-    fden, fparts = _partials(f, width)
-    gden, gparts = _partials(g, width)
-    acc = _bracket_packed(fparts, gparts, _partners(alg.matrix_size), width)
-    return _unpack(alg, acc, fden * gden, width)
+    primes = _primes(alg.gen_count)
+    fden, fparts = _partials(f, primes)
+    gden, gparts = _partials(g, primes)
+    acc = _bracket_packed(fparts, gparts, _partners(alg.matrix_size), primes)
+    return _unpack(alg, acc, fden * gden, primes)
 
 
 def site_casimir(alg: LiePoissonAlgebra, j: int) -> PoissonPolynomial:
@@ -367,9 +368,8 @@ def verify_involution(
     whose bracket is not identically zero.
 
     Each Hamiltonian is checked against alg (AlgebraMismatchError for another
-    algebra or a foreign generator) and packed once, all at one width set by
-    twice the largest degree D: _width(2D - 1) holds every exponent of every
-    pairwise bracket.  Cleared, H_i is (1/den_i) times an int polynomial h_i.
+    algebra or a foreign generator) and keyed once, as in bracket.  Cleared,
+    H_i is (1/den_i) times an int polynomial h_i.
 
     One pass of the kernel brackets H_j with all earlier Hamiltonians at
     once (Kronecker substitution in the Hamiltonian index; Harvey, J.
@@ -391,8 +391,8 @@ def verify_involution(
     """
     for ham in hams:
         _check_member(ham, alg)
-    width = _width(2 * max(map(_degree, hams), default=0) - 1)
-    parts = [_partials(ham, width) for ham in hams]
+    primes = _primes(alg.gen_count)
+    parts = [_partials(ham, primes) for ham in hams]
     norm = max((sum(abs(c) for ks in p.values() for c in ks.values()) for _, p in parts), default=0)
     beta = (norm * norm).bit_length() + 1
     base, half = 1 << beta, 1 << beta - 1
@@ -405,7 +405,7 @@ def verify_involution(
             for r, c in ks.items():
                 into[r] = into.get(r, 0) + (c << beta * (j - 1))
         gden, gparts = parts[j]
-        acc = _bracket_packed(batch, gparts, partners, width)
+        acc = _bracket_packed(batch, gparts, partners, primes)
         if any(acc.values()):
             slots: List[Dict[int, int]] = [{} for _ in range(j)]
             for key, v in acc.items():
@@ -416,7 +416,7 @@ def verify_involution(
                     v = (v - d) >> beta
             for i, slot in enumerate(slots):
                 if slot:
-                    value = _unpack(alg, slot, parts[i][0] * gden, width)
+                    value = _unpack(alg, slot, parts[i][0] * gden, primes)
                     nonzero.append((i, j, value.to_string()))
         del acc  # one pass's sums at a time
     return InvolutionReport(pair_count=comb(len(hams), 2), nonzero_pairs=tuple(sorted(nonzero)))
@@ -424,8 +424,8 @@ def verify_involution(
 
 # Largest point count s that hitchin_coefficient_hamiltonians accepts per
 # matrix size n (others are refused with ShapeError before any work).  Built
-# and checked on a shared 2-CPU host: n = 2, s = 12 takes 0.3 s, n = 3, s = 4
-# 0.65 s, n = 3, s = 5 6 s, and n = 4, s = 3 two minutes and 245 MB.
+# and checked on a shared 2-CPU host: n = 2, s = 12 takes 0.2-0.3 s, n = 3,
+# s = 4 0.5-1 s, n = 3, s = 5 3.3 s, and n = 4, s = 3 one minute and 206 MB.
 HITCHIN_INVOLUTION_MAX_POINTS = {2: 12, 3: 4}
 
 

@@ -153,6 +153,27 @@ def test_involution_runs_one_kernel_pass_per_hamiltonian(monkeypatch):
     assert len(passes) == 1
 
 
+def test_involution_keys_grow_with_degree_not_with_the_algebra(monkeypatch):
+    """A monomial key is a product of generator primes, so for a Gaudin
+    family at the cap n*s = 80 every key of every kernel pass has at most
+    (2D - 1) times the bits of the largest prime, D the largest degree: 39
+    bits here, against up to 1,599 with a bit field per generator."""
+    real_kernel, sizes = poisson._bracket_packed, []
+
+    def kernel(*args):
+        acc = real_kernel(*args)
+        sizes.extend(map(int.bit_length, acc))
+        return acc
+
+    monkeypatch.setattr(poisson, "_bracket_packed", kernel)
+    alg, hams = higgs.gaudin_hamiltonians(rnd_field(random.Random(5), 10, 8))
+    assert alg.matrix_size * alg.site_count == higgs.GAUDIN_INVOLUTION_MAX_SIZE
+    assert poisson.verify_involution(hams, alg).all_commute
+    degree = max(sum(e for _, e in mono) for ham in hams for mono, _ in ham.terms)
+    bound = (2 * degree - 1) * poisson._primes(alg.gen_count)[-1].bit_length()
+    assert sizes and max(sizes) <= bound
+
+
 def test_hitchin_hamiltonians_take_no_symbolic_ring_arithmetic(monkeypatch):
     """hitchin_coefficient_hamiltonians writes each Hamiltonian down term by
     term: with char_coeffs, invariant_values and PoissonPolynomial's +, -

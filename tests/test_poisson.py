@@ -7,8 +7,10 @@ import sys
 import time
 from fractions import Fraction
 from itertools import accumulate, product
+from math import prod
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -430,15 +432,23 @@ def _top_exponent(pol) -> int:
     return max(e for mono, _ in pol.terms for _, e in mono)
 
 
-def test_packed_width_edge_does_not_carry():
-    """Exponents of exactly 2^width - 1, for the width the packing picks,
-    stay in their generator's field in brackets and in verify_involution."""
+def test_primes_match_sympy():
+    """_primes(count) is the first count primes, for every count 0..3000."""
+    primes = list(sympy.primerange(sympy.prime(3000) + 1))
+    for count in range(3001):
+        assert poisson._primes(count) == primes[:count]
+
+
+def test_prime_keys_keep_high_exponents_and_top_generators():
+    """Monomial keys are products of generator primes: exponents up to 15,
+    and monomials in the top generators of LiePoissonAlgebra(10, 20), whose
+    keys pass 2^64, come back exactly in brackets and in verify_involution."""
     alg = LiePoissonAlgebra(2, 2)
     x00, x01, x10, x11 = (alg.generator(0, p, q) for p in (0, 1) for q in (0, 1))
     y01 = alg.generator(1, 0, 1)
 
     def power(x, e):
-        out = PoissonPolynomial.constant(alg, 1)
+        out = PoissonPolynomial.constant(x.algebra, 1)
         for _ in range(e):
             out = out * x
         return out
@@ -449,21 +459,32 @@ def test_packed_width_edge_does_not_carry():
         f = x00 + x10 + PoissonPolynomial.constant(alg, 2)
         g = power(x01, edge).scaled(Fraction(2, 3)) + y01
         g = g + (x11 * x10 if edge >= 2 else x11)
-        assert poisson._width(poisson._degree(f) + poisson._degree(g) - 1) == w
         for a, b in ((f, g), (g, f)):
             got = bracket(a, b, alg)
             want = reference_bracket(a, b, alg)
             assert got == want
             assert got.to_string() == want.to_string()
             assert _top_exponent(got) == edge
-        # verify_involution packs at the common width _width(2D - 1)
         d = 2 ** (w - 1)
         hams = [x00 * power(x01, d - 1) + x10, power(x01, d) + x11]
-        assert poisson._width(2 * d - 1) == w
         report = verify_involution(hams, alg)
         want = reference_bracket(hams[0], hams[1], alg)
         assert _top_exponent(want) == edge
         assert report.nonzero_pairs == ((0, 1, want.to_string()),)
+
+    big = LiePoissonAlgebra(10, 20)
+    primes = poisson._primes(big.gen_count)
+    z = big.generator
+    f = power(z(19, 9, 8), 3) * z(19, 8, 9) + z(19, 9, 9).scaled(Fraction(5, 7)) + z(18, 9, 9)
+    g = power(z(19, 8, 9), 2) * power(z(19, 9, 9), 2) + z(19, 8, 8) * z(19, 9, 8)
+    got = bracket(f, g, big)
+    want = reference_bracket(f, g, big)
+    assert got == want and not got.is_zero
+    assert got.to_string() == want.to_string()
+    keys = [prod(primes[gen] ** e for gen, e in mono) for mono, _ in got.terms]
+    assert max(keys) > 2**64
+    hams = [f, g, z(19, 9, 9) * z(19, 9, 8), power(z(19, 8, 9), 4)]
+    assert verify_involution(hams, big).nonzero_pairs == pairwise_involution(hams, big)
 
 
 def test_packed_constant_operands():
@@ -505,19 +526,21 @@ def test_verify_involution_checks_each_hamiltonian():
 # Denominators: 1 and distinct large primes, so that the lcm of a
 # Hamiltonian's denominators, and the product of two of them, is large.
 INVOLUTION_DENOMINATORS = (1, 3, 2**31 - 1, 10**9 + 7, 998244353, 2**61 - 1)
-INVOLUTION_ALGEBRAS = ((1, 2), (2, 1), (2, 2), (3, 1))
+INVOLUTION_ALGEBRAS = ((1, 2), (2, 1), (2, 2), (3, 1), (2, 3))
 
 
 @st.composite
 def hamiltonian_sets(draw):
-    """An algebra and 0..7 Hamiltonians of degree 0..3 with coefficients up
-    to 10^30 of either sign over large coprime denominators, among them zero,
-    constant and duplicate Hamiltonians."""
+    """An algebra, three sites at most, and 0..7 Hamiltonians of degree 0..6
+    (up to three generators per monomial, each to the power 1 or 2) with
+    coefficients up to 10^30 of either sign over large coprime denominators,
+    among them zero, constant and duplicate Hamiltonians."""
     alg = LiePoissonAlgebra(*draw(st.sampled_from(INVOLUTION_ALGEBRAS)))
     coeff = st.builds(
         Fraction, st.integers(-(10**30), 10**30), st.sampled_from(INVOLUTION_DENOMINATORS)
     )
-    monomial = st.lists(st.integers(0, alg.gen_count - 1), max_size=3)
+    generator = st.integers(0, alg.gen_count - 1)
+    monomial = st.lists(st.tuples(generator, st.integers(1, 2)), max_size=3)
     hams = []
     for _ in range(draw(st.integers(0, 7))):
         kind = draw(st.sampled_from(["random"] * 4 + ["zero", "constant", "duplicate"]))
@@ -530,7 +553,10 @@ def hamiltonian_sets(draw):
         else:
             terms = {}
             for gens, c in draw(st.lists(st.tuples(monomial, coeff), min_size=1, max_size=4)):
-                mono = tuple((g, gens.count(g)) for g in sorted(set(gens)))
+                exps = {}
+                for g, e in gens:
+                    exps[g] = exps.get(g, 0) + e
+                mono = tuple(sorted(exps.items()))
                 terms[mono] = terms.get(mono, Fraction(0)) + c
             hams.append(PoissonPolynomial._from_dict(alg, terms))
     return alg, hams
