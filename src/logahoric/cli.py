@@ -264,10 +264,10 @@ def _cmd_parahoric_analyze(cfg: ParsedConfig) -> dict:
                 "x": _s(x),
                 "theta": [_s(c) for c in theta.coeffs],
                 "facet": datum.facet_class,
-                "jumps": {_root_key(r): m for r, m in sorted(datum.jumps.items())},
+                "jumps": {_root_key(r): m for r, m in datum.jumps.items()},
                 "levi_roots": [_root_key(r) for r in datum.levi_roots],
                 "plus_levels": {
-                    _root_key(r): m for r, m in sorted(datum.plus_grading.items())
+                    _root_key(r): m for r, m in datum.plus_grading.items()
                 },
             }
         )

@@ -52,13 +52,7 @@ from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalgq, poisson, polyq
-from .errors import (
-    ConstraintError,
-    DivisorError,
-    ShapeError,
-    TraceError,
-    UnsupportedRealizationError,
-)
+from .errors import ConstraintError, DivisorError, ShapeError, TraceError
 from .linalgq import Matrix
 from .polyq import Coeffs
 from .rootsys import GroupTag, RationalCocharacter
@@ -200,8 +194,6 @@ def _char_coeff_polys(
     every c_k, and the c_k are interpolated from them; top must be at least
     n times the bound _degree_bound on deg A.
     """
-    if f.group.family != "A":
-        raise UnsupportedRealizationError("invariant sections need the type-A realization")
     n = f.matrix_size
     big_d, lax = _lax_samples(f, range(top + 1))
     chars = [linalgq.char_coeffs(b) for b in lax]

@@ -150,10 +150,7 @@ def loop_element(
         coords = [Fraction(c) for c in coords]
         if len(coords) != rs.rank:
             raise ShapeError(f"torus coordinate vector must have length {rs.rank}")
-        if k in torus_acc:
-            torus_acc[k] = [a + b for a, b in zip(torus_acc[k], coords)]
-        else:
-            torus_acc[k] = coords
+        torus_acc[k] = coords
     root_acc: Dict[Tuple[Root, int], Fraction] = {}
     root_set = set(rs.roots)
     for (r, k), c in (roots or {}).items():

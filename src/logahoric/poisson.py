@@ -208,37 +208,6 @@ def _primes(count: int) -> List[int]:
     return list(compress(range(limit + 1), sieve))[:count]
 
 
-def _unpack(
-    alg: LiePoissonAlgebra, acc: Dict[int, int], den: int, primes: List[int]
-) -> PoissonPolynomial:
-    """The polynomial sum of (k/den)*m over the (key of m, k) of acc.  Only
-    the non-zero k are decoded, site by site in ascending order, so each
-    monomial comes out with its generators ascending: the gcd of a key with a
-    site's primes' product is one of them or is split by them."""
-    nn = alg.matrix_size**2
-    index = {p: g for g, p in enumerate(primes)}
-    sites = [(prod(ps), ps) for ps in (primes[o : o + nn] for o in range(0, len(primes), nn))]
-    terms = []
-    for key, k in acc.items():
-        if not k:
-            continue
-        mono = []
-        for whole, ps in sites:
-            if key == 1:
-                break
-            d = key if key in index else gcd(key, whole)  # a prime key is its last factor
-            if d > 1:
-                for p in (d,) if d in index else [p for p in ps if d % p == 0]:
-                    e = 0
-                    while not key % p:
-                        key //= p
-                        e += 1
-                    mono.append((index[p], e))
-        terms.append((tuple(mono), Fraction(k, den)))
-    terms.sort()
-    return PoissonPolynomial(alg, tuple(terms))
-
-
 # generator a -> {key of m/x_a: k*e_a, ...}
 Partials = Dict[int, Dict[int, int]]
 
@@ -319,20 +288,10 @@ def bracket(
     with e_a, e_b the exponents of x_a, x_b and {x_a, x_b} the matrix-unit
     rule of the module docstring, applied directly by _bracket_packed (its
     structure constants are checked against matrix commutators on gl_n,
-    n = 1..5, in tests/test_poisson.py).
-    Both operands must belong to alg (AlgebraMismatchError otherwise).
-    Each is then cleared to integer coefficients over the lcm of its
-    denominators, with every monomial keyed by generator primes (_primes);
-    only the non-zero terms of the int sum are decoded and divided by the
-    two denominators.
+    n = 1..5, in tests/test_poisson.py).  This is the one pass of _brackets
+    over (f, g); both must belong to alg (AlgebraMismatchError otherwise).
     """
-    _check_member(f, alg)
-    _check_member(g, alg)
-    primes = _primes(alg.gen_count)
-    fden, fparts = _partials(f, primes)
-    gden, gparts = _partials(g, primes)
-    acc = _bracket_packed(fparts, gparts, _partners(alg.matrix_size), primes)
-    return _unpack(alg, acc, fden * gden, primes)
+    return next((value for _, _, value in _brackets((f, g), alg)), PoissonPolynomial.zero(alg))
 
 
 def site_casimir(alg: LiePoissonAlgebra, j: int) -> PoissonPolynomial:
@@ -361,15 +320,14 @@ class InvolutionReport:
         return not self.nonzero_pairs
 
 
-def verify_involution(
-    hams: Sequence[PoissonPolynomial], alg: LiePoissonAlgebra
-) -> InvolutionReport:
-    """Bracket every pair of Hamiltonians and list, in pair order, the pairs
-    whose bracket is not identically zero.
+def _brackets(hams: Sequence[PoissonPolynomial], alg: LiePoissonAlgebra):
+    """Yield (i, j, {H_i, H_j}) for each pair i < j of hams whose bracket is
+    not identically zero, by pass j, then by i.
 
     Each Hamiltonian is checked against alg (AlgebraMismatchError for another
-    algebra or a foreign generator) and keyed once, as in bracket.  Cleared,
-    H_i is (1/den_i) times an int polynomial h_i.
+    algebra or a foreign generator) and keyed once by generator primes
+    (_primes, _partials).  Cleared, H_i is (1/den_i) times an int polynomial
+    h_i.
 
     One pass of the kernel brackets H_j with all earlier Hamiltonians at
     once (Kronecker substitution in the Hamiltonian index; Harvey, J.
@@ -377,9 +335,8 @@ def verify_involution(
     h_i 2^(beta i), each h_i's coefficients in their own beta-bit slot of
     one int, so slot i of each result coefficient is the int numerator of
     {H_i, H_j}.  The slots are read back as balanced (signed) base-2^beta
-    digits and divided by den_i den_j; where the pass gives only zeros, the
-    usual commuting case, nothing is decoded.  K Hamiltonians take K - 1
-    passes, not K(K - 1)/2.
+    digits, the top one as what the lower ones leave, and divided by
+    den_i den_j.  K Hamiltonians take K - 1 passes, not K(K - 1)/2.
 
     The read is exact.  Let |h| be the sum of |k| deg(m) over the terms k m
     of h.  A result term of {h_i, h_j} gets one contribution from each pair
@@ -388,6 +345,12 @@ def verify_involution(
     a != b and they give x_qq and -x_pp, two different monomials.  So every
     slot is at most |h_i| |h_j| <= M^2, M the largest |h|, and
     beta = bitlength(M^2) + 1 keeps it below 2^(beta - 1).
+
+    Only the non-zero slots are decoded, each key site by site in ascending
+    order, so each monomial comes out with its generators ascending: the gcd
+    of a key with a site's primes' product is one of them or is split by
+    them.  The decode's prime index and site products are built on the first
+    non-zero pass, so a commuting family decodes nothing.
     """
     for ham in hams:
         _check_member(ham, alg)
@@ -397,8 +360,9 @@ def verify_involution(
     beta = (norm * norm).bit_length() + 1
     base, half = 1 << beta, 1 << beta - 1
     partners = _partners(alg.matrix_size)
+    nn = alg.matrix_size**2
+    index = sites = None
     batch: Partials = {}
-    nonzero = []
     for j in range(1, len(hams)):
         for gen, ks in parts[j - 1][1].items():
             into = batch.setdefault(gen, {})
@@ -406,20 +370,50 @@ def verify_involution(
                 into[r] = into.get(r, 0) + (c << beta * (j - 1))
         gden, gparts = parts[j]
         acc = _bracket_packed(batch, gparts, partners, primes)
+        slots: List[Dict[int, int]] = [{} for _ in range(j)]
         if any(acc.values()):
-            slots: List[Dict[int, int]] = [{} for _ in range(j)]
+            *lower, top = slots
             for key, v in acc.items():
-                for slot in slots:
+                for slot in lower:
                     d = (v + half) % base - half
                     if d:
                         slot[key] = d
                     v = (v - d) >> beta
-            for i, slot in enumerate(slots):
-                if slot:
-                    value = _unpack(alg, slot, parts[i][0] * gden, primes)
-                    nonzero.append((i, j, value.to_string()))
+                if v:
+                    top[key] = v
         del acc  # one pass's sums at a time
-    return InvolutionReport(pair_count=comb(len(hams), 2), nonzero_pairs=tuple(sorted(nonzero)))
+        for i, slot in enumerate(slots):
+            if not slot:
+                continue
+            if index is None:
+                index = {p: g for g, p in enumerate(primes)}
+                sites = [primes[o : o + nn] for o in range(0, len(primes), nn)]
+                sites = [(prod(ps), ps) for ps in sites]
+            den, terms = parts[i][0] * gden, []
+            for key, k in slot.items():
+                mono = []
+                for whole, ps in sites:
+                    if key == 1:
+                        break
+                    d = key if key in index else gcd(key, whole)  # a prime key is its last factor
+                    if d > 1:
+                        for p in (d,) if d in index else [p for p in ps if d % p == 0]:
+                            e = 0
+                            while not key % p:
+                                key //= p
+                                e += 1
+                            mono.append((index[p], e))
+                terms.append((tuple(mono), Fraction(k, den)))
+            yield i, j, PoissonPolynomial(alg, tuple(sorted(terms)))
+
+
+def verify_involution(
+    hams: Sequence[PoissonPolynomial], alg: LiePoissonAlgebra
+) -> InvolutionReport:
+    """Bracket every pair of Hamiltonians (_brackets) and list, in pair
+    order, the pairs whose bracket is not identically zero."""
+    nonzero = sorted((i, j, value.to_string()) for i, j, value in _brackets(hams, alg))
+    return InvolutionReport(pair_count=comb(len(hams), 2), nonzero_pairs=tuple(nonzero))
 
 
 # Largest point count s that hitchin_coefficient_hamiltonians accepts per

@@ -548,6 +548,15 @@ def test_unwritable_report_is_one_stderr_line(tmp_path, capsys, payload):
     assert err.endswith("\n") and not out_path.parent.exists()
 
 
+def test_csv_into_a_directory_is_one_io_error_line(tmp_path, capsys):
+    """spectral --csv naming a directory: exit 1, nothing on stdout and one
+    'i/o error:' line on stderr."""
+    cfg = write_config(tmp_path, EFH)
+    code, out, err = run_cli(capsys, ["spectral", "--config", cfg, "--csv", str(tmp_path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("i/o error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_timing_seconds_is_a_duration(tmp_path, capsys):
     """timing_seconds lies between 0 and the wall time of the main call
     around it."""
@@ -923,6 +932,33 @@ CONFIG_ERRORS = {
         "stability",
         {"options": {"rank2": {"split_degrees": [0, 0], "points": 0}}},
         "options.rank2.points must be a list",
+    ),
+    "rank2-no-split-degrees": (
+        "stability",
+        {"options": {"rank2": {"flags": []}}},
+        "options.rank2 needs split_degrees [a1, a2]",
+    ),
+    # Values of the wrong kind, and a config that is not an object.
+    "x-boolean": (
+        "gaudin",
+        dict(EFH, points=[{"x": True}, {"x": 1}, {"x": 2}]),
+        "points[0].x: expected a rational, got a boolean",
+    ),
+    "rank-fraction": (
+        "gaudin",
+        dict(EFH, group={"family": "A", "rank": "3/2", "form": "SL"}),
+        "group.rank: expected an integer, got 3/2",
+    ),
+    "residue-row-length": (
+        "gaudin",
+        dict(EFH, residues=[[[0, 1], [0]], *EFH["residues"][1:]]),
+        "residues[0]: row 1 must have 2 entries",
+    ),
+    "root-list": ("gaudin", [EFH], "config root must be a JSON object"),
+    "emit-csv-not-string": (
+        "spectral",
+        dict(EFH, options={"emit_csv": 5}),
+        "options.emit_csv must be a path string",
     ),
 }
 

@@ -294,6 +294,8 @@ def test_hitchin_map_rejects_non_type_a():
     )
     with pytest.raises(UnsupportedRealizationError):
         hitchin_map(bad)
+    with pytest.raises(UnsupportedRealizationError):
+        spectral_curve(bad)
 
 
 # -- Gaudin -------------------------------------------------------------------

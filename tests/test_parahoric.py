@@ -19,6 +19,7 @@ from logahoric.errors import (
     NormalizationError,
     ShapeError,
     TraceError,
+    UnsupportedRealizationError,
 )
 from logahoric.parahoric import (
     MEMBER_NONE,
@@ -204,6 +205,7 @@ def test_membership_examples():
     assert membership(t0, d) == MEMBER_PARAHORIC
     deep = loop_element(A1, roots={(NEG_ALPHA, -1): 1})
     assert membership(deep, d) == MEMBER_NONE
+    assert membership(loop_element(A1, torus={-1: [1]}), d) == MEMBER_NONE
     assert membership(loop_zero(A1), d) == MEMBER_PLUS
 
 
@@ -355,6 +357,38 @@ def test_laurent_to_loop_rejects_trace():
     m = {0: [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(0)]]}
     with pytest.raises(TraceError):
         laurent_to_loop(A1, m)
+
+
+B2 = build_root_system("B", 2)
+
+LOOP_REFUSALS = {
+    "torus-length": (lambda: loop_element(A1, torus={0: [1, 2]}), ShapeError, "length 1"),
+    "non-root": (lambda: loop_element(A1, roots={((2,), 0): 1}), ShapeError, "not a root of A1"),
+    "mixed-systems": (
+        lambda: loop_bracket(loop_zero(A1), loop_zero(A2)),
+        ShapeError,
+        "mixed root systems: A1 vs A2",
+    ),
+    "to-laurent-B2": (lambda: loop_to_laurent(loop_zero(B2)), UnsupportedRealizationError, "type A"),
+    "to-loop-B2": (lambda: laurent_to_loop(B2, {}), UnsupportedRealizationError, "type A"),
+    "levi-evaluate-B2": (
+        lambda: levi_evaluate(loop_zero(B2), wt(B2, 0, 0)),
+        UnsupportedRealizationError,
+        "type-A",
+    ),
+    "laurent-size": (
+        lambda: laurent_to_loop(A1, {3: linalgq.zeros(3)}),
+        ShapeError,
+        "coefficient at z\\^3 must be 2x2",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(LOOP_REFUSALS))
+def test_loop_layer_refusals(case):
+    call, error, message = LOOP_REFUSALS[case]
+    with pytest.raises(error, match=message):
+        call()
 
 
 # -- degrees and slopes ------------------------------------------------------

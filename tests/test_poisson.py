@@ -388,6 +388,8 @@ def test_mul_and_to_string_reject_foreign_generator():
     with pytest.raises(AlgebraMismatchError):
         x * other
     assert (x * x).to_string() == "x0_10^2"
+    assert x * 2 == 2 * x == x.scaled(2)
+    assert PoissonPolynomial.constant(alg, Fraction(-3, 2)).to_string() == "-3/2"
 
 
 def test_add_and_sub_reject_foreign_generator():
@@ -922,6 +924,8 @@ def test_moment_map_rejects_inadmissible_residue():
 
 
 def test_moment_map_shape_errors():
+    with pytest.raises(ShapeError, match="sites must be a sequence"):
+        MomentValue(sites=5)
     rng = random.Random(115)
     f = rnd_field(rng, 2, 2)
     with pytest.raises(ShapeError):

@@ -22,6 +22,7 @@ def test_trim_and_degree():
     assert polyq.degree([Fraction(3)]) == 0
     assert polyq.degree(poly([0, 0, 5])) == 2
     assert polyq.is_zero(poly([0, 0]))
+    assert polyq.scale(poly([1, 2]), 0) == []
 
 
 def test_evaluate_horner():

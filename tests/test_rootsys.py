@@ -153,6 +153,16 @@ def test_entry_map_rejects_non_type_a():
     rs = build_root_system("B", 2)
     with pytest.raises(UnsupportedRealizationError):
         root_to_entry(rs, rs.roots[0])
+    with pytest.raises(UnsupportedRealizationError):
+        entry_to_root(rs, 0, 1)
+
+
+def test_entry_map_rejects_non_roots_and_the_diagonal():
+    rs = build_root_system("A", 1)
+    with pytest.raises(ShapeError, match="not a root of A_1"):
+        root_to_entry(rs, (2,))
+    with pytest.raises(ShapeError, match="diagonal"):
+        entry_to_root(rs, 0, 0)
 
 
 def test_cocharacter_diagonal_matches_pairings():
