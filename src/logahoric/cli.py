@@ -2,7 +2,8 @@
 the library, and emit a machine-readable report (and optionally a CSV).
 
 All rational values cross the boundary as strings of the form "p/q" or an
-integer literal; no floating point is accepted or produced in the payload.
+integer literal, read by the library's one number reader linalgq.rational
+with ConfigError as its error; no floating point is accepted or produced.
 Reports are serialized with sorted keys so that identical configs give
 identical bytes, except for the timing field, which golden comparisons
 must exclude.
@@ -21,7 +22,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _escape
 from typing import List, Optional, Sequence, Tuple
 
-from . import __version__, higgs, parahoric, poisson, polyq
+from . import __version__, higgs, linalgq, parahoric, poisson, polyq
 from .errors import ConfigError, LogahoricError
 from .higgs import LogHiggsField
 from .parahoric import ReductionDatum
@@ -32,40 +33,12 @@ from .rootsys import GroupTag, RationalCocharacter, build_root_system
 # ---------------------------------------------------------------------------
 
 
-def _rat(value, where: str) -> Fraction:
-    if isinstance(value, bool):
-        raise ConfigError(f"{where}: expected a rational, got a boolean")
-    if isinstance(value, float):
-        raise ConfigError(
-            f"{where}: floating point is not accepted; write rationals as 'p/q' strings"
-        )
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        # Fraction(str) reads "[sign]digits[/digits]" with \d, the set that
-        # str.isdecimal tests.  The common form "[-]digits[/digits]" is read
-        # here in ints; every other string (spaces, '+', '_', decimals,
-        # exponents) goes to Fraction itself, so the grammar is Fraction's.
-        num, slash, den = value.partition("/")
-        digits = num[1:] if num[:1] == "-" else num
-        try:
-            if digits.isdecimal() and (den.isdecimal() or not slash):
-                return Fraction(int(num), int(den or 1))
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise ConfigError(f"{where}: {value!r} is not a rational 'p/q' string")
-    raise ConfigError(f"{where}: expected a rational string, got {type(value).__name__}")
+def _rat(value, where: str):
+    return linalgq.rational(value, where, ConfigError)
 
 
 def _int(value, where: str) -> int:
-    if value is None:
-        raise ConfigError(f"{where}: missing required integer")
-    if not isinstance(value, (int, float, str)):
-        raise ConfigError(f"{where}: expected an integer, got {type(value).__name__}")
-    f = _rat(value, where)
-    if f.denominator != 1:
-        raise ConfigError(f"{where}: expected an integer, got {f}")
-    return f.numerator
+    return linalgq.integer(value, where, ConfigError)
 
 
 def _list(value, where: str, item=_rat, nonempty: bool = False) -> list:

@@ -9,7 +9,9 @@ There is one elimination routine, the fraction-free _echelon in ints:
 `rank` counts its pivots and `nullspace` back-substitutes through its rows.
 `inverse` runs no elimination; it comes from `char_coeffs` by
 Cayley-Hamilton.  `integer_form` is the package's one step that clears
-rationals to integers over a common denominator.
+rationals to integers over a common denominator.  `rational` is the one
+number reader: `rationals`, `integer`, the library's entry points and the
+CLI read user numbers through it, and it refuses bools and floats.
 """
 
 from __future__ import annotations
@@ -49,16 +51,51 @@ def has_shape(value, length: int | None, width: int | None = None) -> bool:
     return width is None or all(has_shape(v, width) for v in value)
 
 
+def rational(value, where: str, error=ShapeError):
+    """value as a rational, the package's one number reader: an int or a
+    Fraction as it is, a string as Fraction(str) reads it; anything else
+    (bools and floats too) raises error("where: ...")."""
+    if type(value) is int or type(value) is Fraction:
+        return value
+    if isinstance(value, str):
+        # The common form "[-]digits[/digits]" is read here in ints, with the
+        # \d digits (str.isdecimal) Fraction(str) reads; every other string
+        # (spaces, '+', '_', decimals, exponents) goes to Fraction itself.
+        num, slash, den = value.partition("/")
+        digits = num[1:] if num[:1] == "-" else num
+        try:
+            if digits.isdecimal() and (den.isdecimal() or not slash):
+                return Fraction(int(num), int(den or 1))
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise error(f"{where}: {value!r} is not a rational 'p/q' string")
+    if isinstance(value, bool):
+        raise error(f"{where}: expected a rational, got a boolean")
+    if isinstance(value, float):
+        raise error(f"{where}: floating point is not accepted; write rationals as 'p/q' strings")
+    raise error(f"{where}: expected a rational string, got {type(value).__name__}")
+
+
+def integer(value, where: str, error=ShapeError) -> int:
+    """value as an int: an int, or a rational that `rational` reads with
+    denominator 1 (Fraction(4, 2), "3"); any other value raises error."""
+    if value is None:
+        raise error(f"{where}: missing required integer")
+    if not isinstance(value, (int, float, str, Fraction)):
+        raise error(f"{where}: expected an integer, got {type(value).__name__}")
+    q = rational(value, where, error)
+    if q.denominator != 1:
+        raise error(f"{where}: expected an integer, got {q}")
+    return q.numerator
+
+
 def rationals(values, what: str, error=ShapeError) -> list:
-    """values as a list of rationals, ints and Fractions as they are, for the
-    library's entry points; an entry that is not one raises error(what[i])."""
+    """values as a list of what `rational` reads, entry i named what[i]; the
+    name is built only for an entry that is not an int or a Fraction."""
     out = list(values)
     for i, v in enumerate(out):
         if type(v) is not int and type(v) is not Fraction:
-            try:
-                out[i] = Fraction(v)
-            except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-                raise error(f"{what}[{i}] must be a rational, got {v!r}")
+            out[i] = rational(v, f"{what}[{i}]", error)
     return out
 
 

@@ -76,18 +76,19 @@ class ParahoricDatum:
 def analyze_weight(rs: RootSystem, theta: RationalCocharacter) -> ParahoricDatum:
     """Jump table, Levi root set, radical grading and facet class of theta.
 
-    theta is cleared once by linalgq.integer_form to cs/den, and
-    u_j = sum_i cs_i * cartan[i][j] folds the Cartan matrix in, so each
-    root's pairing r(theta) = (u . r)/den is one int dot product.  One
-    divmod by den gives its floor q and remainder: the jump
-    ceil(-r(theta)) is -q, and r is a Levi root exactly when the remainder
-    is 0 (integer pairing).  rootsys.pair is the scalar reference.  theta
-    of another coordinate count, or with a coordinate that is not a
-    rational, raises ShapeError.
+    theta, read by linalgq.rationals and kept so in the datum, is cleared
+    once by linalgq.integer_form to cs/den; u_j = sum_i cs_i * cartan[i][j]
+    folds the Cartan matrix in, so each root's pairing r(theta) = (u . r)/den
+    is one int dot product.  One divmod by den gives its floor q and
+    remainder: the jump ceil(-r(theta)) is -q, and r is a Levi root exactly
+    when the remainder is 0 (integer pairing).  rootsys.pair is the scalar
+    reference.  theta of another coordinate count, or with a coordinate
+    that is not a rational, raises ShapeError.
     """
     if not linalgq.has_shape(theta.coeffs, rs.rank):
         raise ShapeError(f"theta needs {rs.rank} coroot coordinates, the system rank")
-    den, cs = linalgq.integer_form(linalgq.rationals(theta.coeffs, "theta"))
+    theta = RationalCocharacter(tuple(linalgq.rationals(theta.coeffs, "theta")))
+    den, cs = linalgq.integer_form(theta.coeffs)
     u = [sum(map(mul, cs, col)) for col in zip(*rs.cartan_matrix)]
     jumps: Dict[Root, int] = {}
     levi: List[Root] = []
@@ -334,23 +335,11 @@ class ReductionDatum:
         degree or rank that is not an integer, or a pairing that is not a
         rational, raises InvalidReductionError."""
         for name in ("sub_degree", "sub_rank", "total_degree", "total_rank"):
-            value = _integer(getattr(self, name), name, InvalidReductionError)
+            value = linalgq.integer(getattr(self, name), name, InvalidReductionError)
             object.__setattr__(self, name, value)
         for name in ("weight_pairings", "total_pairings"):
             values = linalgq.rationals(getattr(self, name), name, InvalidReductionError)
             object.__setattr__(self, name, tuple(map(Fraction, values)))
-
-
-def _integer(value, what: str, error) -> int:
-    """value as an int when it is an integer (an int, or a rational such as
-    Fraction(4, 2) or "3" with denominator 1); otherwise error is raised."""
-    try:
-        q = Fraction(value)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-        raise error(f"{what} must be an integer, got {value!r}")
-    if q.denominator != 1:
-        raise error(f"{what} must be an integer, got {q}")
-    return q.numerator
 
 
 VERDICT_STABLE = "stable-pass"
@@ -550,7 +539,7 @@ def rank2_semistability(
         )
     if not linalgq.has_shape(split_degrees, 2):
         raise ShapeError("split_degrees must be a pair (a1, a2)")
-    a1, a2 = (_integer(a, "each split degree", ShapeError) for a in split_degrees)
+    a1, a2 = (linalgq.integer(a, f"split_degrees[{i}]") for i, a in enumerate(split_degrees))
     if abs(a1 - a2) > RANK2_MAX_GAP:
         raise ShapeError(
             f"rank-2 enumeration takes a split-degree gap of at most "

@@ -442,8 +442,9 @@ def hitchin_coefficient_hamiltonians(
     of that product of the int polyq.lagrange_weights of the a_k at tau =
     t*d_x, t = 0..i(s-1), over d_x^((s-1)i).  Every non-zero z-coefficient
     is a Hamiltonian, by ascending i, then power of z.  Non-rational points,
-    or shapes past HITCHIN_INVOLUTION_MAX_POINTS, raise ShapeError.
+    a non-integer n or shapes past HITCHIN_INVOLUTION_MAX_POINTS raise ShapeError.
     """
+    n = linalgq.integer(n, "n")
     limit = HITCHIN_INVOLUTION_MAX_POINTS.get(n)
     if limit is None:
         raise ShapeError(

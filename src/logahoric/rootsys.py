@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
+from . import linalgq
 from .errors import ShapeError, UnsupportedRealizationError, UnsupportedTypeError
 
 Root = Tuple[int, ...]
@@ -61,6 +62,7 @@ class GroupTag:
     def __post_init__(self):
         if self.form not in ("SL", "GL"):
             raise UnsupportedTypeError(f"unknown form {self.form!r}; use SL or GL")
+        object.__setattr__(self, "rank", linalgq.integer(self.rank, "rank", UnsupportedTypeError))
         if self.rank < 0:
             raise UnsupportedTypeError(f"rank must be at least 0, got {self.rank}")
 
@@ -130,6 +132,7 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     2 * sum(d_i - 1) roots the invariant degrees d_i fix, and any other
     count raises RuntimeError: the tables, not the input, are then wrong.
     """
+    rank = linalgq.integer(rank, "rank", UnsupportedTypeError)
     _validate_type(family, rank)
     cartan = _cartan(family, rank)
     degrees = _degrees(family, rank)
@@ -190,27 +193,23 @@ def negate(root: Root) -> Root:
 
 
 def root_to_entry(rs: RootSystem, root: Sequence[int]) -> Tuple[int, int]:
-    """Map a type-A root to the matrix position (p, q) of its root space E_pq."""
+    """Map a type-A root to the matrix position (p, q) of its root space E_pq:
+    the differences (a_0, a_1 - a_0, ..., -a_last) of its coordinates are
+    e_p - e_q, and any other vector raises ShapeError."""
     if rs.family != "A":
         raise UnsupportedRealizationError("root_to_entry is a type-A operation")
-    n = rs.rank + 1
-    v = [0] * n
-    v[0] = root[0]
-    for i in range(1, rs.rank):
-        v[i] = root[i] - root[i - 1]
-    v[n - 1] = -root[rs.rank - 1]
-    try:
-        p = v.index(1)
-        q = v.index(-1)
-    except ValueError:
+    v = [a - b for a, b in zip((*root, 0), (0, *root))]
+    if sorted(v) != [-1] + [0] * (rs.rank - 1) + [1]:
         raise ShapeError(f"{tuple(root)} is not a root of A_{rs.rank}")
-    return p, q
+    return v.index(1), v.index(-1)
 
 
 def entry_to_root(rs: RootSystem, p: int, q: int) -> Root:
     """Inverse of root_to_entry: the root whose root space is E_pq."""
     if rs.family != "A":
         raise UnsupportedRealizationError("entry_to_root is a type-A operation")
+    if min(p, q) < 0 or max(p, q) > rs.rank:
+        raise ShapeError(f"({p}, {q}) is not a matrix position of A_{rs.rank}")
     if p == q:
         raise ShapeError("diagonal positions are torus directions, not roots")
     coords = [0] * rs.rank

@@ -18,9 +18,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from logahoric import __version__, cli, higgs, parahoric, poisson, polyq
+from logahoric import __version__, cli, higgs, linalgq, parahoric, poisson, polyq
 from logahoric.cli import main
-from logahoric.errors import ConfigError
+from logahoric.errors import ConfigError, ShapeError
 from support import poly
 
 EFH = {
@@ -720,16 +720,18 @@ def test_rat_refused_values(tmp_path, capsys, value):
 @example("9" * 5000)  # past int's digit limit (Python 3.11+): both refuse
 @example("-1/" + "9" * 5000)
 def test_rat_reads_what_fraction_reads(text):
-    """_rat accepts exactly the strings Fraction(str) accepts, with the same
-    value, and refuses every other one with ConfigError."""
-    try:
-        expected = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        with pytest.raises(ConfigError, match="is not a rational 'p/q' string"):
-            cli._rat(text, "x")
-    else:
-        value = cli._rat(text, "x")
-        assert type(value) is Fraction and value == expected
+    """_rat, and linalgq.rational under it with the library's ShapeError,
+    accept exactly the strings Fraction(str) accepts, with the same value,
+    and refuse every other one with their error class."""
+    for read, error in [(cli._rat, ConfigError), (linalgq.rational, ShapeError)]:
+        try:
+            expected = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(error, match="is not a rational 'p/q' string"):
+                read(text, "x")
+        else:
+            value = read(text, "x")
+            assert type(value) is Fraction and value == expected
 
 
 def test_unknown_command_in_config(tmp_path, capsys):

@@ -21,7 +21,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logahoric import linalgq
-from logahoric.errors import InvalidReductionError, LogahoricError, ShapeError
+from logahoric.errors import (
+    InvalidReductionError,
+    LogahoricError,
+    ShapeError,
+    UnsupportedTypeError,
+)
 from logahoric.higgs import build_field
 from logahoric.parahoric import ReductionDatum, analyze_weight, rank2_semistability
 from logahoric.poisson import (
@@ -193,10 +198,11 @@ def test_text_is_not_a_sequence():
             call()
 
 
-@pytest.mark.parametrize("bad", ["x", "1/0", None, [1]])
+@pytest.mark.parametrize("bad", ["x", "1/0", None, [1], 0.5, True])
 def test_rank2_semistability_names_an_entry_that_is_not_a_rational(bad):
-    """A flag coordinate, weight or point that Fraction cannot read is a
-    ShapeError naming the entry, not a bare ValueError or TypeError."""
+    """A flag coordinate, weight or point that linalgq.rational refuses (a
+    float and a bool among them) is a ShapeError naming the entry, not a
+    bare ValueError or TypeError."""
     args = {"split_degrees": (1, 0), "flags": [(1, 0), (1, 1)],
             "weights": [(0, 0), (Fraction(1, 2), 0)], "points": [0, 1]}
     rank2_semistability(**args)
@@ -211,16 +217,17 @@ def test_rank2_semistability_names_an_entry_that_is_not_a_rational(bad):
             node[i] = list(node[i])
             node = node[i]
         node[where[-1]] = bad
-        with pytest.raises(ShapeError, match=at + " must be a rational"):
+        with pytest.raises(ShapeError, match=at + ": .*rational"):
             rank2_semistability(**bad_args)
 
 
-@pytest.mark.parametrize("bad", ["x", "1/0", None, [1]])
+@pytest.mark.parametrize("bad", ["x", "1/0", None, [1], 0.5, True])
 def test_every_entry_point_names_a_number_that_is_not_a_rational(bad):
-    """A point, residue entry, theta coordinate or pairing that Fraction
-    cannot read is refused with a domain error naming the entry, at every
-    entry point that reads numbers through linalgq.rationals, not with a
-    bare ValueError or TypeError there or later, in moment_map."""
+    """A point, residue entry, theta coordinate or pairing that
+    linalgq.rational refuses (a float and a bool among them) is refused with
+    a domain error naming the entry, at every entry point that reads numbers
+    through linalgq.rationals, not with a bare ValueError or TypeError there
+    or later, in moment_map."""
     gl2 = GroupTag("A", 1, "GL")
     zero = [[0, 0], [0, 0]]
     for call, error, at in [
@@ -237,8 +244,27 @@ def test_every_entry_point_names_a_number_that_is_not_a_rational(bad):
          r"total_pairings\[0\]"),
         (lambda: hitchin_coefficient_hamiltonians([0, bad], 2), ShapeError, r"points\[1\]"),
     ]:
-        with pytest.raises(error, match=at + " must be a rational"):
+        with pytest.raises(error, match=at + ": .*rational"):
             call()
+
+
+@pytest.mark.parametrize("bad", [2.0, True, "x", Fraction(3, 2), None])
+def test_integer_fields_name_a_value_that_is_not_an_integer(bad):
+    """The matrix size n of hitchin_coefficient_hamiltonians and the rank of
+    a GroupTag or of build_root_system are read by linalgq.integer: a float,
+    a bool or a non-integer is a domain error naming the field, where n = 2.0
+    once ended in a bare TypeError and a rank of True was read as 1."""
+    for call, error, at in [
+        (lambda: hitchin_coefficient_hamiltonians([0, 1], bad), ShapeError, "n"),
+        (lambda: GroupTag("A", bad, "SL"), UnsupportedTypeError, "rank"),
+        (lambda: build_root_system("A", bad), UnsupportedTypeError, "rank"),
+    ]:
+        with pytest.raises(error, match=f"^{at}: "):
+            call()
+    tag = GroupTag("A", Fraction(4, 2), "SL")
+    assert type(tag.rank) is int and tag == GroupTag("A", "2", "SL")
+    assert tag.matrix_size == 3
+    assert build_root_system("A", Fraction(2)) == SYSTEMS[2]
 
 
 def test_rational_strings_are_read_as_rationals():
@@ -254,3 +280,6 @@ def test_rational_strings_are_read_as_rationals():
     assert moment_map(as_text) == moment_map(exact)
     hams = hitchin_coefficient_hamiltonians
     assert hams(["0", "1/2"], 2) == hams([0, half], 2)
+    a1 = SYSTEMS[1]
+    assert analyze_weight(a1, RationalCocharacter(("1/2",))) == analyze_weight(
+        a1, RationalCocharacter((half,)))

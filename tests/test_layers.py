@@ -3,7 +3,7 @@
 A stdlib `ast` scan of src/logahoric checks three things:
 
 - the graph of imports between the package's own modules, counting an
-  import wherever it sits, is acyclic (today rootsys, linalgq, polyq,
+  import wherever it sits, is acyclic (today linalgq, rootsys, polyq,
   parahoric, poisson, higgs, cli, each importing only from earlier ones
   and errors);
 - every import is a top-level statement of its module, so none is hidden

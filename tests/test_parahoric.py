@@ -422,14 +422,15 @@ def test_slope_test_rank_bounds():
         slope_test(ReductionDatum(0, 0, 0, 2))
 
 
-@pytest.mark.parametrize("bad", [Fraction(3, 2), "1/2", "x", 1.5, None])
+@pytest.mark.parametrize("bad", [Fraction(3, 2), "1/2", "x", 1.5, None, 2.0, True])
 def test_reduction_degrees_and_ranks_must_be_integers(bad):
     """A degree or rank that is not an integer is refused, not truncated
-    (3/2 once became sub_degree 1) or left to raise a bare ValueError."""
-    for i in range(4):
+    (3/2 once became sub_degree 1), read from a float or a bool, or left
+    to raise a bare ValueError."""
+    for i, name in enumerate(["sub_degree", "sub_rank", "total_degree", "total_rank"]):
         args = [0, 1, 0, 2]
         args[i] = bad
-        with pytest.raises(InvalidReductionError, match="must be an integer"):
+        with pytest.raises(InvalidReductionError, match=f"^{name}: "):
             ReductionDatum(*args)
     assert ReductionDatum(Fraction(4, 2), "1", 0, 2).sub_degree == 2
 
@@ -439,7 +440,7 @@ def test_reduction_datum_checks_its_fields_when_built():
     degree of 3/2 is refused, where it once reached slope_test and read
     as a failing reduction, and accepted values are kept as ints and
     Fractions."""
-    with pytest.raises(InvalidReductionError, match="sub_degree must be an integer"):
+    with pytest.raises(InvalidReductionError, match="sub_degree: expected an integer"):
         slope_test(ReductionDatum(Fraction(3, 2), 1, 0, 2))
     rd = ReductionDatum(Fraction(4, 2), "1", 0, 2, ["1/4"], [Fraction(1, 4), 0])
     assert [type(v) for v in (rd.sub_degree, rd.sub_rank)] == [int, int]
@@ -448,12 +449,12 @@ def test_reduction_datum_checks_its_fields_when_built():
     assert slope_test(rd) == VERDICT_FAIL
 
 
-@pytest.mark.parametrize("bad", [Fraction(5, 2), "1/2", "x", 0.5, None])
+@pytest.mark.parametrize("bad", [Fraction(5, 2), "1/2", "x", 0.5, None, 2.0, True])
 def test_rank2_split_degrees_must_be_integers(bad):
-    """A split degree that is not an integer is a ShapeError: (5/2, 0) once
-    ran as the gap-2 bundle (2, 0)."""
-    for split in [(bad, 0), (0, bad)]:
-        with pytest.raises(ShapeError, match="must be an integer"):
+    """A split degree that is not an integer, or is a float or a bool, is a
+    ShapeError naming it: (5/2, 0) once ran as the gap-2 bundle (2, 0)."""
+    for i, split in enumerate([(bad, 0), (0, bad)]):
+        with pytest.raises(ShapeError, match=rf"^split_degrees\[{i}\]: "):
             rank2_semistability(split, [(1, 0)], [(Fraction(1, 2), 0)])
     assert rank2_semistability((Fraction(4, 2), 0)) == rank2_semistability((2, 0))
 

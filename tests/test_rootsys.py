@@ -158,11 +158,21 @@ def test_entry_map_rejects_non_type_a():
 
 
 def test_entry_map_rejects_non_roots_and_the_diagonal():
+    """A vector that is not a root, of any length, and a position off the
+    matrix or on its diagonal are refused, not mapped to a neighbour's
+    entry or root or left to raise IndexError."""
     rs = build_root_system("A", 1)
     with pytest.raises(ShapeError, match="not a root of A_1"):
         root_to_entry(rs, (2,))
     with pytest.raises(ShapeError, match="diagonal"):
         entry_to_root(rs, 0, 0)
+    a3 = build_root_system("A", 3)
+    for root in [(1, 0, 1), (1, 1, 1, 1), (1,)]:
+        with pytest.raises(ShapeError, match="not a root of A_3"):
+            root_to_entry(a3, root)
+    for p, q in [(-1, 2), (0, 4)]:
+        with pytest.raises(ShapeError, match=r"not a matrix position of A_3"):
+            entry_to_root(a3, p, q)
 
 
 def test_cocharacter_diagonal_matches_pairings():
