@@ -8,18 +8,19 @@ sum-zero rule on residues is exactly regularity at infinity and caps deg A
 at s-2.
 
 Every value of A comes from one sampler, _lax_samples, as an int matrix
-B = D*A, and every polynomial in z from one route, polyq.interpolate on the
-nodes t = 0..N: the entries of A, the characteristic coefficients (of the
-int B at t = 0..n deg A) and the discriminant.  Sample counts use the bound
-deg A <= s-2 for fields regular at infinity and s-1 otherwise; samples
-past the true degree leave the interpolant exact and the same.
+B = D*A, and every polynomial in z (the entries of A, the characteristic
+coefficients, the discriminant) from polyq.interpolate of int values at
+t = 0..N over one denominator, one Fraction per coefficient.  Sample
+counts use deg A <= s-2 for fields regular at infinity and s-1 otherwise;
+samples past the true degree leave the interpolant exact and the same.
 
 Invariant sections are characteristic coefficients of A(z), signed so the
 degree-i section is the i-th elementary symmetric function of eigenvalues.
 The spectral data is the lambda-discriminant of det(lambda*I - A(z)),
-interpolated from its values at t = 0..n(n-1) deg A: the discriminants, in
-integers, of the characteristic polynomials of the samples B = D*A(t),
-divided by D^(n(n-1)) once.  Its squarefree test is one integer
+interpolated from its int values at t = 0..n(n-1) deg A over D^(n(n-1)):
+the discriminants of the characteristic polynomials of B = D*A(t), whose
+coefficients Berkowitz gives at t = 0..n deg A and forward differences,
+in int additions, past that.  Its squarefree test is one integer
 gcd-degree routine, run modulo a prime as a certificate and over Q as the
 fallback, and a size cap keeps that fallback affordable.  The genus comes
 from Riemann-Hurwitz bookkeeping over P^1: the discriminant, as a form of
@@ -48,6 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -164,10 +166,8 @@ def clear_denominators(f: LogHiggsField) -> PolynomialMatrix:
     interpolated from its values at t = 0..s-1 (deg A <= s - 1)."""
     n = f.matrix_size
     big_d, values = _lax_samples(f, range(f.site_count))
-    entries = [
-        [polyq.interpolate([Fraction(b[p][q], big_d) for b in values]) for q in range(n)]
-        for p in range(n)
-    ]
+    entries = [[polyq.interpolate([b[p][q] for b in values], big_d) for q in range(n)]
+               for p in range(n)]
     deg = max(polyq.degree(e) for row in entries for e in row)
     return PolynomialMatrix(
         coeffs=tuple(
@@ -182,24 +182,34 @@ def invariant_degrees(f: LogHiggsField) -> List[int]:
     return list(range(1, n + 1)) if f.group.form == "GL" else list(range(2, n + 1))
 
 
-def _char_coeff_polys(
-    f: LogHiggsField, top: int
-) -> Tuple[List[Coeffs], int, List[List[Fraction]]]:
+def _char_coeff_polys(f: LogHiggsField, top: int) -> Tuple[List[Coeffs], int, List[List[int]]]:
     """[c_0(z), ..., c_n(z)] with det(lambda*I - A(z)) = sum c_k lambda^k,
-    D, and the characteristic coefficients [c_0(B), ..., c_n(B)], all
-    integers, of the int samples B = B(t d_x) = D*A(t) of _lax_samples at
-    t = 0..top, so that c_k(A(t)) = c_k(B)/D^(n-k).
+    D, and the int characteristic coefficients [c_0(B), ..., c_n(B)] of the
+    samples B = B(t d_x) = D*A(t) of _lax_samples at t = 0..top.  As
+    deg c_k(B(t d_x)) <= (n - k) deg A in t, linalgq.char_coeffs runs at
+    t = 0..n deg A only; c_k is interpolated over D^(n-k) from its first
+    (n - k) deg A + 1 values, and _continue takes them on to t = top."""
+    n, deg = f.matrix_size, _degree_bound(f)
+    big_d, lax = _lax_samples(f, range(n * deg + 1))
+    heads = [ys[:(n - k) * deg + 1] for k, ys in enumerate(zip(*map(linalgq.char_coeffs, lax)))]
+    polys = [polyq.interpolate(ys, big_d ** (n - k)) for k, ys in enumerate(heads)]
+    chars = [list(c) for c in zip(*(_continue(ys, top) for ys in heads))]
+    return polys, big_d, chars[:top + 1]
 
-    Since deg c_k <= (n - k) deg A, the first n deg A + 1 samples determine
-    every c_k, and the c_k are interpolated from them; top must be at least
-    n times the bound _degree_bound on deg A.
-    """
-    n = f.matrix_size
-    big_d, lax = _lax_samples(f, range(top + 1))
-    chars = [linalgq.char_coeffs(b) for b in lax]
-    first = chars[: n * _degree_bound(f) + 1]
-    polys = [polyq.interpolate([c[k] / big_d ** (n - k) for c in first]) for k in range(n + 1)]
-    return polys, big_d, chars
+
+def _continue(ys: Sequence[int], top: int) -> List[int]:
+    """ys, the values at t = 0, 1, ... of a polynomial of degree < len(ys),
+    continued to t = top: its len(ys)-th difference is 0, so each step is a
+    running sum of the backward differences at the last node."""
+    out = list(ys)
+    diffs, row = [], out  # backward differences at the last node, highest first
+    while row and top >= len(out):
+        diffs.insert(0, row[-1])
+        row = [b - a for a, b in zip(row, row[1:])]
+    for _ in range(len(out), top + 1):
+        diffs = list(accumulate(diffs))
+        out.append(diffs[-1])
+    return out
 
 
 @dataclass(frozen=True)
@@ -219,10 +229,10 @@ def hitchin_map(f: LogHiggsField) -> HitchinImage:
     coefficients up to that degree, is max(i*(s'-2) + 1, 0).
     """
     n = f.matrix_size
-    cs, _, _ = _char_coeff_polys(f, n * _degree_bound(f))
+    cs, _, _ = _char_coeff_polys(f, 0)
     s = f.site_count if f.regular_at_infinity else f.site_count + 1
     degrees = invariant_degrees(f)
-    sections = tuple(polyq.scale(cs[n - i], -1 if i % 2 else 1) for i in degrees)
+    sections = tuple([-c for c in cs[n - i]] if i % 2 else cs[n - i] for i in degrees)
     ambient = tuple(max(i * (s - 2) + 1, 0) for i in degrees)
     return HitchinImage(degrees=tuple(degrees), sections=sections, ambient_dims=ambient)
 
@@ -254,9 +264,10 @@ def spectral_curve(f: LogHiggsField) -> SpectralCurveData:
     characteristic coefficients, and deg c_k <= (n-k) deg A, so its degree is
     at most N = n(n-1) deg A.  det(lambda*I - A(t)) is monic in lambda, so
     the discriminant of its coefficients at t is the value at t of the one
-    over Q[z]; the values at t = 0..N are interpolated.  Each is taken in
-    ints, from the char_coeffs of the sample B = D*A(t); as B has D times
-    the eigenvalues of A(t), the interpolant is divided by D^(n(n-1)) once.
+    over Q[z]; the values at t = 0..N are interpolated.  Each is the int
+    discriminant of the monic int char_coeffs of B = D*A(t) from
+    _char_coeff_polys; as B has D times the eigenvalues of A(t), the values
+    are interpolated over the one denominator D^(n(n-1)).
     The squarefree test is polyq.is_squarefree: a primitive integer
     pseudo-remainder sequence for the degree of gcd(disc, disc'), modulo a
     prime as a certificate and over Q as fallback.  The genus is N/2 - n + 1
@@ -275,10 +286,8 @@ def spectral_curve(f: LogHiggsField) -> SpectralCurveData:
             f"spectral needs a discriminant degree bound n(n-1)*deg A of at most "
             f"{SPECTRAL_MAX_DEGREE}; n = {n} with {f.site_count} points gives {bound}"
         )
-    # n = 1 has N = 0, but c_0 and c_1 need the nodes t = 0..deg A.
-    cs, big_d, chars = _char_coeff_polys(f, max(bound, n * deg))
-    discs = [polyq.discriminant(c) for c in chars]
-    disc = polyq.scale(polyq.interpolate(discs), Fraction(1, big_d ** (n * (n - 1))))
+    cs, big_d, chars = _char_coeff_polys(f, bound)
+    disc = polyq.interpolate(list(map(polyq.discriminant, chars)), big_d ** (n * (n - 1)))
     squarefree = not polyq.is_zero(disc) and polyq.is_squarefree(disc)
     branch = max(polyq.degree(disc), 0)
     genus: Optional[int] = None
@@ -305,14 +314,15 @@ def spectral_genus(n: int, s: int) -> int:
 def _residue_invariants(f: LogHiggsField, js=None) -> List[List[Fraction]]:
     """Per marked point x_j, j in js (default: all), the leading coefficients
     of the invariants e_1..e_n of L(z) there, from one _lax_samples call:
-    e_i(B(a_j)) / (D w_j(x_j))**i, as A(x_j) = B(a_j)/D, w_j(x_j) = prod(x_j - x_k)."""
+    e_i(B(a_j)) / (D w_j(x_j))**i, as A(x_j) = B(a_j)/D, with the int
+    D w_j(x_j) = d_r prod_(k != j)(a_j - a_k), x_k = a_k/d_x, D = d_x^(s-1) d_r."""
     js = range(f.site_count) if js is None else js
-    xs = [f.points[j] for j in js]
-    big_d, lax = _lax_samples(f, xs)
+    dx, a = linalgq.integer_form(f.points)
+    big_d, lax = _lax_samples(f, [f.points[j] for j in js])
     out = []
-    for j, x, at in zip(js, xs, lax):
-        denom = big_d * polyq.lagrange_weights(f.points, x)[j]
-        out.append([v / denom**i for i, v in enumerate(linalgq.invariant_values(at), 1)])
+    for j, at in zip(js, lax):
+        denom = big_d // dx ** (f.site_count - 1) * polyq.lagrange_weights(a, a[j])[j]
+        out.append([Fraction(v, denom**i) for i, v in enumerate(linalgq.invariant_values(at), 1)])
     return out
 
 

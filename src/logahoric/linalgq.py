@@ -3,7 +3,8 @@
 Matrices are plain lists of lists of numbers only: ints and Fractions.
 Most callers work with Fraction entries; the characteristic-polynomial
 routine is Berkowitz's division-free one, run on int matrices (rational
-ones are cleared to ints first).
+ones are cleared to ints first), ints in and ints out: `char_coeffs`, `det`
+and `invariant_values` are ints for an int matrix, else Fractions.
 
 There is one elimination routine, the fraction-free _echelon in ints:
 `rank` counts its pivots and `nullspace` back-substitutes through its rows.
@@ -19,6 +20,7 @@ from __future__ import annotations
 import math
 from collections import abc
 from fractions import Fraction
+from itertools import chain
 from operator import mul
 from typing import List, Sequence, Tuple
 
@@ -214,7 +216,7 @@ def nullspace(a) -> List[List[Fraction]]:
 
 def char_coeffs(m) -> list:
     """Coefficients [c_0, ..., c_n] of det(lambda*I - M), ascending in lambda,
-    for a matrix of numbers only (ints and Fractions), as Fractions.
+    for a matrix of numbers only: ints for an int matrix, else Fractions.
 
     Berkowitz's division-free recursion, from the last diagonal entry up: for
     a trailing block [[a, r], [s, B]], its coefficients, highest first, are
@@ -225,11 +227,10 @@ def char_coeffs(m) -> list:
     not a number raises TypeError there.
     """
     n = len(m)
-    d = 1
-    if {type(x) for row in m for x in row} - {int}:
-        d, flat = integer_form(x for row in m for x in row)
-        m = [flat[i * n:(i + 1) * n] for i in range(n)]
-    low = _berkowitz(m)
+    if set(map(type, chain.from_iterable(m))) <= {int}:
+        return _berkowitz(m)[::-1] + [1]
+    d, flat = integer_form(x for row in m for x in row)
+    low = _berkowitz([flat[i * n:(i + 1) * n] for i in range(n)])
     return [Fraction(c, d ** (n - k)) for k, c in enumerate(reversed(low))] + [Fraction(1)]
 
 

@@ -474,7 +474,7 @@ def hitchin_coefficient_hamiltonians(
         coeffs: List[Dict[Monomial, Fraction]] = [{} for _ in nodes]
         scale = dx ** ((s - 1) * i)
         for js in product(range(s), repeat=i):
-            zs = [c / scale for c in polyq.interpolate([prod(w[j] for j in js) for w in nodes])]
+            zs = polyq.interpolate([prod(w[j] for j in js) for w in nodes], scale)
             signed = (zs, [-c for c in zs])
             for rows, p in product(combinations(range(n), i), permutations(range(i))):
                 gens = sorted((j * n + r) * n + rows[k] for j, r, k in zip(js, rows, p))

@@ -5,10 +5,11 @@ and no trailing zeros; the zero polynomial is the empty list.  Arithmetic is
 dense.  The spectral route takes the discriminant of many sampled
 characteristic polynomials and interpolates a discriminant of degree 100 and
 more with coefficients of a few hundred bits, so its three routines work in
-integers: `discriminant` is the determinant (`linalgq.det`) of the Hankel
-matrix of Newton power sums, `interpolate` takes forward differences over
-one common denominator, and `is_squarefree` runs one integer gcd-degree
-routine, modulo the prime 2^61 - 1 as a certificate and over Q as fallback.
+integers: `discriminant` of an int list is the int determinant of the
+Hankel matrix of Newton power sums, `interpolate` takes int values over one
+denominator and makes one Fraction per coefficient, and `is_squarefree` runs
+one integer gcd-degree routine, modulo 2^61 - 1 as a certificate and over Q
+as fallback.
 """
 
 from __future__ import annotations
@@ -37,13 +38,6 @@ def degree(p: Sequence[Fraction]) -> int:
 
 def is_zero(p: Sequence[Fraction]) -> bool:
     return len(p) == 0
-
-
-def scale(p: Sequence[Fraction], c) -> Coeffs:
-    c = Fraction(c)
-    if not c:
-        return []
-    return [a * c for a in p]
 
 
 def evaluate(p: Sequence[Fraction], x) -> Fraction:
@@ -113,55 +107,50 @@ def is_squarefree(p: Sequence[Fraction]) -> bool:
     return _gcd_degree(a, da) == 0
 
 
-def discriminant(p: Sequence[Fraction]) -> Fraction:
-    """disc(p) = lc^(2d-2) prod_(i<j) (r_i - r_j)^2, division-free in ints.
-
-    With p = P/den, P = a_0 + ... + a_d z^d in ints, Q(y) = a_d^(d-1) P(y/a_d)
-    is monic in ints with the roots a_d r_i, so disc(p) is disc(Q) divided
-    by a_d^((d-1)(d-2)) den^(2d-2); disc(Q) is the determinant of the Hankel
-    matrix (s_(i+j)) of the Newton power sums s_k of its roots (Hermite).
+def discriminant(a: Sequence[int]) -> int:
+    """disc(a) = lc^(2d-2) prod_(i<j) (r_i - r_j)^2, an int for an int list
+    a = a_0 + ... + a_d z^d: Q(y) = a_d^(d-1) a(y/a_d) is monic in ints with
+    the roots a_d r_i, and disc(a) is disc(Q), the int determinant of the
+    Hankel matrix (s_(i+j)) of the Newton power sums s_k of its roots
+    (Hermite), divided exactly by a_d^((d-1)(d-2)).  A rational list P/den,
+    cleared by integer_form, gives the Fraction disc(P)/den^(2d-2).
     """
-    d = degree(p)
+    d = degree(a)
     if d < 1:
         raise ArithmeticError("discriminant needs degree >= 1")
-    den, a = linalgq.integer_form(p)
+    if set(map(type, a)) - {int}:
+        den, ints = linalgq.integer_form(a)
+        return Fraction(discriminant(ints), den ** (2 * d - 2))
     lead = a[d]
     b = [c * lead ** (d - 1 - k) for k, c in enumerate(a[:d])]  # Q = y^d + sum b[k] y^k
     # Newton: s_k = -(sum_(i = 1..min(k-1, d)) b[d-i] s_(k-i) + [k <= d] k b[d-k])
     sums = [d]
     for k in range(1, 2 * d - 1):
-        acc = sum(b[d - i] * sums[k - i] for i in range(1, min(k, d + 1)))
+        r = min(k - 1, d)  # terms in the sum
+        acc = sum(map(mul, b[d - r:], sums[k - r:]))
         sums.append(-acc - k * b[d - k] if k <= d else -acc)
-    hankel = [sums[i:i + d] for i in range(d)]
-    return linalgq.det(hankel) / (lead ** ((d - 1) * (d - 2)) * den ** (2 * d - 2))
+    return linalgq.det([sums[i:i + d] for i in range(d)]) // lead ** ((d - 1) * (d - 2))
 
 
-def interpolate(ys: Sequence) -> Coeffs:
-    """The polynomial of degree < len(ys) taking the value ys[t] at t = 0, 1, ...
-
-    Newton's forward-difference form on the integer nodes, in ints: with D a
-    common denominator of the values and N = len(ys) - 1, the differences
-    d_k of D*ys give N! D p(t) = sum_k d_k (N!/k!) t(t-1)...(t-k+1), which is
-    expanded by Horner's rule in the falling factorials and divided by N! D
-    once at the end.
-    """
+def interpolate(ys: Sequence[int], den: int) -> Coeffs:
+    """The polynomial of degree < len(ys) taking the value ys[t]/den at
+    t = 0, 1, ... for int values ys: Newton's forward-difference form, in
+    ints.  With N = len(ys) - 1, the differences d_k of ys give
+    N! den p(t) = sum_k d_k (N!/k!) t(t-1)...(t-k+1), expanded by Horner's
+    rule; one Fraction(c, N! den) is made per coefficient."""
     if not ys:
         return []
-    den, diffs = linalgq.integer_form(ys)
-    # diffs[k] becomes the k-th forward difference at t = 0.
-    for k in range(1, len(diffs)):
-        for t in range(len(diffs) - 1, k - 1, -1):
-            diffs[t] -= diffs[t - 1]
+    diffs, row = [], list(ys)  # diffs[k]: the k-th forward difference at t = 0
+    while row:
+        diffs.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
     top = len(diffs) - 1
-    # Horner: H_N = d_N, H_k = (t - k) H_{k+1} + (N!/k!) d_k, H_0 = N! D p.
+    # Horner: H_N = d_N, H_k = (t - k) H_{k+1} + (N!/k!) d_k, H_0 = N! den p.
     acc = [diffs[top]]
     weight = 1
     for k in range(top - 1, -1, -1):
         weight *= k + 1  # N!/k!
-        shifted = [0] + acc
-        for i, c in enumerate(acc):
-            shifted[i] -= k * c
-        shifted[0] += diffs[k] * weight
-        acc = shifted
+        acc = ([diffs[k] * weight - k * acc[0]]
+               + [b - k * c for b, c in zip(acc, acc[1:])] + [acc[-1]])
     total = weight * den
-    return trim([Fraction(c, total) for c in acc])
+    return [Fraction(c, total) for c in trim(acc)]

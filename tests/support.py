@@ -255,8 +255,8 @@ def reference_hitchin_hamiltonians(points, n: int, form: str = "SL"):
     sampling route, kept as a test oracle: the matrix of PoissonPolynomials
     d_x^(s-1) A(t) = sum_j w_j(t d_x) X_j is built at t = 0..n(s-1), its
     invariants are taken as sums of principal minors (minor_sum_invariants),
-    and each monomial's series of values is interpolated and divided by
-    d_x^((s-1)i).  Inputs are taken as valid."""
+    and each monomial's series of values is interpolated over the
+    denominator d_x^((s-1)i).  Inputs are taken as valid."""
     from logahoric.poisson import LiePoissonAlgebra, PoissonPolynomial
 
     dx, a = linalgq.integer_form(points)
@@ -286,8 +286,8 @@ def reference_hitchin_hamiltonians(points, n: int, form: str = "SL"):
         coeffs = [{} for _ in samples]
         scale = dx ** ((s - 1) * i)
         for mono, ys in series.items():
-            for d, c in enumerate(polyq.interpolate(ys)):
-                coeffs[d][mono] = c / scale
+            for d, c in enumerate(polyq.interpolate(ys, scale)):
+                coeffs[d][mono] = c
         hams += [PoissonPolynomial._from_dict(alg, c) for c in coeffs if any(c.values())]
     return alg, tuple(hams)
 

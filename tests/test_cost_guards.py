@@ -205,9 +205,9 @@ def test_hitchin_hamiltonians_interpolate_on_i_times_s_minus_1_plus_1_nodes(monk
     more would give the same polynomial at a higher cost."""
     real, sizes = polyq.interpolate, []
 
-    def interpolate(ys):
+    def interpolate(ys, den):
         sizes.append(len(ys))
-        return real(ys)
+        return real(ys, den)
 
     monkeypatch.setattr(polyq, "interpolate", interpolate)
     for n, s in [(2, 1), (2, 3), (2, 5), (3, 2), (3, 4)]:
@@ -215,3 +215,45 @@ def test_hitchin_hamiltonians_interpolate_on_i_times_s_minus_1_plus_1_nodes(monk
             sizes.clear()
             poisson.hitchin_coefficient_hamiltonians(list(range(s)), n, form)
             assert sizes == [i * (s - 1) + 1 for i in range(first, n + 1) for _ in range(s**i)]
+
+
+def test_spectral_curve_runs_berkowitz_on_n_deg_a_plus_1_samples(monkeypatch):
+    """spectral_curve runs linalgq.char_coeffs on the n deg A + 1 Lax samples
+    at t = 0..n deg A that fix the characteristic coefficients, and takes
+    one polyq.discriminant per interpolation node, N + 1 of them for the
+    degree bound N = n(n-1) deg A; the samples past n deg A come by forward
+    differences.  Berkowitz on all N + 1 samples gives the same curve at a
+    higher cost.  char_coeffs calls made inside discriminant (its Hankel
+    determinant) are not samples and are not counted."""
+    real_char, real_disc = linalgq.char_coeffs, polyq.discriminant
+    samples, discs, depth = [], [], []
+
+    def char_coeffs(m):
+        if not depth:
+            samples.append(m)
+        return real_char(m)
+
+    def discriminant(a):
+        discs.append(a)
+        depth.append(1)
+        try:
+            return real_disc(a)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(linalgq, "char_coeffs", char_coeffs)
+    monkeypatch.setattr(polyq, "discriminant", discriminant)
+    rng = random.Random(42)
+    for n in range(1, 5):
+        for s in range(1, 7):
+            for form in ("SL", "GL"):
+                for sum_zero in (True, False):
+                    f = rnd_field(rng, n, s, form, sum_zero=sum_zero)
+                    deg = higgs._degree_bound(f)
+                    if n * (n - 1) * deg > higgs.SPECTRAL_MAX_DEGREE:
+                        continue
+                    samples.clear()
+                    discs.clear()
+                    higgs.spectral_curve(f)
+                    assert samples == higgs._lax_samples(f, range(n * deg + 1))[1]
+                    assert len(discs) == n * (n - 1) * deg + 1

@@ -561,7 +561,8 @@ def _gcd_degree_spy(monkeypatch):
 
 
 def test_spectral_route_runs_without_polynomial_division(monkeypatch):
-    """polyq.discriminant takes no gcd, and spectral_curve on generic
+    """polyq.discriminant of an int list is an int and takes no gcd, and
+    spectral_curve on generic
     fields, whose discriminant is squarefree so the modular certificate
     decides, calls polyq._gcd_degree only with the modulus: the gcd over Q,
     which divides remainders by their content, is not reached."""
@@ -570,7 +571,7 @@ def test_spectral_route_runs_without_polynomial_division(monkeypatch):
     for _ in range(30):
         p = poly([rnd_fraction(rng) for _ in range(rng.randint(2, 8))])
         if polyq.degree(p) >= 1:
-            assert type(polyq.discriminant(p)) is Fraction
+            assert type(polyq.discriminant(linalgq.integer_form(p)[1])) is int
     assert calls == []
     for n, s, form in [(2, 3, "SL"), (2, 5, "GL"), (3, 4, "SL"), (3, 3, "GL"), (4, 3, "SL")]:
         assert spectral_curve(rnd_field(rng, n, s, form)).is_squarefree
@@ -763,9 +764,11 @@ NON_INTEGER_POINTS = sorted(
 )
 def test_int_sampler_matches_fraction_reference(n, s, form, sum_zero, seed):
     """clear_denominators, _char_coeff_polys (whose samples are int
-    characteristic coefficients) and _residue_invariants, all taken in ints,
-    equal the plain Fraction reference of tests/support.py on seeded fields
-    with non-integer points, GL and SL, s <= 2 included."""
+    characteristic coefficients, c_n = 1 included) and _residue_invariants,
+    all taken in ints, equal the plain Fraction reference of tests/support.py
+    on seeded fields with non-integer points, GL and SL, s <= 2 included.
+    The samples are checked up to N + 3, N = n(n-1) deg A, past the
+    Berkowitz nodes t = 0..n deg A, where they come by forward differences."""
     rng = random.Random(seed)
     points = sorted(rng.sample(NON_INTEGER_POINTS, s))
     f = rnd_field(rng, n, s, "GL" if n == 1 else form, sum_zero=sum_zero, points=points)
@@ -776,12 +779,16 @@ def test_int_sampler_matches_fraction_reference(n, s, form, sum_zero, seed):
     assert clear_denominators(f).coeffs == tuple(
         [[e[k] if k < len(e) else 0 for e in row] for row in entries] for k in range(top)
     )
-    top = max(n - 1, 1) * n * higgs._degree_bound(f)
-    polys, big_d, chars = higgs._char_coeff_polys(f, top)
-    ref_polys, ref_samples = reference_char_coeff_polys(f, top)
-    assert polys == ref_polys
-    assert all(type(c) is Fraction and c.denominator == 1 for cs in chars for c in cs)
-    assert [[c / big_d ** (n - k) for k, c in enumerate(cs)] for cs in chars] == ref_samples
+    bound = n * (n - 1) * higgs._degree_bound(f)
+    tops = (max(bound, n * higgs._degree_bound(f)), bound + 3)
+    ref_polys, ref_samples = reference_char_coeff_polys(f, max(tops))
+    for top in tops:
+        polys, big_d, chars = higgs._char_coeff_polys(f, top)
+        assert polys == ref_polys
+        assert len(chars) == top + 1 and all(cs[-1] == 1 for cs in chars)
+        assert all(type(c) is int for cs in chars for c in cs)
+        samples = [[Fraction(c, big_d ** (n - k)) for k, c in enumerate(cs)] for cs in chars]
+        assert samples == ref_samples[:top + 1]
     assert higgs._residue_invariants(f) == [reference_residue_invariants(f, j) for j in range(s)]
 
 

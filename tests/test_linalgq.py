@@ -201,23 +201,26 @@ def test_rank_property_random_rationals(m, data):
 
 def test_char_coeffs_match_sympy_charpoly():
     """The Berkowitz recursion equals sympy's characteristic polynomial,
-    over Fractions and plain ints."""
+    over Fractions and plain ints: Fractions in, Fractions out; ints in,
+    ints out."""
     rng = random.Random(14)
     lam = sympy.Symbol("lam")
     for _ in range(20):
         n = rng.randint(1, 4)
         m = rnd_matrix(rng, n)
         cs = linalgq.char_coeffs(m)
+        assert all(type(c) is Fraction for c in cs)
         ours = coeffs_to_sympy(cs, lam)
         theirs = matrix_to_sympy(m).charpoly(lam).as_expr()
         assert sympy.expand(ours - theirs) == 0
         # The same matrix with plain-int entries, scaled to clear denominators.
         ints = [[int(x * 6) for x in row] for row in m]
         cs = linalgq.char_coeffs(ints)
-        assert all(type(c) is Fraction for c in cs)
+        assert all(type(c) is int for c in cs) and cs[-1] == 1
+        assert type(linalgq.det(ints)) is int
         theirs = sympy.Matrix(ints).charpoly(lam).as_expr()
         assert sympy.expand(coeffs_to_sympy(cs, lam) - theirs) == 0
-    assert linalgq.char_coeffs([]) == [Fraction(1)]
+    assert linalgq.char_coeffs([]) == [1] and type(linalgq.char_coeffs([])[0]) is int
     assert linalgq.det([]) == 1
 
 
@@ -253,6 +256,12 @@ def char_matrices(draw, kinds=("dense", "nilpotent", "scalar", "repeated"), mixe
     ], mixed)
 
 
+def _ring(m):
+    """int for a matrix of ints only (the empty one included), else Fraction:
+    the type of every char_coeffs and det value of m."""
+    return int if all(type(x) is int for row in m for x in row) else Fraction
+
+
 def _mixed(m, mixed):
     """m, with each integral Fraction entry made a plain int when mixed."""
     if not mixed:
@@ -263,12 +272,12 @@ def _mixed(m, mixed):
 @given(char_matrices())
 def test_char_coeffs_property_against_sympy(kind_matrix):
     """char_coeffs equals sympy's charpoly on int and Fraction matrices of
-    size 0..6, nilpotent, scalar and repeated-eigenvalue ones included, and
-    every coefficient is a Fraction."""
+    size 0..6, nilpotent, scalar and repeated-eigenvalue ones included; every
+    coefficient is an int for an int matrix and a Fraction otherwise."""
     kind, m = kind_matrix
     n = len(m)
     cs = linalgq.char_coeffs(m)
-    assert len(cs) == n + 1 and all(type(c) is Fraction for c in cs)
+    assert len(cs) == n + 1 and all(type(c) is _ring(m) for c in cs)
     if n:
         lam = sympy.Symbol("lam")
         sm = matrix_to_sympy([list(map(Fraction, row)) for row in m])
@@ -288,17 +297,18 @@ def test_cleared_char_coeffs_det_inverse_against_sympy(kind_matrix):
     """On int, Fraction and mixed int/Fraction matrices of size 0..6 (zero,
     scalar, nilpotent and repeated-eigenvalue ones included), char_coeffs,
     det and inverse, which clear the matrix to ints first, equal sympy's
-    charpoly, det and inverse, as Fractions."""
+    charpoly, det and inverse: char_coeffs and det as ints for an int matrix
+    and as Fractions otherwise, inverse as Fractions."""
     kind, m = kind_matrix
     n = len(m)
     sm = matrix_to_sympy([list(map(Fraction, row)) for row in m])
     cs = linalgq.char_coeffs(m)
-    assert all(type(c) is Fraction for c in cs)
+    assert all(type(c) is _ring(m) for c in cs)
     lam = sympy.Symbol("lam")
     theirs = sympy.Poly(sm.charpoly(lam).as_expr(), lam).all_coeffs()[::-1] if n else [1]
     assert [sympy.Rational(c.numerator, c.denominator) for c in cs] == theirs
     d = linalgq.det(m)
-    assert type(d) is Fraction
+    assert type(d) is _ring(m)
     if not n:
         assert d == 1 and linalgq.inverse(m) == []
     elif d == 0:

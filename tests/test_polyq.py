@@ -22,7 +22,6 @@ def test_trim_and_degree():
     assert polyq.degree([Fraction(3)]) == 0
     assert polyq.degree(poly([0, 0, 5])) == 2
     assert polyq.is_zero(poly([0, 0]))
-    assert polyq.scale(poly([1, 2]), 0) == []
 
 
 def test_evaluate_horner():
@@ -192,13 +191,14 @@ def test_exact_route_when_the_prime_divides_the_lead(monkeypatch):
 
 
 def test_interpolate_matches_sympy():
-    """Interpolation on the nodes 0..N agrees with sympy and evaluates back
-    to the sampled values."""
+    """Interpolation on the nodes 0..N of rational values, cleared to ints
+    over one denominator, agrees with sympy and evaluates back to the
+    sampled values."""
     rng = random.Random(10)
     z = sympy.Symbol("z")
     for _ in range(20):
         ys = [rnd_fraction(rng) for _ in range(rng.randint(1, 7))]
-        ours = polyq.interpolate(ys)
+        ours = polyq.interpolate(*_cleared(ys))
         assert polyq.degree(ours) < len(ys)
         assert [polyq.evaluate(ours, t) for t in range(len(ys))] == ys
         theirs = sympy.interpolate(
@@ -221,7 +221,7 @@ def test_interpolate_large_values():
 
     for top in (0, 1, 2, 7, 20, 60, 100):
         ys = [big() for _ in range(top + 1)]
-        ours = polyq.interpolate(ys)
+        ours = polyq.interpolate(*_cleared(ys))
         assert polyq.degree(ours) <= top
         # Evaluate back in ints over the interpolant's common denominator
         # (tens of thousands of bits here, where Fraction Horner crawls).
@@ -241,20 +241,29 @@ def test_interpolate_large_values():
     # A degree-100 polynomial with large coefficients comes back exactly,
     # also from more samples than it needs.
     p = poly([big() for _ in range(101)])
-    assert polyq.interpolate([polyq.evaluate(p, t) for t in range(101)]) == p
-    assert polyq.interpolate([polyq.evaluate(p, t) for t in range(150)]) == p
+    assert polyq.interpolate(*_cleared([polyq.evaluate(p, t) for t in range(101)])) == p
+    assert polyq.interpolate(*_cleared([polyq.evaluate(p, t) for t in range(150)])) == p
+
+
+def _cleared(ys):
+    """(ints, den) with ys[t] = ints[t]/den: interpolate's arguments."""
+    den, ints = linalgq.integer_form(ys)
+    return ints, den
 
 
 def test_interpolate_edge_cases():
-    assert polyq.interpolate([]) == []
-    assert polyq.interpolate([Fraction(-2)]) == [Fraction(-2)]
-    assert polyq.interpolate([0, 0, 0]) == []
+    assert polyq.interpolate([], 1) == []
+    assert polyq.interpolate([-2], 1) == [Fraction(-2)]
+    assert polyq.interpolate([0, 0, 0], 5) == []
     # The line 2z - 1 at 0, 1, 2: the degree drops below len(ys) - 1.
-    assert polyq.interpolate([-1, 1, 3]) == [Fraction(-1), Fraction(2)]
+    assert polyq.interpolate([-1, 1, 3], 1) == [Fraction(-1), Fraction(2)]
+    # Over the denominator 6: (2z - 1)/6, a Fraction per coefficient.
+    line = polyq.interpolate([-1, 1, 3], 6)
+    assert line == [Fraction(-1, 6), Fraction(1, 3)] and {type(c) for c in line} == {Fraction}
     # Lagrange basis polynomials are the interpolants of unit vectors.
     for top in (0, 1, 4, 9):
         for k in range(top + 1):
-            lk = polyq.interpolate([int(t == k) for t in range(top + 1)])
+            lk = polyq.interpolate([int(t == k) for t in range(top + 1)], 1)
             assert polyq.degree(lk) == top
             assert [polyq.evaluate(lk, t) for t in range(top + 1)] == [
                 int(t == k) for t in range(top + 1)
@@ -262,15 +271,55 @@ def test_interpolate_edge_cases():
 
 
 def test_discriminant_matches_sympy():
+    """A rational p = P/den, cleared by integer_form: the int disc(P) over
+    den^(2d-2) is sympy's disc(p), and so is discriminant(p) itself, a
+    Fraction."""
     rng = random.Random(8)
     z = sympy.Symbol("z")
     for _ in range(20):
         p = poly([rnd_fraction(rng) for _ in range(rng.randint(3, 6))])
-        if polyq.degree(p) < 2:
+        d = polyq.degree(p)
+        if d < 2:
             continue
-        ours = polyq.discriminant(p)
+        den, a = linalgq.integer_form(p)
+        ours = polyq.discriminant(a)
         theirs = sympy.discriminant(coeffs_to_sympy(p, z), z)
-        assert sympy.Rational(ours.numerator, ours.denominator) == theirs
+        assert type(ours) is int
+        assert sympy.Rational(ours, den ** (2 * d - 2)) == theirs
+        assert polyq.discriminant(p) == Fraction(ours, den ** (2 * d - 2))
+        assert type(polyq.discriminant(p)) is Fraction
+
+
+def test_int_discriminants_of_seeded_polynomials_match_sympy():
+    """200 seeded int polynomials: degree 1 (disc 1), lead +-1, a large lead
+    and repeated roots (disc 0).  discriminant divides an int by
+    lead^((d-1)(d-2)); each value equals sympy's, so the division is exact
+    and never truncates."""
+    rng = random.Random(200)
+    z = sympy.Symbol("z")
+    leads = {
+        "unit": lambda: rng.choice([-1, 1]),
+        "large": lambda: rng.choice([-1, 1]) * rng.randint(10**15, 10**30),
+        "any": lambda: rng.choice([-9, -4, 2, 6, 9]),
+    }
+    cases = [[rng.randint(-50, 50), rng.choice([-7, -1, 1, 3, 10**12])] for _ in range(25)]
+    for lead in leads.values():
+        for _ in range(50):
+            cases.append([rng.randint(-20, 20) for _ in range(rng.randint(2, 7))] + [lead()])
+    for _ in range(25):
+        # (r1 z + r0)^2 times an int factor of degree 0..4: a repeated root.
+        root = coeffs_to_sympy([rng.randint(-6, 6), rng.choice([-3, -1, 1, 2, 5])], z)
+        rest = [rng.randint(-5, 5) for _ in range(rng.randint(0, 4))] + [rng.choice([-2, 1, 7])]
+        square = sympy.Poly(root**2 * coeffs_to_sympy(rest, z), z)
+        cases.append([int(c) for c in square.all_coeffs()[::-1]])
+    assert len(cases) == 200
+    for a in cases:
+        ours = polyq.discriminant(a)
+        assert type(ours) is int
+        assert ours == sympy.discriminant(coeffs_to_sympy(a, z), z)
+        if len(a) == 2:
+            assert ours == 1
+    assert all(polyq.discriminant(a) == 0 for a in cases[-25:])
 
 
 def _sylvester_resultant(a, b):
@@ -284,10 +333,10 @@ def _sylvester_resultant(a, b):
 
 
 def test_int_coefficients_are_exact():
-    """The discriminant of an int coefficient list is an exact Fraction."""
+    """The discriminant of an int coefficient list is an exact int."""
     # (z + 1)^2 (z + 3): a double root, so the discriminant is exactly 0.
     disc = polyq.discriminant([3, 7, 5, 1])
-    assert disc == 0 and type(disc) is Fraction
+    assert disc == 0 and type(disc) is int
     rng = random.Random(9)
     z = sympy.Symbol("z")
     for _ in range(20):
@@ -295,13 +344,15 @@ def test_int_coefficients_are_exact():
         if polyq.degree(a) < 2:
             continue
         disc = polyq.discriminant(a)
-        assert type(disc) is Fraction and disc == sympy.discriminant(coeffs_to_sympy(a, z), z)
+        assert type(disc) is int and disc == sympy.discriminant(coeffs_to_sympy(a, z), z)
 
 
 def test_discriminant_matches_sylvester_resultant():
     """disc(p) = (-1)^(d(d-1)/2) Res(p, p')/lc(p), with the resultant a
     Sylvester determinant, on int and rational p of degree 1..7, monic or
-    not, and on p with repeated roots, whose discriminant is exactly 0."""
+    not, and on p with repeated roots, whose discriminant is exactly 0.
+    Each p = P/den is cleared by integer_form, and the int disc(P) is
+    compared as disc(P)/den^(2d-2)."""
     rng = random.Random(12)
     z = sympy.Symbol("z")
     cases = []
@@ -315,19 +366,21 @@ def test_discriminant_matches_sylvester_resultant():
         root = coeffs_to_sympy([-rnd_fraction(rng), 1], z)
         rest = coeffs_to_sympy([rnd_fraction(rng) for _ in range(d - 2)] + [Fraction(3, 2)], z)
         cases.append(sympy_to_coeffs(sympy.expand(root**2 * rest), z))
-    for p in cases:  # int lists stay ints
+    for p in cases:
         d = polyq.degree(p)
-        ours = polyq.discriminant(p)
-        assert type(ours) is Fraction
+        den, a = linalgq.integer_form(p)
+        ours = polyq.discriminant(a)
+        assert type(ours) is int
         q = poly(p)
         res = _sylvester_resultant(q, polyq.derivative(q))
-        assert ours == (-1) ** (d * (d - 1) // 2) * res / q[-1]
-    assert all(polyq.discriminant(p) == 0 for p in cases[-6:])
+        assert Fraction(ours, den ** (2 * d - 2)) == (-1) ** (d * (d - 1) // 2) * res / q[-1]
+    assert all(polyq.discriminant(linalgq.integer_form(p)[1]) == 0 for p in cases[-6:])
 
 
 def test_discriminant_rejects_constants():
-    with pytest.raises(ArithmeticError):
-        polyq.discriminant([Fraction(3)])
+    for constant in ([3], [Fraction(3)]):
+        with pytest.raises(ArithmeticError):
+            polyq.discriminant(constant)
 
 
 def test_from_roots_and_to_string():
