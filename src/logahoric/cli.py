@@ -63,7 +63,7 @@ def _matrix(value, n: int, where: str) -> List[List[Fraction]]:
     for i, row in enumerate(value):
         if not isinstance(row, list) or len(row) != n:
             raise ConfigError(f"{where}: row {i} must have {n} entries")
-        out.append([_rat(v, f"{where}[{i}][{j}]") for j, v in enumerate(row)])
+        out.append(linalgq.rationals(row, f"{where}[{i}]", ConfigError))
     return out
 
 

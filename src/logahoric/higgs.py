@@ -7,22 +7,28 @@ matrix A(z) = sum_j w_j(z) X_j, w_j(z) = prod_{k != j}(z - x_k); the
 sum-zero rule on residues is exactly regularity at infinity and caps deg A
 at s-2.
 
-Every value of A comes from one sampler, _lax_samples, as an int matrix
-B = D*A, and every polynomial in z (the entries of A, the characteristic
-coefficients, the discriminant) from polyq.interpolate of int values at
-t = 0..N over one denominator, one Fraction per coefficient.  Sample
-counts use deg A <= s-2 for fields regular at infinity and s-1 otherwise;
-samples past the true degree leave the interpolant exact and the same.
+build_field clears the points x_k = a_k/d_x and residues X_j = R_j/d_r
+to ints once (linalgq.integer_form), and the field keeps that form
+(LogHiggsField.cleared); every numeric route reads it.  With the int
+polyq.lagrange_weights w_j of the a_k, B(tau) = sum_j w_j(tau) R_j is an
+int polynomial matrix and A(z) = B(z d_x)/D, D = d_x^(s-1) d_r.  Every
+polynomial in z made by products (the entries of A and its characteristic
+coefficients) is read from one value at tau = 2^beta: the int matrix
+B(2^beta), its Berkowitz coefficients, and one balanced-digit read
+(polyq.digits) each, with beta set from a bound on the coefficients so
+that the read is exact (Kronecker substitution).  One Fraction is made per
+coefficient.  The one sampler of B, _lax_samples, runs at 2^beta and at
+the residue points tau = a_j.
 
 Invariant sections are characteristic coefficients of A(z), signed so the
 degree-i section is the i-th elementary symmetric function of eigenvalues.
 The spectral data is the lambda-discriminant of det(lambda*I - A(z)),
 interpolated from its int values at t = 0..n(n-1) deg A over D^(n(n-1)):
-the discriminants of the characteristic polynomials of B = D*A(t), whose
-coefficients Berkowitz gives at t = 0..n deg A and forward differences,
-in int additions, past that.  Its squarefree test is one integer
-gcd-degree routine, run modulo a prime as a certificate and over Q as the
-fallback, and a size cap keeps that fallback affordable.  The genus comes
+the discriminants of the int characteristic polynomials of B(t d_x), whose
+coefficients are the int polynomials c_k(B(tau)) evaluated at tau = t d_x.
+Its squarefree test is one integer gcd-degree routine, run modulo a prime
+as a certificate and over Q as the fallback, and a size cap keeps that
+fallback affordable.  The genus comes
 from Riemann-Hurwitz bookkeeping over P^1: the discriminant, as a form of
 degree N = n(n-1) deg A, has deg(disc) simple finite roots when the affine
 discriminant is squarefree, and a root of order e = N - deg(disc) at
@@ -49,7 +55,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
+from math import prod
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -76,6 +84,13 @@ class LogHiggsField:
     def matrix_size(self) -> int:
         return self.group.matrix_size
 
+    @cached_property
+    def cleared(self) -> Tuple[int, Tuple[int, ...], int, Tuple[Tuple[int, ...], ...]]:
+        """(d_x, a, d_r, rs): the points a_k/d_x and residues R_j/d_r cleared
+        by linalgq.integer_form, each R_j a tuple of ints row by row.  A
+        field from build_field keeps the form that build_field tested."""
+        return _clear(self.points, self.residues)
+
 
 def build_field(
     points: Sequence,
@@ -85,12 +100,13 @@ def build_field(
 ) -> LogHiggsField:
     """Validate marked points, residues and weights (one cocharacter theta
     or None per point, each with the group's rank of coroot coordinates) and
-    flag regularity at infinity: the residues, cleared once by
-    linalgq.integer_form to ints R_j = d*X_j over a common denominator d,
-    sum to zero at every entry.  Numbers are read by linalgq.rationals."""
+    flag regularity at infinity.  Numbers are read by linalgq.rationals.
+    The points and residues are cleared once (_clear), and the field keeps
+    that int form as its `cleared`; the SL trace test (tr R_j = 0) and the
+    regularity test (the R_j sum to zero at every entry) read it."""
     if not linalgq.has_shape(points, None):
         raise ShapeError("points must be a sequence of rationals")
-    xs = [Fraction(x) for x in linalgq.rationals(points, "points")]
+    xs = [x if type(x) is Fraction else Fraction(x) for x in linalgq.rationals(points, "points")]
     if not xs:
         raise DivisorError("divisor must be nonempty")
     if len(set(xs)) != len(xs):
@@ -104,10 +120,13 @@ def build_field(
     for j, raw in enumerate(residues):
         if not linalgq.has_shape(raw, n, n):
             raise ShapeError(f"residue {j} must be {n}x{n} for {group.family}{group.rank}")
-        m = linalgq.mat(linalgq.rationals(row, f"residues[{j}][{p}]") for p, row in enumerate(raw))
-        if group.form == "SL" and linalgq.trace(m) != 0:
-            raise TraceError(f"residue {j} has trace {linalgq.trace(m)}; SL mode needs 0")
-        mats.append(m)
+        mats.append(linalgq.mat(
+            linalgq.rationals(row, f"residues[{j}][{p}]") for p, row in enumerate(raw)))
+    cleared = _clear(xs, mats)
+    if group.form == "SL":
+        for j, r in enumerate(cleared[3]):
+            if sum(r[::n + 1]):
+                raise TraceError(f"residue {j} has trace {linalgq.trace(mats[j])}; SL mode needs 0")
     if theta_data is not None:
         if not linalgq.has_shape(theta_data, len(xs)):
             raise ShapeError("theta_data must list one cocharacter per point")
@@ -118,15 +137,24 @@ def build_field(
                                  f"coordinates for {group.family}{group.rank}")
         theta_data = tuple(None if th is None else RationalCocharacter(tuple(linalgq.rationals(
             th.coeffs, f"theta_data[{j}]"))) for j, th in enumerate(theta_data))
-    size = n * n
-    _, flat = linalgq.integer_form(x for m in mats for row in m for x in row)
-    return LogHiggsField(
+    field = LogHiggsField(
         points=tuple(xs),
         residues=tuple(mats),
         group=group,
         theta_data=theta_data,
-        regular_at_infinity=not any(sum(flat[e::size]) for e in range(size)),
+        regular_at_infinity=not any(map(sum, zip(*cleared[3]))),
     )
+    vars(field)["cleared"] = cleared  # the cached_property's slot
+    return field
+
+
+def _clear(points, residues) -> Tuple[int, Tuple[int, ...], int, Tuple[Tuple[int, ...], ...]]:
+    """LogHiggsField.cleared of these points and residues, in tuples, as
+    every caller shares it."""
+    dx, a = linalgq.integer_form(points)
+    dr, flat = linalgq.integer_form(x for m in residues for row in m for x in row)
+    size = len(residues[0]) ** 2
+    return dx, tuple(a), dr, tuple(tuple(flat[i:i + size]) for i in range(0, len(flat), size))
 
 
 @dataclass(frozen=True)
@@ -140,20 +168,42 @@ class PolynomialMatrix:
         return len(self.coeffs) - 1
 
 
-def _lax_samples(f: LogHiggsField, ts) -> Tuple[int, List[List[List[int]]]]:
-    """(D, [B(t d_x) for t in ts]), each t d_x an integer: with the points
-    x_k = a_k/d_x and the residues X_j = R_j/d_r cleared once by
-    linalgq.integer_form, B(tau) = sum_j w_j(tau) R_j is an int matrix, w the
-    polyq.lagrange_weights of the a_k, and A(t) = B(t d_x)/D, D = d_x^(s-1) d_r."""
-    n, size = f.matrix_size, f.matrix_size ** 2
-    dx, a = linalgq.integer_form(f.points)
-    dr, flat = linalgq.integer_form(x for res in f.residues for row in res for x in row)
-    entries = [flat[e::size] for e in range(size)]  # R_j[p][q] over j, row by row
+def _lax_samples(f: LogHiggsField, taus) -> List[List[List[int]]]:
+    """[B(tau) for tau in taus], ints, B(tau) = sum_j w_j(tau) R_j with w
+    the polyq.lagrange_weights of the cleared points a_k: the one sampler,
+    run at the packing point 2^beta (_packed) and at the residue points
+    a_j (_residue_invariants)."""
+    n = f.matrix_size
+    _, a, _, rs = f.cleared
+    entries = list(zip(*rs))  # R_j[p][q] over j, row by row
     out = []
-    for t in ts:
-        ws = polyq.lagrange_weights(a, int(t * dx))
-        out.append([[sum(map(mul, ws, e)) for e in entries[p:p + n]] for p in range(0, size, n)])
-    return dx ** (f.site_count - 1) * dr, out
+    for tau in taus:
+        ws = polyq.lagrange_weights(a, tau)
+        out.append([[sum(map(mul, ws, e)) for e in entries[p:p + n]] for p in range(0, n * n, n)])
+    return out
+
+
+def _packed(f: LogHiggsField) -> Tuple[int, int, List[List[int]]]:
+    """(D, beta, B(2^beta)): A(z) = B(z d_x)/D, D = d_x^(s-1) d_r, packed
+    at tau = 2^beta so that every int polynomial in tau that Berkowitz's
+    division-free products make of B(tau), and every entry, is read back
+    exactly by polyq.digits of its value there (Kronecker substitution).
+
+    The bound.  Let |p| be the sum of the absolute coefficients of p, so
+    |pq| <= |p| |q|.  |w_j| <= W_j = prod_(k != j)(1 + |a_k|)
+    (polyq.weight_norms), so r_p = sum_q sum_j W_j |R_j[p][q]| bounds
+    |B_pq(tau)| for every entry of row p.  C_k(tau) = c_k(B(tau)) is
+    (-1)^(n-k) times the sum of the principal (n-k)-minors, and a minor on
+    rows P expands into products of one entry from each row of P, so
+    |C_k| <= e_(n-k)(r_0, ..., r_(n-1)) <= prod_p (1 + r_p).  With
+    beta = bitlength(prod_p (1 + r_p)) + 1 every coefficient of each C_k
+    and of each entry is below 2^(beta-1) in size: one balanced digit."""
+    n = f.matrix_size
+    dx, a, dr, rs = f.cleared
+    norms = polyq.weight_norms(a)
+    sizes = [sum(map(mul, norms, map(abs, e))) for e in zip(*rs)]  # bounds on |B_pq|, row by row
+    beta = prod(1 + sum(sizes[p:p + n]) for p in range(0, n * n, n)).bit_length() + 1
+    return dx ** (f.site_count - 1) * dr, beta, _lax_samples(f, [1 << beta])[0]
 
 
 def _degree_bound(f: LogHiggsField) -> int:
@@ -162,17 +212,18 @@ def _degree_bound(f: LogHiggsField) -> int:
 
 
 def clear_denominators(f: LogHiggsField) -> PolynomialMatrix:
-    """The polynomial Lax matrix prod(z - x_k) * L(z), each entry
-    interpolated from its values at t = 0..s-1 (deg A <= s - 1)."""
-    n = f.matrix_size
-    big_d, values = _lax_samples(f, range(f.site_count))
-    entries = [[polyq.interpolate([b[p][q] for b in values], big_d) for q in range(n)]
-               for p in range(n)]
-    deg = max(polyq.degree(e) for row in entries for e in row)
+    """The polynomial Lax matrix prod(z - x_k) * L(z) = B(z d_x)/D: the
+    digits b_i of each entry of _packed's B(2^beta) give its coefficients
+    b_i d_x^i / D."""
+    big_d, beta, packed = _packed(f)
+    entries = [[polyq.digits(b, beta) for b in row] for row in packed]
+    width = max(len(e) for row in entries for e in row)
+    scales = list(accumulate([f.cleared[0]] * width, mul, initial=1))  # d_x^i
     return PolynomialMatrix(
         coeffs=tuple(
-            [[e[k] if k < len(e) else Fraction(0) for e in row] for row in entries]
-            for k in range(deg + 1)
+            [[Fraction(e[k] * scales[k], big_d) if k < len(e) else Fraction(0) for e in row]
+             for row in entries]
+            for k in range(width)
         )
     )
 
@@ -184,32 +235,25 @@ def invariant_degrees(f: LogHiggsField) -> List[int]:
 
 def _char_coeff_polys(f: LogHiggsField, top: int) -> Tuple[List[Coeffs], int, List[List[int]]]:
     """[c_0(z), ..., c_n(z)] with det(lambda*I - A(z)) = sum c_k lambda^k,
-    D, and the int characteristic coefficients [c_0(B), ..., c_n(B)] of the
-    samples B = B(t d_x) = D*A(t) of _lax_samples at t = 0..top.  As
-    deg c_k(B(t d_x)) <= (n - k) deg A in t, linalgq.char_coeffs runs at
-    t = 0..n deg A only; c_k is interpolated over D^(n-k) from its first
-    (n - k) deg A + 1 values, and _continue takes them on to t = top."""
-    n, deg = f.matrix_size, _degree_bound(f)
-    big_d, lax = _lax_samples(f, range(n * deg + 1))
-    heads = [ys[:(n - k) * deg + 1] for k, ys in enumerate(zip(*map(linalgq.char_coeffs, lax)))]
-    polys = [polyq.interpolate(ys, big_d ** (n - k)) for k, ys in enumerate(heads)]
-    chars = [list(c) for c in zip(*(_continue(ys, top) for ys in heads))]
-    return polys, big_d, chars[:top + 1]
-
-
-def _continue(ys: Sequence[int], top: int) -> List[int]:
-    """ys, the values at t = 0, 1, ... of a polynomial of degree < len(ys),
-    continued to t = top: its len(ys)-th difference is 0, so each step is a
-    running sum of the backward differences at the last node."""
-    out = list(ys)
-    diffs, row = [], out  # backward differences at the last node, highest first
-    while row and top >= len(out):
-        diffs.insert(0, row[-1])
-        row = [b - a for a, b in zip(row, row[1:])]
-    for _ in range(len(out), top + 1):
-        diffs = list(accumulate(diffs))
-        out.append(diffs[-1])
-    return out
+    D, and [C_0(tau), ..., C_n(tau)] at tau = t d_x for t = 0..top, ints,
+    where C_k(tau) = c_k(B(tau)) and B(t d_x) = D*A(t).  linalgq.char_coeffs
+    runs once, on _packed's B(2^beta), and polyq.digits reads each C_k's
+    int coefficients C_k,i from its value there.  As A(z) = B(z d_x)/D,
+    c_k(z) has the coefficients C_k,i d_x^i / D^(n-k), one Fraction each;
+    the values at t are C_k evaluated in ints."""
+    n = f.matrix_size
+    big_d, beta, packed = _packed(f)
+    cs = [polyq.digits(c, beta) for c in linalgq.char_coeffs(packed)]
+    width = max(map(len, cs))
+    dx = f.cleared[0]
+    scales = list(accumulate([dx] * width, mul, initial=1))  # d_x^i
+    dens = [big_d ** (n - k) for k in range(n + 1)]
+    polys = [[Fraction(c * x, den) for c, x in zip(ck, scales)] for ck, den in zip(cs, dens)]
+    chars = []
+    for t in range(top + 1):
+        powers = list(accumulate([t * dx] * width, mul, initial=1))
+        chars.append([sum(map(mul, ck, powers)) for ck in cs])
+    return polys, big_d, chars
 
 
 @dataclass(frozen=True)
@@ -265,9 +309,11 @@ def spectral_curve(f: LogHiggsField) -> SpectralCurveData:
     at most N = n(n-1) deg A.  det(lambda*I - A(t)) is monic in lambda, so
     the discriminant of its coefficients at t is the value at t of the one
     over Q[z]; the values at t = 0..N are interpolated.  Each is the int
-    discriminant of the monic int char_coeffs of B = D*A(t) from
-    _char_coeff_polys; as B has D times the eigenvalues of A(t), the values
-    are interpolated over the one denominator D^(n(n-1)).
+    discriminant of the monic int characteristic polynomial of
+    B(t d_x) = D*A(t), whose coefficients _char_coeff_polys gives by
+    evaluating the int polynomials C_k read from its one Berkowitz run; as
+    B has D times the eigenvalues of A(t), the values are interpolated over
+    the one denominator D^(n(n-1)).
     The squarefree test is polyq.is_squarefree: a primitive integer
     pseudo-remainder sequence for the degree of gcd(disc, disc'), modulo a
     prime as a certificate and over Q as fallback.  The genus is N/2 - n + 1
@@ -317,11 +363,10 @@ def _residue_invariants(f: LogHiggsField, js=None) -> List[List[Fraction]]:
     e_i(B(a_j)) / (D w_j(x_j))**i, as A(x_j) = B(a_j)/D, with the int
     D w_j(x_j) = d_r prod_(k != j)(a_j - a_k), x_k = a_k/d_x, D = d_x^(s-1) d_r."""
     js = range(f.site_count) if js is None else js
-    dx, a = linalgq.integer_form(f.points)
-    big_d, lax = _lax_samples(f, [f.points[j] for j in js])
+    _, a, dr, _ = f.cleared
     out = []
-    for j, at in zip(js, lax):
-        denom = big_d // dx ** (f.site_count - 1) * polyq.lagrange_weights(a, a[j])[j]
+    for j, at in zip(js, _lax_samples(f, [a[j] for j in js])):
+        denom = dr * polyq.lagrange_weights(a, a[j])[j]
         out.append([Fraction(v, denom**i) for i, v in enumerate(linalgq.invariant_values(at), 1)])
     return out
 
@@ -358,9 +403,7 @@ def gaudin_values(f: LogHiggsField) -> Tuple[Fraction, ...]:
         raise ConstraintError("Hamiltonian extraction needs a residue sum of zero")
     s = f.site_count
     n = f.matrix_size
-    dx, ax = linalgq.integer_form(f.points)
-    dr, flat = linalgq.integer_form(x for res in f.residues for row in res for x in row)
-    rs = [flat[i:i + n * n] for i in range(0, len(flat), n * n)]  # R_j, row by row
+    dx, ax, dr, rs = f.cleared
     transposes = [[r[q * n + p] for p in range(n) for q in range(n)] for r in rs]
     values = [Fraction(0)] * s
     for j in range(s):
@@ -399,6 +442,7 @@ def gaudin_hamiltonians(f: LogHiggsField) -> tuple:
         )
     if not f.regular_at_infinity:
         raise ConstraintError("Hamiltonian extraction needs a residue sum of zero")
+    dx, ax, _, _ = f.cleared
     alg = poisson.LiePoissonAlgebra(n, s)
     gens = [
         [[alg.generator_index(j, p, q) for q in range(n)] for p in range(n)]
@@ -410,7 +454,7 @@ def gaudin_hamiltonians(f: LogHiggsField) -> tuple:
         for k in range(s):
             if k == j:
                 continue
-            c = Fraction(1) / (f.points[j] - f.points[k])
+            c = Fraction(dx, ax[j] - ax[k])  # 1/(x_j - x_k)
             for p in range(n):
                 for q in range(n):
                     # x_j[p][q] x_k[q][p]: a distinct monomial for each (k, p, q),

@@ -334,9 +334,9 @@ def _brackets(hams: Sequence[PoissonPolynomial], alg: LiePoissonAlgebra):
     Symbolic Comput. 44, 2009): its f side is S_j = sum over i < j of
     h_i 2^(beta i), each h_i's coefficients in their own beta-bit slot of
     one int, so slot i of each result coefficient is the int numerator of
-    {H_i, H_j}.  The slots are read back as balanced (signed) base-2^beta
-    digits, the top one as what the lower ones leave, and divided by
-    den_i den_j.  K Hamiltonians take K - 1 passes, not K(K - 1)/2.
+    {H_i, H_j}.  The slots are read back as the balanced (signed)
+    base-2^beta digits of polyq.digits and divided by den_i den_j.
+    K Hamiltonians take K - 1 passes, not K(K - 1)/2.
 
     The read is exact.  Let |h| be the sum of |k| deg(m) over the terms k m
     of h.  A result term of {h_i, h_j} gets one contribution from each pair
@@ -355,10 +355,10 @@ def _brackets(hams: Sequence[PoissonPolynomial], alg: LiePoissonAlgebra):
     for ham in hams:
         _check_member(ham, alg)
     primes = _primes(alg.gen_count)
+    digits = polyq.digits
     parts = [_partials(ham, primes) for ham in hams]
     norm = max((sum(abs(c) for ks in p.values() for c in ks.values()) for _, p in parts), default=0)
     beta = (norm * norm).bit_length() + 1
-    base, half = 1 << beta, 1 << beta - 1
     partners = _partners(alg.matrix_size)
     nn = alg.matrix_size**2
     index = sites = None
@@ -372,15 +372,10 @@ def _brackets(hams: Sequence[PoissonPolynomial], alg: LiePoissonAlgebra):
         acc = _bracket_packed(batch, gparts, partners, primes)
         slots: List[Dict[int, int]] = [{} for _ in range(j)]
         if any(acc.values()):
-            *lower, top = slots
             for key, v in acc.items():
-                for slot in lower:
-                    d = (v + half) % base - half
+                for slot, d in zip(slots, digits(v, beta)):
                     if d:
                         slot[key] = d
-                    v = (v - d) >> beta
-                if v:
-                    top[key] = v
         del acc  # one pass's sums at a time
         for i, slot in enumerate(slots):
             if not slot:
@@ -438,9 +433,15 @@ def hitchin_coefficient_hamiltonians(
     Each row occurs once in a triple (R, sigma, j), its site and column set
     by the triple, so the triples give distinct square-free monomials and
     nothing is accumulated: a monomial's z-coefficients are sgn(sigma) times
-    those of prod_r w_(j_r).  With x_k = a_k/d_x, they are polyq.interpolate
-    of that product of the int polyq.lagrange_weights of the a_k at tau =
-    t*d_x, t = 0..i(s-1), over d_x^((s-1)i).  Every non-zero z-coefficient
+    those of prod_r w_(j_r).  With x_k = a_k/d_x and the int
+    polyq.lagrange_weights w_j of the a_k, prod_r w_(j_r)(z) is
+    P(z d_x)/d_x^((s-1)i) for the int product P(tau) of the w_(j_r)(tau),
+    and the coefficients P_e of P are read by polyq.digits from its value
+    at tau = 2^beta (Kronecker substitution): the z^e coefficient is
+    P_e/d_x^((s-1)i-e).  As |w_j| <= W_j (polyq.weight_norms, with |p| the
+    sum of the absolute coefficients of p), every P_e is at most
+    (max_j W_j)^i in size, and beta = bitlength((max_j W_j)^i) + 1 keeps it
+    below 2^(beta-1), so the read is exact.  Every non-zero z-coefficient
     is a Hamiltonian, by ascending i, then power of z.  Non-rational points,
     a non-integer n or shapes past HITCHIN_INVOLUTION_MAX_POINTS raise ShapeError.
     """
@@ -469,12 +470,14 @@ def hitchin_coefficient_hamiltonians(
     s = len(a)
     alg = LiePoissonAlgebra(n, s)
     hams: List[PoissonPolynomial] = []
+    norm = max(polyq.weight_norms(a))
     for i in range(1 if form == "GL" else 2, n + 1):
-        nodes = [polyq.lagrange_weights(a, t * dx) for t in range(i * (s - 1) + 1)]
-        coeffs: List[Dict[Monomial, Fraction]] = [{} for _ in nodes]
-        scale = dx ** ((s - 1) * i)
+        beta = (norm**i).bit_length() + 1
+        ws = polyq.lagrange_weights(a, 1 << beta)
+        dens = [dx**e for e in range((s - 1) * i, -1, -1)]  # d_x^((s-1)i-e)
+        coeffs: List[Dict[Monomial, Fraction]] = [{} for _ in dens]
         for js in product(range(s), repeat=i):
-            zs = polyq.interpolate([prod(w[j] for j in js) for w in nodes], scale)
+            zs = [Fraction(c, d) for c, d in zip(polyq.digits(prod(ws[j] for j in js), beta), dens)]
             signed = (zs, [-c for c in zs])
             for rows, p in product(combinations(range(n), i), permutations(range(i))):
                 gens = sorted((j * n + r) * n + rows[k] for j, r, k in zip(js, rows, p))

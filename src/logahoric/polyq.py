@@ -2,14 +2,16 @@
 
 A polynomial is a coefficient list [c0, c1, ..., cd] with Fraction entries
 and no trailing zeros; the zero polynomial is the empty list.  Arithmetic is
-dense.  The spectral route takes the discriminant of many sampled
-characteristic polynomials and interpolates a discriminant of degree 100 and
-more with coefficients of a few hundred bits, so its three routines work in
-integers: `discriminant` of an int list is the int determinant of the
-Hankel matrix of Newton power sums, `interpolate` takes int values over one
-denominator and makes one Fraction per coefficient, and `is_squarefree` runs
-one integer gcd-degree routine, modulo 2^61 - 1 as a certificate and over Q
-as fallback.
+dense.  The spectral route takes the discriminant of many characteristic
+polynomials and interpolates a discriminant of degree 100 and more with
+coefficients of a few hundred bits, so its three routines work in integers:
+`discriminant` of an int list is the int determinant of the Hankel matrix of
+Newton power sums, `interpolate` (which serves that discriminant only) takes
+int values over one denominator and makes one Fraction per coefficient, and
+`is_squarefree` runs one integer gcd-degree routine, modulo 2^61 - 1 as a
+certificate and over Q as fallback.  Every other int polynomial is read from
+one value at 2^beta by `digits` (Kronecker substitution), with
+`weight_norms` bounding the lagrange_weights that go into it.
 """
 
 from __future__ import annotations
@@ -60,6 +62,31 @@ def lagrange_weights(xs: Sequence, t) -> list:
     before = accumulate(diffs[:-1], mul, initial=1)
     after = list(accumulate(reversed(diffs[1:]), mul, initial=1))
     return [b * a for b, a in zip(before, reversed(after))]
+
+
+def weight_norms(xs: Sequence[int]) -> List[int]:
+    """[W_0, ..., W_{s-1}], W_j = prod_(k != j)(1 + |x_k|), the
+    lagrange_weights of the -1 - |x_k| at t = 0: a bound on the 1-norm (the
+    sum of absolute coefficients) of w_j = prod_(k != j)(t - x_k), as the
+    1-norm of a product is at most the product of the 1-norms."""
+    return lagrange_weights([-1 - abs(x) for x in xs], 0)
+
+
+def digits(v: int, beta: int) -> List[int]:
+    """The balanced base-2^beta digits of the int v, beta >= 2, lowest
+    first, up to the last non-zero one: v = sum_i d_i 2^(beta i),
+    -2^(beta-1) <= d_i < 2^(beta-1), and [] for v = 0.  An int polynomial
+    whose coefficients are all below 2^(beta-1) in size is read back,
+    trimmed, from its value at 2^beta (Kronecker substitution; Harvey,
+    J. Symbolic Comput. 44, 2009)."""
+    half = 1 << beta - 1
+    mask = (1 << beta) - 1
+    out = []
+    while v:
+        v += half
+        out.append((v & mask) - half)
+        v >>= beta
+    return out
 
 
 # A fixed Mersenne prime for the squarefree certificate.

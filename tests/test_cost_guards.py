@@ -198,39 +198,42 @@ def test_hitchin_hamiltonians_take_no_symbolic_ring_arithmetic(monkeypatch):
     assert got == want
 
 
-def test_hitchin_hamiltonians_interpolate_on_i_times_s_minus_1_plus_1_nodes(monkeypatch):
-    """The weight product of degree i has degree i(s-1) in z, so each
-    polyq.interpolate call of hitchin_coefficient_hamiltonians takes exactly
-    i(s-1) + 1 values, one call per site tuple of every degree i; one node
-    more would give the same polynomial at a higher cost."""
-    real, sizes = polyq.interpolate, []
+def test_hitchin_hamiltonians_read_one_packed_value_per_site_tuple(monkeypatch):
+    """hitchin_coefficient_hamiltonians interpolates nothing: the
+    z-coefficients of each weight product prod_r w_(j_r) are the digits of
+    its one value at 2^beta, so polyq.digits runs once per site tuple of
+    every degree i, sum_i s^i times, and polyq.interpolate never runs."""
+    real, reads, interpolated = polyq.digits, [], []
 
-    def interpolate(ys, den):
-        sizes.append(len(ys))
-        return real(ys, den)
+    def digits(v, beta):
+        reads.append(v)
+        return real(v, beta)
 
-    monkeypatch.setattr(polyq, "interpolate", interpolate)
+    monkeypatch.setattr(polyq, "digits", digits)
+    monkeypatch.setattr(polyq, "interpolate", lambda *args: interpolated.append(args))
     for n, s in [(2, 1), (2, 3), (2, 5), (3, 2), (3, 4)]:
         for form, first in (("SL", 2), ("GL", 1)):
-            sizes.clear()
+            reads.clear()
             poisson.hitchin_coefficient_hamiltonians(list(range(s)), n, form)
-            assert sizes == [i * (s - 1) + 1 for i in range(first, n + 1) for _ in range(s**i)]
+            assert len(reads) == sum(s**i for i in range(first, n + 1))
+    assert not interpolated
 
 
-def test_spectral_curve_runs_berkowitz_on_n_deg_a_plus_1_samples(monkeypatch):
-    """spectral_curve runs linalgq.char_coeffs on the n deg A + 1 Lax samples
-    at t = 0..n deg A that fix the characteristic coefficients, and takes
-    one polyq.discriminant per interpolation node, N + 1 of them for the
-    degree bound N = n(n-1) deg A; the samples past n deg A come by forward
-    differences.  Berkowitz on all N + 1 samples gives the same curve at a
-    higher cost.  char_coeffs calls made inside discriminant (its Hankel
-    determinant) are not samples and are not counted."""
+def test_spectral_and_hitchin_run_berkowitz_once(monkeypatch):
+    """Outside polyq.discriminant, linalgq.char_coeffs runs exactly once per
+    spectral_curve call and once per hitchin_map call: on the Lax matrix
+    packed at 2^beta, whose characteristic coefficients hold every c_k(z)
+    as digits.  spectral_curve takes one polyq.discriminant per
+    interpolation node, N + 1 of them for the degree bound
+    N = n(n-1) deg A.  Berkowitz on n deg A + 1 samples, or on all N + 1
+    nodes, gives the same curve at a higher cost.  char_coeffs calls made
+    inside discriminant (its Hankel determinant) are not counted."""
     real_char, real_disc = linalgq.char_coeffs, polyq.discriminant
-    samples, discs, depth = [], [], []
+    runs, discs, depth = [], [], []
 
     def char_coeffs(m):
         if not depth:
-            samples.append(m)
+            runs.append(m)
         return real_char(m)
 
     def discriminant(a):
@@ -249,11 +252,45 @@ def test_spectral_curve_runs_berkowitz_on_n_deg_a_plus_1_samples(monkeypatch):
             for form in ("SL", "GL"):
                 for sum_zero in (True, False):
                     f = rnd_field(rng, n, s, form, sum_zero=sum_zero)
+                    runs.clear()
+                    higgs.hitchin_map(f)
+                    assert len(runs) == 1
                     deg = higgs._degree_bound(f)
                     if n * (n - 1) * deg > higgs.SPECTRAL_MAX_DEGREE:
                         continue
-                    samples.clear()
+                    runs.clear()
                     discs.clear()
                     higgs.spectral_curve(f)
-                    assert samples == higgs._lax_samples(f, range(n * deg + 1))[1]
+                    assert len(runs) == 1
                     assert len(discs) == n * (n - 1) * deg + 1
+
+
+def test_field_is_cleared_to_ints_once(monkeypatch):
+    """build_field clears a field's points and residues to ints once, and
+    spectral_curve, hitchin_map, _residue_invariants, gaudin_values and
+    gaudin_hamiltonians all read that form: linalgq.integer_form sees the
+    residue entries, and the points, once in all."""
+    real, seen = linalgq.integer_form, []
+
+    def integer_form(values):
+        values = list(values)
+        seen.append(values)
+        return real(values)
+
+    monkeypatch.setattr(linalgq, "integer_form", integer_form)
+    rng = random.Random(8)
+    for n, s, form in [(2, 4, "SL"), (3, 3, "GL"), (1, 2, "GL")]:
+        seen.clear()
+        f = rnd_field(rng, n, s, form)
+        assert f.regular_at_infinity
+        higgs.spectral_curve(f)
+        higgs.hitchin_map(f)
+        higgs._residue_invariants(f)
+        higgs.gaudin_values(f)
+        higgs.gaudin_hamiltonians(f)
+        entries = [x for res in f.residues for row in res for x in row]
+        assert seen.count(entries) == 1
+        assert seen.count(list(f.points)) == 1
+        # a field made without build_field clears itself on first use
+        direct = higgs.LogHiggsField(f.points, f.residues, f.group, None, True)
+        assert direct.cleared == f.cleared

@@ -41,6 +41,7 @@ from support import (
     poly,
     reference_char_coeff_polys,
     reference_gaudin_values,
+    reference_hitchin_hamiltonians,
     reference_lax_matrix,
     reference_residue_invariants,
     rnd_field,
@@ -85,8 +86,11 @@ def test_build_field_validation():
         build_field([], [], SL2)
     with pytest.raises(DivisorError, match="distinct"):
         build_field([0, 0], [E2, F2], SL2)
-    with pytest.raises(TraceError):
+    with pytest.raises(TraceError, match=r"^residue 0 has trace 1; SL mode needs 0$"):
         build_field([0], [[[1, 0], [0, 0]]], SL2)
+    # the trace is tested on the cleared ints and worded from the rationals
+    with pytest.raises(TraceError, match=r"^residue 1 has trace 1/6; SL mode needs 0$"):
+        build_field([0, 1], [[["1/3", 0], [0, "-1/3"]], [["1/2", 0], [0, "-1/3"]]], SL2)
     with pytest.raises(ShapeError):
         build_field([0, 1], [E2], SL2)
     # the same residue is fine for GL
@@ -755,23 +759,11 @@ NON_INTEGER_POINTS = sorted(
 )
 
 
-@given(
-    st.integers(1, 4),
-    st.integers(1, 5),
-    st.sampled_from(["SL", "GL"]),
-    st.booleans(),
-    st.integers(0, 2**32),
-)
-def test_int_sampler_matches_fraction_reference(n, s, form, sum_zero, seed):
-    """clear_denominators, _char_coeff_polys (whose samples are int
-    characteristic coefficients, c_n = 1 included) and _residue_invariants,
-    all taken in ints, equal the plain Fraction reference of tests/support.py
-    on seeded fields with non-integer points, GL and SL, s <= 2 included.
-    The samples are checked up to N + 3, N = n(n-1) deg A, past the
-    Berkowitz nodes t = 0..n deg A, where they come by forward differences."""
-    rng = random.Random(seed)
-    points = sorted(rng.sample(NON_INTEGER_POINTS, s))
-    f = rnd_field(rng, n, s, "GL" if n == 1 else form, sum_zero=sum_zero, points=points)
+def assert_packed_routes_match_sympy(f, tops):
+    """clear_denominators and _char_coeff_polys(f, top) for each top equal
+    the sympy reference: the entries of A(z), the c_k(z), and int values
+    C_k(t d_x) = D^(n-k) c_k(t) at t = 0..top with C_n = 1."""
+    n = f.matrix_size
     z = sympy.Symbol("z")
     lax = reference_lax_matrix(f, z)
     entries = [[sympy_to_coeffs(lax[p, q], z) for q in range(n)] for p in range(n)]
@@ -779,8 +771,6 @@ def test_int_sampler_matches_fraction_reference(n, s, form, sum_zero, seed):
     assert clear_denominators(f).coeffs == tuple(
         [[e[k] if k < len(e) else 0 for e in row] for row in entries] for k in range(top)
     )
-    bound = n * (n - 1) * higgs._degree_bound(f)
-    tops = (max(bound, n * higgs._degree_bound(f)), bound + 3)
     ref_polys, ref_samples = reference_char_coeff_polys(f, max(tops))
     for top in tops:
         polys, big_d, chars = higgs._char_coeff_polys(f, top)
@@ -789,7 +779,84 @@ def test_int_sampler_matches_fraction_reference(n, s, form, sum_zero, seed):
         assert all(type(c) is int for cs in chars for c in cs)
         samples = [[Fraction(c, big_d ** (n - k)) for k, c in enumerate(cs)] for cs in chars]
         assert samples == ref_samples[:top + 1]
+
+
+@given(
+    st.integers(1, 4),
+    st.integers(1, 5),
+    st.sampled_from(["SL", "GL"]),
+    st.booleans(),
+    st.integers(0, 2**32),
+)
+def test_int_sampler_matches_fraction_reference(n, s, form, sum_zero, seed):
+    """clear_denominators, _char_coeff_polys (whose values are int
+    characteristic coefficients, c_n = 1 included) and _residue_invariants,
+    all taken in ints, equal the plain Fraction reference of tests/support.py
+    on seeded fields with non-integer points, GL and SL, s <= 2 included.
+    The values are checked up to N + 3, N = n(n-1) deg A: each is an int
+    polynomial C_k read from the digits of one Berkowitz run on the Lax
+    matrix packed at 2^beta, evaluated at t d_x."""
+    rng = random.Random(seed)
+    points = sorted(rng.sample(NON_INTEGER_POINTS, s))
+    f = rnd_field(rng, n, s, "GL" if n == 1 else form, sum_zero=sum_zero, points=points)
+    bound = n * (n - 1) * higgs._degree_bound(f)
+    assert_packed_routes_match_sympy(f, (max(bound, n * higgs._degree_bound(f)), bound + 3))
     assert higgs._residue_invariants(f) == [reference_residue_invariants(f, j) for j in range(s)]
+
+
+def test_packed_read_is_exact_at_one_power_of_two():
+    """n = 1, s = 1, GL: A = (r) with r = +-2^m, so C_0 = -r and the bound
+    prod(1 + r_p) = 1 + 2^m sits just above a power of two.  beta = m + 2
+    reads both signs exactly; beta = m + 1 would misread c_0 = 2^m (r < 0)
+    and the entry 2^m (r > 0) as balanced digits."""
+    gl1 = GroupTag("A", 0, "GL")
+    for m in range(1, 71):
+        for r in (2**m, -(2**m)):
+            f = build_field([Fraction(-1, 2)], [[[r]]], gl1)
+            assert_packed_routes_match_sympy(f, (0, 2))
+            assert higgs._char_coeff_polys(f, 0)[0] == [[Fraction(-r)], [Fraction(1)]]
+
+
+# Negative points: every coefficient of every Lagrange weight is positive.
+NEGATIVE_POINTS = sorted({Fraction(-k, d) for k in range(1, 19) for d in (1, 2, 3)})
+
+
+def test_packed_read_is_exact_on_same_sign_fields():
+    """Negative points and GL residues with positive entries, not regular
+    at infinity: every coefficient of every w_j and of every entry of B(tau)
+    is positive, so the 1-norm bounds behind beta (_packed) are met by the
+    entries themselves, and the characteristic coefficients come close.
+    Each field is checked against sympy for n = 1..4 and s = 1..6."""
+    rng = random.Random(43)
+    for n in range(1, 5):
+        for s in range(1, 7):
+            for _ in range(2 if n < 4 else 1):
+                points = sorted(rng.sample(NEGATIVE_POINTS, s))
+                residues = [
+                    [[Fraction(rng.randint(1, 9), rng.randint(1, 3)) for _ in range(n)]
+                     for _ in range(n)]
+                    for _ in range(s)
+                ]
+                f = build_field(points, residues, GroupTag("A", n - 1, "GL"))
+                assert not f.regular_at_infinity
+                assert_packed_routes_match_sympy(f, (n * higgs._degree_bound(f) + 1,))
+
+
+def test_hitchin_hamiltonians_read_exactly_at_same_sign_points():
+    """At negative points every coefficient of each weight product
+    prod_r w_(j_r) is positive, and at -2^k the bound (max_j W_j)^i sits
+    just above the constant term: the Hamiltonians read from the digits of
+    one packed value equal those of the sampling route of tests/support.py."""
+    rng = random.Random(44)
+    cases = [[-(2**k), -c] for k in range(1, 10) for c in (1, 3)]
+    cases += [sorted(rng.sample(NEGATIVE_POINTS, s)) for s in (2, 3, 4, 5, 6, 1)]
+    for points in cases:
+        for n in (2, 3):
+            if len(points) > 3 and n == 3:
+                continue
+            for form in ("SL", "GL"):
+                got = poisson.hitchin_coefficient_hamiltonians(points, n, form)
+                assert got == reference_hitchin_hamiltonians(points, n, form)
 
 
 def test_residue_of_invariant_index_errors():
