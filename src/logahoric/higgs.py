@@ -7,9 +7,10 @@ matrix A(z) = sum_j w_j(z) X_j, w_j(z) = prod_{k != j}(z - x_k); the
 sum-zero rule on residues is exactly regularity at infinity and caps deg A
 at s-2.
 
-build_field clears the points x_k = a_k/d_x and residues X_j = R_j/d_r
-to ints once (linalgq.integer_form), and the field keeps that form
-(LogHiggsField.cleared); every numeric route reads it.  With the int
+A field clears its points x_k = a_k/d_x and residues X_j = R_j/d_r to
+ints once (linalgq.integer_form) and keeps that form
+(LogHiggsField.cleared); every numeric route and every derived value,
+regularity at infinity included, reads it.  With the int
 polyq.lagrange_weights w_j of the a_k, B(tau) = sum_j w_j(tau) R_j is an
 int polynomial matrix and A(z) = B(z d_x)/D, D = d_x^(s-1) d_r.  Every
 polynomial in z made by products (the entries of A and its characteristic
@@ -17,8 +18,7 @@ coefficients) is read from one value at tau = 2^beta: the int matrix
 B(2^beta), its Berkowitz coefficients, and one balanced-digit read
 (polyq.digits) each, with beta set from a bound on the coefficients so
 that the read is exact (Kronecker substitution).  One Fraction is made per
-coefficient.  The one sampler of B, _lax_samples, runs at 2^beta and at
-the residue points tau = a_j.
+coefficient.
 
 Invariant sections are characteristic coefficients of A(z), signed so the
 degree-i section is the i-th elementary symmetric function of eigenvalues.
@@ -44,8 +44,7 @@ The Gaudin Hamiltonians H_j = sum_{k != j} tr(X_j X_k)/(x_j - x_k) come
 as numbers from gaudin_values, one int trace per pair of cleared residues;
 gaudin_hamiltonians returns their symbolic forms in the Lie-Poisson
 coordinates as (alg, hams), like poisson.hitchin_coefficient_hamiltonians,
-for bracket checks.  Regularity at infinity, the residue sum being zero,
-is tested in ints too, when build_field makes the field.
+for bracket checks.
 
 quotient_diagram_check (here, above poisson in the one-way import order)
 sets each point's _residue_invariants against its coresidue's invariants.
@@ -74,7 +73,6 @@ class LogHiggsField:
     residues: Tuple[Matrix, ...]
     group: GroupTag
     theta_data: Optional[Tuple[Optional[RationalCocharacter], ...]]
-    regular_at_infinity: bool
 
     @property
     def site_count(self) -> int:
@@ -87,9 +85,16 @@ class LogHiggsField:
     @cached_property
     def cleared(self) -> Tuple[int, Tuple[int, ...], int, Tuple[Tuple[int, ...], ...]]:
         """(d_x, a, d_r, rs): the points a_k/d_x and residues R_j/d_r cleared
-        by linalgq.integer_form, each R_j a tuple of ints row by row.  A
-        field from build_field keeps the form that build_field tested."""
-        return _clear(self.points, self.residues)
+        by linalgq.integer_form, each R_j a tuple of ints row by row."""
+        dx, a = linalgq.integer_form(self.points)
+        dr, flat = linalgq.integer_form(x for m in self.residues for row in m for x in row)
+        size = len(self.residues[0]) ** 2
+        return dx, tuple(a), dr, tuple(tuple(flat[i:i + size]) for i in range(0, len(flat), size))
+
+    @cached_property
+    def regular_at_infinity(self) -> bool:
+        """Whether the residues sum to zero, read from the cleared R_j."""
+        return not any(map(sum, zip(*self.cleared[3])))
 
 
 def build_field(
@@ -99,11 +104,9 @@ def build_field(
     theta_data: Optional[Sequence[Optional[RationalCocharacter]]] = None,
 ) -> LogHiggsField:
     """Validate marked points, residues and weights (one cocharacter theta
-    or None per point, each with the group's rank of coroot coordinates) and
-    flag regularity at infinity.  Numbers are read by linalgq.rationals.
-    The points and residues are cleared once (_clear), and the field keeps
-    that int form as its `cleared`; the SL trace test (tr R_j = 0) and the
-    regularity test (the R_j sum to zero at every entry) read it."""
+    or None per point, each with the group's rank of coroot coordinates).
+    Numbers are read by linalgq.rationals.  The SL trace test (tr R_j = 0)
+    reads the field's `cleared` form, which the field then keeps."""
     if not linalgq.has_shape(points, None):
         raise ShapeError("points must be a sequence of rationals")
     xs = [x if type(x) is Fraction else Fraction(x) for x in linalgq.rationals(points, "points")]
@@ -122,11 +125,6 @@ def build_field(
             raise ShapeError(f"residue {j} must be {n}x{n} for {group.family}{group.rank}")
         mats.append(linalgq.mat(
             linalgq.rationals(row, f"residues[{j}][{p}]") for p, row in enumerate(raw)))
-    cleared = _clear(xs, mats)
-    if group.form == "SL":
-        for j, r in enumerate(cleared[3]):
-            if sum(r[::n + 1]):
-                raise TraceError(f"residue {j} has trace {linalgq.trace(mats[j])}; SL mode needs 0")
     if theta_data is not None:
         if not linalgq.has_shape(theta_data, len(xs)):
             raise ShapeError("theta_data must list one cocharacter per point")
@@ -137,24 +135,12 @@ def build_field(
                                  f"coordinates for {group.family}{group.rank}")
         theta_data = tuple(None if th is None else RationalCocharacter(tuple(linalgq.rationals(
             th.coeffs, f"theta_data[{j}]"))) for j, th in enumerate(theta_data))
-    field = LogHiggsField(
-        points=tuple(xs),
-        residues=tuple(mats),
-        group=group,
-        theta_data=theta_data,
-        regular_at_infinity=not any(map(sum, zip(*cleared[3]))),
-    )
-    vars(field)["cleared"] = cleared  # the cached_property's slot
+    field = LogHiggsField(tuple(xs), tuple(mats), group, theta_data)
+    if group.form == "SL":
+        for j, r in enumerate(field.cleared[3]):
+            if sum(r[::n + 1]):
+                raise TraceError(f"residue {j} has trace {linalgq.trace(mats[j])}; SL mode needs 0")
     return field
-
-
-def _clear(points, residues) -> Tuple[int, Tuple[int, ...], int, Tuple[Tuple[int, ...], ...]]:
-    """LogHiggsField.cleared of these points and residues, in tuples, as
-    every caller shares it."""
-    dx, a = linalgq.integer_form(points)
-    dr, flat = linalgq.integer_form(x for m in residues for row in m for x in row)
-    size = len(residues[0]) ** 2
-    return dx, tuple(a), dr, tuple(tuple(flat[i:i + size]) for i in range(0, len(flat), size))
 
 
 @dataclass(frozen=True)
@@ -166,21 +152,6 @@ class PolynomialMatrix:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-
-def _lax_samples(f: LogHiggsField, taus) -> List[List[List[int]]]:
-    """[B(tau) for tau in taus], ints, B(tau) = sum_j w_j(tau) R_j with w
-    the polyq.lagrange_weights of the cleared points a_k: the one sampler,
-    run at the packing point 2^beta (_packed) and at the residue points
-    a_j (_residue_invariants)."""
-    n = f.matrix_size
-    _, a, _, rs = f.cleared
-    entries = list(zip(*rs))  # R_j[p][q] over j, row by row
-    out = []
-    for tau in taus:
-        ws = polyq.lagrange_weights(a, tau)
-        out.append([[sum(map(mul, ws, e)) for e in entries[p:p + n]] for p in range(0, n * n, n)])
-    return out
 
 
 def _packed(f: LogHiggsField) -> Tuple[int, int, List[List[int]]]:
@@ -200,10 +171,13 @@ def _packed(f: LogHiggsField) -> Tuple[int, int, List[List[int]]]:
     and of each entry is below 2^(beta-1) in size: one balanced digit."""
     n = f.matrix_size
     dx, a, dr, rs = f.cleared
+    entries = list(zip(*rs))  # R_j[p][q] over j, row by row
     norms = polyq.weight_norms(a)
-    sizes = [sum(map(mul, norms, map(abs, e))) for e in zip(*rs)]  # bounds on |B_pq|, row by row
+    sizes = [sum(map(mul, norms, map(abs, e))) for e in entries]  # bounds on |B_pq|
     beta = prod(1 + sum(sizes[p:p + n]) for p in range(0, n * n, n)).bit_length() + 1
-    return dx ** (f.site_count - 1) * dr, beta, _lax_samples(f, [1 << beta])[0]
+    ws = polyq.lagrange_weights(a, 1 << beta)
+    packed = [sum(map(mul, ws, e)) for e in entries]
+    return dx ** (f.site_count - 1) * dr, beta, [packed[p:p + n] for p in range(0, n * n, n)]
 
 
 def _degree_bound(f: LogHiggsField) -> int:
@@ -357,28 +331,28 @@ def spectral_genus(n: int, s: int) -> int:
     return (n - 1) * (n * (s - 2) - 2) // 2
 
 
-def _residue_invariants(f: LogHiggsField, js=None) -> List[List[Fraction]]:
-    """Per marked point x_j, j in js (default: all), the leading coefficients
-    of the invariants e_1..e_n of L(z) there, from one _lax_samples call:
-    e_i(B(a_j)) / (D w_j(x_j))**i, as A(x_j) = B(a_j)/D, with the int
-    D w_j(x_j) = d_r prod_(k != j)(a_j - a_k), x_k = a_k/d_x, D = d_x^(s-1) d_r."""
-    js = range(f.site_count) if js is None else js
-    _, a, dr, _ = f.cleared
-    out = []
-    for j, at in zip(js, _lax_samples(f, [a[j] for j in js])):
-        denom = dr * polyq.lagrange_weights(a, a[j])[j]
-        out.append([Fraction(v, denom**i) for i, v in enumerate(linalgq.invariant_values(at), 1)])
-    return out
+def _residue_invariants(f: LogHiggsField) -> List[List[Fraction]]:
+    """Per marked point x_j, the leading coefficients of the invariants
+    e_1..e_n of L(z) there: e_i(A(x_j)) / w_j(x_j)**i.  Every other Lagrange
+    weight vanishes at x_j, so A(x_j) = w_j(x_j) X_j and this is
+    e_i(X_j) = e_i(R_j) / d_r**i, linalgq.invariant_values of the cleared
+    int residue R_j."""
+    n = f.matrix_size
+    _, _, dr, rs = f.cleared
+    return [
+        [Fraction(v, dr**i) for i, v in enumerate(
+            linalgq.invariant_values([r[p:p + n] for p in range(0, n * n, n)]), 1)]
+        for r in rs
+    ]
 
 
 def residue_of_invariant(f: LogHiggsField, j: int, i: int) -> Fraction:
     """Leading coefficient of invariant i of L(z) at the j-th marked point.
 
     In the local frame dz/(z - x_j) this is the value of the degree-i
-    invariant section of A(z) at x_j divided by prod((x_j - x_k)**i).  The
-    value is the degree-i invariant of the matrix A(x_j), so the limit is
-    computed from the polynomial side only, with no reference to the
-    residue matrix itself.
+    invariant section of A(z) at x_j divided by w_j(x_j)**i, with
+    w_j(x_j) = prod(x_j - x_k).  As every other Lagrange weight vanishes at
+    x_j, A(x_j) = w_j(x_j) X_j, so the limit is e_i(X_j) (_residue_invariants).
     """
     if not 0 <= j < f.site_count:
         raise IndexError(f"point index {j} out of range 0..{f.site_count - 1}")
@@ -387,7 +361,7 @@ def residue_of_invariant(f: LogHiggsField, j: int, i: int) -> Fraction:
         raise IndexError(
             f"invariant degree {i} not available in {f.group.form} mode (choose from {degrees})"
         )
-    return _residue_invariants(f, [j])[0][i - 1]
+    return _residue_invariants(f)[j][i - 1]
 
 
 def gaudin_values(f: LogHiggsField) -> Tuple[Fraction, ...]:
@@ -490,11 +464,11 @@ def quotient_diagram_check(f: LogHiggsField) -> DiagramReport:
     """Compare two routes to the invariant values over the divisor.
 
     Route one evaluates each invariant section of the field at a marked
-    point in the polar frame (a limit on the polynomial side); route two
-    applies the same invariant to that point's coresidue, with the field's
-    own theta_data as the weights of poisson.moment_map.  The two are
-    computed independently and compared exactly.  Route one takes all
-    points from one sampler call, for all degrees together.
+    point in the polar frame: A(x_j) = w_j(x_j) X_j, as every other Lagrange
+    weight vanishes at x_j, so that is e_i(X_j), which _residue_invariants
+    reads from the cleared residues.  Route two applies the same invariant
+    to that point's coresidue, with the field's own theta_data as the
+    weights of poisson.moment_map.  The two are compared exactly.
     """
     mv = poisson.moment_map(f)
     degrees = invariant_degrees(f)

@@ -147,12 +147,13 @@ def copy(a):
 
 def integer_form(values) -> Tuple[int, List[int]]:
     """(den, ints) with values[i] == ints[i] / den, den the lcm of the
-    denominators (1 for no values).  Ints and Fractions are read as they
-    are, through their numerator and denominator; any other value is
-    converted to a Fraction first."""
-    values = [x if type(x) is int or type(x) is Fraction else Fraction(x) for x in values]
-    den = math.lcm(*(x.denominator for x in values))
-    return den, [x.numerator * (den // x.denominator) for x in values]
+    denominators (1 for no values).  Each value's numerator and denominator
+    are read once, by as_integer_ratio; a value that is not an int or a
+    Fraction is converted to a Fraction first."""
+    ratios = [(x if type(x) is int or type(x) is Fraction else Fraction(x)).as_integer_ratio()
+              for x in values]
+    den = math.lcm(*(d for _, d in ratios))
+    return den, [p * (den // d) for p, d in ratios]
 
 
 def _echelon(a) -> List[List[int]]:

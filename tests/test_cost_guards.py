@@ -266,10 +266,11 @@ def test_spectral_and_hitchin_run_berkowitz_once(monkeypatch):
 
 
 def test_field_is_cleared_to_ints_once(monkeypatch):
-    """build_field clears a field's points and residues to ints once, and
-    spectral_curve, hitchin_map, _residue_invariants, gaudin_values and
-    gaudin_hamiltonians all read that form: linalgq.integer_form sees the
-    residue entries, and the points, once in all."""
+    """A field clears its points and residues to ints once, and
+    build_field, spectral_curve, hitchin_map, _residue_invariants,
+    gaudin_values and gaudin_hamiltonians all read that form:
+    linalgq.integer_form sees the residue entries, and the points, once in
+    all."""
     real, seen = linalgq.integer_form, []
 
     def integer_form(values):
@@ -292,5 +293,35 @@ def test_field_is_cleared_to_ints_once(monkeypatch):
         assert seen.count(entries) == 1
         assert seen.count(list(f.points)) == 1
         # a field made without build_field clears itself on first use
-        direct = higgs.LogHiggsField(f.points, f.residues, f.group, None, True)
+        direct = higgs.LogHiggsField(f.points, f.residues, f.group, None)
         assert direct.cleared == f.cleared
+        assert direct.regular_at_infinity
+
+
+def test_diagram_check_reads_each_residue_once(monkeypatch):
+    """quotient_diagram_check evaluates no Lagrange weight: as
+    A(x_j) = w_j(x_j) X_j, its residue route runs linalgq.char_coeffs on the
+    s cleared int residues R_j, and its moment route on the s moment sites,
+    and on nothing else."""
+    real, seen = linalgq.char_coeffs, []
+
+    def char_coeffs(m):
+        seen.append([list(row) for row in m])
+        return real(m)
+
+    def refuse(*args):
+        raise AssertionError("quotient_diagram_check evaluated a Lagrange weight")
+
+    rng = random.Random(45)
+    fields = [rnd_field(rng, n, s, form, sum_zero=sum_zero)
+              for n, s, form, sum_zero in [(2, 1, "SL", True), (2, 3, "GL", False),
+                                           (3, 4, "SL", True), (4, 2, "GL", True)]]
+    monkeypatch.setattr(linalgq, "char_coeffs", char_coeffs)
+    monkeypatch.setattr(polyq, "lagrange_weights", refuse)
+    for f in fields:
+        n = f.matrix_size
+        seen.clear()
+        assert higgs.quotient_diagram_check(f).all_equal
+        cleared = [[list(r[p:p + n]) for p in range(0, n * n, n)] for r in f.cleared[3]]
+        assert seen == cleared + list(poisson.moment_map(f).sites)
+        assert all(type(x) is int for m in seen[:f.site_count] for row in m for x in row)

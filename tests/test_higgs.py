@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from logahoric.higgs import (
     spectral_curve,
     spectral_genus,
 )
-from logahoric.rootsys import GroupTag
+from logahoric.rootsys import GroupTag, RationalCocharacter
 from support import (
     E2,
     F2,
@@ -79,6 +80,10 @@ def test_build_field_examples():
     assert not g.regular_at_infinity
     zero = build_field([0, 1], [linalgq.zeros(2)] * 2, SL2)
     assert zero.regular_at_infinity
+    # regularity is read from the residues, not set by whoever builds the field
+    assert [fl.name for fl in dataclasses.fields(higgs.LogHiggsField)] == [
+        "points", "residues", "group", "theta_data"
+    ]
 
 
 def test_build_field_validation():
@@ -124,15 +129,17 @@ def residue_sums(draw):
 
 @given(residue_sums())
 def test_regular_at_infinity_matches_fraction_sum(case):
-    """build_field's int residue-sum test gives the verdict of a plain
-    Fraction sum of the residues."""
+    """The int residue-sum test gives the verdict of a plain Fraction sum of
+    the residues, on a field from build_field and on one made directly."""
     n, form, points, residues, regular = case
     total = [
         [sum((m[p][q] for m in residues), Fraction(0)) for q in range(n)] for p in range(n)
     ]
     assert all(x == 0 for row in total for x in row) == regular
-    f = build_field(points, residues, GroupTag("A", n - 1, form))
-    assert f.regular_at_infinity == regular
+    group = GroupTag("A", n - 1, form)
+    assert build_field(points, residues, group).regular_at_infinity == regular
+    direct = higgs.LogHiggsField(tuple(points), tuple(residues), group, None)
+    assert direct.regular_at_infinity == regular
 
 
 # -- polynomial Lax form -----------------------------------------------------
@@ -294,7 +301,6 @@ def test_hitchin_map_rejects_non_type_a():
         residues=f.residues,
         group=GroupTag("B", 2, "SL"),
         theta_data=None,
-        regular_at_infinity=True,
     )
     with pytest.raises(UnsupportedRealizationError):
         hitchin_map(bad)
@@ -725,22 +731,43 @@ def test_residue_of_invariant_worked_examples():
 
 
 def test_residue_of_invariant_matches_matrix_invariant():
-    """The polynomial-side limit equals the invariant of the bare residue."""
+    """The residue of each invariant equals support.reference_residue_invariants,
+    sympy's invariants of the polynomial Lax matrix at the point, A(x_j),
+    over w_j(x_j)^i: SL and GL, s = 1..4, residue sum zero or not, with
+    dense, nilpotent and repeated-eigenvalue residues, and weighted fields
+    (upper triangular residues, admissible for theta = (1/4, ..., 1/4),
+    whose weight diagonal strictly decreases)."""
     rng = random.Random(93)
-    for _ in range(30):
-        n = rng.randint(2, 3)
-        f = rnd_field(rng, n, rng.randint(2, 4))
-        for j in range(f.site_count):
-            vals = linalgq.invariant_values(f.residues[j])
-            for i in higgs.invariant_degrees(f):
-                assert residue_of_invariant(f, j, i) == vals[i - 1]
+    for kind in ("dense", "nilpotent", "repeated", "weighted"):
+        for s in (1, 2, 3, 4):
+            for form in ("SL", "GL"):
+                for sum_zero in (True, False):
+                    n = rng.randint(2, 3)
+                    count = s - 1 if sum_zero else s
+                    if kind == "weighted":
+                        residues = [strictly_upper(rng, n) for _ in range(count)]
+                        for m in residues:
+                            for p in range(n):
+                                m[p][p] = Fraction(rng.randint(-2, 2))
+                        thetas = [RationalCocharacter.of([Fraction(1, 4)] * (n - 1))] * s
+                    else:
+                        residues, thetas = _edge_residues(rng, n, kind, count), None
+                    if form == "SL":
+                        residues = [make_traceless(m) for m in residues]
+                    if sum_zero:
+                        residues = with_sum_zero(residues) if residues else [linalgq.zeros(n)]
+                    points = sorted(rng.sample(NON_INTEGER_POINTS, s))
+                    f = build_field(points, residues, GroupTag("A", n - 1, form), thetas)
+                    for j in range(s):
+                        want = reference_residue_invariants(f, j)
+                        for i in higgs.invariant_degrees(f):
+                            assert residue_of_invariant(f, j, i) == want[i - 1]
 
 
 def test_residue_of_invariant_matches_all_points_route():
-    """Sampling only the asked points gives what sampling every point gives:
-    residue_of_invariant(f, j, i) is _residue_invariants(f)[j][i - 1] for
-    every (j, i), and _residue_invariants(f, js) picks those rows, on seeded
-    SL and GL fields with s = 1..5, residue sum zero or not."""
+    """residue_of_invariant(f, j, i) is _residue_invariants(f)[j][i - 1] for
+    every (j, i), on seeded SL and GL fields with s = 1..5, residue sum zero
+    or not."""
     rng = random.Random(94)
     for s in (1, 1, 2, 2, 3, 4, 5):
         for form in ("SL", "GL"):
@@ -749,8 +776,6 @@ def test_residue_of_invariant_matches_all_points_route():
             for j in range(s):
                 for i in higgs.invariant_degrees(f):
                     assert residue_of_invariant(f, j, i) == everywhere[j][i - 1]
-            js = rng.sample(range(s), rng.randint(1, s))
-            assert higgs._residue_invariants(f, js) == [everywhere[j] for j in js]
 
 
 # Points with denominator 2 or 3, so the int sampler clears them over 6.
