@@ -20,7 +20,7 @@ import sys
 import time
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _escape
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import __version__, higgs, linalgq, parahoric, poisson, polyq
 from .errors import ConfigError, LogahoricError
@@ -193,29 +193,37 @@ def _root_key(root: Tuple[int, ...]) -> str:
     return ",".join(str(c) for c in root)
 
 
-class _Encoded(str):
-    """JSON text already encoded at nesting level 0, as
-    json.dumps(value, sort_keys=True, indent=2) writes value: a report leaf
-    that _chunks splices in at its depth.  _candidate_texts makes them."""
+class _Encoded(NamedTuple):
+    """JSON text already encoded as json.dumps(value, sort_keys=True,
+    indent=2) writes value at nesting indent (level 0 by default): a report
+    leaf that _chunks splices in at its depth.  Not a str subclass, whose
+    construction would copy the text."""
+
+    text: str
+    indent: str = ""
 
 
-def _candidate_texts(candidates) -> List[_Encoded]:
-    """Each rank-2 candidate's report object as encoded text.  The incidence
-    list is formatted once per distinct tuple, and the verdict and weighted
-    degree once per shared Fraction, keyed by identity (the report keeps
-    each one alive)."""
-    incidence_texts, tails, out = {}, {}, []
+def _candidate_list(candidates, indent: str) -> _Encoded:
+    """The rank-2 candidates' report list, encoded at nesting indent in one
+    join.  The incidence list is formatted once per distinct tuple, and the
+    verdict and weighted degree once per shared Fraction, keyed by identity
+    (the report keeps each one alive)."""
+    item, key = indent + "  ", indent + "    "
+    start = "{\n" + key + '"degree": '
+    incidence_texts, tails, out, head = {}, {}, [], "[\n" + item + start
     for degree, incidences, wd, verdict in candidates:
         inc = incidence_texts.get(incidences)
         if inc is None:
-            items = ",\n    ".join(map(str, incidences))
-            inc = incidence_texts[incidences] = f"[\n    {items}\n  ]" if incidences else "[]"
+            items = (",\n  " + key).join(map(str, incidences))
+            inc = incidence_texts[incidences] = f"[\n  {key}{items}\n{key}]" if incidences else "[]"
         tail = tails.get(id(wd))
         if tail is None:
-            tail = f'"verdict": {_escape(verdict)},\n  "weighted_degree": {_escape(_s(wd))}'
+            tail = f'"verdict": {_escape(verdict)},\n{key}"weighted_degree": {_escape(_s(wd))}'
             tails[id(wd)] = tail
-        out.append(_Encoded(f'{{\n  "degree": {degree},\n  "incidences": {inc},\n  {tail}\n}}'))
-    return out
+        out.append(f'{head}{degree},\n{key}"incidences": {inc},\n{key}{tail}\n{item}}}')
+        head = ",\n" + item + start
+    out.append("\n" + indent + "]")
+    return _Encoded("".join(out), indent)
 
 
 # ---------------------------------------------------------------------------
@@ -400,13 +408,14 @@ def _cmd_stability(cfg: ParsedConfig) -> dict:
         pts = rank2.get("points")
         parsed_pts = cfg.points if pts is None else _list(pts, "options.rank2.points")
         report = parahoric.rank2_semistability(split, parsed_flags, parsed_weights, parsed_pts)
-        witness, *candidates = _candidate_texts((report.witness, *report.candidates))
+        witness = report.witness
         results["rank2"] = {
             "verdict": report.verdict,
             "total_weighted_degree": _s(report.total_weighted_degree),
             "total_slope": _s(report.total_slope),
-            "witness": witness,
-            "candidates": candidates,
+            "witness": {**witness._asdict(), "weighted_degree": _s(witness.weighted_degree)},
+            # written at the depth where run's report puts it: report.results.rank2
+            "candidates": _candidate_list(report.candidates, " " * 6),
         }
     return results
 
@@ -449,16 +458,17 @@ def _chunks(value, indent: str, out: List[str]) -> None:
     only other scalars (floats, bools, None) and empty containers reach
     json.dumps.  The caller joins out once, so no container's text is built
     and then copied into its parent's.  An _Encoded leaf (the rank-2
-    candidates, from _candidate_texts) is indented to this level in one
-    replace: escaped JSON strings hold no raw newline, so each newline in
-    it is a line break.
+    candidates) encoded at this level is appended as it is, and one encoded
+    at another is re-indented in one replace: escaped JSON strings hold no
+    raw newline, so each newline in it is a line break and its indent.
     """
     if type(value) is str:
         out.append(_escape(value))
     elif type(value) is int:
         out.append(str(value))
     elif type(value) is _Encoded:
-        out.append(value.replace("\n", "\n" + indent))
+        text, at = value
+        out.append(text if at == indent else text.replace("\n" + at, "\n" + indent))
     elif isinstance(value, (dict, list, tuple)) and value:
         inner = indent + "  "
         sep = ",\n" + inner

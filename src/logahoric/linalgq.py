@@ -93,11 +93,14 @@ def integer(value, where: str, error=ShapeError) -> int:
 
 def rationals(values, what: str, error=ShapeError) -> list:
     """values as a list of what `rational` reads, entry i named what[i]; the
-    name is built only for an entry that is not an int or a Fraction."""
+    name is built only for an entry that `rational` refuses."""
     out = list(values)
     for i, v in enumerate(out):
         if type(v) is not int and type(v) is not Fraction:
-            out[i] = rational(v, f"{what}[{i}]", error)
+            try:
+                out[i] = rational(v, what, error)
+            except error:
+                rational(v, f"{what}[{i}]", error)  # refuses it again, by name
     return out
 
 

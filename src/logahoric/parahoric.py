@@ -399,23 +399,22 @@ class Rank2Report:
     candidates: Tuple[Rank2Candidate, ...] = field(repr=False)
 
 
-# Every rank-2 report lists one candidate per closed incidence set, and their
-# number grows like 2^m in the flag count m.  With flags at points 0..m-1 of
-# directions (1, i + 1) and split degrees (1, 0), `stability` takes
-# 0.03-0.04 s end to end at m = 8 (1,788 candidates, 0.4 MB of JSON) and
-# 0.20-0.27 s at m = 10 (8,188 candidates, 1.9 MB) on a shared 2-CPU host;
-# at m = 12 there are over 40k candidates.  Past this many flags
+# A rank-2 report lists one candidate per closed incidence set, so it grows
+# like 2^m in the flag count m.  At points 0..m-1 with directions (1, i + 1)
+# and split degrees (1, 0), `stability` takes 0.015 s in process at m = 8
+# (1,788 candidates, 0.4 MB of JSON) and 0.10 s at m = 10 (8,188, 1.8 MB) on
+# a shared 2-CPU host; m = 12 gives over 40k.  Past this many flags
 # rank2_semistability refuses the input (ShapeError) before any work.
 RANK2_MAX_FLAGS = 10
 
-# Each incidence row has one entry d*x^k per k up to the split-degree gap
-# a1 - a2, so the integer elimination grows faster than linearly in the gap.
-# RANK2_MAX_FLAGS flags at points 0..9 with directions (1, i + 1) have
-# independent rows at every degree, so _incidence_closures lists their sets
-# after one rank check: about 0.13 s at gap 32 and 0.3 s at gap 400.  Rows
-# made dependent by flags of direction (1, 0) take the walk: with seven of
-# the ten 0.6 s at gap 32, with five 3.3 s at gap 400 (shared 2-CPU host).
-# Past this gap rank2_semistability refuses the input (ShapeError).
+# A row of degree a2 - k holds the powers x^0..x^(gap + k) of its point, so
+# the integer elimination grows faster than linearly in the gap.  Rows free
+# at one degree are free at every lower one, so 10 flags (1, i + 1) at points
+# 0..9 take one rank check: 0.008 s at gap 32 and 0.016 s at gap 400, and
+# 0.08 s at gap 32 at points (i + 1)/p over the first ten primes.  Rows kept
+# dependent by flags (1, 0) take the walk: with seven of the ten 0.26 s at
+# gap 32, with five 6.4 s at gap 400 (shared 2-CPU host).  Past this gap
+# rank2_semistability refuses the input (ShapeError).
 RANK2_MAX_GAP = 32
 
 
@@ -429,18 +428,9 @@ def _incidence_closures(rows: List[List[int]], nvars: int) -> Set[Tuple[int, ...
     When the non-zero rows F number at most nvars and are linearly
     independent (one linalgq.rank check), the closure of a subset of F is
     that subset with the zero rows Z, as in a free matroid, so the sets are
-    Z | S for every S in F of fewer than nvars rows.
-
-    Otherwise the independent subsets are walked depth-first, adding only
-    indices above the last one added: every subset has the closure of its
-    maximal independent subsets, and every prefix of an independent set is
-    independent.  The state is a matrix E kept by columns, E[k][j] being row
-    k applied to the j-th vector of a kernel basis of the rows chosen so
-    far.  Adding row i with pivot column p (its first non-zero entry) is one
-    integer column step col_j <- E[i][p]*col_j - E[i][j]*col_p; col_p is
-    dropped and each column divided by its gcd, so a column with E[i][j] = 0
-    is left as it is.  The closure is the set of zero rows of E; the walk
-    stops at one column, since a further row would leave no kernel.
+    Z | S for every S in F of fewer than nvars rows.  Otherwise the sets
+    come from _incidence_walk.  Of the rank-2 ladder's degrees only a1 can
+    have zero rows (flags (c, 0)), and only such a degree comes here.
     """
     zero = [k for k, row in enumerate(rows) if not any(row)]
     nonzero = [k for k, row in enumerate(rows) if any(row)]
@@ -452,6 +442,22 @@ def _incidence_closures(rows: List[List[int]], nvars: int) -> Set[Tuple[int, ...
             for size in range(min(f, nvars - 1) + 1)
             for chosen in itertools.combinations(nonzero, size)
         }
+    return _incidence_walk(rows, nvars)
+
+
+def _incidence_walk(rows: List[List[int]], nvars: int) -> Set[Tuple[int, ...]]:
+    """The closed incidence sets of _incidence_closures, for rows of any
+    rank: the independent subsets are walked depth-first, adding only indices
+    above the last one added, as every subset has the closure of its maximal
+    independent subsets and every prefix of an independent set is
+    independent.  The state is a matrix E kept by columns, E[k][j] being row
+    k applied to the j-th vector of a kernel basis of the rows chosen so
+    far.  Adding row i with pivot column p (its first non-zero entry) is one
+    integer column step col_j <- E[i][p]*col_j - E[i][j]*col_p; col_p is
+    dropped and each column divided by its gcd, so a column with E[i][j] = 0
+    is left as it is.  The closure is the set of zero rows of E; the walk
+    stops at one column, since a further row would leave no kernel.
+    """
     m = len(rows)
     start = []
     for j in range(nvars):
@@ -505,13 +511,20 @@ def rank2_semistability(
 
     Candidates run over degrees {a1} and {a2, a2-1, ..., a2-m} (m = number of
     marked points) and every closed set of incidences whose conditions leave
-    a non-zero solution; _incidence_closures lists every subset of the
-    conditions when they are independent (one rank check), and otherwise
-    finds the sets by integer column elimination over the independent
-    condition sets.  This is exhaustive because the weighted degree of any
-    deeper or unsaturated candidate is strictly beaten by a listed one: each
-    unit of degree lost can buy back strictly less than one unit of weight
-    when all weights lie in [0,1).
+    a non-zero solution.  This is exhaustive because the weighted degree of
+    any deeper or unsaturated candidate is strictly beaten by a listed one:
+    each unit of degree lost can buy back strictly less than one unit of
+    weight when all weights lie in [0,1).
+
+    The degrees form a ladder, walked top-down.  Down to a2 no row is zero
+    (its first entries are d_i*D^(dim_p-1) and -c_i*D^(dim_p-1)), and the
+    rows of degree a - k hold D^k times those of degree a as columns.  So
+    once one linalgq.rank check finds all m rows of a degree independent,
+    so are those of every lower degree, which builds no rows and lists every
+    subset of fewer than nvars incidences from one table of all 2^m subsets
+    S, sorted once by (-gain, S): one presorted run of keys per degree.
+    Above that, a degree with a zero row goes to _incidence_closures, and one
+    whose rows are dependent (one rank check, or m > nvars) to _incidence_walk.
 
     Weighted degrees are int numerators over the one denominator w of the
     2m cleared weights on_i/w, off_i/w: a candidate of degree a holding the
@@ -573,16 +586,30 @@ def rank2_semistability(
 
     degrees = sorted({a1} | {a2 - k for k in range(m + 1)}, reverse=True)
     keys = []  # (-numerator, -degree, incidences): the report's order
+    table = None  # (-gain, S) for every subset S, sorted, once the rows are free
     for a in degrees:
         dim_p = a1 - a + 1
         dim_q = max(a2 - a + 1, 0)
-        rows = []
-        for (c, d), x in zip(flag_dirs, xs):
-            powers = [x**k * dx ** (dim_p - 1 - k) for k in range(dim_p)]
-            rows.append([d * t for t in powers] + [-c * t for t in powers[:dim_q]])
+        nvars = dim_p + dim_q
         base = a * w + off_sum
-        for actual in _incidence_closures(rows, dim_p + dim_q):
-            keys.append((-base - sum([gains[i] for i in actual]), -a, actual))
+        if table is None:
+            rows = []
+            for (c, d), x in zip(flag_dirs, xs):
+                powers = [x**k * dx ** (dim_p - 1 - k) for k in range(dim_p)]
+                rows.append([d * t for t in powers] + [-c * t for t in powers[:dim_q]])
+            if not all(map(any, rows)):
+                closures = _incidence_closures(rows, nvars)
+            elif m > nvars or linalgq.rank(rows) < m:
+                closures = _incidence_walk(rows, nvars)
+            else:
+                table = [(0, ())]
+                for i, g in enumerate(gains):
+                    table += [(t - g, s + (i,)) for t, s in table]
+                table.sort()
+        if table is None:
+            keys += [(-base - sum([gains[i] for i in s]), -a, s) for s in closures]
+        else:  # one presorted run, which keys.sort merges
+            keys += [(t - base, -a, s) for t, s in table if len(s) < nvars]
     keys.sort()
 
     candidates = []

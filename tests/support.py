@@ -1,6 +1,7 @@
 """Shared helpers for the test suite: seeded random rationals, matrices and
 fields, plus small conversion shims for the sympy cross-checks."""
 
+import math
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations, permutations
@@ -524,9 +525,10 @@ def rank2_reduction(cand, split_degrees, weights):
 
 def reference_rank2(split_degrees, flags=(), weights=(), points=None):
     """The rank-2 enumerator by the all-subsets route, kept as a test oracle:
-    for each degree a and every subset of the incidence conditions, a
-    Fraction nullspace of the subset's rows and a closure of every condition
-    vanishing on it.  Inputs are taken as valid; returns
+    for each degree a, the incidence rows over Q, each scaled to integers by
+    its own denominator, and the closure of every subset of them whose
+    kernel is not zero, from sympy's rank of every subset
+    (reference_incidence_closures).  Inputs are taken as valid; returns
     (candidates, witness, total_weighted_degree, total_slope)."""
     from logahoric.parahoric import (
         VERDICT_BOUNDARY,
@@ -558,48 +560,21 @@ def reference_rank2(split_degrees, flags=(), weights=(), points=None):
         dim_p = a1 - a + 1
         dim_q = max(a2 - a + 1, 0)
         nvars = dim_p + dim_q
-
-        def incidence_row(i):
-            ci, di = flag_dirs[i]
-            x = xs[i]
-            return [di * x**k for k in range(dim_p)] + [-ci * x**k for k in range(dim_q)]
-
-        for size in range(m + 1):
-            for subset in combinations(range(m), size):
-                rows = [incidence_row(i) for i in subset]
-                if rows:
-                    basis = linalgq.nullspace(rows)
-                else:
-                    basis = [
-                        [Fraction(1 if t == s else 0) for t in range(nvars)]
-                        for s in range(nvars)
-                    ]
-                if not basis:
-                    continue
-                forced = [
-                    i
-                    for i in range(m)
-                    if i not in subset
-                    and all(
-                        sum(r * v for r, v in zip(incidence_row(i), b)) == 0
-                        for b in basis
-                    )
-                ]
-                actual = tuple(sorted(set(subset) | set(forced)))
-                if (a, actual) in found:
-                    continue
-                pairings = tuple(
-                    wpairs[i][0] if i in actual else wpairs[i][1] for i in range(m)
-                )
-                rd = ReductionDatum(a, 1, total_degree, 2, pairings)
-                wd = parahoric_degree(rd)
-                if wd > total_slope:
-                    verdict = VERDICT_FAIL
-                elif wd == total_slope:
-                    verdict = VERDICT_BOUNDARY
-                else:
-                    verdict = VERDICT_STABLE
-                found[(a, actual)] = Rank2Candidate(a, actual, wd, verdict)
+        rows = []
+        for (c, d), x in zip(flag_dirs, xs):
+            row = [d * x**k for k in range(dim_p)] + [-c * x**k for k in range(dim_q)]
+            den = math.lcm(*(v.denominator for v in row))
+            rows.append([int(v * den) for v in row])
+        for actual in reference_incidence_closures(rows, nvars):
+            pairings = tuple(wpairs[i][0] if i in actual else wpairs[i][1] for i in range(m))
+            wd = parahoric_degree(ReductionDatum(a, 1, total_degree, 2, pairings))
+            if wd > total_slope:
+                verdict = VERDICT_FAIL
+            elif wd == total_slope:
+                verdict = VERDICT_BOUNDARY
+            else:
+                verdict = VERDICT_STABLE
+            found[(a, actual)] = Rank2Candidate(a, actual, wd, verdict)
 
     candidates = tuple(
         sorted(found.values(), key=lambda c: (-c.weighted_degree, -c.degree, c.incidences))

@@ -12,7 +12,12 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from logahoric import higgs, linalgq, parahoric, poisson, polyq
-from support import reference_hitchin_hamiltonians, reference_incidence_closures, rnd_field
+from support import (
+    reference_hitchin_hamiltonians,
+    reference_incidence_closures,
+    reference_rank,
+    rnd_field,
+)
 
 
 def test_class_rank_takes_no_fallback_on_a_block_with_a_cyclic_unit_vector(monkeypatch):
@@ -97,21 +102,41 @@ def test_incidence_walk_divides_each_step_by_its_content(monkeypatch):
     assert seen and max(map(abs, seen)) <= 10**4
 
 
+def _spy_on_incidence_rows(monkeypatch):
+    """Record (routine, rows) for every call of _incidence_closures,
+    _incidence_walk and linalgq.rank, the routines the rank-2 incidence rows
+    of a degree go to once built; returns the list."""
+    seen = []
+
+    def spy(name, real):
+        def call(rows, *args):
+            seen.append((name, rows))
+            return real(rows, *args)
+
+        return call
+
+    for name in ("_incidence_closures", "_incidence_walk"):
+        monkeypatch.setattr(parahoric, name, spy(name, getattr(parahoric, name)))
+    monkeypatch.setattr(linalgq, "rank", spy("rank", linalgq.rank))
+    return seen
+
+
+def _rank2_degrees(a1, a2, m):
+    """The degrees of the rank-2 ladder, top-down, each with its unknown
+    count: the length of its incidence rows (a1 >= a2)."""
+    degrees = sorted({a1, *range(a2 - m, a2 + 1)}, reverse=True)
+    return {a1 - a + 1 + max(a2 - a + 1, 0): a for a in degrees}
+
+
 def test_incidence_rows_carry_one_power_of_the_point_denominator(monkeypatch):
     """At points x_i = u_i/D the rank-2 rows are cleared once: the entry of
     x_i^k in a row of degree a is u_i^k D^(dim_p - 1 - k) times a flag
     coordinate, dim_p = a1 - a + 1, so no entry exceeds
     max(|u_i|, D)^(dim_p - 1) max(|c_i|, |d_i|).  A row built with
     D^(dim_p - 1 + k) gives the same closures from entries up to
-    D^(2 dim_p - 2)."""
-    calls = []
-
-    def spy(rows, nvars):
-        calls.append(rows)
-        return real(rows, nvars)
-
-    real = parahoric._incidence_closures
-    monkeypatch.setattr(parahoric, "_incidence_closures", spy)
+    D^(2 dim_p - 2).  Every full set of rows the enumerator builds is
+    checked, whichever routine it goes to."""
+    seen = _spy_on_incidence_rows(monkeypatch)
     rng = random.Random(5)
     for _ in range(12):
         m, gap, a2 = rng.randint(2, 5), rng.randint(1, 4), rng.randint(-2, 2)
@@ -120,14 +145,83 @@ def test_incidence_rows_carry_one_power_of_the_point_denominator(monkeypatch):
         points = rng.sample([Fraction(k, p) for p in (2, 3, 5, 7) for k in range(1, p)], m)
         weights = [(Fraction(1, 3), 0)] * m
         dx, us = linalgq.integer_form(points)
-        calls.clear()
+        seen.clear()
         parahoric.rank2_semistability((a1, a2), flags, weights, points)
-        degrees = sorted({a1, *range(a2 - m, a2 + 1)}, reverse=True)
-        assert len(calls) == len(degrees)
-        for a, rows in zip(degrees, calls):
+        degree_of = _rank2_degrees(a1, a2, m)
+        full = [rows for _, rows in seen if len(rows) == m]
+        assert full
+        for rows in full:
+            a = degree_of[len(rows[0])]
             for (c, d), u, row in zip(flags, us, rows):
                 bound = max(abs(u), dx) ** (a1 - a) * max(abs(c), abs(d))
                 assert max(map(abs, row)) <= bound, (a, row)
+
+
+def test_rank2_ladder_ranks_each_degree_once_until_its_rows_are_free(monkeypatch):
+    """rank2_semistability walks its degrees top-down and ranks the rows of
+    a degree at most once, until one rank check finds all m rows of a degree
+    independent.  Every lower degree's rows then hold D^k times those rows
+    as columns, so they are independent too: none is built, and nothing is
+    ranked.  The first free degree is found here by sympy's rank, over
+    m = 1..10, gaps 0..32 (at most 8 for seven or more flags, where rows
+    that stay dependent take the walk), swapped split degrees, and flags
+    mixing (1, 0), (0, 1) and generic directions.
+
+    Flags (1, i + 1) at points 0..m-1 meet only the polynomials
+    (x + 1)p(x) - q(x): the rows of degree a2 - k have rank
+    min(m, gap + k + 2) on gap + 2k + 2 unknowns, so for m <= gap + 3 the
+    first degree with m unknowns or more is free, and one rank check
+    serves the whole report."""
+    seen = _spy_on_incidence_rows(monkeypatch)
+    rng = random.Random(48)
+    cases = []
+    for _ in range(40):
+        m = rng.randint(1, 10)
+        gap = rng.randint(0, 32 if m < 7 else 8)
+        a2 = rng.randint(-2, 2)
+        generic = [(c, d) for c in (1, 2, 3) for d in (-2, -1, 1, 3)]
+        flags = [rng.choice([(1, 0), (0, 1), rng.choice(generic)]) for _ in range(m)]
+        points = rng.sample([Fraction(k, p) for p in (1, 2, 3) for k in range(-7, 8)], m)
+        if len(set(points)) == m:
+            cases.append(((a2 + gap, a2), flags, points, False))
+    for gap in range(33):
+        for m in (1, min(gap + 3, 10)):
+            cases.append(((gap, 0), [(1, i + 1) for i in range(m)], None, True))
+    for split, flags, points, one_check in cases:
+        m = len(flags)
+        seen.clear()
+        if m % 2:  # given as (a2, a1): the enumerator swaps them and each flag back
+            given = split[::-1], [f[::-1] for f in flags]
+        else:
+            given = split, flags
+        parahoric.rank2_semistability(*given, [(0, 0)] * m, points)
+        a1, a2 = split
+        degree_of = _rank2_degrees(a1, a2, m)
+        dx, us = linalgq.integer_form(points or range(m))
+        free = None
+        for nvars, a in sorted(degree_of.items()):
+            dim_p = a1 - a + 1
+            rows = [
+                [d * u**k * dx ** (dim_p - 1 - k) for k in range(dim_p)]
+                + [-c * u**k * dx ** (dim_p - 1 - k) for k in range(nvars - dim_p)]
+                for (c, d), u in zip(flags, us)
+            ]
+            if all(map(any, rows)) and reference_rank(rows, nvars) == m:
+                free = a
+                break
+        built, ranked, last = [], [], None
+        for name, rows in seen:
+            # a rank call on no rows comes from the _incidence_closures call before it
+            last = degree_of[len(rows[0])] if rows else last
+            (ranked if name == "rank" else built).append(last)
+        built += ranked
+        assert len(ranked) == len(set(ranked)), (split, flags)
+        expected = [a for a in degree_of.values() if free is None or a >= free]
+        assert sorted(set(built), reverse=True) == expected, (split, flags)
+        if free is not None:
+            assert free in ranked, (split, flags)
+        if one_check:
+            assert len(ranked) == 1, (split, m)
 
 
 def test_involution_runs_one_kernel_pass_per_hamiltonian(monkeypatch):

@@ -1,6 +1,8 @@
 import itertools
+import json
 import os
 import random
+import re
 import subprocess
 import sys
 import types
@@ -801,3 +803,68 @@ def test_rank2_flag_cap_survives_optimize():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_rank2_ladder_edges_match_reference_oracle():
+    """The edges of the degree ladder, where rank2_semistability stops
+    building rows once one rank check finds all of a degree's rows
+    independent, match the all-subsets oracle: the rows are free first at a
+    degree with exactly as many unknowns as flags (a2, of gap + 2 unknowns);
+    rows of a1 are zero for flags (c, 0), and the rows of a2 are dependent
+    before a lower degree frees them; the gap is 0; the split degrees come
+    swapped; every flag is (1, 0), so no degree is free until a2 - m + 1;
+    and m = 9."""
+    def weights(m):
+        return [(Fraction(i % 3, 3), Fraction(i % 2, 4)) for i in range(m)]
+
+    cases = [
+        ((2, 0), [(1, 1), (2, -1), (1, 3), (-1, 2)], None),
+        ((1, 0), [(1, i + 1) for i in range(3)], None),
+        ((3, 0), [(2, 0), (1, 1), (-1, 0), (1, 2), (3, -1)], [0, Fraction(1, 2), 2, -1, 3]),
+        ((1, 1), [(1, 2), (-1, 1), (2, 3), (0, 1), (1, 0)], None),
+        ((0, 3), [(0, 1), (1, 1), (2, -1), (0, 2)], [Fraction(1, 3), 1, -2, 4]),
+        ((2, 0), [(1, 0)] * 4, None),
+        ((2, 0), [(1, 0), (0, 1), (1, 1), (2, -1), (1, 3), (-3, 1), (1, 0), (2, 1), (0, 1)],
+         None),
+    ]
+    for degrees, flags, points in cases:
+        _assert_rank2_matches_reference(degrees, flags, weights(len(flags)), points)
+
+
+# Two processes under different hash seeds: the report must not depend on
+# the iteration order of a set or dict of tuples.
+HASH_SEED_CONFIG = {
+    "command": "stability",
+    "options": {
+        "rank2": {
+            "split_degrees": [-1, 1],
+            "flags": [["1", "0"], ["0", "1"], ["2", "-1"], ["1", "3"], ["1", "0"], ["3", "2"],
+                      ["-1", "1"]],
+            "weights": [["1/2", "1/3"], ["0", "1/4"], ["2/3", "0"], ["1/5", "1/5"],
+                        ["3/4", "1/2"], ["0", "0"], ["1/6", "5/6"]],
+            "points": ["0", "1/2", "-1", "2", "1/3", "-5/2", "7"],
+        }
+    },
+}
+
+
+def test_rank2_report_does_not_depend_on_the_hash_seed(tmp_path):
+    src = os.path.dirname(os.path.dirname(parahoric.__file__))
+    cfg = tmp_path / "stability.json"
+    cfg.write_text(json.dumps(HASH_SEED_CONFIG))
+    reports = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"report-{seed}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "logahoric", "stability", "--config", cfg, "--out", out],
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        text = out.read_text(encoding="utf-8")
+        assert text.count('"timing_seconds": ') == 1
+        reports.append(re.sub(r'\n  "timing_seconds": [^\n]*', "", text))
+    assert len(json.loads(reports[0])["results"]["rank2"]["candidates"]) > 100
+    assert reports[0] == reports[1]
