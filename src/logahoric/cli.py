@@ -193,18 +193,16 @@ def _root_key(root: Tuple[int, ...]) -> str:
     return ",".join(str(c) for c in root)
 
 
-class _Encoded(NamedTuple):
-    """JSON text already encoded as json.dumps(value, sort_keys=True,
-    indent=2) writes value at nesting indent (level 0 by default): a report
-    leaf that _chunks splices in at its depth.  Not a str subclass, whose
-    construction would copy the text."""
+class _Candidates(NamedTuple):
+    """A report leaf holding the rank-2 candidates, which _chunks writes
+    with _candidate_list at the depth where it meets them."""
 
-    text: str
-    indent: str = ""
+    items: Tuple[parahoric.Rank2Candidate, ...]
 
 
-def _candidate_list(candidates, indent: str) -> _Encoded:
-    """The rank-2 candidates' report list, encoded at nesting indent in one
+def _candidate_list(candidates, indent: str) -> str:
+    """The rank-2 candidates' report list (never empty) as
+    json.dumps(sort_keys=True, indent=2) writes it at nesting indent, in one
     join.  The incidence list is formatted once per distinct tuple, and the
     verdict and weighted degree once per shared Fraction, keyed by identity
     (the report keeps each one alive)."""
@@ -223,7 +221,7 @@ def _candidate_list(candidates, indent: str) -> _Encoded:
         out.append(f'{head}{degree},\n{key}"incidences": {inc},\n{key}{tail}\n{item}}}')
         head = ",\n" + item + start
     out.append("\n" + indent + "]")
-    return _Encoded("".join(out), indent)
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +412,7 @@ def _cmd_stability(cfg: ParsedConfig) -> dict:
             "total_weighted_degree": _s(report.total_weighted_degree),
             "total_slope": _s(report.total_slope),
             "witness": {**witness._asdict(), "weighted_degree": _s(witness.weighted_degree)},
-            # written at the depth where run's report puts it: report.results.rank2
-            "candidates": _candidate_list(report.candidates, " " * 6),
+            "candidates": _Candidates(report.candidates),
         }
     return results
 
@@ -457,18 +454,15 @@ def _chunks(value, indent: str, out: List[str]) -> None:
     keys go through json's C escaper, containers are walked directly, and
     only other scalars (floats, bools, None) and empty containers reach
     json.dumps.  The caller joins out once, so no container's text is built
-    and then copied into its parent's.  An _Encoded leaf (the rank-2
-    candidates) encoded at this level is appended as it is, and one encoded
-    at another is re-indented in one replace: escaped JSON strings hold no
-    raw newline, so each newline in it is a line break and its indent.
+    and then copied into its parent's.  A _Candidates leaf is written by
+    _candidate_list at this level.
     """
     if type(value) is str:
         out.append(_escape(value))
     elif type(value) is int:
         out.append(str(value))
-    elif type(value) is _Encoded:
-        text, at = value
-        out.append(text if at == indent else text.replace("\n" + at, "\n" + indent))
+    elif type(value) is _Candidates:
+        out.append(_candidate_list(value.items, indent))
     elif isinstance(value, (dict, list, tuple)) and value:
         inner = indent + "  "
         sep = ",\n" + inner
@@ -491,7 +485,7 @@ def _chunks(value, indent: str, out: List[str]) -> None:
 
 def _json(value) -> str:
     """The text of json.dumps(value, sort_keys=True, indent=2), each
-    _Encoded leaf standing for the value whose text it holds."""
+    _Candidates leaf standing for its list of candidate objects."""
     out: List[str] = []
     _chunks(value, "", out)
     return "".join(out)

@@ -25,7 +25,6 @@ cut out by finite-dimensional linear systems.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -418,39 +417,15 @@ RANK2_MAX_FLAGS = 10
 RANK2_MAX_GAP = 32
 
 
-def _incidence_closures(rows: List[List[int]], nvars: int) -> Set[Tuple[int, ...]]:
+def _incidence_walk(rows: List[List[int]], nvars: int) -> Set[Tuple[int, ...]]:
     """Closed incidence sets of the integer condition rows on nvars unknowns.
 
     A set is closed when it holds every condition that vanishes on the
-    kernel of its rows.  This returns the closure of every subset of rows
-    whose kernel is not zero.
-
-    When the non-zero rows F number at most nvars and are linearly
-    independent (one linalgq.rank check), the closure of a subset of F is
-    that subset with the zero rows Z, as in a free matroid, so the sets are
-    Z | S for every S in F of fewer than nvars rows.  Otherwise the sets
-    come from _incidence_walk.  Of the rank-2 ladder's degrees only a1 can
-    have zero rows (flags (c, 0)), and only such a degree comes here.
-    """
-    zero = [k for k, row in enumerate(rows) if not any(row)]
-    nonzero = [k for k, row in enumerate(rows) if any(row)]
-    f = len(nonzero)
-    if f <= nvars and linalgq.rank([rows[k] for k in nonzero]) == f:
-        # combinations of the ascending list nonzero come out sorted
-        return {
-            tuple(sorted(zero + list(chosen))) if zero else chosen
-            for size in range(min(f, nvars - 1) + 1)
-            for chosen in itertools.combinations(nonzero, size)
-        }
-    return _incidence_walk(rows, nvars)
-
-
-def _incidence_walk(rows: List[List[int]], nvars: int) -> Set[Tuple[int, ...]]:
-    """The closed incidence sets of _incidence_closures, for rows of any
-    rank: the independent subsets are walked depth-first, adding only indices
-    above the last one added, as every subset has the closure of its maximal
-    independent subsets and every prefix of an independent set is
-    independent.  The state is a matrix E kept by columns, E[k][j] being row
+    kernel of its rows; this returns the closure of every subset of rows
+    whose kernel is not zero.  The independent subsets are walked
+    depth-first, adding only indices above the last one added, as every
+    subset has the closure of its maximal independent subsets and every
+    prefix of an independent set is independent.  The state is a matrix E kept by columns, E[k][j] being row
     k applied to the j-th vector of a kernel basis of the rows chosen so
     far.  Adding row i with pivot column p (its first non-zero entry) is one
     integer column step col_j <- E[i][p]*col_j - E[i][j]*col_p; col_p is
@@ -523,8 +498,8 @@ def rank2_semistability(
     so are those of every lower degree, which builds no rows and lists every
     subset of fewer than nvars incidences from one table of all 2^m subsets
     S, sorted once by (-gain, S): one presorted run of keys per degree.
-    Above that, a degree with a zero row goes to _incidence_closures, and one
-    whose rows are dependent (one rank check, or m > nvars) to _incidence_walk.
+    Above that, each degree's rows, dependent by one rank check (or as
+    m > nvars), go to _incidence_walk.
 
     Weighted degrees are int numerators over the one denominator w of the
     2m cleared weights on_i/w, off_i/w: a candidate of degree a holding the
@@ -597,9 +572,7 @@ def rank2_semistability(
             for (c, d), x in zip(flag_dirs, xs):
                 powers = [x**k * dx ** (dim_p - 1 - k) for k in range(dim_p)]
                 rows.append([d * t for t in powers] + [-c * t for t in powers[:dim_q]])
-            if not all(map(any, rows)):
-                closures = _incidence_closures(rows, nvars)
-            elif m > nvars or linalgq.rank(rows) < m:
+            if m > nvars or linalgq.rank(rows) < m:
                 closures = _incidence_walk(rows, nvars)
             else:
                 table = [(0, ())]

@@ -1328,16 +1328,32 @@ def with_subtree(tree, path, leaf):
     return items
 
 
-@given(JSON_TREES, st.data())
-def test_emitter_splices_encoded_text_at_any_depth(tree, data):
-    """Any subtree may be replaced by its own encoded text, as the rank-2
-    candidates are: the emitted bytes stay those of the whole tree."""
+# Rank-2 candidates as a report holds them: the verdict follows the
+# weighted degree, as every candidate sharing a Fraction shares its verdict.
+CANDIDATES = st.lists(
+    st.builds(
+        lambda degree, incidences, wd: parahoric.Rank2Candidate(
+            degree, tuple(incidences), wd, parahoric.verdict(wd, 1)
+        ),
+        st.integers(),
+        st.lists(st.integers(0, 9)),
+        st.fractions(),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@given(JSON_TREES, CANDIDATES, st.data())
+def test_emitter_splices_encoded_text_at_any_depth(tree, candidates, data):
+    """The rank-2 candidates may stand at any node of a report as a
+    _Candidates leaf, encoded at that depth: the emitted bytes stay those
+    of the tree holding each candidate's report object there."""
     path = data.draw(st.sampled_from(list(subtree_paths(tree))))
-    node = tree
-    for key in path:
-        node = node[key]
-    encoded = cli._Encoded(json.dumps(node, sort_keys=True, indent=2))
-    assert cli._json(with_subtree(tree, path, encoded)) == cli._json(tree)
+    leaf = cli._Candidates(tuple(candidates))
+    mappings = [candidate_mapping(c) for c in candidates]
+    expected = json.dumps(with_subtree(tree, path, mappings), sort_keys=True, indent=2)
+    assert cli._json(with_subtree(tree, path, leaf)) == expected
 
 
 def test_emitter_matches_json_dumps_on_bench_reports(tmp_path):

@@ -78,7 +78,7 @@ def test_incidence_walk_starts_from_primitive_columns(monkeypatch):
         return math.gcd(*xs)
 
     monkeypatch.setattr(parahoric, "math", SimpleNamespace(gcd=gcd))
-    assert parahoric._incidence_closures(rows, 3) == reference_incidence_closures(small, 3)
+    assert parahoric._incidence_walk(rows, 3) == reference_incidence_closures(small, 3)
     assert seen and max(map(abs, seen)) <= 3 * k
 
 
@@ -98,14 +98,14 @@ def test_incidence_walk_divides_each_step_by_its_content(monkeypatch):
         return math.gcd(*xs)
 
     monkeypatch.setattr(parahoric, "math", SimpleNamespace(gcd=gcd))
-    assert parahoric._incidence_closures(rows, 4) == reference_incidence_closures(rows, 4)
+    assert parahoric._incidence_walk(rows, 4) == reference_incidence_closures(rows, 4)
     assert seen and max(map(abs, seen)) <= 10**4
 
 
 def _spy_on_incidence_rows(monkeypatch):
-    """Record (routine, rows) for every call of _incidence_closures,
-    _incidence_walk and linalgq.rank, the routines the rank-2 incidence rows
-    of a degree go to once built; returns the list."""
+    """Record (routine, rows) for every call of _incidence_walk and
+    linalgq.rank, the routines the rank-2 incidence rows of a degree go to
+    once built; returns the list."""
     seen = []
 
     def spy(name, real):
@@ -115,8 +115,7 @@ def _spy_on_incidence_rows(monkeypatch):
 
         return call
 
-    for name in ("_incidence_closures", "_incidence_walk"):
-        monkeypatch.setattr(parahoric, name, spy(name, getattr(parahoric, name)))
+    monkeypatch.setattr(parahoric, "_incidence_walk", spy("walk", parahoric._incidence_walk))
     monkeypatch.setattr(linalgq, "rank", spy("rank", linalgq.rank))
     return seen
 
@@ -209,12 +208,8 @@ def test_rank2_ladder_ranks_each_degree_once_until_its_rows_are_free(monkeypatch
             if all(map(any, rows)) and reference_rank(rows, nvars) == m:
                 free = a
                 break
-        built, ranked, last = [], [], None
-        for name, rows in seen:
-            # a rank call on no rows comes from the _incidence_closures call before it
-            last = degree_of[len(rows[0])] if rows else last
-            (ranked if name == "rank" else built).append(last)
-        built += ranked
+        built = [degree_of[len(rows[0])] for _, rows in seen]
+        ranked = [degree_of[len(rows[0])] for name, rows in seen if name == "rank"]
         assert len(ranked) == len(set(ranked)), (split, flags)
         expected = [a for a in degree_of.values() if free is None or a >= free]
         assert sorted(set(built), reverse=True) == expected, (split, flags)

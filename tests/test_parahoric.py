@@ -1,11 +1,9 @@
-import itertools
 import json
 import os
 import random
 import re
 import subprocess
 import sys
-import types
 from fractions import Fraction
 from operator import mul
 
@@ -679,46 +677,31 @@ def _free_rows(rng, k, nvars):
 
 
 def _incidence_row_sets(rng):
-    """Seeded (rows, nvars, free): free when the non-zero rows are
-    independent and no more than the unknowns."""
+    """Seeded (rows, nvars): free rows (fewer than or as many as the
+    unknowns, zero rows mixed in), then repeated or proportional rows, or
+    more rows than unknowns."""
     for _ in range(5):
         nvars = rng.randint(2, 5)
-        yield _free_rows(rng, rng.randint(0, nvars - 1), nvars), nvars, True
-        yield _free_rows(rng, nvars, nvars), nvars, True
+        yield _free_rows(rng, rng.randint(0, nvars - 1), nvars), nvars
+        yield _free_rows(rng, nvars, nvars), nvars
         rows = _free_rows(rng, rng.randint(1, nvars), nvars)
         for _ in range(rng.randint(1, 2)):
             rows.insert(rng.randint(0, len(rows)), [0] * nvars)
-        yield rows, nvars, True
+        yield rows, nvars
         rows = _free_rows(rng, rng.randint(1, nvars), nvars)
         rows += [list(rng.choice(rows)), [rng.choice((-2, 3)) * x for x in rng.choice(rows)]]
         rows.insert(rng.randint(0, len(rows)), [0] * nvars)
         rng.shuffle(rows)
-        yield rows, nvars, False
+        yield rows, nvars
         rows = [[rng.randint(-2, 2) for _ in range(nvars)] for _ in range(nvars + rng.randint(1, 2))]
-        yield rows, nvars, False
+        yield rows, nvars
 
 
-def test_incidence_closures_match_brute_force(monkeypatch):
-    """Both routes of _incidence_closures agree with the brute-force oracle:
-    free rows (fewer than or as many as the unknowns, zero rows mixed in)
-    take the all-subsets route, and repeated or proportional rows, or more
-    rows than unknowns, take the walk."""
-    listed = []
-
-    def combinations(items, size):
-        listed.append(size)
-        return itertools.combinations(items, size)
-
-    monkeypatch.setattr(parahoric, "itertools", types.SimpleNamespace(combinations=combinations))
-    routes = []
-    for rows, nvars, free in _incidence_row_sets(random.Random(1515)):
-        listed.clear()
-        assert parahoric._incidence_closures(rows, nvars) == reference_incidence_closures(
-            rows, nvars
-        )
-        assert bool(listed) == free
-        routes.append(free)
-    assert routes.count(True) == 15 and routes.count(False) == 10
+def test_incidence_closures_match_brute_force():
+    """_incidence_walk agrees with the brute-force oracle on free rows, with
+    and without zero rows, and on dependent ones."""
+    for rows, nvars in _incidence_row_sets(random.Random(1515)):
+        assert parahoric._incidence_walk(rows, nvars) == reference_incidence_closures(rows, nvars)
 
 
 def test_rank2_flag_cap():
