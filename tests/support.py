@@ -713,7 +713,7 @@ def reference_rank(rows, ncols: int) -> int:
 
 def reference_incidence_closures(rows, nvars: int):
     """The closed incidence sets of integer condition rows on nvars unknowns,
-    by brute force, kept as a test oracle for parahoric._incidence_closures:
+    by brute force, kept as a test oracle for parahoric._incidence_walk:
     the reference_rank of every subset of rows, and for each subset of rank
     below nvars, every row whose addition leaves that rank unchanged (every
     row in the span of the subset)."""
