@@ -56,14 +56,14 @@ def _point(entry, where: str) -> Tuple[Fraction, Optional[List[Fraction]]]:
     return x, None if theta is None else _list(theta, f"{where}.theta")
 
 
-def _matrix(value, n: int, where: str) -> List[List[Fraction]]:
+def _matrix(value, n: int, where: str) -> List[Tuple[int, int]]:
     if not isinstance(value, list) or len(value) != n:
         raise ConfigError(f"{where}: expected a {n}x{n} matrix")
     out = []
     for i, row in enumerate(value):
         if not isinstance(row, list) or len(row) != n:
             raise ConfigError(f"{where}: row {i} must have {n} entries")
-        out.append(linalgq.rationals(row, f"{where}[{i}]", ConfigError))
+        out += linalgq.rationals(row, f"{where}[{i}]", ConfigError, linalgq.ratio)
     return out
 
 
@@ -126,7 +126,7 @@ class ParsedConfig:
         if self.group is None:
             raise ConfigError("residues need a group to fix the matrix size")
         n = self.matrix_size()
-        return _list(raw, "residues", lambda m, where: _matrix(m, n, where))
+        return higgs.PairResidues(n, _list(raw, "residues", lambda m, where: _matrix(m, n, where)))
 
     # -- assembled library objects -------------------------------------
 

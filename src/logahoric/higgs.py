@@ -10,7 +10,8 @@ at s-2.
 A field clears its points x_k = a_k/d_x and residues X_j = R_j/d_r to
 ints once (linalgq.integer_form) and keeps that form
 (LogHiggsField.cleared); every numeric route and every derived value,
-regularity at infinity included, reads it.  With the int
+regularity at infinity included, reads it.  The CLI's residues come read
+once as int pairs (PairResidues), cleared as they are.  With the int
 polyq.lagrange_weights w_j of the a_k, B(tau) = sum_j w_j(tau) R_j is an
 int polynomial matrix and A(z) = B(z d_x)/D, D = d_x^(s-1) d_r.  Every
 polynomial in z made by products (the entries of A and its characteristic
@@ -23,39 +24,30 @@ coefficient.
 Invariant sections are characteristic coefficients of A(z), signed so the
 degree-i section is the i-th elementary symmetric function of eigenvalues.
 The spectral data is the lambda-discriminant of det(lambda*I - A(z)),
-interpolated from its int values at t = 0..n(n-1) deg A over D^(n(n-1)):
-the discriminants of the int characteristic polynomials of B(t d_x), whose
-coefficients are the int polynomials c_k(B(tau)) evaluated at tau = t d_x.
-Its squarefree test is one integer gcd-degree routine, run modulo a prime
-as a certificate and over Q as the fallback, and a size cap keeps that
-fallback affordable.  The genus comes
-from Riemann-Hurwitz bookkeeping over P^1: the discriminant, as a form of
-degree N = n(n-1) deg A, has deg(disc) simple finite roots when the affine
-discriminant is squarefree, and a root of order e = N - deg(disc) at
-infinity.  So genus = N/2 - n + 1 when the affine discriminant is
-squarefree and e <= 1 (every branch point simple, infinity included); it
-is left undefined for a square factor, for e >= 2 (the curve is singular
-over infinity), and for N < 2(n - 1), where the formula goes negative (n
-disjoint sheets, say, when the eigenvalues of A(z) are constant).
-branch_count and is_squarefree keep their affine meaning: the degree of
-the affine discriminant and its squarefree test.
+interpolated in ints from its int values at t = 0..n(n-1) deg A
+(spectral_curve).  The genus comes from Riemann-Hurwitz bookkeeping over
+P^1: the discriminant, as a form of degree N = n(n-1) deg A, has deg(disc)
+simple finite roots when the affine discriminant is squarefree, and a root
+of order e = N - deg(disc) at infinity.  So genus = N/2 - n + 1 when the
+affine discriminant is squarefree and e <= 1 (every branch point simple,
+infinity included); it is left undefined for a square factor, for e >= 2
+(the curve is singular over infinity), and for N < 2(n - 1), where the
+formula goes negative.  branch_count and is_squarefree stay affine.
 
 The Gaudin Hamiltonians H_j = sum_{k != j} tr(X_j X_k)/(x_j - x_k) come
-as numbers from gaudin_values, one int trace per pair of cleared residues;
-gaudin_hamiltonians returns their symbolic forms in the Lie-Poisson
-coordinates as (alg, hams), like poisson.hitchin_coefficient_hamiltonians,
-for bracket checks.
-
+as numbers from gaudin_values, and as symbolic forms in the Lie-Poisson
+coordinates from gaudin_hamiltonians, for bracket checks.
 quotient_diagram_check (here, above poisson in the one-way import order)
 sets each point's _residue_invariants against its coresidue's invariants.
 """
 
 from __future__ import annotations
 
+from collections import abc
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import prod
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -70,7 +62,7 @@ from .rootsys import GroupTag, RationalCocharacter
 @dataclass(frozen=True)
 class LogHiggsField:
     points: Tuple[Fraction, ...]
-    residues: Tuple[Matrix, ...]
+    residues: Sequence[Matrix]
     group: GroupTag
     theta_data: Optional[Tuple[Optional[RationalCocharacter], ...]]
 
@@ -87,14 +79,31 @@ class LogHiggsField:
         """(d_x, a, d_r, rs): the points a_k/d_x and residues R_j/d_r cleared
         by linalgq.integer_form, each R_j a tuple of ints row by row."""
         dx, a = linalgq.integer_form(self.points)
-        dr, flat = linalgq.integer_form(x for m in self.residues for row in m for x in row)
-        size = len(self.residues[0]) ** 2
+        res = self.residues
+        dr, flat = linalgq.integer_form(chain.from_iterable(res.pairs) if type(res) is PairResidues
+                                        else (x for m in res for row in m for x in row))
+        size = len(flat) // len(res)
         return dx, tuple(a), dr, tuple(tuple(flat[i:i + size]) for i in range(0, len(flat), size))
 
     @cached_property
     def regular_at_infinity(self) -> bool:
         """Whether the residues sum to zero, read from the cleared R_j."""
         return not any(map(sum, zip(*self.cleared[3])))
+
+
+class PairResidues(abc.Sequence):
+    """Residues as the CLI reads them, n*n linalgq.ratio pairs each, row by
+    row: a field clears the pairs, and a Fraction matrix is made on a read."""
+
+    def __init__(self, n: int, pairs: Sequence[Sequence[Tuple[int, int]]]):
+        self.n, self.pairs = n, pairs
+
+    def __len__(self) -> int:
+        return len(self.pairs)
+
+    def __getitem__(self, j: int) -> Matrix:
+        n, r = self.n, self.pairs[j]
+        return [[Fraction(*x) for x in r[p:p + n]] for p in range(0, n * n, n)]
 
 
 def build_field(
@@ -105,8 +114,9 @@ def build_field(
 ) -> LogHiggsField:
     """Validate marked points, residues and weights (one cocharacter theta
     or None per point, each with the group's rank of coroot coordinates).
-    Numbers are read by linalgq.rationals.  The SL trace test (tr R_j = 0)
-    reads the field's `cleared` form, which the field then keeps."""
+    Numbers are read by linalgq.rationals, save PairResidues, which the CLI
+    has read.  The SL trace test (tr R_j = 0) reads the field's `cleared`
+    form, which the field then keeps."""
     if not linalgq.has_shape(points, None):
         raise ShapeError("points must be a sequence of rationals")
     xs = [x if type(x) is Fraction else Fraction(x) for x in linalgq.rationals(points, "points")]
@@ -119,12 +129,15 @@ def build_field(
         raise ShapeError("residues must be a sequence of matrices")
     if len(residues) != len(xs):
         raise ShapeError(f"{len(xs)} points but {len(residues)} residues")
-    mats = []
-    for j, raw in enumerate(residues):
-        if not linalgq.has_shape(raw, n, n):
-            raise ShapeError(f"residue {j} must be {n}x{n} for {group.family}{group.rank}")
-        mats.append(linalgq.mat(
-            linalgq.rationals(row, f"residues[{j}][{p}]") for p, row in enumerate(raw)))
+    mats = residues
+    if type(residues) is not PairResidues:
+        mats = []
+        for j, raw in enumerate(residues):
+            if not linalgq.has_shape(raw, n, n):
+                raise ShapeError(f"residue {j} must be {n}x{n} for {group.family}{group.rank}")
+            mats.append(linalgq.mat(
+                linalgq.rationals(row, f"residues[{j}][{p}]") for p, row in enumerate(raw)))
+        mats = tuple(mats)
     if theta_data is not None:
         if not linalgq.has_shape(theta_data, len(xs)):
             raise ShapeError("theta_data must list one cocharacter per point")
@@ -135,7 +148,7 @@ def build_field(
                                  f"coordinates for {group.family}{group.rank}")
         theta_data = tuple(None if th is None else RationalCocharacter(tuple(linalgq.rationals(
             th.coeffs, f"theta_data[{j}]"))) for j, th in enumerate(theta_data))
-    field = LogHiggsField(tuple(xs), tuple(mats), group, theta_data)
+    field = LogHiggsField(tuple(xs), mats, group, theta_data)
     if group.form == "SL":
         for j, r in enumerate(field.cleared[3]):
             if sum(r[::n + 1]):
@@ -282,17 +295,14 @@ def spectral_curve(f: LogHiggsField) -> SpectralCurveData:
     characteristic coefficients, and deg c_k <= (n-k) deg A, so its degree is
     at most N = n(n-1) deg A.  det(lambda*I - A(t)) is monic in lambda, so
     the discriminant of its coefficients at t is the value at t of the one
-    over Q[z]; the values at t = 0..N are interpolated.  Each is the int
-    discriminant of the monic int characteristic polynomial of
-    B(t d_x) = D*A(t), whose coefficients _char_coeff_polys gives by
-    evaluating the int polynomials C_k read from its one Berkowitz run; as
-    B has D times the eigenvalues of A(t), the values are interpolated over
-    the one denominator D^(n(n-1)).
-    The squarefree test is polyq.is_squarefree: a primitive integer
-    pseudo-remainder sequence for the degree of gcd(disc, disc'), modulo a
-    prime as a certificate and over Q as fallback.  The genus is N/2 - n + 1
-    when that test passes and N - deg(disc), the order of the root at
-    infinity, is at most 1 (module docstring), else None.
+    over Q[z].  For t = 0..N it is the int Hankel discriminant
+    (polyq.discriminant) of the monic int characteristic polynomial of
+    B(t d_x) = D*A(t), evaluated from _char_coeff_polys' one Berkowitz run;
+    B has D times the eigenvalues of A(t), so the values are interpolated in
+    ints over D^(n(n-1)).  The int coefficients go to polyq.is_squarefree as
+    they are, and one Fraction is made per coefficient.  The genus is
+    N/2 - n + 1 when that test passes and N - deg(disc), the order of the
+    root at infinity, is at most 1 (module docstring), else None.
 
     Shapes whose bound N, with deg A <= s - 2 for fields regular at infinity
     and s - 1 otherwise, exceeds SPECTRAL_MAX_DEGREE are refused with
@@ -307,15 +317,15 @@ def spectral_curve(f: LogHiggsField) -> SpectralCurveData:
             f"{SPECTRAL_MAX_DEGREE}; n = {n} with {f.site_count} points gives {bound}"
         )
     cs, big_d, chars = _char_coeff_polys(f, bound)
-    disc = polyq.interpolate(list(map(polyq.discriminant, chars)), big_d ** (n * (n - 1)))
-    squarefree = not polyq.is_zero(disc) and polyq.is_squarefree(disc)
-    branch = max(polyq.degree(disc), 0)
+    ints, den = polyq.interpolate(list(map(polyq.discriminant, chars)), big_d ** (n * (n - 1)))
+    squarefree = bool(ints) and polyq.is_squarefree(ints)
+    branch = max(len(ints) - 1, 0)
     genus: Optional[int] = None
     if squarefree and bound - branch <= 1 and bound >= 2 * (n - 1):
         genus = bound // 2 - n + 1
     return SpectralCurveData(
         char_coeffs=tuple(cs),
-        discriminant=disc,
+        discriminant=[Fraction(c, den) for c in ints],
         is_squarefree=squarefree,
         branch_count=branch,
         genus=genus,
@@ -347,13 +357,9 @@ def _residue_invariants(f: LogHiggsField) -> List[List[Fraction]]:
 
 
 def residue_of_invariant(f: LogHiggsField, j: int, i: int) -> Fraction:
-    """Leading coefficient of invariant i of L(z) at the j-th marked point.
-
-    In the local frame dz/(z - x_j) this is the value of the degree-i
-    invariant section of A(z) at x_j divided by w_j(x_j)**i, with
-    w_j(x_j) = prod(x_j - x_k).  As every other Lagrange weight vanishes at
-    x_j, A(x_j) = w_j(x_j) X_j, so the limit is e_i(X_j) (_residue_invariants).
-    """
+    """Leading coefficient of invariant i of L(z) at the j-th marked point:
+    in the local frame dz/(z - x_j), the degree-i invariant section of A(z)
+    at x_j over w_j(x_j)**i, which is e_i(X_j) (_residue_invariants)."""
     if not 0 <= j < f.site_count:
         raise IndexError(f"point index {j} out of range 0..{f.site_count - 1}")
     degrees = invariant_degrees(f)
@@ -461,27 +467,18 @@ class DiagramReport:
 
 
 def quotient_diagram_check(f: LogHiggsField) -> DiagramReport:
-    """Compare two routes to the invariant values over the divisor.
+    """Compare two routes to the invariant values over the divisor, exactly.
 
     Route one evaluates each invariant section of the field at a marked
-    point in the polar frame: A(x_j) = w_j(x_j) X_j, as every other Lagrange
-    weight vanishes at x_j, so that is e_i(X_j), which _residue_invariants
-    reads from the cleared residues.  Route two applies the same invariant
-    to that point's coresidue, with the field's own theta_data as the
-    weights of poisson.moment_map.  The two are compared exactly.
+    point in the polar frame, e_i(X_j) (_residue_invariants, from the
+    cleared residues).  Route two applies the same invariant to that
+    point's coresidue, with the field's own theta_data as the weights of
+    poisson.moment_map, which reads the residues as Fractions.
     """
     mv = poisson.moment_map(f)
     degrees = invariant_degrees(f)
     rows = []
     for j, residue_vals in enumerate(_residue_invariants(f)):
         site_vals = linalgq.invariant_values(mv.sites[j])
-        for i in degrees:
-            rows.append(
-                DiagramRow(
-                    point=j,
-                    degree=i,
-                    residue_route=residue_vals[i - 1],
-                    moment_route=site_vals[i - 1],
-                )
-            )
+        rows += [DiagramRow(j, i, residue_vals[i - 1], site_vals[i - 1]) for i in degrees]
     return DiagramReport(rows=tuple(rows))

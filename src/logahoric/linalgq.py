@@ -1,18 +1,17 @@
 """Exact matrix helpers over the rationals.
 
 Matrices are plain lists of lists of numbers only: ints and Fractions.
-Most callers work with Fraction entries; the characteristic-polynomial
-routine is Berkowitz's division-free one, run on int matrices (rational
-ones are cleared to ints first), ints in and ints out: `char_coeffs`, `det`
-and `invariant_values` are ints for an int matrix, else Fractions.
+`char_coeffs` (Berkowitz's division-free recursion, run on int matrices
+once rational ones are cleared to ints), `det` and `invariant_values` are
+ints for an int matrix, else Fractions.
 
 There is one elimination routine, the fraction-free _echelon in ints:
-`rank` counts its pivots and `nullspace` back-substitutes through its rows.
-`inverse` runs no elimination; it comes from `char_coeffs` by
+`rank` counts its pivots, `nullspace` back-substitutes through its rows and
+`det` is its signed last pivot.  `inverse` comes from Berkowitz by
 Cayley-Hamilton.  `integer_form` is the package's one step that clears
 rationals to integers over a common denominator.  `rational` is the one
-number reader: `rationals`, `integer`, the library's entry points and the
-CLI read user numbers through it, and it refuses bools and floats.
+number reader: `rationals`, `integer`, `ratio`, the library's entry points
+and the CLI read user numbers through it, and it refuses bools and floats.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from collections import abc
 from fractions import Fraction
 from itertools import chain
 from operator import mul
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import ShapeError
 
@@ -55,20 +54,14 @@ def has_shape(value, length: int | None, width: int | None = None) -> bool:
 
 def rational(value, where: str, error=ShapeError):
     """value as a rational, the package's one number reader: an int or a
-    Fraction as it is, a string as Fraction(str) reads it; anything else
-    (bools and floats too) raises error("where: ...")."""
+    Fraction as it is, a string as Fraction(str) reads it (_int_pair reads
+    the common form); anything else (bools and floats too) raises error."""
     if type(value) is int or type(value) is Fraction:
         return value
     if isinstance(value, str):
-        # The common form "[-]digits[/digits]" is read here in ints, with the
-        # \d digits (str.isdecimal) Fraction(str) reads; every other string
-        # (spaces, '+', '_', decimals, exponents) goes to Fraction itself.
-        num, slash, den = value.partition("/")
-        digits = num[1:] if num[:1] == "-" else num
+        pair = _int_pair(value)
         try:
-            if digits.isdecimal() and (den.isdecimal() or not slash):
-                return Fraction(int(num), int(den or 1))
-            return Fraction(value)
+            return Fraction(*pair) if pair else Fraction(value)
         except (ValueError, ZeroDivisionError):
             raise error(f"{where}: {value!r} is not a rational 'p/q' string")
     if isinstance(value, bool):
@@ -76,6 +69,25 @@ def rational(value, where: str, error=ShapeError):
     if isinstance(value, float):
         raise error(f"{where}: floating point is not accepted; write rationals as 'p/q' strings")
     raise error(f"{where}: expected a rational string, got {type(value).__name__}")
+
+
+def _int_pair(value: str) -> Optional[Tuple[int, int]]:
+    """(p, q) in lowest terms for "[-]digits[/digits]" (\\d digits, as Fraction
+    reads them) up to 640 characters (int()'s least limit) and q != 0; else None."""
+    num, slash, den = value.partition("/")
+    digits = num[1:] if num[:1] == "-" else num
+    if len(value) > 640 or not digits.isdecimal() or slash and not den.isdecimal():
+        return None
+    p, q = int(num), int(den or 1)
+    g = math.gcd(p, q) or 1
+    return (p // g, q // g) if q else None
+
+
+def ratio(value, where: str, error=ShapeError) -> Tuple[int, int]:
+    """rational(value, where, error) as its ints (p, q), q > 0, in lowest
+    terms; no Fraction is made for a string _int_pair reads."""
+    pair = type(value) is str and _int_pair(value)
+    return pair or rational(value, where, error).as_integer_ratio()
 
 
 def integer(value, where: str, error=ShapeError) -> int:
@@ -91,16 +103,17 @@ def integer(value, where: str, error=ShapeError) -> int:
     return q.numerator
 
 
-def rationals(values, what: str, error=ShapeError) -> list:
-    """values as a list of what `rational` reads, entry i named what[i]; the
-    name is built only for an entry that `rational` refuses."""
+def rationals(values, what: str, error=ShapeError, read=rational) -> list:
+    """values as a list of what read (rational, or ratio for int pairs)
+    reads, entry i named what[i]; the name is built only for an entry that
+    read refuses, and rational is not called on ints and Fractions."""
     out = list(values)
     for i, v in enumerate(out):
-        if type(v) is not int and type(v) is not Fraction:
+        if read is not rational or (type(v) is not int and type(v) is not Fraction):
             try:
-                out[i] = rational(v, what, error)
+                out[i] = read(v, what, error)
             except error:
-                rational(v, f"{what}[{i}]", error)  # refuses it again, by name
+                read(v, f"{what}[{i}]", error)  # refuses it again, by name
     return out
 
 
@@ -150,34 +163,38 @@ def copy(a):
 
 def integer_form(values) -> Tuple[int, List[int]]:
     """(den, ints) with values[i] == ints[i] / den, den the lcm of the
-    denominators (1 for no values).  Each value's numerator and denominator
-    are read once, by as_integer_ratio; a value that is not an int or a
-    Fraction is converted to a Fraction first."""
-    ratios = [(x if type(x) is int or type(x) is Fraction else Fraction(x)).as_integer_ratio()
+    denominators (1 for no values).  A value is an int pair (p, q) from
+    `ratio` or a number, read once by as_integer_ratio (as a Fraction if it
+    is neither an int nor a Fraction)."""
+    ratios = [x if type(x) is tuple else
+              (x if type(x) is int or type(x) is Fraction else Fraction(x)).as_integer_ratio()
               for x in values]
     den = math.lcm(*(d for _, d in ratios))
     return den, [p * (den // d) for p, d in ratios]
 
 
-def _echelon(a) -> List[List[int]]:
-    """The pivot rows of a fraction-free (Bareiss) forward elimination of a.
-
-    Rows are cleared by integer_form and zero rows dropped.  Each step
-    pivots on the first column with a non-zero entry, removes the pivot row,
-    and replaces every other row by (p*row - f*pivot_row) // prev over the
-    columns right of the pivot, dropping zero rows; the division is exact
-    because every entry is a minor of the cleared matrix.  Each pivot row
-    keeps only its entries from its pivot column on, so it is as long as
-    the columns it spans, and the rows span the row space of a.
+def _echelon(a) -> Tuple[List[List[int]], int]:
+    """The pivot rows of a fraction-free (Bareiss) forward elimination of a,
+    and the parity of its row moves.  Unless a is all ints, each row is
+    cleared by integer_form; zero rows are dropped.  Each step pivots on the
+    first non-zero entry of the first column with one, moving its row past
+    the i rows above (parity += i), and replaces every other row by
+    (p*row - f*pivot_row) // prev right of the pivot column, dropping zero
+    rows; the division is exact, as every entry is a minor of the cleared
+    matrix.  A pivot row keeps its entries from its pivot column on, so its
+    length tells the columns it spans; the rows span the row space of a.
     """
-    rows = [row for _, row in map(integer_form, a) if any(row)]
+    if not set(map(type, chain.from_iterable(a))) <= {int}:
+        a = [integer_form(row)[1] for row in a]
+    rows = [row for row in a if any(row)]
     tops = []
-    prev = 1
+    prev, parity = 1, 0
     while rows:
-        pivot = next((i for i, row in enumerate(rows) if row[0]), None)
+        pivot = 0 if rows[0][0] else next((i for i, row in enumerate(rows) if row[0]), None)
         if pivot is None:
             rows = [row[1:] for row in rows]
             continue
+        parity ^= pivot & 1
         top = rows.pop(pivot)
         p = top[0]
         tops.append(top)
@@ -189,12 +206,12 @@ def _echelon(a) -> List[List[int]]:
                 rest.append(new)
         rows = rest
         prev = p
-    return tops
+    return tops, parity
 
 
 def rank(a) -> int:
     """Row rank: the number of pivot rows of _echelon."""
-    return len(_echelon(a))
+    return len(_echelon(a)[0])
 
 
 def nullspace(a) -> List[List[Fraction]]:
@@ -203,7 +220,7 @@ def nullspace(a) -> List[List[Fraction]]:
     back-substitution through the rows of _echelon.  It is unique, so this
     is the basis read off the reduced echelon form."""
     cols = len(a[0]) if a else 0
-    tops = _echelon(a)
+    tops = _echelon(a)[0]
     pivots = {cols - len(top) for top in tops}
     basis = []
     for f in range(cols):
@@ -263,8 +280,15 @@ def invariant_values(m) -> list:
 
 
 def det(m):
-    c0 = char_coeffs(m)[0]
-    return -c0 if len(m) % 2 else c0
+    """det M, an int for an int matrix, else a Fraction: the last of the n
+    pivots of _echelon on d*M (integer_form, d = 1 for ints), signed by its
+    parity, is det(d*M) (Bareiss, Math. Comp. 22, 1968); 0 for fewer pivots."""
+    n = len(m)
+    ints = set(map(type, chain.from_iterable(m))) <= {int}
+    d, flat = (1, None) if ints else integer_form(chain.from_iterable(m))
+    tops, parity = _echelon(m if ints else [flat[i * n:(i + 1) * n] for i in range(n)])
+    value = (-1) ** parity * (tops[-1][0] if n else 1) if len(tops) == n else 0
+    return value if ints else Fraction(value, d ** n)
 
 
 def inverse(a) -> Matrix:

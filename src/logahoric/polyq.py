@@ -5,11 +5,12 @@ and no trailing zeros; the zero polynomial is the empty list.  Arithmetic is
 dense.  The spectral route takes the discriminant of many characteristic
 polynomials and interpolates a discriminant of degree 100 and more with
 coefficients of a few hundred bits, so its three routines work in integers:
-`discriminant` of an int list is the int determinant of the Hankel matrix of
-Newton power sums, `interpolate` (which serves that discriminant only) takes
-int values over one denominator and makes one Fraction per coefficient, and
-`is_squarefree` runs one integer gcd-degree routine, modulo 2^61 - 1 as a
-certificate and over Q as fallback.  Every other int polynomial is read from
+`discriminant` of an int list is the int Hankel determinant of Newton power
+sums (linalgq.det), `interpolate` (which serves that discriminant only)
+takes int values over one denominator and gives int coefficients over one,
+and `is_squarefree` runs one integer gcd-degree routine on those ints,
+modulo 2^61 - 1 as a certificate and over Q as fallback.  Every other int
+polynomial is read from
 one value at 2^beta by `digits` (Kronecker substitution), with
 `weight_norms` bounding the lagrange_weights that go into it.
 """
@@ -20,7 +21,7 @@ import math
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 from . import linalgq
 
@@ -36,10 +37,6 @@ def trim(coeffs: Coeffs) -> Coeffs:
 def degree(p: Sequence[Fraction]) -> int:
     """Degree, with deg 0 = -1 by convention."""
     return len(p) - 1
-
-
-def is_zero(p: Sequence[Fraction]) -> bool:
-    return len(p) == 0
 
 
 def evaluate(p: Sequence[Fraction], x) -> Fraction:
@@ -73,12 +70,14 @@ def weight_norms(xs: Sequence[int]) -> List[int]:
 
 
 def digits(v: int, beta: int) -> List[int]:
-    """The balanced base-2^beta digits of the int v, beta >= 2, lowest
-    first, up to the last non-zero one: v = sum_i d_i 2^(beta i),
-    -2^(beta-1) <= d_i < 2^(beta-1), and [] for v = 0.  An int polynomial
-    whose coefficients are all below 2^(beta-1) in size is read back,
-    trimmed, from its value at 2^beta (Kronecker substitution; Harvey,
+    """The balanced base-2^beta digits of the int v, beta >= 2 (else
+    ValueError), lowest first, up to the last non-zero one: v = sum_i d_i
+    2^(beta i), -2^(beta-1) <= d_i < 2^(beta-1), and [] for v = 0.  An int
+    polynomial whose coefficients are all below 2^(beta-1) in size is read
+    back, trimmed, from its value at 2^beta (Kronecker substitution; Harvey,
     J. Symbolic Comput. 44, 2009)."""
+    if beta < 2:
+        raise ValueError(f"digits needs beta >= 2, got {beta}")
     half = 1 << beta - 1
     mask = (1 << beta) - 1
     out = []
@@ -115,10 +114,10 @@ def _gcd_degree(a: List[int], b: List[int], modulus: int = 0) -> int:
     return len(a) - 1
 
 
-def is_squarefree(p: Sequence[Fraction]) -> bool:
+def is_squarefree(p: Sequence) -> bool:
     """Whether p has no repeated factor over Q; constants count as squarefree.
 
-    p is cleared to an int list a once.  Certificate first: when the prime
+    p is an int list a, or cleared to one.  Certificate first: when the prime
     MODULUS does not divide lc(a) and the reduction of a is coprime to its
     derivative, p is squarefree, exactly: a square factor q^2 of a over Z
     (Gauss's lemma) would reduce to one of the same degree.  Every other
@@ -126,7 +125,7 @@ def is_squarefree(p: Sequence[Fraction]) -> bool:
     """
     if degree(p) <= 0:
         return True
-    a = linalgq.integer_form(p)[1]
+    a = p if set(map(type, p)) <= {int} else linalgq.integer_form(p)[1]
     da = derivative(a)
     red = [c % MODULUS for c in a]
     if red[-1] and _gcd_degree(red, trim([c % MODULUS for c in da]), MODULUS) == 0:
@@ -139,8 +138,8 @@ def discriminant(a: Sequence[int]) -> int:
     a = a_0 + ... + a_d z^d: Q(y) = a_d^(d-1) a(y/a_d) is monic in ints with
     the roots a_d r_i, and disc(a) is disc(Q), the int determinant of the
     Hankel matrix (s_(i+j)) of the Newton power sums s_k of its roots
-    (Hermite), divided exactly by a_d^((d-1)(d-2)).  A rational list P/den,
-    cleared by integer_form, gives the Fraction disc(P)/den^(2d-2).
+    (Hermite; linalgq.det), divided exactly by a_d^((d-1)(d-2)).  A rational
+    list P/den, cleared by integer_form, gives the Fraction disc(P)/den^(2d-2).
     """
     d = degree(a)
     if d < 1:
@@ -159,14 +158,14 @@ def discriminant(a: Sequence[int]) -> int:
     return linalgq.det([sums[i:i + d] for i in range(d)]) // lead ** ((d - 1) * (d - 2))
 
 
-def interpolate(ys: Sequence[int], den: int) -> Coeffs:
-    """The polynomial of degree < len(ys) taking the value ys[t]/den at
-    t = 0, 1, ... for int values ys: Newton's forward-difference form, in
-    ints.  With N = len(ys) - 1, the differences d_k of ys give
-    N! den p(t) = sum_k d_k (N!/k!) t(t-1)...(t-k+1), expanded by Horner's
-    rule; one Fraction(c, N! den) is made per coefficient."""
+def interpolate(ys: Sequence[int], den: int) -> Tuple[List[int], int]:
+    """(cs, N! den), the trimmed int coefficients cs of N! den p, for the
+    polynomial p of degree < len(ys) taking the value ys[t]/den at t = 0,
+    1, ... for int values ys: Newton's forward-difference form, in ints.
+    With N = len(ys) - 1, the differences d_k of ys give N! den p(t) =
+    sum_k d_k (N!/k!) t(t-1)...(t-k+1), expanded by Horner's rule."""
     if not ys:
-        return []
+        return [], den
     diffs, row = [], list(ys)  # diffs[k]: the k-th forward difference at t = 0
     while row:
         diffs.append(row[0])
@@ -179,5 +178,4 @@ def interpolate(ys: Sequence[int], den: int) -> Coeffs:
         weight *= k + 1  # N!/k!
         acc = ([diffs[k] * weight - k * acc[0]]
                + [b - k * c for b, c in zip(acc, acc[1:])] + [acc[-1]])
-    total = weight * den
-    return [Fraction(c, total) for c in trim(acc)]
+    return trim(acc), weight * den

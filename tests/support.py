@@ -287,8 +287,9 @@ def reference_hitchin_hamiltonians(points, n: int, form: str = "SL"):
         coeffs = [{} for _ in samples]
         scale = dx ** ((s - 1) * i)
         for mono, ys in series.items():
-            for d, c in enumerate(polyq.interpolate(ys, scale)):
-                coeffs[d][mono] = c
+            ints, den = polyq.interpolate(ys, scale)
+            for d, c in enumerate(ints):
+                coeffs[d][mono] = Fraction(c, den)
         hams += [PoissonPolynomial._from_dict(alg, c) for c in coeffs if any(c.values())]
     return alg, tuple(hams)
 

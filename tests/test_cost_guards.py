@@ -6,12 +6,15 @@ gcd-degree routine runs, how large the integers inside an elimination get.
 A change that keeps every value but takes the slow route fails here.
 """
 
+import json
 import math
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
-from logahoric import higgs, linalgq, parahoric, poisson, polyq
+from logahoric import cli, higgs, linalgq, parahoric, poisson, polyq
 from support import (
     reference_hitchin_hamiltonians,
     reference_incidence_closures,
@@ -309,29 +312,23 @@ def test_hitchin_hamiltonians_read_one_packed_value_per_site_tuple(monkeypatch):
 
 
 def test_spectral_and_hitchin_run_berkowitz_once(monkeypatch):
-    """Outside polyq.discriminant, linalgq.char_coeffs runs exactly once per
-    spectral_curve call and once per hitchin_map call: on the Lax matrix
-    packed at 2^beta, whose characteristic coefficients hold every c_k(z)
-    as digits.  spectral_curve takes one polyq.discriminant per
-    interpolation node, N + 1 of them for the degree bound
-    N = n(n-1) deg A.  Berkowitz on n deg A + 1 samples, or on all N + 1
-    nodes, gives the same curve at a higher cost.  char_coeffs calls made
-    inside discriminant (its Hankel determinant) are not counted."""
+    """linalgq.char_coeffs runs exactly once per spectral_curve call and
+    once per hitchin_map call: on the Lax matrix packed at 2^beta, whose
+    characteristic coefficients hold every c_k(z) as digits.
+    spectral_curve takes one polyq.discriminant per interpolation node,
+    N + 1 of them for the degree bound N = n(n-1) deg A, and those run no
+    char_coeffs (see the next guard).  Berkowitz on n deg A + 1 samples, or
+    on all N + 1 nodes, gives the same curve at a higher cost."""
     real_char, real_disc = linalgq.char_coeffs, polyq.discriminant
-    runs, discs, depth = [], [], []
+    runs, discs = [], []
 
     def char_coeffs(m):
-        if not depth:
-            runs.append(m)
+        runs.append(m)
         return real_char(m)
 
     def discriminant(a):
         discs.append(a)
-        depth.append(1)
-        try:
-            return real_disc(a)
-        finally:
-            depth.pop()
+        return real_disc(a)
 
     monkeypatch.setattr(linalgq, "char_coeffs", char_coeffs)
     monkeypatch.setattr(polyq, "discriminant", discriminant)
@@ -352,6 +349,103 @@ def test_spectral_and_hitchin_run_berkowitz_once(monkeypatch):
                     higgs.spectral_curve(f)
                     assert len(runs) == 1
                     assert len(discs) == n * (n - 1) * deg + 1
+
+
+def test_discriminant_runs_one_elimination_and_no_berkowitz(monkeypatch):
+    """polyq.discriminant takes its Hankel determinant from one
+    linalgq._echelon call, on the int Hankel matrix, and makes no
+    linalgq.char_coeffs call, for int and rational lists of degree 1..8."""
+    real, seen = linalgq._echelon, []
+
+    def echelon(a):
+        seen.append([list(row) for row in a])
+        return real(a)
+
+    def refuse(m):
+        raise AssertionError("discriminant ran char_coeffs")
+
+    monkeypatch.setattr(linalgq, "_echelon", echelon)
+    monkeypatch.setattr(linalgq, "char_coeffs", refuse)
+    rng = random.Random(49)
+    for d in range(1, 9):
+        for rational in (False, True):
+            a = [rng.randint(-9, 9) for _ in range(d)] + [rng.choice([-3, -1, 1, 2])]
+            if rational:
+                a = [Fraction(c, rng.randint(1, 5)) for c in a]
+            seen.clear()
+            polyq.discriminant(a)
+            assert len(seen) == 1 and len(seen[0]) == d
+            assert all(type(x) is int for row in seen[0] for x in row)
+
+
+def _fractions_made(fn):
+    """(fn(), the number of Fractions constructed while it ran), counted
+    with a profile hook on Fraction.__new__."""
+    code, made = Fraction.__new__.__code__, []
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            made.append(1)
+
+    sys.setprofile(hook)
+    try:
+        result = fn()
+    finally:
+        sys.setprofile(None)
+    return result, len(made)
+
+
+def test_cli_reads_each_residue_entry_once_into_ints(tmp_path, monkeypatch):
+    """On the spectral, hitchin and diagram-check paths of cli.main, each
+    residue entry string is read once, by linalgq.ratio into an int pair,
+    and never by linalgq.rational, which reads only the point strings (and
+    the group rank, an int).  Reading
+    the config and building the field make one Fraction per point and none
+    per residue entry, and only diagram-check, whose moment route reads the
+    residues, makes each residue a Fraction matrix, once."""
+    real_ratio, real_rational = linalgq.ratio, linalgq.rational
+    real_item = higgs.PairResidues.__getitem__
+    ratios, rationals, matrices = Counter(), Counter(), []
+
+    def ratio(value, where, error=None):
+        ratios[value] += 1
+        return real_ratio(value, where, error)
+
+    def rational(value, where, error=None):
+        if type(value) is str:
+            rationals[value] += 1
+        return real_rational(value, where, error)
+
+    def item(self, j):
+        matrix = real_item(self, j)  # IndexError past the end, as iteration expects
+        matrices.append(j)
+        return matrix
+
+    rng = random.Random(49)
+    cases = [(rnd_field(rng, n, s, form), command)
+             for n, s, form in [(2, 3, "SL"), (3, 4, "GL"), (4, 3, "SL")]
+             for command in ("spectral", "hitchin", "diagram-check")]
+    monkeypatch.setattr(linalgq, "ratio", ratio)
+    monkeypatch.setattr(linalgq, "rational", rational)
+    monkeypatch.setattr(higgs.PairResidues, "__getitem__", item)
+    for f, command in cases:
+        n, s = f.matrix_size, f.site_count
+        raw = {
+            "group": {"family": "A", "rank": n - 1, "form": f.group.form},
+            "points": [{"x": str(x)} for x in f.points],
+            "residues": [[[str(v) for v in row] for row in m] for m in f.residues],
+        }
+        entries = Counter(str(v) for m in f.residues for row in m for v in row)
+        ratios.clear(), rationals.clear()
+        field, made = _fractions_made(lambda: cli.ParsedConfig(raw).field())
+        assert made == s and field.cleared == f.cleared
+        assert ratios == entries and rationals == Counter(str(x) for x in f.points)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        ratios.clear(), rationals.clear(), matrices.clear()
+        assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out.json")]) == 0
+        assert ratios == entries and rationals == Counter(str(x) for x in f.points)
+        assert matrices == (list(range(s)) if command == "diagram-check" else [])
 
 
 def test_field_is_cleared_to_ints_once(monkeypatch):

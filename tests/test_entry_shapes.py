@@ -10,7 +10,8 @@ inputs is tied to another, so each change must be refused, and the refusal
 must be a LogahoricError subclass, not a bare TypeError, ValueError or
 IndexError from inside the computation.  Text where a sequence belongs is
 refused, and so is a value that is not a rational where a number belongs,
-there and in `ReductionDatum` and `hitchin_coefficient_hamiltonians`.
+there and in `ReductionDatum` and `hitchin_coefficient_hamiltonians`, and
+so is one in a residue matrix of a CLI config.
 """
 
 import copy
@@ -20,8 +21,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logahoric import linalgq
+from logahoric import cli, linalgq
 from logahoric.errors import (
+    ConfigError,
     InvalidReductionError,
     LogahoricError,
     ShapeError,
@@ -246,6 +248,25 @@ def test_every_entry_point_names_a_number_that_is_not_a_rational(bad):
     ]:
         with pytest.raises(error, match=at + ": .*rational"):
             call()
+
+
+@pytest.mark.parametrize("bad", ["x", "1/0", "-", "3/", "+1/-2", None, [1], 0.5, True, "9" * 5000])
+def test_cli_names_a_residue_entry_that_is_not_a_rational(bad):
+    """The CLI reads residue entries into int pairs (linalgq.ratio); an
+    entry that linalgq.rational refuses is a ConfigError naming it,
+    residues[j][p][q], with rational's own words, wherever it sits."""
+    raw = {"group": {"family": "A", "rank": 1, "form": "GL"}, "points": [{"x": "0"}, {"x": "1"}],
+           "residues": [[["1/2", "0"], ["-3", "7/9"]], [["0", "2"], ["0", "0"]]]}
+    assert cli.ParsedConfig(raw).field().cleared[2:] == (18, ((9, 0, -54, 14), (0, 36, 0, 0)))
+    for j, p, q in [(0, 0, 0), (0, 1, 1), (1, 0, 1)]:
+        bad_raw = copy.deepcopy(raw)
+        bad_raw["residues"][j][p][q] = bad
+        where = f"residues[{j}][{p}][{q}]"
+        with pytest.raises(ConfigError) as refused:
+            linalgq.rational(bad, where, ConfigError)
+        with pytest.raises(ConfigError) as caught:
+            cli.ParsedConfig(bad_raw)
+        assert str(caught.value) == str(refused.value) and str(caught.value).startswith(where)
 
 
 @pytest.mark.parametrize("bad", [2.0, True, "x", Fraction(3, 2), None])

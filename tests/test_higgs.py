@@ -470,7 +470,7 @@ def test_spectral_discriminant_matches_sympy():
             last = linalgq.mat_sub(last, u)
         f = build_field(range(s), ups + [last], GroupTag("A", n - 1, "SL"))
         check(f)
-        assert all(polyq.is_zero(c) for c in spectral_curve(f).char_coeffs[:n])
+        assert all(c == [] for c in spectral_curve(f).char_coeffs[:n])
     # Regular at infinity with sum_j x_j X_j = 0 too, so deg A < s - 2 and
     # every polynomial in z is sampled past its true degree.
     for n, s in [(2, 4), (3, 5)]:
@@ -548,7 +548,7 @@ def test_squarefree_verdict_on_discriminants():
     verdicts = []
     for f in fields:
         sc = spectral_curve(f)
-        if polyq.is_zero(sc.discriminant):
+        if sc.discriminant == []:
             assert not sc.is_squarefree
             continue
         assert sc.is_squarefree == polyq.is_squarefree(sc.discriminant)
@@ -713,7 +713,7 @@ def test_spectral_genus_closed_form():
 def test_spectral_zero_field():
     f = build_field([0, 1, 2], [linalgq.zeros(2)] * 3, SL2)
     sc = spectral_curve(f)
-    assert polyq.is_zero(sc.discriminant)
+    assert sc.discriminant == []
     assert not sc.is_squarefree
     assert sc.genus is None
     assert sc.branch_count == 0

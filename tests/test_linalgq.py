@@ -1,13 +1,15 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from logahoric import linalgq, poisson
+from logahoric.errors import ConfigError, ShapeError
 from support import (
     coeffs_to_sympy,
     evaluate,
@@ -322,25 +324,130 @@ def test_cleared_char_coeffs_det_inverse_against_sympy(kind_matrix):
         assert cs == [0] * n + [1]
 
 
+@st.composite
+def det_matrices(draw):
+    """An n x n matrix, n = 0..6, of ints, of Fractions, or of both, drawn so
+    that leading minors often vanish: either about half its entries zero,
+    or the rows of an upper-triangular matrix with a non-zero diagonal in a
+    drawn order, which needs a row swap for every order that moves a row."""
+    n = draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(["int", "fraction", "mixed"]))
+    ints = st.integers(-9, 9)
+    entry = {"int": ints, "fraction": RATIONALS, "mixed": st.one_of(ints, RATIONALS)}[kind]
+    zero = 0 if kind == "int" else Fraction(0)
+    sparse = st.one_of(st.just(zero), entry)
+    if draw(st.booleans()):
+        return [[draw(sparse) for _ in range(n)] for _ in range(n)]
+    order = draw(st.permutations(range(n)))
+    diagonal = entry.filter(bool)
+    upper = [[draw(diagonal) if i == j else draw(sparse) if j > i else zero for j in range(n)]
+             for i in range(n)]
+    return [upper[i] for i in order]
+
+
+@given(det_matrices())
+@example([[0, 1], [1, 0]])
+@example([[3, 0, 0], [0, 0, 3], [0, 3, 0]])
+@example([[Fraction(0), 2, 0], [0, 0, Fraction(1, 2)], [Fraction(-3), 0, 0]])
+def test_det_matches_sympy_through_row_swaps(m):
+    """det equals sympy's det on int, Fraction and mixed matrices of size
+    0..6, those with zero leading minors included, where the elimination
+    picks pivots out of row order: an int for an int matrix (the empty one
+    included), a Fraction otherwise, zero included."""
+    d = linalgq.det(m)
+    assert type(d) is _ring(m)
+    theirs = matrix_to_sympy([list(map(Fraction, row)) for row in m]).det() if m else 1
+    assert sympy.Rational(d.numerator, d.denominator) == theirs
+
+
+def test_det_sign_follows_the_row_order():
+    """Every row order of diag(2, ..., n + 1), n = 0..5, in ints and over a
+    denominator 3: det is the diagonal product times the sign of the order."""
+    for n in range(6):
+        for order in itertools.permutations(range(n)):
+            inversions = sum(order[i] > order[j] for i in range(n) for j in range(i + 1, n))
+            value = (-1) ** inversions * math.factorial(n + 1)
+            rows = [[(k + 2) * (j == k) for j in range(n)] for k in order]
+            assert linalgq.det(rows) == value and type(linalgq.det(rows)) is int
+            thirds = [[Fraction(x, 3) for x in row] for row in rows]
+            assert linalgq.det(thirds) == Fraction(value, 3**n)
+
+
+DECIMALS = "0123456789\u0663\u0966\uff17"  # with Arabic-Indic, Devanagari, fullwidth
+
+
+@st.composite
+def ratio_strings(draw):
+    """Strings of the "[-]digits[/digits]" form, leading zeros, non-ASCII
+    decimal digits and huge ints included (past 640 characters, and past
+    int()'s default limit of 4300 digits)."""
+    def digits():
+        pad = draw(st.sampled_from(["", "", "0", "00", "0" * 700, "9" * 700, "9" * 5000]))
+        return pad + draw(st.text(alphabet=DECIMALS, min_size=1, max_size=6))
+
+    text = draw(st.sampled_from(["", "-"])) + digits()
+    return text + "/" + digits() if draw(st.booleans()) else text
+
+
+@given(st.one_of(
+    ratio_strings(),
+    st.text(alphabet="0123456789-+/ _.e\u0663\u00b2", max_size=8),
+    st.integers(), RATIONALS, st.booleans(), st.floats(allow_nan=False), st.none(),
+    st.lists(st.integers(), max_size=1),
+))
+@example("0")
+@example("-0")
+@example("0/7")
+@example("-0/5")
+@example("007/0021")
+@example("3/0")
+@example("-\u0663/\u0966\uff17")
+@example("9" * 640)
+@example("9" * 641)
+def test_ratio_reads_what_rational_reads(value):
+    """linalgq.ratio gives the int pair (p, q), q > 0, in lowest terms, of
+    what linalgq.rational reads, and refuses what rational refuses with the
+    same error and message, for both error classes."""
+    for error in (ShapeError, ConfigError):
+        try:
+            expected = linalgq.rational(value, "x", error)
+        except error as exc:
+            with pytest.raises(error) as caught:
+                linalgq.ratio(value, "x", error)
+            assert str(caught.value) == str(exc)
+        else:
+            p, q = linalgq.ratio(value, "x", error)
+            assert type(p) is int and type(q) is int and q > 0 and math.gcd(p, q) == 1
+            assert Fraction(p, q) == expected
+
+
 def test_rational_char_coeffs_run_on_ints(monkeypatch):
-    """A matrix with Fraction entries reaches the Berkowitz body cleared to
-    ints, once; a matrix of Poisson polynomials is not numbers and raises
-    TypeError."""
+    """A matrix with Fraction entries reaches the Berkowitz body of
+    char_coeffs, and the elimination of det, cleared to ints, once each;
+    det runs no Berkowitz.  A matrix of Poisson polynomials is not numbers
+    and raises TypeError in both."""
     seen = []
-    body = linalgq._berkowitz
+    body, echelon = linalgq._berkowitz, linalgq._echelon
 
     def spy(m):
-        seen.append({type(x) for row in m for x in row})
+        seen.append(("berkowitz", {type(x) for row in m for x in row}))
         return body(m)
 
+    def echelon_spy(m):
+        seen.append(("echelon", {type(x) for row in m for x in row}))
+        return echelon(m)
+
     monkeypatch.setattr(linalgq, "_berkowitz", spy)
+    monkeypatch.setattr(linalgq, "_echelon", echelon_spy)
     m = [[Fraction(1, 2), 3], [Fraction(-2, 3), Fraction(5)]]
     assert linalgq.char_coeffs(m) == [Fraction(5, 2) + 2, Fraction(-11, 2), 1]
+    assert seen == [("berkowitz", {int})]
     assert linalgq.det(m) == Fraction(9, 2)
-    assert seen == [{int}, {int}]
+    assert seen == [("berkowitz", {int}), ("echelon", {int})]
     alg = poisson.LiePoissonAlgebra(1, 1)
-    with pytest.raises(TypeError):
-        linalgq.char_coeffs([[alg.generator(0, 0, 0)]])
+    for route in (linalgq.char_coeffs, linalgq.det):
+        with pytest.raises(TypeError):
+            route([[alg.generator(0, 0, 0)]])
 
 
 SITE_ALGEBRAS = [poisson.LiePoissonAlgebra(n, s) for n in range(1, 5) for s in (1, 2)]

@@ -1,9 +1,10 @@
-import math
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given
+from hypothesis import strategies as st
 
 from logahoric import linalgq, polyq
 from support import (
@@ -21,7 +22,7 @@ def test_trim_and_degree():
     assert polyq.degree([]) == -1
     assert polyq.degree([Fraction(3)]) == 0
     assert polyq.degree(poly([0, 0, 5])) == 2
-    assert polyq.is_zero(poly([0, 0]))
+    assert poly([0, 0]) == []
 
 
 def test_evaluate_horner():
@@ -198,7 +199,7 @@ def test_interpolate_matches_sympy():
     z = sympy.Symbol("z")
     for _ in range(20):
         ys = [rnd_fraction(rng) for _ in range(rng.randint(1, 7))]
-        ours = polyq.interpolate(*_cleared(ys))
+        ours = _interpolant(*_cleared(ys))
         assert polyq.degree(ours) < len(ys)
         assert [polyq.evaluate(ours, t) for t in range(len(ys))] == ys
         theirs = sympy.interpolate(
@@ -221,12 +222,11 @@ def test_interpolate_large_values():
 
     for top in (0, 1, 2, 7, 20, 60, 100):
         ys = [big() for _ in range(top + 1)]
-        ours = polyq.interpolate(*_cleared(ys))
-        assert polyq.degree(ours) <= top
-        # Evaluate back in ints over the interpolant's common denominator
+        cleared, den = polyq.interpolate(*_cleared(ys))
+        assert len(cleared) <= top + 1 and all(type(c) is int for c in cleared)
+        # Evaluate back in ints over the interpolant's one denominator
         # (tens of thousands of bits here, where Fraction Horner crawls).
-        den = math.lcm(*(c.denominator for c in ours))
-        cleared = [c.numerator * (den // c.denominator) for c in ours]
+        ours = [Fraction(c, den) for c in cleared]
         for t, y in enumerate(ys):
             acc = 0
             for c in reversed(cleared):
@@ -241,8 +241,8 @@ def test_interpolate_large_values():
     # A degree-100 polynomial with large coefficients comes back exactly,
     # also from more samples than it needs.
     p = poly([big() for _ in range(101)])
-    assert polyq.interpolate(*_cleared([polyq.evaluate(p, t) for t in range(101)])) == p
-    assert polyq.interpolate(*_cleared([polyq.evaluate(p, t) for t in range(150)])) == p
+    assert _interpolant(*_cleared([polyq.evaluate(p, t) for t in range(101)])) == p
+    assert _interpolant(*_cleared([polyq.evaluate(p, t) for t in range(150)])) == p
 
 
 def _cleared(ys):
@@ -251,19 +251,27 @@ def _cleared(ys):
     return ints, den
 
 
+def _interpolant(ys, den):
+    """The coefficients of polyq.interpolate(ys, den), its ints over its
+    one denominator, as Fractions."""
+    ints, total = polyq.interpolate(ys, den)
+    return [Fraction(c, total) for c in ints]
+
+
 def test_interpolate_edge_cases():
-    assert polyq.interpolate([], 1) == []
-    assert polyq.interpolate([-2], 1) == [Fraction(-2)]
-    assert polyq.interpolate([0, 0, 0], 5) == []
+    # Int coefficients over N! den, trimmed.
+    assert polyq.interpolate([], 1) == ([], 1)
+    assert polyq.interpolate([-2], 1) == ([-2], 1)
+    assert polyq.interpolate([0, 0, 0], 5) == ([], 10)
     # The line 2z - 1 at 0, 1, 2: the degree drops below len(ys) - 1.
-    assert polyq.interpolate([-1, 1, 3], 1) == [Fraction(-1), Fraction(2)]
-    # Over the denominator 6: (2z - 1)/6, a Fraction per coefficient.
-    line = polyq.interpolate([-1, 1, 3], 6)
-    assert line == [Fraction(-1, 6), Fraction(1, 3)] and {type(c) for c in line} == {Fraction}
+    assert _interpolant([-1, 1, 3], 1) == [Fraction(-1), Fraction(2)]
+    # Over the denominator 6: (2z - 1)/6, as the ints -2, 4 over 2! * 6.
+    assert polyq.interpolate([-1, 1, 3], 6) == ([-2, 4], 12)
+    assert _interpolant([-1, 1, 3], 6) == [Fraction(-1, 6), Fraction(1, 3)]
     # Lagrange basis polynomials are the interpolants of unit vectors.
     for top in (0, 1, 4, 9):
         for k in range(top + 1):
-            lk = polyq.interpolate([int(t == k) for t in range(top + 1)], 1)
+            lk = _interpolant([int(t == k) for t in range(top + 1)], 1)
             assert polyq.degree(lk) == top
             assert [polyq.evaluate(lk, t) for t in range(top + 1)] == [
                 int(t == k) for t in range(top + 1)
@@ -375,6 +383,41 @@ def test_discriminant_matches_sylvester_resultant():
         res = _sylvester_resultant(q, polyq.derivative(q))
         assert Fraction(ours, den ** (2 * d - 2)) == (-1) ** (d * (d - 1) // 2) * res / q[-1]
     assert all(polyq.discriminant(linalgq.integer_form(p)[1]) == 0 for p in cases[-6:])
+
+
+def test_discriminant_of_z_cubed_minus_one_needs_a_row_swap(monkeypatch):
+    """z^3 - 1: the power sums of the cube roots of unity give the Hankel
+    matrix [[3, 0, 0], [0, 0, 3], [0, 3, 0]], whose second pivot column is
+    zero in its first remaining row, and the discriminant -27."""
+    real, seen = linalgq.det, []
+
+    def det(m):
+        seen.append([list(row) for row in m])
+        return real(m)
+
+    monkeypatch.setattr(linalgq, "det", det)
+    assert polyq.discriminant([-1, 0, 0, 1]) == -27
+    assert seen == [[[3, 0, 0], [0, 0, 3], [0, 3, 0]]]
+    assert polyq.discriminant([Fraction(-1, 2), 0, 0, Fraction(1, 2)]) == Fraction(-27, 16)
+
+
+@given(st.integers(-(2**300), 2**300), st.integers(2, 70))
+def test_digits_read_back_the_value(v, beta):
+    """Balanced base-2^beta digits sum back to v, each in
+    [-2^(beta-1), 2^(beta-1)), with no zero last digit."""
+    ds = polyq.digits(v, beta)
+    assert sum(d << (beta * i) for i, d in enumerate(ds)) == v
+    assert all(-(1 << beta - 1) <= d < 1 << beta - 1 for d in ds)
+    assert not ds or ds[-1]
+
+
+def test_digits_refuses_a_base_below_4():
+    """beta < 2 would leave no digit above 0 for a positive value, so the
+    read would never end: it is refused up front."""
+    for beta in (1, 0, -3):
+        with pytest.raises(ValueError, match="beta >= 2"):
+            polyq.digits(5, beta)
+    assert polyq.digits(5, 2) == [1, 1]
 
 
 def test_discriminant_rejects_constants():
