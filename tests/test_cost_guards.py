@@ -399,22 +399,22 @@ def test_cli_reads_each_residue_entry_once_into_ints(tmp_path, monkeypatch):
     """On the spectral, hitchin and diagram-check paths of cli.main, each
     residue entry string is read once, by linalgq.ratio into an int pair,
     and never by linalgq.rational, which reads only the point strings (and
-    the group rank, an int).  Reading
-    the config and building the field make one Fraction per point and none
-    per residue entry, and only diagram-check, whose moment route reads the
-    residues, makes each residue a Fraction matrix, once."""
+    the group rank, an int).  Reading the config and building the field
+    make one Fraction per point and none per residue entry, and only
+    diagram-check, whose moment route reads the residues, makes each
+    residue a Fraction matrix, once."""
     real_ratio, real_rational = linalgq.ratio, linalgq.rational
     real_item = higgs.PairResidues.__getitem__
     ratios, rationals, matrices = Counter(), Counter(), []
 
-    def ratio(value, where, error=None):
+    def ratio(value, *args):
         ratios[value] += 1
-        return real_ratio(value, where, error)
+        return real_ratio(value, *args)
 
-    def rational(value, where, error=None):
+    def rational(value, *args):
         if type(value) is str:
             rationals[value] += 1
-        return real_rational(value, where, error)
+        return real_rational(value, *args)
 
     def item(self, j):
         matrix = real_item(self, j)  # IndexError past the end, as iteration expects
@@ -436,13 +436,15 @@ def test_cli_reads_each_residue_entry_once_into_ints(tmp_path, monkeypatch):
             "residues": [[[str(v) for v in row] for row in m] for m in f.residues],
         }
         entries = Counter(str(v) for m in f.residues for row in m for v in row)
-        ratios.clear(), rationals.clear()
+        ratios.clear()
+        rationals.clear()
         field, made = _fractions_made(lambda: cli.ParsedConfig(raw).field())
         assert made == s and field.cleared == f.cleared
         assert ratios == entries and rationals == Counter(str(x) for x in f.points)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(raw), encoding="utf-8")
-        ratios.clear(), rationals.clear(), matrices.clear()
+        for seen in (ratios, rationals, matrices):
+            seen.clear()
         assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out.json")]) == 0
         assert ratios == entries and rationals == Counter(str(x) for x in f.points)
         assert matrices == (list(range(s)) if command == "diagram-check" else [])
