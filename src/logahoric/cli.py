@@ -126,7 +126,7 @@ class ParsedConfig:
         if self.group is None:
             raise ConfigError("residues need a group to fix the matrix size")
         n = self.matrix_size()
-        return higgs.PairResidues(n, _list(raw, "residues", lambda m, where: _matrix(m, n, where)))
+        return _list(raw, "residues", lambda m, where: _matrix(m, n, where))
 
     # -- assembled library objects -------------------------------------
 
@@ -169,7 +169,7 @@ class ParsedConfig:
         points = self.require_points()
         if self.residues is None:
             raise ConfigError("this command needs a residues list")
-        return higgs.build_field(points, self.residues, group, self.theta_data())
+        return higgs.field_from_read(points, self.residues, group, self.theta_data())
 
 
 # ---------------------------------------------------------------------------
@@ -483,16 +483,17 @@ def _chunks(value, indent: str, out: List[str]) -> None:
         out.append(json.dumps(value))
 
 
-def _json(value) -> str:
-    """The text of json.dumps(value, sort_keys=True, indent=2), each
+def _json(value, end: str = "") -> str:
+    """json.dumps(value, sort_keys=True, indent=2) + end, joined once, each
     _Candidates leaf standing for its list of candidate objects."""
     out: List[str] = []
     _chunks(value, "", out)
+    out.append(end)
     return "".join(out)
 
 
 def _emit(report: dict, out_path: Optional[str]) -> None:
-    text = _json(report) + "\n"
+    text = _json(report, "\n")
     if out_path is None:
         sys.stdout.write(text)
     else:

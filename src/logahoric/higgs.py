@@ -7,11 +7,11 @@ matrix A(z) = sum_j w_j(z) X_j, w_j(z) = prod_{k != j}(z - x_k); the
 sum-zero rule on residues is exactly regularity at infinity and caps deg A
 at s-2.
 
-A field clears its points x_k = a_k/d_x and residues X_j = R_j/d_r to
-ints once (linalgq.integer_form) and keeps that form
-(LogHiggsField.cleared); every numeric route and every derived value,
-regularity at infinity included, reads it.  The CLI's residues come read
-once as int pairs (PairResidues), cleared as they are.  With the int
+A field keeps one form (LogHiggsField.cleared): points x_k = a_k/d_x and
+residues X_j = R_j/d_r in ints over one denominator each, made by the one
+checked constructor field_from_read, which build_field and the CLI call
+once they have read the numbers.  Every numeric route and derived value,
+regularity at infinity included, reads that form.  With the int
 polyq.lagrange_weights w_j of the a_k, B(tau) = sum_j w_j(tau) R_j is an
 int polynomial matrix and A(z) = B(z d_x)/D, D = d_x^(s-1) d_r.  Every
 polynomial in z made by products (the entries of A and its characteristic
@@ -43,7 +43,6 @@ sets each point's _residue_invariants against its coresidue's invariants.
 
 from __future__ import annotations
 
-from collections import abc
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -61,29 +60,33 @@ from .rootsys import GroupTag, RationalCocharacter
 
 @dataclass(frozen=True)
 class LogHiggsField:
-    points: Tuple[Fraction, ...]
-    residues: Sequence[Matrix]
+    """A field: its group, one weight (cocharacter theta or None) per point,
+    and `cleared` = (d_x, a, d_r, rs), the points a_k/d_x and residues
+    R_j/d_r, each R_j n*n ints row by row (field_from_read makes it).
+    `points` and `residues` are Fraction views, made on first read."""
+
     group: GroupTag
     theta_data: Optional[Tuple[Optional[RationalCocharacter], ...]]
+    cleared: Tuple[int, Tuple[int, ...], int, Tuple[Tuple[int, ...], ...]]
 
     @property
     def site_count(self) -> int:
-        return len(self.points)
+        return len(self.cleared[1])
 
     @property
     def matrix_size(self) -> int:
         return self.group.matrix_size
 
     @cached_property
-    def cleared(self) -> Tuple[int, Tuple[int, ...], int, Tuple[Tuple[int, ...], ...]]:
-        """(d_x, a, d_r, rs): the points a_k/d_x and residues R_j/d_r cleared
-        by linalgq.integer_form, each R_j a tuple of ints row by row."""
-        dx, a = linalgq.integer_form(self.points)
-        res = self.residues
-        dr, flat = linalgq.integer_form(chain.from_iterable(res.pairs) if type(res) is PairResidues
-                                        else (x for m in res for row in m for x in row))
-        size = len(flat) // len(res)
-        return dx, tuple(a), dr, tuple(tuple(flat[i:i + size]) for i in range(0, len(flat), size))
+    def points(self) -> Tuple[Fraction, ...]:
+        dx, a, _, _ = self.cleared
+        return tuple(Fraction(x, dx) for x in a)
+
+    @cached_property
+    def residues(self) -> Tuple[Matrix, ...]:
+        n, (_, _, dr, rs) = self.matrix_size, self.cleared
+        return tuple([[Fraction(v, dr) for v in r[p:p + n]] for p in range(0, n * n, n)]
+                     for r in rs)
 
     @cached_property
     def regular_at_infinity(self) -> bool:
@@ -91,19 +94,32 @@ class LogHiggsField:
         return not any(map(sum, zip(*self.cleared[3])))
 
 
-class PairResidues(abc.Sequence):
-    """Residues as the CLI reads them, n*n linalgq.ratio pairs each, row by
-    row: a field clears the pairs, and a Fraction matrix is made on a read."""
-
-    def __init__(self, n: int, pairs: Sequence[Sequence[Tuple[int, int]]]):
-        self.n, self.pairs = n, pairs
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __getitem__(self, j: int) -> Matrix:
-        n, r = self.n, self.pairs[j]
-        return [[Fraction(*x) for x in r[p:p + n]] for p in range(0, n * n, n)]
+def field_from_read(
+    points: Sequence,
+    residues: Sequence[Sequence],
+    group: GroupTag,
+    theta_data: Optional[Tuple[Optional[RationalCocharacter], ...]] = None,
+) -> LogHiggsField:
+    """The field of numbers already read (points as ints or Fractions, each
+    residue's n*n entries row by row as linalgq.ratio pairs or numbers,
+    theta_data checked): a non-empty divisor of distinct points, one residue
+    per point, each tr R_j = 0 in SL mode, cleared by one integer_form each."""
+    if not points:
+        raise DivisorError("divisor must be nonempty")
+    dx, a = linalgq.integer_form(points)
+    if len(set(a)) != len(a):
+        raise DivisorError("marked points must be pairwise distinct")
+    if len(residues) != len(a):
+        raise ShapeError(f"{len(a)} points but {len(residues)} residues")
+    n = group.matrix_size
+    dr, flat = linalgq.integer_form(chain.from_iterable(residues))
+    rs = tuple(tuple(flat[i:i + n * n]) for i in range(0, len(flat), n * n))
+    if group.form == "SL":
+        for j, r in enumerate(rs):
+            if sum(r[::n + 1]):
+                raise TraceError(f"residue {j} has trace {Fraction(sum(r[::n + 1]), dr)}; "
+                                 "SL mode needs 0")
+    return LogHiggsField(group, theta_data, (dx, tuple(a), dr, rs))
 
 
 def build_field(
@@ -112,32 +128,23 @@ def build_field(
     group: GroupTag,
     theta_data: Optional[Sequence[Optional[RationalCocharacter]]] = None,
 ) -> LogHiggsField:
-    """Validate marked points, residues and weights (one cocharacter theta
-    or None per point, each with the group's rank of coroot coordinates).
-    Numbers are read by linalgq.rationals, save PairResidues, which the CLI
-    has read.  The SL trace test (tr R_j = 0) reads the field's `cleared`
-    form, which the field then keeps."""
+    """Read marked points, residues (n x n each) and weights (one
+    cocharacter theta or None per point, each with the group's rank of
+    coroot coordinates) for field_from_read, which checks the rest: shapes
+    are checked here, and every number is read by linalgq.rationals, the
+    residue entries into int pairs (linalgq.ratio)."""
     if not linalgq.has_shape(points, None):
         raise ShapeError("points must be a sequence of rationals")
-    xs = [x if type(x) is Fraction else Fraction(x) for x in linalgq.rationals(points, "points")]
-    if not xs:
-        raise DivisorError("divisor must be nonempty")
-    if len(set(xs)) != len(xs):
-        raise DivisorError("marked points must be pairwise distinct")
+    xs = linalgq.rationals(points, "points")
     n = group.matrix_size
     if not linalgq.has_shape(residues, None):
         raise ShapeError("residues must be a sequence of matrices")
-    if len(residues) != len(xs):
-        raise ShapeError(f"{len(xs)} points but {len(residues)} residues")
-    mats = residues
-    if type(residues) is not PairResidues:
-        mats = []
-        for j, raw in enumerate(residues):
-            if not linalgq.has_shape(raw, n, n):
-                raise ShapeError(f"residue {j} must be {n}x{n} for {group.family}{group.rank}")
-            mats.append(linalgq.mat(
-                linalgq.rationals(row, f"residues[{j}][{p}]") for p, row in enumerate(raw)))
-        mats = tuple(mats)
+    mats = []
+    for j, raw in enumerate(residues):
+        if not linalgq.has_shape(raw, n, n):
+            raise ShapeError(f"residue {j} must be {n}x{n} for {group.family}{group.rank}")
+        mats.append([x for p, row in enumerate(raw)
+                     for x in linalgq.rationals(row, f"residues[{j}][{p}]", read=linalgq.ratio)])
     if theta_data is not None:
         if not linalgq.has_shape(theta_data, len(xs)):
             raise ShapeError("theta_data must list one cocharacter per point")
@@ -148,12 +155,7 @@ def build_field(
                                  f"coordinates for {group.family}{group.rank}")
         theta_data = tuple(None if th is None else RationalCocharacter(tuple(linalgq.rationals(
             th.coeffs, f"theta_data[{j}]"))) for j, th in enumerate(theta_data))
-    field = LogHiggsField(tuple(xs), mats, group, theta_data)
-    if group.form == "SL":
-        for j, r in enumerate(field.cleared[3]):
-            if sum(r[::n + 1]):
-                raise TraceError(f"residue {j} has trace {linalgq.trace(mats[j])}; SL mode needs 0")
-    return field
+    return field_from_read(xs, mats, group, theta_data)
 
 
 @dataclass(frozen=True)
@@ -473,7 +475,8 @@ def quotient_diagram_check(f: LogHiggsField) -> DiagramReport:
     point in the polar frame, e_i(X_j) (_residue_invariants, from the
     cleared residues).  Route two applies the same invariant to that
     point's coresidue, with the field's own theta_data as the weights of
-    poisson.moment_map, which reads the residues as Fractions.
+    poisson.moment_map, which makes a Fraction of each cleared residue
+    entry it keeps.
     """
     mv = poisson.moment_map(f)
     degrees = invariant_degrees(f)

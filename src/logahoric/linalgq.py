@@ -21,7 +21,7 @@ from collections import abc
 from fractions import Fraction
 from itertools import chain
 from operator import mul
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .errors import ShapeError
 
@@ -117,11 +117,6 @@ def rationals(values, what: str, error=ShapeError, read=rational) -> list:
     return out
 
 
-def mat(rows: Sequence[Sequence]) -> Matrix:
-    # Fractions are immutable: share them rather than rebuild them.
-    return [[c if type(c) is Fraction else Fraction(c) for c in row] for row in rows]
-
-
 def mat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
@@ -147,10 +142,6 @@ def mat_mul(a, b):
 
 def commutator(a, b):
     return mat_sub(mat_mul(a, b), mat_mul(b, a))
-
-
-def trace(a) -> Fraction:
-    return sum((a[i][i] for i in range(len(a))), Fraction(0))
 
 
 def is_zero_matrix(a) -> bool:

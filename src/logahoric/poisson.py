@@ -535,7 +535,7 @@ def _weight_diagonal(data: Optional[Sequence], j: int, n: int) -> List[Fraction]
 
 def moment_map(f) -> MomentValue:
     """Coresidues of the field f: block projections of the residues.  Only
-    f's matrix_size, residues and theta_data are read.
+    f's matrix_size, theta_data and cleared residues R_j/d_r are read.
 
     The weights are the field's own theta_data.  With none, every
     residue passes through unchanged.  A weight at a point first constrains
@@ -543,22 +543,24 @@ def moment_map(f) -> MomentValue:
     parahoric stalk: entry (p, q) must vanish where t_p < t_q, the channels
     with jump ceil(t_q - t_p) > 0) and then keeps only the block part, the
     entries with t_p == t_q; the discarded part pairs to zero with the block
-    subalgebra under the trace form.
+    subalgebra under the trace form.  The stalk test reads the ints, and
+    each kept entry is one Fraction(v, d_r).
     """
     n = f.matrix_size
+    _, _, dr, rs = f.cleared
     zero = Fraction(0)
     sites: List[Matrix] = []
-    for j, res in enumerate(f.residues):
+    for j, r in enumerate(rs):
         t = _weight_diagonal(f.theta_data, j, n)
         for p in range(n):
             for q in range(n):
-                if t[p] < t[q] and res[p][q] != 0:
+                if t[p] < t[q] and r[p * n + q]:
                     raise FiltrationError(
                         f"residue {j} entry ({p},{q}) is outside the parahoric "
                         f"stalk (jump {ceil(t[q] - t[p])} > 0)"
                     )
-        sites.append([[v if t[p] == t[q] else zero for q, v in enumerate(row)]
-                      for p, row in enumerate(res)])
+        sites.append([[Fraction(r[p * n + q], dr) if t[p] == t[q] else zero for q in range(n)]
+                      for p in range(n)])
     return MomentValue(sites=tuple(sites), data=f.theta_data)
 
 
@@ -573,7 +575,7 @@ def coadjoint_act(gs: Sequence[Matrix], m: MomentValue) -> MomentValue:
         t = _weight_diagonal(m.data, j, n)
         if not linalgq.has_shape(g, n, n):
             raise ShapeError(f"group element must be {n}x{n}")
-        g = linalgq.mat(g)
+        g = [linalgq.rationals(row, f"gs[{j}][{p}]") for p, row in enumerate(g)]
         for p in range(n):
             for q in range(n):
                 if t[p] != t[q] and g[p][q] != 0:

@@ -20,6 +20,16 @@ def poly(coeffs) -> List[Fraction]:
     return polyq.trim([Fraction(c) for c in coeffs])
 
 
+def fraction_matrix(rows) -> List[List[Fraction]]:
+    """A matrix of Fractions from rows of rationals."""
+    return [[Fraction(c) for c in row] for row in rows]
+
+
+def trace(a) -> Fraction:
+    """The trace of a square matrix of rationals, as a Fraction."""
+    return sum((a[i][i] for i in range(len(a))), Fraction(0))
+
+
 def mat_eq(a, b) -> bool:
     """Entrywise equality of two matrices given as lists of rows."""
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
@@ -105,7 +115,7 @@ def rnd_matrix(rng, n: int, lo=-3, hi=3, max_den=3) -> List[List[Fraction]]:
 
 def make_traceless(m: List[List[Fraction]]) -> List[List[Fraction]]:
     out = [row[:] for row in m]
-    out[-1][-1] -= linalgq.trace(out)
+    out[-1][-1] -= trace(out)
     return out
 
 

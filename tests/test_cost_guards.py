@@ -16,6 +16,7 @@ from types import SimpleNamespace
 
 from logahoric import cli, higgs, linalgq, parahoric, poisson, polyq
 from support import (
+    fraction_matrix,
     reference_hitchin_hamiltonians,
     reference_incidence_closures,
     reference_rank,
@@ -38,7 +39,7 @@ def test_class_rank_takes_no_fallback_on_a_block_with_a_cyclic_unit_vector(monke
     x = [[0, 1, 0], [1, 0, 0], [-1, -1, 2]]
     assert poisson._class_rank(x) == 6
     assert ranked == [(3, 3)]
-    assert poisson.bivector_rank_at(poisson.MomentValue(sites=(linalgq.mat(x),))) == 6
+    assert poisson.bivector_rank_at(poisson.MomentValue(sites=(fraction_matrix(x),))) == 6
     assert set(ranked) == {(3, 3)}
 
 
@@ -396,16 +397,16 @@ def _fractions_made(fn):
 
 
 def test_cli_reads_each_residue_entry_once_into_ints(tmp_path, monkeypatch):
-    """On the spectral, hitchin and diagram-check paths of cli.main, each
-    residue entry string is read once, by linalgq.ratio into an int pair,
-    and never by linalgq.rational, which reads only the point strings (and
-    the group rank, an int).  Reading the config and building the field
-    make one Fraction per point and none per residue entry, and only
-    diagram-check, whose moment route reads the residues, makes each
-    residue a Fraction matrix, once."""
+    """On the spectral, hitchin, diagram-check, moment and leaf paths of
+    cli.main, each residue entry string is read once, by linalgq.ratio into
+    an int pair, and never by linalgq.rational, which reads only the point
+    strings (and the group rank, an int).  Reading the config and building
+    the field make one Fraction per point and none per residue entry, and no
+    command builds the field's Fraction `residues` view: the moment route
+    reads the cleared ints."""
     real_ratio, real_rational = linalgq.ratio, linalgq.rational
-    real_item = higgs.PairResidues.__getitem__
-    ratios, rationals, matrices = Counter(), Counter(), []
+    real_view = higgs.LogHiggsField.residues
+    ratios, rationals, views = Counter(), Counter(), []
 
     def ratio(value, *args):
         ratios[value] += 1
@@ -416,26 +417,27 @@ def test_cli_reads_each_residue_entry_once_into_ints(tmp_path, monkeypatch):
             rationals[value] += 1
         return real_rational(value, *args)
 
-    def item(self, j):
-        matrix = real_item(self, j)  # IndexError past the end, as iteration expects
-        matrices.append(j)
-        return matrix
+    def view(self):
+        views.append(self)
+        return real_view.__get__(self, type(self))
 
     rng = random.Random(49)
-    cases = [(rnd_field(rng, n, s, form), command)
-             for n, s, form in [(2, 3, "SL"), (3, 4, "GL"), (4, 3, "SL")]
-             for command in ("spectral", "hitchin", "diagram-check")]
-    monkeypatch.setattr(linalgq, "ratio", ratio)
-    monkeypatch.setattr(linalgq, "rational", rational)
-    monkeypatch.setattr(higgs.PairResidues, "__getitem__", item)
-    for f, command in cases:
-        n, s = f.matrix_size, f.site_count
+    cases = []
+    for n, s, form in [(2, 3, "SL"), (3, 4, "GL"), (4, 3, "SL")]:
+        f = rnd_field(rng, n, s, form)
         raw = {
-            "group": {"family": "A", "rank": n - 1, "form": f.group.form},
+            "group": {"family": "A", "rank": n - 1, "form": form},
             "points": [{"x": str(x)} for x in f.points],
             "residues": [[[str(v) for v in row] for row in m] for m in f.residues],
         }
         entries = Counter(str(v) for m in f.residues for row in m for v in row)
+        cases += [(f, raw, entries, command)
+                  for command in ("spectral", "hitchin", "diagram-check", "moment", "leaf")]
+    monkeypatch.setattr(linalgq, "ratio", ratio)
+    monkeypatch.setattr(linalgq, "rational", rational)
+    monkeypatch.setattr(higgs.LogHiggsField, "residues", property(view))
+    for f, raw, entries, command in cases:
+        s = f.site_count
         ratios.clear()
         rationals.clear()
         field, made = _fractions_made(lambda: cli.ParsedConfig(raw).field())
@@ -443,19 +445,19 @@ def test_cli_reads_each_residue_entry_once_into_ints(tmp_path, monkeypatch):
         assert ratios == entries and rationals == Counter(str(x) for x in f.points)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(raw), encoding="utf-8")
-        for seen in (ratios, rationals, matrices):
+        for seen in (ratios, rationals, views):
             seen.clear()
         assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out.json")]) == 0
         assert ratios == entries and rationals == Counter(str(x) for x in f.points)
-        assert matrices == (list(range(s)) if command == "diagram-check" else [])
+        assert views == []
 
 
 def test_field_is_cleared_to_ints_once(monkeypatch):
     """A field clears its points and residues to ints once, and
     build_field, spectral_curve, hitchin_map, _residue_invariants,
     gaudin_values and gaudin_hamiltonians all read that form:
-    linalgq.integer_form sees the residue entries, and the points, once in
-    all."""
+    linalgq.integer_form sees the residue entries (as the int pairs that
+    build_field reads), and the points, once in all."""
     real, seen = linalgq.integer_form, []
 
     def integer_form(values):
@@ -474,13 +476,9 @@ def test_field_is_cleared_to_ints_once(monkeypatch):
         higgs._residue_invariants(f)
         higgs.gaudin_values(f)
         higgs.gaudin_hamiltonians(f)
-        entries = [x for res in f.residues for row in res for x in row]
+        entries = [x.as_integer_ratio() for res in f.residues for row in res for x in row]
         assert seen.count(entries) == 1
         assert seen.count(list(f.points)) == 1
-        # a field made without build_field clears itself on first use
-        direct = higgs.LogHiggsField(f.points, f.residues, f.group, None)
-        assert direct.cleared == f.cleared
-        assert direct.regular_at_infinity
 
 
 def test_diagram_check_reads_each_residue_once(monkeypatch):

@@ -225,13 +225,15 @@ def test_rank2_semistability_names_an_entry_that_is_not_a_rational(bad):
 
 @pytest.mark.parametrize("bad", ["x", "1/0", None, [1], 0.5, True])
 def test_every_entry_point_names_a_number_that_is_not_a_rational(bad):
-    """A point, residue entry, theta coordinate or pairing that
-    linalgq.rational refuses (a float and a bool among them) is refused with
-    a domain error naming the entry, at every entry point that reads numbers
-    through linalgq.rationals, not with a bare ValueError or TypeError there
-    or later, in moment_map."""
+    """A point, residue entry, theta coordinate, pairing or group-element
+    entry that linalgq.rational refuses (a float and a bool among them) is
+    refused with a domain error naming the entry, at every entry point that
+    reads numbers through linalgq.rationals, not with a bare ValueError or
+    TypeError there or later, in moment_map, and not read as a float's
+    binary value or a bool's int."""
     gl2 = GroupTag("A", 1, "GL")
     zero = [[0, 0], [0, 0]]
+    sites = MomentValue(sites=(zero, zero))
     for call, error, at in [
         (lambda: build_field([0, bad], [zero, zero], gl2), ShapeError, r"points\[1\]"),
         (lambda: build_field([0, 1], [zero, [[0, 0], [bad, 0]]], gl2), ShapeError,
@@ -245,6 +247,8 @@ def test_every_entry_point_names_a_number_that_is_not_a_rational(bad):
         (lambda: ReductionDatum(1, 1, 2, 2, (), (bad,)), InvalidReductionError,
          r"total_pairings\[0\]"),
         (lambda: hitchin_coefficient_hamiltonians([0, bad], 2), ShapeError, r"points\[1\]"),
+        (lambda: coadjoint_act([[[1, 0], [0, 1]], [[1, 0], [bad, 1]]], sites), ShapeError,
+         r"gs\[1\]\[1\]\[0\]"),
     ]:
         with pytest.raises(error, match=at + ": .*rational"):
             call()
@@ -267,6 +271,45 @@ def test_cli_names_a_residue_entry_that_is_not_a_rational(bad):
         with pytest.raises(ConfigError) as caught:
             cli.ParsedConfig(bad_raw)
         assert str(caught.value) == str(refused.value) and str(caught.value).startswith(where)
+
+
+@st.composite
+def field_numbers(draw):
+    """(n, form, points, residues, thetas) of a field: n = 1..4, s = 1..5,
+    SL (trace-free residues) or GL, and either no theta or a theta or None
+    at each point."""
+    n = draw(st.integers(1, 4))
+    s = draw(st.integers(1, 5))
+    form = "GL" if n == 1 else draw(st.sampled_from(["SL", "GL"]))
+    points = draw(st.lists(RATIONALS, min_size=s, max_size=s, unique=True))
+    residues = []
+    for _ in range(s):
+        m = [draw(st.lists(RATIONALS, min_size=n, max_size=n)) for _ in range(n)]
+        if form == "SL":
+            m[-1][-1] -= sum(m[i][i] for i in range(n))
+        residues.append(m)
+    theta = st.none() | st.lists(RATIONALS, min_size=n - 1, max_size=n - 1)
+    thetas = draw(st.lists(theta, min_size=s, max_size=s)) if draw(st.booleans()) else [None] * s
+    return n, form, points, residues, thetas
+
+
+@given(field_numbers())
+def test_cli_field_equals_the_library_field_of_the_same_numbers(case):
+    """A field is one datum whoever builds it: the CLI's field of a config
+    equals build_field's field of the same numbers, and its Fraction views
+    give those numbers back."""
+    n, form, points, residues, thetas = case
+    raw = {
+        "group": {"family": "A", "rank": n - 1, "form": form},
+        "points": [{"x": str(x)} if th is None else {"x": str(x), "theta": list(map(str, th))}
+                   for x, th in zip(points, thetas)],
+        "residues": [[[str(v) for v in row] for row in m] for m in residues],
+    }
+    theta_data = None if thetas == [None] * len(thetas) else [
+        None if th is None else RationalCocharacter(tuple(th)) for th in thetas]
+    field = cli.ParsedConfig(raw).field()
+    assert field == build_field(points, residues, GroupTag("A", n - 1, form), theta_data)
+    assert field.points == tuple(points) and list(field.residues) == residues
 
 
 @pytest.mark.parametrize("bad", [2.0, True, "x", Fraction(3, 2), None])

@@ -33,6 +33,7 @@ from support import (
     H2,
     coeffs_to_sympy,
     evaluate,
+    fraction_matrix,
     is_strongly_logarithmic_image,
     lax_value,
     make_traceless,
@@ -53,6 +54,7 @@ from support import (
     squarefree_oracles,
     strictly_upper,
     sympy_to_coeffs,
+    trace,
     with_sum_zero,
 )
 
@@ -80,9 +82,10 @@ def test_build_field_examples():
     assert not g.regular_at_infinity
     zero = build_field([0, 1], [linalgq.zeros(2)] * 2, SL2)
     assert zero.regular_at_infinity
-    # regularity is read from the residues, not set by whoever builds the field
+    # a field stores its cleared form only: regularity is read from the
+    # residues, not set by whoever builds the field
     assert [fl.name for fl in dataclasses.fields(higgs.LogHiggsField)] == [
-        "points", "residues", "group", "theta_data"
+        "group", "theta_data", "cleared"
     ]
 
 
@@ -130,7 +133,8 @@ def residue_sums(draw):
 @given(residue_sums())
 def test_regular_at_infinity_matches_fraction_sum(case):
     """The int residue-sum test gives the verdict of a plain Fraction sum of
-    the residues, on a field from build_field and on one made directly."""
+    the residues, on a field from build_field and on one from the CLI's
+    reads (field_from_read of linalgq.ratio pairs)."""
     n, form, points, residues, regular = case
     total = [
         [sum((m[p][q] for m in residues), Fraction(0)) for q in range(n)] for p in range(n)
@@ -138,8 +142,8 @@ def test_regular_at_infinity_matches_fraction_sum(case):
     assert all(x == 0 for row in total for x in row) == regular
     group = GroupTag("A", n - 1, form)
     assert build_field(points, residues, group).regular_at_infinity == regular
-    direct = higgs.LogHiggsField(tuple(points), tuple(residues), group, None)
-    assert direct.regular_at_infinity == regular
+    pairs = [[x.as_integer_ratio() for row in m for x in row] for m in residues]
+    assert higgs.field_from_read(points, pairs, group).regular_at_infinity == regular
 
 
 # -- polynomial Lax form -----------------------------------------------------
@@ -296,12 +300,7 @@ def test_hitchin_ambient_dims_follow_regularity():
 
 def test_hitchin_map_rejects_non_type_a():
     f = efh_field()
-    bad = higgs.LogHiggsField(
-        points=f.points,
-        residues=f.residues,
-        group=GroupTag("B", 2, "SL"),
-        theta_data=None,
-    )
+    bad = dataclasses.replace(f, group=GroupTag("B", 2, "SL"))
     with pytest.raises(UnsupportedRealizationError):
         hitchin_map(bad)
     with pytest.raises(UnsupportedRealizationError):
@@ -343,11 +342,11 @@ def test_gaudin_generating_function_reconstruction():
         for _ in range(10):
             z = Fraction(rng.randint(20, 60), rng.randint(1, 3))
             lz = lax_value(f, z)
-            lhs = linalgq.trace(linalgq.mat_mul(lz, lz)) / 2
+            lhs = trace(linalgq.mat_mul(lz, lz)) / 2
             rhs = Fraction(0)
             for j in range(s):
                 dz = z - f.points[j]
-                cas = linalgq.trace(linalgq.mat_mul(f.residues[j], f.residues[j])) / 2
+                cas = trace(linalgq.mat_mul(f.residues[j], f.residues[j])) / 2
                 rhs += cas / dz**2 + values[j] / dz
             assert lhs == rhs
 
@@ -370,7 +369,7 @@ def test_gaudin_values_are_residues_of_the_hitchin_section(n, s, form, kind, see
     residues = _edge_residues(rng, n, kind, s - 1)
     if form == "SL":
         residues = [
-            linalgq.mat_sub(m, mat_scale(linalgq.identity(n), linalgq.trace(m) / n))
+            linalgq.mat_sub(m, mat_scale(linalgq.identity(n), trace(m) / n))
             for m in residues
         ]
     f = build_field(points, with_sum_zero(residues), GroupTag("A", n - 1, form))
@@ -727,7 +726,7 @@ def test_residue_of_invariant_worked_examples():
     assert residue_of_invariant(efh_field(), 0, 2) == 0
     f = build_field([0, 1], [[[1, 2], [0, 3]], [[0, -2], [0, 4]]], GL2)
     for j in range(2):
-        assert residue_of_invariant(f, j, 1) == linalgq.trace(f.residues[j])
+        assert residue_of_invariant(f, j, 1) == trace(f.residues[j])
 
 
 def test_residue_of_invariant_matches_matrix_invariant():
@@ -922,7 +921,7 @@ def nilpotent_at_infinity_fields(draw):
     xs = draw(st.lists(st.integers(-4, 4), min_size=s, max_size=s, unique=True))
     entry = st.integers(-3, 3)
     square = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
-    drawn = [linalgq.mat(draw(square)) for _ in range(s - 2)]
+    drawn = [fraction_matrix(draw(square)) for _ in range(s - 2)]
     if form == "SL":
         drawn = [make_traceless(m) for m in drawn]
     upper = [[draw(entry) if q > p else 0 for q in range(n)] for p in range(n)]

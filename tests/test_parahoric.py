@@ -814,32 +814,64 @@ def test_rank2_ladder_edges_match_reference_oracle():
         _assert_rank2_matches_reference(degrees, flags, weights(len(flags)), points)
 
 
-# Two processes under different hash seeds: the report must not depend on
-# the iteration order of a set or dict of tuples.
-HASH_SEED_CONFIG = {
-    "command": "stability",
-    "options": {
-        "rank2": {
-            "split_degrees": [-1, 1],
-            "flags": [["1", "0"], ["0", "1"], ["2", "-1"], ["1", "3"], ["1", "0"], ["3", "2"],
-                      ["-1", "1"]],
-            "weights": [["1/2", "1/3"], ["0", "1/4"], ["2/3", "0"], ["1/5", "1/5"],
-                        ["3/4", "1/2"], ["0", "0"], ["1/6", "5/6"]],
-            "points": ["0", "1/2", "-1", "2", "1/3", "-5/2", "7"],
-        }
+# Two processes under different hash seeds: no report may depend on the
+# iteration order of a set or dict of tuples.  One small config per command.
+HASH_SEED_GENERIC_FIELD = {
+    "group": {"family": "A", "rank": 2, "form": "SL"},
+    "points": [{"x": "0"}, {"x": "1/2"}, {"x": "-1"}, {"x": "2"}],
+    "residues": [
+        [["1", "2", "0"], ["-1", "0", "1/3"], ["0", "3", "-1"]],
+        [["0", "1", "-1"], ["2", "1/2", "0"], ["1", "0", "-1/2"]],
+        [["-2", "0", "1"], ["0", "1", "-1"], ["1/2", "1", "1"]],
+        [["1", "-3", "0"], ["-1", "-3/2", "2/3"], ["-3/2", "-4", "1/2"]],
+    ],
+}
+# Weighted points (an Iwahori weight, a Levi block {0, 1}, and theta = 0)
+# with residues in their parahoric stalks.
+HASH_SEED_WEIGHTED_FIELD = {
+    "group": {"family": "A", "rank": 2, "form": "SL"},
+    "points": [{"x": "0", "theta": ["1/3", "1/3"]}, {"x": "1", "theta": ["1/3", "2/3"]},
+               {"x": "-1/2", "theta": ["0", "0"]}],
+    "residues": [
+        [["1", "2", "-1"], ["0", "0", "1/3"], ["0", "0", "-1"]],
+        [["0", "1", "-1"], ["2", "1/2", "0"], ["0", "0", "-1/2"]],
+        [["-1", "-3", "2"], ["-2", "-1/2", "-1/3"], ["0", "0", "3/2"]],
+    ],
+}
+HASH_SEED_CONFIGS = {
+    "parahoric-analyze": HASH_SEED_WEIGHTED_FIELD,
+    "gaudin": HASH_SEED_GENERIC_FIELD,
+    "hitchin": HASH_SEED_GENERIC_FIELD,
+    "spectral": HASH_SEED_GENERIC_FIELD,
+    "moment": HASH_SEED_WEIGHTED_FIELD,
+    "involution": HASH_SEED_GENERIC_FIELD,
+    "diagram-check": HASH_SEED_WEIGHTED_FIELD,
+    "stability": {
+        "options": {
+            "rank2": {
+                "split_degrees": [-1, 1],
+                "flags": [["1", "0"], ["0", "1"], ["2", "-1"], ["1", "3"], ["1", "0"],
+                          ["3", "2"], ["-1", "1"]],
+                "weights": [["1/2", "1/3"], ["0", "1/4"], ["2/3", "0"], ["1/5", "1/5"],
+                            ["3/4", "1/2"], ["0", "0"], ["1/6", "5/6"]],
+                "points": ["0", "1/2", "-1", "2", "1/3", "-5/2", "7"],
+            }
+        },
     },
+    "leaf": HASH_SEED_WEIGHTED_FIELD,
 }
 
 
-def test_rank2_report_does_not_depend_on_the_hash_seed(tmp_path):
+@pytest.mark.parametrize("command", HASH_SEED_CONFIGS)
+def test_report_does_not_depend_on_the_hash_seed(tmp_path, command):
     src = os.path.dirname(os.path.dirname(parahoric.__file__))
-    cfg = tmp_path / "stability.json"
-    cfg.write_text(json.dumps(HASH_SEED_CONFIG))
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"command": command, **HASH_SEED_CONFIGS[command]}))
     reports = []
     for seed in ("0", "1"):
         out = tmp_path / f"report-{seed}.json"
         proc = subprocess.run(
-            [sys.executable, "-m", "logahoric", "stability", "--config", cfg, "--out", out],
+            [sys.executable, "-m", "logahoric", command, "--config", cfg, "--out", out],
             env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
             capture_output=True,
             text=True,
@@ -849,5 +881,6 @@ def test_rank2_report_does_not_depend_on_the_hash_seed(tmp_path):
         text = out.read_text(encoding="utf-8")
         assert text.count('"timing_seconds": ') == 1
         reports.append(re.sub(r'\n  "timing_seconds": [^\n]*', "", text))
-    assert len(json.loads(reports[0])["results"]["rank2"]["candidates"]) > 100
+    if command == "stability":
+        assert len(json.loads(reports[0])["results"]["rank2"]["candidates"]) > 100
     assert reports[0] == reports[1]
