@@ -483,22 +483,21 @@ def _chunks(value, indent: str, out: List[str]) -> None:
         out.append(json.dumps(value))
 
 
-def _json(value, end: str = "") -> str:
-    """json.dumps(value, sort_keys=True, indent=2) + end, joined once, each
+def _json(value) -> str:
+    """The text of json.dumps(value, sort_keys=True, indent=2), each
     _Candidates leaf standing for its list of candidate objects."""
     out: List[str] = []
     _chunks(value, "", out)
-    out.append(end)
     return "".join(out)
 
 
 def _emit(report: dict, out_path: Optional[str]) -> None:
-    text = _json(report, "\n")
+    text = _json(report)  # print writes the newline apart, so the text is not copied
     if out_path is None:
-        sys.stdout.write(text)
+        print(text)
     else:
         with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            print(text, file=handle)
 
 
 def run(command: str, cfg: ParsedConfig) -> dict:

@@ -100,10 +100,10 @@ def field_from_read(
     group: GroupTag,
     theta_data: Optional[Tuple[Optional[RationalCocharacter], ...]] = None,
 ) -> LogHiggsField:
-    """The field of numbers already read (points as ints or Fractions, each
-    residue's n*n entries row by row as linalgq.ratio pairs or numbers,
-    theta_data checked): a non-empty divisor of distinct points, one residue
-    per point, each tr R_j = 0 in SL mode, cleared by one integer_form each."""
+    """The field of numbers build_field or the CLI has read, not read again
+    (points, residues as n*n linalgq.ratio pairs row by row, checked thetas):
+    a non-empty divisor of distinct points, one n*n residue per point, each
+    tr R_j = 0 in SL mode; points and entries cleared by one integer_form each."""
     if not points:
         raise DivisorError("divisor must be nonempty")
     dx, a = linalgq.integer_form(points)
@@ -112,6 +112,9 @@ def field_from_read(
     if len(residues) != len(a):
         raise ShapeError(f"{len(a)} points but {len(residues)} residues")
     n = group.matrix_size
+    for j, r in enumerate(residues):
+        if len(r) != n * n:
+            raise ShapeError(f"residue {j} must be {n}x{n} for {group.family}{group.rank}")
     dr, flat = linalgq.integer_form(chain.from_iterable(residues))
     rs = tuple(tuple(flat[i:i + n * n]) for i in range(0, len(flat), n * n))
     if group.form == "SL":

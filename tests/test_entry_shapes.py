@@ -29,7 +29,7 @@ from logahoric.errors import (
     ShapeError,
     UnsupportedTypeError,
 )
-from logahoric.higgs import build_field
+from logahoric.higgs import build_field, field_from_read
 from logahoric.parahoric import ReductionDatum, analyze_weight, rank2_semistability
 from logahoric.poisson import (
     MomentValue,
@@ -177,6 +177,17 @@ def test_the_shapes_that_crashed_are_shape_errors():
         with pytest.raises(LogahoricError, match=match) as err:
             call()
         assert err.value.kind == "shape"
+
+
+def test_field_from_read_refuses_a_residue_of_the_wrong_length():
+    """field_from_read takes numbers already read, but a residue of other
+    than n*n entries is a ShapeError naming it, so no residue's entries are
+    regrouped into another's (3 + 5 entries are not two 2x2 residues) and a
+    short last residue is not an IndexError later."""
+    sl2, pair = GroupTag("A", 1, "SL"), (0, 1)
+    for residues, j in [([[pair] * 3, [pair] * 5], 0), ([[pair] * 4, [pair] * 3], 1)]:
+        with pytest.raises(ShapeError, match=f"residue {j} must be 2x2"):
+            field_from_read([0, 1], residues, sl2)
 
 
 def test_text_is_not_a_sequence():
