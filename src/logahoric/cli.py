@@ -177,18 +177,6 @@ class ParsedConfig:
 # ---------------------------------------------------------------------------
 
 
-def _s(value) -> str:
-    return str(value if type(value) is Fraction else Fraction(value))
-
-
-def _matrix_out(m) -> List[List[str]]:
-    return [[_s(v) for v in row] for row in m]
-
-
-def _coeffs_out(cs) -> List[str]:
-    return [_s(c) for c in cs]
-
-
 def _root_key(root: Tuple[int, ...]) -> str:
     return ",".join(str(c) for c in root)
 
@@ -216,7 +204,7 @@ def _candidate_list(candidates, indent: str) -> str:
             inc = incidence_texts[incidences] = f"[\n  {key}{items}\n{key}]" if incidences else "[]"
         tail = tails.get(id(wd))
         if tail is None:
-            tail = f'"verdict": {_escape(verdict)},\n{key}"weighted_degree": {_escape(_s(wd))}'
+            tail = f'"verdict": {_escape(verdict)},\n{key}"weighted_degree": {_escape(str(wd))}'
             tails[id(wd)] = tail
         out.append(f'{head}{degree},\n{key}"incidences": {inc},\n{key}{tail}\n{item}}}')
         head = ",\n" + item + start
@@ -240,8 +228,8 @@ def _cmd_parahoric_analyze(cfg: ParsedConfig) -> dict:
         datum = parahoric.analyze_weight(rs, theta)
         out.append(
             {
-                "x": _s(x),
-                "theta": [_s(c) for c in theta.coeffs],
+                "x": str(x),
+                "theta": [str(c) for c in theta.coeffs],
                 "facet": datum.facet_class,
                 "jumps": {_root_key(r): m for r, m in datum.jumps.items()},
                 "levi_roots": [_root_key(r) for r in datum.levi_roots],
@@ -260,8 +248,8 @@ def _cmd_gaudin(cfg: ParsedConfig) -> dict:
     f = cfg.field()
     values = higgs.gaudin_values(f)
     return {
-        "values": [_s(v) for v in values],
-        "value_sum": _s(sum(values, Fraction(0))),
+        "values": [str(v) for v in values],
+        "value_sum": str(sum(values, Fraction(0))),
         "hamiltonian_count": len(values),
         "generator_count": f.matrix_size ** 2 * f.site_count,
     }
@@ -272,20 +260,20 @@ def _cmd_hitchin(cfg: ParsedConfig) -> dict:
     return {
         "degrees": list(image.degrees),
         "ambient_dims": list(image.ambient_dims),
-        "sections": [_coeffs_out(sec) for sec in image.sections],
+        "sections": [list(map(str, sec)) for sec in image.sections],
     }
 
 
-def _default_grid(s: int) -> List[Fraction]:
-    return [Fraction(k) for k in range(-(s + 1), s + 2)]
+def _default_grid(s: int) -> List[int]:
+    return list(range(-(s + 1), s + 2))
 
 
 def _cmd_spectral(cfg: ParsedConfig) -> dict:
     f = cfg.field()
     sc = higgs.spectral_curve(f)
     results = {
-        "char_coeffs": [_coeffs_out(cs) for cs in sc.char_coeffs],
-        "discriminant": _coeffs_out(sc.discriminant),
+        "char_coeffs": [list(map(str, cs)) for cs in sc.char_coeffs],
+        "discriminant": list(map(str, sc.discriminant)),
         "branch_count": sc.branch_count,
         "is_squarefree": sc.is_squarefree,
         "genus": sc.genus,
@@ -311,7 +299,7 @@ def _cmd_spectral(cfg: ParsedConfig) -> dict:
 
 def _cmd_moment(cfg: ParsedConfig) -> dict:
     mv = poisson.moment_map(cfg.field())
-    return {"sites": [_matrix_out(site) for site in mv.sites]}
+    return {"sites": [[list(map(str, row)) for row in site] for site in mv.sites]}
 
 
 def _cmd_involution(cfg: ParsedConfig) -> dict:
@@ -348,8 +336,8 @@ def _cmd_diagram_check(cfg: ParsedConfig) -> dict:
             {
                 "point": r.point,
                 "degree": r.degree,
-                "residue_route": _s(r.residue_route),
-                "moment_route": _s(r.moment_route),
+                "residue_route": str(r.residue_route),
+                "moment_route": str(r.moment_route),
                 "equal": r.equal,
             }
             for r in report.rows
@@ -375,12 +363,12 @@ def _reduction_test(entry, where: str) -> dict:
     sub_deg = parahoric.parahoric_degree(rd)
     sub_side, total_side = sub_deg * rd.total_rank, total_deg * rd.sub_rank
     return {
-        "sub_parhdeg": _s(sub_deg),
-        "total_parhdeg": _s(total_deg),
-        "sub_slope": _s(sub_deg / rd.sub_rank),
-        "total_slope": _s(total_deg / rd.total_rank),
+        "sub_parhdeg": str(sub_deg),
+        "total_parhdeg": str(total_deg),
+        "sub_slope": str(sub_deg / rd.sub_rank),
+        "total_slope": str(total_deg / rd.total_rank),
         "slope_verdict": verdict,
-        "character_margin": _s(total_side - sub_side),
+        "character_margin": str(total_side - sub_side),
         "character_verdict": parahoric.verdict(sub_side, total_side),
     }
 
@@ -409,9 +397,9 @@ def _cmd_stability(cfg: ParsedConfig) -> dict:
         witness = report.witness
         results["rank2"] = {
             "verdict": report.verdict,
-            "total_weighted_degree": _s(report.total_weighted_degree),
-            "total_slope": _s(report.total_slope),
-            "witness": {**witness._asdict(), "weighted_degree": _s(witness.weighted_degree)},
+            "total_weighted_degree": str(report.total_weighted_degree),
+            "total_slope": str(report.total_slope),
+            "witness": {**witness._asdict(), "weighted_degree": str(witness.weighted_degree)},
             "candidates": _Candidates(report.candidates),
         }
     return results
@@ -421,9 +409,9 @@ def _cmd_leaf(cfg: ParsedConfig) -> dict:
     mv = poisson.moment_map(cfg.field())
     leaf = poisson.leaf_invariants(mv)
     return {
-        "site_invariants": [_coeffs_out(site) for site in leaf.site_invariants],
+        "site_invariants": [list(map(str, site)) for site in leaf.site_invariants],
         "bivector_rank": leaf.bivector_rank,
-        "sites": [_matrix_out(site) for site in mv.sites],
+        "sites": [[list(map(str, row)) for row in site] for site in mv.sites],
     }
 
 

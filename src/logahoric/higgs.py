@@ -17,8 +17,8 @@ int polynomial matrix and A(z) = B(z d_x)/D, D = d_x^(s-1) d_r.  Every
 polynomial in z made by products (the entries of A and its characteristic
 coefficients) is read from one value at tau = 2^beta: the int matrix
 B(2^beta), its Berkowitz coefficients, and one balanced-digit read
-(polyq.digits) each, with beta set from a bound on the coefficients so
-that the read is exact (Kronecker substitution).  One Fraction is made per
+(polyq.digits) each, with beta set from a bound on the coefficients by
+polyq.kronecker_beta so that the read is exact.  One Fraction is made per
 coefficient.
 
 Invariant sections are characteristic coefficients of A(z), signed so the
@@ -184,15 +184,14 @@ def _packed(f: LogHiggsField) -> Tuple[int, int, List[List[int]]]:
     |B_pq(tau)| for every entry of row p.  C_k(tau) = c_k(B(tau)) is
     (-1)^(n-k) times the sum of the principal (n-k)-minors, and a minor on
     rows P expands into products of one entry from each row of P, so
-    |C_k| <= e_(n-k)(r_0, ..., r_(n-1)) <= prod_p (1 + r_p).  With
-    beta = bitlength(prod_p (1 + r_p)) + 1 every coefficient of each C_k
-    and of each entry is below 2^(beta-1) in size: one balanced digit."""
+    |C_k| <= e_(n-k)(r_0, ..., r_(n-1)) <= prod_p (1 + r_p), the bound
+    that polyq.kronecker_beta turns into beta."""
     n = f.matrix_size
     dx, a, dr, rs = f.cleared
     entries = list(zip(*rs))  # R_j[p][q] over j, row by row
     norms = polyq.weight_norms(a)
     sizes = [sum(map(mul, norms, map(abs, e))) for e in entries]  # bounds on |B_pq|
-    beta = prod(1 + sum(sizes[p:p + n]) for p in range(0, n * n, n)).bit_length() + 1
+    beta = polyq.kronecker_beta(prod(1 + sum(sizes[p:p + n]) for p in range(0, n * n, n)))
     ws = polyq.lagrange_weights(a, 1 << beta)
     packed = [sum(map(mul, ws, e)) for e in entries]
     return dx ** (f.site_count - 1) * dr, beta, [packed[p:p + n] for p in range(0, n * n, n)]

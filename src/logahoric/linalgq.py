@@ -1,6 +1,7 @@
 """Exact matrix helpers over the rationals.
 
-Matrices are plain lists of lists of numbers only: ints and Fractions.
+Matrices are lists of lists of ints and Fractions; integer_form reads any
+other entry by `rational(x, ..., TypeError)`: "p/q" text, no float or bool.
 `char_coeffs` (Berkowitz's division-free recursion, run on int matrices
 once rational ones are cleared to ints), `det` and `invariant_values` are
 ints for an int matrix, else Fractions.
@@ -155,10 +156,10 @@ def copy(a):
 def integer_form(values) -> Tuple[int, List[int]]:
     """(den, ints) with values[i] == ints[i] / den, den the lcm of the
     denominators (1 for no values).  A value is an int pair (p, q) from
-    `ratio` or a number, read once by as_integer_ratio (as a Fraction if it
-    is neither an int nor a Fraction)."""
-    ratios = [x if type(x) is tuple else
-              (x if type(x) is int or type(x) is Fraction else Fraction(x)).as_integer_ratio()
+    `ratio` or a number, read once by as_integer_ratio (through `rational`,
+    with TypeError, if it is neither an int nor a Fraction)."""
+    ratios = [x if type(x) is tuple else (x if type(x) is int or type(x) is Fraction else
+              rational(x, "matrix entry", TypeError)).as_integer_ratio()
               for x in values]
     den = math.lcm(*(d for _, d in ratios))
     return den, [p * (den // d) for p, d in ratios]
@@ -236,7 +237,7 @@ def char_coeffs(m) -> list:
     (1, -a, -r s, -r B s, -r B^2 s, ...) times those of B, all in ints.  A
     matrix with an entry that is not an int is first cleared by integer_form
     to the int matrix d*M, and c_k(M) = c_k(d*M) / d^(n-k); an entry that is
-    not a number raises TypeError there.
+    not a rational (a float or a bool too) raises TypeError there.
     """
     n = len(m)
     if set(map(type, chain.from_iterable(m))) <= {int}:

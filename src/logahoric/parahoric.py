@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from operator import mul
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
 
@@ -144,10 +145,11 @@ def loop_element(
     torus: Optional[Mapping[int, Sequence]] = None,
     roots: Optional[Mapping[Tuple[Sequence[int], int], object]] = None,
 ) -> LoopElement:
-    """Canonical constructor; merges duplicates and drops zero terms."""
+    """Canonical constructor; merges duplicates and drops zero terms.  A
+    coefficient that linalgq.rational refuses raises ShapeError naming it."""
     torus_acc: Dict[int, List[Fraction]] = {}
     for k, coords in (torus or {}).items():
-        coords = [Fraction(c) for c in coords]
+        coords = linalgq.rationals(coords, f"torus[{k!r}]")
         if len(coords) != rs.rank:
             raise ShapeError(f"torus coordinate vector must have length {rs.rank}")
         torus_acc[k] = coords
@@ -157,7 +159,7 @@ def loop_element(
         r = tuple(r)
         if r not in root_set:
             raise ShapeError(f"{r} is not a root of {rs.family}{rs.rank}")
-        c = Fraction(c)
+        c = linalgq.rational(c, f"roots[{(r, k)!r}]")
         root_acc[(r, k)] = root_acc.get((r, k), Fraction(0)) + c
     return LoopElement(
         system=rs,
@@ -202,7 +204,8 @@ def loop_to_laurent(x: LoopElement) -> Dict[int, Matrix]:
 
 
 def laurent_to_loop(rs: RootSystem, coeffs: Mapping[int, Matrix]) -> LoopElement:
-    """Inverse realization; requires traceless diagonal parts."""
+    """Inverse realization; requires traceless diagonal parts.  An entry that
+    linalgq.rational refuses raises ShapeError naming it."""
     if rs.family != "A":
         raise UnsupportedRealizationError("matrix realization exists for type A only")
     n = rs.rank + 1
@@ -211,19 +214,14 @@ def laurent_to_loop(rs: RootSystem, coeffs: Mapping[int, Matrix]) -> LoopElement
     for k, m in coeffs.items():
         if not linalgq.has_shape(m, n, n):
             raise ShapeError(f"coefficient at z^{k} must be {n}x{n}")
-        diag = [Fraction(m[i][i]) for i in range(n)]
-        if sum(diag) != 0:
+        m = [linalgq.rationals(row, f"coeffs[{k!r}][{p}]") for p, row in enumerate(m)]
+        if sum(m[i][i] for i in range(n)) != 0:
             raise TraceError("diagonal part must be traceless in the SL realization")
-        coords = []
-        running = Fraction(0)
-        for i in range(rs.rank):
-            running += diag[i]
-            coords.append(running)
-        torus[k] = coords
+        torus[k] = list(accumulate(m[i][i] for i in range(rs.rank)))
         for p in range(n):
             for q in range(n):
                 if p != q and m[p][q]:
-                    roots[(entry_to_root(rs, p, q), k)] = Fraction(m[p][q])
+                    roots[(entry_to_root(rs, p, q), k)] = m[p][q]
     return loop_element(rs, torus, roots)
 
 
@@ -358,7 +356,7 @@ def verdict(lhs, rhs) -> str:
 
 def parahoric_degree(rd: ReductionDatum) -> Fraction:
     """Weighted degree: ordinary degree plus the marked-point pairings."""
-    return Fraction(rd.sub_degree) + sum(rd.weight_pairings, Fraction(0))
+    return rd.sub_degree + sum(rd.weight_pairings, Fraction(0))
 
 
 def slope_test(rd: ReductionDatum) -> str:

@@ -78,6 +78,10 @@ class LiePoissonAlgebra:
     matrix_size: int
     site_count: int
 
+    def __post_init__(self):
+        for name in ("matrix_size", "site_count"):
+            object.__setattr__(self, name, linalgq.integer(getattr(self, name), name))
+
     @property
     def gen_count(self) -> int:
         return self.matrix_size**2 * self.site_count
@@ -118,7 +122,7 @@ class PoissonPolynomial:
 
     @staticmethod
     def constant(alg: LiePoissonAlgebra, c) -> "PoissonPolynomial":
-        c = Fraction(c)
+        c = linalgq.rational(c, "c")
         return PoissonPolynomial(alg, (((), c),) if c else ())
 
     @staticmethod
@@ -148,7 +152,7 @@ class PoissonPolynomial:
         return PoissonPolynomial(self.algebra, tuple((m, -c) for m, c in self.terms))
 
     def scaled(self, c) -> "PoissonPolynomial":
-        c = Fraction(c)
+        c = linalgq.rational(c, "c")
         if not c:
             return PoissonPolynomial.zero(self.algebra)
         return PoissonPolynomial(self.algebra, tuple((m, k * c) for m, k in self.terms))
@@ -343,8 +347,8 @@ def _brackets(hams: Sequence[PoissonPolynomial], alg: LiePoissonAlgebra):
     (a, b) of a generator a in a term of h_i and b in a term of h_j, of size
     at most |k_a e_a k_b e_b|: when both rules fire, b is the transpose of
     a != b and they give x_qq and -x_pp, two different monomials.  So every
-    slot is at most |h_i| |h_j| <= M^2, M the largest |h|, and
-    beta = bitlength(M^2) + 1 keeps it below 2^(beta - 1).
+    slot is at most |h_i| |h_j| <= M^2, M the largest |h|, the bound that
+    polyq.kronecker_beta turns into beta.
 
     Only the non-zero slots are decoded, each key site by site in ascending
     order, so each monomial comes out with its generators ascending: the gcd
@@ -358,7 +362,7 @@ def _brackets(hams: Sequence[PoissonPolynomial], alg: LiePoissonAlgebra):
     digits = polyq.digits
     parts = [_partials(ham, primes) for ham in hams]
     norm = max((sum(abs(c) for ks in p.values() for c in ks.values()) for _, p in parts), default=0)
-    beta = (norm * norm).bit_length() + 1
+    beta = polyq.kronecker_beta(norm * norm)
     partners = _partners(alg.matrix_size)
     nn = alg.matrix_size**2
     index = sites = None
@@ -440,10 +444,10 @@ def hitchin_coefficient_hamiltonians(
     at tau = 2^beta (Kronecker substitution): the z^e coefficient is
     P_e/d_x^((s-1)i-e).  As |w_j| <= W_j (polyq.weight_norms, with |p| the
     sum of the absolute coefficients of p), every P_e is at most
-    (max_j W_j)^i in size, and beta = bitlength((max_j W_j)^i) + 1 keeps it
-    below 2^(beta-1), so the read is exact.  Every non-zero z-coefficient
-    is a Hamiltonian, by ascending i, then power of z.  Non-rational points,
-    a non-integer n or shapes past HITCHIN_INVOLUTION_MAX_POINTS raise ShapeError.
+    (max_j W_j)^i in size, the bound that polyq.kronecker_beta turns into
+    beta.  Every non-zero z-coefficient is a Hamiltonian, by ascending i,
+    then power of z.  Non-rational points, a non-integer n or shapes past
+    HITCHIN_INVOLUTION_MAX_POINTS raise ShapeError.
     """
     n = linalgq.integer(n, "n")
     limit = HITCHIN_INVOLUTION_MAX_POINTS.get(n)
@@ -472,7 +476,7 @@ def hitchin_coefficient_hamiltonians(
     hams: List[PoissonPolynomial] = []
     norm = max(polyq.weight_norms(a))
     for i in range(1 if form == "GL" else 2, n + 1):
-        beta = (norm**i).bit_length() + 1
+        beta = polyq.kronecker_beta(norm**i)
         ws = polyq.lagrange_weights(a, 1 << beta)
         dens = [dx**e for e in range((s - 1) * i, -1, -1)]  # d_x^((s-1)i-e)
         coeffs: List[Dict[Monomial, Fraction]] = [{} for _ in dens]
@@ -498,7 +502,8 @@ def hitchin_coefficient_hamiltonians(
 class MomentValue:
     """One square matrix per site and, optionally, one weight, a cocharacter
     theta (or None), per site; sites or data that are not sequences, a site
-    that is not square, or data of another length, raise ShapeError."""
+    that is not square, a site entry that linalgq.rational refuses, or data
+    of another length, raise ShapeError."""
 
     sites: Tuple[Matrix, ...]
     data: Optional[Tuple[Optional[RationalCocharacter], ...]] = None
@@ -509,6 +514,9 @@ class MomentValue:
         for j, site in enumerate(self.sites):
             if not (linalgq.has_shape(site, None) and linalgq.has_shape(site, None, len(site))):
                 raise ShapeError(f"site {j} is not square")
+        object.__setattr__(self, "sites", tuple(
+            [linalgq.rationals(row, f"sites[{j}][{p}]") for p, row in enumerate(site)]
+            for j, site in enumerate(self.sites)))
         if self.data is not None and not linalgq.has_shape(self.data, None):
             raise ShapeError("data must be a sequence of weight data")
         if self.data is not None and len(self.data) != len(self.sites):

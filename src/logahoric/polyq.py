@@ -10,9 +10,8 @@ sums (linalgq.det), `interpolate` (which serves that discriminant only)
 takes int values over one denominator and gives int coefficients over one,
 and `is_squarefree` runs one integer gcd-degree routine on those ints,
 modulo 2^61 - 1 as a certificate and over Q as fallback.  Every other int
-polynomial is read from
-one value at 2^beta by `digits` (Kronecker substitution), with
-`weight_norms` bounding the lagrange_weights that go into it.
+polynomial is read from one value at 2^beta by `digits`, beta from
+`kronecker_beta` and `weight_norms` bounding the lagrange_weights in it.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ def degree(p: Sequence[Fraction]) -> int:
 
 
 def evaluate(p: Sequence[Fraction], x) -> Fraction:
-    x = Fraction(x)
+    x = linalgq.rational(x, "x")
     acc = Fraction(0)
     for c in reversed(p):
         acc = acc * x + c
@@ -69,13 +68,19 @@ def weight_norms(xs: Sequence[int]) -> List[int]:
     return lagrange_weights([-1 - abs(x) for x in xs], 0)
 
 
+def kronecker_beta(bound: int) -> int:
+    """The least beta at which `digits` reads back, trimmed, every int
+    polynomial with coefficients at most bound >= 1 in size from its value
+    at 2^beta (Kronecker substitution; Harvey, J. Symbolic Comput. 44,
+    2009): each is one balanced digit, as |c| <= bound < 2^(beta-1), and
+    2^(beta-2) <= bound makes no smaller beta do."""
+    return bound.bit_length() + 1
+
+
 def digits(v: int, beta: int) -> List[int]:
     """The balanced base-2^beta digits of the int v, beta >= 2 (else
     ValueError), lowest first, up to the last non-zero one: v = sum_i d_i
-    2^(beta i), -2^(beta-1) <= d_i < 2^(beta-1), and [] for v = 0.  An int
-    polynomial whose coefficients are all below 2^(beta-1) in size is read
-    back, trimmed, from its value at 2^beta (Kronecker substitution; Harvey,
-    J. Symbolic Comput. 44, 2009)."""
+    2^(beta i), -2^(beta-1) <= d_i < 2^(beta-1), and [] for v = 0."""
     if beta < 2:
         raise ValueError(f"digits needs beta >= 2, got {beta}")
     half = 1 << beta - 1

@@ -48,7 +48,7 @@ class RationalCocharacter:
 
     @staticmethod
     def of(values: Sequence) -> "RationalCocharacter":
-        return RationalCocharacter(tuple(Fraction(v) for v in values))
+        return RationalCocharacter(tuple(linalgq.rationals(values, "theta")))
 
 
 @dataclass(frozen=True)

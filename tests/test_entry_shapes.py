@@ -10,18 +10,21 @@ inputs is tied to another, so each change must be refused, and the refusal
 must be a LogahoricError subclass, not a bare TypeError, ValueError or
 IndexError from inside the computation.  Text where a sequence belongs is
 refused, and so is a value that is not a rational where a number belongs,
-there and in `ReductionDatum` and `hitchin_coefficient_hamiltonians`, and
-so is one in a residue matrix of a CLI config.
+there, in `ReductionDatum`, `hitchin_coefficient_hamiltonians`, the
+loop-algebra and Poisson-polynomial constructors and `polyq.evaluate`, and
+in a residue matrix of a CLI config; a MomentValue holds no float, so
+`coadjoint_act` returns none.
 """
 
 import copy
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logahoric import cli, linalgq
+from logahoric import cli, linalgq, polyq
 from logahoric.errors import (
     ConfigError,
     InvalidReductionError,
@@ -30,9 +33,17 @@ from logahoric.errors import (
     UnsupportedTypeError,
 )
 from logahoric.higgs import build_field, field_from_read
-from logahoric.parahoric import ReductionDatum, analyze_weight, rank2_semistability
+from logahoric.parahoric import (
+    ReductionDatum,
+    analyze_weight,
+    laurent_to_loop,
+    loop_element,
+    rank2_semistability,
+)
 from logahoric.poisson import (
+    LiePoissonAlgebra,
     MomentValue,
+    PoissonPolynomial,
     coadjoint_act,
     hitchin_coefficient_hamiltonians,
     moment_map,
@@ -236,15 +247,17 @@ def test_rank2_semistability_names_an_entry_that_is_not_a_rational(bad):
 
 @pytest.mark.parametrize("bad", ["x", "1/0", None, [1], 0.5, True])
 def test_every_entry_point_names_a_number_that_is_not_a_rational(bad):
-    """A point, residue entry, theta coordinate, pairing or group-element
-    entry that linalgq.rational refuses (a float and a bool among them) is
-    refused with a domain error naming the entry, at every entry point that
-    reads numbers through linalgq.rationals, not with a bare ValueError or
-    TypeError there or later, in moment_map, and not read as a float's
-    binary value or a bool's int."""
+    """A point, residue entry, theta coordinate, pairing, group-element or
+    site entry, loop-algebra coefficient, Poisson constant or scale, or
+    evaluation point that linalgq.rational refuses (a float and a bool among
+    them) is refused with a domain error naming the entry, at every entry
+    point that reads numbers, not with a bare ValueError or TypeError there
+    or later, in moment_map, and not read as a float's binary value or a
+    bool's int."""
     gl2 = GroupTag("A", 1, "GL")
     zero = [[0, 0], [0, 0]]
     sites = MomentValue(sites=(zero, zero))
+    alg = LiePoissonAlgebra(2, 1)
     for call, error, at in [
         (lambda: build_field([0, bad], [zero, zero], gl2), ShapeError, r"points\[1\]"),
         (lambda: build_field([0, 1], [zero, [[0, 0], [bad, 0]]], gl2), ShapeError,
@@ -260,6 +273,19 @@ def test_every_entry_point_names_a_number_that_is_not_a_rational(bad):
         (lambda: hitchin_coefficient_hamiltonians([0, bad], 2), ShapeError, r"points\[1\]"),
         (lambda: coadjoint_act([[[1, 0], [0, 1]], [[1, 0], [bad, 1]]], sites), ShapeError,
          r"gs\[1\]\[1\]\[0\]"),
+        (lambda: MomentValue(sites=(zero, [[0, 0], [bad, 0]])), ShapeError,
+         r"sites\[1\]\[1\]\[0\]"),
+        (lambda: RationalCocharacter.of([0, bad]), ShapeError, r"theta\[1\]"),
+        (lambda: loop_element(SYSTEMS[2], {0: [0, bad]}), ShapeError, r"torus\[0\]\[1\]"),
+        (lambda: loop_element(SYSTEMS[1], roots={((1,), 0): bad}), ShapeError,
+         re.escape("roots[((1,), 0)]")),
+        (lambda: laurent_to_loop(SYSTEMS[1], {0: [[bad, 0], [0, 0]]}), ShapeError,
+         r"coeffs\[0\]\[0\]\[0\]"),
+        (lambda: laurent_to_loop(SYSTEMS[1], {0: [[0, 0], [bad, 0]]}), ShapeError,
+         r"coeffs\[0\]\[1\]\[0\]"),
+        (lambda: PoissonPolynomial.constant(alg, bad), ShapeError, "^c"),
+        (lambda: alg.generator(0, 1, 0).scaled(bad), ShapeError, "^c"),
+        (lambda: polyq.evaluate([1, 2], bad), ShapeError, "^x"),
     ]:
         with pytest.raises(error, match=at + ": .*rational"):
             call()
@@ -323,16 +349,20 @@ def test_cli_field_equals_the_library_field_of_the_same_numbers(case):
     assert field.points == tuple(points) and list(field.residues) == residues
 
 
-@pytest.mark.parametrize("bad", [2.0, True, "x", Fraction(3, 2), None])
+@pytest.mark.parametrize("bad", [2.0, True, "x", Fraction(3, 2), None, "1/0", [1], 0.5])
 def test_integer_fields_name_a_value_that_is_not_an_integer(bad):
-    """The matrix size n of hitchin_coefficient_hamiltonians and the rank of
-    a GroupTag or of build_root_system are read by linalgq.integer: a float,
-    a bool or a non-integer is a domain error naming the field, where n = 2.0
-    once ended in a bare TypeError and a rank of True was read as 1."""
+    """The matrix size n of hitchin_coefficient_hamiltonians, the rank of
+    a GroupTag or of build_root_system and the sizes of a LiePoissonAlgebra
+    are read by linalgq.integer: a float, a bool or a non-integer is a
+    domain error naming the field, where n = 2.0 once ended in a bare
+    TypeError, a rank of True was read as 1, and LiePoissonAlgebra(True, 2)
+    built 1x1 sites."""
     for call, error, at in [
         (lambda: hitchin_coefficient_hamiltonians([0, 1], bad), ShapeError, "n"),
         (lambda: GroupTag("A", bad, "SL"), UnsupportedTypeError, "rank"),
         (lambda: build_root_system("A", bad), UnsupportedTypeError, "rank"),
+        (lambda: LiePoissonAlgebra(bad, 2), ShapeError, "matrix_size"),
+        (lambda: LiePoissonAlgebra(2, bad), ShapeError, "site_count"),
     ]:
         with pytest.raises(error, match=f"^{at}: "):
             call()
@@ -340,6 +370,34 @@ def test_integer_fields_name_a_value_that_is_not_an_integer(bad):
     assert type(tag.rank) is int and tag == GroupTag("A", "2", "SL")
     assert tag.matrix_size == 3
     assert build_root_system("A", Fraction(2)) == SYSTEMS[2]
+    alg = LiePoissonAlgebra(Fraction(4, 2), "3")
+    assert (type(alg.matrix_size), type(alg.site_count)) == (int, int)
+    assert alg == LiePoissonAlgebra(2, 3) and alg.generator(2, 1, 1).terms == ((((11, 1),), 1),)
+
+
+ENTRIES = st.one_of(st.integers(-3, 3), RATIONALS, RATIONALS.map(str), st.floats(-3, 3))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.data())
+def test_coadjoint_act_never_returns_a_float(data):
+    """MomentValue reads its site entries, so a float among them is refused
+    when the value is made (coadjoint_act once conjugated it into floats),
+    and coadjoint_act by a unitriangular group element returns ints and
+    Fractions only, whatever mix of ints, Fractions and "p/q" text the
+    sites and the group elements hold."""
+    n = data.draw(st.integers(1, 3))
+    sites = data.draw(st.lists(st.lists(st.lists(ENTRIES, min_size=n, max_size=n),
+                                        min_size=n, max_size=n), min_size=1, max_size=2))
+    if any(type(v) is float for site in sites for row in site for v in row):
+        with pytest.raises(ShapeError, match=r"^sites\[\d\]\[\d\]\[\d\]: floating point"):
+            MomentValue(sites=sites)
+        return
+    rational = ENTRIES.filter(lambda v: type(v) is not float)
+    gs = [[[1 if p == q else data.draw(rational) if p < q else 0 for q in range(n)]
+           for p in range(n)] for _ in sites]
+    out = coadjoint_act(gs, MomentValue(sites=sites))
+    assert {type(v) for site in out.sites for row in site for v in row} <= {int, Fraction}
 
 
 def test_rational_strings_are_read_as_rationals():
@@ -358,3 +416,15 @@ def test_rational_strings_are_read_as_rationals():
     a1 = SYSTEMS[1]
     assert analyze_weight(a1, RationalCocharacter(("1/2",))) == analyze_weight(
         a1, RationalCocharacter((half,)))
+    assert RationalCocharacter.of(["1/2"]) == RationalCocharacter((half,))
+    assert loop_element(a1, {0: ["1/2"]}, {((1,), 1): "-1/2"}) == loop_element(
+        a1, {0: [half]}, {((1,), 1): -half})
+    assert laurent_to_loop(a1, {0: [["1/2", "1/3"], [0, "-1/2"]]}) == laurent_to_loop(
+        a1, {0: [[half, Fraction(1, 3)], [0, -half]]})
+    alg = LiePoissonAlgebra(1, 1)
+    x = alg.generator(0, 0, 0)
+    assert PoissonPolynomial.constant(alg, "1/2") == PoissonPolynomial.constant(alg, half)
+    assert x.scaled("1/2") == x.scaled(half)
+    assert polyq.evaluate([1, 2], "1/2") == 2
+    assert MomentValue(sites=([["1/2"]],)) == MomentValue(sites=([[half]],))
+    assert linalgq.det([["1/2", 0], [0, 4]]) == 2

@@ -452,6 +452,20 @@ def test_rational_char_coeffs_run_on_ints(monkeypatch):
             route([[alg.generator(0, 0, 0)]])
 
 
+@pytest.mark.parametrize("bad", [0.1, True])
+def test_matrix_functions_refuse_a_float_or_a_bool_entry(bad):
+    """char_coeffs, det, rank, nullspace and inverse clear an entry that is
+    neither an int nor a Fraction through linalgq.rational with TypeError,
+    so a float is not taken at its binary value (det [[0.1]] once gave
+    3602879701896397/36028797018963968) and a bool is not taken as 0 or 1
+    (rank [[0.5, True]] once gave 1)."""
+    m = [[2, 1], [bad, 1]]
+    for route in (linalgq.char_coeffs, linalgq.det, linalgq.rank, linalgq.nullspace,
+                  linalgq.inverse):
+        with pytest.raises(TypeError, match="^matrix entry: "):
+            route(m)
+
+
 SITE_ALGEBRAS = [poisson.LiePoissonAlgebra(n, s) for n in range(1, 5) for s in (1, 2)]
 
 

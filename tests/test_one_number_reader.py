@@ -1,12 +1,16 @@
 """Only one function under src/logahoric reads a number.
 
 Reading a rational from user data is one step, `linalgq.rational`; the
-CLI's `_rat` and `_int`, `linalgq.rationals`, `linalgq.integer` and every
-entry point call it rather than converting with a try/except of their own.
-Reading a string "p/0" is the one conversion that raises ZeroDivisionError,
-so a stdlib `ast` scan of every module under src/logahoric lists the
+CLI's `_rat` and `_int`, `linalgq.rationals`, `linalgq.integer`,
+`linalgq.integer_form` and every entry point call it rather than converting
+with a try/except of their own or with a bare `Fraction(value)`, which
+takes a float at its binary value and a bool as 0 or 1.  Two stdlib `ast`
+scans of every module under src/logahoric check it.  Reading a string "p/0"
+is the one conversion that raises ZeroDivisionError, so one lists the
 functions with an `except` clause that names it, alone or in a tuple, as a
-bare name or as an attribute (`builtins.ZeroDivisionError`).
+bare name or as an attribute (`builtins.ZeroDivisionError`).  The other
+lists the functions that call `Fraction` (or `fractions.Fraction`) with one
+argument that is not a literal.
 """
 
 import ast
@@ -26,9 +30,25 @@ def names_zero_division(handler: ast.ExceptHandler) -> bool:
     )
 
 
-def zero_division_catchers(source: str) -> list:
-    """(innermost enclosing function, line) of each except clause naming
-    ZeroDivisionError; "<module>" for one outside any function."""
+def reads_a_fraction(node) -> bool:
+    """Whether node is a call Fraction(arg), bare or as an attribute, with
+    one argument (starred or keyword too) that ast.literal_eval does not read."""
+    if not isinstance(node, ast.Call):
+        return False
+    f, args = node.func, node.args + [k.value for k in node.keywords]
+    if len(args) != 1 or not ((isinstance(f, ast.Name) and f.id == "Fraction")
+                              or (isinstance(f, ast.Attribute) and f.attr == "Fraction")):
+        return False
+    try:
+        ast.literal_eval(args[0])
+    except ValueError:
+        return True
+    return False
+
+
+def find(source: str, hit) -> list:
+    """(innermost enclosing function, line) of each node of source for which
+    hit is true; "<module>" for one outside any function."""
     found = []
 
     def visit(node, owner):
@@ -36,12 +56,19 @@ def zero_division_catchers(source: str) -> list:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if isinstance(child, ast.ExceptHandler) and child.type and names_zero_division(child):
+            if hit(child):
                 found.append((owner, child.lineno))
             visit(child, owner)
 
     visit(ast.parse(source), "<module>")
     return found
+
+
+def zero_division_catchers(source: str) -> list:
+    """(innermost enclosing function, line) of each except clause naming
+    ZeroDivisionError; "<module>" for one outside any function."""
+    return find(source, lambda node: isinstance(node, ast.ExceptHandler) and node.type
+                and names_zero_division(node))
 
 
 def test_scan_names_the_catching_function():
@@ -79,3 +106,29 @@ def test_numbers_are_read_only_by_the_one_reader():
         for owner, _ in zero_division_catchers((PACKAGE / module).read_text(encoding="utf-8"))
     ]
     assert catchers == [("linalgq.py", "rational")]
+
+
+def test_fraction_scan_names_the_calling_function():
+    source = (
+        "import fractions\n"
+        "from fractions import Fraction\n"
+        "def f(v, pair):\n"
+        "    a = Fraction(0) + Fraction(-1) + Fraction('1/2') + Fraction(v, 2)\n"
+        "    return Fraction(v) + Fraction(*pair)\n"
+        "def g(v):\n"
+        "    def h():\n"
+        "        return fractions.Fraction(v)\n"
+        "    return h() + Fraction(numerator=v)\n"
+        "K = Fraction(len('ab'))\n"
+    )
+    assert find(source, reads_a_fraction) == [
+        ("f", 5), ("f", 5), ("h", 8), ("g", 9), ("<module>", 10)]
+
+
+def test_no_bare_fraction_reads_a_value():
+    readers = {
+        (module, owner)
+        for module in MODULES
+        for owner, _ in find((PACKAGE / module).read_text(encoding="utf-8"), reads_a_fraction)
+    }
+    assert readers == {("linalgq.py", "rational")}

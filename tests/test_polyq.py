@@ -420,6 +420,21 @@ def test_digits_refuses_a_base_below_4():
     assert polyq.digits(5, 2) == [1, 1]
 
 
+@given(st.integers(1, 2**80), st.data())
+def test_kronecker_beta_is_the_least_exact_base(bound, data):
+    """Every int polynomial with coefficients at most bound in size, the
+    extremes -bound and bound among them, is read back by digits from its
+    value at 2^kronecker_beta(bound); one bit less does not read the
+    constant bound back."""
+    beta = polyq.kronecker_beta(bound)
+    coeffs = data.draw(st.lists(st.sampled_from([-bound, bound]) | st.integers(-bound, bound),
+                                max_size=6))
+    polyq.trim(coeffs)
+    assert polyq.digits(sum(c << beta * i for i, c in enumerate(coeffs)), beta) == coeffs
+    if beta > 2:
+        assert polyq.digits(bound, beta - 1) != [bound]
+
+
 def test_discriminant_rejects_constants():
     for constant in ([3], [Fraction(3)]):
         with pytest.raises(ArithmeticError):
