@@ -162,7 +162,7 @@ class ParsedConfig:
                     raise ConfigError(f"points[{i}] has no theta; parahoric-analyze needs one")
             elif len(th) != rank:
                 raise ConfigError(f"points[{i}].theta must have {rank} coroot coordinates")
-        return tuple(None if th is None else RationalCocharacter(tuple(th)) for th in self.thetas)
+        return tuple(None if th is None else RationalCocharacter(th) for th in self.thetas)
 
     def field(self) -> LogHiggsField:
         group = self.require_group()
@@ -175,10 +175,6 @@ class ParsedConfig:
 # ---------------------------------------------------------------------------
 # Payload helpers
 # ---------------------------------------------------------------------------
-
-
-def _root_key(root: Tuple[int, ...]) -> str:
-    return ",".join(str(c) for c in root)
 
 
 class _Candidates(NamedTuple):
@@ -223,6 +219,7 @@ def _cmd_parahoric_analyze(cfg: ParsedConfig) -> dict:
     thetas = cfg.theta_data(every_point=True)
     # Built only once every theta is checked: it takes seconds at rank 100.
     rs = build_root_system(group.family, group.rank)
+    keys = {r: ",".join(map(str, r)) for r in rs.roots}  # each root's report key, once
     out = []
     for x, theta in zip(points, thetas):
         datum = parahoric.analyze_weight(rs, theta)
@@ -231,11 +228,9 @@ def _cmd_parahoric_analyze(cfg: ParsedConfig) -> dict:
                 "x": str(x),
                 "theta": [str(c) for c in theta.coeffs],
                 "facet": datum.facet_class,
-                "jumps": {_root_key(r): m for r, m in datum.jumps.items()},
-                "levi_roots": [_root_key(r) for r in datum.levi_roots],
-                "plus_levels": {
-                    _root_key(r): m for r, m in datum.plus_grading.items()
-                },
+                "jumps": {keys[r]: m for r, m in datum.jumps.items()},
+                "levi_roots": [keys[r] for r in datum.levi_roots],
+                "plus_levels": {keys[r]: m for r, m in datum.plus_grading.items()},
             }
         )
     return {"family": group.family, "rank": group.rank, "points": out}

@@ -135,7 +135,8 @@ def build_field(
     cocharacter theta or None per point, each with the group's rank of
     coroot coordinates) for field_from_read, which checks the rest: shapes
     are checked here, and every number is read by linalgq.rationals, the
-    residue entries into int pairs (linalgq.ratio)."""
+    residue entries into int pairs (linalgq.ratio); a cocharacter has read
+    its own coordinates."""
     if not linalgq.has_shape(points, None):
         raise ShapeError("points must be a sequence of rationals")
     xs = linalgq.rationals(points, "points")
@@ -156,8 +157,7 @@ def build_field(
                                           and linalgq.has_shape(theta.coeffs, group.rank)):
                 raise ShapeError(f"theta_data[{j}] must be a cocharacter of {group.rank} "
                                  f"coordinates for {group.family}{group.rank}")
-        theta_data = tuple(None if th is None else RationalCocharacter(tuple(linalgq.rationals(
-            th.coeffs, f"theta_data[{j}]"))) for j, th in enumerate(theta_data))
+        theta_data = tuple(theta_data)
     return field_from_read(xs, mats, group, theta_data)
 
 
@@ -413,7 +413,9 @@ def gaudin_hamiltonians(f: LogHiggsField) -> tuple:
     """(alg, hams), the shape of poisson.hitchin_coefficient_hamiltonians:
     the quadratic Hamiltonians of gaudin_values as abstract polynomials in
     the matrix-entry coordinates of LiePoissonAlgebra(n, s) (n^2 (s-1) terms
-    each), for symbolic bracket checks.  Shapes with n*s past
+    each), for symbolic bracket checks.  The family sums to zero, as
+    1/(x_j - x_k) is antisymmetric, so poisson.verify_involution skips its
+    last pass while the others commute.  Shapes with n*s past
     GAUDIN_INVOLUTION_MAX_SIZE raise ShapeError before any work, and fields
     not regular at infinity ConstraintError.
     """

@@ -76,18 +76,16 @@ class ParahoricDatum:
 def analyze_weight(rs: RootSystem, theta: RationalCocharacter) -> ParahoricDatum:
     """Jump table, Levi root set, radical grading and facet class of theta.
 
-    theta, read by linalgq.rationals and kept so in the datum, is cleared
+    theta, whose coordinates it read itself (RationalCocharacter), is cleared
     once by linalgq.integer_form to cs/den; u_j = sum_i cs_i * cartan[i][j]
     folds the Cartan matrix in, so each root's pairing r(theta) = (u . r)/den
     is one int dot product.  One divmod by den gives its floor q and
     remainder: the jump ceil(-r(theta)) is -q, and r is a Levi root exactly
     when the remainder is 0 (integer pairing).  rootsys.pair is the scalar
-    reference.  theta of another coordinate count, or with a coordinate
-    that is not a rational, raises ShapeError.
+    reference.  theta of another coordinate count raises ShapeError.
     """
     if not linalgq.has_shape(theta.coeffs, rs.rank):
         raise ShapeError(f"theta needs {rs.rank} coroot coordinates, the system rank")
-    theta = RationalCocharacter(tuple(linalgq.rationals(theta.coeffs, "theta")))
     den, cs = linalgq.integer_form(theta.coeffs)
     u = [sum(map(mul, cs, col)) for col in zip(*rs.cartan_matrix)]
     jumps: Dict[Root, int] = {}
@@ -149,10 +147,9 @@ def loop_element(
     coefficient that linalgq.rational refuses raises ShapeError naming it."""
     torus_acc: Dict[int, List[Fraction]] = {}
     for k, coords in (torus or {}).items():
-        coords = linalgq.rationals(coords, f"torus[{k!r}]")
-        if len(coords) != rs.rank:
-            raise ShapeError(f"torus coordinate vector must have length {rs.rank}")
-        torus_acc[k] = coords
+        if not linalgq.has_shape(coords, rs.rank):
+            raise ShapeError(f"torus coordinate vector must be a sequence of length {rs.rank}")
+        torus_acc[k] = linalgq.rationals(coords, f"torus[{k!r}]")
     root_acc: Dict[Tuple[Root, int], Fraction] = {}
     root_set = set(rs.roots)
     for (r, k), c in (roots or {}).items():
@@ -193,7 +190,7 @@ def loop_to_laurent(x: LoopElement) -> Dict[int, Matrix]:
         return out[k]
 
     for k, coords in x.torus_terms:
-        diag = cocharacter_to_diagonal(RationalCocharacter(tuple(coords)))
+        diag = cocharacter_to_diagonal(RationalCocharacter(coords))
         m = coeff(k)
         for i, t in enumerate(diag):
             m[i][i] += t

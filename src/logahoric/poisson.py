@@ -37,11 +37,12 @@ there (higgs.quotient_diagram_check).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, compress, permutations, product
 from math import ceil, comb, gcd, isqrt, log, prod
-from operator import mul
+from operator import itemgetter, mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalgq, polyq
@@ -216,13 +217,14 @@ def _primes(count: int) -> List[int]:
 Partials = Dict[int, Dict[int, int]]
 
 
-def _partials(pol: PoissonPolynomial, primes: List[int]) -> Tuple[int, Partials]:
+def _partials(pol: PoissonPolynomial, primes: List[int]) -> Tuple[int, List[int], Partials]:
     """pol cleared to integer coefficients, keyed by primes, split by generator.
 
-    Returns den, the lcm of the coefficient denominators, and the Partials
-    of pol: the entry m/x_a: k*e_a under x_a for each term (k/den)*m of pol
-    and each generator x_a of m, with e_a its exponent, so that d(pol)/dx_a
-    is the sum of k*e_a*(m/x_a) over den.  Keyed, m/x_a is m // p_a.
+    Returns den, the lcm of the coefficient denominators, the cleared
+    coefficients ks, term by term, and the Partials of pol: the entry
+    m/x_a: k*e_a under x_a for each term (k/den)*m of pol and each generator
+    x_a of m, with e_a its exponent, so that d(pol)/dx_a is the sum of
+    k*e_a*(m/x_a) over den.  Keyed, m/x_a is m // p_a.
     """
     den, ks = linalgq.integer_form(c for _, c in pol.terms)
     parts: Partials = {}
@@ -230,7 +232,7 @@ def _partials(pol: PoissonPolynomial, primes: List[int]) -> Tuple[int, Partials]
         m = prod(primes[g] ** e for g, e in mono)
         for gen, e in mono:
             parts.setdefault(gen, {})[m // primes[gen]] = k * e
-    return den, parts
+    return den, ks, parts
 
 
 def _check_member(pol: PoissonPolynomial, alg: LiePoissonAlgebra) -> None:
@@ -324,6 +326,36 @@ class InvolutionReport:
         return not self.nonzero_pairs
 
 
+def _sums_to_zero(
+    hams: Sequence[PoissonPolynomial], parts: List[Tuple[int, List[int], Partials]]
+) -> bool:
+    """Whether the Hamiltonians sum to zero, decided exactly in ints: the
+    cleared ks_i of parts[i] (_partials) times L/den_i, L the common
+    denominator linalgq.integer_form finds from the pairs (1, den_i).  A
+    probe first sums the last one's first monomial, found by bisection in
+    each terms tuple (sorted by _from_dict); it can only answer no, so terms
+    out of order cost the skip, never a wrong answer.  So does a monomial
+    that is not a tuple, which can be neither ordered nor hashed."""
+    _, shares = linalgq.integer_form((1, den) for den, _, _ in parts)
+    cleared = [(ham.terms, ks, share) for ham, (_, ks, _), share in zip(hams, parts, shares)]
+    try:
+        if hams[-1].terms:
+            mono, total = hams[-1].terms[0][0], 0
+            for terms, ks, share in cleared:
+                i = bisect_left(terms, mono, key=itemgetter(0))
+                if i < len(terms) and terms[i][0] == mono:
+                    total += ks[i] * share
+            if total:
+                return False
+        sums: Dict[Monomial, int] = {}
+        for terms, ks, share in cleared:
+            for (mono, _), k in zip(terms, ks):
+                sums[mono] = sums.get(mono, 0) + k * share
+    except TypeError:
+        return False
+    return not any(sums.values())
+
+
 def _brackets(hams: Sequence[PoissonPolynomial], alg: LiePoissonAlgebra):
     """Yield (i, j, {H_i, H_j}) for each pair i < j of hams whose bracket is
     not identically zero, by pass j, then by i.
@@ -341,6 +373,11 @@ def _brackets(hams: Sequence[PoissonPolynomial], alg: LiePoissonAlgebra):
     {H_i, H_j}.  The slots are read back as the balanced (signed)
     base-2^beta digits of polyq.digits and divided by den_i den_j.
     K Hamiltonians take K - 1 passes, not K(K - 1)/2.
+
+    A family that sums to zero (_sums_to_zero; a Gaudin family does) skips
+    its last pass, the largest, unless an earlier one yields a non-zero
+    bracket: by bilinearity {H_i, H_(K-1)} = -(sum over l != i, l < K - 1
+    of {H_i, H_l}), zero when every earlier bracket is.
 
     The read is exact.  Let |h| be the sum of |k| deg(m) over the terms k m
     of h.  A result term of {h_i, h_j} gets one contribution from each pair
@@ -361,18 +398,23 @@ def _brackets(hams: Sequence[PoissonPolynomial], alg: LiePoissonAlgebra):
     primes = _primes(alg.gen_count)
     digits = polyq.digits
     parts = [_partials(ham, primes) for ham in hams]
-    norm = max((sum(abs(c) for ks in p.values() for c in ks.values()) for _, p in parts), default=0)
+    norm = max(
+        (sum(abs(c) for ks in p.values() for c in ks.values()) for _, _, p in parts), default=0
+    )
     beta = polyq.kronecker_beta(norm * norm)
     partners = _partners(alg.matrix_size)
     nn = alg.matrix_size**2
     index = sites = None
     batch: Partials = {}
+    closes = len(hams) > 1 and _sums_to_zero(hams, parts)  # and no non-zero bracket yet
     for j in range(1, len(hams)):
-        for gen, ks in parts[j - 1][1].items():
+        if closes and j == len(hams) - 1:
+            return
+        for gen, ks in parts[j - 1][2].items():
             into = batch.setdefault(gen, {})
             for r, c in ks.items():
                 into[r] = into.get(r, 0) + (c << beta * (j - 1))
-        gden, gparts = parts[j]
+        gden, _, gparts = parts[j]
         acc = _bracket_packed(batch, gparts, partners, primes)
         slots: List[Dict[int, int]] = [{} for _ in range(j)]
         if any(acc.values()):
@@ -384,6 +426,7 @@ def _brackets(hams: Sequence[PoissonPolynomial], alg: LiePoissonAlgebra):
         for i, slot in enumerate(slots):
             if not slot:
                 continue
+            closes = False
             if index is None:
                 index = {p: g for g, p in enumerate(primes)}
                 sites = [primes[o : o + nn] for o in range(0, len(primes), nn)]
@@ -410,7 +453,9 @@ def verify_involution(
     hams: Sequence[PoissonPolynomial], alg: LiePoissonAlgebra
 ) -> InvolutionReport:
     """Bracket every pair of Hamiltonians (_brackets) and list, in pair
-    order, the pairs whose bracket is not identically zero."""
+    order, the pairs whose bracket is not identically zero.  K Hamiltonians
+    take one kernel pass each after the first, except the last of a family
+    that sums to zero while the others commute: bilinearity decides it."""
     nonzero = sorted((i, j, value.to_string()) for i, j, value in _brackets(hams, alg))
     return InvolutionReport(pair_count=comb(len(hams), 2), nonzero_pairs=tuple(nonzero))
 

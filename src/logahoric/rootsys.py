@@ -42,13 +42,21 @@ class RootSystem:
 
 @dataclass(frozen=True)
 class RationalCocharacter:
-    """A rational cocharacter, coordinates in the simple-coroot basis."""
+    """A rational cocharacter, coordinates in the simple-coroot basis, read
+    by linalgq.rationals however it is built: text or a non-sequence where
+    the coordinates belong, or a coordinate that linalgq.rational refuses
+    (named theta[i]), raises ShapeError."""
 
     coeffs: Tuple[Fraction, ...]
 
+    def __post_init__(self):
+        if not linalgq.has_shape(self.coeffs, None):
+            raise ShapeError("theta must be a sequence of coroot coordinates")
+        object.__setattr__(self, "coeffs", tuple(linalgq.rationals(self.coeffs, "theta")))
+
     @staticmethod
     def of(values: Sequence) -> "RationalCocharacter":
-        return RationalCocharacter(tuple(linalgq.rationals(values, "theta")))
+        return RationalCocharacter(values)
 
 
 @dataclass(frozen=True)

@@ -226,7 +226,11 @@ def test_rank2_ladder_ranks_each_degree_once_until_its_rows_are_free(monkeypatch
 def test_involution_runs_one_kernel_pass_per_hamiltonian(monkeypatch):
     """verify_involution brackets each Hamiltonian with all earlier ones in
     one pass of the kernel: K - 1 passes for K Hamiltonians, none for K <= 1,
-    whether the family commutes or not; bracket runs one pass."""
+    whether the family commutes or not; bracket runs one pass.  A family
+    that sums to zero skips its last pass while the others commute (a
+    Gaudin family: K - 2 passes), and runs it once one of their brackets is
+    non-zero (x_01, x_10, -(x_01 + x_10) on one gl_2 site); so {f, -f} runs
+    none."""
     real_kernel, passes = poisson._bracket_packed, []
 
     def kernel(*args):
@@ -244,6 +248,18 @@ def test_involution_runs_one_kernel_pass_per_hamiltonian(monkeypatch):
     passes.clear()
     assert not poisson.bracket(x(0, 0, 1), x(0, 1, 0), alg).is_zero
     assert len(passes) == 1
+    galg, gaudin = higgs.gaudin_hamiltonians(rnd_field(random.Random(11), 3, 5))
+    passes.clear()
+    assert poisson.verify_involution(gaudin, galg).all_commute
+    assert len(passes) == len(gaudin) - 2
+    x01, x10 = x(0, 0, 1), x(0, 1, 0)
+    passes.clear()
+    report = poisson.verify_involution([x01, x10, -(x01 + x10)], alg)
+    assert [(i, j) for i, j, _ in report.nonzero_pairs] == [(0, 1), (0, 2), (1, 2)]
+    assert len(passes) == 2
+    passes.clear()
+    assert poisson.bracket(x01, -x01, alg).is_zero
+    assert not passes
 
 
 def test_involution_keys_grow_with_degree_not_with_the_algebra(monkeypatch):

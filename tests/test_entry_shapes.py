@@ -10,8 +10,9 @@ inputs is tied to another, so each change must be refused, and the refusal
 must be a LogahoricError subclass, not a bare TypeError, ValueError or
 IndexError from inside the computation.  Text where a sequence belongs is
 refused, and so is a value that is not a rational where a number belongs,
-there, in `ReductionDatum`, `hitchin_coefficient_hamiltonians`, the
-loop-algebra and Poisson-polynomial constructors and `polyq.evaluate`, and
+there, in `ReductionDatum`, `RationalCocharacter`,
+`hitchin_coefficient_hamiltonians`, the loop-algebra and Poisson-polynomial
+constructors and `polyq.evaluate`, and
 in a residue matrix of a CLI config; a MomentValue holds no float, so
 `coadjoint_act` returns none.
 """
@@ -217,6 +218,9 @@ def test_text_is_not_a_sequence():
         lambda: hitchin_coefficient_hamiltonians("12", 2),
         lambda: hitchin_coefficient_hamiltonians(b"12", 2),
         lambda: hitchin_coefficient_hamiltonians(5, 2),
+        lambda: RationalCocharacter.of("12"),
+        lambda: RationalCocharacter(b"12"),
+        lambda: loop_element(SYSTEMS[2], {0: "12"}),
     ]:
         with pytest.raises(ShapeError):
             call()
@@ -253,7 +257,8 @@ def test_every_entry_point_names_a_number_that_is_not_a_rational(bad):
     them) is refused with a domain error naming the entry, at every entry
     point that reads numbers, not with a bare ValueError or TypeError there
     or later, in moment_map, and not read as a float's binary value or a
-    bool's int."""
+    bool's int.  A cocharacter reads its own coordinates, so one built
+    directly refuses such a coordinate before any entry point sees it."""
     gl2 = GroupTag("A", 1, "GL")
     zero = [[0, 0], [0, 0]]
     sites = MomentValue(sites=(zero, zero))
@@ -263,7 +268,8 @@ def test_every_entry_point_names_a_number_that_is_not_a_rational(bad):
         (lambda: build_field([0, 1], [zero, [[0, 0], [bad, 0]]], gl2), ShapeError,
          r"residues\[1\]\[1\]\[0\]"),
         (lambda: build_field([0, 1], [zero, zero], gl2, [None, RationalCocharacter((bad,))]),
-         ShapeError, r"theta_data\[1\]\[0\]"),
+         ShapeError, r"theta\[0\]"),
+        (lambda: RationalCocharacter((0, bad)), ShapeError, r"theta\[1\]"),
         (lambda: analyze_weight(SYSTEMS[2], RationalCocharacter((0, bad))), ShapeError,
          r"theta\[1\]"),
         (lambda: ReductionDatum(1, 1, 2, 2, (0, bad)), InvalidReductionError,

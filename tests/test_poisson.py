@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from logahoric import linalgq, poisson
 from logahoric.errors import (
     AlgebraMismatchError,
+    ConstraintError,
     DivisorError,
     FiltrationError,
     GroupError,
@@ -536,7 +537,9 @@ def hamiltonian_sets(draw):
     """An algebra, three sites at most, and 0..7 Hamiltonians of degree 0..6
     (up to three generators per monomial, each to the power 1 or 2) with
     coefficients up to 10^30 of either sign over large coprime denominators,
-    among them zero, constant and duplicate Hamiltonians."""
+    among them zero, constant and duplicate Hamiltonians, and a closing one,
+    minus the sum of the others, which ends the family so that it sums to
+    zero."""
     alg = LiePoissonAlgebra(*draw(st.sampled_from(INVOLUTION_ALGEBRAS)))
     coeff = st.builds(
         Fraction, st.integers(-(10**30), 10**30), st.sampled_from(INVOLUTION_DENOMINATORS)
@@ -545,7 +548,10 @@ def hamiltonian_sets(draw):
     monomial = st.lists(st.tuples(generator, st.integers(1, 2)), max_size=3)
     hams = []
     for _ in range(draw(st.integers(0, 7))):
-        kind = draw(st.sampled_from(["random"] * 4 + ["zero", "constant", "duplicate"]))
+        kind = draw(st.sampled_from(["random"] * 4 + ["zero", "constant", "duplicate", "closing"]))
+        if kind == "closing":
+            hams.append(-sum(hams, PoissonPolynomial.zero(alg)))
+            break
         if kind == "zero":
             hams.append(PoissonPolynomial.zero(alg))
         elif kind == "constant":
@@ -601,6 +607,18 @@ def test_verify_involution_borrows_across_slots():
     assert report.nonzero_pairs == pairwise_involution(hams, alg)
     assert [(i, j) for i, j, _ in report.nonzero_pairs] == [(0, 2), (0, 3), (1, 2), (1, 3)]
     assert report.nonzero_pairs[0][2] == f"{4 * a * a}*x0_10"
+
+
+def test_verify_involution_takes_a_monomial_written_as_a_list():
+    """A monomial given as a list of (generator, exponent) pairs is
+    bracketed as its tuple would be; the zero-sum test, which can neither
+    order nor hash it, skips no pass."""
+    alg = LiePoissonAlgebra(2, 1)
+    x00, x01 = alg.generator(0, 0, 0), alg.generator(0, 0, 1)
+    as_list = PoissonPolynomial(alg, (([(0, 1)], Fraction(1)),))
+    for family in ([as_list, x01], [x01, as_list], [as_list, x01, -(x00 + x01)]):
+        want = [x00 if h is as_list else h for h in family]
+        assert verify_involution(family, alg) == verify_involution(want, alg)
 
 
 def test_evaluate_and_partial():
@@ -668,6 +686,24 @@ def test_gaudin_polynomials_evaluate_to_values():
         values = gaudin_values(f)
         for j in range(3):
             assert evaluate(hams[j], f.residues) == values[j]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 6), st.booleans(), st.integers(0, 2**32))
+def test_gaudin_families_sum_to_zero(n, s, sum_zero, seed):
+    """c_jk = 1/(x_j - x_k) is antisymmetric, so the Gaudin Hamiltonians of
+    a field regular at infinity sum to the zero polynomial, and
+    _sums_to_zero finds so from the cleared ints; a field that is not
+    regular at infinity is refused before any family is built."""
+    f = rnd_field(random.Random(seed), n, s, sum_zero=sum_zero)
+    if not f.regular_at_infinity:
+        with pytest.raises(ConstraintError):
+            gaudin_hamiltonians(f)
+        return
+    alg, hams = gaudin_hamiltonians(f)
+    assert sum(hams, PoissonPolynomial.zero(alg)).is_zero
+    primes = poisson._primes(alg.gen_count)
+    assert poisson._sums_to_zero(hams, [poisson._partials(ham, primes) for ham in hams])
 
 
 def test_gaudin_polynomials_match_generator_products():
